@@ -70,6 +70,11 @@ class AuditLog:
     def write_to(self, path: Path) -> None:
         path.write_text(self.render(), encoding="utf-8")
 
+    def append_to(self, path: Path) -> None:
+        """Append this log's events to ``path``, creating it if absent."""
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(self.render())
+
 
 def parse_access_log(text: str) -> tuple[AccessEvent, ...]:
     events = []
@@ -229,12 +234,17 @@ def create_sandbox(
     git: GitBackend,
     clock: Clock,
     request_id: str,
-    attempt: int = 1,
+    reuse: bool = False,
     state: WorkflowState | None = None,
     include: frozenset[ArtifactKind] | None = None,
 ) -> Sandbox:
-    """Create a fresh worktree-backed sandbox for an execution or
-    recording role and materialize its granted artifacts.
+    """Give an execution or recording role a pristine checkout of its
+    branch and materialize its granted artifacts.
+
+    A role has one worktree per run, at ``sandboxes/<role>``. The first
+    dispatch adds it; with ``reuse`` (the worktree already exists) it is
+    reset instead, so no edit, untracked file, artifact or access log of
+    an earlier attempt survives.
 
     Asking to materialize a non-granted artifact is a barrier violation
     and fails hard rather than being skipped.
@@ -244,12 +254,15 @@ def create_sandbox(
             f"{role.value} does not run in a worktree sandbox; "
             f"worktree roles: {sorted(r.value for r in WORKTREE_ROLES)}"
         )
-    path = run_dir.sandboxes_dir / f"{role.value}-{attempt}"
+    path = run_dir.sandboxes_dir / role.value
     branch = f"agent/{role.value}/{request_id}"
-    run_dir.sandboxes_dir.mkdir(parents=True, exist_ok=True)
-    result = git.worktree_add(base_repo, path, branch)
+    if reuse:
+        result = git.worktree_reset(base_repo, path, branch)
+    else:
+        run_dir.sandboxes_dir.mkdir(parents=True, exist_ok=True)
+        result = git.worktree_add(base_repo, path, branch)
     if not result.ok:
-        raise EnvironmentFailure(f"worktree creation failed: {result.output}")
+        raise EnvironmentFailure(f"worktree {'reset' if reuse else 'creation'} failed: {result.output}")
     return _materialize(
         role, path, m, run_dir=run_dir, clock=clock, state=state, include=include, branch=branch
     )

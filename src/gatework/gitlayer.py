@@ -18,6 +18,7 @@ from pathlib import Path
 class GitAction(str, Enum):
     WORKTREE_ADD = "WORKTREE_ADD"
     WORKTREE_REMOVE = "WORKTREE_REMOVE"
+    WORKTREE_RESET = "WORKTREE_RESET"
     STAGE = "STAGE"
     COMMIT = "COMMIT"
     PUSH = "PUSH"
@@ -43,6 +44,12 @@ class GitBackend(ABC):
 
     @abstractmethod
     def worktree_remove(self, repo: Path, path: Path) -> GitResult: ...
+
+    @abstractmethod
+    def worktree_reset(self, repo: Path, path: Path, branch: str) -> GitResult:
+        """Restore an existing worktree of ``repo`` to a fresh checkout of
+        ``branch``: tracked edits reverted, untracked and ignored files
+        deleted. Refuses (``ok=False``) a path that is not a worktree."""
 
     @abstractmethod
     def stage(self, repo: Path, paths: list[str]) -> GitResult: ...
@@ -76,10 +83,11 @@ class SubprocessGit(GitBackend):
         with self._locks_guard:
             return self._locks[str(Path(repo).resolve())]
 
-    def _run(self, repo: Path, *args: str) -> subprocess.CompletedProcess:
+    def _run(self, repo: Path, *args: str, where: Path | None = None) -> subprocess.CompletedProcess:
+        """Run git in ``where`` (default: ``repo``) under ``repo``'s lock."""
         with self._lock(repo):
             return subprocess.run(
-                ["git", "-C", str(repo), *args],
+                ["git", "-C", str(where or repo), *args],
                 capture_output=True,
                 text=True,
                 check=False,
@@ -115,11 +123,13 @@ class SubprocessGit(GitBackend):
         # git -C <repo> resolves relative worktree paths against the repo,
         # not our working directory, so pass an absolute path
         path = Path(path).resolve()
-        branches = self._run(repo, "branch", "--list", branch).stdout.strip()
-        if branches:
-            proc = self._run(repo, "worktree", "add", str(path), branch)
-        else:
-            proc = self._run(repo, "worktree", "add", "-b", branch, str(path))
+        proc = self._run(repo, "worktree", "add", "-b", branch, str(path))
+        if proc.returncode != 0:
+            # The branch may survive from an earlier session of this run.
+            # Ask git, rather than parse its (translated) error message.
+            known = self._run(repo, "rev-parse", "-q", "--verify", f"refs/heads/{branch}")
+            if known.returncode == 0:
+                proc = self._run(repo, "worktree", "add", str(path), branch)
         return self._result(GitAction.WORKTREE_ADD, proc, f"{path} on {branch}")
 
     def worktree_remove(self, repo: Path, path: Path) -> GitResult:
@@ -128,6 +138,19 @@ class SubprocessGit(GitBackend):
             return GitResult(ok=True, action=GitAction.WORKTREE_REMOVE, detail=f"{path} (absent)")
         proc = self._run(repo, "worktree", "remove", "--force", str(path))
         return self._result(GitAction.WORKTREE_REMOVE, proc, str(path))
+
+    def worktree_reset(self, repo: Path, path: Path, branch: str) -> GitResult:
+        path = Path(path).resolve()
+        # A linked worktree's .git is a file. Anywhere else, git would walk
+        # up to the enclosing repository and reset that checkout instead.
+        if not (path / ".git").is_file():
+            return _not_a_worktree(path)
+        # like `reset --hard`, but also returns HEAD to the branch if the
+        # agent switched branches or detached it
+        proc = self._run(repo, "checkout", "-q", "-f", branch, "--", where=path)
+        if proc.returncode == 0:
+            proc = self._run(repo, "clean", "-q", "-ffdx", where=path)
+        return self._result(GitAction.WORKTREE_RESET, proc, str(path))
 
     def stage(self, repo: Path, paths: list[str]) -> GitResult:
         proc = self._run(repo, "add", "--", *paths) if paths else self._run(repo, "add", "-A")
@@ -165,6 +188,16 @@ class SubprocessGit(GitBackend):
     def default_branch(self, repo: Path) -> str | None:
         proc = self._run(repo, "symbolic-ref", "--short", "HEAD")
         return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def _not_a_worktree(path: Path) -> GitResult:
+    return GitResult(
+        ok=False,
+        action=GitAction.WORKTREE_RESET,
+        detail=str(path),
+        error_kind="environment",
+        output=f"{path} is not a linked worktree; reset refused",
+    )
 
 
 @dataclass
@@ -227,6 +260,14 @@ class FakeGit(GitBackend):
         if path.exists():
             shutil.rmtree(path)
         return self._record(GitResult(ok=True, action=GitAction.WORKTREE_REMOVE, detail=str(path)))
+
+    def worktree_reset(self, repo: Path, path: Path, branch: str) -> GitResult:
+        path = Path(path)
+        if str(path) not in self._repo(repo).worktrees:
+            return self._record(_not_a_worktree(path))
+        shutil.rmtree(path)
+        shutil.copytree(repo, path, ignore=shutil.ignore_patterns(".git"))
+        return self._record(GitResult(ok=True, action=GitAction.WORKTREE_RESET, detail=str(path)))
 
     def stage(self, repo: Path, paths: list[str]) -> GitResult:
         state = self._repo(repo)

@@ -21,8 +21,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from gatework.barrier import (
     DEFAULT_ACCESS_MATRIX,
+    WORKTREE_ROLES,
     AccessMatrix,
-    AuditLog,
     Sandbox,
     audit_isolation,
     create_plain_sandbox,
@@ -88,10 +88,6 @@ from gatework.workspace import (
     sync_workspace,
     validation_commands,
     write_context,
-)
-
-WORKTREE_ROLES = frozenset(
-    {AgentRole.BUILDER, AgentRole.TESTER, AgentRole.SIMULATOR, AgentRole.SCRIBER}
 )
 
 
@@ -634,7 +630,9 @@ class Orchestrator:
         self.run_state = RunState(workflow=workflow)
         self._attempts: dict[AgentRole, int] = {}
         self._extras: dict[AgentRole, list[str]] = {}
-        self._logs: dict[AgentRole, list[AccessEvent]] = {}
+        # worktrees this session added; a resumed session starts with none
+        # on disk whatever its attempt numbers say
+        self._worktrees: dict[AgentRole, Path] = {}
         self._report = RunReport(
             request_id=request_id,
             workflow_id=workflow.id,
@@ -698,11 +696,7 @@ class Orchestrator:
     def _make_sandbox(self, role: AgentRole, attempt: int) -> Sandbox:
         clock = self._sandbox_clock()
         if role in WORKTREE_ROLES:
-            if attempt > 1:
-                # free the role branch before checking it out again
-                previous = self.run_dir.sandboxes_dir / f"{role.value}-{attempt - 1}"
-                self.git.worktree_remove(self.target_repo, previous)
-            return create_sandbox(
+            sandbox = create_sandbox(
                 role,
                 self.target_repo,
                 self.matrix,
@@ -710,9 +704,11 @@ class Orchestrator:
                 git=self.git,
                 clock=clock,
                 request_id=self.request_id,
-                attempt=attempt,
+                reuse=role in self._worktrees,
                 state=self.run_state.current,
             )
+            self._worktrees[role] = sandbox.path
+            return sandbox
         return create_plain_sandbox(
             role,
             self.matrix,
@@ -742,14 +738,8 @@ class Orchestrator:
             outcome = dispatch(req, backend, log_path=log_path)
         finally:
             sandbox.flush_audit()
-            events = sandbox.audit.events()
-            self._logs.setdefault(role, []).extend(events)
-            # persist per-role access logs at run level: sandboxes are
-            # disposable, and a resumed session must still audit them
-            per_role = AuditLog()
-            for event in self._logs[role]:
-                per_role.append(event)
-            per_role.write_to(self._role_access_log_path(role))
+            # the run-level log outlives the sandbox and every session
+            sandbox.audit.append_to(self._role_access_log_path(role))
         if outcome.status is OutcomeStatus.COMPLETED:
             for kind in sorted(outcome.produced, key=lambda k: k.filename):
                 source = sandbox.artifact_file(kind)
@@ -880,12 +870,10 @@ class Orchestrator:
         return self.run_dir.logs_dir / f"access-{role.value}.log"
 
     def _collected_logs(self) -> dict[AgentRole, tuple[AccessEvent, ...]]:
-        """All known access logs: this session's plus any persisted by a
-        prior session of the same run."""
-        logs = {role: tuple(events) for role, events in self._logs.items()}
+        """Every dispatched role's persisted access log, covering all
+        sessions of the run."""
+        logs = {}
         for role in self.workflow.roles():
-            if role in logs:
-                continue
             persisted = self._role_access_log_path(role)
             if persisted.exists():
                 logs[role] = parse_access_log(persisted.read_text(encoding="utf-8"))
@@ -1043,16 +1031,13 @@ class Orchestrator:
             (self.run_dir.path / "pending-hold.md").write_text(
                 self.channel.pending + "\n", encoding="utf-8"
             )
-        if self._logs:
-            merge_access_logs(self._collected_logs(), self.run_dir)
+        logs = self._collected_logs()
+        if logs:
+            merge_access_logs(logs, self.run_dir)
         # worktrees are disposable once artifacts and audit logs are
         # collected; removing them frees the role branches for re-runs
-        for role, attempts in self._attempts.items():
-            if role in WORKTREE_ROLES:
-                for attempt in range(1, attempts + 1):
-                    path = self.run_dir.sandboxes_dir / f"{role.value}-{attempt}"
-                    if path.exists():
-                        self.git.worktree_remove(self.target_repo, path)
+        for path in self._worktrees.values():
+            self.git.worktree_remove(self.target_repo, path)
         self.run_dir.report_json_path.write_text(self._report.to_json(), encoding="utf-8")
         self.run_dir.report_text_path.write_text(self._report.render_text(), encoding="utf-8")
 
@@ -1147,29 +1132,24 @@ def ship(
 
     credentials_present = run_dir.exists(ArtifactKind.CREDENTIALS)
     actions: list[GitResult] = []
-    actions.append(
-        git_ops(target_repo, GitAction.STAGE, {"paths": []}, git=git, credentials_present=credentials_present)
-    )
-    actions.append(
-        git_ops(
-            target_repo,
-            GitAction.COMMIT,
-            {"message": f"ship {slug}"},
-            git=git,
-            credentials_present=credentials_present,
-        )
-    )
-    push = git_ops(target_repo, GitAction.PUSH, {}, git=git, credentials_present=credentials_present)
-    actions.append(push)
-    if not push.ok:
-        _write_shipper_report(run_dir, shipper_draft, actions, "not attempted (push failed)")
-        return ShipReport(
-            shipped=False,
-            refusal=f"push failed: {push.error_kind}",
-            partial=True,
-            git_actions=tuple(actions),
-            sync_detail="workspace sync skipped; nothing to roll back",
-        )
+    for action, params in (
+        (GitAction.STAGE, {"paths": []}),
+        (GitAction.COMMIT, {"message": f"ship {slug}"}),
+        (GitAction.PUSH, {}),
+    ):
+        result = git_ops(target_repo, action, params, git=git, credentials_present=credentials_present)
+        actions.append(result)
+        if not result.ok:
+            # each action builds on the one before; stop at the first failure
+            name = action.value.lower()
+            _write_shipper_report(run_dir, shipper_draft, actions, f"not attempted ({name} failed)")
+            return ShipReport(
+                shipped=False,
+                refusal=f"{name} failed: {result.error_kind}",
+                partial=True,
+                git_actions=tuple(actions),
+                sync_detail="workspace sync skipped; nothing to roll back",
+            )
 
     sync_detail = "no workspace configured"
     if workspace is not None:

@@ -160,15 +160,16 @@ def test_tester_sandbox_after_pipelines_complete_gets_implementation(run_env):
     run_dir.write(K.IMPLEMENTATION, "impl report\n")
     before = create_sandbox(
         R.TESTER, repo, DEFAULT_ACCESS_MATRIX,
-        run_dir=run_dir, git=git, clock=clock, request_id="req-1", attempt=1,
+        run_dir=run_dir, git=git, clock=clock, request_id="req-1",
         state=WorkflowState.SPEC_READY,
     )
     assert not (before.path / "implementation.md").exists()
     after = create_sandbox(
         R.TESTER, repo, DEFAULT_ACCESS_MATRIX,
-        run_dir=run_dir, git=git, clock=clock, request_id="req-1", attempt=2,
+        run_dir=run_dir, git=git, clock=clock, request_id="req-1", reuse=True,
         state=WorkflowState.PIPELINES_COMPLETE,
     )
+    assert after.path == before.path
     assert (after.path / "implementation.md").exists()
     assert (after.path / "test-spec.md").exists()
     assert not (after.path / "spec.md").exists()

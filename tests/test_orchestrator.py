@@ -9,7 +9,7 @@ import pytest
 from conftest import AUDIT_BODY, run_scripted_workflow, scripted_backends
 from gatework.clock import TickClock, iso8601
 from gatework.errors import HoldUnanswered, MisconfigurationError, ProtocolError
-from gatework.gitlayer import FakeGit, GitAction
+from gatework.gitlayer import FakeGit, GitAction, GitResult
 from gatework.model import (
     AgentRole,
     ArtifactKind,
@@ -21,6 +21,7 @@ from gatework.model import (
 )
 from gatework.orchestrator import (
     ChannelMode,
+    Orchestrator,
     UserChannel,
     classify_directive,
     compile_plan,
@@ -34,6 +35,7 @@ from gatework.orchestrator import (
 from gatework.rundir import RunDirectory
 from gatework.runtime import AgentBackend, BackendKind, ScriptedBackend
 from gatework.statemachine import reconstruct_run_state
+from gatework.workspace import WorkspaceLayout
 
 K = ArtifactKind
 R = AgentRole
@@ -309,6 +311,41 @@ def test_resume_after_mid_stage_hold_skips_completed_peers(tmp_path):
     assert resumed.retries["HOLD"] == 1  # carried over from the first session
 
 
+def test_resume_keeps_access_events_of_earlier_sessions(tmp_path):
+    workflow = workflow_by_id(2)
+    backends = scripted_backends(workflow)
+    backends[R.BUILDER] = ScriptedBackend.from_text(
+        "read spec.md\nread test-spec.md\nsignal HOLD \"which estimator variant?\"\n---\n"
+        "read spec.md\nwrite implementation.md <<EOF\n# Implementation\nEOF\ncomplete\n"
+    )
+    first, run_dir, _ = run_scripted_workflow(tmp_path, 2, backends=backends, answers=())
+    assert first.escalation is not None
+
+    resumed = Orchestrator(
+        run_dir=run_dir,
+        request_id=run_dir.path.name,
+        workflow=workflow,
+        backends=backends,
+        channel=UserChannel(
+            mode=ChannelMode.SCRIPTED_ANSWERS, answers=("use defaults",), output_fn=lambda _: None
+        ),
+        target_repo=tmp_path / "repo",
+        git=FakeGit(),
+        clock=TickClock(),
+        directive="scripted protocol exercise",
+    ).run(resume=True)
+
+    # the session-1 DENY still fails review after the session-2 ALLOW
+    persisted = (run_dir.logs_dir / "access-builder.log").read_text(encoding="utf-8")
+    assert [line.split("\t")[2:] for line in persisted.splitlines()] == [
+        ["spec.md", "ALLOW"], ["test-spec.md", "DENY"], ["spec.md", "ALLOW"],
+    ]
+    checks = {c["name"]: c for c in resumed.mechanical["checks"]}
+    assert checks["pipeline-isolation"]["status"] == "fail"
+    assert "builder touched test-spec.md" in checks["pipeline-isolation"]["detail"]
+    assert resumed.exit_code == 2
+
+
 def test_stop_cap_escalates_on_fourth(tmp_path):
     report, _, _ = run_scripted_workflow(tmp_path, 3, reviewer_stops=4, stop_target="scriber")
     assert report.retries["STOP"] == 3
@@ -546,6 +583,47 @@ def test_ship_push_failure_is_partial(tmp_path):
     assert report.partial
     state = reconstruct_run_state(run_dir, workflow_by_id(2))
     assert state.current is WorkflowState.READY_TO_SHIP  # not advanced to DONE
+
+
+class _FailingGit(FakeGit):
+    def __init__(self, failing: GitAction) -> None:
+        super().__init__()
+        self.failing = failing
+
+    def _record(self, result):
+        if result.action is self.failing:
+            result = GitResult(ok=False, action=result.action, detail=result.detail, error_kind="environment")
+        return super()._record(result)
+
+
+@pytest.mark.parametrize(
+    "failing,taken",
+    [
+        (GitAction.STAGE, [GitAction.STAGE]),
+        (GitAction.COMMIT, [GitAction.STAGE, GitAction.COMMIT]),
+    ],
+)
+def test_ship_stops_at_failed_stage_or_commit(tmp_path, failing, taken):
+    run_dir = _ready_to_ship_run(tmp_path, "PASS")
+    run_dir.write(K.LOG_ENTRY, "# Log entry\n\n## What Changed\nx\n")
+    layout = WorkspaceLayout(root=tmp_path / "workspace", repo_name="panelkit").ensure()
+    git = _FailingGit(failing)
+    report = ship(
+        run_dir, "token",
+        target_repo=tmp_path, workflow=workflow_by_id(2), backends={},
+        git=git, clock=TickClock(), workspace=layout,
+    )
+    assert not report.shipped
+    assert report.refusal == f"{failing.value.lower()} failed: environment"
+    # no PUSH, and no workspace sync with its own commit and push
+    assert [a.action for a in git.actions] == taken
+    assert [a.action for a in report.git_actions] == taken
+    assert not any(layout.runs_dir.iterdir())
+    shipper = run_dir.read(K.SHIPPER)
+    assert f"- {failing.value}: " in shipper and "FAILED (environment)" in shipper
+    assert f"not attempted ({failing.value.lower()} failed)" in shipper
+    state = reconstruct_run_state(run_dir, workflow_by_id(2))
+    assert state.current is WorkflowState.READY_TO_SHIP
 
 
 def test_ship_without_credentials_refuses_push(tmp_path):
