@@ -19,7 +19,7 @@ from gatework.barrier import (
     create_sandbox,
 )
 from gatework.clock import Clock, SystemClock, TickClock
-from gatework.gitlayer import FakeGit, GitAction, GitBackend, GitResult, SubprocessGit, git_ops
+from gatework.gitlayer import FakeGit, GitAction, GitBackend, GitResult, SubprocessGit
 from gatework.model import (
     WORKFLOW_CATALOG,
     AccessDecision,
@@ -35,6 +35,7 @@ from gatework.model import (
     VerdictValue,
     WorkflowState,
     WorkflowType,
+    contracted_artifacts,
     parse_review_verdict,
     signal_owner_check,
     state_order,
@@ -55,7 +56,6 @@ from gatework.orchestrator import (
     route_signal,
     run_issue_patrol,
     run_scheduled_loop,
-    run_workflow,
     select_workflow,
     ship,
     start_run,
@@ -70,7 +70,6 @@ from gatework.runtime import (
     RemoteTransport,
     ScriptedBackend,
     SubprocessBackend,
-    contracted_artifacts,
     dispatch,
     load_backends,
     parse_scenario,

@@ -217,13 +217,6 @@ class Sandbox:
                 return self.path / alias
         return None
 
-    @property
-    def audit_log_path(self) -> Path:
-        return self.path / "access.log"
-
-    def flush_audit(self) -> None:
-        self.audit.write_to(self.audit_log_path)
-
 
 def create_sandbox(
     role: AgentRole,
@@ -236,18 +229,14 @@ def create_sandbox(
     request_id: str,
     reuse: bool = False,
     state: WorkflowState | None = None,
-    include: frozenset[ArtifactKind] | None = None,
 ) -> Sandbox:
     """Give an execution or recording role a pristine checkout of its
     branch and materialize its granted artifacts.
 
     A role has one worktree per run, at ``sandboxes/<role>``. The first
     dispatch adds it; with ``reuse`` (the worktree already exists) it is
-    reset instead, so no edit, untracked file, artifact or access log of
-    an earlier attempt survives.
-
-    Asking to materialize a non-granted artifact is a barrier violation
-    and fails hard rather than being skipped.
+    reset instead, so no edit, untracked file or artifact of an earlier
+    attempt survives.
     """
     if role not in WORKTREE_ROLES:
         raise MisconfigurationError(
@@ -263,9 +252,7 @@ def create_sandbox(
         result = git.worktree_add(base_repo, path, branch)
     if not result.ok:
         raise EnvironmentFailure(f"worktree {'reset' if reuse else 'creation'} failed: {result.output}")
-    return _materialize(
-        role, path, m, run_dir=run_dir, clock=clock, state=state, include=include, branch=branch
-    )
+    return _materialize(role, path, m, run_dir=run_dir, clock=clock, state=state, branch=branch)
 
 
 def create_plain_sandbox(
@@ -276,7 +263,6 @@ def create_plain_sandbox(
     clock: Clock,
     attempt: int = 1,
     state: WorkflowState | None = None,
-    include: frozenset[ArtifactKind] | None = None,
 ) -> Sandbox:
     """Directory-backed sandbox for the bridge, convergence, and ship
     roles, which need artifact isolation but no repository worktree."""
@@ -284,7 +270,7 @@ def create_plain_sandbox(
         raise MisconfigurationError("the leader is never dispatched into a sandbox")
     path = run_dir.sandboxes_dir / f"{role.value}-{attempt}"
     path.mkdir(parents=True, exist_ok=True)
-    return _materialize(role, path, m, run_dir=run_dir, clock=clock, state=state, include=include)
+    return _materialize(role, path, m, run_dir=run_dir, clock=clock, state=state)
 
 
 def _materialize(
@@ -295,20 +281,10 @@ def _materialize(
     run_dir: RunDirectory,
     clock: Clock,
     state: WorkflowState | None,
-    include: frozenset[ArtifactKind] | None,
     branch: str | None = None,
 ) -> Sandbox:
-    grants = m.grants_for(role, state)
-    if include is not None:
-        ungranted = include - grants
-        if ungranted:
-            names = sorted(k.filename for k in ungranted)
-            raise BarrierError(f"cannot materialize non-granted artifact(s) for {role.value}: {names}")
-        wanted = include
-    else:
-        wanted = grants
     visible = set()
-    for kind in sorted(wanted, key=lambda k: k.filename):
+    for kind in sorted(m.grants_for(role, state), key=lambda k: k.filename):
         if run_dir.exists(kind):
             (path / kind.filename).write_text(run_dir.read(kind), encoding="utf-8")
             visible.add(kind)

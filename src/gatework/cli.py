@@ -21,13 +21,12 @@ from gatework.errors import (
     MisconfigurationError,
 )
 from gatework.gitlayer import SubprocessGit
-from gatework.model import workflow_by_id
+from gatework.model import WorkflowState, workflow_by_id
 from gatework.orchestrator import (
     ChannelMode,
     Orchestrator,
     UserChannel,
     select_workflow,
-    ship,
     start_run,
 )
 from gatework.rundir import RunDirectory
@@ -54,10 +53,13 @@ class _Console:
         print(message)
 
     def flush_to(self, run_dir: RunDirectory | None) -> None:
+        """Append this command's output, after that of earlier commands on
+        the same run."""
         if run_dir is None or not run_dir.path.exists():
             return
         run_dir.logs_dir.mkdir(exist_ok=True)
-        (run_dir.logs_dir / "cli.log").write_text("\n".join(self.lines) + "\n", encoding="utf-8")
+        with open(run_dir.logs_dir / "cli.log", "a", encoding="utf-8") as fh:
+            fh.write("\n".join(self.lines) + "\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -222,6 +224,24 @@ def cmd_run(args: argparse.Namespace, console: _Console) -> int:
     )
 
 
+def _resume_run(
+    console: _Console, run_dir: RunDirectory, config: dict, *, authorization: str | None = None
+) -> int:
+    return _execute_run(
+        console,
+        repo=Path(config["target_repo"]),
+        directive=config["directive"],
+        override=config["workflow_id"],
+        backends_path=Path(config["backends"]),
+        answers_path=None,
+        workspace_root=Path(config["workspace"]) if config.get("workspace") else None,
+        runs_root=None,
+        deterministic=config.get("deterministic", False),
+        resume_run_dir=run_dir,
+        authorization=authorization,
+    )
+
+
 def cmd_answer(args: argparse.Namespace, console: _Console) -> int:
     run_dir = RunDirectory(Path(args.run))
     if not run_dir.path.is_dir():
@@ -237,21 +257,12 @@ def cmd_answer(args: argparse.Namespace, console: _Console) -> int:
     pending.unlink()
     config = _load_run_config(run_dir)
     console.echo(f"answer recorded; resuming run {run_dir.path.name}")
-    return _execute_run(
-        console,
-        repo=Path(config["target_repo"]),
-        directive=config["directive"],
-        override=config["workflow_id"],
-        backends_path=Path(config["backends"]),
-        answers_path=None,
-        workspace_root=Path(config["workspace"]) if config.get("workspace") else None,
-        runs_root=None,
-        deterministic=config.get("deterministic", False),
-        resume_run_dir=run_dir,
-    )
+    return _resume_run(console, run_dir, config)
 
 
 def cmd_authorize(args: argparse.Namespace, console: _Console) -> int:
+    """Resume a READY_TO_SHIP run with the user's authorization; the
+    resumed session dispatches the shipper and rewrites the report."""
     run_dir = RunDirectory(Path(args.run))
     if not run_dir.path.is_dir():
         console.echo(f"[environment] no such run: {run_dir.path}")
@@ -263,33 +274,13 @@ def cmd_authorize(args: argparse.Namespace, console: _Console) -> int:
             console.echo("shipping not authorized")
             return EXIT_GATE
     config = _load_run_config(run_dir)
-    workflow = workflow_by_id(config["workflow_id"])
-    git = SubprocessGit()
-    clock = TickClock() if config.get("deterministic") else SystemClock()
-    workspace = None
-    if config.get("workspace"):
-        workspace = WorkspaceLayout(
-            root=Path(config["workspace"]), repo_name=Path(config["target_repo"]).name
-        )
-    backends = load_backends(Path(config["backends"]))
-    report = ship(
-        run_dir,
-        "explicit-user-authorization",
-        target_repo=Path(config["target_repo"]),
-        workflow=workflow,
-        backends=backends,
-        git=git,
-        clock=clock,
-        workspace=workspace,
-        slug=run_dir.path.name,
-    )
-    if report.shipped:
-        console.echo("shipped: state advanced to DONE")
+    state = reconstruct_run_state(run_dir, workflow_by_id(config["workflow_id"])).current
+    if state is not WorkflowState.READY_TO_SHIP:
+        # a plain resume would dispatch the run's unfinished stages
+        console.echo(f"ship refused: run is at {state.value}, not READY_TO_SHIP")
         console.flush_to(run_dir)
-        return EXIT_OK
-    console.echo(f"ship refused: {report.refusal}")
-    console.flush_to(run_dir)
-    return EXIT_GATE
+        return EXIT_GATE
+    return _resume_run(console, run_dir, config, authorization="explicit-user-authorization")
 
 
 def cmd_status(args: argparse.Namespace, console: _Console) -> int:

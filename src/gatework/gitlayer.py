@@ -305,36 +305,3 @@ class FakeGit(GitBackend):
     def default_branch(self, repo: Path) -> str | None:
         return "main"
 
-
-def git_ops(
-    repo: Path,
-    action: GitAction,
-    params: dict,
-    *,
-    git: GitBackend,
-    credentials_present: bool = True,
-) -> GitResult:
-    """Execute one git action through the backend.
-
-    PUSH is refused outright when credentials have not been verified
-    (credentials.md absent from the run directory).
-    """
-    if action is GitAction.PUSH and not credentials_present:
-        return GitResult(
-            ok=False,
-            action=action,
-            detail="push",
-            error_kind="missing_credentials",
-            output="credentials.md not present; push refused",
-        )
-    if action is GitAction.WORKTREE_ADD:
-        return git.worktree_add(repo, Path(params["path"]), params["branch"])
-    if action is GitAction.WORKTREE_REMOVE:
-        return git.worktree_remove(repo, Path(params["path"]))
-    if action is GitAction.STAGE:
-        return git.stage(repo, list(params.get("paths", [])))
-    if action is GitAction.COMMIT:
-        return git.commit(repo, params["message"])
-    if action is GitAction.PUSH:
-        return git.push(repo)
-    raise ValueError(f"unknown git action: {action}")

@@ -12,7 +12,7 @@ from datetime import datetime
 from enum import Enum
 from typing import Iterable, Mapping
 
-from gatework.errors import VerdictError
+from gatework.errors import MisconfigurationError, VerdictError
 
 
 class WorkflowState(str, Enum):
@@ -207,8 +207,55 @@ def artifact_kind_for_name(name: str) -> ArtifactKind | None:
         return ARTIFACT_NAME_ALIASES.get(name)
 
 
-def artifacts_produced_by(role: AgentRole) -> frozenset[ArtifactKind]:
-    return frozenset(k for k, r in ARTIFACT_PRODUCERS.items() if r is role)
+#: The artifact contract: each dispatchable role owes the artifacts
+#: ARTIFACT_PRODUCERS assigns it, and they gate entry to these states.
+#: review.md gates on a passing verdict; every other artifact on existing.
+CONTRACT_GATES: Mapping[AgentRole, tuple[WorkflowState, ...]] = {
+    AgentRole.PLANNER: (WorkflowState.SPEC_READY,),
+    AgentRole.BUILDER: (WorkflowState.PIPELINES_COMPLETE,),
+    AgentRole.TESTER: (WorkflowState.PIPELINES_COMPLETE,),
+    AgentRole.SIMULATOR: (WorkflowState.PIPELINES_COMPLETE,),
+    AgentRole.SCRIBER: (WorkflowState.DOCUMENTED,),
+    AgentRole.REVIEWER: (WorkflowState.REVIEW_PASSED, WorkflowState.READY_TO_SHIP),
+    AgentRole.SHIPPER: (WorkflowState.DONE,),
+}
+
+#: Specifications the planner owes only when their consumer is dispatched.
+SPEC_CONSUMERS: Mapping[ArtifactKind, AgentRole] = {
+    ArtifactKind.SPEC: AgentRole.BUILDER,
+    ArtifactKind.TEST_SPEC: AgentRole.TESTER,
+    ArtifactKind.SIM_SPEC: AgentRole.SIMULATOR,
+}
+
+_ROLE_ARTIFACTS: Mapping[AgentRole, tuple[ArtifactKind, ...]] = {
+    role: tuple(kind for kind, producer in ARTIFACT_PRODUCERS.items() if producer is role)
+    for role in CONTRACT_GATES
+}
+
+#: The roles whose artifacts gate each state, from CONTRACT_GATES.
+GATING_ROLES: Mapping[WorkflowState, tuple[AgentRole, ...]] = {
+    state: tuple(role for role, states in CONTRACT_GATES.items() if state in states)
+    for state in WorkflowState
+}
+
+
+def owed_artifacts(role: AgentRole, roles: frozenset[AgentRole]) -> tuple[ArtifactKind, ...]:
+    """What ``role`` owes a workflow dispatching ``roles``, in declaration
+    order; nothing when ``role`` is not dispatched."""
+    if role not in roles:
+        return ()
+    return tuple(kind for kind in _ROLE_ARTIFACTS[role] if SPEC_CONSUMERS.get(kind, role) in roles)
+
+
+def contracted_artifacts(role: AgentRole, workflow: WorkflowType) -> frozenset[ArtifactKind]:
+    """The artifact kinds ``role`` owes the downstream gates of ``workflow``.
+
+    A dispatchable role absent from this workflow's DAG owes nothing; only
+    the leader, which is never dispatched, is a misconfiguration here.
+    """
+    if role is AgentRole.LEADER:
+        raise MisconfigurationError("the leader is not dispatched and has no artifact contract")
+    return frozenset(owed_artifacts(role, workflow.roles()))
 
 
 class OutcomeStatus(str, Enum):
@@ -221,9 +268,8 @@ class AgentOutcome:
     """Structured result of one agent dispatch."""
 
     status: OutcomeStatus
-    produced: frozenset[ArtifactKind] = frozenset()
+    produced: frozenset[ArtifactKind] = frozenset()  # set by dispatch() on COMPLETED
     signal: Signal | None = None
-    access_log: tuple[AccessEvent, ...] = ()
 
     def __post_init__(self) -> None:
         if (self.status is OutcomeStatus.SIGNALED) != (self.signal is not None):
@@ -248,12 +294,6 @@ class WorkflowType:
 
     def roles(self) -> frozenset[AgentRole]:
         return frozenset(role for stage in self.dag for role in stage)
-
-    def stage_of(self, role: AgentRole) -> int:
-        for index, stage in enumerate(self.dag):
-            if role in stage:
-                return index
-        raise ValueError(f"{role.value} is not dispatched by workflow {self.id}")
 
 
 def _wf(
@@ -305,19 +345,13 @@ def workflow_by_id(id: int) -> WorkflowType:
 
 
 def terminal_state(workflow: WorkflowType) -> WorkflowState:
-    """The furthest state a run of this workflow progresses to."""
-    roles = workflow.roles()
-    if AgentRole.SHIPPER in roles:
-        return WorkflowState.DONE
-    if AgentRole.REVIEWER in roles:
-        return WorkflowState.REVIEW_PASSED
-    if AgentRole.SCRIBER in roles:
-        return WorkflowState.DOCUMENTED
-    if roles & {AgentRole.BUILDER, AgentRole.TESTER, AgentRole.SIMULATOR}:
-        return WorkflowState.PIPELINES_COMPLETE
-    if AgentRole.PLANNER in roles:
-        return WorkflowState.SPEC_READY
-    return WorkflowState.PLANNED
+    """The furthest state a run of this workflow progresses to: the latest
+    state that one of its roles' artifacts first gate (CONTRACT_GATES)."""
+    return max(
+        (CONTRACT_GATES[role][0] for role in workflow.roles()),
+        key=lambda state: state.index,
+        default=WorkflowState.PLANNED,
+    )
 
 
 class VerdictValue(str, Enum):

@@ -16,6 +16,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -42,8 +43,10 @@ from gatework.errors import (
     ProtocolError,
     VerdictError,
 )
-from gatework.gitlayer import GitAction, GitBackend, GitResult, git_ops
+from gatework.gitlayer import GitAction, GitBackend, GitResult
 from gatework.model import (
+    CONTRACT_GATES,
+    STATE_CHAIN,
     AccessEvent,
     AgentOutcome,
     AgentRole,
@@ -55,19 +58,14 @@ from gatework.model import (
     WorkflowState,
     WorkflowType,
     block_pipeline_target,
+    contracted_artifacts,
     state_order,
     stop_routing_target,
     terminal_state,
     workflow_by_id,
 )
 from gatework.rundir import RunDirectory
-from gatework.runtime import (
-    DEFAULT_DEADLINE,
-    AgentBackend,
-    DispatchRequest,
-    contracted_artifacts,
-    dispatch,
-)
+from gatework.runtime import DEFAULT_DEADLINE, AgentBackend, DispatchRequest, dispatch
 from gatework.statemachine import (
     RunState,
     SignalDisposition,
@@ -75,7 +73,6 @@ from gatework.statemachine import (
     check_preconditions,
     reconstruct_run_state,
     record_signal,
-    required_for,
     write_status,
 )
 from gatework.workspace import (
@@ -151,15 +148,23 @@ class UserChannel:
 
 @dataclass(frozen=True)
 class Stage:
+    """One batch of parallel roles. ``gate`` is the state the run must
+    reach once the stage completes, and may not pass before the next
+    stage runs: the last state no role of a later stage owes artifacts to."""
+
     index: int
     roles: tuple[AgentRole, ...]
-    required_after: tuple[ArtifactKind, ...]
+    gate: WorkflowState
 
 
 @dataclass(frozen=True)
 class DispatchPlan:
+    """The stages in order; ``entry`` is the state the leader's own
+    artifacts reach before the first dispatch."""
+
     workflow: WorkflowType
     stages: tuple[Stage, ...]
+    entry: WorkflowState
 
     def stage_index_of(self, role: AgentRole) -> int:
         for stage in self.stages:
@@ -171,19 +176,19 @@ class DispatchPlan:
 def compile_plan(workflow: WorkflowType) -> DispatchPlan:
     if not workflow.dag or any(not stage for stage in workflow.dag):
         raise MisconfigurationError(f"workflow {workflow.id} has an empty dag or stage")
-    stages = []
-    for index, roles in enumerate(workflow.dag):
-        owed: set[ArtifactKind] = set()
-        for role in roles:
-            owed |= contracted_artifacts(role, workflow)
-        stages.append(
-            Stage(
-                index=index,
-                roles=tuple(roles),
-                required_after=tuple(sorted(owed, key=lambda k: k.filename)),
-            )
-        )
-    return DispatchPlan(workflow=workflow, stages=tuple(stages))
+
+    def gate_before(index: int) -> WorkflowState:
+        # the last state no role of stage ``index`` or later owes artifacts to
+        pending = [CONTRACT_GATES[role][0] for stage in workflow.dag[index:] for role in stage]
+        if not pending:
+            return terminal_state(workflow)
+        return STATE_CHAIN[min(state.index for state in pending) - 1]
+
+    stages = tuple(
+        Stage(index=index, roles=tuple(roles), gate=gate_before(index + 1))
+        for index, roles in enumerate(workflow.dag)
+    )
+    return DispatchPlan(workflow=workflow, stages=stages, entry=gate_before(0))
 
 
 # --- workflow selection -----------------------------------------------------
@@ -595,6 +600,18 @@ class _StageHalt:
     detail: str
 
 
+#: What a failed dispatch raises, sandbox creation included; the run
+#: records a diagnostic, halts and is finalized.
+_DISPATCH_FAILURES = (
+    DispatchError,
+    ContractError,
+    ProtocolError,
+    BarrierError,
+    MisconfigurationError,
+    EnvironmentFailure,
+)
+
+
 class Orchestrator:
     """Owns the run's control loop; all RunState mutation happens here."""
 
@@ -737,7 +754,6 @@ class Orchestrator:
         try:
             outcome = dispatch(req, backend, log_path=log_path)
         finally:
-            sandbox.flush_audit()
             # the run-level log outlives the sandbox and every session
             sandbox.audit.append_to(self._role_access_log_path(role))
         if outcome.status is OutcomeStatus.COMPLETED:
@@ -756,12 +772,11 @@ class Orchestrator:
             futures = [(role, pool.submit(self._dispatch_role, role)) for role in roles]
             return [(role, future.result()) for role, future in futures]
 
-    def _advance_until_blocked(self) -> None:
-        terminal = terminal_state(self.workflow)
-        while (
-            self.run_state.current is not WorkflowState.DONE
-            and state_order(self.run_state.current, terminal) < 0
-        ):
+    def _advance_to(self, last: WorkflowState) -> None:
+        """Advance while gates hold, but never past ``last``. Artifacts left
+        by an earlier session must not carry a run past checks still due:
+        the mechanical review, or ship (a refused ship writes shipper.md)."""
+        while state_order(self.run_state.current, last) < 0:
             result = advance(self.run_state, self.run_dir, self.clock)
             if not result.moved:
                 break
@@ -780,17 +795,10 @@ class Orchestrator:
         (STOP routing), or a halt condition.
         """
         satisfied: set[AgentRole] = set()
-        batches: deque[tuple[AgentRole, ...]] = deque()
-        first = tuple(
-            role
-            for role in stage.roles
-            if not (
-                skip_satisfied
-                and all(self.run_dir.exists(k) for k in contracted_artifacts(role, self.workflow))
-            )
-        )
         if skip_satisfied:
-            satisfied |= set(stage.roles) - set(first)
+            satisfied = {role for role in stage.roles if self._role_satisfied(role)}
+        batches: deque[tuple[AgentRole, ...]] = deque()
+        first = tuple(role for role in stage.roles if role not in satisfied)
         if first:
             batches.append(first)
 
@@ -798,7 +806,7 @@ class Orchestrator:
             batch = batches.popleft()
             try:
                 results = self._dispatch_batch(batch)
-            except (DispatchError, ContractError, ProtocolError, BarrierError, MisconfigurationError) as exc:
+            except _DISPATCH_FAILURES as exc:
                 self._report.diagnostics[batch[0].value if len(batch) == 1 else "stage"] = str(exc)
                 return _StageHalt(reason="backend", detail=str(exc))
 
@@ -857,14 +865,10 @@ class Orchestrator:
                 batches.append(remaining)
         return None
 
-    def _stage_already_complete(self, stage: Stage) -> bool:
-        """True when every stage role's contracted artifacts already exist
-        (used when resuming a run reconstructed from its directory)."""
-        return all(
-            self.run_dir.exists(kind)
-            for role in stage.roles
-            for kind in contracted_artifacts(role, self.workflow)
-        )
+    def _role_satisfied(self, role: AgentRole) -> bool:
+        """True when the role's contracted artifacts already exist (used
+        when resuming a run reconstructed from its directory)."""
+        return all(self.run_dir.exists(kind) for kind in contracted_artifacts(role, self.workflow))
 
     def _role_access_log_path(self, role: AgentRole) -> Path:
         return self.run_dir.logs_dir / f"access-{role.value}.log"
@@ -917,16 +921,12 @@ class Orchestrator:
         else:
             write_status(self.run_state, self.run_dir)
 
-        self._advance_until_blocked()
+        self._advance_to(self.plan.entry)
 
         index = 0
         resuming = resume
         while index < len(self.plan.stages):
             stage = self.plan.stages[index]
-            if resuming and self._stage_already_complete(stage):
-                self._advance_until_blocked()
-                index += 1
-                continue
             if AgentRole.SHIPPER in stage.roles:
                 if authorization is None and self.channel.mode is ChannelMode.INTERACTIVE:
                     answer = self.channel.ask("Authorize shipping? (yes/no)")
@@ -938,85 +938,65 @@ class Orchestrator:
                         "awaiting explicit user authorization to ship (run the authorize command)"
                     )
                     break
-                ship_report = ship(
-                    self.run_dir,
-                    authorization,
-                    target_repo=self.target_repo,
-                    workflow=self.workflow,
-                    backends=self.backends,
-                    git=self.git,
-                    clock=self.clock,
-                    matrix=self.matrix,
-                    workspace=self.workspace,
-                    slug=self.request_id,
-                    run_state=self.run_state,
-                    orchestrator=self,
-                )
+                try:
+                    ship_report = ship(
+                        self.run_dir,
+                        authorization,
+                        target_repo=self.target_repo,
+                        workflow=self.workflow,
+                        git=self.git,
+                        clock=self.clock,
+                        workspace=self.workspace,
+                        slug=self.request_id,
+                        run_state=self.run_state,
+                        dispatch_shipper=partial(self._dispatch_role, AgentRole.SHIPPER),
+                    )
+                except _DISPATCH_FAILURES as exc:
+                    self._report.diagnostics[AgentRole.SHIPPER.value] = str(exc)
+                    break
                 self._report.ship = ship_report.to_dict()
                 if not ship_report.shipped:
                     self._report.gate_violation = ship_report.refusal or "ship failed"
                     break
-                index += 1
-                continue
+            elif resuming and all(self._role_satisfied(role) for role in stage.roles):
+                pass  # completed in an earlier session; its gates are checked below
+            else:
+                outcome = self._execute_stage(stage, skip_satisfied=resuming)
+                resuming = False  # everything after the resume point is fresh work
+                if isinstance(outcome, _StageHalt):
+                    if outcome.reason == "escalated":
+                        self._report.escalation = outcome.detail
+                        if self.channel.pending:
+                            self._report.pending = self.channel.pending
+                    elif outcome.reason == "gate":
+                        self._report.gate_violation = outcome.detail
+                    break
+                if isinstance(outcome, int):  # STOP rewind target stage
+                    index = outcome
+                    continue
 
-            outcome = self._execute_stage(stage, skip_satisfied=resuming)
-            resuming = False  # everything after the resume point is fresh work
-            if isinstance(outcome, _StageHalt):
-                if outcome.reason == "escalated":
-                    self._report.escalation = outcome.detail
-                    if self.channel.pending:
-                        self._report.pending = self.channel.pending
-                elif outcome.reason == "gate":
-                    self._report.gate_violation = outcome.detail
-                break
-            if isinstance(outcome, int):  # STOP rewind target stage
-                index = outcome
-                continue
-
+            # a review from an earlier session is re-checked too, so no
+            # resume ships a run whose mechanical review failed
             if AgentRole.REVIEWER in stage.roles:
                 halt = self._run_mechanical_review()
                 if halt is not None:
                     self._report.gate_violation = halt.detail
                     break
 
-            self._advance_until_blocked()
-            expected = self._expected_state_after(index)
-            if expected is not None and state_order(self.run_state.current, expected) < 0:
-                gate = check_preconditions(expected, self.run_dir, self.workflow)
+            self._advance_to(stage.gate)
+            if state_order(self.run_state.current, stage.gate) < 0:
+                gate = check_preconditions(stage.gate, self.run_dir, self.workflow)
                 missing = ", ".join(
                     f"{req.artifact.filename}:{req.predicate.value}" for req in gate.missing
                 )
                 self._report.gate_violation = (
-                    f"stage {index} complete but {expected.value} gate unsatisfied ({missing})"
+                    f"stage {index} complete but {stage.gate.value} gate unsatisfied ({missing})"
                 )
                 break
             index += 1
 
         self._finalize()
         return self._report
-
-    def _expected_state_after(self, stage_index: int) -> WorkflowState | None:
-        """The furthest state reachable once this stage's artifacts exist,
-        assuming the stage is the last producer dispatched so far."""
-        produced: set[ArtifactKind] = {
-            ArtifactKind.REQUEST,
-            ArtifactKind.IMPACT,
-            ArtifactKind.STATUS,
-            ArtifactKind.CREDENTIALS,
-        }
-        for stage in self.plan.stages[: stage_index + 1]:
-            produced |= set(stage.required_after)
-        best: WorkflowState | None = None
-        for state in list(WorkflowState)[1:]:
-            needs = {req.artifact for req in required_for(state, self.workflow)}
-            if needs <= produced:
-                best = state
-            else:
-                break
-        terminal = terminal_state(self.workflow)
-        if best is not None and state_order(best, terminal) > 0:
-            best = terminal
-        return best
 
     def _finalize(self) -> None:
         self._report.final_state = self.run_state.current.value
@@ -1066,26 +1046,36 @@ class ShipReport:
         }
 
 
+#: Pushes are refused outright when credentials were never verified.
+_PUSH_WITHOUT_CREDENTIALS = GitResult(
+    ok=False,
+    action=GitAction.PUSH,
+    detail="push",
+    error_kind="missing_credentials",
+    output="credentials.md not present; push refused",
+)
+
+
 def ship(
     run_dir: RunDirectory,
     authorization: str | None,
     *,
     target_repo: Path,
     workflow: WorkflowType,
-    backends: Mapping[AgentRole, AgentBackend],
     git: GitBackend,
     clock: Clock,
-    matrix: AccessMatrix = DEFAULT_ACCESS_MATRIX,
     workspace: WorkspaceLayout | None = None,
     slug: str = "run",
     run_state: RunState | None = None,
-    orchestrator: "Orchestrator | None" = None,
+    dispatch_shipper: Callable[[], AgentOutcome] | None = None,
 ) -> ShipReport:
     """The hard ship gate: a PASS-variant verdict AND explicit user
     authorization, in that dominance order, before any push.
 
-    On success: target repo staged/committed/pushed, workspace synced,
-    shipper.md written, state advanced to DONE.
+    Once the gate clears, ``dispatch_shipper`` (the orchestrator's
+    dispatch of the shipper agent) drafts the report; then the git
+    actions run. On success: target repo staged/committed/pushed,
+    workspace synced, shipper.md written, state advanced to DONE.
     """
     if run_state is None:
         run_state = reconstruct_run_state(run_dir, workflow)
@@ -1106,42 +1096,24 @@ def ship(
             shipped=False, refusal="explicit user authorization required before shipping"
         )
 
-    # Dispatch the shipper agent for its report, then perform the git
+    # The shipper agent drafts its report, then the engine performs the git
     # actions on its behalf. This is the only path that mutates the repo.
     shipper_draft = ""
-    if AgentRole.SHIPPER in backends:
-        if orchestrator is not None:
-            outcome = orchestrator._dispatch_role(AgentRole.SHIPPER)
-        else:
-            sandbox = create_plain_sandbox(
-                AgentRole.SHIPPER, matrix, run_dir=run_dir, clock=clock,
-                state=run_state.current,
-            )
-            req = DispatchRequest(
-                role=AgentRole.SHIPPER,
-                sandbox=sandbox,
-                briefing=f"ship authorized: {slug}\n",
-                workflow=workflow,
-            )
-            outcome = dispatch(req, backends[AgentRole.SHIPPER])
-            source = sandbox.artifact_file(ArtifactKind.SHIPPER)
-            if source is not None:
-                run_dir.write(ArtifactKind.SHIPPER, source.read_text(encoding="utf-8"))
-        if outcome.status is OutcomeStatus.COMPLETED and run_dir.exists(ArtifactKind.SHIPPER):
-            shipper_draft = run_dir.read(ArtifactKind.SHIPPER)
+    if dispatch_shipper is not None and dispatch_shipper().status is OutcomeStatus.COMPLETED:
+        shipper_draft = run_dir.read(ArtifactKind.SHIPPER)
 
     credentials_present = run_dir.exists(ArtifactKind.CREDENTIALS)
     actions: list[GitResult] = []
-    for action, params in (
-        (GitAction.STAGE, {"paths": []}),
-        (GitAction.COMMIT, {"message": f"ship {slug}"}),
-        (GitAction.PUSH, {}),
+    for step in (
+        lambda: git.stage(target_repo, []),
+        lambda: git.commit(target_repo, f"ship {slug}"),
+        lambda: git.push(target_repo) if credentials_present else _PUSH_WITHOUT_CREDENTIALS,
     ):
-        result = git_ops(target_repo, action, params, git=git, credentials_present=credentials_present)
+        result = step()
         actions.append(result)
         if not result.ok:
             # each action builds on the one before; stop at the first failure
-            name = action.value.lower()
+            name = result.action.value.lower()
             _write_shipper_report(run_dir, shipper_draft, actions, f"not attempted ({name} failed)")
             return ShipReport(
                 shipped=False,
@@ -1184,43 +1156,7 @@ def _write_shipper_report(
     run_dir.write(ArtifactKind.SHIPPER, "\n".join(lines) + "\n")
 
 
-# --- convenience entry point ------------------------------------------------
-
-
-def run_workflow(
-    plan: DispatchPlan | WorkflowType,
-    backends: Mapping[AgentRole, AgentBackend],
-    channel: UserChannel,
-    *,
-    run_dir: RunDirectory,
-    request_id: str,
-    target_repo: Path,
-    git: GitBackend,
-    clock: Clock | None = None,
-    matrix: AccessMatrix = DEFAULT_ACCESS_MATRIX,
-    workspace: WorkspaceLayout | None = None,
-    directive: str = "",
-    deadline: float = DEFAULT_DEADLINE,
-    authorization: str | None = None,
-    resume: bool = False,
-) -> RunReport:
-    """Execute a compiled plan end to end and return the run report."""
-    workflow = plan.workflow if isinstance(plan, DispatchPlan) else plan
-    orchestrator = Orchestrator(
-        run_dir=run_dir,
-        request_id=request_id,
-        workflow=workflow,
-        backends=backends,
-        channel=channel,
-        target_repo=target_repo,
-        git=git,
-        clock=clock,
-        matrix=matrix,
-        workspace=workspace,
-        directive=directive,
-        deadline=deadline,
-    )
-    return orchestrator.run(authorization=authorization, resume=resume)
+# --- wrapper workflows ------------------------------------------------------
 
 
 IssueSource = Callable[[], Sequence[IssueDescriptor]]

@@ -13,7 +13,7 @@ import json
 import shlex
 import subprocess
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Mapping
@@ -31,11 +31,11 @@ from gatework.errors import (
 from gatework.model import (
     AgentOutcome,
     AgentRole,
-    ArtifactKind,
     OutcomeStatus,
     Signal,
     SignalKind,
     WorkflowType,
+    contracted_artifacts,
     signal_owner_check,
 )
 
@@ -72,37 +72,6 @@ class AgentBackend(ABC):
 
     @abstractmethod
     def execute(self, req: DispatchRequest, log_path: Path | None = None) -> AgentOutcome: ...
-
-
-def contracted_artifacts(role: AgentRole, workflow: WorkflowType) -> frozenset[ArtifactKind]:
-    """The artifact kinds ``role`` owes the downstream gates of ``workflow``.
-
-    A dispatchable role absent from this workflow's DAG owes nothing; only
-    the leader, which is never dispatched, is a misconfiguration here.
-    """
-    if role is AgentRole.LEADER:
-        raise MisconfigurationError("the leader is not dispatched and has no artifact contract")
-    roles = workflow.roles()
-    if role not in roles:
-        return frozenset()
-    if role is AgentRole.PLANNER:
-        owed = {ArtifactKind.COMPREHENSION}
-        if AgentRole.BUILDER in roles:
-            owed.add(ArtifactKind.SPEC)
-        if AgentRole.TESTER in roles:
-            owed.add(ArtifactKind.TEST_SPEC)
-        if AgentRole.SIMULATOR in roles:
-            owed.add(ArtifactKind.SIM_SPEC)
-        return frozenset(owed)
-    fixed = {
-        AgentRole.BUILDER: {ArtifactKind.IMPLEMENTATION},
-        AgentRole.TESTER: {ArtifactKind.AUDIT},
-        AgentRole.SIMULATOR: {ArtifactKind.SIMULATION},
-        AgentRole.SCRIBER: {ArtifactKind.ARCHITECTURE, ArtifactKind.LOG_ENTRY, ArtifactKind.DOCS},
-        AgentRole.REVIEWER: {ArtifactKind.REVIEW},
-        AgentRole.SHIPPER: {ArtifactKind.SHIPPER},
-    }
-    return frozenset(fixed[role])
 
 
 # --- scripted scenarios ----------------------------------------------------
@@ -249,21 +218,8 @@ def run_scripted(script: ScenarioScript, req: DispatchRequest) -> AgentOutcome:
             raise ProtocolError(
                 f"scripted {req.role.value} raised {signal.kind.value}, which it does not own"
             )
-        return AgentOutcome(
-            status=OutcomeStatus.SIGNALED,
-            signal=signal,
-            access_log=req.sandbox.audit.events(),
-        )
-    produced = frozenset(
-        kind
-        for kind in contracted_artifacts(req.role, req.workflow)
-        if req.sandbox.artifact_file(kind) is not None
-    )
-    return AgentOutcome(
-        status=OutcomeStatus.COMPLETED,
-        produced=produced,
-        access_log=req.sandbox.audit.events(),
-    )
+        return AgentOutcome(status=OutcomeStatus.SIGNALED, signal=signal)
+    return AgentOutcome(status=OutcomeStatus.COMPLETED)
 
 
 class ScriptedBackend(AgentBackend):
@@ -339,16 +295,7 @@ class SubprocessBackend(AgentBackend):
             )
         fields = outcome_line[len("OUTCOME:"):].split()
         if fields == ["COMPLETED"]:
-            produced = frozenset(
-                kind
-                for kind in contracted_artifacts(req.role, req.workflow)
-                if req.sandbox.artifact_file(kind) is not None
-            )
-            return AgentOutcome(
-                status=OutcomeStatus.COMPLETED,
-                produced=produced,
-                access_log=req.sandbox.audit.events(),
-            )
+            return AgentOutcome(status=OutcomeStatus.COMPLETED)
         if len(fields) == 3 and fields[0] == "SIGNAL":
             try:
                 sig_kind = SignalKind(fields[1])
@@ -361,7 +308,6 @@ class SubprocessBackend(AgentBackend):
             return AgentOutcome(
                 status=OutcomeStatus.SIGNALED,
                 signal=Signal(kind=sig_kind, raiser=req.role, payload=payload),
-                access_log=req.sandbox.audit.events(),
             )
         raise DispatchError(f"malformed outcome line: {outcome_line!r}", captured=captured)
 
@@ -400,25 +346,18 @@ class RemoteBackend(AgentBackend):
             return AgentOutcome(
                 status=OutcomeStatus.SIGNALED,
                 signal=Signal(kind=kind, raiser=req.role, payload=payload),
-                access_log=req.sandbox.audit.events(),
             )
-        produced = frozenset(
-            kind
-            for kind in contracted_artifacts(req.role, req.workflow)
-            if req.sandbox.artifact_file(kind) is not None
-        )
-        return AgentOutcome(
-            status=OutcomeStatus.COMPLETED, produced=produced, access_log=req.sandbox.audit.events()
-        )
+        return AgentOutcome(status=OutcomeStatus.COMPLETED)
 
 
 def dispatch(req: DispatchRequest, backend: AgentBackend, log_path: Path | None = None) -> AgentOutcome:
     """Run one dispatch and enforce the outcome contract.
 
     A COMPLETED outcome missing any contracted artifact is a contract
-    violation, not a success; a SIGNALED outcome with the wrong owner is a
-    protocol violation. Backend crashes surface as dispatch failures with
-    captured output.
+    violation, not a success; otherwise its ``produced`` is exactly the
+    contracted set. A SIGNALED outcome with the wrong owner is a protocol
+    violation. Backend crashes surface as dispatch failures with captured
+    output.
     """
     try:
         outcome = backend.execute(req, log_path=log_path)
@@ -443,7 +382,7 @@ def dispatch(req: DispatchRequest, backend: AgentBackend, log_path: Path | None 
         raise ContractError(
             f"{req.role.value} reported COMPLETED without contracted artifact(s): {missing}"
         )
-    return outcome
+    return replace(outcome, produced=owed)
 
 
 def load_backends(config_path: Path) -> dict[AgentRole, AgentBackend]:

@@ -16,13 +16,14 @@ from enum import Enum
 from gatework.clock import Clock, iso8601, parse_iso8601
 from gatework.errors import ProtocolError, TerminalStateError
 from gatework.model import (
+    GATING_ROLES,
     SIGNAL_OWNERS,
-    AgentRole,
     ArtifactKind,
     Signal,
     SignalKind,
     WorkflowState,
     WorkflowType,
+    owed_artifacts,
     signal_owner_check,
 )
 from gatework.rundir import RunDirectory
@@ -42,53 +43,27 @@ class Requirement:
     predicate: Predicate
 
 
+#: The leader writes these at run start; no dispatched role owes them.
+_BOOTSTRAP_GATES: dict[WorkflowState, tuple[ArtifactKind, ...]] = {
+    WorkflowState.NEW: (ArtifactKind.CREDENTIALS,),
+    WorkflowState.PLANNED: (ArtifactKind.REQUEST, ArtifactKind.IMPACT),
+}
+
+
 def required_for(state: WorkflowState, workflow: WorkflowType) -> tuple[Requirement, ...]:
     """Artifact preconditions for entering ``state`` under ``workflow``.
 
-    Requirements are keyed to the dispatched roles: a workflow without a
-    tester does not gate on audit.md, a workflow without a simulator does
-    not gate on sim-spec.md, and so on.
+    Beyond the leader's bootstrap artifacts, these are the contracted
+    artifacts of the dispatched roles that CONTRACT_GATES names for the
+    state: a workflow without a tester does not gate on audit.md, a
+    workflow without a simulator does not gate on sim-spec.md, and so on.
     """
     roles = workflow.roles()
-    exists = lambda kind: Requirement(kind, Predicate.EXISTS)  # noqa: E731
-
-    if state is WorkflowState.NEW:
-        return (exists(ArtifactKind.CREDENTIALS),)
-    if state is WorkflowState.PLANNED:
-        return (exists(ArtifactKind.REQUEST), exists(ArtifactKind.IMPACT))
-    if state is WorkflowState.SPEC_READY:
-        needed = []
-        if AgentRole.PLANNER in roles:
-            needed.append(exists(ArtifactKind.COMPREHENSION))
-            if AgentRole.BUILDER in roles:
-                needed.append(exists(ArtifactKind.SPEC))
-            if AgentRole.TESTER in roles:
-                needed.append(exists(ArtifactKind.TEST_SPEC))
-            if AgentRole.SIMULATOR in roles:
-                needed.append(exists(ArtifactKind.SIM_SPEC))
-        return tuple(needed)
-    if state is WorkflowState.PIPELINES_COMPLETE:
-        needed = []
-        if AgentRole.BUILDER in roles:
-            needed.append(exists(ArtifactKind.IMPLEMENTATION))
-        if AgentRole.TESTER in roles:
-            needed.append(exists(ArtifactKind.AUDIT))
-        if AgentRole.SIMULATOR in roles:
-            needed.append(exists(ArtifactKind.SIMULATION))
-        return tuple(needed)
-    if state is WorkflowState.DOCUMENTED:
-        if AgentRole.SCRIBER in roles:
-            return (exists(ArtifactKind.ARCHITECTURE), exists(ArtifactKind.LOG_ENTRY))
-        return ()
-    if state in (WorkflowState.REVIEW_PASSED, WorkflowState.READY_TO_SHIP):
-        if AgentRole.REVIEWER in roles:
-            return (Requirement(ArtifactKind.REVIEW, Predicate.HAS_VERDICT),)
-        return ()
-    if state is WorkflowState.DONE:
-        if AgentRole.SHIPPER in roles:
-            return (exists(ArtifactKind.SHIPPER),)
-        return ()
-    return ()  # CREDENTIALS_VERIFIED is the entry state
+    owed = [kind for role in GATING_ROLES[state] for kind in owed_artifacts(role, roles)]
+    return tuple(
+        Requirement(kind, Predicate.HAS_VERDICT if kind is ArtifactKind.REVIEW else Predicate.EXISTS)
+        for kind in (*_BOOTSTRAP_GATES.get(state, ()), *owed)
+    )
 
 
 @dataclass(frozen=True)

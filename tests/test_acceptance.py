@@ -226,7 +226,6 @@ def test_acceptance_ship_gate_truth_table(tmp_path):
                     "token" if authorized else None,
                     target_repo=tmp_path,
                     workflow=workflow_by_id(2),
-                    backends={},
                     git=git,
                     clock=TickClock(),
                 )

@@ -175,16 +175,6 @@ def test_tester_sandbox_after_pipelines_complete_gets_implementation(run_env):
     assert not (after.path / "spec.md").exists()
 
 
-def test_materializing_non_granted_artifact_fails_hard(run_env):
-    run_dir, repo, git, clock = run_env
-    with pytest.raises(BarrierError):
-        create_sandbox(
-            R.BUILDER, repo, DEFAULT_ACCESS_MATRIX,
-            run_dir=run_dir, git=git, clock=clock, request_id="req-1",
-            include=frozenset({K.TEST_SPEC}),
-        )
-
-
 def test_create_sandbox_rejects_non_worktree_roles(run_env):
     run_dir, repo, git, clock = run_env
     with pytest.raises(MisconfigurationError):

@@ -145,6 +145,9 @@ def test_authorize_ships_a_ready_run(tmp_path, capsys):
     code, runs_root = _run_cli(tmp_path, 2, repo=repo)
     assert code == 0
     run_dir = _single_run_dir(runs_root)
+    # a shipper that reads the review, so its access events show
+    shipper = tmp_path / "backends" / "shipper.script"
+    shipper.write_text("read review.md\n" + shipper.read_text(encoding="utf-8"), encoding="utf-8")
     capsys.readouterr()
     code = main(["authorize", "--run", str(run_dir.path), "--yes"])
     out = capsys.readouterr().out
@@ -155,11 +158,49 @@ def test_authorize_ships_a_ready_run(tmp_path, capsys):
     assert run_dir.exists(ArtifactKind.SHIPPER)
     text = run_dir.read(ArtifactKind.SHIPPER)
     assert "PUSH" in text
+    # the resumed session rewrote the report and the audit trail
+    report = json.loads(run_dir.report_json_path.read_text(encoding="utf-8"))
+    assert report["final_state"] == "DONE"
+    assert report["ship"]["shipped"] is True
+    assert report["pending"] is None
+    assert report["exit_code"] == 0
+    assert report["mechanical"]["passed"] is True
+    assert (run_dir.logs_dir / "shipper.log").exists()
+    assert (run_dir.logs_dir / "access-shipper.log").exists()
+    assert "\tshipper\treview.md\tALLOW" in run_dir.access_log_path.read_text(encoding="utf-8")
     # status now reports the terminal state with no pending signals
     main(["status", "--run", str(run_dir.path)])
     status_out = capsys.readouterr().out
     assert "state: DONE" in status_out
     assert "pending" not in status_out
+
+
+def test_authorize_appends_to_the_runs_cli_log(tmp_path):
+    repo = init_git_repo(tmp_path / "repo", remote=tmp_path / "remote.git")
+    code, runs_root = _run_cli(tmp_path, 2, repo=repo)
+    assert code == 0
+    run_dir = _single_run_dir(runs_root)
+    assert main(["authorize", "--run", str(run_dir.path), "--yes"]) == 0
+    log = (run_dir.logs_dir / "cli.log").read_text(encoding="utf-8")
+    assert "final state: READY_TO_SHIP" in log  # the run's own report
+    assert "final state: DONE" in log
+    assert '"shipped": true' in log
+
+
+def test_authorize_refuses_a_run_that_is_not_ready_and_dispatches_nothing(tmp_path, capsys):
+    repo = init_git_repo(tmp_path / "repo", remote=tmp_path / "remote.git")
+    code, runs_root = _run_cli(tmp_path, 2, repo=repo, builder_holds=1)
+    assert code == 3
+    run_dir = _single_run_dir(runs_root)
+    assert (run_dir.path / "pending-hold.md").exists()
+    sandboxes = sorted(p.name for p in run_dir.sandboxes_dir.iterdir())
+    logs = sorted(p.name for p in run_dir.logs_dir.glob("*.log"))
+    capsys.readouterr()
+    code = main(["authorize", "--run", str(run_dir.path), "--yes"])
+    assert code == 2
+    assert "ship refused: run is at SPEC_READY, not READY_TO_SHIP" in capsys.readouterr().out
+    assert sorted(p.name for p in run_dir.sandboxes_dir.iterdir()) == sandboxes
+    assert sorted(p.name for p in run_dir.logs_dir.glob("*.log")) == logs
 
 
 def test_run_with_workspace_writes_context_and_archives_runs(tmp_path):

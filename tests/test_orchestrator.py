@@ -112,8 +112,15 @@ def test_compile_plan_stage_artifacts():
         (R.SCRIBER,),
         (R.REVIEWER,),
     ]
-    assert set(plan.stages[0].required_after) == {K.COMPREHENSION, K.SPEC, K.TEST_SPEC, K.SIM_SPEC}
-    assert set(plan.stages[1].required_after) == {K.IMPLEMENTATION, K.AUDIT, K.SIMULATION}
+    S = WorkflowState
+    assert [stage.gate for stage in plan.stages] == [
+        S.SPEC_READY, S.PIPELINES_COMPLETE, S.DOCUMENTED, S.REVIEW_PASSED,
+    ]
+    # a stage's gate stops short of the first state a later stage owes
+    assert [stage.gate for stage in compile_plan(workflow_by_id(9)).stages] == [
+        S.SPEC_READY, S.PIPELINES_COMPLETE,
+    ]
+    assert compile_plan(workflow_by_id(2)).stages[3].gate is S.READY_TO_SHIP
     assert plan.stage_index_of(R.SCRIBER) == 2
 
 
@@ -524,6 +531,76 @@ def test_stage_atomicity_under_randomized_delays(tmp_path):
 # --- ship gate --------------------------------------------------------------------
 
 
+def _resume(tmp_path: Path, run_dir: RunDirectory, workflow_id: int, git: FakeGit, **kwargs):
+    workflow = workflow_by_id(workflow_id)
+    return Orchestrator(
+        run_dir=run_dir,
+        request_id=run_dir.path.name,
+        workflow=workflow,
+        backends=scripted_backends(workflow),
+        channel=UserChannel(mode=ChannelMode.SCRIPTED_ANSWERS, output_fn=lambda _: None),
+        target_repo=tmp_path / "repo",
+        git=git,
+        clock=TickClock(),
+        directive="scripted protocol exercise",
+    ).run(resume=True, **kwargs)
+
+
+def test_resume_reruns_the_mechanical_review_of_a_completed_review(tmp_path):
+    first, run_dir, _ = run_scripted_workflow(tmp_path, 2, builder_reads=("test-spec.md",))
+    assert first.final_state == "DOCUMENTED"
+    assert "mechanical review failed" in first.gate_violation
+
+    git = FakeGit()
+    resumed = _resume(tmp_path, run_dir, 2, git, authorization="tok")
+
+    assert not any(a.action is GitAction.PUSH for a in git.actions)
+    assert resumed.ship is None
+    assert resumed.final_state == "DOCUMENTED"
+    assert "mechanical review failed (pipeline-isolation" in resumed.gate_violation
+    assert resumed.mechanical["passed"] is False
+    assert resumed.dispatch_counts == {}  # the reviewer's work is not redone
+
+
+def test_resume_after_a_failed_push_ships_instead_of_skipping_to_done(tmp_path):
+    failing = FakeGit()
+    failing.fail_push = True
+    first, run_dir, _ = run_scripted_workflow(tmp_path, 2, git=failing, authorization="tok")
+    assert first.gate_violation == "push failed: auth"
+    assert run_dir.exists(K.SHIPPER)  # the refused ship still reports its actions
+
+    git = FakeGit()
+    resumed = _resume(tmp_path, run_dir, 2, git, authorization="tok")
+
+    assert [a.action for a in git.actions if a.action is GitAction.PUSH] == [GitAction.PUSH]
+    assert resumed.final_state == "DONE"
+    assert resumed.ship["shipped"] is True
+    assert resumed.dispatch_counts == {"shipper": 1}
+
+
+class _NoTesterWorktreeGit(FakeGit):
+    def worktree_add(self, repo, path, branch):
+        if Path(path).name == "tester":
+            return GitResult(
+                ok=False, action=GitAction.WORKTREE_ADD, detail=str(path),
+                error_kind="environment", output="simulated worktree failure",
+            )
+        return super().worktree_add(repo, path, branch)
+
+
+def test_failed_worktree_creation_is_finalized_as_a_diagnostic(tmp_path):
+    git = _NoTesterWorktreeGit()
+    report, run_dir, _ = run_scripted_workflow(tmp_path, 9, git=git)
+
+    assert report.exit_code == 4
+    assert "simulated worktree failure" in report.diagnostics["tester"]
+    assert report.final_state == "SPEC_READY"
+    assert run_dir.report_json_path.exists()
+    # the builder's worktree, made earlier in the session, is removed
+    assert all(not repo.worktrees for repo in git.repos.values())
+    assert not (run_dir.sandboxes_dir / "builder").exists()
+
+
 def _ready_to_ship_run(tmp_path: Path, verdict: str | None) -> RunDirectory:
     run_dir = RunDirectory(tmp_path / f"run-{verdict or 'absent'}").create()
     for kind in (K.REQUEST, K.IMPACT, K.CREDENTIALS):
@@ -545,7 +622,6 @@ def test_ship_gate_truth_table(tmp_path, verdict, authorized):
         "user-token" if authorized else None,
         target_repo=tmp_path,
         workflow=workflow_by_id(2),
-        backends={},
         git=git,
         clock=TickClock(),
     )
@@ -563,7 +639,7 @@ def test_ship_refused_when_not_ready(tmp_path):
     run_dir.write(K.STATUS, "")
     report = ship(
         run_dir, "token",
-        target_repo=tmp_path, workflow=workflow_by_id(2), backends={},
+        target_repo=tmp_path, workflow=workflow_by_id(2),
         git=FakeGit(), clock=TickClock(),
     )
     assert not report.shipped
@@ -576,7 +652,7 @@ def test_ship_push_failure_is_partial(tmp_path):
     git.fail_push = True
     report = ship(
         run_dir, "token",
-        target_repo=tmp_path, workflow=workflow_by_id(2), backends={},
+        target_repo=tmp_path, workflow=workflow_by_id(2),
         git=git, clock=TickClock(),
     )
     assert not report.shipped
@@ -610,7 +686,7 @@ def test_ship_stops_at_failed_stage_or_commit(tmp_path, failing, taken):
     git = _FailingGit(failing)
     report = ship(
         run_dir, "token",
-        target_repo=tmp_path, workflow=workflow_by_id(2), backends={},
+        target_repo=tmp_path, workflow=workflow_by_id(2),
         git=git, clock=TickClock(), workspace=layout,
     )
     assert not report.shipped
@@ -629,15 +705,18 @@ def test_ship_stops_at_failed_stage_or_commit(tmp_path, failing, taken):
 def test_ship_without_credentials_refuses_push(tmp_path):
     run_dir = _ready_to_ship_run(tmp_path, "PASS")
     run_dir.artifact_path(K.CREDENTIALS).unlink()
+    git = FakeGit()
     report = ship(
         run_dir, "token",
-        target_repo=tmp_path, workflow=workflow_by_id(2), backends={},
-        git=FakeGit(), clock=TickClock(),
+        target_repo=tmp_path, workflow=workflow_by_id(2),
+        git=git, clock=TickClock(),
     )
     assert not report.shipped
     assert report.partial
     push_actions = [a for a in report.git_actions if a.action is GitAction.PUSH]
+    assert not push_actions[0].ok
     assert push_actions[0].error_kind == "missing_credentials"
+    assert not any(a.action is GitAction.PUSH for a in git.actions)  # git never asked to push
 
 
 # --- replay equivalence ----------------------------------------------------------------

@@ -123,7 +123,7 @@ def test_parse_scenario_rejects_escaping_paths():
 def test_run_scripted_single_step_completion(tmp_path):
     req = _request(tmp_path, R.TESTER, 6)
     script = parse_scenario("write audit.md <<EOF\n| r | ok |\n| - | - |\nEOF\ncomplete\n")
-    outcome = run_scripted(script, req)
+    outcome = dispatch(req, ScriptedBackend(script))
     assert outcome.status is OutcomeStatus.COMPLETED
     assert outcome.produced == frozenset({K.AUDIT})
     assert (req.sandbox.path / "audit.md").read_text(encoding="utf-8") == "| r | ok |\n| - | - |\n"
@@ -160,7 +160,7 @@ def test_run_scripted_is_byte_deterministic(tmp_path):
         req = DispatchRequest(
             role=R.TESTER, sandbox=sandbox, briefing="b\n", workflow=workflow_by_id(6)
         )
-        outcomes.append(run_scripted(script, req))
+        outcomes.append(dispatch(req, ScriptedBackend(script)))
         tree = {
             str(p.relative_to(sandbox.path)): p.read_bytes()
             for p in sorted(sandbox.path.rglob("*"))

@@ -137,8 +137,7 @@ def test_retry_attempt_starts_from_pristine_checkout(tmp_path):
     assert first == f"agent/builder/{run_dir.path.name}\noriginal\n"
     # Only the collected implementation.md, granted to the builder, is
     # materialized again: no branch switch, tracked edit, untracked or
-    # ignored file, stray artifact or access.log of the first attempt
-    # survives.
+    # ignored file or stray artifact of the first attempt survives.
     assert second == "?? implementation.md\n" + first
     assert "attempt 2" in run_dir.read(ArtifactKind.IMPLEMENTATION)
     assert _git(repo, "status", "--porcelain") == ""

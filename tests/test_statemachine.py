@@ -58,7 +58,8 @@ def test_required_for_keys_on_dispatched_roles():
     assert pipelines(wf6) == {K.AUDIT}
     assert pipelines(wf3) == set()
 
-    assert {req.artifact for req in required_for(S.DOCUMENTED, wf1)} == {K.ARCHITECTURE, K.LOG_ENTRY}
+    documented = {req.artifact for req in required_for(S.DOCUMENTED, wf1)}
+    assert documented == {K.ARCHITECTURE, K.LOG_ENTRY, K.DOCS}
     assert required_for(S.DOCUMENTED, wf6) == ()
 
     review = required_for(S.REVIEW_PASSED, wf1)

@@ -7,7 +7,7 @@ import pytest
 
 from gatework.clock import TickClock
 from gatework.errors import MisconfigurationError, WorkspaceError
-from gatework.gitlayer import FakeGit, GitAction, SubprocessGit, git_ops
+from gatework.gitlayer import FakeGit, GitAction, SubprocessGit
 from gatework.model import ArtifactKind
 from gatework.rundir import RunDirectory
 from gatework.workspace import (
@@ -289,14 +289,6 @@ def test_read_handoff_malformed_content_warns(layout):
 
 
 # --- git layer ---------------------------------------------------------------------
-
-
-def test_push_without_credentials_is_refused(tmp_path):
-    result = git_ops(
-        tmp_path, GitAction.PUSH, {}, git=FakeGit(), credentials_present=False
-    )
-    assert not result.ok
-    assert result.error_kind == "missing_credentials"
 
 
 def test_fake_worktree_remove_is_idempotent(tmp_path):
