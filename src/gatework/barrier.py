@@ -2,13 +2,15 @@
 sandboxes, and the tamper-evident access audit.
 
 Enforcement is by materialization: a sandbox receives copies of exactly
-the artifacts its role may read, plus API-level checks for every read an
-agent requests. The audit log records every decision so a misbehaving
-backend is caught at review time even if it tried to bypass the copies.
+the artifacts its role may read and does not itself produce, plus
+API-level checks for every read an agent requests. The audit log records
+every decision so a misbehaving backend is caught at review time even if
+it tried to bypass the copies.
 """
 
 from __future__ import annotations
 
+import shutil
 import threading
 from dataclasses import dataclass, field
 from datetime import datetime
@@ -167,7 +169,7 @@ def _contained(root: Path, relpath: str) -> Path:
 @dataclass
 class Sandbox:
     """One agent's isolated filesystem view: a worktree (or plain
-    directory) plus materialized copies of its granted artifacts."""
+    directory) plus materialized copies of its input artifacts."""
 
     role: AgentRole
     path: Path
@@ -227,16 +229,13 @@ def create_sandbox(
     git: GitBackend,
     clock: Clock,
     request_id: str,
-    reuse: bool = False,
     state: WorkflowState | None = None,
 ) -> Sandbox:
     """Give an execution or recording role a pristine checkout of its
-    branch and materialize its granted artifacts.
+    branch at ``sandboxes/<role>``, holding its inputs only.
 
-    A role has one worktree per run, at ``sandboxes/<role>``. The first
-    dispatch adds it; with ``reuse`` (the worktree already exists) it is
-    reset instead, so no edit, untracked file or artifact of an earlier
-    attempt survives.
+    The worktree is reset if it exists and added if not, so no edit,
+    untracked file or artifact of an earlier attempt survives.
     """
     if role not in WORKTREE_ROLES:
         raise MisconfigurationError(
@@ -245,6 +244,7 @@ def create_sandbox(
         )
     path = run_dir.sandboxes_dir / role.value
     branch = f"agent/{role.value}/{request_id}"
+    reuse = path.exists()
     if reuse:
         result = git.worktree_reset(base_repo, path, branch)
     else:
@@ -261,15 +261,17 @@ def create_plain_sandbox(
     *,
     run_dir: RunDirectory,
     clock: Clock,
-    attempt: int = 1,
     state: WorkflowState | None = None,
 ) -> Sandbox:
     """Directory-backed sandbox for the bridge, convergence, and ship
-    roles, which need artifact isolation but no repository worktree."""
+    roles, which need artifact isolation but no repository worktree: an
+    empty ``sandboxes/<role>`` holding the role's inputs only."""
     if role is AgentRole.LEADER:
         raise MisconfigurationError("the leader is never dispatched into a sandbox")
-    path = run_dir.sandboxes_dir / f"{role.value}-{attempt}"
-    path.mkdir(parents=True, exist_ok=True)
+    path = run_dir.sandboxes_dir / role.value
+    if path.exists():
+        shutil.rmtree(path)
+    path.mkdir(parents=True)
     return _materialize(role, path, m, run_dir=run_dir, clock=clock, state=state)
 
 
@@ -283,9 +285,11 @@ def _materialize(
     state: WorkflowState | None,
     branch: str | None = None,
 ) -> Sandbox:
+    # Only inputs: a role's own output must come from this attempt, or the
+    # contract check in dispatch() would pass a retry that wrote nothing.
     visible = set()
     for kind in sorted(m.grants_for(role, state), key=lambda k: k.filename):
-        if run_dir.exists(kind):
+        if kind.producer is not role and run_dir.exists(kind):
             (path / kind.filename).write_text(run_dir.read(kind), encoding="utf-8")
             visible.add(kind)
     return Sandbox(

@@ -120,7 +120,7 @@ def _execute_run(
     directive: str,
     override: int | None,
     backends_path: Path,
-    answers_path: Path | None,
+    answers: list[str] | None,
     workspace_root: Path | None,
     runs_root: Path | None,
     deterministic: bool,
@@ -133,15 +133,9 @@ def _execute_run(
     use_tick = deterministic or all_scripted
     clock = TickClock() if use_tick else SystemClock()
 
-    answers: list[str] = []
-    if answers_path is not None:
-        answers = [line for line in answers_path.read_text(encoding="utf-8").splitlines() if line]
-    if resume_run_dir is not None:
-        answers_file = resume_run_dir.path / "answers"
-        if answers_file.exists():
-            answers = [line for line in answers_file.read_text(encoding="utf-8").splitlines() if line]
-    mode = ChannelMode.SCRIPTED_ANSWERS if (answers or answers_path or all_scripted) else ChannelMode.INTERACTIVE
-    channel = UserChannel(mode=mode, answers=answers, output_fn=console.echo)
+    # scripted answers, when given, replace the interactive prompt
+    mode = ChannelMode.SCRIPTED_ANSWERS if (answers is not None or all_scripted) else ChannelMode.INTERACTIVE
+    channel = UserChannel(mode=mode, answers=answers or (), output_fn=console.echo)
 
     try:
         workflow = select_workflow(directive, override, channel=channel)
@@ -179,7 +173,7 @@ def _execute_run(
             "backends": str(Path(backends_path).resolve()),
             "workspace": str(workspace_root.resolve()) if workspace_root else None,
             "deterministic": use_tick,
-            "answers": answers,
+            "answers": answers or [],
         }
         (run_dir.path / "run-config.json").write_text(
             json.dumps(run_config, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -217,23 +211,28 @@ def cmd_run(args: argparse.Namespace, console: _Console) -> int:
         directive=args.directive,
         override=args.workflow,
         backends_path=Path(args.backends).resolve(),
-        answers_path=Path(args.answers).resolve() if args.answers else None,
+        answers=_read_answers(Path(args.answers)) if args.answers else None,
         workspace_root=_workspace_root(args.workspace),
         runs_root=Path(args.runs_root).resolve() if args.runs_root else None,
         deterministic=args.deterministic,
     )
 
 
+def _read_answers(path: Path) -> list[str]:
+    return [line for line in path.read_text(encoding="utf-8").splitlines() if line]
+
+
 def _resume_run(
     console: _Console, run_dir: RunDirectory, config: dict, *, authorization: str | None = None
 ) -> int:
+    answers_file = run_dir.path / "answers"
     return _execute_run(
         console,
         repo=Path(config["target_repo"]),
         directive=config["directive"],
         override=config["workflow_id"],
         backends_path=Path(config["backends"]),
-        answers_path=None,
+        answers=_read_answers(answers_file) if answers_file.exists() else None,
         workspace_root=Path(config["workspace"]) if config.get("workspace") else None,
         runs_root=None,
         deterministic=config.get("deterministic", False),
@@ -343,7 +342,7 @@ def cmd_replay(args: argparse.Namespace, console: _Console) -> int:
             directive=config["directive"],
             override=config["workflow_id"],
             backends_path=Path(config["backends"]),
-            answers_path=None,
+            answers=config.get("answers") or None,
             workspace_root=None,
             runs_root=Path(tmp),
             deterministic=True,

@@ -647,9 +647,6 @@ class Orchestrator:
         self.run_state = RunState(workflow=workflow)
         self._attempts: dict[AgentRole, int] = {}
         self._extras: dict[AgentRole, list[str]] = {}
-        # worktrees this session added; a resumed session starts with none
-        # on disk whatever its attempt numbers say
-        self._worktrees: dict[AgentRole, Path] = {}
         self._report = RunReport(
             request_id=request_id,
             workflow_id=workflow.id,
@@ -710,10 +707,10 @@ class Orchestrator:
             return TickClock(start=self.clock.start, step_seconds=self.clock.step_seconds)
         return self.clock
 
-    def _make_sandbox(self, role: AgentRole, attempt: int) -> Sandbox:
+    def _make_sandbox(self, role: AgentRole) -> Sandbox:
         clock = self._sandbox_clock()
         if role in WORKTREE_ROLES:
-            sandbox = create_sandbox(
+            return create_sandbox(
                 role,
                 self.target_repo,
                 self.matrix,
@@ -721,18 +718,10 @@ class Orchestrator:
                 git=self.git,
                 clock=clock,
                 request_id=self.request_id,
-                reuse=role in self._worktrees,
                 state=self.run_state.current,
             )
-            self._worktrees[role] = sandbox.path
-            return sandbox
         return create_plain_sandbox(
-            role,
-            self.matrix,
-            run_dir=self.run_dir,
-            clock=clock,
-            attempt=attempt,
-            state=self.run_state.current,
+            role, self.matrix, run_dir=self.run_dir, clock=clock, state=self.run_state.current
         )
 
     def _dispatch_role(self, role: AgentRole) -> AgentOutcome:
@@ -741,7 +730,7 @@ class Orchestrator:
             raise MisconfigurationError(f"no backend configured for {role.value}")
         attempt = self._attempts.get(role, 0) + 1
         self._attempts[role] = attempt
-        sandbox = self._make_sandbox(role, attempt)
+        sandbox = self._make_sandbox(role)
         req = DispatchRequest(
             role=role,
             sandbox=sandbox,
@@ -810,8 +799,8 @@ class Orchestrator:
                 self._report.diagnostics[batch[0].value if len(batch) == 1 else "stage"] = str(exc)
                 return _StageHalt(reason="backend", detail=str(exc))
 
-            block_seen = False
-            redispatch: list[AgentRole] = []
+            # the routed re-dispatch phases of every signal, merged phase by phase
+            phases: list[list[AgentRole]] = []
             for role, outcome in results:
                 if outcome.status is OutcomeStatus.COMPLETED:
                     satisfied.add(role)
@@ -843,23 +832,18 @@ class Orchestrator:
                             f"{action.forward_question}",
                         )
                     self._extras.setdefault(signal.raiser, []).append(f"user answer: {answer}")
-                    redispatch.append(signal.raiser)
-                else:  # BLOCK
-                    block_seen = True
-                    fix_role = action.phases[0][0]
-                    self._extras.setdefault(fix_role, []).append(
+                else:  # BLOCK: the fix role first, the tester re-validates after it
+                    self._extras.setdefault(action.phases[0][0], []).append(
                         f"validation failure details: {signal.payload}"
                     )
-                    satisfied.discard(fix_role)
-                    satisfied.discard(AgentRole.TESTER)
-                    redispatch.append(fix_role)
+                for depth, phase in enumerate(action.phases):
+                    if depth == len(phases):
+                        phases.append([])
+                    phases[depth].extend(phase)
+                    satisfied.difference_update(phase)
 
-            if redispatch:
-                ordered = tuple(dict.fromkeys(redispatch))
-                batches.appendleft(ordered)
-                if block_seen:
-                    # tester re-validates only after the fix lands
-                    batches.insert(1, (AgentRole.TESTER,))
+            if phases:
+                batches.extendleft(tuple(dict.fromkeys(phase)) for phase in reversed(phases))
             elif not batches and satisfied < set(stage.roles):
                 remaining = tuple(r for r in stage.roles if r not in satisfied)
                 batches.append(remaining)
@@ -1016,8 +1000,8 @@ class Orchestrator:
             merge_access_logs(logs, self.run_dir)
         # worktrees are disposable once artifacts and audit logs are
         # collected; removing them frees the role branches for re-runs
-        for path in self._worktrees.values():
-            self.git.worktree_remove(self.target_repo, path)
+        for role in sorted(self.workflow.roles() & WORKTREE_ROLES):
+            self.git.worktree_remove(self.target_repo, self.run_dir.sandboxes_dir / role.value)
         self.run_dir.report_json_path.write_text(self._report.to_json(), encoding="utf-8")
         self.run_dir.report_text_path.write_text(self._report.render_text(), encoding="utf-8")
 

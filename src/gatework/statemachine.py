@@ -9,7 +9,7 @@ on the fourth occurrence of the same kind.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime
 from enum import Enum
 
@@ -128,11 +128,6 @@ class RunState:
             if entry.state_to is not None:
                 states.append(entry.state_to)
         return tuple(states)
-
-    def snapshot(self) -> "RunState":
-        return replace(
-            self, retries=dict(self.retries), history=list(self.history)
-        )
 
 
 @dataclass(frozen=True)

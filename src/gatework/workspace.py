@@ -321,7 +321,6 @@ def render_handoff(body: str) -> str:
 class SyncReport:
     ok: bool
     changed: bool
-    runs_file: Path | None = None
     rolled_back: bool = False
     detail: str = ""
 
@@ -390,7 +389,7 @@ def sync_workspace(
         path for path, content in targets.items() if before[path] != content
     ]
     if not changed_paths:
-        return SyncReport(ok=True, changed=False, runs_file=runs_file, detail="already in sync")
+        return SyncReport(ok=True, changed=False, detail="already in sync")
 
     for path in changed_paths:
         path.write_text(targets[path], encoding="utf-8")
@@ -411,7 +410,7 @@ def sync_workspace(
             rolled_back=True,
             detail=f"push failed ({push.error_kind}); workspace restored",
         )
-    return SyncReport(ok=True, changed=True, runs_file=runs_file, detail="synced and pushed")
+    return SyncReport(ok=True, changed=True, detail="synced and pushed")
 
 
 # --- validation -------------------------------------------------------------

@@ -166,7 +166,7 @@ def test_tester_sandbox_after_pipelines_complete_gets_implementation(run_env):
     assert not (before.path / "implementation.md").exists()
     after = create_sandbox(
         R.TESTER, repo, DEFAULT_ACCESS_MATRIX,
-        run_dir=run_dir, git=git, clock=clock, request_id="req-1", reuse=True,
+        run_dir=run_dir, git=git, clock=clock, request_id="req-1",
         state=WorkflowState.PIPELINES_COMPLETE,
     )
     assert after.path == before.path

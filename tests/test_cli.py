@@ -350,3 +350,16 @@ def test_replay_reproduces_identical_report(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0, out
     assert "identical" in out
+
+
+def test_replay_feeds_the_recorded_answers(tmp_path, capsys):
+    answers = tmp_path / "answers.txt"
+    answers.write_text("use the default proposal scale\n", encoding="utf-8")
+    code, runs_root = _run_cli(tmp_path, 9, "--answers", str(answers), builder_holds=1)
+    assert code == 0
+    run_dir = _single_run_dir(runs_root)
+    capsys.readouterr()
+    code = main(["replay", "--run", str(run_dir.path)])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert "replay identical (exit 0)" in out

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import AUDIT_BODY, run_scripted_workflow, scripted_backends
+from conftest import AUDIT_BODY, run_scripted_workflow, scripted_backends, shipper_script
 from gatework.clock import TickClock, iso8601
 from gatework.errors import HoldUnanswered, MisconfigurationError, ProtocolError
 from gatework.gitlayer import FakeGit, GitAction, GitResult
@@ -290,6 +290,31 @@ def test_block_routed_to_simulator_redispatches_simulation_pipeline(tmp_path):
     assert report.final_state == "REVIEW_PASSED"
 
 
+@pytest.mark.parametrize("workflow_id,final_state", [(6, "PIPELINES_COMPLETE"), (10, "REVIEW_PASSED")])
+def test_block_without_a_fix_role_redispatches_the_tester_once(tmp_path, workflow_id, final_state):
+    # neither workflow dispatches a builder, so the routed phases are the
+    # tester alone
+    report, _, _ = run_scripted_workflow(tmp_path, workflow_id, tester_blocks=1)
+    assert report.retries["BLOCK"] == 1
+    assert report.dispatch_counts["tester"] == 2
+    assert report.final_state == final_state
+    assert report.exit_code == 0
+
+
+def test_block_retry_that_writes_nothing_breaks_the_contract(tmp_path):
+    workflow = workflow_by_id(9)
+    backends = scripted_backends(workflow, tester_blocks=1)
+    backends[R.BUILDER] = ScriptedBackend.from_text(
+        "write implementation.md <<EOF\n# Implementation\nEOF\ncomplete\n---\ncomplete\n"
+    )
+    report, _, _ = run_scripted_workflow(tmp_path, 9, backends=backends)
+    # the first attempt's implementation.md is not put back into the retry
+    assert "without contracted artifact(s): ['implementation.md']" in report.diagnostics["builder"]
+    assert report.exit_code == 4
+    assert report.final_state == "SPEC_READY"
+    assert report.dispatch_counts == {"builder": 2, "tester": 1}
+
+
 def test_resume_after_mid_stage_hold_skips_completed_peers(tmp_path):
     first, run_dir, _ = run_scripted_workflow(tmp_path, 2, builder_holds=1, answers=())
     assert first.escalation is not None
@@ -531,13 +556,15 @@ def test_stage_atomicity_under_randomized_delays(tmp_path):
 # --- ship gate --------------------------------------------------------------------
 
 
-def _resume(tmp_path: Path, run_dir: RunDirectory, workflow_id: int, git: FakeGit, **kwargs):
+def _resume(
+    tmp_path: Path, run_dir: RunDirectory, workflow_id: int, git: FakeGit, backends=None, **kwargs
+):
     workflow = workflow_by_id(workflow_id)
     return Orchestrator(
         run_dir=run_dir,
         request_id=run_dir.path.name,
         workflow=workflow,
-        backends=scripted_backends(workflow),
+        backends=backends or scripted_backends(workflow),
         channel=UserChannel(mode=ChannelMode.SCRIPTED_ANSWERS, output_fn=lambda _: None),
         target_repo=tmp_path / "repo",
         git=git,
@@ -576,6 +603,60 @@ def test_resume_after_a_failed_push_ships_instead_of_skipping_to_done(tmp_path):
     assert resumed.final_state == "DONE"
     assert resumed.ship["shipped"] is True
     assert resumed.dispatch_counts == {"shipper": 1}
+
+
+def test_resumed_ship_with_a_shipper_that_writes_nothing_is_not_done(tmp_path):
+    failing = FakeGit()
+    failing.fail_push = True
+    first, run_dir, _ = run_scripted_workflow(tmp_path, 2, git=failing, authorization="tok")
+    assert first.gate_violation == "push failed: auth"
+
+    backends = scripted_backends(workflow_by_id(2))
+    backends[R.SHIPPER] = ScriptedBackend.from_text("complete\n")
+    git = FakeGit()
+    resumed = _resume(tmp_path, run_dir, 2, git, backends=backends, authorization="tok")
+
+    assert "without contracted artifact(s): ['shipper.md']" in resumed.diagnostics["shipper"]
+    assert resumed.exit_code == 4
+    assert resumed.final_state == "READY_TO_SHIP"
+    assert not any(a.action is GitAction.PUSH for a in git.actions)
+    # the refused ship's report stands as it was, not nested in a new one
+    assert run_dir.read(K.SHIPPER).count("## Git actions taken") == 1
+
+
+class _SandboxListing(AgentBackend):
+    kind = BackendKind.SCRIPTED
+
+    def __init__(self, inner: AgentBackend, seen: list):
+        self.inner = inner
+        self.seen = seen
+
+    def execute(self, req, log_path=None):
+        self.seen.append(sorted(p.name for p in req.sandbox.path.iterdir()))
+        return self.inner.execute(req, log_path=log_path)
+
+
+def test_resumed_session_finds_nothing_an_earlier_session_left_in_a_plain_sandbox(tmp_path):
+    workflow = workflow_by_id(2)
+    failing = FakeGit()
+    failing.fail_push = True
+    backends = scripted_backends(workflow)
+    backends[R.SHIPPER] = ScriptedBackend.from_text(
+        "write notes.txt <<EOF\nsession 1 scratch\nEOF\n" + shipper_script()
+    )
+    first, run_dir, _ = run_scripted_workflow(
+        tmp_path, 2, git=failing, authorization="tok", backends=backends
+    )
+    assert first.gate_violation == "push failed: auth"
+
+    seen: list = []
+    backends = scripted_backends(workflow)
+    backends[R.SHIPPER] = _SandboxListing(backends[R.SHIPPER], seen)
+    resumed = _resume(tmp_path, run_dir, 2, FakeGit(), backends=backends, authorization="tok")
+
+    assert resumed.final_state == "DONE"
+    # the shipper's inputs only: every artifact but its own report
+    assert seen == [sorted(k.filename for k in run_dir.present() if k is not K.SHIPPER)]
 
 
 class _NoTesterWorktreeGit(FakeGit):

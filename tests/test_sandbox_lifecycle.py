@@ -62,6 +62,9 @@ WF9_GIT_SPAWNS = 6
 # tester 4x, scriber 2x, simulator 1x: 2 start-up queries, 4 adds,
 # 7 resets of 2 processes each, and 4 removes.
 WF1_FULL_RETRY_GIT_SPAWNS = 24
+# Workflow 2 shipping to a bare remote: 2 start-up queries, 3 adds, then
+# `add -A`, `symbolic-ref`, `commit` and `push` on the target, and 3 removes.
+WF2_SHIP_GIT_SPAWNS = 12
 
 
 def test_git_spawns_per_run_workflow_9(tmp_path, git_spawns):
@@ -87,6 +90,16 @@ def test_git_spawns_per_run_workflow_1_full_retry(tmp_path, git_spawns):
     assert len(adds) == 4
     # every worktree is gone once the run ends
     assert _git(repo, "worktree", "list").count("\n") == 1
+
+
+def test_git_spawns_per_run_workflow_2_shipping(tmp_path, git_spawns):
+    repo = init_git_repo(tmp_path / "repo", remote=tmp_path / "remote.git")
+    report, _, _ = run_scripted_workflow(
+        tmp_path, 2, target_repo=repo, git=SubprocessGit(), authorization="tok"
+    )
+    assert report.final_state == "DONE"
+    assert report.ship["shipped"] is True
+    assert len(git_spawns) == WF2_SHIP_GIT_SPAWNS, git_spawns
 
 
 def _dirtying_builder(record_dir: Path) -> SubprocessBackend:
@@ -135,10 +148,10 @@ def test_retry_attempt_starts_from_pristine_checkout(tmp_path):
     first = (record / "attempt-1.txt").read_text(encoding="utf-8")
     second = (record / "attempt-2.txt").read_text(encoding="utf-8")
     assert first == f"agent/builder/{run_dir.path.name}\noriginal\n"
-    # Only the collected implementation.md, granted to the builder, is
-    # materialized again: no branch switch, tracked edit, untracked or
-    # ignored file or stray artifact of the first attempt survives.
-    assert second == "?? implementation.md\n" + first
+    # The retry finds exactly what the first attempt found: no branch
+    # switch, tracked edit, untracked or ignored file or artifact of the
+    # first attempt survives, its own implementation.md included.
+    assert second == first
     assert "attempt 2" in run_dir.read(ArtifactKind.IMPLEMENTATION)
     assert _git(repo, "status", "--porcelain") == ""
 
