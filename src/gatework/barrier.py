@@ -315,7 +315,6 @@ class IsolationReport:
 def audit_isolation(
     logs: Mapping[AgentRole, Sequence[AccessEvent]],
     *,
-    matrix: AccessMatrix = DEFAULT_ACCESS_MATRIX,
     dispatched: frozenset[AgentRole] = frozenset(),
 ) -> IsolationReport:
     """Cross-check all access logs against the matrix.
@@ -331,7 +330,7 @@ def audit_isolation(
     violations = []
     for role, events in logs.items():
         for event in events:
-            if not matrix.lawful(role, event.artifact):
+            if not DEFAULT_ACCESS_MATRIX.lawful(role, event.artifact):
                 violations.append((role, event.artifact, event.timestamp))
     violations.sort(key=lambda v: (v[2], v[0].value, v[1].filename))
     return IsolationReport(violations=tuple(violations))

@@ -126,6 +126,7 @@ def _execute_run(
     deterministic: bool,
     resume_run_dir: RunDirectory | None = None,
     authorization: str | None = None,
+    request_id: str | None = None,
 ) -> int:
     git = SubprocessGit()
     backends = load_backends(backends_path)
@@ -147,8 +148,7 @@ def _execute_run(
     if workspace_root is not None:
         workspace = WorkspaceLayout(root=workspace_root, repo_name=Path(repo).name).ensure()
 
-    resume = resume_run_dir is not None
-    if resume:
+    if resume_run_dir is not None:
         run_dir = resume_run_dir
         request_id = run_dir.path.name
     else:
@@ -162,6 +162,7 @@ def _execute_run(
                 workflow=workflow,
                 git=git,
                 clock=clock,
+                request_id=request_id,
             )
         except GateworkError as exc:
             console.echo(f"[environment] {exc}")
@@ -191,7 +192,7 @@ def _execute_run(
         workspace=workspace,
         directive=directive,
     )
-    report = orchestrator.run(authorization=authorization, resume=resume)
+    report = orchestrator.run(authorization=authorization)
     console.echo(report.render_text().rstrip("\n"))
     console.flush_to(run_dir)
     return report.exit_code
@@ -223,16 +224,20 @@ def _read_answers(path: Path) -> list[str]:
 
 
 def _resume_run(
-    console: _Console, run_dir: RunDirectory, config: dict, *, authorization: str | None = None
+    console: _Console,
+    run_dir: RunDirectory,
+    config: dict,
+    *,
+    answers: list[str] | None = None,
+    authorization: str | None = None,
 ) -> int:
-    answers_file = run_dir.path / "answers"
     return _execute_run(
         console,
         repo=Path(config["target_repo"]),
         directive=config["directive"],
         override=config["workflow_id"],
         backends_path=Path(config["backends"]),
-        answers=_read_answers(answers_file) if answers_file.exists() else None,
+        answers=answers,
         workspace_root=Path(config["workspace"]) if config.get("workspace") else None,
         runs_root=None,
         deterministic=config.get("deterministic", False),
@@ -250,13 +255,14 @@ def cmd_answer(args: argparse.Namespace, console: _Console) -> int:
     if not pending.exists():
         console.echo("answer requires an active run with a pending question")
         return EXIT_GATE
-    answers_file = run_dir.path / "answers"
-    existing = answers_file.read_text(encoding="utf-8") if answers_file.exists() else ""
-    answers_file.write_text(existing + args.text + "\n", encoding="utf-8")
+    # the answers file is the record; the resumed session gets only the
+    # new answer, for the question it left pending
+    with open(run_dir.path / "answers", "a", encoding="utf-8") as fh:
+        fh.write(args.text + "\n")
     pending.unlink()
     config = _load_run_config(run_dir)
     console.echo(f"answer recorded; resuming run {run_dir.path.name}")
-    return _resume_run(console, run_dir, config)
+    return _resume_run(console, run_dir, config, answers=[args.text])
 
 
 def cmd_authorize(args: argparse.Namespace, console: _Console) -> int:
@@ -346,6 +352,7 @@ def cmd_replay(args: argparse.Namespace, console: _Console) -> int:
             workspace_root=None,
             runs_root=Path(tmp),
             deterministic=True,
+            request_id=recorded["request_id"],
         )
         replayed_dirs = sorted(Path(tmp).iterdir())
         if not replayed_dirs:

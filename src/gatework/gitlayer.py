@@ -217,7 +217,6 @@ class FakeGit(GitBackend):
     def __init__(self) -> None:
         self.repos: dict[str, _FakeRepo] = {}
         self.fail_push: bool = False
-        self.fail_push_kind: str = "auth"
         self.actions: list[GitResult] = []
         self._lock = threading.Lock()
 
@@ -288,7 +287,7 @@ class FakeGit(GitBackend):
                     ok=False,
                     action=GitAction.PUSH,
                     detail="push",
-                    error_kind=self.fail_push_kind,
+                    error_kind="auth",
                     output="simulated push failure",
                 )
             )

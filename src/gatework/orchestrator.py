@@ -9,12 +9,13 @@ bookkeeping, and git mutations happen solely on the ship path.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from functools import partial
 from pathlib import Path
@@ -23,7 +24,6 @@ from typing import Callable, Iterable, Mapping, Sequence
 from gatework.barrier import (
     DEFAULT_ACCESS_MATRIX,
     WORKTREE_ROLES,
-    AccessMatrix,
     Sandbox,
     audit_isolation,
     create_plain_sandbox,
@@ -31,7 +31,7 @@ from gatework.barrier import (
     merge_access_logs,
     parse_access_log,
 )
-from gatework.clock import Clock, SystemClock, TickClock
+from gatework.clock import Clock, TickClock
 from gatework.errors import (
     AuditIncompleteness,
     BarrierError,
@@ -65,7 +65,7 @@ from gatework.model import (
     workflow_by_id,
 )
 from gatework.rundir import RunDirectory
-from gatework.runtime import DEFAULT_DEADLINE, AgentBackend, DispatchRequest, dispatch
+from gatework.runtime import AgentBackend, DispatchRequest, dispatch
 from gatework.statemachine import (
     RunState,
     SignalDisposition,
@@ -108,12 +108,10 @@ class UserChannel:
         self,
         mode: ChannelMode = ChannelMode.INTERACTIVE,
         answers: Iterable[str] = (),
-        input_fn: Callable[[str], str] | None = None,
         output_fn: Callable[[str], None] = print,
     ) -> None:
         self.mode = mode
         self.answers: deque[str] = deque(answers)
-        self.input_fn = input_fn
         self.output_fn = output_fn
         self.pending: str | None = None
         self.transcript: list[tuple[str, str]] = []
@@ -125,9 +123,8 @@ class UserChannel:
             answer = self.answers.popleft() if self.answers else None
         else:
             self.output_fn(f"[user input needed] {question}")
-            prompt = self.input_fn if self.input_fn is not None else input
             try:
-                answer = prompt("> ")
+                answer = input("> ")
             except EOFError:
                 answer = None
             if answer is not None and not answer.strip():
@@ -348,8 +345,6 @@ def mechanical_review(
     run_dir: RunDirectory,
     logs: Mapping[AgentRole, Sequence[AccessEvent]],
     plan: DispatchPlan,
-    *,
-    matrix: AccessMatrix = DEFAULT_ACCESS_MATRIX,
 ) -> MechanicalReviewReport:
     """The mechanically checkable subset of the reviewer's checks.
 
@@ -377,7 +372,7 @@ def mechanical_review(
     )
 
     try:
-        isolation = audit_isolation(logs, matrix=matrix, dispatched=frozenset(roles))
+        isolation = audit_isolation(logs, dispatched=frozenset(roles))
         if isolation.clean:
             checks.append(
                 MechanicalCheck("pipeline-isolation", CheckStatus.PASS, "no cross-barrier access")
@@ -487,26 +482,7 @@ class RunReport:
         return 0
 
     def to_dict(self) -> dict:
-        return {
-            "request_id": self.request_id,
-            "workflow_id": self.workflow_id,
-            "workflow_name": self.workflow_name,
-            "directive": self.directive,
-            "final_state": self.final_state,
-            "visited_states": list(self.visited_states),
-            "history": list(self.history),
-            "retries": dict(sorted(self.retries.items())),
-            "signals": list(self.signals),
-            "dispatch_counts": dict(sorted(self.dispatch_counts.items())),
-            "artifacts": sorted(self.artifacts),
-            "diagnostics": dict(sorted(self.diagnostics.items())),
-            "gate_violation": self.gate_violation,
-            "escalation": self.escalation,
-            "pending": self.pending,
-            "mechanical": self.mechanical,
-            "ship": self.ship,
-            "exit_code": self.exit_code,
-        }
+        return {**asdict(self), "artifacts": sorted(self.artifacts), "exit_code": self.exit_code}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -551,13 +527,28 @@ def start_run(
     clock: Clock,
     request_id: str | None = None,
 ) -> tuple[RunDirectory, str]:
-    """Create the run directory and write the leader's four artifacts."""
+    """Create the run directory and write the leader's four artifacts.
+
+    The request id is ``request_id`` or the clock's time to the second;
+    when a directory of that name exists, the next free ``-2``, ``-3``
+    suffix is taken, so no run ever continues another."""
     target_repo = Path(target_repo).resolve()
     if not target_repo.is_dir():
         raise EnvironmentFailure(f"target repository not resolvable: {target_repo}")
-    if request_id is None:
-        request_id = "req-" + clock.now().strftime("%Y%m%d-%H%M%S")
-    run_dir = RunDirectory(Path(runs_root) / request_id).create()
+    # read even for a given id, so a replay under the recorded id sees
+    # the same clock ticks as the recorded run
+    stamp = "req-" + clock.now().strftime("%Y%m%d-%H%M%S")
+    base = request_id or stamp
+    runs_root = Path(runs_root)
+    runs_root.mkdir(parents=True, exist_ok=True)
+    for suffix in itertools.count(1):
+        request_id = base if suffix == 1 else f"{base}-{suffix}"
+        try:
+            (runs_root / request_id).mkdir()
+        except FileExistsError:
+            continue
+        break
+    run_dir = RunDirectory(runs_root / request_id).create()
 
     run_dir.write(
         ArtifactKind.REQUEST,
@@ -587,21 +578,21 @@ def start_run(
             f"- remote: {remote or '(none)'}\n"
         ),
     )
-    run_dir.write(ArtifactKind.STATUS, "")
+    write_status(RunState(workflow=workflow), run_dir)
     return run_dir, request_id
 
 
 # --- orchestrator -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _StageHalt:
-    reason: str  # "escalated" | "gate" | "backend" | "awaiting_authorization"
-    detail: str
+class _Halt(Exception):
+    """Ends the session. Whoever raises it has already written the halt's
+    field of the report: a diagnostic, an escalation, a pending question
+    or a gate violation."""
 
 
 #: What a failed dispatch raises, sandbox creation included; the run
-#: records a diagnostic, halts and is finalized.
+#: records a diagnostic under the failing role, halts and is finalized.
 _DISPATCH_FAILURES = (
     DispatchError,
     ContractError,
@@ -625,11 +616,9 @@ class Orchestrator:
         channel: UserChannel,
         target_repo: Path,
         git: GitBackend,
-        clock: Clock | None = None,
-        matrix: AccessMatrix = DEFAULT_ACCESS_MATRIX,
+        clock: Clock,
         workspace: WorkspaceLayout | None = None,
         directive: str = "",
-        deadline: float = DEFAULT_DEADLINE,
     ) -> None:
         self.run_dir = run_dir
         self.request_id = request_id
@@ -638,14 +627,11 @@ class Orchestrator:
         self.channel = channel
         self.target_repo = Path(target_repo).resolve()
         self.git = git
-        self.clock = clock or SystemClock()
-        self.matrix = matrix
+        self.clock = clock
         self.workspace = workspace
         self.directive = directive
-        self.deadline = deadline
         self.profile: LanguageProfile = UNKNOWN_PROFILE
         self.run_state = RunState(workflow=workflow)
-        self._attempts: dict[AgentRole, int] = {}
         self._extras: dict[AgentRole, list[str]] = {}
         self._report = RunReport(
             request_id=request_id,
@@ -713,7 +699,7 @@ class Orchestrator:
             return create_sandbox(
                 role,
                 self.target_repo,
-                self.matrix,
+                DEFAULT_ACCESS_MATRIX,
                 run_dir=self.run_dir,
                 git=self.git,
                 clock=clock,
@@ -721,30 +707,40 @@ class Orchestrator:
                 state=self.run_state.current,
             )
         return create_plain_sandbox(
-            role, self.matrix, run_dir=self.run_dir, clock=clock, state=self.run_state.current
+            role,
+            DEFAULT_ACCESS_MATRIX,
+            run_dir=self.run_dir,
+            clock=clock,
+            state=self.run_state.current,
         )
 
     def _dispatch_role(self, role: AgentRole) -> AgentOutcome:
-        backend = self.backends.get(role)
-        if backend is None:
-            raise MisconfigurationError(f"no backend configured for {role.value}")
-        attempt = self._attempts.get(role, 0) + 1
-        self._attempts[role] = attempt
-        sandbox = self._make_sandbox(role)
-        req = DispatchRequest(
-            role=role,
-            sandbox=sandbox,
-            briefing=self._briefing(role, sandbox),
-            workflow=self.workflow,
-            deadline=self.deadline,
-            attempt=attempt,
-        )
-        log_path = self.run_dir.logs_dir / f"{role.value}.log"
+        """Dispatch one role; a failed dispatch is recorded under the
+        role's name and halts the session."""
         try:
-            outcome = dispatch(req, backend, log_path=log_path)
-        finally:
-            # the run-level log outlives the sandbox and every session
-            sandbox.audit.append_to(self._role_access_log_path(role))
+            backend = self.backends.get(role)
+            if backend is None:
+                raise MisconfigurationError(f"no backend configured for {role.value}")
+            # the run's dispatch count of a role is its attempt number
+            attempt = self._report.dispatch_counts.get(role.value, 0) + 1
+            self._report.dispatch_counts[role.value] = attempt
+            sandbox = self._make_sandbox(role)
+            req = DispatchRequest(
+                role=role,
+                sandbox=sandbox,
+                briefing=self._briefing(role, sandbox),
+                workflow=self.workflow,
+                attempt=attempt,
+            )
+            log_path = self.run_dir.logs_dir / f"{role.value}.log"
+            try:
+                outcome = dispatch(req, backend, log_path=log_path)
+            finally:
+                # the run-level log outlives the sandbox and every session
+                sandbox.audit.append_to(self._role_access_log_path(role))
+        except _DISPATCH_FAILURES as exc:
+            self._report.diagnostics[role.value] = str(exc)
+            raise _Halt from exc
         if outcome.status is OutcomeStatus.COMPLETED:
             for kind in sorted(outcome.produced, key=lambda k: k.filename):
                 source = sandbox.artifact_file(kind)
@@ -775,29 +771,27 @@ class Orchestrator:
             {"kind": signal.kind.value, "raiser": signal.raiser.value, "payload": signal.payload}
         )
 
+    def _answer_hold(self, raiser: AgentRole, question: str) -> None:
+        """Forward a HOLD question to the user and brief the raiser with the
+        answer; an unanswered question halts the session."""
+        answer = self.channel.ask(question)
+        if answer is None:
+            self._report.escalation = f"unanswered question from {raiser.value}: {question}"
+            self._report.pending = question
+            raise _Halt
+        self._extras.setdefault(raiser, []).append(f"user answer: {answer}")
+
     # -- stage execution --
 
-    def _execute_stage(self, stage: Stage, *, skip_satisfied: bool = False) -> _StageHalt | int | None:
-        """Run one stage to completion.
-
-        Returns None when every role completed, a stage index to rewind to
-        (STOP routing), or a halt condition.
-        """
-        satisfied: set[AgentRole] = set()
-        if skip_satisfied:
-            satisfied = {role for role in stage.roles if self._role_satisfied(role)}
-        batches: deque[tuple[AgentRole, ...]] = deque()
-        first = tuple(role for role in stage.roles if role not in satisfied)
-        if first:
-            batches.append(first)
+    def _execute_stage(self, stage: Stage, first: tuple[AgentRole, ...]) -> int | None:
+        """Run one stage to completion, dispatching ``first`` and then
+        whatever the signals route. Returns the stage index a STOP rewinds
+        to (every stage from it re-runs), or None."""
+        satisfied = set(stage.roles) - set(first)
+        batches: deque[tuple[AgentRole, ...]] = deque([first])
 
         while batches:
-            batch = batches.popleft()
-            try:
-                results = self._dispatch_batch(batch)
-            except _DISPATCH_FAILURES as exc:
-                self._report.diagnostics[batch[0].value if len(batch) == 1 else "stage"] = str(exc)
-                return _StageHalt(reason="backend", detail=str(exc))
+            results = self._dispatch_batch(batches.popleft())
 
             # the routed re-dispatch phases of every signal, merged phase by phase
             phases: list[list[AgentRole]] = []
@@ -814,7 +808,8 @@ class Orchestrator:
                         f"{signal.kind.value} retry cap reached; escalating to user: {signal.payload}"
                     )
                     self.channel.notify(message)
-                    return _StageHalt(reason="escalated", detail=message)
+                    self._report.escalation = message
+                    raise _Halt
                 action = route_signal(signal, self.plan)
                 if action.rewind_to_stage is not None:
                     target_roles = self.plan.stages[action.rewind_to_stage].roles
@@ -824,14 +819,7 @@ class Orchestrator:
                         )
                     return action.rewind_to_stage
                 if action.forward_question is not None:
-                    answer = self.channel.ask(action.forward_question)
-                    if answer is None:
-                        return _StageHalt(
-                            reason="escalated",
-                            detail=f"unanswered question from {signal.raiser.value}: "
-                            f"{action.forward_question}",
-                        )
-                    self._extras.setdefault(signal.raiser, []).append(f"user answer: {answer}")
+                    self._answer_hold(signal.raiser, action.forward_question)
                 else:  # BLOCK: the fix role first, the tester re-validates after it
                     self._extras.setdefault(action.phases[0][0], []).append(
                         f"validation failure details: {signal.payload}"
@@ -850,8 +838,7 @@ class Orchestrator:
         return None
 
     def _role_satisfied(self, role: AgentRole) -> bool:
-        """True when the role's contracted artifacts already exist (used
-        when resuming a run reconstructed from its directory)."""
+        """True when the role's contracted artifacts already exist."""
         return all(self.run_dir.exists(kind) for kind in contracted_artifacts(role, self.workflow))
 
     def _role_access_log_path(self, role: AgentRole) -> Path:
@@ -867,48 +854,60 @@ class Orchestrator:
                 logs[role] = parse_access_log(persisted.read_text(encoding="utf-8"))
         return logs
 
-    def _run_mechanical_review(self) -> _StageHalt | None:
-        logs = self._collected_logs()
-        report = mechanical_review(self.run_dir, logs, self.plan, matrix=self.matrix)
+    def _run_mechanical_review(self) -> None:
+        report = mechanical_review(self.run_dir, self._collected_logs(), self.plan)
         self._report.mechanical = report.to_dict()
-        merge_access_logs(logs, self.run_dir)
         if not report.passed:
             listed = "; ".join(f"{c.name}: {c.detail}" for c in report.failures())
-            return _StageHalt(reason="gate", detail=f"mechanical review failed ({listed})")
-        return None
+            self._report.gate_violation = f"mechanical review failed ({listed})"
+            raise _Halt
 
     # -- main entry --
 
-    def run(self, authorization: str | None = None, *, resume: bool = False) -> RunReport:
+    def run(self, authorization: str | None = None) -> RunReport:
+        """Run one session of the run and rewrite its report.
+
+        A fresh run is a run directory with an empty history, so every
+        session starts the same way: it rebuilds the state from
+        ``status.md``, carries the dispatch counts and signals over from
+        the previous ``report.json``, asks the HOLD question the previous
+        session left unanswered, and skips the roles whose contracted
+        artifacts exist, up to the first stage that dispatches.
+        """
+        try:
+            self._resume()
+            self._run_stages(authorization)
+        except _Halt:
+            pass
+        self._finalize()
+        return self._report
+
+    def _resume(self) -> None:
+        """Rebuild the session from the run directory: the state, the dispatch
+        counts and signals, the language profile, and the answer to a
+        pending HOLD."""
+        self.run_state = reconstruct_run_state(self.run_dir, self.workflow)
+        previous: dict = {}
+        if self.run_dir.report_json_path.exists():
+            previous = json.loads(self.run_dir.report_json_path.read_text(encoding="utf-8"))
+            self._report.dispatch_counts = previous["dispatch_counts"]
+            self._report.signals = previous["signals"]
         try:
             self._resolve_profile()
         except HoldUnanswered as exc:
-            self._report.escalation = exc.question
-            self._report.pending = exc.question
-            self._finalize()
-            return self._report
+            self._report.escalation = self._report.pending = exc.question
+            raise _Halt from exc
         except EnvironmentFailure as exc:
             self._report.diagnostics["environment"] = str(exc)
-            self._finalize()
-            return self._report
+            raise _Halt from exc
+        last = self._report.signals[-1] if self._report.signals else None
+        if last and last["kind"] == SignalKind.HOLD.value and last["payload"] == previous["pending"]:
+            self._answer_hold(AgentRole(last["raiser"]), last["payload"])
 
-        if resume:
-            self.run_state = reconstruct_run_state(self.run_dir, self.workflow)
-            for role in self.workflow.roles():
-                raised = sum(
-                    1
-                    for entry in self.run_state.history
-                    if entry.signal is not None and entry.cause.startswith(f"{role.value} raised")
-                )
-                if raised:
-                    self._attempts[role] = raised
-        else:
-            write_status(self.run_state, self.run_dir)
-
+    def _run_stages(self, authorization: str | None) -> None:
         self._advance_to(self.plan.entry)
-
         index = 0
-        resuming = resume
+        resuming = True  # until a stage dispatches, earlier sessions' work stands
         while index < len(self.plan.stages):
             stage = self.plan.stages[index]
             if AgentRole.SHIPPER in stage.roles:
@@ -921,51 +920,36 @@ class Orchestrator:
                     self._report.pending = (
                         "awaiting explicit user authorization to ship (run the authorize command)"
                     )
-                    break
-                try:
-                    ship_report = ship(
-                        self.run_dir,
-                        authorization,
-                        target_repo=self.target_repo,
-                        workflow=self.workflow,
-                        git=self.git,
-                        clock=self.clock,
-                        workspace=self.workspace,
-                        slug=self.request_id,
-                        run_state=self.run_state,
-                        dispatch_shipper=partial(self._dispatch_role, AgentRole.SHIPPER),
-                    )
-                except _DISPATCH_FAILURES as exc:
-                    self._report.diagnostics[AgentRole.SHIPPER.value] = str(exc)
-                    break
+                    raise _Halt
+                ship_report = ship(
+                    self.run_dir,
+                    authorization,
+                    target_repo=self.target_repo,
+                    workflow=self.workflow,
+                    git=self.git,
+                    clock=self.clock,
+                    workspace=self.workspace,
+                    slug=self.request_id,
+                    run_state=self.run_state,
+                    dispatch_shipper=partial(self._dispatch_role, AgentRole.SHIPPER),
+                )
                 self._report.ship = ship_report.to_dict()
                 if not ship_report.shipped:
                     self._report.gate_violation = ship_report.refusal or "ship failed"
-                    break
-            elif resuming and all(self._role_satisfied(role) for role in stage.roles):
-                pass  # completed in an earlier session; its gates are checked below
+                    raise _Halt
             else:
-                outcome = self._execute_stage(stage, skip_satisfied=resuming)
-                resuming = False  # everything after the resume point is fresh work
-                if isinstance(outcome, _StageHalt):
-                    if outcome.reason == "escalated":
-                        self._report.escalation = outcome.detail
-                        if self.channel.pending:
-                            self._report.pending = self.channel.pending
-                    elif outcome.reason == "gate":
-                        self._report.gate_violation = outcome.detail
-                    break
-                if isinstance(outcome, int):  # STOP rewind target stage
-                    index = outcome
-                    continue
+                first = tuple(r for r in stage.roles if not (resuming and self._role_satisfied(r)))
+                if first:
+                    resuming = False
+                    rewind = self._execute_stage(stage, first)
+                    if rewind is not None:
+                        index = rewind
+                        continue
 
             # a review from an earlier session is re-checked too, so no
             # resume ships a run whose mechanical review failed
             if AgentRole.REVIEWER in stage.roles:
-                halt = self._run_mechanical_review()
-                if halt is not None:
-                    self._report.gate_violation = halt.detail
-                    break
+                self._run_mechanical_review()
 
             self._advance_to(stage.gate)
             if state_order(self.run_state.current, stage.gate) < 0:
@@ -976,22 +960,16 @@ class Orchestrator:
                 self._report.gate_violation = (
                     f"stage {index} complete but {stage.gate.value} gate unsatisfied ({missing})"
                 )
-                break
+                raise _Halt
             index += 1
-
-        self._finalize()
-        return self._report
 
     def _finalize(self) -> None:
         self._report.final_state = self.run_state.current.value
         self._report.visited_states = [s.value for s in self.run_state.visited_states()]
         self._report.history = [entry.render() for entry in self.run_state.history]
         self._report.retries = {k.value: v for k, v in self.run_state.retries.items()}
-        self._report.dispatch_counts = {r.value: n for r, n in sorted(self._attempts.items())}
         self._report.artifacts = sorted(k.filename for k in self.run_dir.present())
-        if self.channel.pending and not self._report.pending:
-            self._report.pending = self.channel.pending
-        if self._report.pending and self.channel.pending:
+        if self.channel.pending:  # a question asked and left unanswered
             (self.run_dir.path / "pending-hold.md").write_text(
                 self.channel.pending + "\n", encoding="utf-8"
             )

@@ -14,10 +14,18 @@ def _single_run_dir(runs_root: Path) -> RunDirectory:
     return RunDirectory(entries[0])
 
 
-def _run_cli(tmp_path: Path, workflow_id: int, *extra: str, repo: Path | None = None, **cfg) -> tuple[int, Path]:
+def _run_cli(
+    tmp_path: Path,
+    workflow_id: int,
+    *extra: str,
+    repo: Path | None = None,
+    config: Path | None = None,
+    **cfg,
+) -> tuple[int, Path]:
     if repo is None:
         repo = init_git_repo(tmp_path / "repo")
-    config = write_backend_config(tmp_path / "backends", workflow_id, **cfg)
+    if config is None:
+        config = write_backend_config(tmp_path / "backends", workflow_id, **cfg)
     runs_root = tmp_path / "runs"
     code = main(
         [
@@ -130,6 +138,59 @@ def test_answer_resumes_held_run(tmp_path, capsys):
     assert code == 0
     assert "PIPELINES_COMPLETE" in out
     assert not (run_dir.path / "pending-hold.md").exists()
+
+
+def test_consecutive_answers_each_reach_their_own_question(tmp_path, capsys):
+    # a stateless subprocess builder: it asks for a scale, then, told the
+    # scale, for a seed, and completes once told the seed; it logs the
+    # answers each of its briefings carried
+    briefed = tmp_path / "briefed.jsonl"
+    agent = (
+        "import json, pathlib, sys\n"
+        "answers = [l for l in sys.stdin.read().splitlines() if l.startswith('user answer:')]\n"
+        f"with open({str(briefed)!r}, 'a') as fh: fh.write(json.dumps(answers) + '\\n')\n"
+        "if 'user answer: seed 7' in answers:\n"
+        "    pathlib.Path('implementation.md').write_text('# impl\\n')\n"
+        "    print('OUTCOME: COMPLETED')\n"
+        "else:\n"
+        "    question = 'which seed?' if 'user answer: scale 0.4' in answers else 'which scale?'\n"
+        "    pathlib.Path('q.txt').write_text(question)\n"
+        "    print('OUTCOME: SIGNAL HOLD q.txt')\n"
+    )
+    config = write_backend_config(tmp_path / "backends", 9)
+    entries = json.loads(config.read_text(encoding="utf-8"))
+    entries["backends"]["builder"] = {"kind": "subprocess", "command": ["python3", "-c", agent]}
+    config.write_text(json.dumps(entries), encoding="utf-8")
+    no_answers = tmp_path / "no-answers"
+    no_answers.write_text("", encoding="utf-8")
+    code, runs_root = _run_cli(
+        tmp_path, 9, "--deterministic", "--answers", str(no_answers), config=config
+    )
+    assert code == 3
+    run_dir = _single_run_dir(runs_root)
+
+    assert main(["answer", "--run", str(run_dir.path), "scale 0.4"]) == 3
+    report = json.loads(run_dir.report_json_path.read_text(encoding="utf-8"))
+    assert report["pending"] == "which seed?"
+    assert main(["answer", "--run", str(run_dir.path), "seed 7"]) == 0
+
+    seen = [json.loads(line) for line in briefed.read_text(encoding="utf-8").splitlines()]
+    assert seen == [[], ["user answer: scale 0.4"], ["user answer: seed 7"]]
+    assert (run_dir.path / "answers").read_text(encoding="utf-8") == "scale 0.4\nseed 7\n"
+
+
+def test_runs_into_one_runs_root_get_their_own_directories(tmp_path, capsys):
+    repo = init_git_repo(tmp_path / "repo")
+    assert _run_cli(tmp_path, 9, repo=repo)[0] == 0
+    code, runs_root = _run_cli(tmp_path, 9, repo=repo)
+    assert code == 0
+    first, second = sorted(p for p in runs_root.iterdir())
+    assert second.name == first.name + "-2"
+    for run in (first, second):
+        assert (run / "logs" / "builder.log").read_text(encoding="utf-8").count("[attempt") == 1
+    capsys.readouterr()
+    assert main(["replay", "--run", str(second)]) == 0
+    assert "replay identical" in capsys.readouterr().out
 
 
 def test_answer_without_pending_hold_is_rejected(tmp_path, capsys):

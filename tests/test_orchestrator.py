@@ -336,10 +336,13 @@ def test_resume_after_mid_stage_hold_skips_completed_peers(tmp_path):
         git=FakeGit(),
         clock=TickClock(),
         directive="scripted protocol exercise",
-    ).run(resume=True)
+    ).run()
     assert resumed.final_state == "READY_TO_SHIP"
-    # planner stage skipped entirely; tester's completed work not re-run
-    assert resumed.dispatch_counts == {"builder": 2, "reviewer": 1, "scriber": 1}
+    # counts cover the whole run: the planner stage and the tester's
+    # completed work were not re-run in the second session
+    assert resumed.dispatch_counts == {
+        "builder": 2, "planner": 1, "reviewer": 1, "scriber": 1, "tester": 1,
+    }
     assert resumed.retries["HOLD"] == 1  # carried over from the first session
 
 
@@ -365,7 +368,7 @@ def test_resume_keeps_access_events_of_earlier_sessions(tmp_path):
         git=FakeGit(),
         clock=TickClock(),
         directive="scripted protocol exercise",
-    ).run(resume=True)
+    ).run()
 
     # the session-1 DENY still fails review after the session-2 ALLOW
     persisted = (run_dir.logs_dir / "access-builder.log").read_text(encoding="utf-8")
@@ -557,7 +560,13 @@ def test_stage_atomicity_under_randomized_delays(tmp_path):
 
 
 def _resume(
-    tmp_path: Path, run_dir: RunDirectory, workflow_id: int, git: FakeGit, backends=None, **kwargs
+    tmp_path: Path,
+    run_dir: RunDirectory,
+    workflow_id: int,
+    git: FakeGit,
+    backends=None,
+    answers: tuple[str, ...] = (),
+    **kwargs,
 ):
     workflow = workflow_by_id(workflow_id)
     return Orchestrator(
@@ -565,12 +574,14 @@ def _resume(
         request_id=run_dir.path.name,
         workflow=workflow,
         backends=backends or scripted_backends(workflow),
-        channel=UserChannel(mode=ChannelMode.SCRIPTED_ANSWERS, output_fn=lambda _: None),
+        channel=UserChannel(
+            mode=ChannelMode.SCRIPTED_ANSWERS, answers=answers, output_fn=lambda _: None
+        ),
         target_repo=tmp_path / "repo",
         git=git,
         clock=TickClock(),
         directive="scripted protocol exercise",
-    ).run(resume=True, **kwargs)
+    ).run(**kwargs)
 
 
 def test_resume_reruns_the_mechanical_review_of_a_completed_review(tmp_path):
@@ -586,7 +597,7 @@ def test_resume_reruns_the_mechanical_review_of_a_completed_review(tmp_path):
     assert resumed.final_state == "DOCUMENTED"
     assert "mechanical review failed (pipeline-isolation" in resumed.gate_violation
     assert resumed.mechanical["passed"] is False
-    assert resumed.dispatch_counts == {}  # the reviewer's work is not redone
+    assert resumed.dispatch_counts == first.dispatch_counts  # the reviewer's work is not redone
 
 
 def test_resume_after_a_failed_push_ships_instead_of_skipping_to_done(tmp_path):
@@ -602,7 +613,7 @@ def test_resume_after_a_failed_push_ships_instead_of_skipping_to_done(tmp_path):
     assert [a.action for a in git.actions if a.action is GitAction.PUSH] == [GitAction.PUSH]
     assert resumed.final_state == "DONE"
     assert resumed.ship["shipped"] is True
-    assert resumed.dispatch_counts == {"shipper": 1}
+    assert resumed.dispatch_counts == {**first.dispatch_counts, "shipper": 2}
 
 
 def test_resumed_ship_with_a_shipper_that_writes_nothing_is_not_done(tmp_path):
@@ -624,15 +635,18 @@ def test_resumed_ship_with_a_shipper_that_writes_nothing_is_not_done(tmp_path):
     assert run_dir.read(K.SHIPPER).count("## Git actions taken") == 1
 
 
-class _SandboxListing(AgentBackend):
+class _Spy(AgentBackend):
+    """Records ``probe(request)`` for every dispatch, then runs ``inner``."""
+
     kind = BackendKind.SCRIPTED
 
-    def __init__(self, inner: AgentBackend, seen: list):
+    def __init__(self, inner: AgentBackend, seen: list, probe):
         self.inner = inner
         self.seen = seen
+        self.probe = probe
 
     def execute(self, req, log_path=None):
-        self.seen.append(sorted(p.name for p in req.sandbox.path.iterdir()))
+        self.seen.append(self.probe(req))
         return self.inner.execute(req, log_path=log_path)
 
 
@@ -651,12 +665,45 @@ def test_resumed_session_finds_nothing_an_earlier_session_left_in_a_plain_sandbo
 
     seen: list = []
     backends = scripted_backends(workflow)
-    backends[R.SHIPPER] = _SandboxListing(backends[R.SHIPPER], seen)
+    backends[R.SHIPPER] = _Spy(
+        backends[R.SHIPPER], seen, lambda req: sorted(p.name for p in req.sandbox.path.iterdir())
+    )
     resumed = _resume(tmp_path, run_dir, 2, FakeGit(), backends=backends, authorization="tok")
 
     assert resumed.final_state == "DONE"
     # the shipper's inputs only: every artifact but its own report
     assert seen == [sorted(k.filename for k in run_dir.present() if k is not K.SHIPPER)]
+
+
+def test_a_resumed_session_asks_the_pending_hold_before_any_dispatch(tmp_path):
+    first, run_dir, _ = run_scripted_workflow(tmp_path, 9, builder_holds=1, answers=())
+    assert first.pending == "which covariance estimator variant?"
+    briefings: list = []
+    backends = scripted_backends(workflow_by_id(9), builder_holds=1)
+    backends[R.BUILDER] = _Spy(backends[R.BUILDER], briefings, lambda req: req.briefing)
+
+    unanswered = _resume(tmp_path, run_dir, 9, FakeGit(), backends=backends)
+    assert briefings == []  # halted before any dispatch
+    assert (unanswered.escalation, unanswered.pending) == (first.escalation, first.pending)
+    assert unanswered.dispatch_counts == first.dispatch_counts == {"builder": 1}
+
+    answered = _resume(
+        tmp_path, run_dir, 9, FakeGit(), backends=backends, answers=("use the default scale",)
+    )
+    assert answered.final_state == "PIPELINES_COMPLETE"
+    # the asker's next dispatch, its attempt 2 in the run, carries the answer
+    assert len(briefings) == 1
+    assert "user answer: use the default scale" in briefings[0]
+    assert answered.dispatch_counts == {"builder": 2, "tester": 1}
+
+
+def test_failed_dispatch_in_a_parallel_stage_is_recorded_under_the_failing_role(tmp_path):
+    backends = scripted_backends(workflow_by_id(2))
+    del backends[R.TESTER]  # dispatched in parallel with the builder
+    report, _, _ = run_scripted_workflow(tmp_path, 2, backends=backends)
+    assert report.diagnostics == {"tester": "no backend configured for tester"}
+    assert report.exit_code == 4
+    assert report.final_state == "SPEC_READY"
 
 
 class _NoTesterWorktreeGit(FakeGit):

@@ -179,7 +179,7 @@ def test_resumed_session_adds_a_fresh_worktree(tmp_path):
         git=resumed_git,
         clock=TickClock(),
         directive="scripted protocol exercise",
-    ).run(resume=True)
+    ).run()
 
     assert resumed.final_state == "READY_TO_SHIP"
     assert resumed.dispatch_counts["builder"] == 2
