@@ -230,12 +230,15 @@ def create_sandbox(
     clock: Clock,
     request_id: str,
     state: WorkflowState | None = None,
+    idle: Path | None = None,
 ) -> Sandbox:
     """Give an execution or recording role a pristine checkout of its
     branch at ``sandboxes/<role>``, holding its inputs only.
 
-    The worktree is reset if it exists and added if not, so no edit,
-    untracked file or artifact of an earlier attempt survives.
+    The worktree is reset if it exists. If not, the ``idle`` worktree of
+    another role, when handed over, is carried there; otherwise one is
+    added. Either way no edit, untracked file, branch or artifact of an
+    earlier attempt or role survives.
     """
     if role not in WORKTREE_ROLES:
         raise MisconfigurationError(
@@ -244,14 +247,15 @@ def create_sandbox(
         )
     path = run_dir.sandboxes_dir / role.value
     branch = f"agent/{role.value}/{request_id}"
-    reuse = path.exists()
-    if reuse:
-        result = git.worktree_reset(base_repo, path, branch)
+    if path.exists():
+        verb, result = "reset", git.worktree_reset(base_repo, path, branch)
+    elif idle is not None:
+        verb, result = "carry", git.worktree_carry(base_repo, idle, path, branch)
     else:
         run_dir.sandboxes_dir.mkdir(parents=True, exist_ok=True)
-        result = git.worktree_add(base_repo, path, branch)
+        verb, result = "creation", git.worktree_add(base_repo, path, branch)
     if not result.ok:
-        raise EnvironmentFailure(f"worktree {'reset' if reuse else 'creation'} failed: {result.output}")
+        raise EnvironmentFailure(f"worktree {verb} failed: {result.output}")
     return _materialize(role, path, m, run_dir=run_dir, clock=clock, state=state, branch=branch)
 
 

@@ -19,9 +19,11 @@ class GitAction(str, Enum):
     WORKTREE_ADD = "WORKTREE_ADD"
     WORKTREE_REMOVE = "WORKTREE_REMOVE"
     WORKTREE_RESET = "WORKTREE_RESET"
+    WORKTREE_CARRY = "WORKTREE_CARRY"
     STAGE = "STAGE"
     COMMIT = "COMMIT"
     PUSH = "PUSH"
+    RESET = "RESET"
 
 
 @dataclass(frozen=True)
@@ -52,6 +54,14 @@ class GitBackend(ABC):
         deleted. Refuses (``ok=False``) a path that is not a worktree."""
 
     @abstractmethod
+    def worktree_carry(self, repo: Path, source: Path, path: Path, branch: str) -> GitResult:
+        """Move the idle worktree of ``repo`` at ``source`` to ``path`` and
+        leave there a pristine checkout of ``branch``: created at the main
+        checkout's HEAD, as ``worktree_add`` would, or checked out as it is
+        if it exists. Refuses (``ok=False``) a ``source`` that is not a
+        worktree and a ``path`` that exists."""
+
+    @abstractmethod
     def stage(self, repo: Path, paths: list[str]) -> GitResult: ...
 
     @abstractmethod
@@ -59,6 +69,15 @@ class GitBackend(ABC):
 
     @abstractmethod
     def push(self, repo: Path) -> GitResult: ...
+
+    @abstractmethod
+    def head(self, repo: Path) -> str | None:
+        """The commit HEAD points at, or None if there is none."""
+
+    @abstractmethod
+    def reset_to(self, repo: Path, commit: str) -> GitResult:
+        """Move the current branch and the index to ``commit``, leaving the
+        working tree as it is (a mixed reset)."""
 
     @abstractmethod
     def ls_tracked(self, repo: Path) -> list[str]: ...
@@ -119,17 +138,22 @@ class SubprocessGit(GitBackend):
         proc = self._run(repo, "rev-parse", "--git-dir")
         return proc.returncode == 0
 
+    def _has_branch(self, repo: Path, branch: str) -> bool:
+        # ask git, rather than parse its (translated) error message
+        proc = self._run(repo, "rev-parse", "-q", "--verify", f"refs/heads/{branch}")
+        return proc.returncode == 0
+
     def worktree_add(self, repo: Path, path: Path, branch: str) -> GitResult:
         # git -C <repo> resolves relative worktree paths against the repo,
         # not our working directory, so pass an absolute path
         path = Path(path).resolve()
+        # git creates the branch before it fails on an existing path
+        if path.exists():
+            return _refused(GitAction.WORKTREE_ADD, f"{path} on {branch}", f"{path} already exists")
         proc = self._run(repo, "worktree", "add", "-b", branch, str(path))
-        if proc.returncode != 0:
-            # The branch may survive from an earlier session of this run.
-            # Ask git, rather than parse its (translated) error message.
-            known = self._run(repo, "rev-parse", "-q", "--verify", f"refs/heads/{branch}")
-            if known.returncode == 0:
-                proc = self._run(repo, "worktree", "add", str(path), branch)
+        # the branch may survive from an earlier session of this run
+        if proc.returncode != 0 and self._has_branch(repo, branch):
+            proc = self._run(repo, "worktree", "add", str(path), branch)
         return self._result(GitAction.WORKTREE_ADD, proc, f"{path} on {branch}")
 
     def worktree_remove(self, repo: Path, path: Path) -> GitResult:
@@ -144,13 +168,37 @@ class SubprocessGit(GitBackend):
         # A linked worktree's .git is a file. Anywhere else, git would walk
         # up to the enclosing repository and reset that checkout instead.
         if not (path / ".git").is_file():
-            return _not_a_worktree(path)
+            return _refused(GitAction.WORKTREE_RESET, str(path), f"{path} is not a linked worktree")
         # like `reset --hard`, but also returns HEAD to the branch if the
         # agent switched branches or detached it
         proc = self._run(repo, "checkout", "-q", "-f", branch, "--", where=path)
+        return self._result(GitAction.WORKTREE_RESET, self._clean(repo, proc, path), str(path))
+
+    def worktree_carry(self, repo: Path, source: Path, path: Path, branch: str) -> GitResult:
+        source, path = Path(source).resolve(), Path(path).resolve()
+        detail = f"{source} -> {path} on {branch}"
+        if not (source / ".git").is_file():
+            return _refused(GitAction.WORKTREE_CARRY, detail, f"{source} is not a linked worktree")
+        # `worktree move` onto an existing directory moves into it
+        if path.exists():
+            return _refused(GitAction.WORKTREE_CARRY, detail, f"{path} already exists")
+        proc = self._run(repo, "worktree", "move", str(source), str(path))
         if proc.returncode == 0:
-            proc = self._run(repo, "clean", "-q", "-ffdx", where=path)
-        return self._result(GitAction.WORKTREE_RESET, proc, str(path))
+            proc = self._run(
+                repo, "checkout", "-q", "-f", "-b", branch, "main-worktree/HEAD", "--", where=path
+            )
+            if proc.returncode != 0 and self._has_branch(repo, branch):
+                proc = self._run(repo, "checkout", "-q", "-f", branch, "--", where=path)
+        return self._result(GitAction.WORKTREE_CARRY, self._clean(repo, proc, path), detail)
+
+    def _clean(
+        self, repo: Path, checkout: subprocess.CompletedProcess, path: Path
+    ) -> subprocess.CompletedProcess:
+        """After a successful checkout, delete every untracked and ignored
+        file of the worktree at ``path``."""
+        if checkout.returncode != 0:
+            return checkout
+        return self._run(repo, "clean", "-q", "-ffdx", where=path)
 
     def stage(self, repo: Path, paths: list[str]) -> GitResult:
         proc = self._run(repo, "add", "--", *paths) if paths else self._run(repo, "add", "-A")
@@ -175,6 +223,14 @@ class SubprocessGit(GitBackend):
         proc = self._run(repo, "push")
         return self._result(GitAction.PUSH, proc, "push")
 
+    def head(self, repo: Path) -> str | None:
+        proc = self._run(repo, "rev-parse", "-q", "--verify", "HEAD")
+        return proc.stdout.strip() if proc.returncode == 0 else None
+
+    def reset_to(self, repo: Path, commit: str) -> GitResult:
+        proc = self._run(repo, "reset", "-q", "--mixed", commit, "--")
+        return self._result(GitAction.RESET, proc, commit)
+
     def ls_tracked(self, repo: Path) -> list[str]:
         proc = self._run(repo, "ls-files", "--cached")
         if proc.returncode != 0:
@@ -190,13 +246,14 @@ class SubprocessGit(GitBackend):
         return proc.stdout.strip() if proc.returncode == 0 else None
 
 
-def _not_a_worktree(path: Path) -> GitResult:
+def _refused(action: GitAction, detail: str, problem: str) -> GitResult:
+    """A worktree operation refused before git ran."""
     return GitResult(
         ok=False,
-        action=GitAction.WORKTREE_RESET,
-        detail=str(path),
+        action=action,
+        detail=detail,
         error_kind="environment",
-        output=f"{path} is not a linked worktree; reset refused",
+        output=f"{problem}; {action.value.lower()} refused",
     )
 
 
@@ -237,15 +294,9 @@ class FakeGit(GitBackend):
         path = Path(path)
         if path.exists():
             return self._record(
-                GitResult(
-                    ok=False,
-                    action=GitAction.WORKTREE_ADD,
-                    detail=f"{path} on {branch}",
-                    error_kind="environment",
-                    output="worktree path already exists",
-                )
+                _refused(GitAction.WORKTREE_ADD, f"{path} on {branch}", f"{path} already exists")
             )
-        shutil.copytree(repo, path, ignore=shutil.ignore_patterns(".git"))
+        _checkout(repo, path)
         state.branches.add(branch)
         state.worktrees[str(path)] = branch
         return self._record(
@@ -263,10 +314,31 @@ class FakeGit(GitBackend):
     def worktree_reset(self, repo: Path, path: Path, branch: str) -> GitResult:
         path = Path(path)
         if str(path) not in self._repo(repo).worktrees:
-            return self._record(_not_a_worktree(path))
+            return self._record(
+                _refused(GitAction.WORKTREE_RESET, str(path), f"{path} is not a linked worktree")
+            )
         shutil.rmtree(path)
-        shutil.copytree(repo, path, ignore=shutil.ignore_patterns(".git"))
+        _checkout(repo, path)
         return self._record(GitResult(ok=True, action=GitAction.WORKTREE_RESET, detail=str(path)))
+
+    def worktree_carry(self, repo: Path, source: Path, path: Path, branch: str) -> GitResult:
+        state = self._repo(repo)
+        source, path = Path(source), Path(path)
+        detail = f"{source} -> {path} on {branch}"
+        if str(source) not in state.worktrees:
+            return self._record(
+                _refused(GitAction.WORKTREE_CARRY, detail, f"{source} is not a linked worktree")
+            )
+        if path.exists():
+            return self._record(
+                _refused(GitAction.WORKTREE_CARRY, detail, f"{path} already exists")
+            )
+        shutil.rmtree(source)
+        del state.worktrees[str(source)]
+        _checkout(repo, path)
+        state.branches.add(branch)
+        state.worktrees[str(path)] = branch
+        return self._record(GitResult(ok=True, action=GitAction.WORKTREE_CARRY, detail=detail))
 
     def stage(self, repo: Path, paths: list[str]) -> GitResult:
         state = self._repo(repo)
@@ -295,6 +367,15 @@ class FakeGit(GitBackend):
         state.pushes += 1
         return self._record(GitResult(ok=True, action=GitAction.PUSH, detail="push"))
 
+    def head(self, repo: Path) -> str | None:
+        return str(len(self._repo(repo).commits))
+
+    def reset_to(self, repo: Path, commit: str) -> GitResult:
+        state = self._repo(repo)
+        del state.commits[int(commit):]
+        state.staged.clear()
+        return self._record(GitResult(ok=True, action=GitAction.RESET, detail=commit))
+
     def ls_tracked(self, repo: Path) -> list[str]:
         return sorted(self._repo(repo).tracked)
 
@@ -304,3 +385,7 @@ class FakeGit(GitBackend):
     def default_branch(self, repo: Path) -> str | None:
         return "main"
 
+
+def _checkout(repo: Path, path: Path) -> None:
+    """A fake checkout: a copy of the repo's tree, without ``.git``."""
+    shutil.copytree(repo, path, ignore=shutil.ignore_patterns(".git"))

@@ -470,6 +470,7 @@ class RunReport:
     pending: str | None = None
     mechanical: dict | None = None
     ship: dict | None = None
+    language: str | None = None  # the resolved language profile
 
     @property
     def exit_code(self) -> int:
@@ -646,11 +647,17 @@ class Orchestrator:
     def workflow(self) -> WorkflowType:
         return self.plan.workflow
 
-    def _resolve_profile(self) -> None:
-        try:
-            self.profile = detect_language(self.target_repo)
-        except FileNotFoundError as exc:
-            raise EnvironmentFailure(str(exc)) from exc
+    def _resolve_profile(self, persisted: str | None) -> None:
+        """Take the language an earlier session resolved, or detect it and
+        ask the user when detection finds none. The answer is recorded in
+        the report, so a resumed session never asks again."""
+        if persisted is not None:
+            self.profile = PROFILES[Language(persisted)]
+        else:
+            try:
+                self.profile = detect_language(self.target_repo)
+            except FileNotFoundError as exc:
+                raise EnvironmentFailure(str(exc)) from exc
         if self.profile.language is Language.UNKNOWN:
             answer = self.channel.ask(
                 "No language profile detected in the target repository. "
@@ -663,6 +670,7 @@ class Orchestrator:
             if language is None or language is Language.UNKNOWN:
                 raise HoldUnanswered(f"unrecognized language {answer!r}")
             self.profile = PROFILES[language]
+        self._report.language = self.profile.language.value
         if self.workspace is not None:
             write_context(
                 self.workspace, target_repo=self.target_repo, git=self.git, profile=self.profile
@@ -693,7 +701,7 @@ class Orchestrator:
             return TickClock(start=self.clock.start, step_seconds=self.clock.step_seconds)
         return self.clock
 
-    def _make_sandbox(self, role: AgentRole) -> Sandbox:
+    def _make_sandbox(self, role: AgentRole, idle: Path | None) -> Sandbox:
         clock = self._sandbox_clock()
         if role in WORKTREE_ROLES:
             return create_sandbox(
@@ -705,6 +713,7 @@ class Orchestrator:
                 clock=clock,
                 request_id=self.request_id,
                 state=self.run_state.current,
+                idle=idle,
             )
         return create_plain_sandbox(
             role,
@@ -714,9 +723,10 @@ class Orchestrator:
             state=self.run_state.current,
         )
 
-    def _dispatch_role(self, role: AgentRole) -> AgentOutcome:
-        """Dispatch one role; a failed dispatch is recorded under the
-        role's name and halts the session."""
+    def _dispatch_role(self, role: AgentRole, idle: Path | None = None) -> AgentOutcome:
+        """Dispatch one role, carrying the ``idle`` worktree to its sandbox
+        if it has none; a failed dispatch is recorded under the role's name
+        and halts the session."""
         try:
             backend = self.backends.get(role)
             if backend is None:
@@ -724,7 +734,7 @@ class Orchestrator:
             # the run's dispatch count of a role is its attempt number
             attempt = self._report.dispatch_counts.get(role.value, 0) + 1
             self._report.dispatch_counts[role.value] = attempt
-            sandbox = self._make_sandbox(role)
+            sandbox = self._make_sandbox(role, idle)
             req = DispatchRequest(
                 role=role,
                 sandbox=sandbox,
@@ -748,13 +758,35 @@ class Orchestrator:
                     self.run_dir.write(kind, source.read_text(encoding="utf-8"))
         return outcome
 
+    def _idle_worktrees(self, batch: Sequence[AgentRole]) -> dict[AgentRole, Path]:
+        """Hand each worktree role of ``batch`` that has no sandbox yet an
+        idle worktree, if one is left: the sandbox of a worktree role
+        outside the batch, taken in role order. Carrying one costs a few
+        git processes, where adding a worktree checks out the whole tree."""
+        sandboxes = self.run_dir.sandboxes_dir
+        worktree_roles = sorted(self.workflow.roles() & WORKTREE_ROLES)
+        idle = [
+            sandboxes / role.value
+            for role in worktree_roles
+            if role not in batch and (sandboxes / role.value).exists()
+        ]
+        needing = [
+            role
+            for role in batch
+            if role in WORKTREE_ROLES and not (sandboxes / role.value).exists()
+        ]
+        return dict(zip(needing, idle))
+
     def _dispatch_batch(self, roles: Sequence[AgentRole]) -> list[tuple[AgentRole, AgentOutcome]]:
         """Dispatch a batch concurrently; results return in batch order and
         no downstream work starts until every dispatch has finished."""
+        idle = self._idle_worktrees(roles)
         if len(roles) == 1:
-            return [(roles[0], self._dispatch_role(roles[0]))]
+            return [(roles[0], self._dispatch_role(roles[0], idle.get(roles[0])))]
         with ThreadPoolExecutor(max_workers=len(roles)) as pool:
-            futures = [(role, pool.submit(self._dispatch_role, role)) for role in roles]
+            futures = [
+                (role, pool.submit(self._dispatch_role, role, idle.get(role))) for role in roles
+            ]
             return [(role, future.result()) for role, future in futures]
 
     def _advance_to(self, last: WorkflowState) -> None:
@@ -893,7 +925,7 @@ class Orchestrator:
             self._report.dispatch_counts = previous["dispatch_counts"]
             self._report.signals = previous["signals"]
         try:
-            self._resolve_profile()
+            self._resolve_profile(previous.get("language"))
         except HoldUnanswered as exc:
             self._report.escalation = self._report.pending = exc.question
             raise _Halt from exc

@@ -342,9 +342,10 @@ def sync_workspace(
 
     Copies log-entry.md to ``runs/<date>-<slug>.md``, prepends a dated
     CHANGELOG entry, replaces HANDOFF.md with the run's handoff notes, and
-    copies docs.md verbatim. Local-only paths are untouched. A push
-    failure rolls the workspace back to its pre-sync tree. Running twice
-    for the same run changes nothing the second time.
+    copies docs.md verbatim. Local-only paths are untouched. A failed
+    stage, commit or push rolls the workspace back to its pre-sync HEAD,
+    index and files. Running twice for the same run changes nothing the
+    second time.
     """
     if not run_dir.exists(ArtifactKind.LOG_ENTRY):
         raise WorkspaceError("sync requires log-entry.md in the run directory")
@@ -391,25 +392,31 @@ def sync_workspace(
     if not changed_paths:
         return SyncReport(ok=True, changed=False, detail="already in sync")
 
+    pre_sync = git.head(layout.root)
     for path in changed_paths:
         path.write_text(targets[path], encoding="utf-8")
 
     rel = [str(p.relative_to(layout.root)) for p in changed_paths]
-    git.stage(layout.root, rel)
-    git.commit(layout.root, f"sync run {date}-{slug}")
-    push = git.push(layout.root)
-    if not push.ok:
+    for step in (
+        lambda: git.stage(layout.root, rel),
+        lambda: git.commit(layout.root, f"sync run {date}-{slug}"),
+        lambda: git.push(layout.root),
+    ):
+        result = step()
+        if result.ok:
+            continue
+        # a mixed reset undoes the sync commit and unstages the synced
+        # files, but keeps every working-tree edit the sync did not make
+        undone = pre_sync is not None and git.reset_to(layout.root, pre_sync).ok
+        detail = f"{result.action.value.lower()} failed ({result.error_kind}); workspace restored"
+        if not undone:
+            detail += " except its git history"
         for path in changed_paths:
             if before[path] is None:
                 path.unlink(missing_ok=True)
             else:
                 path.write_text(before[path], encoding="utf-8")
-        return SyncReport(
-            ok=False,
-            changed=False,
-            rolled_back=True,
-            detail=f"push failed ({push.error_kind}); workspace restored",
-        )
+        return SyncReport(ok=False, changed=False, rolled_back=True, detail=detail)
     return SyncReport(ok=True, changed=True, detail="synced and pushed")
 
 

@@ -173,6 +173,38 @@ def init_git_repo(path: Path, *, remote: Path | None = None) -> Path:
     return path
 
 
+_GITCONFIG = """\
+[user]
+\tname = gatework tests
+\temail = tests@example.org
+[init]
+\tdefaultBranch = main
+[core]
+\thooksPath = {hooks}
+[commit]
+\tgpgsign = false
+[tag]
+\tgpgsign = false
+"""
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _isolated_git(tmp_path_factory):
+    """Make git read only this session's config, so a developer's global
+    settings (hooks, signing, default branch) cannot change a test."""
+    home = tmp_path_factory.mktemp("git-home")
+    hooks = home / "no-hooks"
+    hooks.mkdir()
+    config = home / "gitconfig"
+    config.write_text(_GITCONFIG.format(hooks=hooks), encoding="utf-8")
+    with pytest.MonkeyPatch.context() as env:
+        for name in ("GIT_DIR", "GIT_WORK_TREE", "GIT_INDEX_FILE", "GIT_OBJECT_DIRECTORY"):
+            env.delenv(name, raising=False)
+        env.setenv("GIT_CONFIG_GLOBAL", str(config))
+        env.setenv("GIT_CONFIG_NOSYSTEM", "1")
+        yield
+
+
 @pytest.fixture
 def target_repo(tmp_path: Path) -> Path:
     repo = tmp_path / "target-repo"

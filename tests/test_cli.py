@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import subprocess
 from pathlib import Path
 
 from conftest import init_git_repo, write_backend_config
@@ -138,6 +139,35 @@ def test_answer_resumes_held_run(tmp_path, capsys):
     assert code == 0
     assert "PIPELINES_COMPLETE" in out
     assert not (run_dir.path / "pending-hold.md").exists()
+
+
+def test_resumed_run_keeps_the_language_the_user_gave(tmp_path, capsys):
+    # no marker file: the first session asks for the language
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    subprocess.run(["git", "init", "-q", "-b", "main", str(repo)], check=True)
+    (repo / "notes.txt").write_text("notes\n", encoding="utf-8")
+    subprocess.run(["git", "-C", str(repo), "add", "-A"], check=True)
+    subprocess.run(["git", "-C", str(repo), "commit", "-q", "-m", "seed"], check=True)
+    answers = tmp_path / "answers.txt"
+    answers.write_text("Python\n", encoding="utf-8")
+    code, runs_root = _run_cli(
+        tmp_path, 9, "--answers", str(answers), repo=repo, builder_holds=1
+    )
+    assert code == 3
+    run_dir = _single_run_dir(runs_root)
+    first = json.loads(run_dir.report_json_path.read_text(encoding="utf-8"))
+    assert first["pending"] == "which covariance estimator variant?"
+
+    code = main(["answer", "--run", str(run_dir.path), "use defaults"])
+    report = json.loads(run_dir.report_json_path.read_text(encoding="utf-8"))
+    assert code == 0, report
+    assert report["final_state"] == "PIPELINES_COMPLETE"
+    assert report["escalation"] is None and report["pending"] is None
+    # the answer went to the builder's HOLD, not to a second language question
+    assert report["dispatch_counts"] == {"builder": 2, "tester": 1}
+    assert report["signals"] == first["signals"]
+    assert first["language"] == report["language"] == "Python"
 
 
 def test_consecutive_answers_each_reach_their_own_question(tmp_path, capsys):

@@ -707,13 +707,14 @@ def test_failed_dispatch_in_a_parallel_stage_is_recorded_under_the_failing_role(
 
 
 class _NoTesterWorktreeGit(FakeGit):
-    def worktree_add(self, repo, path, branch):
+    # in workflow 9 the tester carries the builder's worktree
+    def worktree_carry(self, repo, source, path, branch):
         if Path(path).name == "tester":
             return GitResult(
-                ok=False, action=GitAction.WORKTREE_ADD, detail=str(path),
+                ok=False, action=GitAction.WORKTREE_CARRY, detail=str(path),
                 error_kind="environment", output="simulated worktree failure",
             )
-        return super().worktree_add(repo, path, branch)
+        return super().worktree_carry(repo, source, path, branch)
 
 
 def test_failed_worktree_creation_is_finalized_as_a_diagnostic(tmp_path):

@@ -1,5 +1,6 @@
-"""Worktree sandbox lifecycle on real git: one worktree per role per run,
-reset between attempts, removed at finalize."""
+"""Worktree sandbox lifecycle on real git: one sandbox per role per run,
+reset between attempts, carried over from an idle role when a role has
+none, and removed at finalize."""
 
 from __future__ import annotations
 
@@ -54,30 +55,45 @@ class _RecordingGit(SubprocessGit):
         self.calls.append(("reset", Path(path).name))
         return super().worktree_reset(repo, path, branch)
 
+    def worktree_carry(self, repo, source, path, branch):
+        self.calls.append(("carry", Path(path).name))
+        return super().worktree_carry(repo, source, path, branch)
 
-# Workflow 9 spawns: is_repo and remote_url at start, then one
-# `worktree add -b` and one `worktree remove` per role.
-WF9_GIT_SPAWNS = 6
+    def adds(self) -> int:
+        return sum(1 for call, _ in self.calls if call == "add")
+
+
+# Workflow 9 spawns: is_repo and remote_url at start, one `worktree add
+# -b` for the builder, the tester's carry of it (`worktree move`,
+# `checkout -f -b`, `clean`), and one `worktree remove`.
+WF9_GIT_SPAWNS = 7
 # Workflow 1 with 1 HOLD, 3 BLOCKs and 1 STOP dispatches builder 4x,
-# tester 4x, scriber 2x, simulator 1x: 2 start-up queries, 4 adds,
-# 7 resets of 2 processes each, and 4 removes.
-WF1_FULL_RETRY_GIT_SPAWNS = 24
-# Workflow 2 shipping to a bare remote: 2 start-up queries, 3 adds, then
-# `add -A`, `symbolic-ref`, `commit` and `push` on the target, and 3 removes.
-WF2_SHIP_GIT_SPAWNS = 12
+# tester 4x, scriber 2x, simulator 1x: 2 start-up queries, 3 adds for the
+# parallel stage, 6 BLOCK resets and 1 STOP reset of 2 processes each,
+# the scriber's 3-process carry of the builder's worktree, and 3 removes.
+WF1_FULL_RETRY_GIT_SPAWNS = 25
+# Workflow 2 shipping to a bare remote: 2 start-up queries, 2 adds, the
+# scriber's 3-process carry, then `add -A`, `symbolic-ref`, `commit` and
+# `push` on the target, and 2 removes.
+WF2_SHIP_GIT_SPAWNS = 13
 
 
 def test_git_spawns_per_run_workflow_9(tmp_path, git_spawns):
     repo = init_git_repo(tmp_path / "repo")
-    report, _, _ = run_scripted_workflow(tmp_path, 9, target_repo=repo, git=SubprocessGit())
+    git = _RecordingGit()
+    report, _, _ = run_scripted_workflow(tmp_path, 9, target_repo=repo, git=git)
     assert report.final_state == "PIPELINES_COMPLETE"
     assert len(git_spawns) == WF9_GIT_SPAWNS, git_spawns
+    # the tester takes over the builder's worktree
+    assert git.adds() == 1
+    assert git.calls == [("add", "builder"), ("carry", "tester")]
 
 
 def test_git_spawns_per_run_workflow_1_full_retry(tmp_path, git_spawns):
     repo = init_git_repo(tmp_path / "repo")
+    git = _RecordingGit()
     report, _, _ = run_scripted_workflow(
-        tmp_path, 1, target_repo=repo, git=SubprocessGit(), answers=("use the reference",),
+        tmp_path, 1, target_repo=repo, git=git, answers=("use the reference",),
         planner_holds=1, tester_blocks=3, reviewer_stops=1, stop_target="scriber",
     )
     assert report.final_state == "REVIEW_PASSED"
@@ -86,20 +102,24 @@ def test_git_spawns_per_run_workflow_1_full_retry(tmp_path, git_spawns):
     }
     assert report.retries == {"BLOCK": 3, "HOLD": 1, "STOP": 1}
     assert len(git_spawns) == WF1_FULL_RETRY_GIT_SPAWNS, git_spawns
-    adds = [argv for argv in git_spawns if argv[3:5] == ["worktree", "add"]]
-    assert len(adds) == 4
+    # as many adds as the widest stage has worktree roles
+    assert git.adds() == 3
+    assert ("carry", "scriber") in git.calls
     # every worktree is gone once the run ends
     assert _git(repo, "worktree", "list").count("\n") == 1
 
 
 def test_git_spawns_per_run_workflow_2_shipping(tmp_path, git_spawns):
     repo = init_git_repo(tmp_path / "repo", remote=tmp_path / "remote.git")
+    git = _RecordingGit()
     report, _, _ = run_scripted_workflow(
-        tmp_path, 2, target_repo=repo, git=SubprocessGit(), authorization="tok"
+        tmp_path, 2, target_repo=repo, git=git, authorization="tok"
     )
     assert report.final_state == "DONE"
     assert report.ship["shipped"] is True
     assert len(git_spawns) == WF2_SHIP_GIT_SPAWNS, git_spawns
+    assert git.adds() == 2
+    assert _git(repo, "worktree", "list").count("\n") == 1
 
 
 def _dirtying_builder(record_dir: Path) -> SubprocessBackend:
@@ -142,8 +162,9 @@ def test_retry_attempt_starts_from_pristine_checkout(tmp_path):
 
     assert report.final_state == "PIPELINES_COMPLETE"
     assert report.dispatch_counts == {"builder": 2, "tester": 2}
+    # one worktree passed back and forth between builder and tester
     assert git.calls == [
-        ("add", "builder"), ("add", "tester"), ("reset", "builder"), ("reset", "tester"),
+        ("add", "builder"), ("carry", "tester"), ("carry", "builder"), ("carry", "tester"),
     ]
     first = (record / "attempt-1.txt").read_text(encoding="utf-8")
     second = (record / "attempt-2.txt").read_text(encoding="utf-8")
@@ -153,6 +174,79 @@ def test_retry_attempt_starts_from_pristine_checkout(tmp_path):
     # first attempt survives, its own implementation.md included.
     assert second == first
     assert "attempt 2" in run_dir.read(ArtifactKind.IMPLEMENTATION)
+    assert _git(repo, "status", "--porcelain") == ""
+
+
+def _residue_builder(record: Path) -> SubprocessBackend:
+    """Commits on its branch, then leaves a staged file, a tracked edit,
+    an untracked directory and an ignored file, on a branch of its own."""
+    record_q = shlex.quote(str(record))
+    script = f"""
+cat >/dev/null
+echo feature > feature.txt
+git add feature.txt
+git commit -q -m builder
+git rev-parse HEAD > {record_q}/builder-commit
+echo staged > staged.txt
+git add staged.txt
+echo edited >> tracked.txt
+mkdir -p scratch/deep
+echo junk > scratch/deep/junk.txt
+echo junk > build.log
+git checkout -q -b detour
+printf '# Implementation\\n' > implementation.md
+echo 'OUTCOME: COMPLETED'
+"""
+    return SubprocessBackend(["sh", "-c", script])
+
+
+def _recording_tester(record: Path) -> SubprocessBackend:
+    record_q = shlex.quote(str(record))
+    script = f"""
+grep '^granted artifacts:' > {record_q}/granted
+git status --porcelain --ignored > {record_q}/status
+git branch --show-current > {record_q}/branch
+git rev-parse HEAD > {record_q}/head
+if git merge-base --is-ancestor "$(cat {record_q}/builder-commit)" HEAD; then
+  echo yes > {record_q}/ancestor
+else
+  echo no > {record_q}/ancestor
+fi
+printf '# Audit\\n\\n| check | result |\\n|---|---|\\n| all | pass |\\n' > audit.md
+echo 'OUTCOME: COMPLETED'
+"""
+    return SubprocessBackend(["sh", "-c", script])
+
+
+def test_carried_worktree_holds_nothing_of_the_earlier_role(tmp_path):
+    repo = init_git_repo(tmp_path / "repo")
+    (repo / "tracked.txt").write_text("original\n", encoding="utf-8")
+    (repo / ".gitignore").write_text("*.log\n", encoding="utf-8")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "fixture")
+    record = tmp_path / "record"
+    record.mkdir()
+    backends = {R.BUILDER: _residue_builder(record), R.TESTER: _recording_tester(record)}
+    git = _RecordingGit()
+
+    report, run_dir, _ = run_scripted_workflow(
+        tmp_path, 9, target_repo=repo, git=git, backends=backends
+    )
+
+    assert report.final_state == "PIPELINES_COMPLETE", report.diagnostics
+    assert git.calls == [("add", "builder"), ("carry", "tester")]
+    read = lambda name: (record / name).read_text(encoding="utf-8")
+    granted = read("granted").removeprefix("granted artifacts: ").strip()
+    inputs = [] if granted == "(none)" else granted.split(", ")
+    # only the tester's own inputs: nothing the builder committed, staged,
+    # edited, left untracked or ignored
+    assert read("status").splitlines() == [f"?? {name}" for name in inputs]
+    assert read("branch") == f"agent/tester/{run_dir.path.name}\n"
+    assert read("head") == _git(repo, "rev-parse", "HEAD")
+    assert read("ancestor") == "no\n"
+    # the builder's commit stays on its own branch
+    builder_branch = f"agent/builder/{run_dir.path.name}"
+    assert _git(repo, "rev-parse", builder_branch) == read("builder-commit")
     assert _git(repo, "status", "--porcelain") == ""
 
 
@@ -202,6 +296,71 @@ def test_worktree_add_takes_one_process_and_reuses_an_existing_branch(tmp_path, 
     assert _git(tmp_path / "wt-old", "rev-parse", "--abbrev-ref", "HEAD").strip() == "agent/tester/req-1"
 
 
+def test_worktree_add_refuses_an_existing_path_and_creates_no_branch(tmp_path, git_spawns):
+    repo = init_git_repo(tmp_path / "repo")
+    occupied = tmp_path / "occupied"
+    occupied.mkdir()
+    (occupied / "keep.txt").write_text("keep\n", encoding="utf-8")
+    branches = _git(repo, "branch", "--list", "agent/*")
+
+    result = SubprocessGit().worktree_add(repo, occupied, "agent/builder/req-1")
+
+    assert not result.ok
+    assert "already exists" in result.output
+    assert git_spawns == []
+    assert _git(repo, "branch", "--list", "agent/*") == branches
+    assert (occupied / "keep.txt").read_text(encoding="utf-8") == "keep\n"
+
+
+def test_worktree_carry_takes_three_processes_and_refuses_bad_paths(tmp_path, git_spawns):
+    repo = init_git_repo(tmp_path / "repo")
+    git = SubprocessGit()
+    idle = tmp_path / "idle"
+    assert git.worktree_add(repo, idle, "agent/builder/req-1").ok
+    occupied = tmp_path / "occupied"
+    occupied.mkdir()
+    stray = tmp_path / "stray"
+    stray.mkdir()
+    del git_spawns[:]
+
+    # `worktree move` would move the worktree into an existing directory
+    refused = git.worktree_carry(repo, idle, occupied, "agent/tester/req-1")
+    assert not refused.ok and "already exists" in refused.output
+    for source in (stray, repo):
+        refused = git.worktree_carry(repo, source, tmp_path / "new", "agent/tester/req-1")
+        assert not refused.ok and "not a linked worktree" in refused.output
+    assert git_spawns == []
+    assert list(occupied.iterdir()) == []
+    assert not (tmp_path / "new").exists()
+
+    carried = git.worktree_carry(repo, idle, tmp_path / "tester", "agent/tester/req-1")
+    assert carried.ok, carried.output
+    assert [argv[3:5] for argv in git_spawns] == [
+        ["worktree", "move"], ["checkout", "-q"], ["clean", "-q"],
+    ]
+    assert not idle.exists()
+    assert _git(tmp_path / "tester", "branch", "--show-current") == "agent/tester/req-1\n"
+
+
+def test_worktree_carry_checks_out_a_surviving_branch_as_it_is(tmp_path):
+    repo = init_git_repo(tmp_path / "repo")
+    git = SubprocessGit()
+    # the tester's branch survives from an earlier session, one commit ahead
+    assert git.worktree_add(repo, tmp_path / "earlier", "agent/tester/req-1").ok
+    (tmp_path / "earlier" / "kept.txt").write_text("kept\n", encoding="utf-8")
+    _git(tmp_path / "earlier", "add", "kept.txt")
+    _git(tmp_path / "earlier", "commit", "-q", "-m", "earlier session")
+    kept = _git(repo, "rev-parse", "agent/tester/req-1")
+    assert git.worktree_remove(repo, tmp_path / "earlier").ok
+    assert git.worktree_add(repo, tmp_path / "idle", "agent/builder/req-1").ok
+
+    carried = git.worktree_carry(repo, tmp_path / "idle", tmp_path / "tester", "agent/tester/req-1")
+
+    assert carried.ok, carried.output
+    assert _git(tmp_path / "tester", "rev-parse", "HEAD") == kept
+    assert (tmp_path / "tester" / "kept.txt").exists()
+
+
 def test_worktree_reset_refuses_a_directory_that_is_not_a_worktree(tmp_path):
     repo = init_git_repo(tmp_path / "repo")
     (repo / "pyproject.toml").write_text("[project]\nname = 'edited'\n", encoding="utf-8")
@@ -235,3 +394,26 @@ def test_fake_worktree_reset_restores_the_repo_tree(tmp_path):
     assert git.worktree_reset(repo, worktree, branch).ok
     assert (worktree / "module.py").read_text(encoding="utf-8") == "x = 1\n"
     assert not (worktree / "junk.txt").exists()
+
+
+def test_fake_worktree_carry_moves_and_restores_the_repo_tree(tmp_path):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    (repo / "module.py").write_text("x = 1\n", encoding="utf-8")
+    git = FakeGit()
+    idle, carried = tmp_path / "builder", tmp_path / "tester"
+    assert not git.worktree_carry(repo, idle, carried, "agent/tester/req-1").ok
+    assert git.worktree_add(repo, idle, "agent/builder/req-1").ok
+    (idle / "module.py").write_text("x = 2\n", encoding="utf-8")
+    (idle / "junk.txt").write_text("junk\n", encoding="utf-8")
+    carried.mkdir()
+    assert not git.worktree_carry(repo, idle, carried, "agent/tester/req-1").ok
+    carried.rmdir()
+
+    assert git.worktree_carry(repo, idle, carried, "agent/tester/req-1").ok
+
+    assert not idle.exists()
+    assert (carried / "module.py").read_text(encoding="utf-8") == "x = 1\n"
+    assert not (carried / "junk.txt").exists()
+    assert not git.worktree_reset(repo, idle, "agent/builder/req-1").ok
+    assert git.worktree_reset(repo, carried, "agent/tester/req-1").ok

@@ -242,6 +242,41 @@ def test_sync_rolls_back_on_push_failure(tmp_path, layout):
     assert after == before
 
 
+def test_sync_rollback_on_real_git_undoes_the_sync_commit(tmp_path, layout):
+    def git(*args: str) -> str:
+        return subprocess.run(
+            ["git", "-C", str(layout.root), *args], capture_output=True, text=True, check=True
+        ).stdout
+
+    git("init", "-q", "-b", "main")
+    layout.changelog_path.write_text("## 1999-12-31 — earlier\n\nOlder entry.\n", encoding="utf-8")
+    layout.context_path.write_text("# panelkit\n", encoding="utf-8")
+    git("add", "-A")
+    git("commit", "-q", "-m", "workspace")
+    # a tracked local-only edit the sync must neither commit nor lose
+    layout.context_path.write_text("# panelkit\n\n- local note\n", encoding="utf-8")
+    # an upstream that cannot be reached
+    git("remote", "add", "origin", str(tmp_path / "missing.git"))
+    git("config", "branch.main.remote", "origin")
+    git("config", "branch.main.merge", "refs/heads/main")
+
+    def snapshot() -> tuple[str, str, dict[Path, bytes]]:
+        files = layout.root.rglob("*")
+        return (
+            git("rev-parse", "HEAD"),
+            git("status", "--porcelain", "--untracked-files=all"),
+            {p: p.read_bytes() for p in files if ".git" not in p.parts and p.is_file()},
+        )
+
+    before = snapshot()
+    run_dir = _completed_run(tmp_path)
+    report = sync_workspace(layout, run_dir, git=SubprocessGit(), clock=TickClock(), slug="fix")
+
+    assert not report.ok and report.rolled_back
+    assert report.detail.endswith("workspace restored"), report.detail
+    assert snapshot() == before
+
+
 def test_sync_requires_log_entry_and_passing_verdict(tmp_path, layout):
     run_dir = RunDirectory(tmp_path / "incomplete").create()
     run_dir.write(K.REVIEW, "verdict: PASS\n")
