@@ -65,9 +65,6 @@ from gatework.runtime import (
     AgentBackend,
     BackendKind,
     DispatchRequest,
-    RemoteBackend,
-    RemoteReply,
-    RemoteTransport,
     ScriptedBackend,
     SubprocessBackend,
     dispatch,
@@ -98,7 +95,6 @@ from gatework.workspace import (
     read_handoff,
     sync_workspace,
     validate_workspace,
-    validation_commands,
 )
 
 __version__ = "0.1.0"

@@ -21,7 +21,6 @@ from gatework.clock import Clock, iso8601, parse_iso8601
 from gatework.errors import AuditIncompleteness, BarrierError, EnvironmentFailure, MisconfigurationError
 from gatework.gitlayer import GitBackend
 from gatework.model import (
-    ARTIFACT_NAME_ALIASES,
     AccessDecision,
     AccessEvent,
     AgentRole,
@@ -207,17 +206,6 @@ class Sandbox:
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(content, encoding="utf-8")
         return target
-
-    def artifact_file(self, kind: ArtifactKind) -> Path | None:
-        """Locate a produced artifact in the sandbox (canonical name or
-        accepted alias), for engine-side collection."""
-        canonical = self.path / kind.filename
-        if canonical.exists():
-            return canonical
-        for alias, aliased in ARTIFACT_NAME_ALIASES.items():
-            if aliased is kind and (self.path / alias).exists():
-                return self.path / alias
-        return None
 
 
 def create_sandbox(

@@ -143,6 +143,14 @@ def _execute_run(
     except HoldUnanswered as exc:
         console.echo(f"[escalation] {exc.question}")
         return EXIT_ESCALATION
+    if workflow.inner_id is not None:
+        inner = workflow_by_id(workflow.inner_id)
+        console.echo(
+            f"workflow {workflow.id} ({workflow.name}) wraps workflow {inner.id} ({inner.name}) "
+            f"and is not one run: run workflow {inner.id}, or drive the wrapper from Python "
+            "with gatework.run_issue_patrol / gatework.run_scheduled_loop"
+        )
+        return EXIT_GATE
 
     workspace = None
     if workspace_root is not None:

@@ -65,7 +65,9 @@ class GitBackend(ABC):
     def stage(self, repo: Path, paths: list[str]) -> GitResult: ...
 
     @abstractmethod
-    def commit(self, repo: Path, message: str) -> GitResult: ...
+    def commit(self, repo: Path, message: str, paths: list[str]) -> GitResult:
+        """Commit the staged state of ``paths`` only, leaving every other
+        staged change staged; ``[]`` commits the whole index."""
 
     @abstractmethod
     def push(self, repo: Path) -> GitResult: ...
@@ -75,9 +77,10 @@ class GitBackend(ABC):
         """The commit HEAD points at, or None if there is none."""
 
     @abstractmethod
-    def reset_to(self, repo: Path, commit: str) -> GitResult:
-        """Move the current branch and the index to ``commit``, leaving the
-        working tree as it is (a mixed reset)."""
+    def reset_to(self, repo: Path, commit: str, paths: list[str]) -> GitResult:
+        """Move the current branch to ``commit`` and reset the index entries
+        of ``paths`` to it (``[]``: the whole index), leaving the working
+        tree and every other index entry as they are."""
 
     @abstractmethod
     def ls_tracked(self, repo: Path) -> list[str]: ...
@@ -204,7 +207,7 @@ class SubprocessGit(GitBackend):
         proc = self._run(repo, "add", "--", *paths) if paths else self._run(repo, "add", "-A")
         return self._result(GitAction.STAGE, proc, ", ".join(paths) or "all")
 
-    def commit(self, repo: Path, message: str) -> GitResult:
+    def commit(self, repo: Path, message: str, paths: list[str]) -> GitResult:
         head = self._run(repo, "symbolic-ref", "-q", "HEAD")
         if head.returncode != 0:
             return GitResult(
@@ -214,7 +217,7 @@ class SubprocessGit(GitBackend):
                 error_kind="detached",
                 output="HEAD is detached",
             )
-        proc = self._run(repo, "commit", "-m", message)
+        proc = self._run(repo, "commit", "-m", message, "--", *paths)
         if proc.returncode != 0 and "nothing to commit" in (proc.stdout + proc.stderr):
             return GitResult(ok=True, action=GitAction.COMMIT, detail=f"{message} (nothing to commit)")
         return self._result(GitAction.COMMIT, proc, message)
@@ -227,8 +230,10 @@ class SubprocessGit(GitBackend):
         proc = self._run(repo, "rev-parse", "-q", "--verify", "HEAD")
         return proc.stdout.strip() if proc.returncode == 0 else None
 
-    def reset_to(self, repo: Path, commit: str) -> GitResult:
-        proc = self._run(repo, "reset", "-q", "--mixed", commit, "--")
+    def reset_to(self, repo: Path, commit: str, paths: list[str]) -> GitResult:
+        proc = self._run(repo, "reset", "-q", "--soft", commit)
+        if proc.returncode == 0:
+            proc = self._run(repo, "reset", "-q", commit, "--", *paths)
         return self._result(GitAction.RESET, proc, commit)
 
     def ls_tracked(self, repo: Path) -> list[str]:
@@ -264,7 +269,6 @@ class _FakeRepo:
     staged: list[str] = field(default_factory=list)
     commits: list[str] = field(default_factory=list)
     tracked: set[str] = field(default_factory=set)
-    pushes: int = 0
 
 
 class FakeGit(GitBackend):
@@ -346,10 +350,10 @@ class FakeGit(GitBackend):
         state.tracked.update(paths)
         return self._record(GitResult(ok=True, action=GitAction.STAGE, detail=", ".join(paths)))
 
-    def commit(self, repo: Path, message: str) -> GitResult:
+    def commit(self, repo: Path, message: str, paths: list[str]) -> GitResult:
         state = self._repo(repo)
         state.commits.append(message)
-        state.staged.clear()
+        state.staged = [p for p in state.staged if paths and p not in paths]
         return self._record(GitResult(ok=True, action=GitAction.COMMIT, detail=message))
 
     def push(self, repo: Path) -> GitResult:
@@ -363,17 +367,15 @@ class FakeGit(GitBackend):
                     output="simulated push failure",
                 )
             )
-        state = self._repo(repo)
-        state.pushes += 1
         return self._record(GitResult(ok=True, action=GitAction.PUSH, detail="push"))
 
     def head(self, repo: Path) -> str | None:
         return str(len(self._repo(repo).commits))
 
-    def reset_to(self, repo: Path, commit: str) -> GitResult:
+    def reset_to(self, repo: Path, commit: str, paths: list[str]) -> GitResult:
         state = self._repo(repo)
         del state.commits[int(commit):]
-        state.staged.clear()
+        state.staged = [p for p in state.staged if paths and p not in paths]
         return self._record(GitResult(ok=True, action=GitAction.RESET, detail=commit))
 
     def ls_tracked(self, repo: Path) -> list[str]:

@@ -282,7 +282,8 @@ class WorkflowType:
 
     ``inner_id`` marks the wrapper entries: issue patrol spawns one inner
     run per issue, and the scheduled loop repeats its inner workflow on an
-    interval. Their dags mirror the inner entry so catalog invariants hold.
+    interval. Their dags mirror the inner entry so catalog invariants hold;
+    ``gatework run`` refuses them, since neither is one run.
     """
 
     id: int
@@ -290,7 +291,6 @@ class WorkflowType:
     dag: tuple[tuple[AgentRole, ...], ...]
     ships: bool = False
     inner_id: int | None = None
-    repeating: bool = False
 
     def roles(self) -> frozenset[AgentRole]:
         return frozenset(role for stage in self.dag for role in stage)
@@ -303,7 +303,6 @@ def _wf(
     *,
     ships: bool = False,
     inner_id: int | None = None,
-    repeating: bool = False,
 ) -> WorkflowType:
     return WorkflowType(
         id=id,
@@ -311,7 +310,6 @@ def _wf(
         dag=tuple(tuple(stage) for stage in dag),
         ships=ships,
         inner_id=inner_id,
-        repeating=repeating,
     )
 
 
@@ -330,7 +328,7 @@ WORKFLOW_CATALOG: Mapping[int, WorkflowType] = {
         _wf(5, "Single Issue Fix", _CODE_SHIP_DAG, ships=True),
         _wf(6, "Validation", [[_R.TESTER]]),
         _wf(7, "Code Review", [[_R.REVIEWER]]),
-        _wf(8, "Scheduled Loop", _FULL_DAG, inner_id=1, repeating=True),
+        _wf(8, "Scheduled Loop", _FULL_DAG, inner_id=1),
         _wf(9, "Extremely Simple Fix", [[_R.BUILDER], [_R.TESTER]]),
         _wf(10, "Monte Carlo Exercises", [[_R.PLANNER], [_R.SIMULATOR, _R.TESTER], [_R.SCRIBER], [_R.REVIEWER]]),
     )

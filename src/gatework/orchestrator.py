@@ -47,6 +47,7 @@ from gatework.gitlayer import GitAction, GitBackend, GitResult
 from gatework.model import (
     CONTRACT_GATES,
     STATE_CHAIN,
+    WORKFLOW_CATALOG,
     AccessEvent,
     AgentOutcome,
     AgentRole,
@@ -64,13 +65,12 @@ from gatework.model import (
     terminal_state,
     workflow_by_id,
 )
-from gatework.rundir import RunDirectory
+from gatework.rundir import RunDirectory, find_artifact
 from gatework.runtime import AgentBackend, DispatchRequest, dispatch
 from gatework.statemachine import (
     RunState,
     SignalDisposition,
     advance,
-    check_preconditions,
     reconstruct_run_state,
     record_signal,
     write_status,
@@ -83,7 +83,6 @@ from gatework.workspace import (
     WorkspaceLayout,
     detect_language,
     sync_workspace,
-    validation_commands,
     write_context,
 )
 
@@ -528,7 +527,9 @@ def start_run(
     clock: Clock,
     request_id: str | None = None,
 ) -> tuple[RunDirectory, str]:
-    """Create the run directory and write the leader's four artifacts.
+    """Create the run directory and write the leader's artifacts;
+    ``credentials.md`` only when ``target_repo`` is a git repository, so a
+    run on anything else stops at the NEW gate before any dispatch.
 
     The request id is ``request_id`` or the clock's time to the second;
     when a directory of that name exists, the next free ``-2``, ``-3``
@@ -569,16 +570,12 @@ def start_run(
             f"- ships: {'yes' if workflow.ships else 'no'}\n"
         ),
     )
-    verified = git.is_repo(target_repo)
-    remote = git.remote_url(target_repo) if verified else None
-    run_dir.write(
-        ArtifactKind.CREDENTIALS,
-        (
-            "# Credentials\n\n"
-            f"- repository access: {'verified' if verified else 'NOT verified'}\n"
-            f"- remote: {remote or '(none)'}\n"
-        ),
-    )
+    if git.is_repo(target_repo):
+        remote = git.remote_url(target_repo)
+        run_dir.write(
+            ArtifactKind.CREDENTIALS,
+            f"# Credentials\n\n- repository access: verified\n- remote: {remote or '(none)'}\n",
+        )
     write_status(RunState(workflow=workflow), run_dir)
     return run_dir, request_id
 
@@ -687,7 +684,7 @@ class Orchestrator:
         if self.profile.language is not Language.UNKNOWN:
             lines.append(f"language profile: {self.profile.language.value}")
             if role is AgentRole.TESTER:
-                lines.append("validation commands: " + "; ".join(validation_commands(self.profile)))
+                lines.append("validation commands: " + "; ".join(self.profile.validation))
             if role in (AgentRole.BUILDER, AgentRole.SCRIBER):
                 lines.append(f"documentation convention: {self.profile.doc_convention}")
         for extra in self._extras.get(role, []):
@@ -753,7 +750,7 @@ class Orchestrator:
             raise _Halt from exc
         if outcome.status is OutcomeStatus.COMPLETED:
             for kind in sorted(outcome.produced, key=lambda k: k.filename):
-                source = sandbox.artifact_file(kind)
+                source = find_artifact(sandbox.path, kind)
                 if source is not None:
                     self.run_dir.write(kind, source.read_text(encoding="utf-8"))
         return outcome
@@ -789,14 +786,23 @@ class Orchestrator:
             ]
             return [(role, future.result()) for role, future in futures]
 
-    def _advance_to(self, last: WorkflowState) -> None:
-        """Advance while gates hold, but never past ``last``. Artifacts left
-        by an earlier session must not carry a run past checks still due:
-        the mechanical review, or ship (a refused ship writes shipper.md)."""
-        while state_order(self.run_state.current, last) < 0:
+    def _reach(self, state: WorkflowState, label: str) -> None:
+        """Advance to ``state`` and never past it, or halt with a gate
+        violation naming the state where the run stopped and the gate it
+        could not pass. Artifacts left by an earlier session must not carry
+        a run past checks still due: the mechanical review, or ship (a
+        refused ship writes shipper.md)."""
+        while state_order(self.run_state.current, state) < 0:
             result = advance(self.run_state, self.run_dir, self.clock)
             if not result.moved:
-                break
+                missing = ", ".join(
+                    f"{req.artifact.filename}:{req.predicate.value}" for req in result.gate.missing
+                )
+                self._report.gate_violation = (
+                    f"{label}: run stopped at {result.state.value} short of {state.value}; "
+                    f"{result.gate.state.value} gate unsatisfied ({missing})"
+                )
+                raise _Halt
 
     def _note_signal(self, signal: Signal) -> None:
         self._report.signals.append(
@@ -937,7 +943,7 @@ class Orchestrator:
             self._answer_hold(AgentRole(last["raiser"]), last["payload"])
 
     def _run_stages(self, authorization: str | None) -> None:
-        self._advance_to(self.plan.entry)
+        self._reach(self.plan.entry, "entry gate")
         index = 0
         resuming = True  # until a stage dispatches, earlier sessions' work stands
         while index < len(self.plan.stages):
@@ -983,16 +989,7 @@ class Orchestrator:
             if AgentRole.REVIEWER in stage.roles:
                 self._run_mechanical_review()
 
-            self._advance_to(stage.gate)
-            if state_order(self.run_state.current, stage.gate) < 0:
-                gate = check_preconditions(stage.gate, self.run_dir, self.workflow)
-                missing = ", ".join(
-                    f"{req.artifact.filename}:{req.predicate.value}" for req in gate.missing
-                )
-                self._report.gate_violation = (
-                    f"stage {index} complete but {stage.gate.value} gate unsatisfied ({missing})"
-                )
-                raise _Halt
+            self._reach(stage.gate, f"stage {index} complete")
             index += 1
 
     def _finalize(self) -> None:
@@ -1100,7 +1097,7 @@ def ship(
     actions: list[GitResult] = []
     for step in (
         lambda: git.stage(target_repo, []),
-        lambda: git.commit(target_repo, f"ship {slug}"),
+        lambda: git.commit(target_repo, f"ship {slug}", []),
         lambda: git.push(target_repo) if credentials_present else _PUSH_WITHOUT_CREDENTIALS,
     ):
         result = step()
@@ -1164,8 +1161,10 @@ def run_issue_patrol(
     return [start(issue) for issue in source()]
 
 
-#: Inner workflows the scheduled loop may wrap (non-shipping, non-wrapper).
-SCHEDULABLE_INNER_IDS = frozenset({1, 3, 6, 7, 9, 10})
+#: Inner workflows the scheduled loop may wrap: those that neither ship nor wrap.
+SCHEDULABLE_INNER_IDS = frozenset(
+    wf.id for wf in WORKFLOW_CATALOG.values() if not wf.ships and wf.inner_id is None
+)
 
 
 def run_scheduled_loop(

@@ -17,6 +17,18 @@ from gatework.model import (
 )
 
 
+def find_artifact(directory: Path, kind: ArtifactKind) -> Path | None:
+    """The file holding ``kind`` in ``directory``: its canonical name, else
+    an accepted alias. A canonical hit costs one stat."""
+    canonical = directory / kind.filename
+    if canonical.exists():
+        return canonical
+    for alias, aliased_kind in ARTIFACT_NAME_ALIASES.items():
+        if aliased_kind is kind and (directory / alias).exists():
+            return directory / alias
+    return None
+
+
 class RunDirectory:
     """Filesystem view of one workflow run."""
 
@@ -63,23 +75,14 @@ class RunDirectory:
         except OSError as exc:
             raise RunDirectoryError(f"run directory unreadable: {self.path}: {exc}") from exc
 
-    def _existing_path(self, kind: ArtifactKind) -> Path | None:
-        canonical = self.path / kind.filename
-        if canonical.exists():
-            return canonical
-        for alias, aliased_kind in ARTIFACT_NAME_ALIASES.items():
-            if aliased_kind is kind and (self.path / alias).exists():
-                return self.path / alias
-        return None
-
     def artifact_path(self, kind: ArtifactKind) -> Path:
         return self.path / kind.filename
 
     def exists(self, kind: ArtifactKind) -> bool:
-        return self._existing_path(kind) is not None
+        return find_artifact(self.path, kind) is not None
 
     def read(self, kind: ArtifactKind) -> str:
-        found = self._existing_path(kind)
+        found = find_artifact(self.path, kind)
         if found is None:
             raise FileNotFoundError(f"{kind.filename} not present in {self.path}")
         return found.read_text(encoding="utf-8")

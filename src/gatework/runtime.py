@@ -16,7 +16,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Mapping
 
 from gatework.barrier import Sandbox
 from gatework.errors import (
@@ -38,6 +37,7 @@ from gatework.model import (
     contracted_artifacts,
     signal_owner_check,
 )
+from gatework.rundir import find_artifact
 
 #: Default per-dispatch deadline in seconds; override per request.
 DEFAULT_DEADLINE = 30 * 60.0
@@ -64,7 +64,6 @@ class DispatchRequest:
 class BackendKind(str, Enum):
     SCRIPTED = "scripted"
     SUBPROCESS = "subprocess"
-    REMOTE = "remote"
 
 
 class AgentBackend(ABC):
@@ -304,50 +303,14 @@ class SubprocessBackend(AgentBackend):
                     f"unknown signal kind in outcome line: {fields[1]!r}", captured=captured
                 ) from None
             payload_file = req.sandbox.resolve(fields[2])
-            payload = payload_file.read_text(encoding="utf-8") if payload_file.exists() else ""
+            if not payload_file.is_file():
+                raise DispatchError(f"signal payload file not found: {fields[2]!r}", captured=captured)
+            payload = payload_file.read_text(encoding="utf-8")
             return AgentOutcome(
                 status=OutcomeStatus.SIGNALED,
                 signal=Signal(kind=sig_kind, raiser=req.role, payload=payload),
             )
         raise DispatchError(f"malformed outcome line: {outcome_line!r}", captured=captured)
-
-
-@dataclass(frozen=True)
-class RemoteReply:
-    """What a remote-completion transport hands back: an artifact bundle
-    plus either completion or a signal."""
-
-    files: Mapping[str, str]
-    signal: tuple[SignalKind, str] | None = None
-
-
-class RemoteTransport(ABC):
-    """Interface for remote-completion services; no wire format mandated."""
-
-    @abstractmethod
-    def exchange(self, role: AgentRole, briefing: str) -> RemoteReply: ...
-
-
-class RemoteBackend(AgentBackend):
-    kind = BackendKind.REMOTE
-
-    def __init__(self, transport: RemoteTransport) -> None:
-        self.transport = transport
-
-    def execute(self, req: DispatchRequest, log_path: Path | None = None) -> AgentOutcome:
-        reply = self.transport.exchange(req.role, req.briefing)
-        for relpath, content in sorted(reply.files.items()):
-            req.sandbox.write_file(relpath, content)
-        if log_path is not None:
-            with open(log_path, "a", encoding="utf-8") as fh:
-                fh.write(f"[attempt {req.attempt}] remote exchange, {len(reply.files)} file(s)\n")
-        if reply.signal is not None:
-            kind, payload = reply.signal
-            return AgentOutcome(
-                status=OutcomeStatus.SIGNALED,
-                signal=Signal(kind=kind, raiser=req.role, payload=payload),
-            )
-        return AgentOutcome(status=OutcomeStatus.COMPLETED)
 
 
 def dispatch(req: DispatchRequest, backend: AgentBackend, log_path: Path | None = None) -> AgentOutcome:
@@ -376,7 +339,7 @@ def dispatch(req: DispatchRequest, backend: AgentBackend, log_path: Path | None 
 
     owed = contracted_artifacts(req.role, req.workflow)
     missing = sorted(
-        kind.filename for kind in owed if req.sandbox.artifact_file(kind) is None
+        kind.filename for kind in owed if find_artifact(req.sandbox.path, kind) is None
     )
     if missing:
         raise ContractError(
@@ -415,7 +378,5 @@ def load_backends(config_path: Path) -> dict[AgentRole, AgentBackend]:
         elif kind == BackendKind.SUBPROCESS.value:
             backends[role] = SubprocessBackend(list(spec["command"]))
         else:
-            raise MisconfigurationError(
-                f"{config_path}: backend kind {kind!r} for {role_name} is not configurable from file"
-            )
+            raise MisconfigurationError(f"{config_path}: unknown backend kind {kind!r} for {role_name}")
     return backends

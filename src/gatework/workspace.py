@@ -14,7 +14,7 @@ from enum import Enum
 from pathlib import Path
 
 from gatework.clock import Clock
-from gatework.errors import MisconfigurationError, WorkspaceError
+from gatework.errors import WorkspaceError
 from gatework.gitlayer import GitBackend
 from gatework.model import ArtifactKind
 from gatework.rundir import RunDirectory
@@ -34,8 +34,13 @@ class Language(str, Enum):
 
 @dataclass(frozen=True)
 class LanguageProfile:
+    """A language's detection markers, validation commands and doc
+    convention. A repository matches when it has ``manifest`` at its root
+    (if set) and a non-hidden ``*<source_suffix>`` file (if set)."""
+
     language: Language
-    marker: str
+    manifest: str | None
+    source_suffix: str | None
     validation: tuple[str, ...]
     doc_convention: str
 
@@ -43,20 +48,20 @@ class LanguageProfile:
 PROFILES: dict[Language, LanguageProfile] = {
     p.language: p
     for p in (
-        LanguageProfile(Language.R, "DESCRIPTION", ("R CMD check --as-cran",), "roxygen2"),
-        LanguageProfile(Language.PYTHON, "pyproject.toml", ("pytest", "tox"), "docstrings"),
-        LanguageProfile(Language.TYPESCRIPT, "package.json", ("npm test", "eslint"), "TSDoc"),
-        LanguageProfile(Language.STATA, ".ado files", ("<do-file execution>",), "help files"),
-        LanguageProfile(Language.GO, "go.mod", ("go test ./...",), "godoc"),
-        LanguageProfile(Language.RUST, "Cargo.toml", ("cargo test", "clippy"), "rustdoc"),
-        LanguageProfile(Language.C, "Makefile + .c", ("<unit test runner>",), "header comments"),
+        LanguageProfile(Language.R, "DESCRIPTION", None, ("R CMD check --as-cran",), "roxygen2"),
+        LanguageProfile(Language.PYTHON, "pyproject.toml", None, ("pytest", "tox"), "docstrings"),
+        LanguageProfile(Language.TYPESCRIPT, "package.json", None, ("npm test", "eslint"), "TSDoc"),
+        LanguageProfile(Language.STATA, None, ".ado", ("<do-file execution>",), "help files"),
+        LanguageProfile(Language.GO, "go.mod", None, ("go test ./...",), "godoc"),
+        LanguageProfile(Language.RUST, "Cargo.toml", None, ("cargo test", "clippy"), "rustdoc"),
+        LanguageProfile(Language.C, "Makefile", ".c", ("<unit test runner>",), "header comments"),
         LanguageProfile(
-            Language.CPP, "CMakeLists.txt + .cpp", ("<unit test runner>",), "header comments"
+            Language.CPP, "CMakeLists.txt", ".cpp", ("<unit test runner>",), "header comments"
         ),
     )
 }
 
-UNKNOWN_PROFILE = LanguageProfile(Language.UNKNOWN, "none matched", (), "")
+UNKNOWN_PROFILE = LanguageProfile(Language.UNKNOWN, None, None, (), "")
 
 #: More specific manifests win in mixed repositories.
 DETECTION_PRECEDENCE: tuple[Language, ...] = (
@@ -80,28 +85,10 @@ def _has_source(repo: Path, suffix: str) -> bool:
     return False
 
 
-def _marker_matches(repo: Path, language: Language) -> bool:
-    if language is Language.RUST:
-        return (repo / "Cargo.toml").is_file()
-    if language is Language.GO:
-        return (repo / "go.mod").is_file()
-    if language is Language.PYTHON:
-        return (repo / "pyproject.toml").is_file()
-    if language is Language.TYPESCRIPT:
-        return (repo / "package.json").is_file()
-    if language is Language.R:
-        return (repo / "DESCRIPTION").is_file()
-    if language is Language.CPP:
-        return (repo / "CMakeLists.txt").is_file() and _has_source(repo, ".cpp")
-    if language is Language.C:
-        return (repo / "Makefile").is_file() and _has_source(repo, ".c")
-    if language is Language.STATA:
-        return _has_source(repo, ".ado")
-    return False
-
-
 def detect_language(repo: Path) -> LanguageProfile:
-    """Detect the target language from repository markers.
+    """Detect the target language from each profile's manifest and source
+    suffix; the manifest is checked first, so a tree is scanned only for a
+    profile whose manifest is present or that has none.
 
     Multiple matches resolve by the documented precedence; no match yields
     the UNKNOWN profile, which prompts a leader question to the user.
@@ -110,17 +97,12 @@ def detect_language(repo: Path) -> LanguageProfile:
     if not repo.is_dir():
         raise FileNotFoundError(f"repository not readable: {repo}")
     for language in DETECTION_PRECEDENCE:
-        if _marker_matches(repo, language):
-            return PROFILES[language]
+        profile = PROFILES[language]
+        if profile.manifest is not None and not (repo / profile.manifest).is_file():
+            continue
+        if profile.source_suffix is None or _has_source(repo, profile.source_suffix):
+            return profile
     return UNKNOWN_PROFILE
-
-
-def validation_commands(profile: LanguageProfile) -> tuple[str, ...]:
-    """The profile's validation command templates, verbatim, for tester
-    briefings. Angle-bracket placeholders require a repo-config override."""
-    if profile.language is Language.UNKNOWN:
-        raise MisconfigurationError("no validation commands for an unknown language profile")
-    return profile.validation
 
 
 # --- workspace layout -------------------------------------------------------
@@ -342,10 +324,11 @@ def sync_workspace(
 
     Copies log-entry.md to ``runs/<date>-<slug>.md``, prepends a dated
     CHANGELOG entry, replaces HANDOFF.md with the run's handoff notes, and
-    copies docs.md verbatim. Local-only paths are untouched. A failed
-    stage, commit or push rolls the workspace back to its pre-sync HEAD,
-    index and files. Running twice for the same run changes nothing the
-    second time.
+    copies docs.md verbatim. Only the synced files are committed: local-only
+    paths and whatever else the user had staged stay out of the commit. A
+    failed stage, commit or push rolls the workspace back to its pre-sync
+    HEAD, index and files. Running twice for the same run changes nothing
+    the second time.
     """
     if not run_dir.exists(ArtifactKind.LOG_ENTRY):
         raise WorkspaceError("sync requires log-entry.md in the run directory")
@@ -399,15 +382,15 @@ def sync_workspace(
     rel = [str(p.relative_to(layout.root)) for p in changed_paths]
     for step in (
         lambda: git.stage(layout.root, rel),
-        lambda: git.commit(layout.root, f"sync run {date}-{slug}"),
+        lambda: git.commit(layout.root, f"sync run {date}-{slug}", rel),
         lambda: git.push(layout.root),
     ):
         result = step()
         if result.ok:
             continue
-        # a mixed reset undoes the sync commit and unstages the synced
-        # files, but keeps every working-tree edit the sync did not make
-        undone = pre_sync is not None and git.reset_to(layout.root, pre_sync).ok
+        # undo the sync commit and unstage the synced files only, so what
+        # the user had staged or edited stays as it was
+        undone = pre_sync is not None and git.reset_to(layout.root, pre_sync, rel).ok
         detail = f"{result.action.value.lower()} failed ({result.error_kind}); workspace restored"
         if not undone:
             detail += " except its git history"

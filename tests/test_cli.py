@@ -4,8 +4,11 @@ import json
 import subprocess
 from pathlib import Path
 
+import pytest
+
 from conftest import init_git_repo, write_backend_config
 from gatework.cli import main
+from gatework.model import ArtifactKind
 from gatework.rundir import RunDirectory
 
 
@@ -93,6 +96,44 @@ def test_run_directive_classifier_selects_docs_workflow(tmp_path):
 def test_run_gate_violation_exits_2(tmp_path):
     code, _ = _run_cli(tmp_path, 2, builder_reads=("test-spec.md",))
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "selection,inner",
+    [
+        (["--workflow", "4"], "workflow 2 (Simple Code Fix + Shipping)"),
+        (["--workflow", "8"], "workflow 1 (Full Workflow)"),
+        (["--directive", "Nightly validation sweep"], "workflow 1 (Full Workflow)"),
+    ],
+)
+def test_run_refuses_a_wrapper_workflow_before_any_run_starts(tmp_path, capsys, selection, inner):
+    repo = init_git_repo(tmp_path / "repo")
+    config = write_backend_config(tmp_path / "backends", 1)
+    runs_root = tmp_path / "runs"
+    runs_root.mkdir()
+    code = main(
+        ["run", "--repo", str(repo), "--backends", str(config), "--runs-root", str(runs_root)]
+        + selection
+    )
+    out = capsys.readouterr().out
+    assert code == 2
+    assert list(runs_root.iterdir()) == []
+    assert f"wraps {inner}" in out
+    assert "run_issue_patrol" in out and "run_scheduled_loop" in out
+
+
+def test_run_on_a_directory_that_is_not_a_git_repository_stops_at_the_credentials_gate(tmp_path):
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    (plain / "pyproject.toml").write_text("[project]\n", encoding="utf-8")
+    code, runs_root = _run_cli(tmp_path, 7, repo=plain)
+    assert code == 2
+    run_dir = _single_run_dir(runs_root)
+    assert not run_dir.artifact_path(ArtifactKind.CREDENTIALS).exists()
+    report = json.loads(run_dir.report_json_path.read_text(encoding="utf-8"))
+    assert report["final_state"] == "CREDENTIALS_VERIFIED"
+    assert report["dispatch_counts"] == {}
+    assert "NEW gate unsatisfied (credentials.md:EXISTS)" in report["gate_violation"]
 
 
 def test_run_escalation_exits_3(tmp_path):

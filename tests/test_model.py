@@ -188,7 +188,7 @@ def test_every_catalog_entry_has_nonempty_stages():
 def test_wrapper_entries_carry_inner_ids():
     assert WORKFLOW_CATALOG[4].inner_id == 2
     assert WORKFLOW_CATALOG[8].inner_id == 1
-    assert WORKFLOW_CATALOG[8].repeating is True
+    assert {wf.id for wf in WORKFLOW_CATALOG.values() if wf.inner_id is not None} == {4, 8}
 
 
 def test_terminal_states_per_workflow():

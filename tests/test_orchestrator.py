@@ -20,6 +20,7 @@ from gatework.model import (
     workflow_by_id,
 )
 from gatework.orchestrator import (
+    SCHEDULABLE_INNER_IDS,
     ChannelMode,
     Orchestrator,
     UserChannel,
@@ -31,6 +32,7 @@ from gatework.orchestrator import (
     run_scheduled_loop,
     select_workflow,
     ship,
+    start_run,
 )
 from gatework.rundir import RunDirectory
 from gatework.runtime import AgentBackend, BackendKind, ScriptedBackend
@@ -697,6 +699,31 @@ def test_a_resumed_session_asks_the_pending_hold_before_any_dispatch(tmp_path):
     assert answered.dispatch_counts == {"builder": 2, "tester": 1}
 
 
+def test_nothing_is_dispatched_before_the_entry_gate(tmp_path):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    (repo / "pyproject.toml").write_text("[project]\n", encoding="utf-8")
+    git = FakeGit()
+    run_dir, _ = start_run(
+        runs_root=tmp_path / "runs", target_repo=repo, directive="review the change",
+        workflow=workflow_by_id(7), git=git, clock=TickClock(),
+    )
+    run_dir.artifact_path(K.CREDENTIALS).unlink()
+    dispatched: list = []
+    backends = scripted_backends(workflow_by_id(7))
+    backends[R.REVIEWER] = _Spy(backends[R.REVIEWER], dispatched, lambda req: req.role)
+
+    report = _resume(tmp_path, run_dir, 7, git, backends=backends)
+
+    assert dispatched == [] and report.dispatch_counts == {}
+    assert report.final_state == "CREDENTIALS_VERIFIED"
+    assert report.gate_violation == (
+        "entry gate: run stopped at CREDENTIALS_VERIFIED short of DOCUMENTED; "
+        "NEW gate unsatisfied (credentials.md:EXISTS)"
+    )
+    assert report.exit_code == 2
+
+
 def test_failed_dispatch_in_a_parallel_stage_is_recorded_under_the_failing_role(tmp_path):
     backends = scripted_backends(workflow_by_id(2))
     del backends[R.TESTER]  # dispatched in parallel with the builder
@@ -908,6 +935,10 @@ def test_scheduled_loop_repeats_inner_workflow(tmp_path):
     assert len(reports) == 2
     assert all(r.final_state == "REVIEW_PASSED" for r in reports)
     assert sleeps == [120.0]
+
+
+def test_schedulable_inner_workflows_neither_ship_nor_wrap():
+    assert SCHEDULABLE_INNER_IDS == {1, 3, 6, 7, 9, 10}
 
 
 def test_scheduled_loop_rejects_shipping_inner():

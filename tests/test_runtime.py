@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import os
 from pathlib import Path
 
@@ -25,12 +26,10 @@ from gatework.model import (
 )
 from gatework.rundir import RunDirectory
 from gatework.runtime import (
+    BackendKind,
     CompleteStep,
     DispatchRequest,
     ReadStep,
-    RemoteBackend,
-    RemoteReply,
-    RemoteTransport,
     ScriptedBackend,
     SignalStep,
     SubprocessBackend,
@@ -281,6 +280,17 @@ def test_subprocess_backend_signal_with_payload_file(tmp_path):
     assert outcome.signal.payload == "proposal scale?"
 
 
+def test_subprocess_backend_signal_without_payload_file_is_a_dispatch_error(tmp_path):
+    req = _request(tmp_path, R.BUILDER, 9)
+    backend = SubprocessBackend(
+        ["python3", "-c", "print('asking'); print('OUTCOME: SIGNAL HOLD question.txt')"]
+    )
+    with pytest.raises(DispatchError) as excinfo:
+        dispatch(req, backend)
+    assert "question.txt" in str(excinfo.value)
+    assert "asking" in excinfo.value.captured
+
+
 def test_subprocess_backend_timeout(tmp_path):
     req = _request(tmp_path, R.BUILDER, 9, deadline=0.3)
     backend = SubprocessBackend(["python3", "-c", "import time; time.sleep(10)"])
@@ -303,21 +313,6 @@ def test_subprocess_backend_nonzero_exit_captures_output(tmp_path):
     assert "boom" in excinfo.value.captured
 
 
-# --- remote backend (interface) ------------------------------------------------
-
-
-class _StubTransport(RemoteTransport):
-    def exchange(self, role, briefing):
-        return RemoteReply(files={"implementation.md": "# impl\n"})
-
-
-def test_remote_backend_applies_artifact_bundle(tmp_path):
-    req = _request(tmp_path, R.BUILDER, 9)
-    outcome = dispatch(req, RemoteBackend(_StubTransport()))
-    assert outcome.status is OutcomeStatus.COMPLETED
-    assert outcome.produced == frozenset({K.IMPLEMENTATION})
-
-
 # --- backend config -------------------------------------------------------------
 
 
@@ -332,6 +327,19 @@ def test_load_backends_resolves_relative_scripts(tmp_path):
     backends = load_backends(config)
     assert isinstance(backends[R.PLANNER], ScriptedBackend)
     assert isinstance(backends[R.BUILDER], SubprocessBackend)
+
+
+def test_every_backend_kind_loads_from_a_config_file(tmp_path):
+    (tmp_path / "planner.script").write_text("complete\n", encoding="utf-8")
+    specs = {
+        BackendKind.SCRIPTED: {"kind": "scripted", "script": "planner.script"},
+        BackendKind.SUBPROCESS: {"kind": "subprocess", "command": ["python3", "-c", "pass"]},
+    }
+    assert set(specs) == set(BackendKind)
+    for kind, spec in specs.items():
+        config = tmp_path / f"{kind.value}.json"
+        config.write_text(json.dumps({"backends": {"planner": spec}}), encoding="utf-8")
+        assert load_backends(config)[R.PLANNER].kind is kind
 
 
 def test_load_backends_rejects_unknown_role_and_kind(tmp_path):

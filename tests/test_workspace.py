@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from gatework.clock import TickClock
-from gatework.errors import MisconfigurationError, WorkspaceError
+from gatework.errors import WorkspaceError
 from gatework.gitlayer import FakeGit, GitAction, SubprocessGit
 from gatework.model import ArtifactKind
 from gatework.rundir import RunDirectory
@@ -19,7 +19,6 @@ from gatework.workspace import (
     read_handoff,
     sync_workspace,
     validate_workspace,
-    validation_commands,
 )
 
 K = ArtifactKind
@@ -102,16 +101,12 @@ def test_c_markers_require_both_manifest_and_source(tmp_path):
 
 
 def test_validation_commands_verbatim():
-    assert validation_commands(PROFILES[Language.GO]) == ("go test ./...",)
-    assert validation_commands(PROFILES[Language.PYTHON]) == ("pytest", "tox")
-    assert validation_commands(PROFILES[Language.R]) == ("R CMD check --as-cran",)
-    assert validation_commands(PROFILES[Language.RUST]) == ("cargo test", "clippy")
+    assert PROFILES[Language.GO].validation == ("go test ./...",)
+    assert PROFILES[Language.PYTHON].validation == ("pytest", "tox")
+    assert PROFILES[Language.R].validation == ("R CMD check --as-cran",)
+    assert PROFILES[Language.RUST].validation == ("cargo test", "clippy")
     # placeholder rows require a repo-config override
-    assert validation_commands(PROFILES[Language.C]) == ("<unit test runner>",)
-    from gatework.workspace import UNKNOWN_PROFILE
-
-    with pytest.raises(MisconfigurationError):
-        validation_commands(UNKNOWN_PROFILE)
+    assert PROFILES[Language.C].validation == ("<unit test runner>",)
 
 
 # --- layout and push policy -----------------------------------------------------
@@ -277,6 +272,51 @@ def test_sync_rollback_on_real_git_undoes_the_sync_commit(tmp_path, layout):
     assert snapshot() == before
 
 
+def _workspace_with_staged_user_edit(layout: WorkspaceLayout, remote: Path) -> None:
+    """A real-git workspace whose user has staged an edit of notes.md."""
+    root = layout.root
+    _git(root.parent, "init", "-q", "-b", "main", str(root))
+    notes = layout.repo_dir / "notes.md"
+    notes.write_text("first draft\n", encoding="utf-8")
+    _git(root, "add", "-A")
+    _git(root, "commit", "-q", "-m", "workspace")
+    _git(root, "remote", "add", "origin", str(remote))
+    _git(root, "config", "branch.main.remote", "origin")
+    _git(root, "config", "branch.main.merge", "refs/heads/main")
+    notes.write_text("second draft\n", encoding="utf-8")
+    _git(root, "add", str(notes))
+
+
+def test_sync_on_real_git_commits_only_the_synced_files(tmp_path, layout):
+    remote = tmp_path / "remote.git"
+    subprocess.run(["git", "init", "-q", "--bare", "-b", "main", str(remote)], check=True)
+    _workspace_with_staged_user_edit(layout, remote)
+    report = sync_workspace(
+        layout, _completed_run(tmp_path), git=SubprocessGit(), clock=TickClock(), slug="fix"
+    )
+    assert report.ok and report.changed, report.detail
+    committed = _git(layout.root, "show", "--name-only", "--format=", "HEAD").split()
+    assert sorted(committed) == [
+        "panelkit/CHANGELOG.md", "panelkit/HANDOFF.md", "panelkit/docs.md",
+        "panelkit/runs/2000-01-01-fix.md",
+    ]
+    assert _git(layout.root, "status", "--porcelain") == "M  panelkit/notes.md\n"
+    assert _git(remote, "rev-parse", "main") == _git(layout.root, "rev-parse", "HEAD")
+
+
+def test_sync_rollback_on_real_git_keeps_what_the_user_had_staged(tmp_path, layout):
+    _workspace_with_staged_user_edit(layout, tmp_path / "missing.git")
+    before = _git(layout.root, "status", "--porcelain", "--untracked-files=all")
+    head = _git(layout.root, "rev-parse", "HEAD")
+    report = sync_workspace(
+        layout, _completed_run(tmp_path), git=SubprocessGit(), clock=TickClock(), slug="fix"
+    )
+    assert not report.ok and report.rolled_back
+    assert before == "M  panelkit/notes.md\n"
+    assert _git(layout.root, "status", "--porcelain", "--untracked-files=all") == before
+    assert _git(layout.root, "rev-parse", "HEAD") == head
+
+
 def test_sync_requires_log_entry_and_passing_verdict(tmp_path, layout):
     run_dir = RunDirectory(tmp_path / "incomplete").create()
     run_dir.write(K.REVIEW, "verdict: PASS\n")
@@ -375,7 +415,7 @@ def test_subprocess_git_commit_and_push_to_bare_remote(tmp_path):
     git = SubprocessGit()
     (repo / "new.txt").write_text("payload\n", encoding="utf-8")
     assert git.stage(repo, ["new.txt"]).ok
-    assert git.commit(repo, "add payload").ok
+    assert git.commit(repo, "add payload", ["new.txt"]).ok
     assert git.push(repo).ok
     listing = subprocess.run(
         ["git", "-C", str(remote), "ls-tree", "-r", "--name-only", "main"],
