@@ -1,5 +1,5 @@
 """Information barriers: the role/artifact access matrix, per-agent
-sandboxes, and the tamper-evident access audit.
+sandboxes, and the append-only access audit.
 
 Enforcement is by materialization: a sandbox receives copies of exactly
 the artifacts its role may read and does not itself produce, plus
@@ -17,7 +17,7 @@ from datetime import datetime
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from gatework.clock import Clock, iso8601, parse_iso8601
+from gatework.clock import Clock, iso8601
 from gatework.errors import AuditIncompleteness, BarrierError, EnvironmentFailure, MisconfigurationError
 from gatework.gitlayer import GitBackend
 from gatework.model import (
@@ -70,31 +70,6 @@ class AuditLog:
 
     def write_to(self, path: Path) -> None:
         path.write_text(self.render(), encoding="utf-8")
-
-    def append_to(self, path: Path) -> None:
-        """Append this log's events to ``path``, creating it if absent."""
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(self.render())
-
-
-def parse_access_log(text: str) -> tuple[AccessEvent, ...]:
-    events = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        ts, role, artifact, decision = line.split("\t")
-        kind = artifact_kind_for_name(artifact)
-        if kind is None:
-            raise ValueError(f"unknown artifact in access log: {artifact!r}")
-        events.append(
-            AccessEvent(
-                timestamp=parse_iso8601(ts),
-                role=AgentRole(role),
-                artifact=kind,
-                decision=AccessDecision(decision),
-            )
-        )
-    return tuple(events)
 
 
 @dataclass(frozen=True)
@@ -329,7 +304,7 @@ def audit_isolation(
 
 
 def merge_access_logs(logs: Mapping[AgentRole, Sequence[AccessEvent]], run_dir: RunDirectory) -> Path:
-    """Merge per-sandbox logs into ``<run>/access.log`` for review."""
+    """Write the per-role events, merged in time order, to ``<run>/access.log``."""
     events = sorted(
         (e for per_role in logs.values() for e in per_role),
         key=lambda e: (e.timestamp, e.role.value, e.artifact.filename),

@@ -26,6 +26,7 @@ from gatework.orchestrator import (
     ChannelMode,
     Orchestrator,
     UserChannel,
+    check_single_run,
     select_workflow,
     start_run,
 )
@@ -143,13 +144,10 @@ def _execute_run(
     except HoldUnanswered as exc:
         console.echo(f"[escalation] {exc.question}")
         return EXIT_ESCALATION
-    if workflow.inner_id is not None:
-        inner = workflow_by_id(workflow.inner_id)
-        console.echo(
-            f"workflow {workflow.id} ({workflow.name}) wraps workflow {inner.id} ({inner.name}) "
-            f"and is not one run: run workflow {inner.id}, or drive the wrapper from Python "
-            "with gatework.run_issue_patrol / gatework.run_scheduled_loop"
-        )
+    try:
+        check_single_run(workflow)
+    except MisconfigurationError as exc:
+        console.echo(str(exc))
         return EXIT_GATE
 
     workspace = None
@@ -316,9 +314,9 @@ def cmd_status(args: argparse.Namespace, console: _Console) -> int:
     pending = run_dir.path / "pending-hold.md"
     if pending.exists():
         console.echo(f"pending question: {pending.read_text(encoding='utf-8').strip()}")
-    escalated = [e for e in run_state.history if "escalate" in e.cause]
+    escalated = [e for e in run_state.history if "escalate" in e["cause"]]
     for entry in escalated:
-        console.echo(f"escalation: {entry.cause}")
+        console.echo(f"escalation: {entry['cause']}")
     names = sorted(k.filename for k in run_dir.present())
     console.echo("artifacts: " + (", ".join(names) or "(none)"))
     return EXIT_OK

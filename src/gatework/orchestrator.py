@@ -17,7 +17,6 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from enum import Enum
-from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -29,7 +28,6 @@ from gatework.barrier import (
     create_plain_sandbox,
     create_sandbox,
     merge_access_logs,
-    parse_access_log,
 )
 from gatework.clock import Clock, TickClock
 from gatework.errors import (
@@ -38,6 +36,7 @@ from gatework.errors import (
     ContractError,
     DispatchError,
     EnvironmentFailure,
+    GateworkError,
     HoldUnanswered,
     MisconfigurationError,
     ProtocolError,
@@ -72,7 +71,11 @@ from gatework.statemachine import (
     SignalDisposition,
     advance,
     reconstruct_run_state,
+    record_answer,
+    record_dispatches,
+    record_language,
     record_signal,
+    status_line,
     write_status,
 )
 from gatework.workspace import (
@@ -517,6 +520,17 @@ class RunReport:
 # --- run bootstrap ----------------------------------------------------------
 
 
+def check_single_run(workflow: WorkflowType) -> None:
+    """Refuse a wrapper entry (workflows 4 and 8), which is not one run."""
+    if workflow.inner_id is not None:
+        inner = workflow_by_id(workflow.inner_id)
+        raise MisconfigurationError(
+            f"workflow {workflow.id} ({workflow.name}) wraps workflow {inner.id} ({inner.name}) "
+            f"and is not one run: run workflow {inner.id}, or drive the wrapper from Python "
+            "with gatework.run_issue_patrol / gatework.run_scheduled_loop"
+        )
+
+
 def start_run(
     *,
     runs_root: Path,
@@ -534,6 +548,7 @@ def start_run(
     The request id is ``request_id`` or the clock's time to the second;
     when a directory of that name exists, the next free ``-2``, ``-3``
     suffix is taken, so no run ever continues another."""
+    check_single_run(workflow)
     target_repo = Path(target_repo).resolve()
     if not target_repo.is_dir():
         raise EnvironmentFailure(f"target repository not resolvable: {target_repo}")
@@ -602,7 +617,7 @@ _DISPATCH_FAILURES = (
 
 
 class Orchestrator:
-    """Owns the run's control loop; all RunState mutation happens here."""
+    """Owns the run's control loop; RunState changes only by journaling."""
 
     def __init__(
         self,
@@ -618,6 +633,7 @@ class Orchestrator:
         workspace: WorkspaceLayout | None = None,
         directive: str = "",
     ) -> None:
+        check_single_run(workflow)
         self.run_dir = run_dir
         self.request_id = request_id
         self.plan = compile_plan(workflow)
@@ -644,29 +660,30 @@ class Orchestrator:
     def workflow(self) -> WorkflowType:
         return self.plan.workflow
 
-    def _resolve_profile(self, persisted: str | None) -> None:
+    def _resolve_profile(self) -> None:
         """Take the language an earlier session resolved, or detect it and
-        ask the user when detection finds none. The answer is recorded in
-        the report, so a resumed session never asks again."""
-        if persisted is not None:
-            self.profile = PROFILES[Language(persisted)]
+        ask the user when detection finds none. The result is journaled,
+        so a resumed session never asks again."""
+        if self.run_state.language is not None:
+            self.profile = PROFILES[Language(self.run_state.language)]
         else:
             try:
                 self.profile = detect_language(self.target_repo)
             except FileNotFoundError as exc:
                 raise EnvironmentFailure(str(exc)) from exc
-        if self.profile.language is Language.UNKNOWN:
-            answer = self.channel.ask(
-                "No language profile detected in the target repository. "
-                "Which language applies? (R, Python, TypeScript, Stata, Go, Rust, C, C++)"
-            )
-            if answer is None:
-                raise HoldUnanswered("language profile needed for the target repository")
-            by_name = {lang.value.lower(): lang for lang in Language}
-            language = by_name.get(answer.strip().lower())
-            if language is None or language is Language.UNKNOWN:
-                raise HoldUnanswered(f"unrecognized language {answer!r}")
-            self.profile = PROFILES[language]
+            if self.profile.language is Language.UNKNOWN:
+                answer = self.channel.ask(
+                    "No language profile detected in the target repository. "
+                    "Which language applies? (R, Python, TypeScript, Stata, Go, Rust, C, C++)"
+                )
+                if answer is None:
+                    raise HoldUnanswered("language profile needed for the target repository")
+                by_name = {lang.value.lower(): lang for lang in Language}
+                language = by_name.get(answer.strip().lower())
+                if language is None or language is Language.UNKNOWN:
+                    raise HoldUnanswered(f"unrecognized language {answer!r}")
+                self.profile = PROFILES[language]
+            record_language(self.run_state, self.run_dir, self.profile.language.value)
         self._report.language = self.profile.language.value
         if self.workspace is not None:
             write_context(
@@ -720,34 +737,25 @@ class Orchestrator:
             state=self.run_state.current,
         )
 
-    def _dispatch_role(self, role: AgentRole, idle: Path | None = None) -> AgentOutcome:
+    def _dispatch_role(
+        self, role: AgentRole, attempt: int | None, idle: Path | None, made: dict[AgentRole, Sandbox]
+    ) -> AgentOutcome | GateworkError:
         """Dispatch one role, carrying the ``idle`` worktree to its sandbox
-        if it has none; a failed dispatch is recorded under the role's name
-        and halts the session."""
+        if it has none, and collect what it produced. A failure is returned,
+        not raised, and the sandbox enters ``made`` once it exists, so the
+        access events of a failed dispatch are journaled too."""
         try:
-            backend = self.backends.get(role)
-            if backend is None:
+            if attempt is None:
                 raise MisconfigurationError(f"no backend configured for {role.value}")
-            # the run's dispatch count of a role is its attempt number
-            attempt = self._report.dispatch_counts.get(role.value, 0) + 1
-            self._report.dispatch_counts[role.value] = attempt
-            sandbox = self._make_sandbox(role, idle)
+            sandbox = made[role] = self._make_sandbox(role, idle)
             req = DispatchRequest(
-                role=role,
-                sandbox=sandbox,
-                briefing=self._briefing(role, sandbox),
-                workflow=self.workflow,
-                attempt=attempt,
+                role=role, sandbox=sandbox, briefing=self._briefing(role, sandbox),
+                workflow=self.workflow, attempt=attempt,
             )
             log_path = self.run_dir.logs_dir / f"{role.value}.log"
-            try:
-                outcome = dispatch(req, backend, log_path=log_path)
-            finally:
-                # the run-level log outlives the sandbox and every session
-                sandbox.audit.append_to(self._role_access_log_path(role))
+            outcome = dispatch(req, self.backends[role], log_path=log_path)
         except _DISPATCH_FAILURES as exc:
-            self._report.diagnostics[role.value] = str(exc)
-            raise _Halt from exc
+            return exc
         if outcome.status is OutcomeStatus.COMPLETED:
             for kind in sorted(outcome.produced, key=lambda k: k.filename):
                 source = find_artifact(sandbox.path, kind)
@@ -776,15 +784,26 @@ class Orchestrator:
 
     def _dispatch_batch(self, roles: Sequence[AgentRole]) -> list[tuple[AgentRole, AgentOutcome]]:
         """Dispatch a batch concurrently; results return in batch order and
-        no downstream work starts until every dispatch has finished."""
+        no downstream work starts until every dispatch has finished.
+
+        Only this thread journals: after the batch, in batch order, each
+        attempt and its access events, failed ones included. A failed
+        dispatch is recorded under the role's name and halts the session."""
         idle = self._idle_worktrees(roles)
-        if len(roles) == 1:
-            return [(roles[0], self._dispatch_role(roles[0], idle.get(roles[0])))]
+        # fixed before any worker starts; a role's dispatch count is its attempt
+        attempts = {r: self.run_state.dispatches.get(r, 0) + 1 for r in roles if r in self.backends}
+        made: dict[AgentRole, Sandbox] = {}
         with ThreadPoolExecutor(max_workers=len(roles)) as pool:
-            futures = [
-                (role, pool.submit(self._dispatch_role, role, idle.get(role))) for role in roles
-            ]
-            return [(role, future.result()) for role, future in futures]
+            results = list(
+                pool.map(lambda r: self._dispatch_role(r, attempts.get(r), idle.get(r), made), roles)
+            )
+        batch = [(r, made[r].audit.events() if r in made else ()) for r in attempts]
+        record_dispatches(self.run_state, self.run_dir, batch)
+        failed = {r.value: str(res) for r, res in zip(roles, results) if isinstance(res, GateworkError)}
+        if failed:
+            self._report.diagnostics.update(failed)
+            raise _Halt
+        return list(zip(roles, results))
 
     def _reach(self, state: WorkflowState, label: str) -> None:
         """Advance to ``state`` and never past it, or halt with a gate
@@ -804,11 +823,6 @@ class Orchestrator:
                 )
                 raise _Halt
 
-    def _note_signal(self, signal: Signal) -> None:
-        self._report.signals.append(
-            {"kind": signal.kind.value, "raiser": signal.raiser.value, "payload": signal.payload}
-        )
-
     def _answer_hold(self, raiser: AgentRole, question: str) -> None:
         """Forward a HOLD question to the user and brief the raiser with the
         answer; an unanswered question halts the session."""
@@ -817,6 +831,7 @@ class Orchestrator:
             self._report.escalation = f"unanswered question from {raiser.value}: {question}"
             self._report.pending = question
             raise _Halt
+        record_answer(self.run_state, self.run_dir, raiser, answer)
         self._extras.setdefault(raiser, []).append(f"user answer: {answer}")
 
     # -- stage execution --
@@ -839,7 +854,6 @@ class Orchestrator:
                     continue
                 signal = outcome.signal
                 assert signal is not None
-                self._note_signal(signal)
                 disposition = record_signal(self.run_state, signal, self.run_dir, self.clock)
                 if disposition is SignalDisposition.ESCALATE_TO_USER:
                     message = (
@@ -879,21 +893,8 @@ class Orchestrator:
         """True when the role's contracted artifacts already exist."""
         return all(self.run_dir.exists(kind) for kind in contracted_artifacts(role, self.workflow))
 
-    def _role_access_log_path(self, role: AgentRole) -> Path:
-        return self.run_dir.logs_dir / f"access-{role.value}.log"
-
-    def _collected_logs(self) -> dict[AgentRole, tuple[AccessEvent, ...]]:
-        """Every dispatched role's persisted access log, covering all
-        sessions of the run."""
-        logs = {}
-        for role in self.workflow.roles():
-            persisted = self._role_access_log_path(role)
-            if persisted.exists():
-                logs[role] = parse_access_log(persisted.read_text(encoding="utf-8"))
-        return logs
-
     def _run_mechanical_review(self) -> None:
-        report = mechanical_review(self.run_dir, self._collected_logs(), self.plan)
+        report = mechanical_review(self.run_dir, self.run_state.access, self.plan)
         self._report.mechanical = report.to_dict()
         if not report.passed:
             listed = "; ".join(f"{c.name}: {c.detail}" for c in report.failures())
@@ -905,12 +906,11 @@ class Orchestrator:
     def run(self, authorization: str | None = None) -> RunReport:
         """Run one session of the run and rewrite its report.
 
-        A fresh run is a run directory with an empty history, so every
-        session starts the same way: it rebuilds the state from
-        ``status.md``, carries the dispatch counts and signals over from
-        the previous ``report.json``, asks the HOLD question the previous
-        session left unanswered, and skips the roles whose contracted
-        artifacts exist, up to the first stage that dispatches.
+        A fresh run is a run directory with an empty journal, so every
+        session starts the same way: it rebuilds the state from the
+        journal, asks the HOLD question an earlier session left
+        unanswered, and skips the roles whose contracted artifacts exist,
+        up to the first stage that dispatches.
         """
         try:
             self._resume()
@@ -921,26 +921,20 @@ class Orchestrator:
         return self._report
 
     def _resume(self) -> None:
-        """Rebuild the session from the run directory: the state, the dispatch
-        counts and signals, the language profile, and the answer to a
-        pending HOLD."""
+        """Rebuild the session from the run's journal, resolve the language
+        and ask the HOLD question the journal leaves pending."""
         self.run_state = reconstruct_run_state(self.run_dir, self.workflow)
-        previous: dict = {}
-        if self.run_dir.report_json_path.exists():
-            previous = json.loads(self.run_dir.report_json_path.read_text(encoding="utf-8"))
-            self._report.dispatch_counts = previous["dispatch_counts"]
-            self._report.signals = previous["signals"]
         try:
-            self._resolve_profile(previous.get("language"))
+            self._resolve_profile()
         except HoldUnanswered as exc:
             self._report.escalation = self._report.pending = exc.question
             raise _Halt from exc
         except EnvironmentFailure as exc:
             self._report.diagnostics["environment"] = str(exc)
             raise _Halt from exc
-        last = self._report.signals[-1] if self._report.signals else None
-        if last and last["kind"] == SignalKind.HOLD.value and last["payload"] == previous["pending"]:
-            self._answer_hold(AgentRole(last["raiser"]), last["payload"])
+        hold = self.run_state.pending_hold
+        if hold is not None:
+            self._answer_hold(AgentRole(hold["raiser"]), hold["payload"])
 
     def _run_stages(self, authorization: str | None) -> None:
         self._reach(self.plan.entry, "entry gate")
@@ -963,13 +957,12 @@ class Orchestrator:
                     self.run_dir,
                     authorization,
                     target_repo=self.target_repo,
-                    workflow=self.workflow,
                     git=self.git,
                     clock=self.clock,
                     workspace=self.workspace,
                     slug=self.request_id,
                     run_state=self.run_state,
-                    dispatch_shipper=partial(self._dispatch_role, AgentRole.SHIPPER),
+                    dispatch_shipper=lambda: self._dispatch_batch((AgentRole.SHIPPER,))[0][1],
                 )
                 self._report.ship = ship_report.to_dict()
                 if not ship_report.shipped:
@@ -995,16 +988,20 @@ class Orchestrator:
     def _finalize(self) -> None:
         self._report.final_state = self.run_state.current.value
         self._report.visited_states = [s.value for s in self.run_state.visited_states()]
-        self._report.history = [entry.render() for entry in self.run_state.history]
+        self._report.history = [status_line(entry) for entry in self.run_state.history]
         self._report.retries = {k.value: v for k, v in self.run_state.retries.items()}
+        self._report.dispatch_counts = {r.value: n for r, n in self.run_state.dispatches.items()}
+        self._report.signals = [
+            {key: entry[key] for key in ("kind", "raiser", "payload")}
+            for entry in self.run_state.history if entry["event"] == "signal"
+        ]
         self._report.artifacts = sorted(k.filename for k in self.run_dir.present())
         if self.channel.pending:  # a question asked and left unanswered
             (self.run_dir.path / "pending-hold.md").write_text(
                 self.channel.pending + "\n", encoding="utf-8"
             )
-        logs = self._collected_logs()
-        if logs:
-            merge_access_logs(logs, self.run_dir)
+        if self.run_state.access:
+            merge_access_logs(self.run_state.access, self.run_dir)
         # worktrees are disposable once artifacts and audit logs are
         # collected; removing them frees the role branches for re-runs
         for role in sorted(self.workflow.roles() & WORKTREE_ROLES):
@@ -1052,12 +1049,11 @@ def ship(
     authorization: str | None,
     *,
     target_repo: Path,
-    workflow: WorkflowType,
     git: GitBackend,
     clock: Clock,
     workspace: WorkspaceLayout | None = None,
     slug: str = "run",
-    run_state: RunState | None = None,
+    run_state: RunState,
     dispatch_shipper: Callable[[], AgentOutcome] | None = None,
 ) -> ShipReport:
     """The hard ship gate: a PASS-variant verdict AND explicit user
@@ -1068,9 +1064,6 @@ def ship(
     actions run. On success: target repo staged/committed/pushed,
     workspace synced, shipper.md written, state advanced to DONE.
     """
-    if run_state is None:
-        run_state = reconstruct_run_state(run_dir, workflow)
-
     if run_state.current is not WorkflowState.READY_TO_SHIP:
         return ShipReport(
             shipped=False,

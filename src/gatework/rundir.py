@@ -6,7 +6,9 @@ the review verdict header is out of scope by design.
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
+from typing import Sequence
 
 from gatework.errors import RunDirectoryError, VerdictError
 from gatework.model import (
@@ -59,6 +61,23 @@ class RunDirectory:
     @property
     def access_log_path(self) -> Path:
         return self.path / "access.log"
+
+    @property
+    def journal_path(self) -> Path:
+        return self.path / "events.jsonl"
+
+    def append_events(self, records: Sequence[dict]) -> None:
+        """Append records to the journal, one JSON object a line; nothing in
+        it is ever rewritten."""
+        with open(self.journal_path, "a", encoding="utf-8") as fh:
+            fh.write("".join(json.dumps(record) + "\n" for record in records))
+
+    def events(self) -> list[dict]:
+        """The journal's records in append order."""
+        if not self.journal_path.exists():
+            return []
+        with open(self.journal_path, encoding="utf-8") as fh:
+            return [json.loads(line) for line in fh]
 
     def check_readable(self) -> None:
         """Raise RunDirectoryError when the directory cannot be read.

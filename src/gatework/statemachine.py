@@ -5,19 +5,26 @@ state's artifact preconditions hold. Gate failures are values, not
 exceptions, so the leader can report missing artifacts verbatim. Signal
 retries are counted per signal kind per run, with escalation to the user
 on the fourth occurrence of the same kind.
+
+Each event is appended once to the run's journal, ``events.jsonl``, which
+a resumed session folds back into a RunState; the engine never reads
+``status.md``, the journal's projection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from datetime import datetime
 from enum import Enum
+from typing import Sequence
 
 from gatework.clock import Clock, iso8601, parse_iso8601
 from gatework.errors import ProtocolError, TerminalStateError
 from gatework.model import (
     GATING_ROLES,
     SIGNAL_OWNERS,
+    AccessDecision,
+    AccessEvent,
+    AgentRole,
     ArtifactKind,
     Signal,
     SignalKind,
@@ -96,38 +103,96 @@ def check_preconditions(
     return GateCheck(state=state, missing=tuple(missing))
 
 
-@dataclass(frozen=True)
-class HistoryEntry:
-    """One state-machine event: a transition or a recorded signal."""
-
-    timestamp: datetime
-    state_from: WorkflowState
-    state_to: WorkflowState | None
-    signal: SignalKind | None
-    cause: str
-
-    def render(self) -> str:
-        event = f"->{self.state_to.value}" if self.state_to else f"signal:{self.signal.value}"
-        return "\t".join((iso8601(self.timestamp), self.state_from.value, event, self.cause))
+def status_line(entry: dict) -> str:
+    """A transition or signal record as its tab-separated status.md line."""
+    if entry["event"] == "transition":
+        state, event = entry["from"], "->" + entry["to"]
+    else:
+        state, event = entry["state"], "signal:" + entry["kind"]
+    return "\t".join((entry["time"], state, event, entry["cause"]))
 
 
 @dataclass
 class RunState:
-    """Mutable run bookkeeping, owned by the orchestrator's control loop."""
+    """The run as its journal records it. Each field changes only when a
+    record is journaled, live or on resume."""
 
     workflow: WorkflowType
     current: WorkflowState = WorkflowState.CREDENTIALS_VERIFIED
     retries: dict[SignalKind, int] = field(
         default_factory=lambda: {kind: 0 for kind in SignalKind}
     )
-    history: list[HistoryEntry] = field(default_factory=list)
+    history: list[dict] = field(default_factory=list)
+    #: a role's dispatch count is the number of its latest attempt
+    dispatches: dict[AgentRole, int] = field(default_factory=dict)
+    #: the access events of every dispatched role, across sessions
+    access: dict[AgentRole, list[AccessEvent]] = field(default_factory=dict)
+    language: str | None = None
+    #: the last signal record, when it is a routed HOLD no answer has followed
+    pending_hold: dict | None = None
 
     def visited_states(self) -> tuple[WorkflowState, ...]:
-        states = [WorkflowState.CREDENTIALS_VERIFIED]
-        for entry in self.history:
-            if entry.state_to is not None:
-                states.append(entry.state_to)
-        return tuple(states)
+        moves = [WorkflowState(e["to"]) for e in self.history if e["event"] == "transition"]
+        return (WorkflowState.CREDENTIALS_VERIFIED, *moves)
+
+
+def _apply(run: RunState, record: dict) -> None:
+    """Fold one journal record into the run: the one reading of a record,
+    for the session that appends it and for every session that resumes."""
+    event = record["event"]
+    if event == "transition":
+        run.current = WorkflowState(record["to"])
+        run.history.append(record)
+    elif event == "signal":
+        kind = SignalKind(record["kind"])
+        routed = run.retries[kind] < RETRY_LIMIT
+        if routed:
+            run.retries[kind] += 1
+        run.pending_hold = record if routed and kind is SignalKind.HOLD else None
+        run.history.append(record)
+    elif event == "dispatch":
+        role = AgentRole(record["role"])
+        run.dispatches[role] = run.dispatches.get(role, 0) + 1
+        run.access.setdefault(role, [])
+    elif event == "access":
+        role, kind = AgentRole(record["role"]), ArtifactKind(record["artifact"])
+        when, decision = parse_iso8601(record["time"]), AccessDecision(record["decision"])
+        run.access[role].append(AccessEvent(when, role, kind, decision))
+    elif event == "answer":
+        run.pending_hold = None
+    else:  # language
+        run.language = record["language"]
+
+
+def _journal(run: RunState, run_dir: RunDirectory, records: list[dict]) -> None:
+    for record in records:
+        _apply(run, record)
+    run_dir.append_events(records)
+
+
+def record_dispatches(
+    run: RunState, run_dir: RunDirectory, batch: Sequence[tuple[AgentRole, Sequence[AccessEvent]]]
+) -> None:
+    """Journal one dispatch of each role in ``batch``, in order, each
+    followed by the access events of its sandbox."""
+    records = []
+    for role, events in batch:
+        records.append({"event": "dispatch", "role": role.value})
+        records.extend(
+            {"event": "access", "time": iso8601(e.timestamp), "role": e.role.value,
+             "artifact": e.artifact.filename, "decision": e.decision.value}
+            for e in events
+        )
+    _journal(run, run_dir, records)
+
+
+def record_answer(run: RunState, run_dir: RunDirectory, role: AgentRole, text: str) -> None:
+    """Journal the user's answer to ``role``'s HOLD, which settles it."""
+    _journal(run, run_dir, [{"event": "answer", "role": role.value, "text": text}])
+
+
+def record_language(run: RunState, run_dir: RunDirectory, language: str) -> None:
+    _journal(run, run_dir, [{"event": "language", "language": language}])
 
 
 @dataclass(frozen=True)
@@ -151,15 +216,9 @@ def advance(run: RunState, run_dir: RunDirectory, clock: Clock) -> AdvanceResult
     gate = check_preconditions(successor, run_dir, run.workflow)
     if not gate.satisfied:
         return AdvanceResult(moved=False, state=run.current, gate=gate)
-    entry = HistoryEntry(
-        timestamp=clock.now(),
-        state_from=run.current,
-        state_to=successor,
-        signal=None,
-        cause="gate satisfied",
-    )
-    run.history.append(entry)
-    run.current = successor
+    record = {"event": "transition", "time": iso8601(clock.now()), "from": run.current.value,
+              "to": successor.value, "cause": "gate satisfied"}
+    _journal(run, run_dir, [record])
     write_status(run, run_dir)
     return AdvanceResult(moved=True, state=successor, gate=gate)
 
@@ -182,75 +241,29 @@ def record_signal(
         owners = sorted(r.value for r in SIGNAL_OWNERS[s.kind])
         raise ProtocolError(f"{s.raiser.value} may not raise {s.kind.value}; owners: {owners}")
     count = run.retries[s.kind]
-    if count < RETRY_LIMIT:
-        run.retries[s.kind] = count + 1
-        disposition = SignalDisposition.RETRY
+    routed = count < RETRY_LIMIT
+    if routed:
         cause = f"{s.raiser.value} raised {s.kind.value} (retry {count + 1}/{RETRY_LIMIT})"
     else:
-        disposition = SignalDisposition.ESCALATE_TO_USER
         cause = f"{s.raiser.value} raised {s.kind.value} (cap {RETRY_LIMIT} reached; escalate)"
-    run.history.append(
-        HistoryEntry(
-            timestamp=clock.now(),
-            state_from=run.current,
-            state_to=None,
-            signal=s.kind,
-            cause=cause,
-        )
-    )
+    record = {"event": "signal", "time": iso8601(clock.now()), "state": run.current.value,
+              "kind": s.kind.value, "raiser": s.raiser.value, "payload": s.payload, "cause": cause}
+    _journal(run, run_dir, [record])
     write_status(run, run_dir)
-    return disposition
-
-
-def render_status(run: RunState) -> str:
-    """status.md body: one line per history entry, append order."""
-    lines = [entry.render() for entry in run.history]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return SignalDisposition.RETRY if routed else SignalDisposition.ESCALATE_TO_USER
 
 
 def write_status(run: RunState, run_dir: RunDirectory) -> None:
-    run_dir.write(ArtifactKind.STATUS, render_status(run))
-
-
-def parse_status(text: str) -> list[HistoryEntry]:
-    entries = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise ValueError(f"status line {lineno} is not 4 tab-separated fields: {line!r}")
-        ts, state_from, event, cause = parts
-        state_to = None
-        signal = None
-        if event.startswith("->"):
-            state_to = WorkflowState(event[2:])
-        elif event.startswith("signal:"):
-            signal = SignalKind(event[len("signal:") :])
-        else:
-            raise ValueError(f"status line {lineno} has unknown event: {event!r}")
-        entries.append(
-            HistoryEntry(
-                timestamp=parse_iso8601(ts),
-                state_from=WorkflowState(state_from),
-                state_to=state_to,
-                signal=signal,
-                cause=cause,
-            )
-        )
-    return entries
+    """Append the newest history entry's line to status.md, which starts
+    empty; the engine never reads it back."""
+    with open(run_dir.artifact_path(ArtifactKind.STATUS), "a", encoding="utf-8") as fh:
+        fh.write("".join(status_line(entry) + "\n" for entry in run.history[-1:]))
 
 
 def reconstruct_run_state(run_dir: RunDirectory, workflow: WorkflowType) -> RunState:
-    """Rebuild RunState from status.md; the run directory is the only
-    persistence layer."""
+    """Rebuild RunState from the run's journal, the one record of the run
+    a session reads back."""
     run = RunState(workflow=workflow)
-    if not run_dir.exists(ArtifactKind.STATUS):
-        return run
-    run.history = parse_status(run_dir.read(ArtifactKind.STATUS))
-    for entry in run.history:
-        if entry.state_to is not None:
-            run.current = entry.state_to
-        if entry.signal is not None and run.retries[entry.signal] < RETRY_LIMIT:
-            run.retries[entry.signal] += 1
+    for record in run_dir.events():
+        _apply(run, record)
     return run

@@ -12,7 +12,7 @@ from contextlib import contextmanager
 
 from conftest import AUDIT_BODY, TEST_SPEC_BODY, run_scripted_workflow, init_git_repo
 from gatework.barrier import DEFAULT_ACCESS_MATRIX, AuditLog, check_access
-from gatework.clock import TickClock, iso8601
+from gatework.clock import TickClock
 from gatework.gitlayer import FakeGit, GitAction
 from gatework.model import (
     AccessDecision,
@@ -216,18 +216,16 @@ def test_acceptance_ship_gate_truth_table(tmp_path):
                     run_dir.write(kind, "x\n")
                 if verdict is not None:
                     run_dir.write(K.REVIEW, f"verdict: {verdict}\n")
-                ts = iso8601(TickClock().now())
-                run_dir.write(
-                    K.STATUS, f"{ts}\tREVIEW_PASSED\t->READY_TO_SHIP\tgate satisfied\n"
-                )
                 git = FakeGit()
                 result = ship(
                     run_dir,
                     "token" if authorized else None,
                     target_repo=tmp_path,
-                    workflow=workflow_by_id(2),
                     git=git,
                     clock=TickClock(),
+                    run_state=RunState(
+                        workflow=workflow_by_id(2), current=WorkflowState.READY_TO_SHIP
+                    ),
                 )
                 if result.shipped:
                     shipped_cases.append((verdict, authorized))

@@ -298,7 +298,7 @@ def test_authorize_ships_a_ready_run(tmp_path, capsys):
     assert report["exit_code"] == 0
     assert report["mechanical"]["passed"] is True
     assert (run_dir.logs_dir / "shipper.log").exists()
-    assert (run_dir.logs_dir / "access-shipper.log").exists()
+    assert {"event": "dispatch", "role": "shipper"} in run_dir.events()
     assert "\tshipper\treview.md\tALLOW" in run_dir.access_log_path.read_text(encoding="utf-8")
     # status now reports the terminal state with no pending signals
     main(["status", "--run", str(run_dir.path)])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 import time
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import AUDIT_BODY, run_scripted_workflow, scripted_backends, shipper_script
-from gatework.clock import TickClock, iso8601
+from gatework.clock import TickClock
 from gatework.errors import HoldUnanswered, MisconfigurationError, ProtocolError
 from gatework.gitlayer import FakeGit, GitAction, GitResult
 from gatework.model import (
@@ -23,6 +24,7 @@ from gatework.orchestrator import (
     SCHEDULABLE_INNER_IDS,
     ChannelMode,
     Orchestrator,
+    RunReport,
     UserChannel,
     classify_directive,
     compile_plan,
@@ -36,7 +38,7 @@ from gatework.orchestrator import (
 )
 from gatework.rundir import RunDirectory
 from gatework.runtime import AgentBackend, BackendKind, ScriptedBackend
-from gatework.statemachine import reconstruct_run_state
+from gatework.statemachine import RunState
 from gatework.workspace import WorkspaceLayout
 
 K = ArtifactKind
@@ -373,8 +375,8 @@ def test_resume_keeps_access_events_of_earlier_sessions(tmp_path):
     ).run()
 
     # the session-1 DENY still fails review after the session-2 ALLOW
-    persisted = (run_dir.logs_dir / "access-builder.log").read_text(encoding="utf-8")
-    assert [line.split("\t")[2:] for line in persisted.splitlines()] == [
+    journaled = [e for e in run_dir.events() if e["event"] == "access" and e["role"] == "builder"]
+    assert [[e["artifact"], e["decision"]] for e in journaled] == [
         ["spec.md", "ALLOW"], ["test-spec.md", "DENY"], ["spec.md", "ALLOW"],
     ]
     checks = {c["name"]: c for c in resumed.mechanical["checks"]}
@@ -757,29 +759,27 @@ def test_failed_worktree_creation_is_finalized_as_a_diagnostic(tmp_path):
     assert not (run_dir.sandboxes_dir / "builder").exists()
 
 
-def _ready_to_ship_run(tmp_path: Path, verdict: str | None) -> RunDirectory:
+def _ready_to_ship_run(tmp_path: Path, verdict: str | None) -> tuple[RunDirectory, RunState]:
     run_dir = RunDirectory(tmp_path / f"run-{verdict or 'absent'}").create()
     for kind in (K.REQUEST, K.IMPACT, K.CREDENTIALS):
         run_dir.write(kind, "x\n")
     if verdict is not None:
         run_dir.write(K.REVIEW, f"verdict: {verdict}\nnotes\n")
-    ts = iso8601(TickClock().now())
-    run_dir.write(K.STATUS, f"{ts}\tREVIEW_PASSED\t->READY_TO_SHIP\tgate satisfied\n")
-    return run_dir
+    return run_dir, RunState(workflow=workflow_by_id(2), current=WorkflowState.READY_TO_SHIP)
 
 
 @pytest.mark.parametrize("verdict", ["PASS", "PASS_WITH_NOTE", "STOP", None])
 @pytest.mark.parametrize("authorized", [True, False])
 def test_ship_gate_truth_table(tmp_path, verdict, authorized):
-    run_dir = _ready_to_ship_run(tmp_path, verdict)
+    run_dir, run_state = _ready_to_ship_run(tmp_path, verdict)
     git = FakeGit()
     report = ship(
         run_dir,
         "user-token" if authorized else None,
         target_repo=tmp_path,
-        workflow=workflow_by_id(2),
         git=git,
         clock=TickClock(),
+        run_state=run_state,
     )
     should_ship = authorized and verdict in ("PASS", "PASS_WITH_NOTE")
     assert report.shipped is should_ship
@@ -792,29 +792,27 @@ def test_ship_gate_truth_table(tmp_path, verdict, authorized):
 def test_ship_refused_when_not_ready(tmp_path):
     run_dir = RunDirectory(tmp_path / "run").create()
     run_dir.write(K.REVIEW, "verdict: PASS\n")
-    run_dir.write(K.STATUS, "")
     report = ship(
         run_dir, "token",
-        target_repo=tmp_path, workflow=workflow_by_id(2),
-        git=FakeGit(), clock=TickClock(),
+        target_repo=tmp_path, git=FakeGit(), clock=TickClock(),
+        run_state=RunState(workflow=workflow_by_id(2)),
     )
     assert not report.shipped
     assert "READY_TO_SHIP" in report.refusal
 
 
 def test_ship_push_failure_is_partial(tmp_path):
-    run_dir = _ready_to_ship_run(tmp_path, "PASS")
+    run_dir, state = _ready_to_ship_run(tmp_path, "PASS")
     git = FakeGit()
     git.fail_push = True
     report = ship(
         run_dir, "token",
-        target_repo=tmp_path, workflow=workflow_by_id(2),
-        git=git, clock=TickClock(),
+        target_repo=tmp_path, git=git, clock=TickClock(), run_state=state,
     )
     assert not report.shipped
     assert report.partial
-    state = reconstruct_run_state(run_dir, workflow_by_id(2))
     assert state.current is WorkflowState.READY_TO_SHIP  # not advanced to DONE
+    assert run_dir.events() == []
 
 
 class _FailingGit(FakeGit):
@@ -836,14 +834,13 @@ class _FailingGit(FakeGit):
     ],
 )
 def test_ship_stops_at_failed_stage_or_commit(tmp_path, failing, taken):
-    run_dir = _ready_to_ship_run(tmp_path, "PASS")
+    run_dir, state = _ready_to_ship_run(tmp_path, "PASS")
     run_dir.write(K.LOG_ENTRY, "# Log entry\n\n## What Changed\nx\n")
     layout = WorkspaceLayout(root=tmp_path / "workspace", repo_name="panelkit").ensure()
     git = _FailingGit(failing)
     report = ship(
         run_dir, "token",
-        target_repo=tmp_path, workflow=workflow_by_id(2),
-        git=git, clock=TickClock(), workspace=layout,
+        target_repo=tmp_path, git=git, clock=TickClock(), workspace=layout, run_state=state,
     )
     assert not report.shipped
     assert report.refusal == f"{failing.value.lower()} failed: environment"
@@ -854,18 +851,17 @@ def test_ship_stops_at_failed_stage_or_commit(tmp_path, failing, taken):
     shipper = run_dir.read(K.SHIPPER)
     assert f"- {failing.value}: " in shipper and "FAILED (environment)" in shipper
     assert f"not attempted ({failing.value.lower()} failed)" in shipper
-    state = reconstruct_run_state(run_dir, workflow_by_id(2))
     assert state.current is WorkflowState.READY_TO_SHIP
+    assert run_dir.events() == []
 
 
 def test_ship_without_credentials_refuses_push(tmp_path):
-    run_dir = _ready_to_ship_run(tmp_path, "PASS")
+    run_dir, state = _ready_to_ship_run(tmp_path, "PASS")
     run_dir.artifact_path(K.CREDENTIALS).unlink()
     git = FakeGit()
     report = ship(
         run_dir, "token",
-        target_repo=tmp_path, workflow=workflow_by_id(2),
-        git=git, clock=TickClock(),
+        target_repo=tmp_path, git=git, clock=TickClock(), run_state=state,
     )
     assert not report.shipped
     assert report.partial
@@ -885,6 +881,119 @@ def test_scripted_run_reports_are_identical_across_repetitions(tmp_path):
     assert run_a.report_json_path.read_text(encoding="utf-8") == run_b.report_json_path.read_text(
         encoding="utf-8"
     )
+
+
+# --- the run journal ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("workflow_id", [4, 8])
+def test_library_callers_cannot_start_a_wrapper_entry(tmp_path, workflow_id):
+    with pytest.raises(MisconfigurationError, match="is not one run"):
+        run_scripted_workflow(tmp_path, workflow_id)
+    assert list((tmp_path / "runs").glob("*")) == []
+    run_dir, _ = start_run(
+        runs_root=tmp_path / "runs", target_repo=tmp_path / "repo", directive="fix it",
+        workflow=workflow_by_id(9), git=FakeGit(), clock=TickClock(),
+    )
+    with pytest.raises(MisconfigurationError, match="is not one run"):
+        _resume(tmp_path, run_dir, workflow_id, FakeGit())
+
+
+def _halted_on_a_builder_hold(tmp_path: Path) -> RunDirectory:
+    report, run_dir, _ = run_scripted_workflow(tmp_path, 9, builder_holds=1)
+    assert report.pending == "which covariance estimator variant?"
+    return run_dir
+
+
+def _answer_builder_hold(tmp_path: Path, run_dir: RunDirectory) -> RunReport:
+    backends = scripted_backends(workflow_by_id(9), builder_holds=1)
+    return _resume(tmp_path, run_dir, 9, FakeGit(), backends=backends, answers=("use defaults",))
+
+
+def test_report_json_is_output_only(tmp_path):
+    runs = {name: _halted_on_a_builder_hold(tmp_path / name) for name in ("kept", "tampered")}
+    path = runs["tampered"].report_json_path
+    tampered = json.loads(path.read_text(encoding="utf-8"))
+    tampered.update(dispatch_counts={}, signals=[], pending=None)
+    path.write_text(json.dumps(tampered), encoding="utf-8")
+
+    kept, resumed = (_answer_builder_hold(tmp_path / name, run_dir) for name, run_dir in runs.items())
+
+    assert resumed.to_dict() == kept.to_dict()
+    assert resumed.retries["HOLD"] == 1
+    for run_dir in runs.values():
+        assert (run_dir.logs_dir / "builder.log").read_text(encoding="utf-8").count("[attempt ") == 2
+
+
+def test_journal_bytes_are_deterministic(tmp_path):
+    journals = []
+    for name in ("a", "b"):
+        _, run_dir, _ = run_scripted_workflow(
+            tmp_path / name, 1, planner_holds=1, tester_blocks=3, reviewer_stops=1,
+            answers=("use the reference implementation",),
+        )
+        journals.append(run_dir.journal_path.read_bytes())
+    assert journals[0] == journals[1]
+    events = [json.loads(line)["event"] for line in journals[0].splitlines()]
+    assert events.count("signal") == 5 and events.count("answer") == 1
+
+
+def test_a_resumed_session_only_appends_to_the_journal(tmp_path):
+    run_dir = _halted_on_a_builder_hold(tmp_path)
+    first = run_dir.journal_path.read_bytes()
+    _answer_builder_hold(tmp_path, run_dir)
+    final = run_dir.journal_path.read_bytes()
+    assert final.startswith(first) and len(final) > len(first)
+
+
+class _Crashing(AgentBackend):
+    kind = BackendKind.SCRIPTED
+
+    def execute(self, req, log_path=None):
+        raise RuntimeError("simulated backend crash")
+
+
+def test_access_events_of_a_parallel_stage_survive_a_crashed_backend(tmp_path):
+    backends = scripted_backends(workflow_by_id(10))
+    backends[R.SIMULATOR] = _Crashing()  # dispatched in parallel with the tester
+    report, run_dir, _ = run_scripted_workflow(tmp_path, 10, backends=backends)
+
+    assert "simulated backend crash" in report.diagnostics["simulator"]
+    journaled = [
+        {k: v for k, v in e.items() if k != "time"}
+        for e in run_dir.events()
+        if e["event"] in ("dispatch", "access")
+    ]
+    assert journaled == [
+        {"event": "dispatch", "role": "planner"},
+        {"event": "dispatch", "role": "simulator"},
+        {"event": "dispatch", "role": "tester"},
+        {"event": "access", "role": "tester", "artifact": "test-spec.md", "decision": "ALLOW"},
+    ]
+    assert "\ttester\ttest-spec.md\tALLOW" in run_dir.access_log_path.read_text(encoding="utf-8")
+
+
+def test_a_hold_that_hit_the_retry_cap_is_not_asked_again_on_resume(tmp_path):
+    workflow = workflow_by_id(9)
+    first, run_dir, _ = run_scripted_workflow(
+        tmp_path, 9, builder_holds=4, answers=("one", "two", "three")
+    )
+    assert first.escalation.startswith("HOLD retry cap reached")
+
+    channel = UserChannel(mode=ChannelMode.SCRIPTED_ANSWERS, answers=("late",), output_fn=lambda _: None)
+    resumed = Orchestrator(
+        run_dir=run_dir,
+        request_id=run_dir.path.name,
+        workflow=workflow,
+        backends=scripted_backends(workflow, builder_holds=4),
+        channel=channel,
+        target_repo=tmp_path / "repo",
+        git=FakeGit(),
+        clock=TickClock(),
+    ).run()
+
+    assert channel.transcript == [] and list(channel.answers) == ["late"]
+    assert resumed.dispatch_counts == {"builder": 5, "tester": 1}
 
 
 # --- unknown language profile -----------------------------------------------------------

@@ -20,11 +20,10 @@ from gatework.statemachine import (
     SignalDisposition,
     advance,
     check_preconditions,
-    parse_status,
     reconstruct_run_state,
     record_signal,
-    render_status,
     required_for,
+    status_line,
 )
 
 K = ArtifactKind
@@ -197,7 +196,7 @@ def test_status_file_rewritten_after_every_transition(run_dir):
     assert event == "->NEW"
 
 
-def test_status_round_trip_and_reconstruction(run_dir):
+def test_journal_round_trip_and_status_projection(run_dir):
     clock = TickClock()
     run = RunState(workflow=workflow_by_id(2))
     _leader_artifacts(run_dir)
@@ -205,8 +204,10 @@ def test_status_round_trip_and_reconstruction(run_dir):
     advance(run, run_dir, clock)
     record_signal(run, Signal(SignalKind.BLOCK, AgentRole.TESTER, "x"), run_dir, clock)
 
-    parsed = parse_status(render_status(run))
-    assert parsed == run.history
+    # status.md is written, one line per event, and never read back
+    status = run_dir.read(K.STATUS)
+    assert status == "".join(status_line(entry) + "\n" for entry in run.history)
+    run_dir.write(K.STATUS, "not a status line\n")
 
     rebuilt = reconstruct_run_state(run_dir, workflow_by_id(2))
     assert rebuilt.current is run.current
