@@ -27,12 +27,13 @@ from gatework.orchestrator import (
     Orchestrator,
     UserChannel,
     check_single_run,
+    halt_lines,
     select_workflow,
     start_run,
 )
 from gatework.rundir import RunDirectory
 from gatework.runtime import BackendKind, load_backends
-from gatework.statemachine import reconstruct_run_state
+from gatework.statemachine import RunState, reconstruct_run_state
 from gatework.workspace import WorkspaceLayout, validate_workspace
 
 WORKSPACE_ENV = "GATEWORK_WORKSPACE"
@@ -112,6 +113,13 @@ def _load_run_config(run_dir: RunDirectory) -> dict:
     if not config_path.exists():
         raise MisconfigurationError(f"no run-config.json in {run_dir.path}")
     return json.loads(config_path.read_text(encoding="utf-8"))
+
+
+def _load_run(run_dir: RunDirectory) -> tuple[dict, RunState]:
+    """The run's config and the run as its journal records it: all that a
+    command reads back of a run it resumes or shows."""
+    config = _load_run_config(run_dir)
+    return config, reconstruct_run_state(run_dir, workflow_by_id(config["workflow_id"]))
 
 
 def _execute_run(
@@ -257,16 +265,13 @@ def cmd_answer(args: argparse.Namespace, console: _Console) -> int:
     if not run_dir.path.is_dir():
         console.echo(f"[environment] no such run: {run_dir.path}")
         return EXIT_ENVIRONMENT
-    pending = run_dir.path / "pending-hold.md"
-    if not pending.exists():
+    config, run_state = _load_run(run_dir)
+    # only an unanswered question halts with both; the resumed session
+    # gets the new answer for it and journals it
+    halt = run_state.halt or {}
+    if not (halt.get("escalation") and halt.get("pending")):
         console.echo("answer requires an active run with a pending question")
         return EXIT_GATE
-    # the answers file is the record; the resumed session gets only the
-    # new answer, for the question it left pending
-    with open(run_dir.path / "answers", "a", encoding="utf-8") as fh:
-        fh.write(args.text + "\n")
-    pending.unlink()
-    config = _load_run_config(run_dir)
     console.echo(f"answer recorded; resuming run {run_dir.path.name}")
     return _resume_run(console, run_dir, config, answers=[args.text])
 
@@ -284,8 +289,8 @@ def cmd_authorize(args: argparse.Namespace, console: _Console) -> int:
         if reply is None or reply.strip().lower() not in ("y", "yes"):
             console.echo("shipping not authorized")
             return EXIT_GATE
-    config = _load_run_config(run_dir)
-    state = reconstruct_run_state(run_dir, workflow_by_id(config["workflow_id"])).current
+    config, run_state = _load_run(run_dir)
+    state = run_state.current
     if state is not WorkflowState.READY_TO_SHIP:
         # a plain resume would dispatch the run's unfinished stages
         console.echo(f"ship refused: run is at {state.value}, not READY_TO_SHIP")
@@ -299,24 +304,16 @@ def cmd_status(args: argparse.Namespace, console: _Console) -> int:
     if not run_dir.path.is_dir():
         console.echo(f"[environment] no such run: {run_dir.path}")
         return EXIT_ENVIRONMENT
-    try:
-        config = _load_run_config(run_dir)
-        workflow = workflow_by_id(config["workflow_id"])
-    except (MisconfigurationError, KeyError):
-        workflow = workflow_by_id(1)
-    run_state = reconstruct_run_state(run_dir, workflow)
+    _, run_state = _load_run(run_dir)
+    workflow = run_state.workflow
     console.echo(f"run: {run_dir.path.name}")
     console.echo(f"workflow: {workflow.id} ({workflow.name})")
     console.echo(f"state: {run_state.current.value}")
     console.echo(
         "retries: " + ", ".join(f"{k.value}={v}" for k, v in sorted(run_state.retries.items()))
     )
-    pending = run_dir.path / "pending-hold.md"
-    if pending.exists():
-        console.echo(f"pending question: {pending.read_text(encoding='utf-8').strip()}")
-    escalated = [e for e in run_state.history if "escalate" in e["cause"]]
-    for entry in escalated:
-        console.echo(f"escalation: {entry['cause']}")
+    for line in halt_lines(run_state.halt or {}):  # why the last session ended
+        console.echo(line)
     names = sorted(k.filename for k in run_dir.present())
     console.echo("artifacts: " + (", ".join(names) or "(none)"))
     return EXIT_OK
@@ -346,7 +343,7 @@ def cmd_replay(args: argparse.Namespace, console: _Console) -> int:
     if not config.get("deterministic"):
         console.echo("[environment] run was not recorded deterministically; cannot replay")
         return EXIT_ENVIRONMENT
-    recorded = json.loads(run_dir.report_json_path.read_text(encoding="utf-8"))
+    request_id = json.loads(run_dir.report_json_path.read_text(encoding="utf-8"))["request_id"]
     with tempfile.TemporaryDirectory() as tmp:
         code = _execute_run(
             _Console(),  # replay output is not mirrored into the original run
@@ -358,19 +355,22 @@ def cmd_replay(args: argparse.Namespace, console: _Console) -> int:
             workspace_root=None,
             runs_root=Path(tmp),
             deterministic=True,
-            request_id=recorded["request_id"],
+            request_id=request_id,
         )
         replayed_dirs = sorted(Path(tmp).iterdir())
         if not replayed_dirs:
             console.echo("[environment] replay produced no run directory")
             return EXIT_ENVIRONMENT
-        replayed = json.loads(
-            RunDirectory(replayed_dirs[0]).report_json_path.read_text(encoding="utf-8")
-        )
-    if replayed == recorded:
+        # the report, and the journal that says why each session ended
+        differing = [
+            name
+            for name in (run_dir.report_json_path.name, run_dir.journal_path.name)
+            if (run_dir.path / name).read_bytes() != (replayed_dirs[0] / name).read_bytes()
+        ]
+    if not differing:
         console.echo(f"replay identical (exit {code})")
         return EXIT_OK
-    console.echo("replay DIFFERS from the recorded report")
+    console.echo("replay DIFFERS from the recorded run: " + ", ".join(differing))
     return EXIT_GATE
 
 

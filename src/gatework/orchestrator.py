@@ -73,6 +73,7 @@ from gatework.statemachine import (
     reconstruct_run_state,
     record_answer,
     record_dispatches,
+    record_halt,
     record_language,
     record_signal,
     status_line,
@@ -102,8 +103,8 @@ class UserChannel:
     """The single conduit between the leader and the user.
 
     Only leader code holds a reference to it; questions are strictly one
-    at a time, and an unanswered question leaves the channel pending so
-    the run can halt and be answered later.
+    at a time. An unanswered question returns None, and the run halts
+    with the question pending in its journal, to be answered later.
     """
 
     def __init__(
@@ -115,30 +116,18 @@ class UserChannel:
         self.mode = mode
         self.answers: deque[str] = deque(answers)
         self.output_fn = output_fn
-        self.pending: str | None = None
-        self.transcript: list[tuple[str, str]] = []
 
     def ask(self, question: str) -> str | None:
-        self.pending = question
-        self.transcript.append(("question", question))
         if self.mode is ChannelMode.SCRIPTED_ANSWERS:
-            answer = self.answers.popleft() if self.answers else None
-        else:
-            self.output_fn(f"[user input needed] {question}")
-            try:
-                answer = input("> ")
-            except EOFError:
-                answer = None
-            if answer is not None and not answer.strip():
-                answer = None
-        if answer is None:
+            return self.answers.popleft() if self.answers else None
+        self.output_fn(f"[user input needed] {question}")
+        try:
+            answer = input("> ")
+        except EOFError:
             return None
-        self.pending = None
-        self.transcript.append(("answer", answer))
-        return answer
+        return answer if answer.strip() else None
 
     def notify(self, message: str) -> None:
-        self.transcript.append(("notice", message))
         self.output_fn(message)
 
 
@@ -503,18 +492,19 @@ class RunReport:
             ),
             "artifacts: " + (", ".join(sorted(self.artifacts)) or "(none)"),
         ]
-        if self.gate_violation:
-            lines.append(f"gate violation: {self.gate_violation}")
-        if self.escalation:
-            lines.append(f"escalated to user: {self.escalation}")
-        if self.pending:
-            lines.append(f"pending: {self.pending}")
-        if self.diagnostics:
-            for role, note in sorted(self.diagnostics.items()):
-                lines.append(f"diagnostic [{role}]: {note}")
+        lines += halt_lines(vars(self))
         if self.ship:
             lines.append(f"ship: {json.dumps(self.ship, sort_keys=True)}")
         return "\n".join(lines) + "\n"
+
+
+def halt_lines(halt: Mapping) -> list[str]:
+    """A halt's report fields, in the report's words."""
+    labels = (("gate_violation", "gate violation"), ("escalation", "escalated to user"),
+              ("pending", "pending"))
+    lines = [f"{label}: {halt[name]}" for name, label in labels if halt.get(name)]
+    diagnostics = sorted(halt.get("diagnostics", {}).items())
+    return lines + [f"diagnostic [{role}]: {note}" for role, note in diagnostics]
 
 
 # --- run bootstrap ----------------------------------------------------------
@@ -599,9 +589,12 @@ def start_run(
 
 
 class _Halt(Exception):
-    """Ends the session. Whoever raises it has already written the halt's
-    field of the report: a diagnostic, an escalation, a pending question
-    or a gate violation."""
+    """Ends the session, carrying the report fields the halt sets:
+    ``diagnostics``, ``escalation``, ``pending`` or ``gate_violation``."""
+
+    def __init__(self, **fields) -> None:
+        super().__init__()
+        self.fields = fields
 
 
 #: What a failed dispatch raises, sandbox creation included; the run
@@ -670,18 +663,19 @@ class Orchestrator:
             try:
                 self.profile = detect_language(self.target_repo)
             except FileNotFoundError as exc:
-                raise EnvironmentFailure(str(exc)) from exc
+                raise _Halt(diagnostics={"environment": str(exc)}) from exc
             if self.profile.language is Language.UNKNOWN:
                 answer = self.channel.ask(
                     "No language profile detected in the target repository. "
                     "Which language applies? (R, Python, TypeScript, Stata, Go, Rust, C, C++)"
                 )
-                if answer is None:
-                    raise HoldUnanswered("language profile needed for the target repository")
                 by_name = {lang.value.lower(): lang for lang in Language}
-                language = by_name.get(answer.strip().lower())
+                language = by_name.get((answer or "").strip().lower())
                 if language is None or language is Language.UNKNOWN:
-                    raise HoldUnanswered(f"unrecognized language {answer!r}")
+                    # the question stays pending; the escalation says why
+                    needed = "language profile needed for the target repository"
+                    rejected = needed if answer is None else f"unrecognized language {answer!r}"
+                    raise _Halt(escalation=rejected, pending=needed)
                 self.profile = PROFILES[language]
             record_language(self.run_state, self.run_dir, self.profile.language.value)
         self._report.language = self.profile.language.value
@@ -801,8 +795,7 @@ class Orchestrator:
         record_dispatches(self.run_state, self.run_dir, batch)
         failed = {r.value: str(res) for r, res in zip(roles, results) if isinstance(res, GateworkError)}
         if failed:
-            self._report.diagnostics.update(failed)
-            raise _Halt
+            raise _Halt(diagnostics=failed)
         return list(zip(roles, results))
 
     def _reach(self, state: WorkflowState, label: str) -> None:
@@ -817,20 +810,18 @@ class Orchestrator:
                 missing = ", ".join(
                     f"{req.artifact.filename}:{req.predicate.value}" for req in result.gate.missing
                 )
-                self._report.gate_violation = (
-                    f"{label}: run stopped at {result.state.value} short of {state.value}; "
-                    f"{result.gate.state.value} gate unsatisfied ({missing})"
+                raise _Halt(
+                    gate_violation=f"{label}: run stopped at {result.state.value} short of "
+                    f"{state.value}; {result.gate.state.value} gate unsatisfied ({missing})"
                 )
-                raise _Halt
 
     def _answer_hold(self, raiser: AgentRole, question: str) -> None:
         """Forward a HOLD question to the user and brief the raiser with the
         answer; an unanswered question halts the session."""
         answer = self.channel.ask(question)
         if answer is None:
-            self._report.escalation = f"unanswered question from {raiser.value}: {question}"
-            self._report.pending = question
-            raise _Halt
+            escalation = f"unanswered question from {raiser.value}: {question}"
+            raise _Halt(escalation=escalation, pending=question)
         record_answer(self.run_state, self.run_dir, raiser, answer)
         self._extras.setdefault(raiser, []).append(f"user answer: {answer}")
 
@@ -860,8 +851,7 @@ class Orchestrator:
                         f"{signal.kind.value} retry cap reached; escalating to user: {signal.payload}"
                     )
                     self.channel.notify(message)
-                    self._report.escalation = message
-                    raise _Halt
+                    raise _Halt(escalation=message)
                 action = route_signal(signal, self.plan)
                 if action.rewind_to_stage is not None:
                     target_roles = self.plan.stages[action.rewind_to_stage].roles
@@ -898,8 +888,7 @@ class Orchestrator:
         self._report.mechanical = report.to_dict()
         if not report.passed:
             listed = "; ".join(f"{c.name}: {c.detail}" for c in report.failures())
-            self._report.gate_violation = f"mechanical review failed ({listed})"
-            raise _Halt
+            raise _Halt(gate_violation=f"mechanical review failed ({listed})")
 
     # -- main entry --
 
@@ -910,13 +899,16 @@ class Orchestrator:
         session starts the same way: it rebuilds the state from the
         journal, asks the HOLD question an earlier session left
         unanswered, and skips the roles whose contracted artifacts exist,
-        up to the first stage that dispatches.
+        up to the first stage that dispatches. A session ends at its first
+        halt, journaled as one record holding the report fields it sets.
         """
         try:
             self._resume()
             self._run_stages(authorization)
-        except _Halt:
-            pass
+        except _Halt as halt:
+            record_halt(self.run_state, self.run_dir, halt.fields)
+            for name, value in halt.fields.items():
+                setattr(self._report, name, value)
         self._finalize()
         return self._report
 
@@ -924,14 +916,7 @@ class Orchestrator:
         """Rebuild the session from the run's journal, resolve the language
         and ask the HOLD question the journal leaves pending."""
         self.run_state = reconstruct_run_state(self.run_dir, self.workflow)
-        try:
-            self._resolve_profile()
-        except HoldUnanswered as exc:
-            self._report.escalation = self._report.pending = exc.question
-            raise _Halt from exc
-        except EnvironmentFailure as exc:
-            self._report.diagnostics["environment"] = str(exc)
-            raise _Halt from exc
+        self._resolve_profile()
         hold = self.run_state.pending_hold
         if hold is not None:
             self._answer_hold(AgentRole(hold["raiser"]), hold["payload"])
@@ -947,12 +932,10 @@ class Orchestrator:
                     answer = self.channel.ask("Authorize shipping? (yes/no)")
                     if answer is not None and answer.strip().lower() in ("y", "yes"):
                         authorization = "interactive-user-authorization"
-                    self.channel.pending = None
                 if authorization is None:
-                    self._report.pending = (
-                        "awaiting explicit user authorization to ship (run the authorize command)"
+                    raise _Halt(
+                        pending="awaiting explicit user authorization to ship (run the authorize command)"
                     )
-                    raise _Halt
                 ship_report = ship(
                     self.run_dir,
                     authorization,
@@ -966,8 +949,7 @@ class Orchestrator:
                 )
                 self._report.ship = ship_report.to_dict()
                 if not ship_report.shipped:
-                    self._report.gate_violation = ship_report.refusal or "ship failed"
-                    raise _Halt
+                    raise _Halt(gate_violation=ship_report.refusal or "ship failed")
             else:
                 first = tuple(r for r in stage.roles if not (resuming and self._role_satisfied(r)))
                 if first:
@@ -996,10 +978,6 @@ class Orchestrator:
             for entry in self.run_state.history if entry["event"] == "signal"
         ]
         self._report.artifacts = sorted(k.filename for k in self.run_dir.present())
-        if self.channel.pending:  # a question asked and left unanswered
-            (self.run_dir.path / "pending-hold.md").write_text(
-                self.channel.pending + "\n", encoding="utf-8"
-            )
         if self.run_state.access:
             merge_access_logs(self.run_state.access, self.run_dir)
         # worktrees are disposable once artifacts and audit logs are

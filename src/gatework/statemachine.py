@@ -130,6 +130,8 @@ class RunState:
     language: str | None = None
     #: the last signal record, when it is a routed HOLD no answer has followed
     pending_hold: dict | None = None
+    #: the last record, when it is a halt: why the last session ended
+    halt: dict | None = None
 
     def visited_states(self) -> tuple[WorkflowState, ...]:
         moves = [WorkflowState(e["to"]) for e in self.history if e["event"] == "transition"]
@@ -140,6 +142,7 @@ def _apply(run: RunState, record: dict) -> None:
     """Fold one journal record into the run: the one reading of a record,
     for the session that appends it and for every session that resumes."""
     event = record["event"]
+    run.halt = record if event == "halt" else None
     if event == "transition":
         run.current = WorkflowState(record["to"])
         run.history.append(record)
@@ -160,7 +163,7 @@ def _apply(run: RunState, record: dict) -> None:
         run.access[role].append(AccessEvent(when, role, kind, decision))
     elif event == "answer":
         run.pending_hold = None
-    else:  # language
+    elif event == "language":
         run.language = record["language"]
 
 
@@ -193,6 +196,11 @@ def record_answer(run: RunState, run_dir: RunDirectory, role: AgentRole, text: s
 
 def record_language(run: RunState, run_dir: RunDirectory, language: str) -> None:
     _journal(run, run_dir, [{"event": "language", "language": language}])
+
+
+def record_halt(run: RunState, run_dir: RunDirectory, fields: dict) -> None:
+    """Journal why the session ended: the report fields its halt sets."""
+    _journal(run, run_dir, [{"event": "halt", **fields}])
 
 
 @dataclass(frozen=True)

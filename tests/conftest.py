@@ -219,6 +219,20 @@ def fake_git() -> FakeGit:
     return FakeGit()
 
 
+class RecordingChannel(UserChannel):
+    """A scripted channel that keeps each question asked, as
+    ``("question", text)`` in ``transcript``, so a test can see what the
+    leader asked."""
+
+    def __init__(self, answers: tuple[str, ...] = ()) -> None:
+        super().__init__(mode=ChannelMode.SCRIPTED_ANSWERS, answers=answers, output_fn=lambda _: None)
+        self.transcript: list[tuple[str, str]] = []
+
+    def ask(self, question: str) -> str | None:
+        self.transcript.append(("question", question))
+        return super().ask(question)
+
+
 def run_scripted_workflow(
     tmp_path: Path,
     workflow_id: int,
@@ -246,13 +260,12 @@ def run_scripted_workflow(
         git=git,
         clock=clock,
     )
-    channel = UserChannel(mode=ChannelMode.SCRIPTED_ANSWERS, answers=answers, output_fn=lambda _: None)
     orchestrator = Orchestrator(
         run_dir=run_dir,
         request_id=request_id,
         workflow=workflow,
         backends=backends if backends is not None else scripted_backends(workflow, **backend_kwargs),
-        channel=channel,
+        channel=RecordingChannel(answers),
         target_repo=target_repo,
         git=git,
         clock=clock,

@@ -6,9 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from conftest import init_git_repo, write_backend_config
+from conftest import init_git_repo, scripted_backends, write_backend_config
 from gatework.cli import main
-from gatework.model import ArtifactKind
+from gatework.clock import TickClock
+from gatework.gitlayer import SubprocessGit
+from gatework.model import ArtifactKind, workflow_by_id
+from gatework.orchestrator import ChannelMode, Orchestrator, UserChannel
 from gatework.rundir import RunDirectory
 
 
@@ -140,7 +143,11 @@ def test_run_escalation_exits_3(tmp_path):
     code, runs_root = _run_cli(tmp_path, 9, builder_holds=1)
     assert code == 3
     run_dir = _single_run_dir(runs_root)
-    assert (run_dir.path / "pending-hold.md").exists()
+    assert run_dir.events()[-1] == {
+        "event": "halt",
+        "escalation": "unanswered question from builder: which covariance estimator variant?",
+        "pending": "which covariance estimator variant?",
+    }
 
 
 def test_status_shows_state_retries_and_artifacts(tmp_path, capsys):
@@ -179,17 +186,24 @@ def test_answer_resumes_held_run(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "PIPELINES_COMPLETE" in out
-    assert not (run_dir.path / "pending-hold.md").exists()
+    events = run_dir.events()
+    assert {"event": "answer", "role": "builder", "text": "use the default proposal scale"} in events
+    assert events[-1]["event"] != "halt"
 
 
-def test_resumed_run_keeps_the_language_the_user_gave(tmp_path, capsys):
-    # no marker file: the first session asks for the language
-    repo = tmp_path / "repo"
+def _repo_without_language(repo: Path) -> Path:
+    """A git repository with no marker file: a first session asks for the
+    language."""
     repo.mkdir()
     subprocess.run(["git", "init", "-q", "-b", "main", str(repo)], check=True)
     (repo / "notes.txt").write_text("notes\n", encoding="utf-8")
     subprocess.run(["git", "-C", str(repo), "add", "-A"], check=True)
     subprocess.run(["git", "-C", str(repo), "commit", "-q", "-m", "seed"], check=True)
+    return repo
+
+
+def test_resumed_run_keeps_the_language_the_user_gave(tmp_path, capsys):
+    repo = _repo_without_language(tmp_path / "repo")
     answers = tmp_path / "answers.txt"
     answers.write_text("Python\n", encoding="utf-8")
     code, runs_root = _run_cli(
@@ -247,7 +261,8 @@ def test_consecutive_answers_each_reach_their_own_question(tmp_path, capsys):
 
     seen = [json.loads(line) for line in briefed.read_text(encoding="utf-8").splitlines()]
     assert seen == [[], ["user answer: scale 0.4"], ["user answer: seed 7"]]
-    assert (run_dir.path / "answers").read_text(encoding="utf-8") == "scale 0.4\nseed 7\n"
+    answered = [e["text"] for e in run_dir.events() if e["event"] == "answer"]
+    assert answered == ["scale 0.4", "seed 7"]
 
 
 def test_runs_into_one_runs_root_get_their_own_directories(tmp_path, capsys):
@@ -324,7 +339,7 @@ def test_authorize_refuses_a_run_that_is_not_ready_and_dispatches_nothing(tmp_pa
     code, runs_root = _run_cli(tmp_path, 2, repo=repo, builder_holds=1)
     assert code == 3
     run_dir = _single_run_dir(runs_root)
-    assert (run_dir.path / "pending-hold.md").exists()
+    assert run_dir.events()[-1]["pending"] == "which covariance estimator variant?"
     sandboxes = sorted(p.name for p in run_dir.sandboxes_dir.iterdir())
     logs = sorted(p.name for p in run_dir.logs_dir.glob("*.log"))
     capsys.readouterr()
@@ -495,3 +510,151 @@ def test_replay_feeds_the_recorded_answers(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0, out
     assert "replay identical (exit 0)" in out
+
+
+def test_an_unrecognized_language_leaves_the_language_question_pending(tmp_path, capsys):
+    repo = _repo_without_language(tmp_path / "repo")
+    answers = tmp_path / "answers.txt"
+    answers.write_text("Klingon\n", encoding="utf-8")
+    code, runs_root = _run_cli(tmp_path, 9, "--answers", str(answers), repo=repo)
+    assert code == 3
+    run_dir = _single_run_dir(runs_root)
+    first = json.loads(run_dir.report_json_path.read_text(encoding="utf-8"))
+    assert first["escalation"] == "unrecognized language 'Klingon'"
+    assert first["pending"] == "language profile needed for the target repository"
+
+    assert main(["answer", "--run", str(run_dir.path), "Python"]) == 0
+    report = json.loads(run_dir.report_json_path.read_text(encoding="utf-8"))
+    assert report["language"] == "Python"
+    assert report["final_state"] == "PIPELINES_COMPLETE"
+
+
+@pytest.mark.parametrize(
+    "workflow_id,cfg",
+    [
+        (9, {"tester_blocks": 4}),  # a retry cap: an escalation, no question
+        (2, {}),  # awaiting authorization: a pending step, no escalation
+        (2, {"builder_reads": ("test-spec.md",)}),  # a gate violation
+    ],
+)
+def test_answer_refuses_a_run_that_halted_on_no_question(tmp_path, capsys, workflow_id, cfg):
+    _, runs_root = _run_cli(tmp_path, workflow_id, **cfg)
+    run_dir = _single_run_dir(runs_root)
+    journal = run_dir.journal_path.read_bytes()
+    assert run_dir.events()[-1]["event"] == "halt"
+    assert main(["answer", "--run", str(run_dir.path), "nobody asked"]) == 2
+    assert run_dir.journal_path.read_bytes() == journal
+
+
+def test_answer_without_run_config_writes_nothing(tmp_path, capsys):
+    _, runs_root = _run_cli(tmp_path, 9, builder_holds=1)
+    run_dir = _single_run_dir(runs_root)
+    (run_dir.path / "run-config.json").unlink()
+    before = sorted(p.name for p in run_dir.path.iterdir())
+    journal = run_dir.journal_path.read_bytes()
+    assert main(["answer", "--run", str(run_dir.path), "use defaults"]) == 4
+    assert sorted(p.name for p in run_dir.path.iterdir()) == before
+    assert run_dir.journal_path.read_bytes() == journal
+
+
+def test_a_session_that_answers_the_hold_itself_leaves_no_question_pending(tmp_path, capsys):
+    repo = init_git_repo(tmp_path / "repo", remote=tmp_path / "remote.git")
+    code, runs_root = _run_cli(tmp_path, 2, repo=repo, builder_holds=1)
+    assert code == 3
+    run_dir = _single_run_dir(runs_root)
+    workflow = workflow_by_id(2)
+    report = Orchestrator(
+        run_dir=run_dir,
+        request_id=run_dir.path.name,
+        workflow=workflow,
+        backends=scripted_backends(workflow, builder_holds=1),
+        channel=UserChannel(
+            mode=ChannelMode.SCRIPTED_ANSWERS, answers=("use defaults",), output_fn=lambda _: None
+        ),
+        target_repo=repo,
+        git=SubprocessGit(),
+        clock=TickClock(),
+    ).run(authorization="explicit-user-authorization")
+    assert report.final_state == "DONE" and report.ship["shipped"]
+    capsys.readouterr()
+    assert main(["status", "--run", str(run_dir.path)]) == 0
+    out = capsys.readouterr().out
+    assert "state: DONE" in out
+    assert "pending" not in out
+
+
+def _without_tester(config: Path) -> Path:
+    entries = json.loads(config.read_text(encoding="utf-8"))
+    del entries["backends"]["tester"]
+    config.write_text(json.dumps(entries), encoding="utf-8")
+    return config
+
+
+@pytest.mark.parametrize(
+    "workflow_id,cfg,line",
+    [
+        (2, {"builder_reads": ("test-spec.md",)}, "gate violation: mechanical review failed"),
+        (9, {}, "diagnostic [tester]: no backend configured for tester"),
+    ],
+)
+def test_status_says_why_the_run_halted(tmp_path, capsys, workflow_id, cfg, line):
+    config = write_backend_config(tmp_path / "backends", workflow_id, **cfg)
+    if workflow_id == 9:
+        _without_tester(config)
+    code, runs_root = _run_cli(tmp_path, workflow_id, config=config)
+    run_dir = _single_run_dir(runs_root)
+    reported = run_dir.report_text_path.read_text(encoding="utf-8").splitlines()
+    capsys.readouterr()
+    assert main(["status", "--run", str(run_dir.path)]) == 0
+    shown = [l for l in capsys.readouterr().out.splitlines() if l.startswith(line)]
+    assert len(shown) == 1 and shown[0] in reported  # in the report's own words
+
+
+def test_status_without_run_config_is_refused(tmp_path, capsys):
+    _, runs_root = _run_cli(tmp_path, 9)
+    run_dir = _single_run_dir(runs_root)
+    (run_dir.path / "run-config.json").unlink()
+    capsys.readouterr()
+    assert main(["status", "--run", str(run_dir.path)]) == 4
+    out = capsys.readouterr().out
+    assert f"no run-config.json in {run_dir.path}" in out
+    assert "workflow:" not in out
+
+
+def test_replay_compares_the_journal(tmp_path, capsys):
+    _, runs_root = _run_cli(tmp_path, 2)
+    run_dir = _single_run_dir(runs_root)
+    journal = run_dir.journal_path.read_text(encoding="utf-8")
+    assert '"decision": "ALLOW"' in journal
+    run_dir.journal_path.write_text(
+        journal.replace('"decision": "ALLOW"', '"decision": "DENY"', 1), encoding="utf-8"
+    )
+    capsys.readouterr()
+    assert main(["replay", "--run", str(run_dir.path)]) == 2
+    assert "replay DIFFERS from the recorded run: events.jsonl" in capsys.readouterr().out
+
+
+def test_the_cli_reads_no_projection_back(tmp_path, capsys):
+    run_dirs = []
+    for name in ("kept", "junked"):
+        code, runs_root = _run_cli(tmp_path / name, 9, builder_holds=1)
+        assert code == 3
+        run_dirs.append(_single_run_dir(runs_root))
+    kept, junked = run_dirs
+    for path in (
+        junked.report_json_path,
+        junked.report_text_path,
+        junked.artifact_path(ArtifactKind.STATUS),
+        junked.access_log_path,
+    ):
+        path.write_text("junk\n", encoding="utf-8")
+
+    def status(run_dir: RunDirectory) -> str:
+        capsys.readouterr()
+        assert main(["status", "--run", str(run_dir.path)]) == 0
+        return capsys.readouterr().out
+
+    assert status(junked) == status(kept)
+    for run_dir in run_dirs:
+        assert main(["answer", "--run", str(run_dir.path), "use defaults"]) == 0
+    assert junked.report_json_path.read_bytes() == kept.report_json_path.read_bytes()

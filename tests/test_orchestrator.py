@@ -7,7 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import AUDIT_BODY, run_scripted_workflow, scripted_backends, shipper_script
+from conftest import (
+    AUDIT_BODY,
+    RecordingChannel,
+    run_scripted_workflow,
+    scripted_backends,
+    shipper_script,
+)
 from gatework.clock import TickClock
 from gatework.errors import HoldUnanswered, MisconfigurationError, ProtocolError
 from gatework.gitlayer import FakeGit, GitAction, GitResult
@@ -86,8 +92,9 @@ def test_select_workflow_ambiguous_asks_with_top_two_candidates():
     channel = UserChannel(mode=ChannelMode.SCRIPTED_ANSWERS, answers=["3"], output_fn=lambda _: None)
     wf = select_workflow("hmm do something sensible", channel=channel)
     assert wf.id == 3
-    question = channel.transcript[0][1]
-    assert "ambiguous" in question.lower()
+    with pytest.raises(HoldUnanswered) as unanswered:  # the answers are used up
+        select_workflow("hmm do something sensible", channel=channel)
+    assert "ambiguous" in unanswered.value.question.lower()
 
 
 def test_select_workflow_ambiguous_unanswered_escalates():
@@ -241,7 +248,9 @@ def test_hold_unanswered_escalates(tmp_path):
     report, run_dir, _ = run_scripted_workflow(tmp_path, 9, builder_holds=1, answers=())
     assert report.escalation is not None
     assert report.pending is not None
-    assert (run_dir.path / "pending-hold.md").exists()
+    assert run_dir.events()[-1] == {
+        "event": "halt", "escalation": report.escalation, "pending": report.pending,
+    }
     assert report.exit_code == 3
 
 
@@ -980,7 +989,7 @@ def test_a_hold_that_hit_the_retry_cap_is_not_asked_again_on_resume(tmp_path):
     )
     assert first.escalation.startswith("HOLD retry cap reached")
 
-    channel = UserChannel(mode=ChannelMode.SCRIPTED_ANSWERS, answers=("late",), output_fn=lambda _: None)
+    channel = RecordingChannel(("late",))
     resumed = Orchestrator(
         run_dir=run_dir,
         request_id=run_dir.path.name,

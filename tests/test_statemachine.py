@@ -21,6 +21,8 @@ from gatework.statemachine import (
     advance,
     check_preconditions,
     reconstruct_run_state,
+    record_halt,
+    record_language,
     record_signal,
     required_for,
     status_line,
@@ -213,6 +215,17 @@ def test_journal_round_trip_and_status_projection(run_dir):
     assert rebuilt.current is run.current
     assert rebuilt.retries == run.retries
     assert rebuilt.history == run.history
+
+
+def test_halt_is_the_last_record_only_while_it_is_last(run_dir):
+    workflow = workflow_by_id(9)
+    run = RunState(workflow=workflow)
+    record_halt(run, run_dir, {"escalation": "why", "pending": "what?"})
+    assert run.halt == {"event": "halt", "escalation": "why", "pending": "what?"}
+    assert reconstruct_run_state(run_dir, workflow).halt == run.halt
+    record_language(run, run_dir, "Python")  # a later session's first record
+    assert run.halt is None
+    assert reconstruct_run_state(run_dir, workflow).halt is None
 
 
 def test_advance_depends_only_on_state_and_directory(run_dir):
