@@ -19,7 +19,7 @@ from gatework.barrier import (
     create_sandbox,
 )
 from gatework.clock import Clock, SystemClock, TickClock
-from gatework.gitlayer import FakeGit, GitAction, GitBackend, GitResult, SubprocessGit
+from gatework.gitlayer import GitAction, GitResult, SubprocessGit
 from gatework.model import (
     WORKFLOW_CATALOG,
     AccessDecision,

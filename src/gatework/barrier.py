@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 from gatework.clock import Clock, iso8601
 from gatework.errors import AuditIncompleteness, BarrierError, EnvironmentFailure, MisconfigurationError
-from gatework.gitlayer import GitBackend
+from gatework.gitlayer import SubprocessGit
 from gatework.model import (
     AccessDecision,
     AccessEvent,
@@ -189,7 +189,7 @@ def create_sandbox(
     m: AccessMatrix,
     *,
     run_dir: RunDirectory,
-    git: GitBackend,
+    git: SubprocessGit,
     clock: Clock,
     request_id: str,
     state: WorkflowState | None = None,

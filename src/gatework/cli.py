@@ -272,7 +272,7 @@ def cmd_answer(args: argparse.Namespace, console: _Console) -> int:
     if not (halt.get("escalation") and halt.get("pending")):
         console.echo("answer requires an active run with a pending question")
         return EXIT_GATE
-    console.echo(f"answer recorded; resuming run {run_dir.path.name}")
+    console.echo(f"resuming run {run_dir.path.name} with the answer")
     return _resume_run(console, run_dir, config, answers=[args.text])
 
 

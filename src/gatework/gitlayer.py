@@ -1,16 +1,14 @@
-"""Abstracted git layer: real subprocess git in production, an in-memory
-fake for tests. Every mutation is recorded so the shipper report can list
-the actions taken.
+"""The engine's git: the system binary, run as a subprocess. Every
+mutation returns a :class:`GitResult`, so the shipper report can list the
+actions taken.
 """
 
 from __future__ import annotations
 
-import shutil
 import subprocess
 import threading
-from abc import ABC, abstractmethod
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -35,67 +33,14 @@ class GitResult:
     output: str = ""
 
 
-class GitBackend(ABC):
-    """Operations the engine needs from git."""
+class SubprocessGit:
+    """Operations the engine needs from git, run by the system binary.
 
-    @abstractmethod
-    def is_repo(self, repo: Path) -> bool: ...
-
-    @abstractmethod
-    def worktree_add(self, repo: Path, path: Path, branch: str) -> GitResult: ...
-
-    @abstractmethod
-    def worktree_remove(self, repo: Path, path: Path) -> GitResult: ...
-
-    @abstractmethod
-    def worktree_reset(self, repo: Path, path: Path, branch: str) -> GitResult:
-        """Restore an existing worktree of ``repo`` to a fresh checkout of
-        ``branch``: tracked edits reverted, untracked and ignored files
-        deleted. Refuses (``ok=False``) a path that is not a worktree."""
-
-    @abstractmethod
-    def worktree_carry(self, repo: Path, source: Path, path: Path, branch: str) -> GitResult:
-        """Move the idle worktree of ``repo`` at ``source`` to ``path`` and
-        leave there a pristine checkout of ``branch``: created at the main
-        checkout's HEAD, as ``worktree_add`` would, or checked out as it is
-        if it exists. Refuses (``ok=False``) a ``source`` that is not a
-        worktree and a ``path`` that exists."""
-
-    @abstractmethod
-    def stage(self, repo: Path, paths: list[str]) -> GitResult: ...
-
-    @abstractmethod
-    def commit(self, repo: Path, message: str, paths: list[str]) -> GitResult:
-        """Commit the staged state of ``paths`` only, leaving every other
-        staged change staged; ``[]`` commits the whole index."""
-
-    @abstractmethod
-    def push(self, repo: Path) -> GitResult: ...
-
-    @abstractmethod
-    def head(self, repo: Path) -> str | None:
-        """The commit HEAD points at, or None if there is none."""
-
-    @abstractmethod
-    def reset_to(self, repo: Path, commit: str, paths: list[str]) -> GitResult:
-        """Move the current branch to ``commit`` and reset the index entries
-        of ``paths`` to it (``[]``: the whole index), leaving the working
-        tree and every other index entry as they are."""
-
-    @abstractmethod
-    def ls_tracked(self, repo: Path) -> list[str]: ...
-
-    @abstractmethod
-    def remote_url(self, repo: Path) -> str | None: ...
-
-    @abstractmethod
-    def default_branch(self, repo: Path) -> str | None: ...
-
-
-class SubprocessGit(GitBackend):
-    """Real git via the system binary. Mutations on one repository are
-    serialized through a per-repo lock; concurrent dispatches may still
-    target different repositories freely."""
+    Every git process on one repository runs under that repository's
+    lock, because git does not guard all of its shared state: concurrent
+    ``worktree add``s read each other's half-written administrative
+    directories (``fatal: failed to read .git/worktrees/<name>/commondir``
+    on git 2.39). Different repositories proceed in parallel."""
 
     def __init__(self) -> None:
         self._locks: defaultdict[str, threading.Lock] = defaultdict(threading.Lock)
@@ -153,7 +98,9 @@ class SubprocessGit(GitBackend):
         # git creates the branch before it fails on an existing path
         if path.exists():
             return _refused(GitAction.WORKTREE_ADD, f"{path} on {branch}", f"{path} already exists")
-        proc = self._run(repo, "worktree", "add", "-b", branch, str(path))
+        # --no-track: an agent branch never writes the target's config,
+        # whatever the user's branch.autoSetupMerge says
+        proc = self._run(repo, "worktree", "add", "--no-track", "-b", branch, str(path))
         # the branch may survive from an earlier session of this run
         if proc.returncode != 0 and self._has_branch(repo, branch):
             proc = self._run(repo, "worktree", "add", str(path), branch)
@@ -167,6 +114,9 @@ class SubprocessGit(GitBackend):
         return self._result(GitAction.WORKTREE_REMOVE, proc, str(path))
 
     def worktree_reset(self, repo: Path, path: Path, branch: str) -> GitResult:
+        """Restore an existing worktree of ``repo`` to a fresh checkout of
+        ``branch``: tracked edits reverted, untracked and ignored files
+        deleted. Refuses (``ok=False``) a path that is not a worktree."""
         path = Path(path).resolve()
         # A linked worktree's .git is a file. Anywhere else, git would walk
         # up to the enclosing repository and reset that checkout instead.
@@ -178,6 +128,11 @@ class SubprocessGit(GitBackend):
         return self._result(GitAction.WORKTREE_RESET, self._clean(repo, proc, path), str(path))
 
     def worktree_carry(self, repo: Path, source: Path, path: Path, branch: str) -> GitResult:
+        """Move the idle worktree of ``repo`` at ``source`` to ``path`` and
+        leave there a pristine checkout of ``branch``: created at the main
+        checkout's HEAD, as ``worktree_add`` would, or checked out as it is
+        if it exists. Refuses (``ok=False``) a ``source`` that is not a
+        worktree and a ``path`` that exists."""
         source, path = Path(source).resolve(), Path(path).resolve()
         detail = f"{source} -> {path} on {branch}"
         if not (source / ".git").is_file():
@@ -188,7 +143,8 @@ class SubprocessGit(GitBackend):
         proc = self._run(repo, "worktree", "move", str(source), str(path))
         if proc.returncode == 0:
             proc = self._run(
-                repo, "checkout", "-q", "-f", "-b", branch, "main-worktree/HEAD", "--", where=path
+                repo, "checkout", "-q", "-f", "--no-track", "-b", branch, "main-worktree/HEAD", "--",
+                where=path,
             )
             if proc.returncode != 0 and self._has_branch(repo, branch):
                 proc = self._run(repo, "checkout", "-q", "-f", branch, "--", where=path)
@@ -208,6 +164,8 @@ class SubprocessGit(GitBackend):
         return self._result(GitAction.STAGE, proc, ", ".join(paths) or "all")
 
     def commit(self, repo: Path, message: str, paths: list[str]) -> GitResult:
+        """Commit the staged state of ``paths`` only, leaving every other
+        staged change staged; ``[]`` commits the whole index."""
         head = self._run(repo, "symbolic-ref", "-q", "HEAD")
         if head.returncode != 0:
             return GitResult(
@@ -227,10 +185,14 @@ class SubprocessGit(GitBackend):
         return self._result(GitAction.PUSH, proc, "push")
 
     def head(self, repo: Path) -> str | None:
+        """The commit HEAD points at, or None if there is none."""
         proc = self._run(repo, "rev-parse", "-q", "--verify", "HEAD")
         return proc.stdout.strip() if proc.returncode == 0 else None
 
     def reset_to(self, repo: Path, commit: str, paths: list[str]) -> GitResult:
+        """Move the current branch to ``commit`` and reset the index entries
+        of ``paths`` to it (``[]``: the whole index), leaving the working
+        tree and every other index entry as they are."""
         proc = self._run(repo, "reset", "-q", "--soft", commit)
         if proc.returncode == 0:
             proc = self._run(repo, "reset", "-q", commit, "--", *paths)
@@ -260,134 +222,3 @@ def _refused(action: GitAction, detail: str, problem: str) -> GitResult:
         error_kind="environment",
         output=f"{problem}; {action.value.lower()} refused",
     )
-
-
-@dataclass
-class _FakeRepo:
-    branches: set[str] = field(default_factory=lambda: {"main"})
-    worktrees: dict[str, str] = field(default_factory=dict)  # path -> branch
-    staged: list[str] = field(default_factory=list)
-    commits: list[str] = field(default_factory=list)
-    tracked: set[str] = field(default_factory=set)
-
-
-class FakeGit(GitBackend):
-    """In-memory git double. Worktrees are plain directory copies of the
-    repo tree; pushes can be forced to fail for rollback tests."""
-
-    def __init__(self) -> None:
-        self.repos: dict[str, _FakeRepo] = {}
-        self.fail_push: bool = False
-        self.actions: list[GitResult] = []
-        self._lock = threading.Lock()
-
-    def _repo(self, repo: Path) -> _FakeRepo:
-        with self._lock:
-            return self.repos.setdefault(str(Path(repo).resolve()), _FakeRepo())
-
-    def _record(self, result: GitResult) -> GitResult:
-        with self._lock:
-            self.actions.append(result)
-        return result
-
-    def is_repo(self, repo: Path) -> bool:
-        return Path(repo).is_dir()
-
-    def worktree_add(self, repo: Path, path: Path, branch: str) -> GitResult:
-        state = self._repo(repo)
-        path = Path(path)
-        if path.exists():
-            return self._record(
-                _refused(GitAction.WORKTREE_ADD, f"{path} on {branch}", f"{path} already exists")
-            )
-        _checkout(repo, path)
-        state.branches.add(branch)
-        state.worktrees[str(path)] = branch
-        return self._record(
-            GitResult(ok=True, action=GitAction.WORKTREE_ADD, detail=f"{path} on {branch}")
-        )
-
-    def worktree_remove(self, repo: Path, path: Path) -> GitResult:
-        state = self._repo(repo)
-        path = Path(path)
-        state.worktrees.pop(str(path), None)
-        if path.exists():
-            shutil.rmtree(path)
-        return self._record(GitResult(ok=True, action=GitAction.WORKTREE_REMOVE, detail=str(path)))
-
-    def worktree_reset(self, repo: Path, path: Path, branch: str) -> GitResult:
-        path = Path(path)
-        if str(path) not in self._repo(repo).worktrees:
-            return self._record(
-                _refused(GitAction.WORKTREE_RESET, str(path), f"{path} is not a linked worktree")
-            )
-        shutil.rmtree(path)
-        _checkout(repo, path)
-        return self._record(GitResult(ok=True, action=GitAction.WORKTREE_RESET, detail=str(path)))
-
-    def worktree_carry(self, repo: Path, source: Path, path: Path, branch: str) -> GitResult:
-        state = self._repo(repo)
-        source, path = Path(source), Path(path)
-        detail = f"{source} -> {path} on {branch}"
-        if str(source) not in state.worktrees:
-            return self._record(
-                _refused(GitAction.WORKTREE_CARRY, detail, f"{source} is not a linked worktree")
-            )
-        if path.exists():
-            return self._record(
-                _refused(GitAction.WORKTREE_CARRY, detail, f"{path} already exists")
-            )
-        shutil.rmtree(source)
-        del state.worktrees[str(source)]
-        _checkout(repo, path)
-        state.branches.add(branch)
-        state.worktrees[str(path)] = branch
-        return self._record(GitResult(ok=True, action=GitAction.WORKTREE_CARRY, detail=detail))
-
-    def stage(self, repo: Path, paths: list[str]) -> GitResult:
-        state = self._repo(repo)
-        state.staged.extend(paths)
-        state.tracked.update(paths)
-        return self._record(GitResult(ok=True, action=GitAction.STAGE, detail=", ".join(paths)))
-
-    def commit(self, repo: Path, message: str, paths: list[str]) -> GitResult:
-        state = self._repo(repo)
-        state.commits.append(message)
-        state.staged = [p for p in state.staged if paths and p not in paths]
-        return self._record(GitResult(ok=True, action=GitAction.COMMIT, detail=message))
-
-    def push(self, repo: Path) -> GitResult:
-        if self.fail_push:
-            return self._record(
-                GitResult(
-                    ok=False,
-                    action=GitAction.PUSH,
-                    detail="push",
-                    error_kind="auth",
-                    output="simulated push failure",
-                )
-            )
-        return self._record(GitResult(ok=True, action=GitAction.PUSH, detail="push"))
-
-    def head(self, repo: Path) -> str | None:
-        return str(len(self._repo(repo).commits))
-
-    def reset_to(self, repo: Path, commit: str, paths: list[str]) -> GitResult:
-        state = self._repo(repo)
-        del state.commits[int(commit):]
-        state.staged = [p for p in state.staged if paths and p not in paths]
-        return self._record(GitResult(ok=True, action=GitAction.RESET, detail=commit))
-
-    def ls_tracked(self, repo: Path) -> list[str]:
-        return sorted(self._repo(repo).tracked)
-
-    def remote_url(self, repo: Path) -> str | None:
-        return f"fake://{Path(repo).name}"
-
-    def default_branch(self, repo: Path) -> str | None:
-        return "main"
-
-
-def _checkout(repo: Path, path: Path) -> None:
-    """A fake checkout: a copy of the repo's tree, without ``.git``."""
-    shutil.copytree(repo, path, ignore=shutil.ignore_patterns(".git"))

@@ -42,7 +42,7 @@ from gatework.errors import (
     ProtocolError,
     VerdictError,
 )
-from gatework.gitlayer import GitAction, GitBackend, GitResult
+from gatework.gitlayer import GitAction, GitResult, SubprocessGit
 from gatework.model import (
     CONTRACT_GATES,
     STATE_CHAIN,
@@ -527,7 +527,7 @@ def start_run(
     target_repo: Path,
     directive: str,
     workflow: WorkflowType,
-    git: GitBackend,
+    git: SubprocessGit,
     clock: Clock,
     request_id: str | None = None,
 ) -> tuple[RunDirectory, str]:
@@ -621,7 +621,7 @@ class Orchestrator:
         backends: Mapping[AgentRole, AgentBackend],
         channel: UserChannel,
         target_repo: Path,
-        git: GitBackend,
+        git: SubprocessGit,
         clock: Clock,
         workspace: WorkspaceLayout | None = None,
         directive: str = "",
@@ -1027,7 +1027,7 @@ def ship(
     authorization: str | None,
     *,
     target_repo: Path,
-    git: GitBackend,
+    git: SubprocessGit,
     clock: Clock,
     workspace: WorkspaceLayout | None = None,
     slug: str = "run",

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from gatework.clock import Clock
 from gatework.errors import WorkspaceError
-from gatework.gitlayer import GitBackend
+from gatework.gitlayer import SubprocessGit
 from gatework.model import ArtifactKind
 from gatework.rundir import RunDirectory
 
@@ -178,7 +178,7 @@ def write_context(
     layout: WorkspaceLayout,
     *,
     target_repo: Path,
-    git: GitBackend,
+    git: SubprocessGit,
     profile: LanguageProfile,
 ) -> Path:
     """Regenerate context.md from repo metadata at run start."""
@@ -316,7 +316,7 @@ def sync_workspace(
     layout: WorkspaceLayout,
     run_dir: RunDirectory,
     *,
-    git: GitBackend,
+    git: SubprocessGit,
     clock: Clock,
     slug: str,
 ) -> SyncReport:
@@ -415,7 +415,7 @@ class LintReport:
         return not self.violations
 
 
-def validate_workspace(layout: WorkspaceLayout, git: GitBackend | None = None) -> LintReport:
+def validate_workspace(layout: WorkspaceLayout, git: SubprocessGit | None = None) -> LintReport:
     """Lint a workspace: layout conformance, runs/ naming, HANDOFF
     parseability, and push-policy classification."""
     violations: list[str] = []

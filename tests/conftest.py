@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from gatework.clock import TickClock
-from gatework.gitlayer import FakeGit
+from gatework.gitlayer import GitResult, SubprocessGit
 from gatework.model import AgentRole, WorkflowType, workflow_by_id
 from gatework.orchestrator import ChannelMode, Orchestrator, RunReport, UserChannel, start_run
 from gatework.rundir import RunDirectory
@@ -173,6 +173,61 @@ def init_git_repo(path: Path, *, remote: Path | None = None) -> Path:
     return path
 
 
+def repo_without_language(repo: Path) -> Path:
+    """A git repository with no marker file: a first session asks for the
+    language."""
+    repo.mkdir()
+    subprocess.run(["git", "init", "-q", "-b", "main", str(repo)], check=True)
+    (repo / "notes.txt").write_text("notes\n", encoding="utf-8")
+    subprocess.run(["git", "-C", str(repo), "add", "-A"], check=True)
+    subprocess.run(["git", "-C", str(repo), "commit", "-q", "-m", "seed"], check=True)
+    return repo
+
+
+class RecordingGit(SubprocessGit):
+    """Real git that records what it was asked: ``calls`` names each
+    worktree operation and the sandbox it made, ``actions`` holds the
+    result of every stage, commit and push."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls: list[tuple[str, str]] = []
+        self.actions: list[GitResult] = []
+
+    def adds(self) -> int:
+        return sum(1 for call, _ in self.calls if call == "add")
+
+    def _record(self, result: GitResult) -> GitResult:
+        self.actions.append(result)
+        return result
+
+    def worktree_add(self, repo, path, branch):
+        self.calls.append(("add", Path(path).name))
+        return super().worktree_add(repo, path, branch)
+
+    def worktree_reset(self, repo, path, branch):
+        self.calls.append(("reset", Path(path).name))
+        return super().worktree_reset(repo, path, branch)
+
+    def worktree_carry(self, repo, source, path, branch):
+        self.calls.append(("carry", Path(path).name))
+        return super().worktree_carry(repo, source, path, branch)
+
+    def stage(self, repo, paths):
+        return self._record(super().stage(repo, paths))
+
+    def commit(self, repo, message, paths):
+        return self._record(super().commit(repo, message, paths))
+
+    def push(self, repo):
+        return self._record(super().push(repo))
+
+
+def pytest_report_header(config) -> str:
+    # every scenario runs on the system git, so a log names the one it ran on
+    return subprocess.run(["git", "--version"], capture_output=True, text=True, check=True).stdout.strip()
+
+
 _GITCONFIG = """\
 [user]
 \tname = gatework tests
@@ -205,20 +260,6 @@ def _isolated_git(tmp_path_factory):
         yield
 
 
-@pytest.fixture
-def target_repo(tmp_path: Path) -> Path:
-    repo = tmp_path / "target-repo"
-    repo.mkdir()
-    (repo / "pyproject.toml").write_text("[project]\nname = 'fixture'\n", encoding="utf-8")
-    (repo / "README.md").write_text("fixture repo\n", encoding="utf-8")
-    return repo
-
-
-@pytest.fixture
-def fake_git() -> FakeGit:
-    return FakeGit()
-
-
 class RecordingChannel(UserChannel):
     """A scripted channel that keeps each question asked, as
     ``("question", text)`` in ``transcript``, so a test can see what the
@@ -238,19 +279,20 @@ def run_scripted_workflow(
     workflow_id: int,
     *,
     target_repo: Path | None = None,
-    git: FakeGit | None = None,
+    git: SubprocessGit | None = None,
     answers: tuple[str, ...] = (),
     authorization: str | None = None,
     backends: dict[AgentRole, AgentBackend] | None = None,
     **backend_kwargs,
 ) -> tuple[RunReport, RunDirectory, Orchestrator]:
-    """Run one workflow end to end with scripted backends and a fake git."""
+    """Run one workflow end to end with scripted backends on real git: by
+    default on a fresh repository at ``tmp_path / "repo"`` that pushes to
+    the bare ``tmp_path / "remote.git"``. Checks that the run left no
+    worktree of the target behind, halted runs included."""
     workflow = workflow_by_id(workflow_id)
     if target_repo is None:
-        target_repo = tmp_path / "repo"
-        target_repo.mkdir(parents=True, exist_ok=True)
-        (target_repo / "pyproject.toml").write_text("[project]\n", encoding="utf-8")
-    git = git or FakeGit()
+        target_repo = init_git_repo(tmp_path / "repo", remote=tmp_path / "remote.git")
+    git = git or SubprocessGit()
     clock = TickClock()
     run_dir, request_id = start_run(
         runs_root=tmp_path / "runs",
@@ -272,4 +314,11 @@ def run_scripted_workflow(
         directive="scripted protocol exercise",
     )
     report = orchestrator.run(authorization=authorization)
+    if (target_repo / ".git").exists():
+        listing = subprocess.run(
+            ["git", "-C", str(target_repo), "worktree", "list", "--porcelain"],
+            capture_output=True, text=True, check=True,
+        ).stdout
+        listed = [line for line in listing.splitlines() if line.startswith("worktree ")]
+        assert listed == [f"worktree {target_repo.resolve()}"], listed
     return report, run_dir, orchestrator

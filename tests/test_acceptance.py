@@ -10,10 +10,10 @@ import subprocess
 import time
 from contextlib import contextmanager
 
-from conftest import AUDIT_BODY, TEST_SPEC_BODY, run_scripted_workflow, init_git_repo
+from conftest import AUDIT_BODY, TEST_SPEC_BODY, RecordingGit, run_scripted_workflow, init_git_repo
 from gatework.barrier import DEFAULT_ACCESS_MATRIX, AuditLog, check_access
 from gatework.clock import TickClock
-from gatework.gitlayer import FakeGit, GitAction
+from gatework.gitlayer import GitAction
 from gatework.model import (
     AccessDecision,
     AgentRole,
@@ -207,6 +207,7 @@ def test_acceptance_block_loop_convergence(tmp_path):
 def test_acceptance_ship_gate_truth_table(tmp_path):
     with criterion("ship gate (8-case verdict x authorization table, exactly 2 ship)"):
         shipped_cases = []
+        target = init_git_repo(tmp_path / "repo", remote=tmp_path / "remote.git")
         for verdict in ("PASS", "PASS_WITH_NOTE", "STOP", None):
             for authorized in (True, False):
                 run_dir = RunDirectory(
@@ -216,11 +217,11 @@ def test_acceptance_ship_gate_truth_table(tmp_path):
                     run_dir.write(kind, "x\n")
                 if verdict is not None:
                     run_dir.write(K.REVIEW, f"verdict: {verdict}\n")
-                git = FakeGit()
+                git = RecordingGit()
                 result = ship(
                     run_dir,
                     "token" if authorized else None,
-                    target_repo=tmp_path,
+                    target_repo=target,
                     git=git,
                     clock=TickClock(),
                     run_state=RunState(

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import init_git_repo
 from gatework.barrier import (
     DEFAULT_ACCESS_MATRIX,
     AuditLog,
@@ -17,7 +18,7 @@ from gatework.barrier import (
 )
 from gatework.clock import TickClock
 from gatework.errors import AuditIncompleteness, BarrierError, MisconfigurationError
-from gatework.gitlayer import FakeGit
+from gatework.gitlayer import SubprocessGit
 from gatework.model import (
     AccessDecision,
     AccessEvent,
@@ -123,9 +124,10 @@ def run_env(tmp_path):
     repo = tmp_path / "repo"
     repo.mkdir()
     (repo / "module.py").write_text("print('hi')\n", encoding="utf-8")
+    init_git_repo(repo)
     for kind in (K.REQUEST, K.IMPACT, K.CREDENTIALS, K.SPEC, K.TEST_SPEC, K.SIM_SPEC, K.COMPREHENSION):
         run_dir.write(kind, f"content of {kind.filename}\n")
-    return run_dir, repo, FakeGit(), TickClock()
+    return run_dir, repo, SubprocessGit(), TickClock()
 
 
 def test_builder_sandbox_contains_spec_but_not_test_spec(run_env):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import init_git_repo, scripted_backends, write_backend_config
+from conftest import init_git_repo, repo_without_language, scripted_backends, write_backend_config
 from gatework.cli import main
 from gatework.clock import TickClock
 from gatework.gitlayer import SubprocessGit
@@ -191,19 +191,8 @@ def test_answer_resumes_held_run(tmp_path, capsys):
     assert events[-1]["event"] != "halt"
 
 
-def _repo_without_language(repo: Path) -> Path:
-    """A git repository with no marker file: a first session asks for the
-    language."""
-    repo.mkdir()
-    subprocess.run(["git", "init", "-q", "-b", "main", str(repo)], check=True)
-    (repo / "notes.txt").write_text("notes\n", encoding="utf-8")
-    subprocess.run(["git", "-C", str(repo), "add", "-A"], check=True)
-    subprocess.run(["git", "-C", str(repo), "commit", "-q", "-m", "seed"], check=True)
-    return repo
-
-
 def test_resumed_run_keeps_the_language_the_user_gave(tmp_path, capsys):
-    repo = _repo_without_language(tmp_path / "repo")
+    repo = repo_without_language(tmp_path / "repo")
     answers = tmp_path / "answers.txt"
     answers.write_text("Python\n", encoding="utf-8")
     code, runs_root = _run_cli(
@@ -513,7 +502,7 @@ def test_replay_feeds_the_recorded_answers(tmp_path, capsys):
 
 
 def test_an_unrecognized_language_leaves_the_language_question_pending(tmp_path, capsys):
-    repo = _repo_without_language(tmp_path / "repo")
+    repo = repo_without_language(tmp_path / "repo")
     answers = tmp_path / "answers.txt"
     answers.write_text("Klingon\n", encoding="utf-8")
     code, runs_root = _run_cli(tmp_path, 9, "--answers", str(answers), repo=repo)

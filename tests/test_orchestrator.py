@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import random
+import shutil
+import subprocess
 import time
 from pathlib import Path
 
@@ -10,13 +12,16 @@ import pytest
 from conftest import (
     AUDIT_BODY,
     RecordingChannel,
+    RecordingGit,
+    init_git_repo,
+    repo_without_language,
     run_scripted_workflow,
     scripted_backends,
     shipper_script,
 )
 from gatework.clock import TickClock
 from gatework.errors import HoldUnanswered, MisconfigurationError, ProtocolError
-from gatework.gitlayer import FakeGit, GitAction, GitResult
+from gatework.gitlayer import GitAction, SubprocessGit
 from gatework.model import (
     AgentRole,
     ArtifactKind,
@@ -221,7 +226,7 @@ def test_workflow_2_block_loop_replay_is_identical(tmp_path):
 
 
 def test_workflow_2_ships_with_authorization(tmp_path):
-    git = FakeGit()
+    git = RecordingGit()
     report, run_dir, _ = run_scripted_workflow(
         tmp_path, 2, git=git, authorization="explicit-user-token"
     )
@@ -346,7 +351,7 @@ def test_resume_after_mid_stage_hold_skips_completed_peers(tmp_path):
         backends=scripted_backends(workflow, builder_holds=1),
         channel=channel,
         target_repo=tmp_path / "repo",
-        git=FakeGit(),
+        git=SubprocessGit(),
         clock=TickClock(),
         directive="scripted protocol exercise",
     ).run()
@@ -378,7 +383,7 @@ def test_resume_keeps_access_events_of_earlier_sessions(tmp_path):
             mode=ChannelMode.SCRIPTED_ANSWERS, answers=("use defaults",), output_fn=lambda _: None
         ),
         target_repo=tmp_path / "repo",
-        git=FakeGit(),
+        git=SubprocessGit(),
         clock=TickClock(),
         directive="scripted protocol exercise",
     ).run()
@@ -512,7 +517,7 @@ def test_briefings_carry_profile_notes_and_granted_paths(tmp_path):
 
 
 def test_leader_never_mutates_git_outside_ship(tmp_path):
-    git = FakeGit()
+    git = RecordingGit()
     report, _, _ = run_scripted_workflow(tmp_path, 1, git=git)
     assert report.final_state == "REVIEW_PASSED"
     mutating = [a for a in git.actions if a.action in (GitAction.STAGE, GitAction.COMMIT, GitAction.PUSH)]
@@ -522,14 +527,14 @@ def test_leader_never_mutates_git_outside_ship(tmp_path):
 def test_leader_leaves_target_repo_tree_untouched(tmp_path):
     target = tmp_path / "repo"
     target.mkdir()
-    (target / "pyproject.toml").write_text("[project]\n", encoding="utf-8")
     (target / "lib.py").write_text("x = 1\n", encoding="utf-8")
+    init_git_repo(target)
 
     def fingerprint() -> dict:
         return {
             str(p.relative_to(target)): p.read_bytes()
             for p in sorted(target.rglob("*"))
-            if p.is_file()
+            if p.is_file() and ".git" not in p.relative_to(target).parts
         }
 
     before = fingerprint()
@@ -576,7 +581,7 @@ def _resume(
     tmp_path: Path,
     run_dir: RunDirectory,
     workflow_id: int,
-    git: FakeGit,
+    git: SubprocessGit,
     backends=None,
     answers: tuple[str, ...] = (),
     **kwargs,
@@ -602,7 +607,7 @@ def test_resume_reruns_the_mechanical_review_of_a_completed_review(tmp_path):
     assert first.final_state == "DOCUMENTED"
     assert "mechanical review failed" in first.gate_violation
 
-    git = FakeGit()
+    git = RecordingGit()
     resumed = _resume(tmp_path, run_dir, 2, git, authorization="tok")
 
     assert not any(a.action is GitAction.PUSH for a in git.actions)
@@ -613,14 +618,25 @@ def test_resume_reruns_the_mechanical_review_of_a_completed_review(tmp_path):
     assert resumed.dispatch_counts == first.dispatch_counts  # the reviewer's work is not redone
 
 
+def _run_whose_push_fails(tmp_path: Path, **kwargs) -> tuple[RunReport, RunDirectory]:
+    """An authorized workflow 2 run on ``tmp_path / "repo"``, whose remote
+    cannot be reached until the run has ended."""
+    remote, away = tmp_path / "remote.git", tmp_path / "remote-away.git"
+    repo = init_git_repo(tmp_path / "repo", remote=remote)
+    remote.rename(away)
+    report, run_dir, _ = run_scripted_workflow(
+        tmp_path, 2, target_repo=repo, authorization="tok", **kwargs
+    )
+    away.rename(remote)
+    return report, run_dir
+
+
 def test_resume_after_a_failed_push_ships_instead_of_skipping_to_done(tmp_path):
-    failing = FakeGit()
-    failing.fail_push = True
-    first, run_dir, _ = run_scripted_workflow(tmp_path, 2, git=failing, authorization="tok")
-    assert first.gate_violation == "push failed: auth"
+    first, run_dir = _run_whose_push_fails(tmp_path)
+    assert first.gate_violation == "push failed: environment"
     assert run_dir.exists(K.SHIPPER)  # the refused ship still reports its actions
 
-    git = FakeGit()
+    git = RecordingGit()
     resumed = _resume(tmp_path, run_dir, 2, git, authorization="tok")
 
     assert [a.action for a in git.actions if a.action is GitAction.PUSH] == [GitAction.PUSH]
@@ -630,14 +646,12 @@ def test_resume_after_a_failed_push_ships_instead_of_skipping_to_done(tmp_path):
 
 
 def test_resumed_ship_with_a_shipper_that_writes_nothing_is_not_done(tmp_path):
-    failing = FakeGit()
-    failing.fail_push = True
-    first, run_dir, _ = run_scripted_workflow(tmp_path, 2, git=failing, authorization="tok")
-    assert first.gate_violation == "push failed: auth"
+    first, run_dir = _run_whose_push_fails(tmp_path)
+    assert first.gate_violation == "push failed: environment"
 
     backends = scripted_backends(workflow_by_id(2))
     backends[R.SHIPPER] = ScriptedBackend.from_text("complete\n")
-    git = FakeGit()
+    git = RecordingGit()
     resumed = _resume(tmp_path, run_dir, 2, git, backends=backends, authorization="tok")
 
     assert "without contracted artifact(s): ['shipper.md']" in resumed.diagnostics["shipper"]
@@ -665,23 +679,19 @@ class _Spy(AgentBackend):
 
 def test_resumed_session_finds_nothing_an_earlier_session_left_in_a_plain_sandbox(tmp_path):
     workflow = workflow_by_id(2)
-    failing = FakeGit()
-    failing.fail_push = True
     backends = scripted_backends(workflow)
     backends[R.SHIPPER] = ScriptedBackend.from_text(
         "write notes.txt <<EOF\nsession 1 scratch\nEOF\n" + shipper_script()
     )
-    first, run_dir, _ = run_scripted_workflow(
-        tmp_path, 2, git=failing, authorization="tok", backends=backends
-    )
-    assert first.gate_violation == "push failed: auth"
+    first, run_dir = _run_whose_push_fails(tmp_path, backends=backends)
+    assert first.gate_violation == "push failed: environment"
 
     seen: list = []
     backends = scripted_backends(workflow)
     backends[R.SHIPPER] = _Spy(
         backends[R.SHIPPER], seen, lambda req: sorted(p.name for p in req.sandbox.path.iterdir())
     )
-    resumed = _resume(tmp_path, run_dir, 2, FakeGit(), backends=backends, authorization="tok")
+    resumed = _resume(tmp_path, run_dir, 2, SubprocessGit(), backends=backends, authorization="tok")
 
     assert resumed.final_state == "DONE"
     # the shipper's inputs only: every artifact but its own report
@@ -695,13 +705,13 @@ def test_a_resumed_session_asks_the_pending_hold_before_any_dispatch(tmp_path):
     backends = scripted_backends(workflow_by_id(9), builder_holds=1)
     backends[R.BUILDER] = _Spy(backends[R.BUILDER], briefings, lambda req: req.briefing)
 
-    unanswered = _resume(tmp_path, run_dir, 9, FakeGit(), backends=backends)
+    unanswered = _resume(tmp_path, run_dir, 9, SubprocessGit(), backends=backends)
     assert briefings == []  # halted before any dispatch
     assert (unanswered.escalation, unanswered.pending) == (first.escalation, first.pending)
     assert unanswered.dispatch_counts == first.dispatch_counts == {"builder": 1}
 
     answered = _resume(
-        tmp_path, run_dir, 9, FakeGit(), backends=backends, answers=("use the default scale",)
+        tmp_path, run_dir, 9, SubprocessGit(), backends=backends, answers=("use the default scale",)
     )
     assert answered.final_state == "PIPELINES_COMPLETE"
     # the asker's next dispatch, its attempt 2 in the run, carries the answer
@@ -711,10 +721,8 @@ def test_a_resumed_session_asks_the_pending_hold_before_any_dispatch(tmp_path):
 
 
 def test_nothing_is_dispatched_before_the_entry_gate(tmp_path):
-    repo = tmp_path / "repo"
-    repo.mkdir()
-    (repo / "pyproject.toml").write_text("[project]\n", encoding="utf-8")
-    git = FakeGit()
+    repo = init_git_repo(tmp_path / "repo")
+    git = SubprocessGit()
     run_dir, _ = start_run(
         runs_root=tmp_path / "runs", target_repo=repo, directive="review the change",
         workflow=workflow_by_id(7), git=git, clock=TickClock(),
@@ -744,28 +752,39 @@ def test_failed_dispatch_in_a_parallel_stage_is_recorded_under_the_failing_role(
     assert report.final_state == "SPEC_READY"
 
 
-class _NoTesterWorktreeGit(FakeGit):
-    # in workflow 9 the tester carries the builder's worktree
-    def worktree_carry(self, repo, source, path, branch):
-        if Path(path).name == "tester":
-            return GitResult(
-                ok=False, action=GitAction.WORKTREE_CARRY, detail=str(path),
-                error_kind="environment", output="simulated worktree failure",
-            )
-        return super().worktree_carry(repo, source, path, branch)
+class _OccupyingBackend(AgentBackend):
+    """Runs ``inner``, then leaves a plain directory where the ``blocked``
+    role's sandbox goes, which git refuses to reset as a worktree."""
+
+    kind = BackendKind.SCRIPTED
+
+    def __init__(self, inner: AgentBackend, blocked: AgentRole):
+        self.inner = inner
+        self.blocked = blocked
+
+    def execute(self, req, log_path=None):
+        (req.sandbox.path.parent / self.blocked.value).mkdir()
+        return self.inner.execute(req, log_path=log_path)
 
 
 def test_failed_worktree_creation_is_finalized_as_a_diagnostic(tmp_path):
-    git = _NoTesterWorktreeGit()
-    report, run_dir, _ = run_scripted_workflow(tmp_path, 9, git=git)
+    backends = scripted_backends(workflow_by_id(9))
+    backends[R.BUILDER] = _OccupyingBackend(backends[R.BUILDER], R.TESTER)
+    # run_scripted_workflow also checks that no worktree of the target is left
+    report, run_dir, _ = run_scripted_workflow(tmp_path, 9, backends=backends)
 
     assert report.exit_code == 4
-    assert "simulated worktree failure" in report.diagnostics["tester"]
+    assert "worktree reset failed" in report.diagnostics["tester"]
+    assert "not a linked worktree" in report.diagnostics["tester"]
     assert report.final_state == "SPEC_READY"
     assert run_dir.report_json_path.exists()
     # the builder's worktree, made earlier in the session, is removed
-    assert all(not repo.worktrees for repo in git.repos.values())
     assert not (run_dir.sandboxes_dir / "builder").exists()
+
+
+def _shipping_target(tmp_path: Path) -> Path:
+    """A repository that pushes to the bare ``tmp_path / "remote.git"``."""
+    return init_git_repo(tmp_path / "repo", remote=tmp_path / "remote.git")
 
 
 def _ready_to_ship_run(tmp_path: Path, verdict: str | None) -> tuple[RunDirectory, RunState]:
@@ -781,11 +800,11 @@ def _ready_to_ship_run(tmp_path: Path, verdict: str | None) -> tuple[RunDirector
 @pytest.mark.parametrize("authorized", [True, False])
 def test_ship_gate_truth_table(tmp_path, verdict, authorized):
     run_dir, run_state = _ready_to_ship_run(tmp_path, verdict)
-    git = FakeGit()
+    git = RecordingGit()
     report = ship(
         run_dir,
         "user-token" if authorized else None,
-        target_repo=tmp_path,
+        target_repo=_shipping_target(tmp_path),
         git=git,
         clock=TickClock(),
         run_state=run_state,
@@ -803,7 +822,7 @@ def test_ship_refused_when_not_ready(tmp_path):
     run_dir.write(K.REVIEW, "verdict: PASS\n")
     report = ship(
         run_dir, "token",
-        target_repo=tmp_path, git=FakeGit(), clock=TickClock(),
+        target_repo=_shipping_target(tmp_path), git=SubprocessGit(), clock=TickClock(),
         run_state=RunState(workflow=workflow_by_id(2)),
     )
     assert not report.shipped
@@ -812,11 +831,11 @@ def test_ship_refused_when_not_ready(tmp_path):
 
 def test_ship_push_failure_is_partial(tmp_path):
     run_dir, state = _ready_to_ship_run(tmp_path, "PASS")
-    git = FakeGit()
-    git.fail_push = True
+    target = _shipping_target(tmp_path)
+    shutil.rmtree(tmp_path / "remote.git")  # the remote is gone: the push fails
     report = ship(
         run_dir, "token",
-        target_repo=tmp_path, git=git, clock=TickClock(), run_state=state,
+        target_repo=target, git=SubprocessGit(), clock=TickClock(), run_state=state,
     )
     assert not report.shipped
     assert report.partial
@@ -824,15 +843,18 @@ def test_ship_push_failure_is_partial(tmp_path):
     assert run_dir.events() == []
 
 
-class _FailingGit(FakeGit):
-    def __init__(self, failing: GitAction) -> None:
-        super().__init__()
-        self.failing = failing
-
-    def _record(self, result):
-        if result.action is self.failing:
-            result = GitResult(ok=False, action=result.action, detail=result.detail, error_kind="environment")
-        return super()._record(result)
+def _make_git_fail(repo: Path, action: GitAction) -> None:
+    """Make ``action`` on ``repo`` fail the way git itself fails."""
+    if action is GitAction.STAGE:
+        # the lock file of a git process that holds the index
+        (repo / ".git" / "index.lock").touch()
+    else:
+        # a pre-commit hook that refuses every commit
+        hooks = repo / ".git" / "refusing-hooks"
+        hooks.mkdir()
+        (hooks / "pre-commit").write_text("#!/bin/sh\nexit 1\n", encoding="utf-8")
+        (hooks / "pre-commit").chmod(0o755)
+        subprocess.run(["git", "-C", str(repo), "config", "core.hooksPath", str(hooks)], check=True)
 
 
 @pytest.mark.parametrize(
@@ -846,10 +868,12 @@ def test_ship_stops_at_failed_stage_or_commit(tmp_path, failing, taken):
     run_dir, state = _ready_to_ship_run(tmp_path, "PASS")
     run_dir.write(K.LOG_ENTRY, "# Log entry\n\n## What Changed\nx\n")
     layout = WorkspaceLayout(root=tmp_path / "workspace", repo_name="panelkit").ensure()
-    git = _FailingGit(failing)
+    target = _shipping_target(tmp_path)
+    _make_git_fail(target, failing)
+    git = RecordingGit()
     report = ship(
         run_dir, "token",
-        target_repo=tmp_path, git=git, clock=TickClock(), workspace=layout, run_state=state,
+        target_repo=target, git=git, clock=TickClock(), workspace=layout, run_state=state,
     )
     assert not report.shipped
     assert report.refusal == f"{failing.value.lower()} failed: environment"
@@ -867,10 +891,10 @@ def test_ship_stops_at_failed_stage_or_commit(tmp_path, failing, taken):
 def test_ship_without_credentials_refuses_push(tmp_path):
     run_dir, state = _ready_to_ship_run(tmp_path, "PASS")
     run_dir.artifact_path(K.CREDENTIALS).unlink()
-    git = FakeGit()
+    git = RecordingGit()
     report = ship(
         run_dir, "token",
-        target_repo=tmp_path, git=git, clock=TickClock(), run_state=state,
+        target_repo=_shipping_target(tmp_path), git=git, clock=TickClock(), run_state=state,
     )
     assert not report.shipped
     assert report.partial
@@ -902,10 +926,10 @@ def test_library_callers_cannot_start_a_wrapper_entry(tmp_path, workflow_id):
     assert list((tmp_path / "runs").glob("*")) == []
     run_dir, _ = start_run(
         runs_root=tmp_path / "runs", target_repo=tmp_path / "repo", directive="fix it",
-        workflow=workflow_by_id(9), git=FakeGit(), clock=TickClock(),
+        workflow=workflow_by_id(9), git=SubprocessGit(), clock=TickClock(),
     )
     with pytest.raises(MisconfigurationError, match="is not one run"):
-        _resume(tmp_path, run_dir, workflow_id, FakeGit())
+        _resume(tmp_path, run_dir, workflow_id, SubprocessGit())
 
 
 def _halted_on_a_builder_hold(tmp_path: Path) -> RunDirectory:
@@ -916,7 +940,7 @@ def _halted_on_a_builder_hold(tmp_path: Path) -> RunDirectory:
 
 def _answer_builder_hold(tmp_path: Path, run_dir: RunDirectory) -> RunReport:
     backends = scripted_backends(workflow_by_id(9), builder_holds=1)
-    return _resume(tmp_path, run_dir, 9, FakeGit(), backends=backends, answers=("use defaults",))
+    return _resume(tmp_path, run_dir, 9, SubprocessGit(), backends=backends, answers=("use defaults",))
 
 
 def test_report_json_is_output_only(tmp_path):
@@ -997,7 +1021,7 @@ def test_a_hold_that_hit_the_retry_cap_is_not_asked_again_on_resume(tmp_path):
         backends=scripted_backends(workflow, builder_holds=4),
         channel=channel,
         target_repo=tmp_path / "repo",
-        git=FakeGit(),
+        git=SubprocessGit(),
         clock=TickClock(),
     ).run()
 
@@ -1009,15 +1033,13 @@ def test_a_hold_that_hit_the_retry_cap_is_not_asked_again_on_resume(tmp_path):
 
 
 def test_unknown_repo_language_holds_then_uses_answer(tmp_path):
-    bare = tmp_path / "bare-repo"
-    bare.mkdir()
+    bare = repo_without_language(tmp_path / "bare-repo")
     report, _, _ = run_scripted_workflow(tmp_path, 6, target_repo=bare, answers=("Python",))
     assert report.final_state == "PIPELINES_COMPLETE"
 
 
 def test_unknown_repo_language_unanswered_escalates(tmp_path):
-    bare = tmp_path / "bare-repo"
-    bare.mkdir()
+    bare = repo_without_language(tmp_path / "bare-repo")
     report, _, _ = run_scripted_workflow(tmp_path, 6, target_repo=bare, answers=())
     assert report.escalation is not None
     assert report.exit_code == 3

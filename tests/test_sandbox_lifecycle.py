@@ -4,17 +4,20 @@ none, and removed at finalize."""
 
 from __future__ import annotations
 
+import os
 import shlex
 import subprocess
+import threading
+import time
 import types
 from pathlib import Path
 
 import pytest
 
-from conftest import init_git_repo, run_scripted_workflow, scripted_backends
+from conftest import RecordingGit, init_git_repo, run_scripted_workflow, scripted_backends
 from gatework import gitlayer
 from gatework.clock import TickClock
-from gatework.gitlayer import FakeGit, SubprocessGit
+from gatework.gitlayer import SubprocessGit
 from gatework.model import AgentRole, ArtifactKind, workflow_by_id
 from gatework.orchestrator import ChannelMode, Orchestrator, UserChannel
 from gatework.runtime import SubprocessBackend
@@ -42,27 +45,6 @@ def git_spawns(monkeypatch) -> list[list[str]]:
     return spawned
 
 
-class _RecordingGit(SubprocessGit):
-    def __init__(self) -> None:
-        super().__init__()
-        self.calls: list[tuple[str, str]] = []
-
-    def worktree_add(self, repo, path, branch):
-        self.calls.append(("add", Path(path).name))
-        return super().worktree_add(repo, path, branch)
-
-    def worktree_reset(self, repo, path, branch):
-        self.calls.append(("reset", Path(path).name))
-        return super().worktree_reset(repo, path, branch)
-
-    def worktree_carry(self, repo, source, path, branch):
-        self.calls.append(("carry", Path(path).name))
-        return super().worktree_carry(repo, source, path, branch)
-
-    def adds(self) -> int:
-        return sum(1 for call, _ in self.calls if call == "add")
-
-
 # Workflow 9 spawns: is_repo and remote_url at start, one `worktree add
 # -b` for the builder, the tester's carry of it (`worktree move`,
 # `checkout -f -b`, `clean`), and one `worktree remove`.
@@ -80,7 +62,7 @@ WF2_SHIP_GIT_SPAWNS = 13
 
 def test_git_spawns_per_run_workflow_9(tmp_path, git_spawns):
     repo = init_git_repo(tmp_path / "repo")
-    git = _RecordingGit()
+    git = RecordingGit()
     report, _, _ = run_scripted_workflow(tmp_path, 9, target_repo=repo, git=git)
     assert report.final_state == "PIPELINES_COMPLETE"
     assert len(git_spawns) == WF9_GIT_SPAWNS, git_spawns
@@ -91,7 +73,7 @@ def test_git_spawns_per_run_workflow_9(tmp_path, git_spawns):
 
 def test_git_spawns_per_run_workflow_1_full_retry(tmp_path, git_spawns):
     repo = init_git_repo(tmp_path / "repo")
-    git = _RecordingGit()
+    git = RecordingGit()
     report, _, _ = run_scripted_workflow(
         tmp_path, 1, target_repo=repo, git=git, answers=("use the reference",),
         planner_holds=1, tester_blocks=3, reviewer_stops=1, stop_target="scriber",
@@ -111,7 +93,7 @@ def test_git_spawns_per_run_workflow_1_full_retry(tmp_path, git_spawns):
 
 def test_git_spawns_per_run_workflow_2_shipping(tmp_path, git_spawns):
     repo = init_git_repo(tmp_path / "repo", remote=tmp_path / "remote.git")
-    git = _RecordingGit()
+    git = RecordingGit()
     report, _, _ = run_scripted_workflow(
         tmp_path, 2, target_repo=repo, git=git, authorization="tok"
     )
@@ -154,7 +136,7 @@ def test_retry_attempt_starts_from_pristine_checkout(tmp_path):
     workflow = workflow_by_id(9)
     backends = scripted_backends(workflow, tester_blocks=1)
     backends[R.BUILDER] = _dirtying_builder(record)
-    git = _RecordingGit()
+    git = RecordingGit()
 
     report, run_dir, _ = run_scripted_workflow(
         tmp_path, 9, target_repo=repo, git=git, backends=backends
@@ -227,7 +209,7 @@ def test_carried_worktree_holds_nothing_of_the_earlier_role(tmp_path):
     record = tmp_path / "record"
     record.mkdir()
     backends = {R.BUILDER: _residue_builder(record), R.TESTER: _recording_tester(record)}
-    git = _RecordingGit()
+    git = RecordingGit()
 
     report, run_dir, _ = run_scripted_workflow(
         tmp_path, 9, target_repo=repo, git=git, backends=backends
@@ -252,7 +234,7 @@ def test_carried_worktree_holds_nothing_of_the_earlier_role(tmp_path):
 
 def test_resumed_session_adds_a_fresh_worktree(tmp_path):
     repo = init_git_repo(tmp_path / "repo")
-    git = _RecordingGit()
+    git = RecordingGit()
     first, run_dir, _ = run_scripted_workflow(
         tmp_path, 2, target_repo=repo, git=git, builder_holds=1
     )
@@ -260,7 +242,7 @@ def test_resumed_session_adds_a_fresh_worktree(tmp_path):
     assert ("add", "builder") in git.calls
 
     workflow = workflow_by_id(2)
-    resumed_git = _RecordingGit()
+    resumed_git = RecordingGit()
     resumed = Orchestrator(
         run_dir=run_dir,
         request_id=run_dir.path.name,
@@ -380,40 +362,73 @@ def test_worktree_reset_refuses_a_directory_that_is_not_a_worktree(tmp_path):
     assert stray.is_dir()
 
 
-def test_fake_worktree_reset_restores_the_repo_tree(tmp_path):
-    repo = tmp_path / "repo"
-    repo.mkdir()
-    (repo / "module.py").write_text("x = 1\n", encoding="utf-8")
-    git = FakeGit()
-    worktree = tmp_path / "wt"
-    branch = "agent/builder/req-1"
-    assert not git.worktree_reset(repo, worktree, branch).ok
-    assert git.worktree_add(repo, worktree, branch).ok
-    (worktree / "module.py").write_text("x = 2\n", encoding="utf-8")
-    (worktree / "junk.txt").write_text("junk\n", encoding="utf-8")
-    assert git.worktree_reset(repo, worktree, branch).ok
-    assert (worktree / "module.py").read_text(encoding="utf-8") == "x = 1\n"
-    assert not (worktree / "junk.txt").exists()
+def test_agent_branches_leave_the_target_config_as_it_was(tmp_path, monkeypatch):
+    # a user whose every new branch tracks its start point
+    config = tmp_path / "gitconfig"
+    config.write_text(
+        Path(os.environ["GIT_CONFIG_GLOBAL"]).read_text(encoding="utf-8")
+        + "[branch]\n\tautoSetupMerge = always\n",
+        encoding="utf-8",
+    )
+    monkeypatch.setenv("GIT_CONFIG_GLOBAL", str(config))
+    repo = init_git_repo(tmp_path / "repo")
+    before = (repo / ".git" / "config").read_bytes()
+    git = RecordingGit()
+
+    report, _, _ = run_scripted_workflow(tmp_path, 1, target_repo=repo, git=git)
+
+    assert report.final_state == "REVIEW_PASSED"
+    assert git.adds() == 3 and ("carry", "scriber") in git.calls
+    assert (repo / ".git" / "config").read_bytes() == before
 
 
-def test_fake_worktree_carry_moves_and_restores_the_repo_tree(tmp_path):
-    repo = tmp_path / "repo"
-    repo.mkdir()
-    (repo / "module.py").write_text("x = 1\n", encoding="utf-8")
-    git = FakeGit()
-    idle, carried = tmp_path / "builder", tmp_path / "tester"
-    assert not git.worktree_carry(repo, idle, carried, "agent/tester/req-1").ok
+def test_git_processes_on_one_repository_never_overlap(tmp_path, monkeypatch):
+    repo = init_git_repo(tmp_path / "repo")
+    git = SubprocessGit()
+    idle, kept = tmp_path / "idle", tmp_path / "kept"
     assert git.worktree_add(repo, idle, "agent/builder/req-1").ok
-    (idle / "module.py").write_text("x = 2\n", encoding="utf-8")
-    (idle / "junk.txt").write_text("junk\n", encoding="utf-8")
-    carried.mkdir()
-    assert not git.worktree_carry(repo, idle, carried, "agent/tester/req-1").ok
-    carried.rmdir()
+    assert git.worktree_add(repo, kept, "agent/tester/req-1").ok
 
-    assert git.worktree_carry(repo, idle, carried, "agent/tester/req-1").ok
+    # every process below works on the one repository
+    in_flight = peak = 0
+    guard = threading.Lock()
 
-    assert not idle.exists()
-    assert (carried / "module.py").read_text(encoding="utf-8") == "x = 1\n"
-    assert not (carried / "junk.txt").exists()
-    assert not git.worktree_reset(repo, idle, "agent/builder/req-1").ok
-    assert git.worktree_reset(repo, carried, "agent/tester/req-1").ok
+    def run(argv, *args, **kwargs):
+        nonlocal in_flight, peak
+        with guard:
+            in_flight += 1
+            peak = max(peak, in_flight)
+        try:
+            time.sleep(0.002)  # widens the window in which unserialized calls overlap
+            return subprocess.run(argv, *args, **kwargs)
+        finally:
+            with guard:
+                in_flight -= 1
+
+    monkeypatch.setattr(gitlayer, "subprocess", types.SimpleNamespace(run=run))
+    results = []
+
+    def adds():
+        for i in range(4):
+            results.append(git.worktree_add(repo, tmp_path / f"add-{i}", f"agent/add-{i}/req-1"))
+
+    def carries():
+        source = idle
+        for i in range(4):
+            target = tmp_path / f"carry-{i}"
+            results.append(git.worktree_carry(repo, source, target, f"agent/carry-{i}/req-1"))
+            source = target
+
+    def resets():
+        for _ in range(4):
+            results.append(git.worktree_reset(repo, kept, "agent/tester/req-1"))
+
+    threads = [threading.Thread(target=work) for work in (adds, carries, resets)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+
+    assert len(results) == 12 and all(r.ok for r in results), [r.output for r in results if not r.ok]
+    assert peak == 1

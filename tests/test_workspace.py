@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import shutil
 import subprocess
 from pathlib import Path
 
 import pytest
 
+from conftest import RecordingGit, init_git_repo
 from gatework.clock import TickClock
 from gatework.errors import WorkspaceError
-from gatework.gitlayer import FakeGit, GitAction, SubprocessGit
+from gatework.gitlayer import GitAction, SubprocessGit
 from gatework.model import ArtifactKind
 from gatework.rundir import RunDirectory
 from gatework.workspace import (
@@ -155,9 +157,17 @@ def layout(tmp_path) -> WorkspaceLayout:
     return WorkspaceLayout(root=tmp_path / "workspace", repo_name="panelkit").ensure()
 
 
-def test_sync_archives_run_and_prepends_changelog(tmp_path, layout):
+@pytest.fixture
+def remote(tmp_path, layout) -> Path:
+    """The bare remote that ``layout``, made a git repository, pushes to."""
+    bare = tmp_path / "remote.git"
+    init_git_repo(layout.root, remote=bare)
+    return bare
+
+
+def test_sync_archives_run_and_prepends_changelog(tmp_path, layout, remote):
     run_dir = _completed_run(tmp_path)
-    git = FakeGit()
+    git = RecordingGit()
     report = sync_workspace(layout, run_dir, git=git, clock=TickClock(), slug="retry queue fix")
     assert report.ok and report.changed
     runs_file = layout.runs_dir / "2000-01-01-retry-queue-fix.md"
@@ -174,9 +184,9 @@ def test_sync_archives_run_and_prepends_changelog(tmp_path, layout):
         assert layout.push_policy(str(rel)) == "pushed"
 
 
-def test_sync_is_idempotent(tmp_path, layout):
+def test_sync_is_idempotent(tmp_path, layout, remote):
     run_dir = _completed_run(tmp_path)
-    git = FakeGit()
+    git = RecordingGit()
     clock = TickClock()
     first = sync_workspace(layout, run_dir, git=git, clock=clock, slug="fix")
     assert first.changed
@@ -198,8 +208,8 @@ def test_sync_is_idempotent(tmp_path, layout):
     assert changelog.count("## 2000-01-01 — fix") == 1
 
 
-def test_two_sequential_runs_handoff_keeps_only_latest(tmp_path, layout):
-    git = FakeGit()
+def test_two_sequential_runs_handoff_keeps_only_latest(tmp_path, layout, remote):
+    git = SubprocessGit()
     clock = TickClock()
     first = _completed_run(tmp_path, name="run1")
     sync_workspace(layout, first, git=git, clock=clock, slug="first")
@@ -211,30 +221,29 @@ def test_two_sequential_runs_handoff_keeps_only_latest(tmp_path, layout):
     assert "The retry queue stays" not in handoff
 
 
-def test_sync_empty_handoff_section_writes_explicit_stanza(tmp_path, layout):
+def test_sync_empty_handoff_section_writes_explicit_stanza(tmp_path, layout, remote):
     entry = "# Log entry\n\n## What Changed\nSmall fix.\n\n## Handoff Notes\n"
     run_dir = _completed_run(tmp_path, log_entry=entry)
-    sync_workspace(layout, run_dir, git=FakeGit(), clock=TickClock(), slug="small")
+    sync_workspace(layout, run_dir, git=SubprocessGit(), clock=TickClock(), slug="small")
     assert "No handoff items." in layout.handoff_path.read_text(encoding="utf-8")
 
 
-def test_sync_rolls_back_on_push_failure(tmp_path, layout):
+def test_sync_rolls_back_on_push_failure(tmp_path, layout, remote):
+    shutil.rmtree(remote)  # the remote is gone: the push fails
     run_dir = _completed_run(tmp_path)
-    git = FakeGit()
-    git.fail_push = True
-    before = {
-        str(p.relative_to(layout.root)): p.read_bytes()
-        for p in sorted(layout.root.rglob("*"))
-        if p.is_file()
-    }
-    report = sync_workspace(layout, run_dir, git=git, clock=TickClock(), slug="fix")
+
+    def tree() -> dict:
+        return {
+            str(p.relative_to(layout.root)): p.read_bytes()
+            for p in sorted(layout.root.rglob("*"))
+            if p.is_file() and ".git" not in p.relative_to(layout.root).parts
+        }
+
+    before = tree()
+    report = sync_workspace(layout, run_dir, git=SubprocessGit(), clock=TickClock(), slug="fix")
     assert not report.ok and report.rolled_back
-    after = {
-        str(p.relative_to(layout.root)): p.read_bytes()
-        for p in sorted(layout.root.rglob("*"))
-        if p.is_file()
-    }
-    assert after == before
+    assert report.detail.startswith("push failed"), report.detail
+    assert tree() == before
 
 
 def test_sync_rollback_on_real_git_undoes_the_sync_commit(tmp_path, layout):
@@ -321,11 +330,11 @@ def test_sync_requires_log_entry_and_passing_verdict(tmp_path, layout):
     run_dir = RunDirectory(tmp_path / "incomplete").create()
     run_dir.write(K.REVIEW, "verdict: PASS\n")
     with pytest.raises(WorkspaceError):
-        sync_workspace(layout, run_dir, git=FakeGit(), clock=TickClock(), slug="x")
+        sync_workspace(layout, run_dir, git=SubprocessGit(), clock=TickClock(), slug="x")
     run_dir.write(K.LOG_ENTRY, LOG_ENTRY)
     run_dir.write(K.REVIEW, "verdict: STOP\n")
     with pytest.raises(WorkspaceError):
-        sync_workspace(layout, run_dir, git=FakeGit(), clock=TickClock(), slug="x")
+        sync_workspace(layout, run_dir, git=SubprocessGit(), clock=TickClock(), slug="x")
 
 
 # --- handoff ----------------------------------------------------------------------
@@ -337,10 +346,10 @@ def test_read_handoff_fresh_workspace_is_empty(layout):
     assert context.warnings == ()
 
 
-def test_handoff_round_trips_through_sync(tmp_path, layout):
+def test_handoff_round_trips_through_sync(tmp_path, layout, remote):
     # oracle: write-then-read equality on section contents
     run_dir = _completed_run(tmp_path)
-    sync_workspace(layout, run_dir, git=FakeGit(), clock=TickClock(), slug="fix")
+    sync_workspace(layout, run_dir, git=SubprocessGit(), clock=TickClock(), slug="fix")
     context = read_handoff(layout)
     assert context.prior_decisions == "The retry queue stays bounded at three cycles per signal."
     assert context.known_issues == "Large answer files are loaded eagerly."
@@ -364,12 +373,6 @@ def test_read_handoff_malformed_content_warns(layout):
 
 
 # --- git layer ---------------------------------------------------------------------
-
-
-def test_fake_worktree_remove_is_idempotent(tmp_path):
-    git = FakeGit()
-    result = git.worktree_remove(tmp_path, tmp_path / "nonexistent-worktree")
-    assert result.ok
 
 
 def _git(repo: Path, *args: str) -> str:
