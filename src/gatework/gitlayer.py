@@ -40,7 +40,9 @@ class SubprocessGit:
     lock, because git does not guard all of its shared state: concurrent
     ``worktree add``s read each other's half-written administrative
     directories (``fatal: failed to read .git/worktrees/<name>/commondir``
-    on git 2.39). Different repositories proceed in parallel."""
+    on git 2.39). Different repositories proceed in parallel. A checkout
+    of a large tree writes its files in parallel worker processes (see
+    ``_checkout``)."""
 
     def __init__(self) -> None:
         self._locks: defaultdict[str, threading.Lock] = defaultdict(threading.Lock)
@@ -92,19 +94,28 @@ class SubprocessGit:
         return proc.returncode == 0
 
     def worktree_add(self, repo: Path, path: Path, branch: str) -> GitResult:
+        """Add a worktree of ``repo`` at ``path`` holding a pristine checkout
+        of ``branch``: created at the main checkout's HEAD, or checked out
+        as it is if it exists. Refuses (``ok=False``) a ``path`` that
+        exists; a failed add leaves no worktree and no branch behind."""
         # git -C <repo> resolves relative worktree paths against the repo,
         # not our working directory, so pass an absolute path
         path = Path(path).resolve()
-        # git creates the branch before it fails on an existing path
+        detail = f"{path} on {branch}"
+        # git adds into an existing empty directory, and a failed add
+        # removes its worktree: refuse any existing path, so nothing
+        # already there is touched
         if path.exists():
-            return _refused(GitAction.WORKTREE_ADD, f"{path} on {branch}", f"{path} already exists")
-        # --no-track: an agent branch never writes the target's config,
-        # whatever the user's branch.autoSetupMerge says
-        proc = self._run(repo, "worktree", "add", "--no-track", "-b", branch, str(path))
-        # the branch may survive from an earlier session of this run
-        if proc.returncode != 0 and self._has_branch(repo, branch):
-            proc = self._run(repo, "worktree", "add", str(path), branch)
-        return self._result(GitAction.WORKTREE_ADD, proc, f"{path} on {branch}")
+            return _refused(GitAction.WORKTREE_ADD, detail, f"{path} already exists")
+        # an empty worktree, filled by the checkout step a carry runs too;
+        # `worktree add -b` would start `branch`, `symbolic-ref` and
+        # `reset --hard` of its own
+        proc = self._run(repo, "worktree", "add", "--detach", "--no-checkout", str(path))
+        if proc.returncode == 0:
+            proc = self._check_out_branch(repo, path, branch)
+            if proc.returncode != 0:
+                self._run(repo, "worktree", "remove", "--force", str(path))
+        return self._result(GitAction.WORKTREE_ADD, proc, detail)
 
     def worktree_remove(self, repo: Path, path: Path) -> GitResult:
         path = Path(path).resolve()
@@ -118,13 +129,12 @@ class SubprocessGit:
         ``branch``: tracked edits reverted, untracked and ignored files
         deleted. Refuses (``ok=False``) a path that is not a worktree."""
         path = Path(path).resolve()
-        # A linked worktree's .git is a file. Anywhere else, git would walk
-        # up to the enclosing repository and reset that checkout instead.
-        if not (path / ".git").is_file():
+        # anywhere else, git would reset the enclosing repository's checkout
+        if not is_linked_worktree(path):
             return _refused(GitAction.WORKTREE_RESET, str(path), f"{path} is not a linked worktree")
         # like `reset --hard`, but also returns HEAD to the branch if the
         # agent switched branches or detached it
-        proc = self._run(repo, "checkout", "-q", "-f", branch, "--", where=path)
+        proc = self._checkout(repo, path, branch)
         return self._result(GitAction.WORKTREE_RESET, self._clean(repo, proc, path), str(path))
 
     def worktree_carry(self, repo: Path, source: Path, path: Path, branch: str) -> GitResult:
@@ -135,20 +145,36 @@ class SubprocessGit:
         worktree and a ``path`` that exists."""
         source, path = Path(source).resolve(), Path(path).resolve()
         detail = f"{source} -> {path} on {branch}"
-        if not (source / ".git").is_file():
+        if not is_linked_worktree(source):
             return _refused(GitAction.WORKTREE_CARRY, detail, f"{source} is not a linked worktree")
         # `worktree move` onto an existing directory moves into it
         if path.exists():
             return _refused(GitAction.WORKTREE_CARRY, detail, f"{path} already exists")
         proc = self._run(repo, "worktree", "move", str(source), str(path))
         if proc.returncode == 0:
-            proc = self._run(
-                repo, "checkout", "-q", "-f", "--no-track", "-b", branch, "main-worktree/HEAD", "--",
-                where=path,
-            )
-            if proc.returncode != 0 and self._has_branch(repo, branch):
-                proc = self._run(repo, "checkout", "-q", "-f", branch, "--", where=path)
+            proc = self._check_out_branch(repo, path, branch)
         return self._result(GitAction.WORKTREE_CARRY, self._clean(repo, proc, path), detail)
+
+    def _check_out_branch(self, repo: Path, path: Path, branch: str) -> subprocess.CompletedProcess:
+        """Check out ``branch`` in the worktree of ``repo`` at ``path``:
+        created at the main checkout's HEAD, or as it is if it exists."""
+        # --no-track: an agent branch never writes the target's config,
+        # whatever the user's branch.autoSetupMerge says
+        proc = self._checkout(repo, path, "--no-track", "-b", branch, "main-worktree/HEAD")
+        # the branch may survive from an earlier session of this run
+        if proc.returncode != 0 and self._has_branch(repo, branch):
+            proc = self._checkout(repo, path, branch)
+        return proc
+
+    def _checkout(self, repo: Path, path: Path, *args: str) -> subprocess.CompletedProcess:
+        """``git checkout -f`` in the worktree of ``repo`` at ``path``.
+
+        Files are written by one worker process per CPU
+        (``checkout.workers=0``, git 2.32 or later) when at least git's
+        ``checkout.thresholdForParallelism`` (default 100) of them change;
+        creating files is kernel time, so it spreads over CPUs. Smaller
+        checkouts stay sequential and start no worker."""
+        return self._run(repo, "-c", "checkout.workers=0", "checkout", "-q", "-f", *args, "--", where=path)
 
     def _clean(
         self, repo: Path, checkout: subprocess.CompletedProcess, path: Path
@@ -211,6 +237,13 @@ class SubprocessGit:
     def default_branch(self, repo: Path) -> str | None:
         proc = self._run(repo, "symbolic-ref", "--short", "HEAD")
         return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def is_linked_worktree(path: Path) -> bool:
+    """Whether ``path`` holds a linked worktree: its ``.git`` is a file
+    pointing into a repository. Inside any other directory, git walks up
+    to the enclosing repository."""
+    return (Path(path) / ".git").is_file()
 
 
 def _refused(action: GitAction, detail: str, problem: str) -> GitResult:

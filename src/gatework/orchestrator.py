@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
+import shutil
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -42,7 +43,7 @@ from gatework.errors import (
     ProtocolError,
     VerdictError,
 )
-from gatework.gitlayer import GitAction, GitResult, SubprocessGit
+from gatework.gitlayer import GitAction, GitResult, SubprocessGit, is_linked_worktree
 from gatework.model import (
     CONTRACT_GATES,
     STATE_CHAIN,
@@ -981,9 +982,17 @@ class Orchestrator:
         if self.run_state.access:
             merge_access_logs(self.run_state.access, self.run_dir)
         # worktrees are disposable once artifacts and audit logs are
-        # collected; removing them frees the role branches for re-runs
+        # collected; removing them frees the role branches for re-runs.
+        # Anything else an agent left at a worktree sandbox's path would be
+        # refused as that sandbox by every later session, so it goes too.
         for role in sorted(self.workflow.roles() & WORKTREE_ROLES):
-            self.git.worktree_remove(self.target_repo, self.run_dir.sandboxes_dir / role.value)
+            path = self.run_dir.sandboxes_dir / role.value
+            if path.is_symlink() or path.is_file():
+                path.unlink()
+            elif is_linked_worktree(path):
+                self.git.worktree_remove(self.target_repo, path)
+            elif path.exists():
+                shutil.rmtree(path)
         self.run_dir.report_json_path.write_text(self._report.to_json(), encoding="utf-8")
         self.run_dir.report_text_path.write_text(self._report.render_text(), encoding="utf-8")
 

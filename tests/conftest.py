@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 from pathlib import Path
 
@@ -224,8 +225,11 @@ class RecordingGit(SubprocessGit):
 
 
 def pytest_report_header(config) -> str:
-    # every scenario runs on the system git, so a log names the one it ran on
-    return subprocess.run(["git", "--version"], capture_output=True, text=True, check=True).stdout.strip()
+    # Every scenario runs on the system git, so a log names the one it ran
+    # on. Sandbox checkouts start one worker per CPU (checkout.workers=0),
+    # which needs git 2.32 or later.
+    version = subprocess.run(["git", "--version"], capture_output=True, text=True, check=True).stdout.strip()
+    return f"{version}, {os.cpu_count()} CPUs"
 
 
 _GITCONFIG = """\

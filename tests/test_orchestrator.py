@@ -753,17 +753,19 @@ def test_failed_dispatch_in_a_parallel_stage_is_recorded_under_the_failing_role(
 
 
 class _OccupyingBackend(AgentBackend):
-    """Runs ``inner``, then leaves a plain directory where the ``blocked``
-    role's sandbox goes, which git refuses to reset as a worktree."""
+    """Runs ``inner``, then leaves something else (by default a plain
+    directory) where the ``blocked`` role's sandbox goes, which git
+    refuses to reset as a worktree."""
 
     kind = BackendKind.SCRIPTED
 
-    def __init__(self, inner: AgentBackend, blocked: AgentRole):
+    def __init__(self, inner: AgentBackend, blocked: AgentRole, occupy=Path.mkdir):
         self.inner = inner
         self.blocked = blocked
+        self.occupy = occupy
 
     def execute(self, req, log_path=None):
-        (req.sandbox.path.parent / self.blocked.value).mkdir()
+        self.occupy(req.sandbox.path.parent / self.blocked.value)
         return self.inner.execute(req, log_path=log_path)
 
 
@@ -780,6 +782,36 @@ def test_failed_worktree_creation_is_finalized_as_a_diagnostic(tmp_path):
     assert run_dir.report_json_path.exists()
     # the builder's worktree, made earlier in the session, is removed
     assert not (run_dir.sandboxes_dir / "builder").exists()
+
+
+@pytest.mark.parametrize("left", ["directory", "file", "symlink"])
+def test_what_an_agent_leaves_at_a_worktree_sandbox_does_not_wedge_the_run(tmp_path, left):
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    (outside / "keep.txt").write_text("keep\n", encoding="utf-8")
+    occupy = {
+        "directory": Path.mkdir,
+        "file": lambda path: path.write_text("x\n", encoding="utf-8"),
+        "symlink": lambda path: path.symlink_to(outside),
+    }[left]
+    backends = scripted_backends(workflow_by_id(9))
+    backends[R.BUILDER] = _OccupyingBackend(backends[R.BUILDER], R.TESTER, occupy)
+    first, run_dir, _ = run_scripted_workflow(tmp_path, 9, backends=backends)
+    assert "not a linked worktree" in first.diagnostics["tester"]
+    # the session's end clears it along with the worktrees, and never
+    # what a symlink points at
+    tester = run_dir.sandboxes_dir / "tester"
+    assert not tester.exists() and not tester.is_symlink()
+    assert (outside / "keep.txt").read_text(encoding="utf-8") == "keep\n"
+
+    git = RecordingGit()
+    resumed = _resume(tmp_path, run_dir, 9, git)
+
+    assert resumed.final_state == "PIPELINES_COMPLETE", resumed.diagnostics
+    assert resumed.exit_code == 0
+    # the tester's sandbox is added afresh, and this time the tester runs
+    assert git.calls == [("add", "tester")]
+    assert "audit.md" in resumed.artifacts
 
 
 def _shipping_target(tmp_path: Path) -> Path:

@@ -4,6 +4,7 @@ none, and removed at finalize."""
 
 from __future__ import annotations
 
+import json
 import os
 import shlex
 import subprocess
@@ -31,33 +32,62 @@ def _git(repo: Path, *args: str) -> str:
     ).stdout
 
 
+class GitProcesses:
+    """The git processes ``gatework.gitlayer`` started: ``argv`` of each
+    it spawned itself, and ``total()``, which counts git's own child
+    processes too, from the ``start`` events of git's trace2 log."""
+
+    def __init__(self, trace: Path) -> None:
+        self.trace = trace
+        self.argv: list[list[str]] = []
+
+    def starts(self) -> list[list[str]]:
+        """The argv of every git process that started, children included."""
+        if not self.trace.exists():
+            return []
+        events = map(json.loads, self.trace.read_text(encoding="utf-8").splitlines())
+        return [event["argv"] for event in events if event["event"] == "start"]
+
+    def total(self) -> int:
+        return len(self.starts())
+
+    def clear(self) -> None:
+        self.argv.clear()
+        self.trace.unlink(missing_ok=True)
+
+
 @pytest.fixture
-def git_spawns(monkeypatch) -> list[list[str]]:
-    """Every git process started through ``gatework.gitlayer``."""
-    spawned: list[list[str]] = []
+def git_spawns(tmp_path, monkeypatch) -> GitProcesses:
+    """Every git process started through ``gatework.gitlayer``; git
+    processes the test or an agent starts are not counted."""
+    spawned = GitProcesses(tmp_path / "git-trace2.json")
 
     def run(argv, *args, **kwargs):
         if argv[0] == "git":
-            spawned.append(list(argv))
+            spawned.argv.append(list(argv))
+            # git's children inherit it, so they log their start too
+            kwargs["env"] = {**os.environ, "GIT_TRACE2_EVENT": str(spawned.trace)}
         return subprocess.run(argv, *args, **kwargs)
 
     monkeypatch.setattr(gitlayer, "subprocess", types.SimpleNamespace(run=run))
     return spawned
 
 
-# Workflow 9 spawns: is_repo and remote_url at start, one `worktree add
-# -b` for the builder, the tester's carry of it (`worktree move`,
-# `checkout -f -b`, `clean`), and one `worktree remove`.
-WF9_GIT_SPAWNS = 7
+# Workflow 9: is_repo and remote_url at start; the builder's add (`worktree
+# add --detach --no-checkout` and the `update-ref` it starts, then
+# `checkout -f -b`); the tester's carry of it (`worktree move`, `checkout
+# -f -b`, `clean`); and one `worktree remove`.
+WF9_GIT_PROCESSES = 9
 # Workflow 1 with 1 HOLD, 3 BLOCKs and 1 STOP dispatches builder 4x,
-# tester 4x, scriber 2x, simulator 1x: 2 start-up queries, 3 adds for the
-# parallel stage, 6 BLOCK resets and 1 STOP reset of 2 processes each,
-# the scriber's 3-process carry of the builder's worktree, and 3 removes.
-WF1_FULL_RETRY_GIT_SPAWNS = 25
+# tester 4x, scriber 2x, simulator 1x: 2 start-up queries, 3 adds of 3
+# processes for the parallel stage, 6 BLOCK resets and 1 STOP reset of 2
+# processes each, the scriber's 3-process carry of the builder's
+# worktree, and 3 removes.
+WF1_FULL_RETRY_GIT_PROCESSES = 31
 # Workflow 2 shipping to a bare remote: 2 start-up queries, 2 adds, the
 # scriber's 3-process carry, then `add -A`, `symbolic-ref`, `commit` and
-# `push` on the target, and 2 removes.
-WF2_SHIP_GIT_SPAWNS = 13
+# `push` (and the `receive-pack` it starts) on the target, and 2 removes.
+WF2_SHIP_GIT_PROCESSES = 18
 
 
 def test_git_spawns_per_run_workflow_9(tmp_path, git_spawns):
@@ -65,7 +95,7 @@ def test_git_spawns_per_run_workflow_9(tmp_path, git_spawns):
     git = RecordingGit()
     report, _, _ = run_scripted_workflow(tmp_path, 9, target_repo=repo, git=git)
     assert report.final_state == "PIPELINES_COMPLETE"
-    assert len(git_spawns) == WF9_GIT_SPAWNS, git_spawns
+    assert git_spawns.total() == WF9_GIT_PROCESSES, git_spawns.starts()
     # the tester takes over the builder's worktree
     assert git.adds() == 1
     assert git.calls == [("add", "builder"), ("carry", "tester")]
@@ -83,7 +113,7 @@ def test_git_spawns_per_run_workflow_1_full_retry(tmp_path, git_spawns):
         "builder": 4, "planner": 2, "reviewer": 2, "scriber": 2, "simulator": 1, "tester": 4,
     }
     assert report.retries == {"BLOCK": 3, "HOLD": 1, "STOP": 1}
-    assert len(git_spawns) == WF1_FULL_RETRY_GIT_SPAWNS, git_spawns
+    assert git_spawns.total() == WF1_FULL_RETRY_GIT_PROCESSES, git_spawns.starts()
     # as many adds as the widest stage has worktree roles
     assert git.adds() == 3
     assert ("carry", "scriber") in git.calls
@@ -99,7 +129,7 @@ def test_git_spawns_per_run_workflow_2_shipping(tmp_path, git_spawns):
     )
     assert report.final_state == "DONE"
     assert report.ship["shipped"] is True
-    assert len(git_spawns) == WF2_SHIP_GIT_SPAWNS, git_spawns
+    assert git_spawns.total() == WF2_SHIP_GIT_PROCESSES, git_spawns.starts()
     assert git.adds() == 2
     assert _git(repo, "worktree", "list").count("\n") == 1
 
@@ -267,15 +297,43 @@ def test_resumed_session_adds_a_fresh_worktree(tmp_path):
     assert _git(repo, "worktree", "list").count("\n") == 1
 
 
-def test_worktree_add_takes_one_process_and_reuses_an_existing_branch(tmp_path, git_spawns):
+def test_worktree_add_takes_three_processes_and_reuses_an_existing_branch(tmp_path, git_spawns):
     repo = init_git_repo(tmp_path / "repo")
     git = SubprocessGit()
-    assert git.worktree_add(repo, tmp_path / "wt-new", "agent/builder/req-1").ok
-    assert len(git_spawns) == 1
+    path = tmp_path / "wt-new"
+    assert git.worktree_add(repo, path, "agent/builder/req-1").ok
+    # an empty worktree, then the carry's checkout step; `worktree add`
+    # starts one `update-ref` of its own
+    assert [argv[3:] for argv in git_spawns.argv] == [
+        ["worktree", "add", "--detach", "--no-checkout", str(path.resolve())],
+        ["-c", "checkout.workers=0", "checkout", "-q", "-f",
+         "--no-track", "-b", "agent/builder/req-1", "main-worktree/HEAD", "--"],
+    ]
+    assert git_spawns.total() == 3, git_spawns.starts()
+    assert _git(path, "branch", "--show-current") == "agent/builder/req-1\n"
+    assert _git(path, "rev-parse", "HEAD") == _git(repo, "rev-parse", "HEAD")
+    assert _git(path, "status", "--porcelain", "--ignored") == ""
     _git(repo, "branch", "agent/tester/req-1")
     existing = git.worktree_add(repo, tmp_path / "wt-old", "agent/tester/req-1")
     assert existing.ok, existing.output
     assert _git(tmp_path / "wt-old", "rev-parse", "--abbrev-ref", "HEAD").strip() == "agent/tester/req-1"
+
+
+def test_failed_worktree_add_leaves_no_worktree_behind(tmp_path):
+    repo = init_git_repo(tmp_path / "repo")
+    git = SubprocessGit()
+    assert git.worktree_add(repo, tmp_path / "holder", "agent/builder/req-1").ok
+    listed = _git(repo, "worktree", "list", "--porcelain")
+    branches = _git(repo, "branch", "--list")
+
+    # git checks a branch out in one worktree at most
+    result = git.worktree_add(repo, tmp_path / "second", "agent/builder/req-1")
+
+    assert not result.ok
+    assert "already checked out" in result.output
+    assert _git(repo, "worktree", "list", "--porcelain") == listed
+    assert _git(repo, "branch", "--list") == branches
+    assert not (tmp_path / "second").exists()
 
 
 def test_worktree_add_refuses_an_existing_path_and_creates_no_branch(tmp_path, git_spawns):
@@ -289,7 +347,7 @@ def test_worktree_add_refuses_an_existing_path_and_creates_no_branch(tmp_path, g
 
     assert not result.ok
     assert "already exists" in result.output
-    assert git_spawns == []
+    assert git_spawns.argv == [] and git_spawns.total() == 0
     assert _git(repo, "branch", "--list", "agent/*") == branches
     assert (occupied / "keep.txt").read_text(encoding="utf-8") == "keep\n"
 
@@ -303,7 +361,7 @@ def test_worktree_carry_takes_three_processes_and_refuses_bad_paths(tmp_path, gi
     occupied.mkdir()
     stray = tmp_path / "stray"
     stray.mkdir()
-    del git_spawns[:]
+    git_spawns.clear()
 
     # `worktree move` would move the worktree into an existing directory
     refused = git.worktree_carry(repo, idle, occupied, "agent/tester/req-1")
@@ -311,17 +369,68 @@ def test_worktree_carry_takes_three_processes_and_refuses_bad_paths(tmp_path, gi
     for source in (stray, repo):
         refused = git.worktree_carry(repo, source, tmp_path / "new", "agent/tester/req-1")
         assert not refused.ok and "not a linked worktree" in refused.output
-    assert git_spawns == []
+    assert git_spawns.argv == [] and git_spawns.total() == 0
     assert list(occupied.iterdir()) == []
     assert not (tmp_path / "new").exists()
 
     carried = git.worktree_carry(repo, idle, tmp_path / "tester", "agent/tester/req-1")
     assert carried.ok, carried.output
-    assert [argv[3:5] for argv in git_spawns] == [
-        ["worktree", "move"], ["checkout", "-q"], ["clean", "-q"],
+    assert [argv[3:6] for argv in git_spawns.argv] == [
+        ["worktree", "move", str(idle.resolve())],
+        ["-c", "checkout.workers=0", "checkout"],
+        ["clean", "-q", "-ffdx"],
     ]
+    assert git_spawns.total() == 3, git_spawns.starts()
     assert not idle.exists()
     assert _git(tmp_path / "tester", "branch", "--show-current") == "agent/tester/req-1\n"
+
+
+def _large_repo(path: Path) -> Path:
+    """A repository of 122 tracked files, above git's default
+    ``checkout.thresholdForParallelism`` of 100, with an executable
+    script and a symlink among them."""
+    repo = init_git_repo(path)
+    for i in range(120):
+        module = repo / "pkg" / f"sub{i % 6}" / f"mod{i}.py"
+        module.parent.mkdir(parents=True, exist_ok=True)
+        module.write_text(f"VALUE = {i}\n" * (i % 7 + 1), encoding="utf-8")
+    script = repo / "run.sh"
+    script.write_text("#!/bin/sh\necho ok\n", encoding="utf-8")
+    script.chmod(0o755)
+    (repo / "latest").symlink_to("pkg/sub0/mod0.py")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "large tree")
+    return repo
+
+
+def test_parallel_checkout_matches_the_main_checkout(tmp_path, git_spawns):
+    repo = _large_repo(tmp_path / "repo")
+    git = SubprocessGit()
+    builder = tmp_path / "sandboxes" / "builder"
+
+    def assert_pristine() -> None:
+        assert _git(builder, "status", "--porcelain", "--ignored") == ""
+        assert _git(builder, "ls-files", "-s") == _git(repo, "ls-files", "-s")
+        assert os.access(builder / "run.sh", os.X_OK)
+        assert not os.access(builder / "pkg" / "sub0" / "mod0.py", os.X_OK)
+        assert os.readlink(builder / "latest") == "pkg/sub0/mod0.py"
+
+    assert git.worktree_add(repo, builder, "agent/builder/req-1").ok
+    assert_pristine()
+    # a reset rewrites every file an agent changed
+    for module in (builder / "pkg").rglob("*.py"):
+        module.write_text("edited\n", encoding="utf-8")
+    (builder / "run.sh").chmod(0o644)
+    (builder / "latest").unlink()
+    assert git.worktree_reset(repo, builder, "agent/builder/req-1").ok
+    assert_pristine()
+
+    checkouts = [argv for argv in git_spawns.argv if "checkout" in argv]
+    assert len(checkouts) == 2
+    assert all(argv[3:6] == ["-c", "checkout.workers=0", "checkout"] for argv in checkouts)
+    # git resolves 0 to one worker per CPU, and one worker is no parallelism
+    workers = [argv for argv in git_spawns.starts() if argv[1] == "checkout--worker"]
+    assert bool(workers) == ((os.cpu_count() or 1) > 1), git_spawns.starts()
 
 
 def test_worktree_carry_checks_out_a_surviving_branch_as_it_is(tmp_path):
