@@ -343,7 +343,6 @@ def cmd_replay(args: argparse.Namespace, console: _Console) -> int:
     if not config.get("deterministic"):
         console.echo("[environment] run was not recorded deterministically; cannot replay")
         return EXIT_ENVIRONMENT
-    request_id = json.loads(run_dir.report_json_path.read_text(encoding="utf-8"))["request_id"]
     with tempfile.TemporaryDirectory() as tmp:
         code = _execute_run(
             _Console(),  # replay output is not mirrored into the original run
@@ -355,7 +354,7 @@ def cmd_replay(args: argparse.Namespace, console: _Console) -> int:
             workspace_root=None,
             runs_root=Path(tmp),
             deterministic=True,
-            request_id=request_id,
+            request_id=run_dir.path.name,  # as every resume takes it
         )
         replayed_dirs = sorted(Path(tmp).iterdir())
         if not replayed_dirs:

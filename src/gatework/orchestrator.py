@@ -16,7 +16,8 @@ import shutil
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
+from datetime import timedelta
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -30,7 +31,7 @@ from gatework.barrier import (
     create_sandbox,
     merge_access_logs,
 )
-from gatework.clock import Clock, TickClock
+from gatework.clock import Clock, TickClock, parse_iso8601
 from gatework.errors import (
     AuditIncompleteness,
     BarrierError,
@@ -598,6 +599,13 @@ class _Halt(Exception):
         self.fields = fields
 
 
+def _outcome_name(result: tuple[AgentOutcome, RoutingAction | None] | GateworkError) -> str:
+    """A dispatch's journaled outcome: completed, the signal kind, or failed."""
+    if isinstance(result, GateworkError):
+        return "failed"
+    return result[0].signal.kind.value if result[0].signal else "completed"
+
+
 #: What a failed dispatch raises, sandbox creation included; the run
 #: records a diagnostic under the failing role, halts and is finalized.
 _DISPATCH_FAILURES = (
@@ -640,7 +648,6 @@ class Orchestrator:
         self.directive = directive
         self.profile: LanguageProfile = UNKNOWN_PROFILE
         self.run_state = RunState(workflow=workflow)
-        self._extras: dict[AgentRole, list[str]] = {}
         self._report = RunReport(
             request_id=request_id,
             workflow_id=workflow.id,
@@ -699,8 +706,7 @@ class Orchestrator:
                 lines.append("validation commands: " + "; ".join(self.profile.validation))
             if role in (AgentRole.BUILDER, AgentRole.SCRIBER):
                 lines.append(f"documentation convention: {self.profile.doc_convention}")
-        for extra in self._extras.get(role, []):
-            lines.append(extra)
+        lines += self.run_state.briefing.get(role, [])
         return "\n".join(lines) + "\n"
 
     def _sandbox_clock(self) -> Clock:
@@ -734,11 +740,12 @@ class Orchestrator:
 
     def _dispatch_role(
         self, role: AgentRole, attempt: int | None, idle: Path | None, made: dict[AgentRole, Sandbox]
-    ) -> AgentOutcome | GateworkError:
+    ) -> tuple[AgentOutcome, RoutingAction | None] | GateworkError:
         """Dispatch one role, carrying the ``idle`` worktree to its sandbox
-        if it has none, and collect what it produced. A failure is returned,
-        not raised, and the sandbox enters ``made`` once it exists, so the
-        access events of a failed dispatch are journaled too."""
+        if it has none, and collect what it produced or route its signal.
+        A failure, an unroutable signal included, is returned, not raised,
+        and the sandbox enters ``made`` once it exists, so only a dispatch
+        that ran is journaled, with its access events even if it failed."""
         try:
             if attempt is None:
                 raise MisconfigurationError(f"no backend configured for {role.value}")
@@ -749,14 +756,14 @@ class Orchestrator:
             )
             log_path = self.run_dir.logs_dir / f"{role.value}.log"
             outcome = dispatch(req, self.backends[role], log_path=log_path)
+            action = route_signal(outcome.signal, self.plan) if outcome.signal else None
         except _DISPATCH_FAILURES as exc:
             return exc
-        if outcome.status is OutcomeStatus.COMPLETED:
-            for kind in sorted(outcome.produced, key=lambda k: k.filename):
-                source = find_artifact(sandbox.path, kind)
-                if source is not None:
-                    self.run_dir.write(kind, source.read_text(encoding="utf-8"))
-        return outcome
+        for kind in sorted(outcome.produced, key=lambda k: k.filename):
+            source = find_artifact(sandbox.path, kind)
+            if source is not None:
+                self.run_dir.write(kind, source.read_text(encoding="utf-8"))
+        return outcome, action
 
     def _idle_worktrees(self, batch: Sequence[AgentRole]) -> dict[AgentRole, Path]:
         """Hand each worktree role of ``batch`` that has no sandbox yet an
@@ -777,13 +784,14 @@ class Orchestrator:
         ]
         return dict(zip(needing, idle))
 
-    def _dispatch_batch(self, roles: Sequence[AgentRole]) -> list[tuple[AgentRole, AgentOutcome]]:
+    def _dispatch_batch(self, roles: Sequence[AgentRole]) -> list[tuple[AgentOutcome, RoutingAction | None]]:
         """Dispatch a batch concurrently; results return in batch order and
         no downstream work starts until every dispatch has finished.
 
         Only this thread journals: after the batch, in batch order, each
-        attempt and its access events, failed ones included. A failed
-        dispatch is recorded under the role's name and halts the session."""
+        attempt whose sandbox was made, with its outcome and access events,
+        failed ones included. A failed dispatch is recorded under the
+        role's name and halts the session."""
         idle = self._idle_worktrees(roles)
         # fixed before any worker starts; a role's dispatch count is its attempt
         attempts = {r: self.run_state.dispatches.get(r, 0) + 1 for r in roles if r in self.backends}
@@ -792,12 +800,14 @@ class Orchestrator:
             results = list(
                 pool.map(lambda r: self._dispatch_role(r, attempts.get(r), idle.get(r), made), roles)
             )
-        batch = [(r, made[r].audit.events() if r in made else ()) for r in attempts]
+        batch = [
+            (r, _outcome_name(res), made[r].audit.events()) for r, res in zip(roles, results) if r in made
+        ]
         record_dispatches(self.run_state, self.run_dir, batch)
         failed = {r.value: str(res) for r, res in zip(roles, results) if isinstance(res, GateworkError)}
         if failed:
             raise _Halt(diagnostics=failed)
-        return list(zip(roles, results))
+        return results
 
     def _reach(self, state: WorkflowState, label: str) -> None:
         """Advance to ``state`` and never past it, or halt with a gate
@@ -824,65 +834,34 @@ class Orchestrator:
             escalation = f"unanswered question from {raiser.value}: {question}"
             raise _Halt(escalation=escalation, pending=question)
         record_answer(self.run_state, self.run_dir, raiser, answer)
-        self._extras.setdefault(raiser, []).append(f"user answer: {answer}")
 
     # -- stage execution --
 
-    def _execute_stage(self, stage: Stage, first: tuple[AgentRole, ...]) -> int | None:
-        """Run one stage to completion, dispatching ``first`` and then
-        whatever the signals route. Returns the stage index a STOP rewinds
-        to (every stage from it re-runs), or None."""
-        satisfied = set(stage.roles) - set(first)
-        batches: deque[tuple[AgentRole, ...]] = deque([first])
-
-        while batches:
-            results = self._dispatch_batch(batches.popleft())
-
-            # the routed re-dispatch phases of every signal, merged phase by phase
-            phases: list[list[AgentRole]] = []
-            for role, outcome in results:
-                if outcome.status is OutcomeStatus.COMPLETED:
-                    satisfied.add(role)
+    def _execute_stage(self, stage: Stage) -> None:
+        """Dispatch what the journal says the stage still owes, batch by
+        batch: the first owed phase, else the stage's roles not done. Each
+        signal is journaled with its routing, which the journal's fold
+        turns into owed work; a routed STOP ends the stage early."""
+        run = self.run_state
+        while batch := run.owed[0] if run.owed else tuple(r for r in stage.roles if r not in run.done):
+            for outcome, action in self._dispatch_batch(batch):
+                if action is None:
                     continue
                 signal = outcome.signal
-                assert signal is not None
-                disposition = record_signal(self.run_state, signal, self.run_dir, self.clock)
+                routing = {"phases": [[r.value for r in phase] for phase in action.phases]}
+                if action.rewind_to_stage is not None:
+                    routing = {"rewind": action.rewind_to_stage}
+                disposition = record_signal(run, signal, self.run_dir, self.clock, routing)
                 if disposition is SignalDisposition.ESCALATE_TO_USER:
                     message = (
                         f"{signal.kind.value} retry cap reached; escalating to user: {signal.payload}"
                     )
                     self.channel.notify(message)
                     raise _Halt(escalation=message)
-                action = route_signal(signal, self.plan)
                 if action.rewind_to_stage is not None:
-                    target_roles = self.plan.stages[action.rewind_to_stage].roles
-                    for target in target_roles:
-                        self._extras.setdefault(target, []).append(
-                            f"quality-gate failure details: {signal.payload}"
-                        )
-                    return action.rewind_to_stage
+                    return
                 if action.forward_question is not None:
                     self._answer_hold(signal.raiser, action.forward_question)
-                else:  # BLOCK: the fix role first, the tester re-validates after it
-                    self._extras.setdefault(action.phases[0][0], []).append(
-                        f"validation failure details: {signal.payload}"
-                    )
-                for depth, phase in enumerate(action.phases):
-                    if depth == len(phases):
-                        phases.append([])
-                    phases[depth].extend(phase)
-                    satisfied.difference_update(phase)
-
-            if phases:
-                batches.extendleft(tuple(dict.fromkeys(phase)) for phase in reversed(phases))
-            elif not batches and satisfied < set(stage.roles):
-                remaining = tuple(r for r in stage.roles if r not in satisfied)
-                batches.append(remaining)
-        return None
-
-    def _role_satisfied(self, role: AgentRole) -> bool:
-        """True when the role's contracted artifacts already exist."""
-        return all(self.run_dir.exists(kind) for kind in contracted_artifacts(role, self.workflow))
 
     def _run_mechanical_review(self) -> None:
         report = mechanical_review(self.run_dir, self.run_state.access, self.plan)
@@ -899,9 +878,9 @@ class Orchestrator:
         A fresh run is a run directory with an empty journal, so every
         session starts the same way: it rebuilds the state from the
         journal, asks the HOLD question an earlier session left
-        unanswered, and skips the roles whose contracted artifacts exist,
-        up to the first stage that dispatches. A session ends at its first
-        halt, journaled as one record holding the report fields it sets.
+        unanswered, and dispatches only what the journal says is owed. A
+        session ends at its first halt, journaled as one record holding
+        the report fields it sets.
         """
         try:
             self._resume()
@@ -915,8 +894,12 @@ class Orchestrator:
 
     def _resume(self) -> None:
         """Rebuild the session from the run's journal, resolve the language
-        and ask the HOLD question the journal leaves pending."""
+        and ask the HOLD question the journal leaves pending. A tick clock
+        continues after the journal's last time."""
         self.run_state = reconstruct_run_state(self.run_dir, self.workflow)
+        if isinstance(self.clock, TickClock) and self.run_state.history:
+            last = parse_iso8601(self.run_state.history[-1]["time"])
+            self.clock = replace(self.clock, start=last + timedelta(seconds=self.clock.step_seconds))
         self._resolve_profile()
         hold = self.run_state.pending_hold
         if hold is not None:
@@ -925,7 +908,6 @@ class Orchestrator:
     def _run_stages(self, authorization: str | None) -> None:
         self._reach(self.plan.entry, "entry gate")
         index = 0
-        resuming = True  # until a stage dispatches, earlier sessions' work stands
         while index < len(self.plan.stages):
             stage = self.plan.stages[index]
             if AgentRole.SHIPPER in stage.roles:
@@ -946,19 +928,19 @@ class Orchestrator:
                     workspace=self.workspace,
                     slug=self.request_id,
                     run_state=self.run_state,
-                    dispatch_shipper=lambda: self._dispatch_batch((AgentRole.SHIPPER,))[0][1],
+                    dispatch_shipper=lambda: self._dispatch_batch((AgentRole.SHIPPER,))[0][0],
                 )
                 self._report.ship = ship_report.to_dict()
                 if not ship_report.shipped:
                     raise _Halt(gate_violation=ship_report.refusal or "ship failed")
             else:
-                first = tuple(r for r in stage.roles if not (resuming and self._role_satisfied(r)))
-                if first:
-                    resuming = False
-                    rewind = self._execute_stage(stage, first)
-                    if rewind is not None:
-                        index = rewind
-                        continue
+                self._execute_stage(stage)
+                # a routed STOP leaves undone the stage it rewinds to
+                done = self.run_state.done
+                undone = [s.index for s in self.plan.stages[: index + 1] if not done.issuperset(s.roles)]
+                if undone:
+                    index = undone[0]
+                    continue
 
             # a review from an earlier session is re-checked too, so no
             # resume ships a run whose mechanical review failed

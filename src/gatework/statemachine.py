@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from gatework.clock import Clock, iso8601, parse_iso8601
 from gatework.errors import ProtocolError, TerminalStateError
@@ -115,7 +115,9 @@ def status_line(entry: dict) -> str:
 @dataclass
 class RunState:
     """The run as its journal records it. Each field changes only when a
-    record is journaled, live or on resume."""
+    record is journaled, live or on resume, so a resumed session owes what
+    the session before it owed: the ``owed`` phases, then the roles not
+    ``done``, each briefed with its ``briefing`` lines."""
 
     workflow: WorkflowType
     current: WorkflowState = WorkflowState.CREDENTIALS_VERIFIED
@@ -132,6 +134,14 @@ class RunState:
     pending_hold: dict | None = None
     #: the last record, when it is a halt: why the last session ended
     halt: dict | None = None
+    #: the roles whose latest dispatch completed
+    done: set[AgentRole] = field(default_factory=set)
+    #: the phases routed signals still owe, the next one first; the first
+    #: ``merging`` of them come from the signals of the latest batch
+    owed: list[tuple[AgentRole, ...]] = field(default_factory=list)
+    merging: int = 0
+    #: each role's briefing lines since its last completed dispatch
+    briefing: dict[AgentRole, list[str]] = field(default_factory=dict)
 
     def visited_states(self) -> tuple[WorkflowState, ...]:
         moves = [WorkflowState(e["to"]) for e in self.history if e["event"] == "transition"]
@@ -140,29 +150,62 @@ class RunState:
 
 def _apply(run: RunState, record: dict) -> None:
     """Fold one journal record into the run: the one reading of a record,
-    for the session that appends it and for every session that resumes."""
+    for the session that appends it and for every session that resumes.
+
+    What the run owes: a dispatch leaves the owed phase it ran in, unless
+    it failed; only a completed one marks the role done and clears its
+    briefing lines. A routed STOP (``rewind``) clears what is owed and
+    leaves undone every role from that stage on; the ``phases`` of a
+    routed HOLD or BLOCK go ahead of the owed ones, merged depth by depth
+    with those of the same batch. A capped signal routes nothing."""
     event = record["event"]
     run.halt = record if event == "halt" else None
     if event == "transition":
         run.current = WorkflowState(record["to"])
         run.history.append(record)
     elif event == "signal":
-        kind = SignalKind(record["kind"])
+        kind, payload = SignalKind(record["kind"]), record["payload"]
         routed = run.retries[kind] < RETRY_LIMIT
         if routed:
             run.retries[kind] += 1
         run.pending_hold = record if routed and kind is SignalKind.HOLD else None
         run.history.append(record)
+        if "rewind" in record:
+            stages = run.workflow.dag[record["rewind"]:]
+            run.done.difference_update(role for stage in stages for role in stage)
+            run.owed, run.merging = [], 0
+            for role in stages[0]:
+                run.briefing.setdefault(role, []).append(f"quality-gate failure details: {payload}")
+        phases = [tuple(AgentRole(name) for name in phase) for phase in record.get("phases", ())]
+        for depth, phase in enumerate(phases):
+            if depth < run.merging:
+                run.owed[depth] = tuple(dict.fromkeys(run.owed[depth] + phase))
+            else:
+                run.owed.insert(depth, phase)
+            run.done.difference_update(phase)
+        run.merging = max(run.merging, len(phases))
+        if phases and kind is SignalKind.BLOCK:  # the fix role first, then the tester
+            run.briefing.setdefault(phases[0][0], []).append(f"validation failure details: {payload}")
     elif event == "dispatch":
-        role = AgentRole(record["role"])
+        role, outcome = AgentRole(record["role"]), record["outcome"]
         run.dispatches[role] = run.dispatches.get(role, 0) + 1
         run.access.setdefault(role, [])
+        run.merging = 0
+        if outcome != "failed" and run.owed and role in run.owed[0]:  # the phase it ran in
+            rest = tuple(r for r in run.owed[0] if r is not role)
+            run.owed[:1] = [rest] if rest else []
+        if outcome == "completed":
+            run.done.add(role)
+            run.briefing.pop(role, None)
+        else:
+            run.done.discard(role)
     elif event == "access":
         role, kind = AgentRole(record["role"]), ArtifactKind(record["artifact"])
         when, decision = parse_iso8601(record["time"]), AccessDecision(record["decision"])
         run.access[role].append(AccessEvent(when, role, kind, decision))
     elif event == "answer":
         run.pending_hold = None
+        run.briefing.setdefault(AgentRole(record["role"]), []).append(f"user answer: {record['text']}")
     elif event == "language":
         run.language = record["language"]
 
@@ -174,13 +217,14 @@ def _journal(run: RunState, run_dir: RunDirectory, records: list[dict]) -> None:
 
 
 def record_dispatches(
-    run: RunState, run_dir: RunDirectory, batch: Sequence[tuple[AgentRole, Sequence[AccessEvent]]]
+    run: RunState, run_dir: RunDirectory, batch: Sequence[tuple[AgentRole, str, Sequence[AccessEvent]]]
 ) -> None:
-    """Journal one dispatch of each role in ``batch``, in order, each
-    followed by the access events of its sandbox."""
+    """Journal one dispatch of each role in ``batch``, in order, with its
+    outcome (``completed``, the signal kind, or ``failed``), each followed
+    by the access events of its sandbox."""
     records = []
-    for role, events in batch:
-        records.append({"event": "dispatch", "role": role.value})
+    for role, outcome, events in batch:
+        records.append({"event": "dispatch", "role": role.value, "outcome": outcome})
         records.extend(
             {"event": "access", "time": iso8601(e.timestamp), "role": e.role.value,
              "artifact": e.artifact.filename, "decision": e.decision.value}
@@ -237,13 +281,15 @@ class SignalDisposition(str, Enum):
 
 
 def record_signal(
-    run: RunState, s: Signal, run_dir: RunDirectory, clock: Clock
+    run: RunState, s: Signal, run_dir: RunDirectory, clock: Clock, routing: Mapping | None = None
 ) -> SignalDisposition:
     """Count a signal against the per-kind retry cap.
 
-    Occurrences 1..3 of a kind allow a retry; the 4th escalates to the
-    user. The counter never silently resets and is capped at the limit so
-    the escalation survives in history.
+    Occurrences 1..3 of a kind allow a retry, and the record carries what
+    the leader routed (``routing``): a HOLD's or BLOCK's ``phases``, a
+    STOP's ``rewind`` stage index. The 4th escalates to the user. The
+    counter never silently resets and is capped at the limit so the
+    escalation survives in history.
     """
     if not signal_owner_check(s):
         owners = sorted(r.value for r in SIGNAL_OWNERS[s.kind])
@@ -255,7 +301,8 @@ def record_signal(
     else:
         cause = f"{s.raiser.value} raised {s.kind.value} (cap {RETRY_LIMIT} reached; escalate)"
     record = {"event": "signal", "time": iso8601(clock.now()), "state": run.current.value,
-              "kind": s.kind.value, "raiser": s.raiser.value, "payload": s.payload, "cause": cause}
+              "kind": s.kind.value, "raiser": s.raiser.value, "payload": s.payload, "cause": cause,
+              **((routing or {}) if routed else {})}
     _journal(run, run_dir, [record])
     write_status(run, run_dir)
     return SignalDisposition.RETRY if routed else SignalDisposition.ESCALATE_TO_USER

@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 import os
 import subprocess
+from collections import deque
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,7 @@ from gatework.gitlayer import GitResult, SubprocessGit
 from gatework.model import AgentRole, WorkflowType, workflow_by_id
 from gatework.orchestrator import ChannelMode, Orchestrator, RunReport, UserChannel, start_run
 from gatework.rundir import RunDirectory
-from gatework.runtime import AgentBackend, ScriptedBackend
+from gatework.runtime import AgentBackend, BackendKind, ScriptedBackend
 
 TEST_SPEC_BODY = """\
 # Test specification
@@ -326,3 +328,89 @@ def run_scripted_workflow(
         listed = [line for line in listing.splitlines() if line.startswith("worktree ")]
         assert listed == [f"worktree {target_repo.resolve()}"], listed
     return report, run_dir, orchestrator
+
+
+class Spy(AgentBackend):
+    """Records ``probe(request)`` for every dispatch, then runs ``inner``."""
+
+    kind = BackendKind.SCRIPTED
+
+    def __init__(self, inner: AgentBackend, seen: list, probe) -> None:
+        self.inner = inner
+        self.seen = seen
+        self.probe = probe
+
+    def execute(self, req, log_path=None):
+        self.seen.append(self.probe(req))
+        return self.inner.execute(req, log_path=log_path)
+
+
+@dataclass
+class Sessions:
+    """What :func:`run_in_sessions` saw: each session's report, the run
+    directory and every dispatch's (role, briefing) in order."""
+
+    reports: list[RunReport]
+    run_dir: RunDirectory
+    briefings: list[tuple[str, str]]
+
+    def briefings_by_role(self) -> dict[str, list[str]]:
+        """Each role's briefings in order; the roles of a parallel batch
+        are dispatched in no fixed order."""
+        by_role: dict[str, list[str]] = {}
+        for role, briefing in self.briefings:
+            by_role.setdefault(role, []).append(briefing)
+        return by_role
+
+    def outcomes(self) -> list[tuple[str, str]]:
+        return [(e["role"], e["outcome"]) for e in self.run_dir.events() if e["event"] == "dispatch"]
+
+
+def run_in_sessions(
+    tmp_path: Path,
+    workflow_id: int,
+    *,
+    split: bool,
+    answers: tuple[str, ...] = (),
+    scripts: dict[AgentRole, str] | None = None,
+    authorization: str | None = None,
+    **script_kwargs,
+) -> Sessions:
+    """Run a scripted scenario on real git until it stops on something
+    no answer or resume gets past, each session with a fresh tick clock,
+    as the CLI runs them. The first session gets every answer, or, with
+    ``split``, none, and each later session the one answer to the
+    question left pending. A session that halts on a failed dispatch is
+    resumed as it is. ``scripts`` replaces the default script of a role."""
+    workflow = workflow_by_id(workflow_id)
+    texts = {**script_texts(workflow, **script_kwargs), **(scripts or {})}
+    briefings: list[tuple[str, str]] = []
+    backends = {
+        role: Spy(ScriptedBackend.from_text(texts[role]), briefings, lambda req: (req.role.value, req.briefing))
+        for role in workflow.roles()
+    }
+    target_repo = init_git_repo(tmp_path / "repo", remote=tmp_path / "remote.git")
+    run_dir, request_id = start_run(
+        runs_root=tmp_path / "runs", target_repo=target_repo, directive="scripted protocol exercise",
+        workflow=workflow, git=SubprocessGit(), clock=TickClock(),
+    )
+    left = deque(answers)
+    given = () if split else tuple(left)
+    reports: list[RunReport] = []
+    while len(reports) < 10:  # a scenario that keeps failing still ends
+        channel = RecordingChannel(given)
+        reports.append(
+            Orchestrator(
+                run_dir=run_dir, request_id=request_id, workflow=workflow, backends=backends,
+                channel=channel, target_repo=target_repo, git=SubprocessGit(), clock=TickClock(),
+                directive="scripted protocol exercise",
+            ).run(authorization=authorization)
+        )
+        question = bool(reports[-1].escalation and reports[-1].pending)
+        if not (question or reports[-1].diagnostics):
+            break
+        if split:
+            given = (left.popleft(),) if question and left else ()
+        else:
+            given = tuple(channel.answers)  # those the session did not use
+    return Sessions(reports, run_dir, briefings)

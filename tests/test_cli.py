@@ -249,7 +249,9 @@ def test_consecutive_answers_each_reach_their_own_question(tmp_path, capsys):
     assert main(["answer", "--run", str(run_dir.path), "seed 7"]) == 0
 
     seen = [json.loads(line) for line in briefed.read_text(encoding="utf-8").splitlines()]
-    assert seen == [[], ["user answer: scale 0.4"], ["user answer: seed 7"]]
+    # the builder has not completed since the first answer, so, as in one
+    # session, its third briefing carries both
+    assert seen == [[], ["user answer: scale 0.4"], ["user answer: scale 0.4", "user answer: seed 7"]]
     answered = [e["text"] for e in run_dir.events() if e["event"] == "answer"]
     assert answered == ["scale 0.4", "seed 7"]
 
@@ -302,7 +304,7 @@ def test_authorize_ships_a_ready_run(tmp_path, capsys):
     assert report["exit_code"] == 0
     assert report["mechanical"]["passed"] is True
     assert (run_dir.logs_dir / "shipper.log").exists()
-    assert {"event": "dispatch", "role": "shipper"} in run_dir.events()
+    assert {"event": "dispatch", "role": "shipper", "outcome": "completed"} in run_dir.events()
     assert "\tshipper\treview.md\tALLOW" in run_dir.access_log_path.read_text(encoding="utf-8")
     # status now reports the terminal state with no pending signals
     main(["status", "--run", str(run_dir.path)])
@@ -621,6 +623,26 @@ def test_replay_compares_the_journal(tmp_path, capsys):
     capsys.readouterr()
     assert main(["replay", "--run", str(run_dir.path)]) == 2
     assert "replay DIFFERS from the recorded run: events.jsonl" in capsys.readouterr().out
+
+
+def test_replay_takes_the_request_id_from_the_run_directory(tmp_path, capsys):
+    _, runs_root = _run_cli(tmp_path, 9)
+    run_dir = _single_run_dir(runs_root)
+    run_dir.report_json_path.write_text("junk\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["replay", "--run", str(run_dir.path)]) == 2
+    assert "replay DIFFERS from the recorded run: report.json" in capsys.readouterr().out
+
+
+def test_a_resumed_session_continues_the_journals_time(tmp_path, capsys):
+    code, runs_root = _run_cli(tmp_path, 9, builder_holds=1)
+    assert code == 3
+    run_dir = _single_run_dir(runs_root)
+    assert main(["answer", "--run", str(run_dir.path), "use defaults"]) == 0
+    history = [e for e in run_dir.events() if e["event"] in ("transition", "signal")]
+    assert [e["event"] for e in history[-2:]] == ["signal", "transition"]
+    times = [e["time"] for e in history]
+    assert times == sorted(times) and len(set(times)) == len(times)
 
 
 def test_the_cli_reads_no_projection_back(tmp_path, capsys):

@@ -13,6 +13,7 @@ from conftest import (
     AUDIT_BODY,
     RecordingChannel,
     RecordingGit,
+    Spy,
     init_git_repo,
     repo_without_language,
     run_scripted_workflow,
@@ -662,21 +663,6 @@ def test_resumed_ship_with_a_shipper_that_writes_nothing_is_not_done(tmp_path):
     assert run_dir.read(K.SHIPPER).count("## Git actions taken") == 1
 
 
-class _Spy(AgentBackend):
-    """Records ``probe(request)`` for every dispatch, then runs ``inner``."""
-
-    kind = BackendKind.SCRIPTED
-
-    def __init__(self, inner: AgentBackend, seen: list, probe):
-        self.inner = inner
-        self.seen = seen
-        self.probe = probe
-
-    def execute(self, req, log_path=None):
-        self.seen.append(self.probe(req))
-        return self.inner.execute(req, log_path=log_path)
-
-
 def test_resumed_session_finds_nothing_an_earlier_session_left_in_a_plain_sandbox(tmp_path):
     workflow = workflow_by_id(2)
     backends = scripted_backends(workflow)
@@ -688,7 +674,7 @@ def test_resumed_session_finds_nothing_an_earlier_session_left_in_a_plain_sandbo
 
     seen: list = []
     backends = scripted_backends(workflow)
-    backends[R.SHIPPER] = _Spy(
+    backends[R.SHIPPER] = Spy(
         backends[R.SHIPPER], seen, lambda req: sorted(p.name for p in req.sandbox.path.iterdir())
     )
     resumed = _resume(tmp_path, run_dir, 2, SubprocessGit(), backends=backends, authorization="tok")
@@ -703,7 +689,7 @@ def test_a_resumed_session_asks_the_pending_hold_before_any_dispatch(tmp_path):
     assert first.pending == "which covariance estimator variant?"
     briefings: list = []
     backends = scripted_backends(workflow_by_id(9), builder_holds=1)
-    backends[R.BUILDER] = _Spy(backends[R.BUILDER], briefings, lambda req: req.briefing)
+    backends[R.BUILDER] = Spy(backends[R.BUILDER], briefings, lambda req: req.briefing)
 
     unanswered = _resume(tmp_path, run_dir, 9, SubprocessGit(), backends=backends)
     assert briefings == []  # halted before any dispatch
@@ -730,7 +716,7 @@ def test_nothing_is_dispatched_before_the_entry_gate(tmp_path):
     run_dir.artifact_path(K.CREDENTIALS).unlink()
     dispatched: list = []
     backends = scripted_backends(workflow_by_id(7))
-    backends[R.REVIEWER] = _Spy(backends[R.REVIEWER], dispatched, lambda req: req.role)
+    backends[R.REVIEWER] = Spy(backends[R.REVIEWER], dispatched, lambda req: req.role)
 
     report = _resume(tmp_path, run_dir, 7, git, backends=backends)
 
@@ -809,9 +795,36 @@ def test_what_an_agent_leaves_at_a_worktree_sandbox_does_not_wedge_the_run(tmp_p
 
     assert resumed.final_state == "PIPELINES_COMPLETE", resumed.diagnostics
     assert resumed.exit_code == 0
-    # the tester's sandbox is added afresh, and this time the tester runs
+    # the tester's sandbox is added afresh, and this time the tester runs,
+    # its attempt 1: a dispatch whose sandbox was never made is none
     assert git.calls == [("add", "tester")]
     assert "audit.md" in resumed.artifacts
+    assert "tester" not in first.dispatch_counts
+    assert resumed.dispatch_counts["tester"] == 1
+    assert (run_dir.logs_dir / "tester.log").read_text(encoding="utf-8").startswith("[attempt 1]")
+
+
+@pytest.mark.parametrize(
+    "payload,why",
+    [
+        ("quality gate failed", "STOP payload must name a routing target"),
+        ("target: simulator\nquality gate failed", "STOP routed to simulator, which workflow 2 does not"),
+    ],
+)
+def test_a_stop_that_cannot_be_routed_is_a_failed_dispatch(tmp_path, payload, why):
+    backends = scripted_backends(workflow_by_id(2))
+    backends[R.REVIEWER] = ScriptedBackend.from_text(f"signal STOP <<EOF\n{payload}\nEOF\n")
+    # run_scripted_workflow also checks that no worktree of the target is left
+    report, run_dir, _ = run_scripted_workflow(tmp_path, 2, backends=backends)
+
+    assert why in report.diagnostics["reviewer"]
+    assert report.exit_code == 4
+    assert report.retries["STOP"] == 0 and report.signals == []
+    assert run_dir.report_json_path.exists()
+    events = run_dir.events()
+    assert events[-1] == {"event": "halt", "diagnostics": report.diagnostics}
+    dispatched = [e for e in events if e["event"] == "dispatch"]
+    assert dispatched[-1] == {"event": "dispatch", "role": "reviewer", "outcome": "failed"}
 
 
 def _shipping_target(tmp_path: Path) -> Path:
@@ -1030,9 +1043,9 @@ def test_access_events_of_a_parallel_stage_survive_a_crashed_backend(tmp_path):
         if e["event"] in ("dispatch", "access")
     ]
     assert journaled == [
-        {"event": "dispatch", "role": "planner"},
-        {"event": "dispatch", "role": "simulator"},
-        {"event": "dispatch", "role": "tester"},
+        {"event": "dispatch", "role": "planner", "outcome": "completed"},
+        {"event": "dispatch", "role": "simulator", "outcome": "failed"},
+        {"event": "dispatch", "role": "tester", "outcome": "completed"},
         {"event": "access", "role": "tester", "artifact": "test-spec.md", "decision": "ALLOW"},
     ]
     assert "\ttester\ttest-spec.md\tALLOW" in run_dir.access_log_path.read_text(encoding="utf-8")
