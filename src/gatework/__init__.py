@@ -46,7 +46,6 @@ from gatework.orchestrator import (
     DispatchPlan,
     MechanicalReviewReport,
     Orchestrator,
-    RoutingAction,
     RunReport,
     ShipReport,
     UserChannel,

@@ -26,8 +26,8 @@ from gatework.orchestrator import (
     ChannelMode,
     Orchestrator,
     UserChannel,
+    build_report,
     check_single_run,
-    halt_lines,
     select_workflow,
     start_run,
 )
@@ -304,18 +304,9 @@ def cmd_status(args: argparse.Namespace, console: _Console) -> int:
     if not run_dir.path.is_dir():
         console.echo(f"[environment] no such run: {run_dir.path}")
         return EXIT_ENVIRONMENT
-    _, run_state = _load_run(run_dir)
-    workflow = run_state.workflow
-    console.echo(f"run: {run_dir.path.name}")
-    console.echo(f"workflow: {workflow.id} ({workflow.name})")
-    console.echo(f"state: {run_state.current.value}")
-    console.echo(
-        "retries: " + ", ".join(f"{k.value}={v}" for k, v in sorted(run_state.retries.items()))
-    )
-    for line in halt_lines(run_state.halt or {}):  # why the last session ended
-        console.echo(line)
-    names = sorted(k.filename for k in run_dir.present())
-    console.echo("artifacts: " + (", ".join(names) or "(none)"))
+    config, run_state = _load_run(run_dir)
+    report = build_report(run_state, run_dir, run_dir.path.name, config["directive"])
+    console.echo(report.render_text().rstrip("\n"))
     return EXIT_OK
 
 

@@ -16,7 +16,7 @@ import shutil
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from datetime import timedelta
 from enum import Enum
 from pathlib import Path
@@ -73,10 +73,8 @@ from gatework.statemachine import (
     SignalDisposition,
     advance,
     reconstruct_run_state,
-    record_answer,
     record_dispatches,
-    record_halt,
-    record_language,
+    record_event,
     record_signal,
     status_line,
     write_status,
@@ -253,29 +251,19 @@ def select_workflow(
 # --- signal routing ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RoutingAction:
-    """What the leader does with a recorded signal: sequential re-dispatch
-    phases, an optional question to forward, and for STOP the stage index
-    to rewind to (every stage at or after it re-runs)."""
-
-    phases: tuple[tuple[AgentRole, ...], ...]
-    forward_question: str | None = None
-    rewind_to_stage: int | None = None
-
-
-def route_signal(s: Signal, plan: DispatchPlan) -> RoutingAction:
+def route_signal(s: Signal, plan: DispatchPlan) -> dict:
+    """The routing a signal's journal record carries: the ``phases`` of
+    roles to re-dispatch in turn, or for a STOP the stage index to
+    ``rewind`` to (every stage at or after it re-runs). A HOLD re-dispatches
+    its raiser once the user has answered its payload."""
     if s.kind is SignalKind.HOLD:
-        return RoutingAction(phases=((s.raiser,),), forward_question=s.payload)
+        return {"phases": [[s.raiser.value]]}
     if s.kind is SignalKind.BLOCK:
         target = block_pipeline_target(s)
         if target not in plan.workflow.roles():
             target = AgentRole.BUILDER
-        phases: list[tuple[AgentRole, ...]] = []
-        if target in plan.workflow.roles():
-            phases.append((target,))
-        phases.append((AgentRole.TESTER,))
-        return RoutingAction(phases=tuple(phases))
+        phases = [[target.value]] if target in plan.workflow.roles() else []
+        return {"phases": [*phases, [AgentRole.TESTER.value]]}
     target = stop_routing_target(s)
     if target is None:
         raise ProtocolError(
@@ -286,7 +274,7 @@ def route_signal(s: Signal, plan: DispatchPlan) -> RoutingAction:
         raise ProtocolError(
             f"STOP routed to {target.value}, which workflow {plan.workflow.id} does not dispatch"
         )
-    return RoutingAction(phases=(), rewind_to_stage=plan.stage_index_of(target))
+    return {"rewind": plan.stage_index_of(target)}
 
 
 # --- mechanical review ------------------------------------------------------
@@ -444,26 +432,30 @@ def mechanical_review(
 # --- run report -------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunReport:
+    """What ``report.json`` and ``report`` say of a run: built by
+    :func:`build_report` alone, from the journal's fold and the artifacts
+    the run directory holds."""
+
     request_id: str
     workflow_id: int
     workflow_name: str
     directive: str
-    final_state: str = WorkflowState.CREDENTIALS_VERIFIED.value
-    visited_states: list[str] = field(default_factory=list)
-    history: list[str] = field(default_factory=list)
-    retries: dict[str, int] = field(default_factory=dict)
-    signals: list[dict] = field(default_factory=list)
-    dispatch_counts: dict[str, int] = field(default_factory=dict)
-    artifacts: list[str] = field(default_factory=list)
-    diagnostics: dict[str, str] = field(default_factory=dict)
-    gate_violation: str | None = None
-    escalation: str | None = None
-    pending: str | None = None
-    mechanical: dict | None = None
-    ship: dict | None = None
-    language: str | None = None  # the resolved language profile
+    final_state: str
+    visited_states: list[str]
+    history: list[str]
+    retries: dict[str, int]
+    signals: list[dict]
+    dispatch_counts: dict[str, int]
+    artifacts: list[str]
+    diagnostics: dict[str, str]
+    gate_violation: str | None
+    escalation: str | None
+    pending: str | None
+    mechanical: dict | None
+    ship: dict | None
+    language: str | None  # the resolved language profile
 
     @property
     def exit_code(self) -> int:
@@ -476,7 +468,7 @@ class RunReport:
         return 0
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "artifacts": sorted(self.artifacts), "exit_code": self.exit_code}
+        return {**asdict(self), "exit_code": self.exit_code}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -492,21 +484,46 @@ class RunReport:
                 ", ".join(f"{k}x{v}" for k, v in sorted(self.dispatch_counts.items()))
                 or "(none)"
             ),
-            "artifacts: " + (", ".join(sorted(self.artifacts)) or "(none)"),
+            "artifacts: " + (", ".join(self.artifacts) or "(none)"),
         ]
-        lines += halt_lines(vars(self))
+        halt = (("gate violation", self.gate_violation), ("escalated to user", self.escalation),
+                ("pending", self.pending))
+        lines += [f"{label}: {value}" for label, value in halt if value]
+        lines += [f"diagnostic [{role}]: {note}" for role, note in sorted(self.diagnostics.items())]
         if self.ship:
             lines.append(f"ship: {json.dumps(self.ship, sort_keys=True)}")
         return "\n".join(lines) + "\n"
 
 
-def halt_lines(halt: Mapping) -> list[str]:
-    """A halt's report fields, in the report's words."""
-    labels = (("gate_violation", "gate violation"), ("escalation", "escalated to user"),
-              ("pending", "pending"))
-    lines = [f"{label}: {halt[name]}" for name, label in labels if halt.get(name)]
-    diagnostics = sorted(halt.get("diagnostics", {}).items())
-    return lines + [f"diagnostic [{role}]: {note}" for role, note in diagnostics]
+def build_report(run: RunState, run_dir: RunDirectory, request_id: str, directive: str) -> RunReport:
+    """The run's report: its journal as ``run`` folds it, where the last
+    ``halt`` record, if last, says why the session ended and the latest
+    ``review`` and ``ship`` records give ``mechanical`` and ``ship``; plus
+    the artifacts ``run_dir`` holds, which no record lists."""
+    halt = run.halt or {}
+    return RunReport(
+        request_id=request_id,
+        workflow_id=run.workflow.id,
+        workflow_name=run.workflow.name,
+        directive=directive,
+        final_state=run.current.value,
+        visited_states=[s.value for s in run.visited_states()],
+        history=[status_line(entry) for entry in run.history],
+        retries={k.value: v for k, v in run.retries.items()},
+        signals=[
+            {key: entry[key] for key in ("kind", "raiser", "payload")}
+            for entry in run.history if entry["event"] == "signal"
+        ],
+        dispatch_counts={r.value: n for r, n in run.dispatches.items()},
+        artifacts=sorted(k.filename for k in run_dir.present()),
+        diagnostics=halt.get("diagnostics", {}),
+        gate_violation=halt.get("gate_violation"),
+        escalation=halt.get("escalation"),
+        pending=halt.get("pending"),
+        mechanical=run.review,
+        ship=run.ship,
+        language=run.language,
+    )
 
 
 # --- run bootstrap ----------------------------------------------------------
@@ -599,7 +616,7 @@ class _Halt(Exception):
         self.fields = fields
 
 
-def _outcome_name(result: tuple[AgentOutcome, RoutingAction | None] | GateworkError) -> str:
+def _outcome_name(result: tuple[AgentOutcome, dict | None] | GateworkError) -> str:
     """A dispatch's journaled outcome: completed, the signal kind, or failed."""
     if isinstance(result, GateworkError):
         return "failed"
@@ -648,12 +665,6 @@ class Orchestrator:
         self.directive = directive
         self.profile: LanguageProfile = UNKNOWN_PROFILE
         self.run_state = RunState(workflow=workflow)
-        self._report = RunReport(
-            request_id=request_id,
-            workflow_id=workflow.id,
-            workflow_name=workflow.name,
-            directive=directive,
-        )
 
     # -- helpers --
 
@@ -685,8 +696,7 @@ class Orchestrator:
                     rejected = needed if answer is None else f"unrecognized language {answer!r}"
                     raise _Halt(escalation=rejected, pending=needed)
                 self.profile = PROFILES[language]
-            record_language(self.run_state, self.run_dir, self.profile.language.value)
-        self._report.language = self.profile.language.value
+            record_event(self.run_state, self.run_dir, "language", {"language": self.profile.language.value})
         if self.workspace is not None:
             write_context(
                 self.workspace, target_repo=self.target_repo, git=self.git, profile=self.profile
@@ -740,7 +750,7 @@ class Orchestrator:
 
     def _dispatch_role(
         self, role: AgentRole, attempt: int | None, idle: Path | None, made: dict[AgentRole, Sandbox]
-    ) -> tuple[AgentOutcome, RoutingAction | None] | GateworkError:
+    ) -> tuple[AgentOutcome, dict | None] | GateworkError:
         """Dispatch one role, carrying the ``idle`` worktree to its sandbox
         if it has none, and collect what it produced or route its signal.
         A failure, an unroutable signal included, is returned, not raised,
@@ -756,14 +766,14 @@ class Orchestrator:
             )
             log_path = self.run_dir.logs_dir / f"{role.value}.log"
             outcome = dispatch(req, self.backends[role], log_path=log_path)
-            action = route_signal(outcome.signal, self.plan) if outcome.signal else None
+            routing = route_signal(outcome.signal, self.plan) if outcome.signal else None
         except _DISPATCH_FAILURES as exc:
             return exc
         for kind in sorted(outcome.produced, key=lambda k: k.filename):
             source = find_artifact(sandbox.path, kind)
             if source is not None:
                 self.run_dir.write(kind, source.read_text(encoding="utf-8"))
-        return outcome, action
+        return outcome, routing
 
     def _idle_worktrees(self, batch: Sequence[AgentRole]) -> dict[AgentRole, Path]:
         """Hand each worktree role of ``batch`` that has no sandbox yet an
@@ -784,7 +794,7 @@ class Orchestrator:
         ]
         return dict(zip(needing, idle))
 
-    def _dispatch_batch(self, roles: Sequence[AgentRole]) -> list[tuple[AgentOutcome, RoutingAction | None]]:
+    def _dispatch_batch(self, roles: Sequence[AgentRole]) -> list[tuple[AgentOutcome, dict | None]]:
         """Dispatch a batch concurrently; results return in batch order and
         no downstream work starts until every dispatch has finished.
 
@@ -826,46 +836,47 @@ class Orchestrator:
                     f"{state.value}; {result.gate.state.value} gate unsatisfied ({missing})"
                 )
 
-    def _answer_hold(self, raiser: AgentRole, question: str) -> None:
-        """Forward a HOLD question to the user and brief the raiser with the
-        answer; an unanswered question halts the session."""
-        answer = self.channel.ask(question)
-        if answer is None:
-            escalation = f"unanswered question from {raiser.value}: {question}"
-            raise _Halt(escalation=escalation, pending=question)
-        record_answer(self.run_state, self.run_dir, raiser, answer)
+    def _answer_holds(self) -> None:
+        """Ask the user each HOLD question the journal leaves pending, in
+        turn, and brief its raiser with the answer; an unanswered question
+        halts the session."""
+        for hold in list(self.run_state.pending_hold):
+            question = hold["payload"]
+            answer = self.channel.ask(question)
+            if answer is None:
+                escalation = f"unanswered question from {hold['raiser']}: {question}"
+                raise _Halt(escalation=escalation, pending=question)
+            record_event(self.run_state, self.run_dir, "answer", {"role": hold["raiser"], "text": answer})
 
     # -- stage execution --
 
     def _execute_stage(self, stage: Stage) -> None:
         """Dispatch what the journal says the stage still owes, batch by
-        batch: the first owed phase, else the stage's roles not done. Each
-        signal is journaled with its routing, which the journal's fold
-        turns into owed work; a routed STOP ends the stage early."""
+        batch: the first owed phase, else the stage's roles not done. Every
+        signal of a batch is journaled with its routing, which the journal's
+        fold turns into owed work, before the first capped signal halts, a
+        routed STOP ends the stage early, or the batch's HOLD questions are
+        asked in batch order."""
         run = self.run_state
         while batch := run.owed[0] if run.owed else tuple(r for r in stage.roles if r not in run.done):
-            for outcome, action in self._dispatch_batch(batch):
-                if action is None:
-                    continue
-                signal = outcome.signal
-                routing = {"phases": [[r.value for r in phase] for phase in action.phases]}
-                if action.rewind_to_stage is not None:
-                    routing = {"rewind": action.rewind_to_stage}
-                disposition = record_signal(run, signal, self.run_dir, self.clock, routing)
-                if disposition is SignalDisposition.ESCALATE_TO_USER:
-                    message = (
-                        f"{signal.kind.value} retry cap reached; escalating to user: {signal.payload}"
-                    )
-                    self.channel.notify(message)
-                    raise _Halt(escalation=message)
-                if action.rewind_to_stage is not None:
-                    return
-                if action.forward_question is not None:
-                    self._answer_hold(signal.raiser, action.forward_question)
+            routed = [(out.signal, routing) for out, routing in self._dispatch_batch(batch) if routing]
+            capped = [
+                signal for signal, routing in routed
+                if record_signal(run, signal, self.run_dir, self.clock, routing)
+                is SignalDisposition.ESCALATE_TO_USER
+            ]
+            if capped:
+                signal = capped[0]
+                message = f"{signal.kind.value} retry cap reached; escalating to user: {signal.payload}"
+                self.channel.notify(message)
+                raise _Halt(escalation=message)
+            if any("rewind" in routing for _, routing in routed):
+                return
+            self._answer_holds()
 
     def _run_mechanical_review(self) -> None:
         report = mechanical_review(self.run_dir, self.run_state.access, self.plan)
-        self._report.mechanical = report.to_dict()
+        record_event(self.run_state, self.run_dir, "review", report.to_dict())
         if not report.passed:
             listed = "; ".join(f"{c.name}: {c.detail}" for c in report.failures())
             raise _Halt(gate_violation=f"mechanical review failed ({listed})")
@@ -886,24 +897,19 @@ class Orchestrator:
             self._resume()
             self._run_stages(authorization)
         except _Halt as halt:
-            record_halt(self.run_state, self.run_dir, halt.fields)
-            for name, value in halt.fields.items():
-                setattr(self._report, name, value)
-        self._finalize()
-        return self._report
+            record_event(self.run_state, self.run_dir, "halt", halt.fields)
+        return self._finalize()
 
     def _resume(self) -> None:
         """Rebuild the session from the run's journal, resolve the language
-        and ask the HOLD question the journal leaves pending. A tick clock
+        and ask the HOLD questions the journal leaves pending. A tick clock
         continues after the journal's last time."""
         self.run_state = reconstruct_run_state(self.run_dir, self.workflow)
         if isinstance(self.clock, TickClock) and self.run_state.history:
             last = parse_iso8601(self.run_state.history[-1]["time"])
             self.clock = replace(self.clock, start=last + timedelta(seconds=self.clock.step_seconds))
         self._resolve_profile()
-        hold = self.run_state.pending_hold
-        if hold is not None:
-            self._answer_hold(AgentRole(hold["raiser"]), hold["payload"])
+        self._answer_holds()
 
     def _run_stages(self, authorization: str | None) -> None:
         self._reach(self.plan.entry, "entry gate")
@@ -930,7 +936,7 @@ class Orchestrator:
                     run_state=self.run_state,
                     dispatch_shipper=lambda: self._dispatch_batch((AgentRole.SHIPPER,))[0][0],
                 )
-                self._report.ship = ship_report.to_dict()
+                record_event(self.run_state, self.run_dir, "ship", ship_report.to_dict())
                 if not ship_report.shipped:
                     raise _Halt(gate_violation=ship_report.refusal or "ship failed")
             else:
@@ -950,17 +956,8 @@ class Orchestrator:
             self._reach(stage.gate, f"stage {index} complete")
             index += 1
 
-    def _finalize(self) -> None:
-        self._report.final_state = self.run_state.current.value
-        self._report.visited_states = [s.value for s in self.run_state.visited_states()]
-        self._report.history = [status_line(entry) for entry in self.run_state.history]
-        self._report.retries = {k.value: v for k, v in self.run_state.retries.items()}
-        self._report.dispatch_counts = {r.value: n for r, n in self.run_state.dispatches.items()}
-        self._report.signals = [
-            {key: entry[key] for key in ("kind", "raiser", "payload")}
-            for entry in self.run_state.history if entry["event"] == "signal"
-        ]
-        self._report.artifacts = sorted(k.filename for k in self.run_dir.present())
+    def _finalize(self) -> RunReport:
+        report = build_report(self.run_state, self.run_dir, self.request_id, self.directive)
         if self.run_state.access:
             merge_access_logs(self.run_state.access, self.run_dir)
         # worktrees are disposable once artifacts and audit logs are
@@ -975,8 +972,9 @@ class Orchestrator:
                 self.git.worktree_remove(self.target_repo, path)
             elif path.exists():
                 shutil.rmtree(path)
-        self.run_dir.report_json_path.write_text(self._report.to_json(), encoding="utf-8")
-        self.run_dir.report_text_path.write_text(self._report.render_text(), encoding="utf-8")
+        self.run_dir.report_json_path.write_text(report.to_json(), encoding="utf-8")
+        self.run_dir.report_text_path.write_text(report.render_text(), encoding="utf-8")
+        return report
 
 
 # --- shipping ---------------------------------------------------------------

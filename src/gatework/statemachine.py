@@ -130,10 +130,13 @@ class RunState:
     #: the access events of every dispatched role, across sessions
     access: dict[AgentRole, list[AccessEvent]] = field(default_factory=dict)
     language: str | None = None
-    #: the last signal record, when it is a routed HOLD no answer has followed
-    pending_hold: dict | None = None
+    #: the routed HOLD signal records no answer has settled, in journal order
+    pending_hold: list[dict] = field(default_factory=list)
     #: the last record, when it is a halt: why the last session ended
     halt: dict | None = None
+    #: the latest mechanical review and ship outcome, as their records hold them
+    review: dict | None = None
+    ship: dict | None = None
     #: the roles whose latest dispatch completed
     done: set[AgentRole] = field(default_factory=set)
     #: the phases routed signals still owe, the next one first; the first
@@ -168,7 +171,8 @@ def _apply(run: RunState, record: dict) -> None:
         routed = run.retries[kind] < RETRY_LIMIT
         if routed:
             run.retries[kind] += 1
-        run.pending_hold = record if routed and kind is SignalKind.HOLD else None
+        if routed and kind is SignalKind.HOLD:
+            run.pending_hold.append(record)
         run.history.append(record)
         if "rewind" in record:
             stages = run.workflow.dag[record["rewind"]:]
@@ -204,10 +208,15 @@ def _apply(run: RunState, record: dict) -> None:
         when, decision = parse_iso8601(record["time"]), AccessDecision(record["decision"])
         run.access[role].append(AccessEvent(when, role, kind, decision))
     elif event == "answer":
-        run.pending_hold = None
-        run.briefing.setdefault(AgentRole(record["role"]), []).append(f"user answer: {record['text']}")
+        role = AgentRole(record["role"])
+        run.pending_hold = [hold for hold in run.pending_hold if hold["raiser"] != role.value]
+        run.briefing.setdefault(role, []).append(f"user answer: {record['text']}")
     elif event == "language":
         run.language = record["language"]
+    elif event == "review":
+        run.review = {k: v for k, v in record.items() if k != "event"}
+    elif event == "ship":
+        run.ship = {k: v for k, v in record.items() if k != "event"}
 
 
 def _journal(run: RunState, run_dir: RunDirectory, records: list[dict]) -> None:
@@ -233,18 +242,12 @@ def record_dispatches(
     _journal(run, run_dir, records)
 
 
-def record_answer(run: RunState, run_dir: RunDirectory, role: AgentRole, text: str) -> None:
-    """Journal the user's answer to ``role``'s HOLD, which settles it."""
-    _journal(run, run_dir, [{"event": "answer", "role": role.value, "text": text}])
-
-
-def record_language(run: RunState, run_dir: RunDirectory, language: str) -> None:
-    _journal(run, run_dir, [{"event": "language", "language": language}])
-
-
-def record_halt(run: RunState, run_dir: RunDirectory, fields: dict) -> None:
-    """Journal why the session ended: the report fields its halt sets."""
-    _journal(run, run_dir, [{"event": "halt", **fields}])
+def record_event(run: RunState, run_dir: RunDirectory, event: str, fields: Mapping) -> None:
+    """Journal one record of ``event`` holding ``fields``: a user's
+    ``answer`` (``role``, ``text``), which settles that role's HOLD; the
+    resolved ``language``; a mechanical ``review`` or a ``ship`` outcome;
+    or a ``halt``, holding the report fields it sets."""
+    _journal(run, run_dir, [{"event": event, **fields}])
 
 
 @dataclass(frozen=True)

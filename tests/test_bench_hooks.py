@@ -25,3 +25,23 @@ def test_traced_name_resolves(module_name, path):
     for part in path.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+BENCH = TRACING.parent
+
+
+@pytest.mark.parametrize("workload", ("fix", "full-retry", "ship"))
+def test_the_benchmark_runs_a_workload_twice_and_checks_every_run(tmp_path, monkeypatch, workload):
+    """What ``bench/run.py`` calls of the engine, and its checks of each
+    run's report, including that ``report.json`` is the same every run."""
+    monkeypatch.syspath_prepend(str(BENCH))  # run.py imports its siblings by name
+    spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
+    bench_run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_run)
+    fixtures = importlib.import_module("fixtures")
+
+    runner = bench_run.Runner(fixtures.make_workload(workload, 3), tmp_path)
+    for _ in range(2):
+        _, passed = runner.run_once()
+        assert passed, runner.problems
+    assert runner.problems == []

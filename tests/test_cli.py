@@ -162,6 +162,15 @@ def test_status_shows_state_retries_and_artifacts(tmp_path, capsys):
     assert "audit.md" in out
 
 
+def test_status_prints_the_report_the_run_wrote(tmp_path, capsys):
+    code, runs_root = _run_cli(tmp_path, 2, tester_blocks=2)
+    assert code == 0
+    run_dir = _single_run_dir(runs_root)
+    capsys.readouterr()
+    assert main(["status", "--run", str(run_dir.path)]) == 0
+    assert capsys.readouterr().out == run_dir.report_text_path.read_text(encoding="utf-8")
+
+
 def test_status_shows_escalation_after_fourth_block(tmp_path, capsys):
     code, runs_root = _run_cli(tmp_path, 2, tester_blocks=4)
     assert code == 3

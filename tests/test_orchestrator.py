@@ -146,31 +146,30 @@ def test_compile_plan_stage_artifacts():
 
 def test_route_hold_forwards_question_and_redispatches_raiser():
     plan = compile_plan(workflow_by_id(2))
-    action = route_signal(Signal(SignalKind.HOLD, R.BUILDER, "proposal scale?"), plan)
-    assert action.forward_question == "proposal scale?"
-    assert action.phases == ((R.BUILDER,),)
+    routing = route_signal(Signal(SignalKind.HOLD, R.BUILDER, "proposal scale?"), plan)
+    assert routing == {"phases": [["builder"]]}  # the question is the signal's payload
 
 
 def test_route_block_defaults_to_builder_then_tester():
     plan = compile_plan(workflow_by_id(2))
-    action = route_signal(Signal(SignalKind.BLOCK, R.TESTER, "failure details"), plan)
-    assert action.phases == ((R.BUILDER,), (R.TESTER,))
+    routing = route_signal(Signal(SignalKind.BLOCK, R.TESTER, "failure details"), plan)
+    assert routing == {"phases": [["builder"], ["tester"]]}
 
 
 def test_route_block_simulation_pipeline_targets_simulator():
     plan = compile_plan(workflow_by_id(1))
-    action = route_signal(
+    routing = route_signal(
         Signal(SignalKind.BLOCK, R.TESTER, "pipeline: simulation\nDGP looks degenerate"), plan
     )
-    assert action.phases == ((R.SIMULATOR,), (R.TESTER,))
+    assert routing == {"phases": [["simulator"], ["tester"]]}
 
 
 def test_route_stop_rewinds_to_target_stage():
     plan = compile_plan(workflow_by_id(2))
-    action = route_signal(
+    routing = route_signal(
         Signal(SignalKind.STOP, R.REVIEWER, "target: scriber\nmissing changelog"), plan
     )
-    assert action.rewind_to_stage == plan.stage_index_of(R.SCRIBER)
+    assert routing == {"rewind": plan.stage_index_of(R.SCRIBER)}
 
 
 def test_route_stop_without_target_is_protocol_violation():

@@ -26,6 +26,9 @@ BUILDER_FIX_FAILS = _IMPLEMENTATION + "complete\n---\ncomplete\n---\n" + _IMPLEM
 #: workflow 9's tester: BLOCKs once, then completes
 TESTER_BLOCKS_ONCE = conftest.tester_script(blocks=1)
 
+#: workflow 1's simulator: HOLDs once, then completes
+SIMULATOR_HOLDS_ONCE = 'signal HOLD "which data-generating process?"\n---\n' + conftest.simulator_script()
+
 BLOCK_DETAILS = "validation failure details: placebo test failure: no improvement over baseline"
 
 
@@ -77,6 +80,13 @@ SCENARIOS = {
         {"scripts": {R.BUILDER: BUILDER_FIX_HOLDS, R.TESTER: TESTER_BLOCKS_ONCE}},
     ),
     "workflow 2 builder HOLD": (2, ("use defaults",), {"builder_holds": 1, "authorization": "tok"}),
+    "workflow 2 HOLD and BLOCK in one batch": (
+        2, ("use defaults",), {"builder_holds": 1, "tester_blocks": 1, "authorization": "tok"},
+    ),
+    "workflow 1 two HOLDs in one batch": (
+        1, ("use defaults", "a normal DGP"),
+        {"builder_holds": 1, "scripts": {R.SIMULATOR: SIMULATOR_HOLDS_ONCE}},
+    ),
     "workflow 9 two HOLDs": (9, ("scale 0.4", "seed 7"), {"builder_holds": 2}),
     "workflow 1 HOLD, 3 BLOCKs, STOP": (
         1, ("use the reference implementation",),

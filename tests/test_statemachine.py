@@ -21,8 +21,7 @@ from gatework.statemachine import (
     advance,
     check_preconditions,
     reconstruct_run_state,
-    record_halt,
-    record_language,
+    record_event,
     record_signal,
     required_for,
     status_line,
@@ -220,10 +219,10 @@ def test_journal_round_trip_and_status_projection(run_dir):
 def test_halt_is_the_last_record_only_while_it_is_last(run_dir):
     workflow = workflow_by_id(9)
     run = RunState(workflow=workflow)
-    record_halt(run, run_dir, {"escalation": "why", "pending": "what?"})
+    record_event(run, run_dir, "halt", {"escalation": "why", "pending": "what?"})
     assert run.halt == {"event": "halt", "escalation": "why", "pending": "what?"}
     assert reconstruct_run_state(run_dir, workflow).halt == run.halt
-    record_language(run, run_dir, "Python")  # a later session's first record
+    record_event(run, run_dir, "language", {"language": "Python"})  # a later session's first record
     assert run.halt is None
     assert reconstruct_run_state(run_dir, workflow).halt is None
 
