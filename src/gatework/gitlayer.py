@@ -121,7 +121,8 @@ class SubprocessGit:
         path = Path(path).resolve()
         if not path.exists():
             return GitResult(ok=True, action=GitAction.WORKTREE_REMOVE, detail=f"{path} (absent)")
-        proc = self._run(repo, "worktree", "remove", "--force", str(path))
+        # twice: once for a dirty worktree, once for one an agent locked
+        proc = self._run(repo, "worktree", "remove", "--force", "--force", str(path))
         return self._result(GitAction.WORKTREE_REMOVE, proc, str(path))
 
     def worktree_reset(self, repo: Path, path: Path, branch: str) -> GitResult:

@@ -67,7 +67,7 @@ from gatework.model import (
     workflow_by_id,
 )
 from gatework.rundir import RunDirectory, find_artifact
-from gatework.runtime import AgentBackend, DispatchRequest, dispatch
+from gatework.runtime import AgentBackend, BackendKind, DispatchRequest, dispatch
 from gatework.statemachine import (
     RunState,
     SignalDisposition,
@@ -291,7 +291,7 @@ def extract_tolerances(text: str) -> list[tuple[str, float]]:
 class CheckStatus(str, Enum):
     PASS = "pass"
     FAIL = "fail"
-    ATTESTED = "attested"  # delegated to the reviewer backend
+    NOT_OBSERVED = "not observed"  # the engine did not make the check
 
 
 @dataclass(frozen=True)
@@ -326,13 +326,18 @@ def mechanical_review(
     run_dir: RunDirectory,
     logs: Mapping[AgentRole, Sequence[AccessEvent]],
     plan: DispatchPlan,
+    unseen_reads: frozenset[AgentRole] = frozenset(),
 ) -> MechanicalReviewReport:
     """The mechanically checkable subset of the reviewer's checks.
 
     Artifact presence, pipeline isolation, tolerance integrity, and
-    validation-evidence completeness run here; the semantic checks are
-    delegated to the reviewer backend and recorded as backend-attested.
-    The engine refuses a PASS verdict when any mechanical check fails.
+    validation-evidence completeness run here; the last two only in a
+    workflow with a tester. A check the engine did not make reads ``not
+    observed``: the semantic checks it delegates to the reviewer backend,
+    tolerance integrity with no test specification, and pipeline isolation
+    with no violation seen when a role in ``unseen_reads`` ran where the
+    engine sees none of its reads. The engine refuses a PASS verdict when
+    any mechanical check fails.
     """
     run_dir.check_readable()
     checks: list[MechanicalCheck] = []
@@ -352,81 +357,67 @@ def mechanical_review(
         )
     )
 
+    unseen = sorted(role.value for role in unseen_reads & roles)
     try:
         isolation = audit_isolation(logs, dispatched=frozenset(roles))
-        if isolation.clean:
-            checks.append(
-                MechanicalCheck("pipeline-isolation", CheckStatus.PASS, "no cross-barrier access")
-            )
-        else:
+        if not isolation.clean:
             listed = "; ".join(
                 f"{role.value} touched {kind.filename}" for role, kind, _ in isolation.violations
             )
             checks.append(MechanicalCheck("pipeline-isolation", CheckStatus.FAIL, listed))
+        elif unseen:
+            detail = "reads of subprocess role(s) not seen: " + ", ".join(unseen)
+            checks.append(MechanicalCheck("pipeline-isolation", CheckStatus.NOT_OBSERVED, detail))
+        else:
+            checks.append(
+                MechanicalCheck("pipeline-isolation", CheckStatus.PASS, "no cross-barrier access")
+            )
     except AuditIncompleteness as exc:
         checks.append(MechanicalCheck("pipeline-isolation", CheckStatus.FAIL, str(exc)))
 
     for name in ("spec-cross-comparison", "output-convergence", "coverage-of-changes"):
-        checks.append(MechanicalCheck(name, CheckStatus.ATTESTED, "delegated to reviewer backend"))
+        checks.append(MechanicalCheck(name, CheckStatus.NOT_OBSERVED, "delegated to reviewer backend"))
 
     if AgentRole.TESTER in roles:
-        if ArtifactKind.TEST_SPEC in present and ArtifactKind.AUDIT in present:
-            spec_tokens = extract_tolerances(run_dir.read(ArtifactKind.TEST_SPEC))
-            audit_tokens = extract_tolerances(run_dir.read(ArtifactKind.AUDIT))
-            spec_literals = {token for token, _ in spec_tokens}
-            strictest = min((value for _, value in spec_tokens), default=None)
-            flagged = sorted(
-                {
-                    token
-                    for token, value in audit_tokens
-                    if token not in spec_literals and strictest is not None and value > strictest
-                }
-            )
-            checks.append(
-                MechanicalCheck(
-                    name="tolerance-integrity",
-                    status=CheckStatus.FAIL if flagged else CheckStatus.PASS,
-                    detail=(
-                        "inflated tolerance(s): " + ", ".join(flagged)
-                        if flagged
-                        else "no inflation detected"
-                    ),
-                )
-            )
-        elif ArtifactKind.AUDIT in present and ArtifactKind.TEST_SPEC not in present:
-            checks.append(
-                MechanicalCheck(
-                    "tolerance-integrity", CheckStatus.PASS, "no test specification to compare against"
-                )
-            )
-        else:
-            checks.append(
-                MechanicalCheck("tolerance-integrity", CheckStatus.FAIL, "audit.md missing")
-            )
-
-        if ArtifactKind.AUDIT in present:
-            audit_text = run_dir.read(ArtifactKind.AUDIT)
-            has_table = len(_TABLE_ROW_RE.findall(audit_text)) >= 2
-            checks.append(
-                MechanicalCheck(
-                    name="evidence-completeness",
-                    status=CheckStatus.PASS if has_table else CheckStatus.FAIL,
-                    detail="result table found" if has_table else "audit.md has no result table",
-                )
-            )
-        else:
-            checks.append(
-                MechanicalCheck("evidence-completeness", CheckStatus.FAIL, "audit.md missing")
-            )
-    else:
-        checks.append(
-            MechanicalCheck("tolerance-integrity", CheckStatus.PASS, "no test pipeline in this workflow")
-        )
-        checks.append(
-            MechanicalCheck("evidence-completeness", CheckStatus.PASS, "no test pipeline in this workflow")
-        )
-
+        checks += _validation_checks(run_dir, present)
     return MechanicalReviewReport(checks=tuple(checks))
+
+
+def _validation_checks(run_dir: RunDirectory, present: frozenset[ArtifactKind]) -> list[MechanicalCheck]:
+    """``tolerance-integrity`` and ``evidence-completeness`` of the tester's ``audit.md``."""
+    if ArtifactKind.AUDIT not in present:
+        return [
+            MechanicalCheck(name, CheckStatus.FAIL, "audit.md missing")
+            for name in ("tolerance-integrity", "evidence-completeness")
+        ]
+    audit_text = run_dir.read(ArtifactKind.AUDIT)
+    if ArtifactKind.TEST_SPEC in present:
+        spec_tokens = extract_tolerances(run_dir.read(ArtifactKind.TEST_SPEC))
+        spec_literals = {token for token, _ in spec_tokens}
+        strictest = min((value for _, value in spec_tokens), default=None)
+        flagged = sorted(
+            {
+                token
+                for token, value in extract_tolerances(audit_text)
+                if token not in spec_literals and strictest is not None and value > strictest
+            }
+        )
+        tolerance = MechanicalCheck(
+            name="tolerance-integrity",
+            status=CheckStatus.FAIL if flagged else CheckStatus.PASS,
+            detail="inflated tolerance(s): " + ", ".join(flagged) if flagged else "no inflation detected",
+        )
+    else:
+        tolerance = MechanicalCheck(
+            "tolerance-integrity", CheckStatus.NOT_OBSERVED, "no test specification to compare against"
+        )
+    has_table = len(_TABLE_ROW_RE.findall(audit_text)) >= 2
+    evidence = MechanicalCheck(
+        name="evidence-completeness",
+        status=CheckStatus.PASS if has_table else CheckStatus.FAIL,
+        detail="result table found" if has_table else "audit.md has no result table",
+    )
+    return [tolerance, evidence]
 
 
 # --- run report -------------------------------------------------------------
@@ -490,6 +481,13 @@ class RunReport:
                 ("pending", self.pending))
         lines += [f"{label}: {value}" for label, value in halt if value]
         lines += [f"diagnostic [{role}]: {note}" for role, note in sorted(self.diagnostics.items())]
+        unobserved = [
+            f"{check['name']} ({check['detail']})"
+            for check in (self.mechanical or {}).get("checks", ())
+            if check["status"] == CheckStatus.NOT_OBSERVED.value
+        ]
+        if unobserved:
+            lines.append("not observed: " + "; ".join(unobserved))
         if self.ship:
             lines.append(f"ship: {json.dumps(self.ship, sort_keys=True)}")
         return "\n".join(lines) + "\n"
@@ -800,23 +798,42 @@ class Orchestrator:
 
         Only this thread journals: after the batch, in batch order, each
         attempt whose sandbox was made, with its outcome and access events,
-        failed ones included. A failed dispatch is recorded under the
-        role's name and halts the session."""
+        failed ones included; then each signal with its routing, which the
+        journal's fold turns into owed work. Only then does a failed
+        dispatch halt the session, recorded under the role's name, or else
+        the first signal past its retry cap."""
         idle = self._idle_worktrees(roles)
         # fixed before any worker starts; a role's dispatch count is its attempt
         attempts = {r: self.run_state.dispatches.get(r, 0) + 1 for r in roles if r in self.backends}
         made: dict[AgentRole, Sandbox] = {}
         with ThreadPoolExecutor(max_workers=len(roles)) as pool:
-            results = list(
-                pool.map(lambda r: self._dispatch_role(r, attempts.get(r), idle.get(r), made), roles)
-            )
+            try:
+                results = list(
+                    pool.map(lambda r: self._dispatch_role(r, attempts.get(r), idle.get(r), made), roles)
+                )
+            except KeyboardInterrupt:
+                # a subprocess agent runs in a session of its own, which the
+                # terminal's interrupt does not reach; the pool waits for it
+                for role in attempts:
+                    self.backends[role].kill_running()
+                raise
         batch = [
             (r, _outcome_name(res), made[r].audit.events()) for r, res in zip(roles, results) if r in made
         ]
         record_dispatches(self.run_state, self.run_dir, batch)
+        routed = [res for res in results if not isinstance(res, GateworkError) and res[1]]
+        capped = [
+            outcome.signal for outcome, routing in routed
+            if record_signal(self.run_state, outcome.signal, self.run_dir, self.clock, routing)
+            is SignalDisposition.ESCALATE_TO_USER
+        ]
         failed = {r.value: str(res) for r, res in zip(roles, results) if isinstance(res, GateworkError)}
         if failed:
             raise _Halt(diagnostics=failed)
+        if capped:
+            message = f"{capped[0].kind.value} retry cap reached; escalating to user: {capped[0].payload}"
+            self.channel.notify(message)
+            raise _Halt(escalation=message)
         return results
 
     def _reach(self, state: WorkflowState, label: str) -> None:
@@ -852,30 +869,23 @@ class Orchestrator:
 
     def _execute_stage(self, stage: Stage) -> None:
         """Dispatch what the journal says the stage still owes, batch by
-        batch: the first owed phase, else the stage's roles not done. Every
-        signal of a batch is journaled with its routing, which the journal's
-        fold turns into owed work, before the first capped signal halts, a
-        routed STOP ends the stage early, or the batch's HOLD questions are
-        asked in batch order."""
+        batch: the first owed phase, else the stage's roles not done. After
+        a batch that did not halt, a routed STOP ends the stage early, or
+        else the batch's HOLD questions are asked in batch order."""
         run = self.run_state
         while batch := run.owed[0] if run.owed else tuple(r for r in stage.roles if r not in run.done):
-            routed = [(out.signal, routing) for out, routing in self._dispatch_batch(batch) if routing]
-            capped = [
-                signal for signal, routing in routed
-                if record_signal(run, signal, self.run_dir, self.clock, routing)
-                is SignalDisposition.ESCALATE_TO_USER
-            ]
-            if capped:
-                signal = capped[0]
-                message = f"{signal.kind.value} retry cap reached; escalating to user: {signal.payload}"
-                self.channel.notify(message)
-                raise _Halt(escalation=message)
-            if any("rewind" in routing for _, routing in routed):
+            if any(routing and "rewind" in routing for _, routing in self._dispatch_batch(batch)):
                 return
             self._answer_holds()
 
     def _run_mechanical_review(self) -> None:
-        report = mechanical_review(self.run_dir, self.run_state.access, self.plan)
+        # the engine sees a role's reads only through Sandbox.request_read,
+        # which no subprocess backend calls
+        unseen = frozenset(
+            role for role in self.run_state.dispatches
+            if role in self.backends and self.backends[role].kind is BackendKind.SUBPROCESS
+        )
+        report = mechanical_review(self.run_dir, self.run_state.access, self.plan, unseen)
         record_event(self.run_state, self.run_dir, "review", report.to_dict())
         if not report.passed:
             listed = "; ".join(f"{c.name}: {c.detail}" for c in report.failures())

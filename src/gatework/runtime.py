@@ -10,12 +10,15 @@ protocol testable without a language model.
 from __future__ import annotations
 
 import json
+import os
 import shlex
 import subprocess
+import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
+from signal import SIGKILL
 
 from gatework.barrier import Sandbox
 from gatework.errors import (
@@ -71,6 +74,10 @@ class AgentBackend(ABC):
 
     @abstractmethod
     def execute(self, req: DispatchRequest, log_path: Path | None = None) -> AgentOutcome: ...
+
+    def kill_running(self) -> None:
+        """End every process of a dispatch still running; the engine calls
+        this when it is interrupted while it waits for a batch."""
 
 
 # --- scripted scenarios ----------------------------------------------------
@@ -251,6 +258,10 @@ class SubprocessBackend(AgentBackend):
     """Runs an external program: briefing on stdin, sandbox as working
     directory. The program reports its outcome as a final stdout line
     ``OUTCOME: COMPLETED`` or ``OUTCOME: SIGNAL <KIND> <payload-file>``.
+
+    The program runs in a session of its own, and its process group is
+    killed when the dispatch returns, fails or times out, so nothing it
+    started in that group outlives the dispatch.
     """
 
     kind = BackendKind.SUBPROCESS
@@ -259,24 +270,40 @@ class SubprocessBackend(AgentBackend):
         if not command:
             raise MisconfigurationError("subprocess backend requires a command")
         self.command = list(command)
+        self._running: set[int] = set()  # process groups of dispatches in flight
+        self._lock = threading.Lock()
+
+    def kill_running(self) -> None:
+        with self._lock:
+            for group in self._running:
+                _kill_group(group)
 
     def execute(self, req: DispatchRequest, log_path: Path | None = None) -> AgentOutcome:
-        try:
-            proc = subprocess.run(
-                self.command,
-                input=req.briefing,
-                cwd=req.sandbox.path,
-                capture_output=True,
-                text=True,
-                timeout=req.deadline,
-                check=False,
-            )
-        except subprocess.TimeoutExpired as exc:
-            raise DispatchTimeout(
-                f"{req.role.value} backend exceeded {req.deadline}s deadline",
-                captured=str(exc.output or ""),
-            ) from exc
-        captured = proc.stdout + proc.stderr
+        with subprocess.Popen(
+            self.command,
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            cwd=req.sandbox.path,
+            text=True,
+            start_new_session=True,
+        ) as proc:
+            with self._lock:
+                self._running.add(proc.pid)
+            try:
+                stdout, stderr = proc.communicate(req.briefing, timeout=req.deadline)
+            except subprocess.TimeoutExpired as exc:
+                raise DispatchTimeout(
+                    f"{req.role.value} backend exceeded {req.deadline}s deadline",
+                    captured=str(exc.output or ""),
+                ) from exc
+            finally:
+                # the group's id is the program's pid, which the kernel
+                # reuses for no other process while the group has one left
+                with self._lock:
+                    self._running.discard(proc.pid)
+                    _kill_group(proc.pid)
+        captured = stdout + stderr
         if log_path is not None:
             with open(log_path, "a", encoding="utf-8") as fh:
                 fh.write(f"[attempt {req.attempt}] {shlex.join(self.command)}\n{captured}\n")
@@ -285,7 +312,7 @@ class SubprocessBackend(AgentBackend):
                 f"{req.role.value} backend exited with {proc.returncode}", captured=captured
             )
         outcome_line = next(
-            (line for line in reversed(proc.stdout.splitlines()) if line.startswith("OUTCOME:")),
+            (line for line in reversed(stdout.splitlines()) if line.startswith("OUTCOME:")),
             None,
         )
         if outcome_line is None:
@@ -311,6 +338,13 @@ class SubprocessBackend(AgentBackend):
                 signal=Signal(kind=sig_kind, raiser=req.role, payload=payload),
             )
         raise DispatchError(f"malformed outcome line: {outcome_line!r}", captured=captured)
+
+
+def _kill_group(group: int) -> None:
+    try:
+        os.killpg(group, SIGKILL)
+    except ProcessLookupError:  # every process of the group has exited
+        pass
 
 
 def dispatch(req: DispatchRequest, backend: AgentBackend, log_path: Path | None = None) -> AgentOutcome:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import os
 import subprocess
+import time
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -328,6 +329,23 @@ def run_scripted_workflow(
         listed = [line for line in listing.splitlines() if line.startswith("worktree ")]
         assert listed == [f"worktree {target_repo.resolve()}"], listed
     return report, run_dir, orchestrator
+
+
+def process_ended(pid: int, within: float = 5.0) -> bool:
+    """Whether process ``pid`` has ended, or ends within ``within``
+    seconds. A killed process that its new parent has not reaped yet reads
+    state ``Z`` in ``/proc/<pid>/stat``."""
+    deadline = time.monotonic() + within
+    while True:
+        try:
+            stat = Path(f"/proc/{pid}/stat").read_text(encoding="utf-8")
+        except FileNotFoundError:
+            return True
+        if stat.rsplit(")", 1)[1].split()[0] == "Z":
+            return True
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
 
 
 class Spy(AgentBackend):

@@ -49,7 +49,7 @@ from gatework.orchestrator import (
     start_run,
 )
 from gatework.rundir import RunDirectory
-from gatework.runtime import AgentBackend, BackendKind, ScriptedBackend
+from gatework.runtime import AgentBackend, BackendKind, ScriptedBackend, SubprocessBackend
 from gatework.statemachine import RunState
 from gatework.workspace import WorkspaceLayout
 
@@ -434,7 +434,12 @@ def test_mechanical_review_clean_run_passes(tmp_path):
     assert statuses["pipeline-isolation"] == "pass"
     assert statuses["tolerance-integrity"] == "pass"
     assert statuses["evidence-completeness"] == "pass"
-    assert statuses["spec-cross-comparison"] == "attested"
+    # the engine did not make the checks it delegates, and says so
+    delegated = ("spec-cross-comparison", "output-convergence", "coverage-of-changes")
+    assert [statuses[name] for name in delegated] == ["not observed"] * 3
+    assert run_dir.report_text_path.read_text(encoding="utf-8").splitlines()[-1] == (
+        "not observed: " + "; ".join(f"{name} (delegated to reviewer backend)" for name in delegated)
+    )
     assert run_dir.access_log_path.exists()
 
 
@@ -478,6 +483,47 @@ def test_mechanical_review_direct_missing_artifact_fails(tmp_path):
     assert not report.passed
     failed = {c.name for c in report.failures()}
     assert "artifact-presence" in failed
+
+
+def test_tolerance_integrity_without_a_test_spec_is_not_observed(tmp_path):
+    run_dir = RunDirectory(tmp_path / "run").create()
+    for kind in (K.REQUEST, K.IMPACT, K.CREDENTIALS, K.COMPREHENSION, K.SPEC, K.IMPLEMENTATION):
+        run_dir.write(kind, "x\n")
+    run_dir.write(K.AUDIT, AUDIT_BODY)
+    plan = compile_plan(workflow_by_id(9))
+    report = mechanical_review(run_dir, {role: () for role in plan.workflow.roles()}, plan)
+    checks = {c.name: c for c in report.checks}
+    assert checks["tolerance-integrity"].status.value == "not observed"
+    assert checks["tolerance-integrity"].detail == "no test specification to compare against"
+    assert checks["evidence-completeness"].status.value == "pass"
+    assert report.passed
+
+
+def test_a_workflow_without_a_tester_has_no_validation_checks(tmp_path):
+    report, _, _ = run_scripted_workflow(tmp_path, 3)
+    assert report.final_state == "REVIEW_PASSED" and report.mechanical["passed"] is True
+    assert [c["name"] for c in report.mechanical["checks"]] == [
+        "artifact-presence", "pipeline-isolation",
+        "spec-cross-comparison", "output-convergence", "coverage-of-changes",
+    ]
+
+
+def test_isolation_of_a_subprocess_role_is_not_observed(tmp_path):
+    backends = scripted_backends(workflow_by_id(2))
+    backends[R.BUILDER] = SubprocessBackend(
+        ["sh", "-c", "cat >/dev/null; echo '# Implementation' > implementation.md; echo 'OUTCOME: COMPLETED'"]
+    )
+    report, run_dir, _ = run_scripted_workflow(tmp_path, 2, backends=backends)
+    assert report.final_state == "READY_TO_SHIP" and report.exit_code == 0
+    checks = {c["name"]: c for c in report.mechanical["checks"]}
+    assert checks["pipeline-isolation"] == {
+        "name": "pipeline-isolation",
+        "status": "not observed",
+        "detail": "reads of subprocess role(s) not seen: builder",
+    }
+    assert report.mechanical["passed"] is True
+    text = run_dir.report_text_path.read_text(encoding="utf-8")
+    assert "not observed: pipeline-isolation (reads of subprocess role(s) not seen: builder); " in text
 
 
 # --- leader purity and stage atomicity ------------------------------------------------

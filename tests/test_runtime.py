@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import process_ended
 from gatework.barrier import DEFAULT_ACCESS_MATRIX, create_plain_sandbox
 from gatework.clock import TickClock
 from gatework.errors import (
@@ -296,6 +297,26 @@ def test_subprocess_backend_timeout(tmp_path):
     backend = SubprocessBackend(["python3", "-c", "import time; time.sleep(10)"])
     with pytest.raises(DispatchTimeout):
         dispatch(req, backend)
+
+
+@pytest.mark.parametrize(
+    "command,raised",
+    [
+        ("sleep 30 >/dev/null 2>&1 & echo $! > bg.pid; echo x > implementation.md; echo 'OUTCOME: COMPLETED'", None),
+        ("sleep 30 >/dev/null 2>&1 & echo $! > bg.pid; exit 3", DispatchError),
+        ("sleep 30 & echo $! > bg.pid; exec sleep 30", DispatchTimeout),
+    ],
+    ids=["returns", "fails", "times-out"],
+)
+def test_no_process_of_a_subprocess_dispatch_outlives_it(tmp_path, command, raised):
+    req = _request(tmp_path, R.BUILDER, 9, deadline=1.0)
+    backend = SubprocessBackend(["sh", "-c", command])
+    if raised is None:
+        assert dispatch(req, backend).status is OutcomeStatus.COMPLETED
+    else:
+        with pytest.raises(raised):
+            dispatch(req, backend)
+    assert process_ended(int((req.sandbox.path / "bg.pid").read_text(encoding="utf-8")))
 
 
 def test_subprocess_backend_missing_outcome_line(tmp_path):

@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import os
 import shlex
+import signal
 import subprocess
 import threading
 import time
@@ -15,12 +16,18 @@ from pathlib import Path
 
 import pytest
 
-from conftest import RecordingGit, init_git_repo, run_scripted_workflow, scripted_backends
+from conftest import (
+    RecordingGit,
+    init_git_repo,
+    process_ended,
+    run_scripted_workflow,
+    scripted_backends,
+)
 from gatework import gitlayer
 from gatework.clock import TickClock
 from gatework.gitlayer import SubprocessGit
 from gatework.model import AgentRole, ArtifactKind, workflow_by_id
-from gatework.orchestrator import ChannelMode, Orchestrator, UserChannel
+from gatework.orchestrator import ChannelMode, Orchestrator, UserChannel, start_run
 from gatework.runtime import SubprocessBackend
 
 R = AgentRole
@@ -541,3 +548,81 @@ def test_git_processes_on_one_repository_never_overlap(tmp_path, monkeypatch):
 
     assert len(results) == 12 and all(r.ok for r in results), [r.output for r in results if not r.ok]
     assert peak == 1
+
+
+# --- what a subprocess agent leaves behind -------------------------------------
+
+
+_AUDIT = "printf '# Audit\\n\\n| check | result |\\n|---|---|\\n| all | pass |\\n' > audit.md\n"
+
+
+def test_a_builder_process_left_running_never_writes_into_the_tester_sandbox(tmp_path):
+    record = tmp_path / "record"
+    record.mkdir()
+    record_q = shlex.quote(str(record))
+    builder = f"""
+cat >/dev/null
+( sleep 1; echo planted > planted.txt; printf '| forged |\\n|---|\\n' > audit.md ) >/dev/null 2>&1 &
+echo $! > {record_q}/left
+printf '# Implementation\\n' > implementation.md
+echo 'OUTCOME: COMPLETED'
+"""
+    # the tester's sandbox is the builder's worktree, carried
+    tester = f"cat >/dev/null\nsleep 2\nls > {record_q}/seen\n{_AUDIT}echo 'OUTCOME: COMPLETED'\n"
+    backends = {R.BUILDER: SubprocessBackend(["sh", "-c", builder]),
+                R.TESTER: SubprocessBackend(["sh", "-c", tester])}
+
+    report, run_dir, _ = run_scripted_workflow(tmp_path, 9, backends=backends)
+
+    assert report.final_state == "PIPELINES_COMPLETE" and report.exit_code == 0
+    assert process_ended(int((record / "left").read_text(encoding="utf-8")))
+    assert "planted.txt" not in (record / "seen").read_text(encoding="utf-8").split()
+    assert "| all | pass |" in run_dir.read(ArtifactKind.AUDIT)
+
+
+def test_an_interrupted_batch_kills_the_agents_it_waits_for(tmp_path):
+    record = tmp_path / "record"
+    record.mkdir()
+    record_q = shlex.quote(str(record))
+    builder = f"sleep 20 >/dev/null 2>&1 & echo $! > {record_q}/left; echo $$ > {record_q}/agent; exec sleep 20"
+    workflow = workflow_by_id(9)
+    backends = {**scripted_backends(workflow), R.BUILDER: SubprocessBackend(["sh", "-c", builder])}
+    repo = init_git_repo(tmp_path / "repo")
+    git, clock = SubprocessGit(), TickClock()
+    run_dir, request_id = start_run(
+        runs_root=tmp_path / "runs", target_repo=repo, directive="interrupt", workflow=workflow,
+        git=git, clock=clock,
+    )
+    orchestrator = Orchestrator(
+        run_dir=run_dir, request_id=request_id, workflow=workflow, backends=backends,
+        channel=UserChannel(mode=ChannelMode.SCRIPTED_ANSWERS), target_repo=repo, git=git, clock=clock,
+    )
+
+    def interrupt() -> None:
+        # a terminal's Ctrl-C reaches the engine, not the agent's session
+        deadline = time.monotonic() + 10
+        while not (record / "agent").exists() and time.monotonic() < deadline:
+            time.sleep(0.02)
+        signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+
+    interrupter = threading.Thread(target=interrupt)
+    interrupter.start()
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        orchestrator.run()
+    interrupter.join(timeout=10)
+    assert not interrupter.is_alive()
+
+    assert time.monotonic() - started < 10
+    for name in ("agent", "left"):
+        assert process_ended(int((record / name).read_text(encoding="utf-8")))
+
+
+def test_a_worktree_its_agent_locked_is_removed_at_finalize(tmp_path):
+    tester = f"cat >/dev/null\ngit worktree lock --reason mine \"$PWD\"\n{_AUDIT}echo 'OUTCOME: COMPLETED'\n"
+    backends = {**scripted_backends(workflow_by_id(9)), R.TESTER: SubprocessBackend(["sh", "-c", tester])}
+    # run_scripted_workflow also checks that no worktree of the target is left
+    report, run_dir, _ = run_scripted_workflow(tmp_path, 9, backends=backends)
+
+    assert report.final_state == "PIPELINES_COMPLETE" and report.exit_code == 0
+    assert not (run_dir.sandboxes_dir / "tester").exists()

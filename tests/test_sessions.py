@@ -23,6 +23,9 @@ BUILDER_FIX_HOLDS = (
 #: workflow 9's builder: completes, then fails its contract in the fix
 BUILDER_FIX_FAILS = _IMPLEMENTATION + "complete\n---\ncomplete\n---\n" + _IMPLEMENTATION + "complete\n"
 
+#: workflow 2's builder: fails its contract once, then completes
+BUILDER_FAILS_ONCE = "complete\n---\n" + _IMPLEMENTATION + "complete\n"
+
 #: workflow 9's tester: BLOCKs once, then completes
 TESTER_BLOCKS_ONCE = conftest.tester_script(blocks=1)
 
@@ -74,6 +77,25 @@ def test_a_failed_block_fix_is_dispatched_again_before_the_tester(tmp_path):
     assert resumed.dispatch_counts == {"builder": 3, "tester": 2}
 
 
+def test_a_block_beside_a_failed_dispatch_is_journaled_before_the_halt(tmp_path):
+    run = run_in_sessions(
+        tmp_path, 2, split=False, authorization="tok",
+        scripts={R.BUILDER: BUILDER_FAILS_ONCE, R.TESTER: TESTER_BLOCKS_ONCE},
+    )
+    failed, resumed = run.reports
+    assert "without contracted artifact(s): ['implementation.md']" in failed.diagnostics["builder"]
+    assert failed.retries["BLOCK"] == 1
+    assert failed.signals == [
+        {"kind": "BLOCK", "raiser": "tester", "payload": "placebo test failure: no improvement over baseline"}
+    ]
+    assert resumed.final_state == "DONE" and resumed.exit_code == 0
+    assert resumed.retries["BLOCK"] == 1 and resumed.signals == failed.signals
+    # the BLOCK's fix and re-validation run in the resumed session
+    assert run.outcomes()[1:5] == [
+        ("builder", "failed"), ("tester", "BLOCK"), ("builder", "completed"), ("tester", "completed"),
+    ]
+
+
 SCENARIOS = {
     "workflow 9 BLOCK fix HOLDs": (
         9, ("patch the variance",),
@@ -91,6 +113,9 @@ SCENARIOS = {
     "workflow 1 HOLD, 3 BLOCKs, STOP": (
         1, ("use the reference implementation",),
         {"planner_holds": 1, "tester_blocks": 3, "reviewer_stops": 1},
+    ),
+    "workflow 2 failed dispatch beside a BLOCK": (
+        2, (), {"scripts": {R.BUILDER: BUILDER_FAILS_ONCE, R.TESTER: TESTER_BLOCKS_ONCE}, "authorization": "tok"},
     ),
     "workflow 9 failed fix": (
         9, (), {"scripts": {R.BUILDER: BUILDER_FIX_FAILS, R.TESTER: TESTER_BLOCKS_ONCE}},
