@@ -196,7 +196,7 @@ def create_sandbox(
     idle: Path | None = None,
 ) -> Sandbox:
     """Give an execution or recording role a pristine checkout of its
-    branch at ``sandboxes/<role>``, holding its inputs only.
+    branch at ``<run_dir.sandboxes_dir>/<role>``, holding its inputs only.
 
     The worktree is reset if it exists. If not, the ``idle`` worktree of
     another role, when handed over, is carried there; otherwise one is
@@ -208,14 +208,15 @@ def create_sandbox(
             f"{role.value} does not run in a worktree sandbox; "
             f"worktree roles: {sorted(r.value for r in WORKTREE_ROLES)}"
         )
-    path = run_dir.sandboxes_dir / role.value
+    sandboxes = run_dir.sandboxes_dir
+    path = sandboxes / role.value
     branch = f"agent/{role.value}/{request_id}"
     if path.exists():
         verb, result = "reset", git.worktree_reset(base_repo, path, branch)
     elif idle is not None:
         verb, result = "carry", git.worktree_carry(base_repo, idle, path, branch)
     else:
-        run_dir.sandboxes_dir.mkdir(parents=True, exist_ok=True)
+        sandboxes.mkdir(exist_ok=True)
         verb, result = "creation", git.worktree_add(base_repo, path, branch)
     if not result.ok:
         raise EnvironmentFailure(f"worktree {verb} failed: {result.output}")
@@ -232,7 +233,8 @@ def create_plain_sandbox(
 ) -> Sandbox:
     """Directory-backed sandbox for the bridge, convergence, and ship
     roles, which need artifact isolation but no repository worktree: an
-    empty ``sandboxes/<role>`` holding the role's inputs only."""
+    empty ``<run_dir.sandboxes_dir>/<role>`` holding the role's inputs
+    only."""
     if role is AgentRole.LEADER:
         raise MisconfigurationError("the leader is never dispatched into a sandbox")
     path = run_dir.sandboxes_dir / role.value

@@ -109,8 +109,10 @@ class SubprocessGit:
             return _refused(GitAction.WORKTREE_ADD, detail, f"{path} already exists")
         # an empty worktree, filled by the checkout step a carry runs too;
         # `worktree add -b` would start `branch`, `symbolic-ref` and
-        # `reset --hard` of its own
-        proc = self._run(repo, "worktree", "add", "--detach", "--no-checkout", str(path))
+        # `reset --hard` of its own. Forced twice, git takes over a path
+        # it still lists, even locked, after its directory was wiped (as
+        # a reboot wipes /dev/shm); an existing path was refused above
+        proc = self._run(repo, "worktree", "add", "-f", "-f", "--detach", "--no-checkout", str(path))
         if proc.returncode == 0:
             proc = self._check_out_branch(repo, path, branch)
             if proc.returncode != 0:
@@ -151,7 +153,8 @@ class SubprocessGit:
         # `worktree move` onto an existing directory moves into it
         if path.exists():
             return _refused(GitAction.WORKTREE_CARRY, detail, f"{path} already exists")
-        proc = self._run(repo, "worktree", "move", str(source), str(path))
+        # forced twice, so a worktree its agent locked moves too
+        proc = self._run(repo, "worktree", "move", "-f", "-f", str(source), str(path))
         if proc.returncode == 0:
             proc = self._check_out_branch(repo, path, branch)
         return self._result(GitAction.WORKTREE_CARRY, self._clean(repo, proc, path), detail)

@@ -802,7 +802,10 @@ class Orchestrator:
         journal's fold turns into owed work. Only then does a failed
         dispatch halt the session, recorded under the role's name, or else
         the first signal past its retry cap."""
-        idle = self._idle_worktrees(roles)
+        try:
+            idle = self._idle_worktrees(roles)
+        except EnvironmentFailure as exc:  # the scratch root was refused
+            raise _Halt(diagnostics={"environment": str(exc)}) from exc
         # fixed before any worker starts; a role's dispatch count is its attempt
         attempts = {r: self.run_state.dispatches.get(r, 0) + 1 for r in roles if r in self.backends}
         made: dict[AgentRole, Sandbox] = {}
@@ -908,6 +911,11 @@ class Orchestrator:
             self._run_stages(authorization)
         except _Halt as halt:
             record_event(self.run_state, self.run_dir, "halt", halt.fields)
+        except KeyboardInterrupt:
+            # the interrupted batch is not journaled, but its worktrees
+            # are unregistered and its sandboxes freed all the same
+            self._finalize()
+            raise
         return self._finalize()
 
     def _resume(self) -> None:
@@ -970,21 +978,27 @@ class Orchestrator:
         report = build_report(self.run_state, self.run_dir, self.request_id, self.directive)
         if self.run_state.access:
             merge_access_logs(self.run_state.access, self.run_dir)
-        # worktrees are disposable once artifacts and audit logs are
-        # collected; removing them frees the role branches for re-runs.
-        # Anything else an agent left at a worktree sandbox's path would be
-        # refused as that sandbox by every later session, so it goes too.
-        for role in sorted(self.workflow.roles() & WORKTREE_ROLES):
-            path = self.run_dir.sandboxes_dir / role.value
-            if path.is_symlink() or path.is_file():
-                path.unlink()
-            elif is_linked_worktree(path):
-                self.git.worktree_remove(self.target_repo, path)
-            elif path.exists():
-                shutil.rmtree(path)
+        self._remove_sandboxes()
         self.run_dir.report_json_path.write_text(report.to_json(), encoding="utf-8")
         self.run_dir.report_text_path.write_text(report.render_text(), encoding="utf-8")
         return report
+
+    def _remove_sandboxes(self) -> None:
+        """Sandboxes are disposable once artifacts and audit logs are
+        collected. Each worktree is removed, which frees the role branches
+        for a later session, and then the run's sandbox directory with
+        whatever else agents left in it, so no checkout outlives its
+        session in memory. A refused scratch root holds none."""
+        try:
+            sandboxes = self.run_dir.sandboxes_dir
+        except EnvironmentFailure:
+            return
+        for role in sorted(self.workflow.roles() & WORKTREE_ROLES):
+            path = sandboxes / role.value
+            if not path.is_symlink() and is_linked_worktree(path):
+                self.git.worktree_remove(self.target_repo, path)
+        if sandboxes.exists():
+            shutil.rmtree(sandboxes)
 
 
 # --- shipping ---------------------------------------------------------------

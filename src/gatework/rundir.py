@@ -7,10 +7,14 @@ the review verdict header is out of scope by design.
 from __future__ import annotations
 
 import json
+import os
+import stat
+import tempfile
+import zlib
 from pathlib import Path
 from typing import Sequence
 
-from gatework.errors import RunDirectoryError, VerdictError
+from gatework.errors import EnvironmentFailure, RunDirectoryError, VerdictError
 from gatework.model import (
     ARTIFACT_NAME_ALIASES,
     ArtifactKind,
@@ -31,6 +35,40 @@ def find_artifact(directory: Path, kind: ArtifactKind) -> Path | None:
     return None
 
 
+#: The memory-backed directory agent sandboxes go under when it can hold
+#: them; a module constant so tests can point it elsewhere.
+MEMORY_ROOT = Path("/dev/shm")
+
+
+def scratch_root() -> Path:
+    """This user's private directory for agent sandboxes, ``gatework-<uid>``,
+    made if absent: under :data:`MEMORY_ROOT` when that is a writable
+    directory on a mount that allows executing files (agents build and
+    load code; Docker mounts ``/dev/shm`` noexec), else under the temp
+    directory. Refused unless it is a real directory of this user that
+    no one else may enter, because a run deletes what it finds there."""
+    base = MEMORY_ROOT
+    try:
+        usable = (
+            base.is_dir()
+            and os.access(base, os.W_OK | os.X_OK)
+            and not os.statvfs(base).f_flag & os.ST_NOEXEC
+        )
+    except OSError:
+        usable = False
+    root = (base if usable else Path(tempfile.gettempdir())) / f"gatework-{os.getuid()}"
+    try:
+        root.mkdir(mode=0o700)
+    except FileExistsError:
+        pass
+    found = root.lstat()
+    if not stat.S_ISDIR(found.st_mode) or found.st_uid != os.getuid() or found.st_mode & 0o077:
+        raise EnvironmentFailure(
+            f"sandbox root {root} is not a directory of this user with mode 0700; refusing to use it"
+        )
+    return root
+
+
 class RunDirectory:
     """Filesystem view of one workflow run."""
 
@@ -48,7 +86,13 @@ class RunDirectory:
 
     @property
     def sandboxes_dir(self) -> Path:
-        return self.path / "sandboxes"
+        """Where this run's agent sandboxes live: ``<request-id>-<digest>``
+        in :func:`scratch_root`, outside the run directory and the runs
+        root. The digest is of the run directory's resolved path, so every
+        session of this run finds the same directory and no other run
+        does."""
+        digest = zlib.crc32(os.fsencode(self.path.resolve()))
+        return scratch_root() / f"{self.path.name}-{digest:08x}"
 
     @property
     def report_text_path(self) -> Path:

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from gatework import rundir
 from gatework.clock import TickClock
 from gatework.gitlayer import GitResult, SubprocessGit
 from gatework.model import AgentRole, WorkflowType, workflow_by_id
@@ -265,6 +266,16 @@ def _isolated_git(tmp_path_factory):
         env.setenv("GIT_CONFIG_GLOBAL", str(config))
         env.setenv("GIT_CONFIG_NOSYSTEM", "1")
         yield
+
+
+@pytest.fixture(autouse=True)
+def _scratch_root(tmp_path_factory, monkeypatch):
+    """Put each test's agent sandboxes under a directory of its own, not
+    in the machine's shared memory-backed root, which a test that fails
+    before its run's session ends would otherwise fill."""
+    memory = tmp_path_factory.mktemp("memory-root")
+    monkeypatch.setattr(rundir, "MEMORY_ROOT", memory)
+    return memory
 
 
 class RecordingChannel(UserChannel):

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from gatework import rundir
+
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
@@ -30,6 +32,12 @@ def test_traced_name_resolves(module_name, path):
 BENCH = TRACING.parent
 
 
+@pytest.fixture
+def _scratch_root():
+    """Replaces conftest's: the benchmark's runs put their sandboxes in the
+    machine's real scratch root, as ``bench/run.py`` does."""
+
+
 @pytest.mark.parametrize("workload", ("fix", "full-retry", "ship"))
 def test_the_benchmark_runs_a_workload_twice_and_checks_every_run(tmp_path, monkeypatch, workload):
     """What ``bench/run.py`` calls of the engine, and its checks of each
@@ -40,8 +48,12 @@ def test_the_benchmark_runs_a_workload_twice_and_checks_every_run(tmp_path, monk
     spec.loader.exec_module(bench_run)
     fixtures = importlib.import_module("fixtures")
 
+    root = rundir.scratch_root()
+    before = set(root.iterdir())
     runner = bench_run.Runner(fixtures.make_workload(workload, 3), tmp_path)
     for _ in range(2):
         _, passed = runner.run_once()
         assert passed, runner.problems
     assert runner.problems == []
+    # every run removed its sandbox directory when its session ended
+    assert set(root.iterdir()) <= before

@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import os
 import shlex
+import shutil
 import signal
 import subprocess
 import threading
@@ -312,7 +313,7 @@ def test_worktree_add_takes_three_processes_and_reuses_an_existing_branch(tmp_pa
     # an empty worktree, then the carry's checkout step; `worktree add`
     # starts one `update-ref` of its own
     assert [argv[3:] for argv in git_spawns.argv] == [
-        ["worktree", "add", "--detach", "--no-checkout", str(path.resolve())],
+        ["worktree", "add", "-f", "-f", "--detach", "--no-checkout", str(path.resolve())],
         ["-c", "checkout.workers=0", "checkout", "-q", "-f",
          "--no-track", "-b", "agent/builder/req-1", "main-worktree/HEAD", "--"],
     ]
@@ -382,11 +383,12 @@ def test_worktree_carry_takes_three_processes_and_refuses_bad_paths(tmp_path, gi
 
     carried = git.worktree_carry(repo, idle, tmp_path / "tester", "agent/tester/req-1")
     assert carried.ok, carried.output
-    assert [argv[3:6] for argv in git_spawns.argv] == [
-        ["worktree", "move", str(idle.resolve())],
-        ["-c", "checkout.workers=0", "checkout"],
-        ["clean", "-q", "-ffdx"],
+    move, checkout, clean = git_spawns.argv
+    assert move[3:] == [
+        "worktree", "move", "-f", "-f", str(idle.resolve()), str((tmp_path / "tester").resolve()),
     ]
+    assert checkout[3:6] == ["-c", "checkout.workers=0", "checkout"]
+    assert clean[3:6] == ["clean", "-q", "-ffdx"]
     assert git_spawns.total() == 3, git_spawns.starts()
     assert not idle.exists()
     assert _git(tmp_path / "tester", "branch", "--show-current") == "agent/tester/req-1\n"
@@ -616,13 +618,57 @@ def test_an_interrupted_batch_kills_the_agents_it_waits_for(tmp_path):
     assert time.monotonic() - started < 10
     for name in ("agent", "left"):
         assert process_ended(int((record / name).read_text(encoding="utf-8")))
+    # the session is finalized before the interrupt goes on: no checkout
+    # stays registered or held in the scratch root
+    assert _git(repo, "worktree", "list").count("\n") == 1
+    assert not run_dir.sandboxes_dir.exists()
+    assert run_dir.report_json_path.exists()
 
 
-def test_a_worktree_its_agent_locked_is_removed_at_finalize(tmp_path):
-    tester = f"cat >/dev/null\ngit worktree lock --reason mine \"$PWD\"\n{_AUDIT}echo 'OUTCOME: COMPLETED'\n"
-    backends = {**scripted_backends(workflow_by_id(9)), R.TESTER: SubprocessBackend(["sh", "-c", tester])}
+_IMPLEMENTATION = "printf '# Implementation\\n' > implementation.md\n"
+
+
+@pytest.mark.parametrize("locker", [R.BUILDER, R.TESTER], ids=lambda role: role.value)
+def test_a_worktree_its_agent_locked_is_removed_at_finalize(tmp_path, locker):
+    # a builder's locked worktree is carried to the tester first
+    output = {R.BUILDER: _IMPLEMENTATION, R.TESTER: _AUDIT}[locker]
+    script = f"cat >/dev/null\ngit worktree lock --reason mine \"$PWD\"\n{output}echo 'OUTCOME: COMPLETED'\n"
+    backends = {**scripted_backends(workflow_by_id(9)), locker: SubprocessBackend(["sh", "-c", script])}
+    git = RecordingGit()
     # run_scripted_workflow also checks that no worktree of the target is left
-    report, run_dir, _ = run_scripted_workflow(tmp_path, 9, backends=backends)
+    report, run_dir, _ = run_scripted_workflow(tmp_path, 9, git=git, backends=backends)
 
-    assert report.final_state == "PIPELINES_COMPLETE" and report.exit_code == 0
-    assert not (run_dir.sandboxes_dir / "tester").exists()
+    assert report.final_state == "PIPELINES_COMPLETE" and report.exit_code == 0, report.diagnostics
+    assert git.calls == [("add", "builder"), ("carry", "tester")]
+    assert not run_dir.sandboxes_dir.exists()
+
+
+@pytest.mark.parametrize("locked", [False, True], ids=["registered", "locked"])
+def test_a_session_resumes_after_its_scratch_directory_was_wiped(tmp_path, locked):
+    """A reboot wipes the memory-backed scratch root, but not the target's
+    registration of the worktrees a killed session left there."""
+    workflow = workflow_by_id(9)
+    repo = init_git_repo(tmp_path / "repo")
+    git = RecordingGit()
+    run_dir, request_id = start_run(
+        runs_root=tmp_path / "runs", target_repo=repo, directive="scripted protocol exercise",
+        workflow=workflow, git=git, clock=TickClock(),
+    )
+    left = run_dir.sandboxes_dir / "builder"
+    left.parent.mkdir()
+    _git(repo, "worktree", "add", "-q", "--detach", str(left))
+    if locked:
+        _git(repo, "worktree", "lock", str(left))
+    shutil.rmtree(run_dir.sandboxes_dir)
+    assert str(left.resolve()) in _git(repo, "worktree", "list")
+
+    report = Orchestrator(
+        run_dir=run_dir, request_id=request_id, workflow=workflow, backends=scripted_backends(workflow),
+        channel=UserChannel(mode=ChannelMode.SCRIPTED_ANSWERS, output_fn=lambda _: None),
+        target_repo=repo, git=git, clock=TickClock(), directive="scripted protocol exercise",
+    ).run()
+
+    assert report.final_state == "PIPELINES_COMPLETE" and report.exit_code == 0, report.diagnostics
+    assert git.calls == [("add", "builder"), ("carry", "tester")]
+    assert _git(repo, "worktree", "list").count("\n") == 1
+    assert not run_dir.sandboxes_dir.exists()
