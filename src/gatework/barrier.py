@@ -147,11 +147,9 @@ class Sandbox:
 
     role: AgentRole
     path: Path
-    matrix: AccessMatrix
     visible_artifacts: frozenset[ArtifactKind]
     clock: Clock
     state: WorkflowState | None = None
-    branch: str | None = None
     audit: AuditLog = field(default_factory=AuditLog)
 
     def resolve(self, relpath: str) -> Path:
@@ -168,7 +166,7 @@ class Sandbox:
         kind = artifact_kind_for_name(target.name)
         if kind is not None:
             decision = check_access(
-                self.matrix, self.role, kind, audit=self.audit, clock=self.clock, state=self.state
+                DEFAULT_ACCESS_MATRIX, self.role, kind, audit=self.audit, clock=self.clock, state=self.state
             )
             if decision is AccessDecision.DENY:
                 return None
@@ -186,7 +184,6 @@ class Sandbox:
 def create_sandbox(
     role: AgentRole,
     base_repo: Path,
-    m: AccessMatrix,
     *,
     run_dir: RunDirectory,
     git: SubprocessGit,
@@ -220,12 +217,11 @@ def create_sandbox(
         verb, result = "creation", git.worktree_add(base_repo, path, branch)
     if not result.ok:
         raise EnvironmentFailure(f"worktree {verb} failed: {result.output}")
-    return _materialize(role, path, m, run_dir=run_dir, clock=clock, state=state, branch=branch)
+    return _materialize(role, path, run_dir=run_dir, clock=clock, state=state)
 
 
 def create_plain_sandbox(
     role: AgentRole,
-    m: AccessMatrix,
     *,
     run_dir: RunDirectory,
     clock: Clock,
@@ -241,35 +237,25 @@ def create_plain_sandbox(
     if path.exists():
         shutil.rmtree(path)
     path.mkdir(parents=True)
-    return _materialize(role, path, m, run_dir=run_dir, clock=clock, state=state)
+    return _materialize(role, path, run_dir=run_dir, clock=clock, state=state)
 
 
 def _materialize(
     role: AgentRole,
     path: Path,
-    m: AccessMatrix,
     *,
     run_dir: RunDirectory,
     clock: Clock,
     state: WorkflowState | None,
-    branch: str | None = None,
 ) -> Sandbox:
     # Only inputs: a role's own output must come from this attempt, or the
     # contract check in dispatch() would pass a retry that wrote nothing.
     visible = set()
-    for kind in sorted(m.grants_for(role, state), key=lambda k: k.filename):
+    for kind in sorted(DEFAULT_ACCESS_MATRIX.grants_for(role, state), key=lambda k: k.filename):
         if kind.producer is not role and run_dir.exists(kind):
             (path / kind.filename).write_text(run_dir.read(kind), encoding="utf-8")
             visible.add(kind)
-    return Sandbox(
-        role=role,
-        path=path,
-        matrix=m,
-        visible_artifacts=frozenset(visible),
-        clock=clock,
-        state=state,
-        branch=branch,
-    )
+    return Sandbox(role=role, path=path, visible_artifacts=frozenset(visible), clock=clock, state=state)
 
 
 @dataclass(frozen=True)

@@ -13,15 +13,16 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
-from gatework.clock import SystemClock, TickClock
+from gatework.clock import Clock, SystemClock, TickClock
 from gatework.errors import (
     GateworkError,
     HoldUnanswered,
     MisconfigurationError,
 )
 from gatework.gitlayer import SubprocessGit
-from gatework.model import WorkflowState, workflow_by_id
+from gatework.model import AgentRole, WorkflowState, workflow_by_id
 from gatework.orchestrator import (
     ChannelMode,
     Orchestrator,
@@ -32,7 +33,7 @@ from gatework.orchestrator import (
     start_run,
 )
 from gatework.rundir import RunDirectory
-from gatework.runtime import BackendKind, load_backends
+from gatework.runtime import AgentBackend, BackendKind, load_backends
 from gatework.statemachine import RunState, reconstruct_run_state
 from gatework.workspace import WorkspaceLayout, validate_workspace
 
@@ -108,105 +109,67 @@ def _workspace_root(flag: str | None) -> Path | None:
     return Path(raw).resolve() if raw else None
 
 
-def _load_run_config(run_dir: RunDirectory) -> dict:
+class _NoSuchRun(Exception):
+    """A command names a run directory that does not exist."""
+
+
+def _open_run(run_dir: RunDirectory) -> tuple[dict, RunState]:
+    """The recorded run's config and the run as its journal records it:
+    all that a command reads back of a run it resumes, shows or replays."""
+    if not run_dir.path.is_dir():
+        raise _NoSuchRun(run_dir.path)
     config_path = run_dir.path / "run-config.json"
     if not config_path.exists():
         raise MisconfigurationError(f"no run-config.json in {run_dir.path}")
-    return json.loads(config_path.read_text(encoding="utf-8"))
-
-
-def _load_run(run_dir: RunDirectory) -> tuple[dict, RunState]:
-    """The run's config and the run as its journal records it: all that a
-    command reads back of a run it resumes or shows."""
-    config = _load_run_config(run_dir)
+    config = json.loads(config_path.read_text(encoding="utf-8"))
     return config, reconstruct_run_state(run_dir, workflow_by_id(config["workflow_id"]))
 
 
-def _execute_run(
-    console: _Console,
-    *,
-    repo: Path,
-    directive: str,
-    override: int | None,
-    backends_path: Path,
-    answers: list[str] | None,
-    workspace_root: Path | None,
-    runs_root: Path | None,
-    deterministic: bool,
-    resume_run_dir: RunDirectory | None = None,
-    authorization: str | None = None,
-    request_id: str | None = None,
-) -> int:
-    git = SubprocessGit()
-    backends = load_backends(backends_path)
-    all_scripted = bool(backends) and all(b.kind is BackendKind.SCRIPTED for b in backends.values())
-    use_tick = deterministic or all_scripted
-    clock = TickClock() if use_tick else SystemClock()
+class _SessionInputs(NamedTuple):
+    """What one session of a run runs with."""
 
-    # scripted answers, when given, replace the interactive prompt
+    backends: dict[AgentRole, AgentBackend]
+    channel: UserChannel
+    clock: Clock
+
+
+def _session_inputs(config: dict, answers: list[str] | None, console: _Console) -> _SessionInputs:
+    """The inputs of a session of the run ``config`` records. Scripted
+    answers, when given, replace the interactive prompt; a run of scripted
+    backends only is scripted and deterministic throughout."""
+    backends = load_backends(Path(config["backends"]))
+    all_scripted = bool(backends) and all(b.kind is BackendKind.SCRIPTED for b in backends.values())
     mode = ChannelMode.SCRIPTED_ANSWERS if (answers is not None or all_scripted) else ChannelMode.INTERACTIVE
     channel = UserChannel(mode=mode, answers=answers or (), output_fn=console.echo)
+    clock = TickClock() if config.get("deterministic") or all_scripted else SystemClock()
+    return _SessionInputs(backends, channel, clock)
 
-    try:
-        workflow = select_workflow(directive, override, channel=channel)
-    except HoldUnanswered as exc:
-        console.echo(f"[escalation] {exc.question}")
-        return EXIT_ESCALATION
-    try:
-        check_single_run(workflow)
-    except MisconfigurationError as exc:
-        console.echo(str(exc))
-        return EXIT_GATE
 
+def _run_session(
+    console: _Console,
+    run_dir: RunDirectory,
+    config: dict,
+    inputs: _SessionInputs,
+    authorization: str | None = None,
+) -> int:
+    """Run one session of the run ``config`` records, echo its report and
+    mirror the command's output to the run's cli.log."""
+    repo = Path(config["target_repo"])
     workspace = None
-    if workspace_root is not None:
-        workspace = WorkspaceLayout(root=workspace_root, repo_name=Path(repo).name).ensure()
-
-    if resume_run_dir is not None:
-        run_dir = resume_run_dir
-        request_id = run_dir.path.name
-    else:
-        if runs_root is None:
-            runs_root = workspace.runs_dir if workspace is not None else Path.cwd() / "runs"
-        try:
-            run_dir, request_id = start_run(
-                runs_root=runs_root,
-                target_repo=repo,
-                directive=directive,
-                workflow=workflow,
-                git=git,
-                clock=clock,
-                request_id=request_id,
-            )
-        except GateworkError as exc:
-            console.echo(f"[environment] {exc}")
-            return EXIT_ENVIRONMENT
-        run_config = {
-            "directive": directive,
-            "workflow_id": workflow.id,
-            "target_repo": str(Path(repo).resolve()),
-            "backends": str(Path(backends_path).resolve()),
-            "workspace": str(workspace_root.resolve()) if workspace_root else None,
-            "deterministic": use_tick,
-            "answers": answers or [],
-        }
-        (run_dir.path / "run-config.json").write_text(
-            json.dumps(run_config, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-
-    orchestrator = Orchestrator(
+    if config.get("workspace"):
+        workspace = WorkspaceLayout(root=Path(config["workspace"]), repo_name=repo.name).ensure()
+    report = Orchestrator(
         run_dir=run_dir,
-        request_id=request_id,
-        workflow=workflow,
-        backends=backends,
-        channel=channel,
-        target_repo=Path(repo),
-        git=git,
-        clock=clock,
+        request_id=run_dir.path.name,
+        workflow=workflow_by_id(config["workflow_id"]),
+        backends=inputs.backends,
+        channel=inputs.channel,
+        target_repo=repo,
+        git=SubprocessGit(),
+        clock=inputs.clock,
         workspace=workspace,
-        directive=directive,
-    )
-    report = orchestrator.run(authorization=authorization)
+        directive=config["directive"],
+    ).run(authorization=authorization)
     console.echo(report.render_text().rstrip("\n"))
     console.flush_to(run_dir)
     return report.exit_code
@@ -220,52 +183,64 @@ def cmd_run(args: argparse.Namespace, console: _Console) -> int:
     if not repo.is_dir():
         console.echo(f"[environment] target repository not resolvable: {repo}")
         return EXIT_ENVIRONMENT
-    return _execute_run(
-        console,
-        repo=repo.resolve(),
-        directive=args.directive,
-        override=args.workflow,
-        backends_path=Path(args.backends).resolve(),
-        answers=_read_answers(Path(args.answers)) if args.answers else None,
-        workspace_root=_workspace_root(args.workspace),
-        runs_root=Path(args.runs_root).resolve() if args.runs_root else None,
-        deterministic=args.deterministic,
+    repo = repo.resolve()
+    workspace_root = _workspace_root(args.workspace)
+    config = {
+        "directive": args.directive,
+        "target_repo": str(repo),
+        "backends": str(Path(args.backends).resolve()),
+        "workspace": str(workspace_root) if workspace_root else None,
+        "deterministic": args.deterministic,
+    }
+    answers = _read_answers(Path(args.answers)) if args.answers else None
+    inputs = _session_inputs(config, answers, console)
+    try:
+        workflow = select_workflow(args.directive, args.workflow, channel=inputs.channel)
+    except HoldUnanswered as exc:
+        console.echo(f"[escalation] {exc.question}")
+        return EXIT_ESCALATION
+    try:
+        check_single_run(workflow)
+    except MisconfigurationError as exc:
+        console.echo(str(exc))
+        return EXIT_GATE
+    # an answer that picked the workflow is not one the sessions are given
+    config.update(
+        workflow_id=workflow.id,
+        deterministic=isinstance(inputs.clock, TickClock),
+        answers=list(inputs.channel.answers),
     )
+    if args.runs_root:
+        runs_root = Path(args.runs_root).resolve()
+    elif workspace_root is not None:
+        runs_root = WorkspaceLayout(root=workspace_root, repo_name=repo.name).runs_dir
+    else:
+        runs_root = Path.cwd() / "runs"
+    try:
+        run_dir, _ = start_run(
+            runs_root=runs_root,
+            target_repo=repo,
+            directive=args.directive,
+            workflow=workflow,
+            git=SubprocessGit(),
+            clock=inputs.clock,
+        )
+    except GateworkError as exc:
+        console.echo(f"[environment] {exc}")
+        return EXIT_ENVIRONMENT
+    (run_dir.path / "run-config.json").write_text(
+        json.dumps(config, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    return _run_session(console, run_dir, config, inputs)
 
 
 def _read_answers(path: Path) -> list[str]:
     return [line for line in path.read_text(encoding="utf-8").splitlines() if line]
 
 
-def _resume_run(
-    console: _Console,
-    run_dir: RunDirectory,
-    config: dict,
-    *,
-    answers: list[str] | None = None,
-    authorization: str | None = None,
-) -> int:
-    return _execute_run(
-        console,
-        repo=Path(config["target_repo"]),
-        directive=config["directive"],
-        override=config["workflow_id"],
-        backends_path=Path(config["backends"]),
-        answers=answers,
-        workspace_root=Path(config["workspace"]) if config.get("workspace") else None,
-        runs_root=None,
-        deterministic=config.get("deterministic", False),
-        resume_run_dir=run_dir,
-        authorization=authorization,
-    )
-
-
 def cmd_answer(args: argparse.Namespace, console: _Console) -> int:
     run_dir = RunDirectory(Path(args.run))
-    if not run_dir.path.is_dir():
-        console.echo(f"[environment] no such run: {run_dir.path}")
-        return EXIT_ENVIRONMENT
-    config, run_state = _load_run(run_dir)
+    config, run_state = _open_run(run_dir)
     # only an unanswered question halts with both; the resumed session
     # gets the new answer for it and journals it
     halt = run_state.halt or {}
@@ -273,38 +248,33 @@ def cmd_answer(args: argparse.Namespace, console: _Console) -> int:
         console.echo("answer requires an active run with a pending question")
         return EXIT_GATE
     console.echo(f"resuming run {run_dir.path.name} with the answer")
-    return _resume_run(console, run_dir, config, answers=[args.text])
+    return _run_session(console, run_dir, config, _session_inputs(config, [args.text], console))
 
 
 def cmd_authorize(args: argparse.Namespace, console: _Console) -> int:
     """Resume a READY_TO_SHIP run with the user's authorization; the
     resumed session dispatches the shipper and rewrites the report."""
     run_dir = RunDirectory(Path(args.run))
-    if not run_dir.path.is_dir():
-        console.echo(f"[environment] no such run: {run_dir.path}")
-        return EXIT_ENVIRONMENT
-    if not args.yes:
-        channel = UserChannel(mode=ChannelMode.INTERACTIVE, output_fn=console.echo)
-        reply = channel.ask("Authorize shipping? (yes/no)")
-        if reply is None or reply.strip().lower() not in ("y", "yes"):
-            console.echo("shipping not authorized")
-            return EXIT_GATE
-    config, run_state = _load_run(run_dir)
+    config, run_state = _open_run(run_dir)
     state = run_state.current
     if state is not WorkflowState.READY_TO_SHIP:
         # a plain resume would dispatch the run's unfinished stages
         console.echo(f"ship refused: run is at {state.value}, not READY_TO_SHIP")
         console.flush_to(run_dir)
         return EXIT_GATE
-    return _resume_run(console, run_dir, config, authorization="explicit-user-authorization")
+    if not args.yes:
+        channel = UserChannel(mode=ChannelMode.INTERACTIVE, output_fn=console.echo)
+        reply = channel.ask("Authorize shipping? (yes/no)")
+        if reply is None or reply.strip().lower() not in ("y", "yes"):
+            console.echo("shipping not authorized")
+            return EXIT_GATE
+    inputs = _session_inputs(config, None, console)
+    return _run_session(console, run_dir, config, inputs, authorization="explicit-user-authorization")
 
 
 def cmd_status(args: argparse.Namespace, console: _Console) -> int:
     run_dir = RunDirectory(Path(args.run))
-    if not run_dir.path.is_dir():
-        console.echo(f"[environment] no such run: {run_dir.path}")
-        return EXIT_ENVIRONMENT
-    config, run_state = _load_run(run_dir)
+    config, run_state = _open_run(run_dir)
     report = build_report(run_state, run_dir, run_dir.path.name, config["directive"])
     console.echo(report.render_text().rstrip("\n"))
     return EXIT_OK
@@ -326,36 +296,39 @@ def cmd_validate(args: argparse.Namespace, console: _Console) -> int:
 
 
 def cmd_replay(args: argparse.Namespace, console: _Console) -> int:
+    """Start the recorded run afresh under its request id and run one
+    session, as ``run`` does, then compare what the two wrote."""
     run_dir = RunDirectory(Path(args.run))
-    if not run_dir.path.is_dir() or not run_dir.report_json_path.exists():
+    if not run_dir.report_json_path.exists():
         console.echo(f"[environment] no recorded report under {run_dir.path}")
         return EXIT_ENVIRONMENT
-    config = _load_run_config(run_dir)
+    config, _ = _open_run(run_dir)
     if not config.get("deterministic"):
         console.echo("[environment] run was not recorded deterministically; cannot replay")
         return EXIT_ENVIRONMENT
+    config = {**config, "workspace": None}
+    quiet = _Console()  # replay output is not mirrored into the original run
+    inputs = _session_inputs(config, config.get("answers") or None, quiet)
     with tempfile.TemporaryDirectory() as tmp:
-        code = _execute_run(
-            _Console(),  # replay output is not mirrored into the original run
-            repo=Path(config["target_repo"]),
-            directive=config["directive"],
-            override=config["workflow_id"],
-            backends_path=Path(config["backends"]),
-            answers=config.get("answers") or None,
-            workspace_root=None,
-            runs_root=Path(tmp),
-            deterministic=True,
-            request_id=run_dir.path.name,  # as every resume takes it
-        )
-        replayed_dirs = sorted(Path(tmp).iterdir())
-        if not replayed_dirs:
+        try:
+            replayed, _ = start_run(
+                runs_root=Path(tmp),
+                target_repo=Path(config["target_repo"]),
+                directive=config["directive"],
+                workflow=workflow_by_id(config["workflow_id"]),
+                git=SubprocessGit(),
+                clock=inputs.clock,
+                request_id=run_dir.path.name,  # as every resume takes it
+            )
+        except GateworkError:
             console.echo("[environment] replay produced no run directory")
             return EXIT_ENVIRONMENT
+        code = _run_session(quiet, replayed, config, inputs)
         # the report, and the journal that says why each session ended
         differing = [
             name
             for name in (run_dir.report_json_path.name, run_dir.journal_path.name)
-            if (run_dir.path / name).read_bytes() != (replayed_dirs[0] / name).read_bytes()
+            if (run_dir.path / name).read_bytes() != (replayed.path / name).read_bytes()
         ]
     if not differing:
         console.echo(f"replay identical (exit {code})")
@@ -378,6 +351,9 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args, console)
+    except _NoSuchRun as exc:
+        console.echo(f"[environment] no such run: {exc}")
+        return EXIT_ENVIRONMENT
     except GateworkError as exc:
         console.echo(f"[error] {exc}")
         return EXIT_ENVIRONMENT

@@ -23,7 +23,6 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 from gatework.barrier import (
-    DEFAULT_ACCESS_MATRIX,
     WORKTREE_ROLES,
     Sandbox,
     audit_isolation,
@@ -730,7 +729,6 @@ class Orchestrator:
             return create_sandbox(
                 role,
                 self.target_repo,
-                DEFAULT_ACCESS_MATRIX,
                 run_dir=self.run_dir,
                 git=self.git,
                 clock=clock,
@@ -740,7 +738,6 @@ class Orchestrator:
             )
         return create_plain_sandbox(
             role,
-            DEFAULT_ACCESS_MATRIX,
             run_dir=self.run_dir,
             clock=clock,
             state=self.run_state.current,

@@ -117,11 +117,21 @@ class RunDirectory:
             fh.write("".join(json.dumps(record) + "\n" for record in records))
 
     def events(self) -> list[dict]:
-        """The journal's records in append order."""
+        """The journal's records in append order. A line that does not parse,
+        such as one a killed session left half-written, raises
+        RunDirectoryError; it is never dropped or repaired."""
         if not self.journal_path.exists():
             return []
+        records = []
         with open(self.journal_path, encoding="utf-8") as fh:
-            return [json.loads(line) for line in fh]
+            for number, line in enumerate(fh, 1):
+                try:
+                    records.append(json.loads(line))
+                except json.JSONDecodeError as exc:
+                    raise RunDirectoryError(
+                        f"{self.journal_path} line {number} does not parse: {exc}"
+                    ) from None
+        return records
 
     def check_readable(self) -> None:
         """Raise RunDirectoryError when the directory cannot be read.

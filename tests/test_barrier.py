@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import subprocess
 import threading
 
 import pytest
@@ -133,7 +134,7 @@ def run_env(tmp_path):
 def test_builder_sandbox_contains_spec_but_not_test_spec(run_env):
     run_dir, repo, git, clock = run_env
     sandbox = create_sandbox(
-        R.BUILDER, repo, DEFAULT_ACCESS_MATRIX,
+        R.BUILDER, repo,
         run_dir=run_dir, git=git, clock=clock, request_id="req-1",
     )
     assert (sandbox.path / "spec.md").exists()
@@ -141,13 +142,17 @@ def test_builder_sandbox_contains_spec_but_not_test_spec(run_env):
     assert not (sandbox.path / "sim-spec.md").exists()
     assert sandbox.visible_artifacts == frozenset({K.SPEC})
     assert (sandbox.path / "module.py").exists()  # worktree carries the repo tree
-    assert sandbox.branch == "agent/builder/req-1"
+    branch = subprocess.run(
+        ["git", "-C", str(sandbox.path), "branch", "--show-current"],
+        capture_output=True, text=True, check=True,
+    ).stdout.strip()
+    assert branch == "agent/builder/req-1"
 
 
 def test_scriber_sandbox_docs_only_workflow_has_no_spec_artifacts(run_env):
     run_dir, repo, git, clock = run_env
     sandbox = create_sandbox(
-        R.SCRIBER, repo, DEFAULT_ACCESS_MATRIX,
+        R.SCRIBER, repo,
         run_dir=run_dir, git=git, clock=clock, request_id="req-1",
     )
     # none of the scriber's grants exist yet in this run, so nothing copies in
@@ -160,13 +165,13 @@ def test_tester_sandbox_after_pipelines_complete_gets_implementation(run_env):
     run_dir, repo, git, clock = run_env
     run_dir.write(K.IMPLEMENTATION, "impl report\n")
     before = create_sandbox(
-        R.TESTER, repo, DEFAULT_ACCESS_MATRIX,
+        R.TESTER, repo,
         run_dir=run_dir, git=git, clock=clock, request_id="req-1",
         state=WorkflowState.SPEC_READY,
     )
     assert not (before.path / "implementation.md").exists()
     after = create_sandbox(
-        R.TESTER, repo, DEFAULT_ACCESS_MATRIX,
+        R.TESTER, repo,
         run_dir=run_dir, git=git, clock=clock, request_id="req-1",
         state=WorkflowState.PIPELINES_COMPLETE,
     )
@@ -180,19 +185,17 @@ def test_create_sandbox_rejects_non_worktree_roles(run_env):
     run_dir, repo, git, clock = run_env
     with pytest.raises(MisconfigurationError):
         create_sandbox(
-            R.PLANNER, repo, DEFAULT_ACCESS_MATRIX,
+            R.PLANNER, repo,
             run_dir=run_dir, git=git, clock=clock, request_id="req-1",
         )
-    sandbox = create_plain_sandbox(
-        R.PLANNER, DEFAULT_ACCESS_MATRIX, run_dir=run_dir, clock=clock
-    )
+    sandbox = create_plain_sandbox(R.PLANNER, run_dir=run_dir, clock=clock)
     assert (sandbox.path / "request.md").exists()
 
 
 def test_request_read_denied_artifact_returns_nothing_and_logs(run_env):
     run_dir, repo, git, clock = run_env
     sandbox = create_sandbox(
-        R.BUILDER, repo, DEFAULT_ACCESS_MATRIX,
+        R.BUILDER, repo,
         run_dir=run_dir, git=git, clock=clock, request_id="req-1",
     )
     assert sandbox.request_read("test-spec.md") is None
@@ -208,7 +211,7 @@ def test_request_read_denied_artifact_returns_nothing_and_logs(run_env):
 def test_sandbox_rejects_escape_paths(run_env):
     run_dir, repo, git, clock = run_env
     sandbox = create_sandbox(
-        R.BUILDER, repo, DEFAULT_ACCESS_MATRIX,
+        R.BUILDER, repo,
         run_dir=run_dir, git=git, clock=clock, request_id="req-1",
     )
     for bad in ("../outside.md", "a/../../x", "/etc/passwd", "a/b/../../../z"):
@@ -225,7 +228,7 @@ def test_sandbox_containment_property(tmp_path_factory, parts):
     root = tmp_path_factory.mktemp("sandbox-root")
     run_dir = RunDirectory(root / "run").create()
     clock = TickClock()
-    sandbox = create_plain_sandbox(R.SHIPPER, DEFAULT_ACCESS_MATRIX, run_dir=run_dir, clock=clock)
+    sandbox = create_plain_sandbox(R.SHIPPER, run_dir=run_dir, clock=clock)
     relpath = "/".join(parts)
     if ".." in parts:
         with pytest.raises(BarrierError):

@@ -679,3 +679,111 @@ def test_the_cli_reads_no_projection_back(tmp_path, capsys):
     for run_dir in run_dirs:
         assert main(["answer", "--run", str(run_dir.path), "use defaults"]) == 0
     assert junked.report_json_path.read_bytes() == kept.report_json_path.read_bytes()
+
+
+def test_replay_of_a_run_whose_workflow_an_answer_picked_is_identical(tmp_path, capsys):
+    repo = init_git_repo(tmp_path / "repo")
+    config = write_backend_config(tmp_path / "backends", 9, builder_holds=1)
+    answers = tmp_path / "answers.txt"
+    answers.write_text("9\nuse the sandwich estimator\n", encoding="utf-8")
+    runs_root = tmp_path / "runs"
+    code = main(
+        [
+            "run",
+            "--repo", str(repo),
+            "--directive", "hello there",
+            "--backends", str(config),
+            "--runs-root", str(runs_root),
+            "--answers", str(answers),
+        ]
+    )
+    assert code == 0
+    run_dir = _single_run_dir(runs_root)
+    assert {"event": "answer", "role": "builder", "text": "use the sandwich estimator"} in run_dir.events()
+    # the answer that picked the workflow is not one the sessions were given
+    recorded = json.loads((run_dir.path / "run-config.json").read_text(encoding="utf-8"))
+    assert recorded["workflow_id"] == 9
+    assert recorded["answers"] == ["use the sandwich estimator"]
+    capsys.readouterr()
+    assert main(["replay", "--run", str(run_dir.path)]) == 0
+    assert "replay identical (exit 0)" in capsys.readouterr().out
+
+
+def _snapshot(root: Path) -> dict[str, bytes | None]:
+    """Every path under ``root`` with a file's bytes (None for a directory)."""
+    return {
+        str(p.relative_to(root)): None if p.is_dir() else p.read_bytes() for p in sorted(root.rglob("*"))
+    }
+
+
+#: The commands that open a recorded run, with what each adds after --run.
+OPENING_COMMANDS = {
+    "status": [],
+    "answer": ["use defaults"],
+    "authorize": ["--yes"],
+    "replay": [],
+}
+
+
+@pytest.mark.parametrize("missing", ["run directory", "run-config.json"])
+@pytest.mark.parametrize("command", OPENING_COMMANDS)
+def test_a_run_that_cannot_be_opened_exits_4_and_writes_nothing(tmp_path, capsys, command, missing):
+    _, runs_root = _run_cli(tmp_path, 9, builder_holds=1)
+    run_dir = _single_run_dir(runs_root)
+    target = run_dir.path
+    if missing == "run directory":
+        target = runs_root / "req-missing"
+    else:
+        (run_dir.path / "run-config.json").unlink()
+    before = _snapshot(runs_root)
+    capsys.readouterr()
+    assert main([command, "--run", str(target), *OPENING_COMMANDS[command]]) == 4
+    out = capsys.readouterr().out
+    if missing == "run directory":
+        assert out.startswith("[environment] ") and str(target) in out
+    else:
+        assert f"no run-config.json in {target}" in out
+    assert _snapshot(runs_root) == before
+
+
+@pytest.mark.parametrize("command", OPENING_COMMANDS)
+def test_a_journal_line_that_does_not_parse_exits_4_and_is_kept(tmp_path, capsys, command):
+    _, runs_root = _run_cli(tmp_path, 2)
+    run_dir = _single_run_dir(runs_root)
+    # a session killed while it appended its last record
+    truncated = run_dir.journal_path.read_bytes()[:-10]
+    run_dir.journal_path.write_bytes(truncated)
+    before = _snapshot(runs_root)
+    capsys.readouterr()
+    assert main([command, "--run", str(run_dir.path), *OPENING_COMMANDS[command]]) == 4
+    line = truncated.count(b"\n") + 1
+    assert f"{run_dir.journal_path} line {line} does not parse" in capsys.readouterr().out
+    assert _snapshot(runs_root) == before
+
+
+def test_authorize_refuses_a_run_that_is_not_ready_before_it_prompts(tmp_path, capsys, monkeypatch):
+    code, runs_root = _run_cli(tmp_path, 2, builder_holds=1)
+    assert code == 3
+    run_dir = _single_run_dir(runs_root)
+    prompts: list[str] = []
+    monkeypatch.setattr("builtins.input", lambda prompt="": prompts.append(prompt) or "yes")
+    capsys.readouterr()
+    assert main(["authorize", "--run", str(run_dir.path)]) == 2
+    assert "ship refused: run is at SPEC_READY, not READY_TO_SHIP" in capsys.readouterr().out
+    assert prompts == []
+
+
+def test_a_declined_authorization_prompt_writes_nothing(tmp_path, capsys, monkeypatch):
+    code, runs_root = _run_cli(tmp_path, 2)
+    assert code == 0
+    run_dir = _single_run_dir(runs_root)
+    before = _snapshot(runs_root)
+    prompts: list[str] = []
+    monkeypatch.setattr("builtins.input", lambda prompt="": prompts.append(prompt) or "no")
+    capsys.readouterr()
+    assert main(["authorize", "--run", str(run_dir.path)]) == 2
+    out = capsys.readouterr().out
+    assert "[user input needed] Authorize shipping? (yes/no)" in out
+    assert out.endswith("shipping not authorized\n")
+    assert prompts == ["> "]
+    assert _snapshot(runs_root) == before

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import process_ended
-from gatework.barrier import DEFAULT_ACCESS_MATRIX, create_plain_sandbox
+from gatework.barrier import create_plain_sandbox
 from gatework.clock import TickClock
 from gatework.errors import (
     BarrierError,
@@ -48,7 +48,7 @@ R = AgentRole
 
 def _request(tmp_path: Path, role: AgentRole, workflow_id: int, attempt: int = 1, deadline: float = 60.0):
     run_dir = RunDirectory(tmp_path / f"run-{role.value}-{attempt}-{os.urandom(3).hex()}").create()
-    sandbox = create_plain_sandbox(role, DEFAULT_ACCESS_MATRIX, run_dir=run_dir, clock=TickClock())
+    sandbox = create_plain_sandbox(role, run_dir=run_dir, clock=TickClock())
     return DispatchRequest(
         role=role,
         sandbox=sandbox,
@@ -156,7 +156,7 @@ def test_run_scripted_is_byte_deterministic(tmp_path):
     outcomes = []
     for attempt in ("a", "b"):
         run_dir = RunDirectory(tmp_path / f"run-{attempt}").create()
-        sandbox = create_plain_sandbox(R.TESTER, DEFAULT_ACCESS_MATRIX, run_dir=run_dir, clock=TickClock())
+        sandbox = create_plain_sandbox(R.TESTER, run_dir=run_dir, clock=TickClock())
         req = DispatchRequest(
             role=R.TESTER, sandbox=sandbox, briefing="b\n", workflow=workflow_by_id(6)
         )
