@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import shutil
 import threading
-from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from gatework.clock import Clock, iso8601
 from gatework.errors import AuditIncompleteness, BarrierError, EnvironmentFailure, MisconfigurationError
@@ -72,8 +71,7 @@ class AuditLog:
         path.write_text(self.render(), encoding="utf-8")
 
 
-@dataclass(frozen=True)
-class AccessMatrix:
+class AccessMatrix(NamedTuple):
     """Which role may read which artifact kind. Default deny."""
 
     grants: Mapping[AgentRole, frozenset[ArtifactKind]]
@@ -140,17 +138,21 @@ def _contained(root: Path, relpath: str) -> Path:
     return resolved
 
 
-@dataclass
 class Sandbox:
     """One agent's isolated filesystem view: a worktree (or plain
     directory) plus materialized copies of its input artifacts."""
 
-    role: AgentRole
-    path: Path
-    visible_artifacts: frozenset[ArtifactKind]
-    clock: Clock
-    state: WorkflowState | None = None
-    audit: AuditLog = field(default_factory=AuditLog)
+    def __init__(
+        self,
+        role: AgentRole,
+        path: Path,
+        visible_artifacts: frozenset[ArtifactKind],
+        clock: Clock,
+        state: WorkflowState | None = None,
+    ) -> None:
+        self.role, self.path, self.visible_artifacts = role, path, visible_artifacts
+        self.clock, self.state = clock, state
+        self.audit = AuditLog()
 
     def resolve(self, relpath: str) -> Path:
         return _contained(self.path, relpath)
@@ -258,8 +260,7 @@ def _materialize(
     return Sandbox(role=role, path=path, visible_artifacts=frozenset(visible), clock=clock, state=state)
 
 
-@dataclass(frozen=True)
-class IsolationReport:
+class IsolationReport(NamedTuple):
     violations: tuple[tuple[AgentRole, ArtifactKind, datetime], ...]
 
     @property

@@ -2,7 +2,9 @@
 shipping, inspect run state, lint workspaces, and replay recorded runs.
 
 Exit codes: 0 success, 2 gate violation, 3 escalation, 4 environment
-failure. All output is mirrored to ``<run>/logs/cli.log``.
+failure. The output of a command that runs a session of a run (``run``,
+``answer``, ``authorize``), and ``authorize``'s refusal of a run that is
+not ready, are mirrored to ``<run>/logs/cli.log``; nothing else is.
 """
 
 from __future__ import annotations
@@ -16,11 +18,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from gatework.clock import Clock, SystemClock, TickClock
-from gatework.errors import (
-    GateworkError,
-    HoldUnanswered,
-    MisconfigurationError,
-)
+from gatework.errors import GateworkError, HoldUnanswered, MisconfigurationError, RunDirectoryError
 from gatework.gitlayer import SubprocessGit
 from gatework.model import AgentRole, WorkflowState, workflow_by_id
 from gatework.orchestrator import (
@@ -46,7 +44,8 @@ EXIT_ENVIRONMENT = 4
 
 
 class _Console:
-    """Print wrapper that mirrors everything to the run's cli.log."""
+    """Print wrapper that keeps a command's output, for the commands that
+    mirror it to the run's cli.log (see the module docstring)."""
 
     def __init__(self) -> None:
         self.lines: list[str] = []
@@ -121,7 +120,12 @@ def _open_run(run_dir: RunDirectory) -> tuple[dict, RunState]:
     config_path = run_dir.path / "run-config.json"
     if not config_path.exists():
         raise MisconfigurationError(f"no run-config.json in {run_dir.path}")
-    config = json.loads(config_path.read_text(encoding="utf-8"))
+    try:
+        config = json.loads(config_path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # cut short, in a token or inside a character
+        raise RunDirectoryError(f"{config_path} does not parse: {exc}") from None
+    if not isinstance(config, dict) or not {"workflow_id", "backends"} <= config.keys():
+        raise RunDirectoryError(f"{config_path} does not hold a workflow_id and backends")
     return config, reconstruct_run_state(run_dir, workflow_by_id(config["workflow_id"]))
 
 

@@ -7,7 +7,6 @@ byte-identical across repetitions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from typing import Protocol
 
@@ -23,13 +22,14 @@ class SystemClock:
         return datetime.now(timezone.utc)
 
 
-@dataclass
 class TickClock:
     """Deterministic clock: advances by a fixed step on every call."""
 
-    start: datetime = datetime(2000, 1, 1, tzinfo=timezone.utc)
-    step_seconds: float = 1.0
-    _ticks: int = field(default=0, init=False, repr=False)
+    def __init__(
+        self, start: datetime = datetime(2000, 1, 1, tzinfo=timezone.utc), step_seconds: float = 1.0
+    ) -> None:
+        self.start, self.step_seconds = start, step_seconds
+        self._ticks = 0
 
     def now(self) -> datetime:
         value = self.start + timedelta(seconds=self.step_seconds * self._ticks)

@@ -8,9 +8,9 @@ from __future__ import annotations
 import subprocess
 import threading
 from collections import defaultdict
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 
 class GitAction(str, Enum):
@@ -24,8 +24,7 @@ class GitAction(str, Enum):
     RESET = "RESET"
 
 
-@dataclass(frozen=True)
-class GitResult:
+class GitResult(NamedTuple):
     ok: bool
     action: GitAction
     detail: str = ""

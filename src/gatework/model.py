@@ -7,10 +7,9 @@ contexts without coordination.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Mapping, NamedTuple
 
 from gatework.errors import MisconfigurationError, VerdictError
 
@@ -82,8 +81,7 @@ STOP_ROUTING_TARGETS: frozenset[AgentRole] = frozenset(
 _PAYLOAD_FIELD_RE = re.compile(r"^(?P<key>[a-z_]+):\s*(?P<value>.+?)\s*$", re.MULTILINE)
 
 
-@dataclass(frozen=True)
-class Signal:
+class Signal(NamedTuple):
     """An interrupt raised by an agent.
 
     The payload is structured text: a HOLD carries the question for the
@@ -135,13 +133,12 @@ class AccessDecision(str, Enum):
     DENY = "DENY"
 
 
-@dataclass(frozen=True)
-class AccessEvent:
+class AccessEvent(NamedTuple):
     """One audited artifact-access check."""
 
     timestamp: datetime
     role: AgentRole
-    artifact: "ArtifactKind"
+    artifact: ArtifactKind
     decision: AccessDecision
 
 
@@ -263,21 +260,25 @@ class OutcomeStatus(str, Enum):
     SIGNALED = "SIGNALED"
 
 
-@dataclass(frozen=True)
-class AgentOutcome:
-    """Structured result of one agent dispatch."""
-
+class _AgentOutcome(NamedTuple):
     status: OutcomeStatus
     produced: frozenset[ArtifactKind] = frozenset()  # set by dispatch() on COMPLETED
     signal: Signal | None = None
 
-    def __post_init__(self) -> None:
+
+class AgentOutcome(_AgentOutcome):
+    """Structured result of one agent dispatch."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> AgentOutcome:
+        self = super().__new__(cls, *args, **kwargs)
         if (self.status is OutcomeStatus.SIGNALED) != (self.signal is not None):
             raise ValueError("SIGNALED outcomes carry a signal; COMPLETED outcomes do not")
+        return self
 
 
-@dataclass(frozen=True)
-class WorkflowType:
+class WorkflowType(NamedTuple):
     """One catalog entry, compiled to an ordered list of parallel stages.
 
     ``inner_id`` marks the wrapper entries: issue patrol spawns one inner
@@ -296,21 +297,8 @@ class WorkflowType:
         return frozenset(role for stage in self.dag for role in stage)
 
 
-def _wf(
-    id: int,
-    name: str,
-    dag: Iterable[Iterable[AgentRole]],
-    *,
-    ships: bool = False,
-    inner_id: int | None = None,
-) -> WorkflowType:
-    return WorkflowType(
-        id=id,
-        name=name,
-        dag=tuple(tuple(stage) for stage in dag),
-        ships=ships,
-        inner_id=inner_id,
-    )
+def _wf(id: int, name: str, dag: list[list[AgentRole]], **flags) -> WorkflowType:
+    return WorkflowType(id, name, tuple(map(tuple, dag)), **flags)
 
 
 _R = AgentRole
@@ -366,8 +354,7 @@ PASSING_VERDICTS: frozenset[VerdictValue] = frozenset(
 _VERDICT_RE = re.compile(r"^verdict:\s*(PASS_WITH_NOTE|PASS|STOP)\s*$")
 
 
-@dataclass(frozen=True)
-class ReviewVerdict:
+class ReviewVerdict(NamedTuple):
     value: VerdictValue
     notes: str = ""
 
@@ -391,8 +378,7 @@ def parse_review_verdict(text: str) -> ReviewVerdict:
     return ReviewVerdict(value=VerdictValue(match.group(1)), notes="\n".join(lines[1:]).strip())
 
 
-@dataclass(frozen=True)
-class IssueDescriptor:
+class IssueDescriptor(NamedTuple):
     """One issue yielded by an issue-source backend (workflow 4)."""
 
     id: str

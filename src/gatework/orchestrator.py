@@ -13,14 +13,13 @@ import itertools
 import json
 import re
 import shutil
+import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
 from datetime import timedelta
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from gatework.barrier import (
     WORKTREE_ROLES,
@@ -133,8 +132,7 @@ class UserChannel:
 # --- dispatch plan ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Stage:
+class Stage(NamedTuple):
     """One batch of parallel roles. ``gate`` is the state the run must
     reach once the stage completes, and may not pass before the next
     stage runs: the last state no role of a later stage owes artifacts to."""
@@ -144,8 +142,7 @@ class Stage:
     gate: WorkflowState
 
 
-@dataclass(frozen=True)
-class DispatchPlan:
+class DispatchPlan(NamedTuple):
     """The stages in order; ``entry`` is the state the leader's own
     artifacts reach before the first dispatch."""
 
@@ -293,15 +290,13 @@ class CheckStatus(str, Enum):
     NOT_OBSERVED = "not observed"  # the engine did not make the check
 
 
-@dataclass(frozen=True)
-class MechanicalCheck:
+class MechanicalCheck(NamedTuple):
     name: str
     status: CheckStatus
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class MechanicalReviewReport:
+class MechanicalReviewReport(NamedTuple):
     checks: tuple[MechanicalCheck, ...]
 
     @property
@@ -422,8 +417,7 @@ def _validation_checks(run_dir: RunDirectory, present: frozenset[ArtifactKind]) 
 # --- run report -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(NamedTuple):
     """What ``report.json`` and ``report`` say of a run: built by
     :func:`build_report` alone, from the journal's fold and the artifacts
     the run directory holds."""
@@ -458,7 +452,7 @@ class RunReport:
         return 0
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "exit_code": self.exit_code}
+        return {**self._asdict(), "exit_code": self.exit_code}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -790,8 +784,10 @@ class Orchestrator:
         return dict(zip(needing, idle))
 
     def _dispatch_batch(self, roles: Sequence[AgentRole]) -> list[tuple[AgentOutcome, dict | None]]:
-        """Dispatch a batch concurrently; results return in batch order and
-        no downstream work starts until every dispatch has finished.
+        """Dispatch a batch concurrently, one thread per role; results
+        return in batch order and no downstream work starts until every
+        dispatch has finished. What a dispatch raises rather than returns
+        is raised here then, the first role's in batch order.
 
         Only this thread journals: after the batch, in batch order, each
         attempt whose sandbox was made, with its outcome and access events,
@@ -806,17 +802,33 @@ class Orchestrator:
         # fixed before any worker starts; a role's dispatch count is its attempt
         attempts = {r: self.run_state.dispatches.get(r, 0) + 1 for r in roles if r in self.backends}
         made: dict[AgentRole, Sandbox] = {}
-        with ThreadPoolExecutor(max_workers=len(roles)) as pool:
+        results: list = [None] * len(roles)
+        raised: dict[int, BaseException] = {}
+
+        def work(i: int, role: AgentRole) -> None:
             try:
-                results = list(
-                    pool.map(lambda r: self._dispatch_role(r, attempts.get(r), idle.get(r), made), roles)
-                )
-            except KeyboardInterrupt:
-                # a subprocess agent runs in a session of its own, which the
-                # terminal's interrupt does not reach; the pool waits for it
-                for role in attempts:
-                    self.backends[role].kill_running()
-                raise
+                results[i] = self._dispatch_role(role, attempts.get(role), idle.get(role), made)
+            except BaseException as exc:  # the session's thread raises it after the batch
+                raised[i] = exc
+
+        workers = [threading.Thread(target=work, args=item) for item in enumerate(roles)]
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join()
+        except KeyboardInterrupt:
+            # a subprocess agent runs in a session of its own, which the
+            # terminal's interrupt does not reach; end it, then wait for
+            # the workers that started
+            for role in attempts:
+                self.backends[role].kill_running()
+            for worker in workers:
+                if worker.is_alive():
+                    worker.join()
+            raise
+        if raised:
+            raise raised[min(raised)]
         batch = [
             (r, _outcome_name(res), made[r].audit.events()) for r, res in zip(roles, results) if r in made
         ]
@@ -922,7 +934,8 @@ class Orchestrator:
         self.run_state = reconstruct_run_state(self.run_dir, self.workflow)
         if isinstance(self.clock, TickClock) and self.run_state.history:
             last = parse_iso8601(self.run_state.history[-1]["time"])
-            self.clock = replace(self.clock, start=last + timedelta(seconds=self.clock.step_seconds))
+            step = self.clock.step_seconds
+            self.clock = TickClock(start=last + timedelta(seconds=step), step_seconds=step)
         self._resolve_profile()
         self._answer_holds()
 
@@ -1001,8 +1014,7 @@ class Orchestrator:
 # --- shipping ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ShipReport:
+class ShipReport(NamedTuple):
     shipped: bool
     refusal: str | None = None
     partial: bool = False

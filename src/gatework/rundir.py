@@ -11,6 +11,7 @@ import os
 import stat
 import tempfile
 import zlib
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -84,13 +85,14 @@ class RunDirectory:
     def logs_dir(self) -> Path:
         return self.path / "logs"
 
-    @property
+    @cached_property
     def sandboxes_dir(self) -> Path:
         """Where this run's agent sandboxes live: ``<request-id>-<digest>``
         in :func:`scratch_root`, outside the run directory and the runs
         root. The digest is of the run directory's resolved path, so every
         session of this run finds the same directory and no other run
-        does."""
+        does. Found once, on the first access that succeeds: a refused
+        scratch root raises on every access."""
         digest = zlib.crc32(os.fsencode(self.path.resolve()))
         return scratch_root() / f"{self.path.name}-{digest:08x}"
 

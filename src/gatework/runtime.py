@@ -15,10 +15,10 @@ import shlex
 import subprocess
 import threading
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from signal import SIGKILL
+from typing import NamedTuple
 
 from gatework.barrier import Sandbox
 from gatework.errors import (
@@ -46,10 +46,7 @@ from gatework.rundir import find_artifact
 DEFAULT_DEADLINE = 30 * 60.0
 
 
-@dataclass(frozen=True)
-class DispatchRequest:
-    """Everything a backend needs for one dispatch."""
-
+class _DispatchRequest(NamedTuple):
     role: AgentRole
     sandbox: Sandbox
     briefing: str
@@ -57,11 +54,19 @@ class DispatchRequest:
     deadline: float = DEFAULT_DEADLINE
     attempt: int = 1
 
-    def __post_init__(self) -> None:
+
+class DispatchRequest(_DispatchRequest):
+    """Everything a backend needs for one dispatch."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> DispatchRequest:
+        self = super().__new__(cls, *args, **kwargs)
         if self.deadline <= 0:
             raise ValueError("deadline must be > 0")
         if self.attempt < 1:
             raise ValueError("attempt numbering starts at 1")
+        return self
 
 
 class BackendKind(str, Enum):
@@ -83,33 +88,28 @@ class AgentBackend(ABC):
 # --- scripted scenarios ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReadStep:
+class ReadStep(NamedTuple):
     path: str
 
 
-@dataclass(frozen=True)
-class WriteStep:
+class WriteStep(NamedTuple):
     path: str
     content: str
 
 
-@dataclass(frozen=True)
-class SignalStep:
+class SignalStep(NamedTuple):
     kind: SignalKind
     payload: str
 
 
-@dataclass(frozen=True)
-class CompleteStep:
+class CompleteStep(NamedTuple):
     pass
 
 
 Step = ReadStep | WriteStep | SignalStep | CompleteStep
 
 
-@dataclass(frozen=True)
-class ScenarioScript:
+class ScenarioScript(NamedTuple):
     """A parsed scenario: one round of steps per dispatch attempt (the last
     round repeats if an agent is dispatched more times than rounds)."""
 
@@ -379,7 +379,7 @@ def dispatch(req: DispatchRequest, backend: AgentBackend, log_path: Path | None 
         raise ContractError(
             f"{req.role.value} reported COMPLETED without contracted artifact(s): {missing}"
         )
-    return replace(outcome, produced=owed)
+    return outcome._replace(produced=owed)
 
 
 def load_backends(config_path: Path) -> dict[AgentRole, AgentBackend]:

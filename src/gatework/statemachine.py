@@ -13,9 +13,8 @@ a resumed session folds back into a RunState; the engine never reads
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from gatework.clock import Clock, iso8601, parse_iso8601
 from gatework.errors import ProtocolError, TerminalStateError
@@ -44,8 +43,7 @@ class Predicate(str, Enum):
     HAS_VERDICT = "HAS_VERDICT"
 
 
-@dataclass(frozen=True)
-class Requirement:
+class Requirement(NamedTuple):
     artifact: ArtifactKind
     predicate: Predicate
 
@@ -73,8 +71,7 @@ def required_for(state: WorkflowState, workflow: WorkflowType) -> tuple[Requirem
     )
 
 
-@dataclass(frozen=True)
-class GateCheck:
+class GateCheck(NamedTuple):
     state: WorkflowState
     missing: tuple[Requirement, ...]
 
@@ -112,39 +109,39 @@ def status_line(entry: dict) -> str:
     return "\t".join((entry["time"], state, event, entry["cause"]))
 
 
-@dataclass
 class RunState:
     """The run as its journal records it. Each field changes only when a
     record is journaled, live or on resume, so a resumed session owes what
     the session before it owed: the ``owed`` phases, then the roles not
     ``done``, each briefed with its ``briefing`` lines."""
 
-    workflow: WorkflowType
-    current: WorkflowState = WorkflowState.CREDENTIALS_VERIFIED
-    retries: dict[SignalKind, int] = field(
-        default_factory=lambda: {kind: 0 for kind in SignalKind}
-    )
-    history: list[dict] = field(default_factory=list)
-    #: a role's dispatch count is the number of its latest attempt
-    dispatches: dict[AgentRole, int] = field(default_factory=dict)
-    #: the access events of every dispatched role, across sessions
-    access: dict[AgentRole, list[AccessEvent]] = field(default_factory=dict)
-    language: str | None = None
-    #: the routed HOLD signal records no answer has settled, in journal order
-    pending_hold: list[dict] = field(default_factory=list)
-    #: the last record, when it is a halt: why the last session ended
-    halt: dict | None = None
-    #: the latest mechanical review and ship outcome, as their records hold them
-    review: dict | None = None
-    ship: dict | None = None
-    #: the roles whose latest dispatch completed
-    done: set[AgentRole] = field(default_factory=set)
-    #: the phases routed signals still owe, the next one first; the first
-    #: ``merging`` of them come from the signals of the latest batch
-    owed: list[tuple[AgentRole, ...]] = field(default_factory=list)
-    merging: int = 0
-    #: each role's briefing lines since its last completed dispatch
-    briefing: dict[AgentRole, list[str]] = field(default_factory=dict)
+    def __init__(
+        self, workflow: WorkflowType, current: WorkflowState = WorkflowState.CREDENTIALS_VERIFIED
+    ) -> None:
+        self.workflow = workflow
+        self.current = current
+        self.retries: dict[SignalKind, int] = {kind: 0 for kind in SignalKind}
+        self.history: list[dict] = []
+        #: a role's dispatch count is the number of its latest attempt
+        self.dispatches: dict[AgentRole, int] = {}
+        #: the access events of every dispatched role, across sessions
+        self.access: dict[AgentRole, list[AccessEvent]] = {}
+        self.language: str | None = None
+        #: the routed HOLD signal records no answer has settled, in journal order
+        self.pending_hold: list[dict] = []
+        #: the last record, when it is a halt: why the last session ended
+        self.halt: dict | None = None
+        #: the latest mechanical review and ship outcome, as their records hold them
+        self.review: dict | None = None
+        self.ship: dict | None = None
+        #: the roles whose latest dispatch completed
+        self.done: set[AgentRole] = set()
+        #: the phases routed signals still owe, the next one first; the first
+        #: ``merging`` of them come from the signals of the latest batch
+        self.owed: list[tuple[AgentRole, ...]] = []
+        self.merging = 0
+        #: each role's briefing lines since its last completed dispatch
+        self.briefing: dict[AgentRole, list[str]] = {}
 
     def visited_states(self) -> tuple[WorkflowState, ...]:
         moves = [WorkflowState(e["to"]) for e in self.history if e["event"] == "transition"]
@@ -250,8 +247,7 @@ def record_event(run: RunState, run_dir: RunDirectory, event: str, fields: Mappi
     _journal(run, run_dir, [{"event": event, **fields}])
 
 
-@dataclass(frozen=True)
-class AdvanceResult:
+class AdvanceResult(NamedTuple):
     moved: bool
     state: WorkflowState
     gate: GateCheck

@@ -9,9 +9,10 @@ known issues, and technical insights intact.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from gatework.clock import Clock
 from gatework.errors import WorkspaceError
@@ -32,8 +33,7 @@ class Language(str, Enum):
     UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
-class LanguageProfile:
+class LanguageProfile(NamedTuple):
     """A language's detection markers, validation commands and doc
     convention. A repository matches when it has ``manifest`` at its root
     (if set) and a non-hidden ``*<source_suffix>`` file (if set)."""
@@ -110,8 +110,7 @@ def detect_language(repo: Path) -> LanguageProfile:
 _RUNS_FILE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}-[A-Za-z0-9._-]+\.md$")
 
 
-@dataclass(frozen=True)
-class WorkspaceLayout:
+class WorkspaceLayout(NamedTuple):
     """Per-target-repo corner of the workspace repository."""
 
     root: Path
@@ -248,12 +247,11 @@ def extract_section(markdown: str, title: str) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class HandoffContext:
+class HandoffContext(NamedTuple):
     prior_decisions: str = ""
     known_issues: str = ""
     technical_insights: str = ""
-    other: dict[str, str] = field(default_factory=dict)
+    other: Mapping[str, str] = MappingProxyType({})  # the shared default is read-only
     warnings: tuple[str, ...] = ()
 
     @property
@@ -299,8 +297,7 @@ def render_handoff(body: str) -> str:
 # --- sync -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SyncReport:
+class SyncReport(NamedTuple):
     ok: bool
     changed: bool
     rolled_back: bool = False
@@ -406,8 +403,7 @@ def sync_workspace(
 # --- validation -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LintReport:
+class LintReport(NamedTuple):
     violations: tuple[str, ...]
 
     @property

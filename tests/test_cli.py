@@ -761,6 +761,33 @@ def test_a_journal_line_that_does_not_parse_exits_4_and_is_kept(tmp_path, capsys
     assert _snapshot(runs_root) == before
 
 
+def _cut_short(text: str) -> str:
+    return text[:-10]  # a session killed while it wrote the file
+
+
+def _without(key: str):
+    return lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != key})
+
+
+@pytest.mark.parametrize(
+    "damage,says",
+    [(_cut_short, "does not parse"), (_without("workflow_id"), "does not hold"),
+     (_without("backends"), "does not hold")],
+    ids=["cut short", "no workflow_id", "no backends"],
+)
+@pytest.mark.parametrize("command", OPENING_COMMANDS)
+def test_a_run_config_that_cannot_be_read_exits_4_and_is_kept(tmp_path, capsys, command, damage, says):
+    _, runs_root = _run_cli(tmp_path, 9, builder_holds=1)
+    run_dir = _single_run_dir(runs_root)
+    config = run_dir.path / "run-config.json"
+    config.write_text(damage(config.read_text(encoding="utf-8")), encoding="utf-8")
+    before = _snapshot(runs_root)
+    capsys.readouterr()
+    assert main([command, "--run", str(run_dir.path), *OPENING_COMMANDS[command]]) == 4
+    assert f"[error] {config} {says}" in capsys.readouterr().out
+    assert _snapshot(runs_root) == before
+
+
 def test_authorize_refuses_a_run_that_is_not_ready_before_it_prompts(tmp_path, capsys, monkeypatch):
     code, runs_root = _run_cli(tmp_path, 2, builder_holds=1)
     assert code == 3

@@ -80,6 +80,10 @@ def test_parse_scenario_directives_and_rounds():
         WriteStep("audit.md", "| a | b |\n"),
         CompleteStep(),
     )
+    # steps are tuples, equal to a step of another type with equal fields
+    assert [[type(step) for step in steps] for steps in script.rounds] == [
+        [SignalStep], [ReadStep, WriteStep, CompleteStep]
+    ]
     # the last round repeats for extra dispatches
     assert script.round_for_attempt(1) == script.rounds[0]
     assert script.round_for_attempt(2) == script.rounds[1]

@@ -25,6 +25,7 @@ from conftest import (
     scripted_backends,
 )
 from gatework import gitlayer
+from gatework.barrier import create_sandbox
 from gatework.clock import TickClock
 from gatework.gitlayer import SubprocessGit
 from gatework.model import AgentRole, ArtifactKind, workflow_by_id
@@ -623,6 +624,35 @@ def test_an_interrupted_batch_kills_the_agents_it_waits_for(tmp_path):
     assert _git(repo, "worktree", "list").count("\n") == 1
     assert not run_dir.sandboxes_dir.exists()
     assert run_dir.report_json_path.exists()
+
+
+def test_an_error_that_is_no_failed_dispatch_leaves_the_run_after_its_batch(tmp_path, monkeypatch):
+    # a RuntimeError is not among the failures a dispatch returns: a stage
+    # worker hands it to the session's thread, which raises the first
+    # role's, in batch order, once every dispatch of the batch has ended
+    workflow = workflow_by_id(1)
+
+    def refusing(role, *args, **kwargs):
+        if role in (R.BUILDER, R.TESTER):
+            raise RuntimeError(f"no sandbox for the {role.value}")
+        return create_sandbox(role, *args, **kwargs)
+
+    monkeypatch.setattr("gatework.orchestrator.create_sandbox", refusing)
+    repo = init_git_repo(tmp_path / "repo")
+    git, clock = SubprocessGit(), TickClock()
+    run_dir, request_id = start_run(
+        runs_root=tmp_path / "runs", target_repo=repo, directive="crash", workflow=workflow,
+        git=git, clock=clock,
+    )
+    session = Orchestrator(
+        run_dir=run_dir, request_id=request_id, workflow=workflow, backends=scripted_backends(workflow),
+        channel=UserChannel(mode=ChannelMode.SCRIPTED_ANSWERS), target_repo=repo, git=git, clock=clock,
+    )
+    with pytest.raises(RuntimeError, match="no sandbox for the builder"):
+        session.run()
+    # the simulator's dispatch ran to its end; nothing of the batch was journaled
+    assert (run_dir.sandboxes_dir / "simulator" / ArtifactKind.SIMULATION.filename).exists()
+    assert [e["role"] for e in run_dir.events() if e["event"] == "dispatch"] == ["planner"]
 
 
 _IMPLEMENTATION = "printf '# Implementation\\n' > implementation.md\n"
