@@ -32,9 +32,6 @@ from gatework.barrier import (
 from gatework.clock import Clock, TickClock, parse_iso8601
 from gatework.errors import (
     AuditIncompleteness,
-    BarrierError,
-    ContractError,
-    DispatchError,
     EnvironmentFailure,
     GateworkError,
     HoldUnanswered,
@@ -52,7 +49,6 @@ from gatework.model import (
     AgentRole,
     ArtifactKind,
     IssueDescriptor,
-    OutcomeStatus,
     Signal,
     SignalKind,
     WorkflowState,
@@ -124,9 +120,6 @@ class UserChannel:
         except EOFError:
             return None
         return answer if answer.strip() else None
-
-    def notify(self, message: str) -> None:
-        self.output_fn(message)
 
 
 # --- dispatch plan ----------------------------------------------------------
@@ -614,18 +607,6 @@ def _outcome_name(result: tuple[AgentOutcome, dict | None] | GateworkError) -> s
     return result[0].signal.kind.value if result[0].signal else "completed"
 
 
-#: What a failed dispatch raises, sandbox creation included; the run
-#: records a diagnostic under the failing role, halts and is finalized.
-_DISPATCH_FAILURES = (
-    DispatchError,
-    ContractError,
-    ProtocolError,
-    BarrierError,
-    MisconfigurationError,
-    EnvironmentFailure,
-)
-
-
 class Orchestrator:
     """Owns the run's control loop; RunState changes only by journaling."""
 
@@ -682,10 +663,14 @@ class Orchestrator:
                 by_name = {lang.value.lower(): lang for lang in Language}
                 language = by_name.get((answer or "").strip().lower())
                 if language is None or language is Language.UNKNOWN:
-                    # the question stays pending; the escalation says why
+                    # the question stays pending; the escalation says why, and the
+                    # journal keeps an answer that names no language
                     needed = "language profile needed for the target repository"
-                    rejected = needed if answer is None else f"unrecognized language {answer!r}"
-                    raise _Halt(escalation=rejected, pending=needed)
+                    if answer is None:
+                        raise _Halt(escalation=needed, pending=needed)
+                    rejected = {"language": None, "answer": answer}
+                    record_event(self.run_state, self.run_dir, "language", rejected)
+                    raise _Halt(escalation=f"unrecognized language {answer!r}", pending=needed)
                 self.profile = PROFILES[language]
             record_event(self.run_state, self.run_dir, "language", {"language": self.profile.language.value})
         if self.workspace is not None:
@@ -739,25 +724,21 @@ class Orchestrator:
 
     def _dispatch_role(
         self, role: AgentRole, attempt: int | None, idle: Path | None, made: dict[AgentRole, Sandbox]
-    ) -> tuple[AgentOutcome, dict | None] | GateworkError:
+    ) -> tuple[AgentOutcome, dict | None]:
         """Dispatch one role, carrying the ``idle`` worktree to its sandbox
         if it has none, and collect what it produced or route its signal.
-        A failure, an unroutable signal included, is returned, not raised,
-        and the sandbox enters ``made`` once it exists, so only a dispatch
-        that ran is journaled, with its access events even if it failed."""
-        try:
-            if attempt is None:
-                raise MisconfigurationError(f"no backend configured for {role.value}")
-            sandbox = made[role] = self._make_sandbox(role, idle)
-            req = DispatchRequest(
-                role=role, sandbox=sandbox, briefing=self._briefing(role, sandbox),
-                workflow=self.workflow, attempt=attempt,
-            )
-            log_path = self.run_dir.logs_dir / f"{role.value}.log"
-            outcome = dispatch(req, self.backends[role], log_path=log_path)
-            routing = route_signal(outcome.signal, self.plan) if outcome.signal else None
-        except _DISPATCH_FAILURES as exc:
-            return exc
+        The sandbox enters ``made`` once it exists, so only a dispatch that
+        ran is journaled, with its access events even if it failed."""
+        if attempt is None:
+            raise MisconfigurationError(f"no backend configured for {role.value}")
+        sandbox = made[role] = self._make_sandbox(role, idle)
+        req = DispatchRequest(
+            role=role, sandbox=sandbox, briefing=self._briefing(role, sandbox),
+            workflow=self.workflow, attempt=attempt,
+        )
+        log_path = self.run_dir.logs_dir / f"{role.value}.log"
+        outcome = dispatch(req, self.backends[role], log_path=log_path)
+        routing = route_signal(outcome.signal, self.plan) if outcome.signal else None
         for kind in sorted(outcome.produced, key=lambda k: k.filename):
             source = find_artifact(sandbox.path, kind)
             if source is not None:
@@ -783,11 +764,13 @@ class Orchestrator:
         ]
         return dict(zip(needing, idle))
 
-    def _dispatch_batch(self, roles: Sequence[AgentRole]) -> list[tuple[AgentOutcome, dict | None]]:
-        """Dispatch a batch concurrently, one thread per role; results
-        return in batch order and no downstream work starts until every
-        dispatch has finished. What a dispatch raises rather than returns
-        is raised here then, the first role's in batch order.
+    def _dispatch_batch(self, roles: Sequence[AgentRole]) -> None:
+        """Dispatch a batch concurrently, one thread per role, and go on
+        only once every dispatch has finished. Each dispatch has one
+        result, what ``_dispatch_role`` returned or raised: a
+        ``GateworkError`` (an unroutable signal included) is a failed
+        dispatch, and any other exception is raised once the batch has
+        ended, the first in batch order, with nothing of the batch journaled.
 
         Only this thread journals: after the batch, in batch order, each
         attempt whose sandbox was made, with its outcome and access events,
@@ -803,13 +786,12 @@ class Orchestrator:
         attempts = {r: self.run_state.dispatches.get(r, 0) + 1 for r in roles if r in self.backends}
         made: dict[AgentRole, Sandbox] = {}
         results: list = [None] * len(roles)
-        raised: dict[int, BaseException] = {}
 
         def work(i: int, role: AgentRole) -> None:
             try:
                 results[i] = self._dispatch_role(role, attempts.get(role), idle.get(role), made)
-            except BaseException as exc:  # the session's thread raises it after the batch
-                raised[i] = exc
+            except BaseException as exc:
+                results[i] = exc
 
         workers = [threading.Thread(target=work, args=item) for item in enumerate(roles)]
         try:
@@ -827,8 +809,9 @@ class Orchestrator:
                 if worker.is_alive():
                     worker.join()
             raise
-        if raised:
-            raise raised[min(raised)]
+        for res in results:
+            if isinstance(res, BaseException) and not isinstance(res, GateworkError):
+                raise res
         batch = [
             (r, _outcome_name(res), made[r].audit.events()) for r, res in zip(roles, results) if r in made
         ]
@@ -843,10 +826,8 @@ class Orchestrator:
         if failed:
             raise _Halt(diagnostics=failed)
         if capped:
-            message = f"{capped[0].kind.value} retry cap reached; escalating to user: {capped[0].payload}"
-            self.channel.notify(message)
-            raise _Halt(escalation=message)
-        return results
+            kind, payload = capped[0].kind.value, capped[0].payload
+            raise _Halt(escalation=f"{kind} retry cap reached; escalating to user: {payload}")
 
     def _reach(self, state: WorkflowState, label: str) -> None:
         """Advance to ``state`` and never past it, or halt with a gate
@@ -877,19 +858,6 @@ class Orchestrator:
                 raise _Halt(escalation=escalation, pending=question)
             record_event(self.run_state, self.run_dir, "answer", {"role": hold["raiser"], "text": answer})
 
-    # -- stage execution --
-
-    def _execute_stage(self, stage: Stage) -> None:
-        """Dispatch what the journal says the stage still owes, batch by
-        batch: the first owed phase, else the stage's roles not done. After
-        a batch that did not halt, a routed STOP ends the stage early, or
-        else the batch's HOLD questions are asked in batch order."""
-        run = self.run_state
-        while batch := run.owed[0] if run.owed else tuple(r for r in stage.roles if r not in run.done):
-            if any(routing and "rewind" in routing for _, routing in self._dispatch_batch(batch)):
-                return
-            self._answer_holds()
-
     def _run_mechanical_review(self) -> None:
         # the engine sees a role's reads only through Sandbox.request_read,
         # which no subprocess backend calls
@@ -910,40 +878,44 @@ class Orchestrator:
 
         A fresh run is a run directory with an empty journal, so every
         session starts the same way: it rebuilds the state from the
-        journal, asks the HOLD question an earlier session left
-        unanswered, and dispatches only what the journal says is owed. A
-        session ends at its first halt, journaled as one record holding
-        the report fields it sets.
+        journal (a tick clock continues after its last time), asks the
+        HOLD questions an earlier session left unanswered, and dispatches
+        only what the journal says is owed. Every way the session ends
+        after the journal was read is one ``halt`` record holding the
+        report fields it sets and a finalized run; an interrupt or a crash
+        is a diagnostic naming it, and then goes on.
         """
-        try:
-            self._resume()
-            self._run_stages(authorization)
-        except _Halt as halt:
-            record_event(self.run_state, self.run_dir, "halt", halt.fields)
-        except KeyboardInterrupt:
-            # the interrupted batch is not journaled, but its worktrees
-            # are unregistered and its sandboxes freed all the same
-            self._finalize()
-            raise
-        return self._finalize()
-
-    def _resume(self) -> None:
-        """Rebuild the session from the run's journal, resolve the language
-        and ask the HOLD questions the journal leaves pending. A tick clock
-        continues after the journal's last time."""
         self.run_state = reconstruct_run_state(self.run_dir, self.workflow)
         if isinstance(self.clock, TickClock) and self.run_state.history:
             last = parse_iso8601(self.run_state.history[-1]["time"])
             step = self.clock.step_seconds
             self.clock = TickClock(start=last + timedelta(seconds=step), step_seconds=step)
-        self._resolve_profile()
-        self._answer_holds()
+        try:
+            self._resolve_profile()
+            self._answer_holds()
+            self._run_stages(authorization)
+        except _Halt as halt:
+            record_event(self.run_state, self.run_dir, "halt", halt.fields)
+        except BaseException as exc:
+            # an interrupted or crashed batch is not journaled, but its
+            # worktrees are unregistered and its sandboxes freed all the same
+            record_event(self.run_state, self.run_dir, "halt", {"diagnostics": {"session": repr(exc)}})
+            self._finalize()
+            raise
+        return self._finalize()
 
     def _run_stages(self, authorization: str | None) -> None:
+        """The one stage loop. At a stage it dispatches one batch at a
+        time, the first phase owed, else the stage's roles not done, and
+        asks the batch's HOLD questions; then it goes to the first earlier
+        stage with a role not done, as a routed STOP leaves one, or stays.
+        With nothing left to dispatch it runs the review, where the
+        reviewer ran, and reaches the stage's gate."""
         self._reach(self.plan.entry, "entry gate")
+        run, stages = self.run_state, self.plan.stages
         index = 0
-        while index < len(self.plan.stages):
-            stage = self.plan.stages[index]
+        while index < len(stages):
+            stage = stages[index]
             if AgentRole.SHIPPER in stage.roles:
                 if authorization is None and self.channel.mode is ChannelMode.INTERACTIVE:
                     answer = self.channel.ask("Authorize shipping? (yes/no)")
@@ -961,20 +933,17 @@ class Orchestrator:
                     clock=self.clock,
                     workspace=self.workspace,
                     slug=self.request_id,
-                    run_state=self.run_state,
-                    dispatch_shipper=lambda: self._dispatch_batch((AgentRole.SHIPPER,))[0][0],
+                    run_state=run,
+                    dispatch_shipper=lambda: self._dispatch_batch((AgentRole.SHIPPER,)),
                 )
-                record_event(self.run_state, self.run_dir, "ship", ship_report.to_dict())
+                record_event(run, self.run_dir, "ship", ship_report.to_dict())
                 if not ship_report.shipped:
-                    raise _Halt(gate_violation=ship_report.refusal or "ship failed")
-            else:
-                self._execute_stage(stage)
-                # a routed STOP leaves undone the stage it rewinds to
-                done = self.run_state.done
-                undone = [s.index for s in self.plan.stages[: index + 1] if not done.issuperset(s.roles)]
-                if undone:
-                    index = undone[0]
-                    continue
+                    raise _Halt(gate_violation=ship_report.refusal)
+            elif batch := run.owed[0] if run.owed else tuple(r for r in stage.roles if r not in run.done):
+                self._dispatch_batch(batch)
+                self._answer_holds()
+                index = next((s.index for s in stages[:index] if not run.done.issuperset(s.roles)), index)
+                continue
 
             # a review from an earlier session is re-checked too, so no
             # resume ships a run whose mechanical review failed
@@ -1054,7 +1023,7 @@ def ship(
     workspace: WorkspaceLayout | None = None,
     slug: str = "run",
     run_state: RunState,
-    dispatch_shipper: Callable[[], AgentOutcome] | None = None,
+    dispatch_shipper: Callable[[], None] | None = None,
 ) -> ShipReport:
     """The hard ship gate: a PASS-variant verdict AND explicit user
     authorization, in that dominance order, before any push.
@@ -1083,7 +1052,8 @@ def ship(
     # The shipper agent drafts its report, then the engine performs the git
     # actions on its behalf. This is the only path that mutates the repo.
     shipper_draft = ""
-    if dispatch_shipper is not None and dispatch_shipper().status is OutcomeStatus.COMPLETED:
+    if dispatch_shipper is not None:  # returns only once the shipper completed
+        dispatch_shipper()
         shipper_draft = run_dir.read(ArtifactKind.SHIPPER)
 
     credentials_present = run_dir.exists(ArtifactKind.CREDENTIALS)

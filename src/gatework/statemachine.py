@@ -242,8 +242,9 @@ def record_dispatches(
 def record_event(run: RunState, run_dir: RunDirectory, event: str, fields: Mapping) -> None:
     """Journal one record of ``event`` holding ``fields``: a user's
     ``answer`` (``role``, ``text``), which settles that role's HOLD; the
-    resolved ``language``; a mechanical ``review`` or a ``ship`` outcome;
-    or a ``halt``, holding the report fields it sets."""
+    resolved ``language``, or ``None`` with the ``answer`` that named
+    none, which leaves the language unset; a mechanical ``review`` or a
+    ``ship`` outcome; or a ``halt``, holding the report fields it sets."""
     _journal(run, run_dir, [{"event": event, **fields}])
 
 

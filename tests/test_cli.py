@@ -182,6 +182,15 @@ def test_status_shows_escalation_after_fourth_block(tmp_path, capsys):
     assert "escalat" in out.lower()
 
 
+def test_the_retry_cap_escalation_is_printed_once(tmp_path, capsys):
+    code, runs_root = _run_cli(tmp_path, 9, tester_blocks=4)
+    assert code == 3
+    run_dir = _single_run_dir(runs_root)
+    message = "BLOCK retry cap reached; escalating to user: "
+    assert capsys.readouterr().out.count(message) == 1
+    assert (run_dir.logs_dir / "cli.log").read_text(encoding="utf-8").count(message) == 1
+
+
 def test_status_for_missing_run_exits_4(tmp_path):
     assert main(["status", "--run", str(tmp_path / "nope")]) == 4
 
@@ -523,6 +532,12 @@ def test_an_unrecognized_language_leaves_the_language_question_pending(tmp_path,
     first = json.loads(run_dir.report_json_path.read_text(encoding="utf-8"))
     assert first["escalation"] == "unrecognized language 'Klingon'"
     assert first["pending"] == "language profile needed for the target repository"
+    # the rejected answer is journaled before the halt, and sets no language
+    assert run_dir.events()[-2:] == [
+        {"event": "language", "language": None, "answer": "Klingon"},
+        {"event": "halt", "escalation": first["escalation"], "pending": first["pending"]},
+    ]
+    assert first["language"] is None
 
     assert main(["answer", "--run", str(run_dir.path), "Python"]) == 0
     report = json.loads(run_dir.report_json_path.read_text(encoding="utf-8"))

@@ -27,6 +27,7 @@ from conftest import (
 from gatework import gitlayer
 from gatework.barrier import create_sandbox
 from gatework.clock import TickClock
+from gatework.errors import RunDirectoryError
 from gatework.gitlayer import SubprocessGit
 from gatework.model import AgentRole, ArtifactKind, workflow_by_id
 from gatework.orchestrator import ChannelMode, Orchestrator, UserChannel, start_run
@@ -619,17 +620,19 @@ def test_an_interrupted_batch_kills_the_agents_it_waits_for(tmp_path):
     assert time.monotonic() - started < 10
     for name in ("agent", "left"):
         assert process_ended(int((record / name).read_text(encoding="utf-8")))
-    # the session is finalized before the interrupt goes on: no checkout
-    # stays registered or held in the scratch root
+    # the session is journaled as a halt and finalized before the interrupt
+    # goes on: no checkout stays registered or held in the scratch root
     assert _git(repo, "worktree", "list").count("\n") == 1
     assert not run_dir.sandboxes_dir.exists()
-    assert run_dir.report_json_path.exists()
+    report = json.loads(run_dir.report_json_path.read_text(encoding="utf-8"))
+    assert report["exit_code"] == 4
+    assert "KeyboardInterrupt" in report["diagnostics"]["session"]
 
 
 def test_an_error_that_is_no_failed_dispatch_leaves_the_run_after_its_batch(tmp_path, monkeypatch):
-    # a RuntimeError is not among the failures a dispatch returns: a stage
-    # worker hands it to the session's thread, which raises the first
-    # role's, in batch order, once every dispatch of the batch has ended
+    # a RuntimeError is no failed dispatch: the session's thread raises the
+    # first one, in batch order, once every dispatch of the batch has ended,
+    # after journaling the session's halt and finalizing the run
     workflow = workflow_by_id(1)
 
     def refusing(role, *args, **kwargs):
@@ -651,8 +654,35 @@ def test_an_error_that_is_no_failed_dispatch_leaves_the_run_after_its_batch(tmp_
     with pytest.raises(RuntimeError, match="no sandbox for the builder"):
         session.run()
     # the simulator's dispatch ran to its end; nothing of the batch was journaled
-    assert (run_dir.sandboxes_dir / "simulator" / ArtifactKind.SIMULATION.filename).exists()
-    assert [e["role"] for e in run_dir.events() if e["event"] == "dispatch"] == ["planner"]
+    assert "[attempt 1] scripted replay" in (run_dir.logs_dir / "simulator.log").read_text(encoding="utf-8")
+    events = run_dir.events()
+    assert [e["role"] for e in events if e["event"] == "dispatch"] == ["planner"]
+    assert events[-1] == {
+        "event": "halt", "diagnostics": {"session": "RuntimeError('no sandbox for the builder')"},
+    }
+    assert json.loads(run_dir.report_json_path.read_text(encoding="utf-8"))["exit_code"] == 4
+    assert _git(repo, "worktree", "list").count("\n") == 1
+    assert not run_dir.sandboxes_dir.exists()
+
+
+def test_a_journal_that_does_not_parse_is_raised_before_the_session_writes(tmp_path):
+    # the session's catch-all halt must not append to a journal it cannot read
+    report, run_dir, _ = run_scripted_workflow(tmp_path, 9, builder_holds=1)
+    assert report.pending
+    run_dir.report_json_path.unlink()
+    run_dir.journal_path.write_bytes(run_dir.journal_path.read_bytes()[:-5])
+    journal = run_dir.journal_path.read_bytes()
+    workflow = workflow_by_id(9)
+    session = Orchestrator(
+        run_dir=run_dir, request_id=run_dir.path.name, workflow=workflow,
+        backends=scripted_backends(workflow),
+        channel=UserChannel(mode=ChannelMode.SCRIPTED_ANSWERS, answers=("use defaults",)),
+        target_repo=tmp_path / "repo", git=SubprocessGit(), clock=TickClock(),
+    )
+    with pytest.raises(RunDirectoryError):
+        session.run()
+    assert run_dir.journal_path.read_bytes() == journal
+    assert not run_dir.report_json_path.exists()
 
 
 _IMPLEMENTATION = "printf '# Implementation\\n' > implementation.md\n"

@@ -4,10 +4,12 @@ Decorating a dataclass execs generated source that no bytecode cache
 keeps, and ``dataclasses`` (with ``inspect``) and ``concurrent.futures``
 (with ``logging``) are slow to import, so the engine defines its records
 as named tuples and plain classes and runs a stage's batch on plain
-threads. This pins that as a count of modules, not a timing."""
+threads. This pins that as a count of modules, not a timing. It also
+checks that no engine module imports a name it never uses."""
 
 from __future__ import annotations
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -28,3 +30,25 @@ def test_importing_the_cli_imports_no_dataclasses_inspect_futures_or_logging():
         [sys.executable, "-S", "-c", _PROBE, str(SRC)], capture_output=True, text=True, check=True
     )
     assert probe.stdout.split() == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """The names ``path`` imports but never uses; no linter ships with
+    the engine, so this stands in for one."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {
+        (alias.asname or alias.name).split(".")[0]: node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if alias.name != "annotations"
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in sorted(imported.items()) if name not in used]
+
+
+def test_no_engine_module_imports_a_name_it_never_uses():
+    # __init__.py imports to re-export
+    modules = sorted(p for p in (SRC / "gatework").glob("*.py") if p.name != "__init__.py")
+    assert modules
+    assert [name for path in modules for name in _unused_imports(path)] == []
