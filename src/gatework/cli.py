@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import tempfile
+import traceback
 from pathlib import Path
 from typing import NamedTuple
 
@@ -157,12 +158,13 @@ def _run_session(
     authorization: str | None = None,
 ) -> int:
     """Run one session of the run ``config`` records, echo its report and
-    mirror the command's output to the run's cli.log."""
+    mirror the command's output to the run's cli.log, however the session
+    ends: a crash exits with the report's code, and an interrupt goes on."""
     repo = Path(config["target_repo"])
     workspace = None
     if config.get("workspace"):
         workspace = WorkspaceLayout(root=Path(config["workspace"]), repo_name=repo.name).ensure()
-    report = Orchestrator(
+    session = Orchestrator(
         run_dir=run_dir,
         request_id=run_dir.path.name,
         workflow=workflow_by_id(config["workflow_id"]),
@@ -173,9 +175,22 @@ def _run_session(
         clock=inputs.clock,
         workspace=workspace,
         directive=config["directive"],
-    ).run(authorization=authorization)
+    )
+    ended = None
+    try:
+        report = session.run(authorization=authorization)
+    except BaseException as exc:
+        # once it has read its journal, a session journals why it ended
+        if session.run_state.halt is None:
+            raise
+        report = build_report(session.run_state, run_dir, run_dir.path.name, config["directive"])
+        ended = exc
     console.echo(report.render_text().rstrip("\n"))
     console.flush_to(run_dir)
+    if isinstance(ended, Exception):  # a crash: its traceback goes to stderr
+        traceback.print_exception(ended)
+    elif ended is not None:  # an interrupt goes on
+        raise ended
     return report.exit_code
 
 
@@ -257,7 +272,8 @@ def cmd_answer(args: argparse.Namespace, console: _Console) -> int:
 
 def cmd_authorize(args: argparse.Namespace, console: _Console) -> int:
     """Resume a READY_TO_SHIP run with the user's authorization; the
-    resumed session dispatches the shipper and rewrites the report."""
+    resumed session's ship gate checks the verdict and credentials.md
+    before it dispatches the shipper, and the report is rewritten."""
     run_dir = RunDirectory(Path(args.run))
     config, run_state = _open_run(run_dir)
     state = run_state.current

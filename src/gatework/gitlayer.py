@@ -28,7 +28,7 @@ class GitResult(NamedTuple):
     ok: bool
     action: GitAction
     detail: str = ""
-    error_kind: str | None = None  # conflict | auth | detached | missing_credentials | environment
+    error_kind: str | None = None  # conflict | auth | detached | environment
     output: str = ""
 
 
@@ -212,6 +212,17 @@ class SubprocessGit:
     def push(self, repo: Path) -> GitResult:
         proc = self._run(repo, "push")
         return self._result(GitAction.PUSH, proc, "push")
+
+    def stage_commit_push(self, repo: Path, message: str, paths: list[str]) -> list[GitResult]:
+        """Stage ``paths`` (``[]``: everything), commit them as ``message``
+        and push: the result of each step up to the first that failed,
+        since each builds on the one before."""
+        results = [self.stage(repo, paths)]
+        if results[-1].ok:
+            results.append(self.commit(repo, message, paths))
+        if results[-1].ok:
+            results.append(self.push(repo))
+        return results
 
     def head(self, repo: Path) -> str | None:
         """The commit HEAD points at, or None if there is none."""

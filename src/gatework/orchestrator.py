@@ -39,7 +39,7 @@ from gatework.errors import (
     ProtocolError,
     VerdictError,
 )
-from gatework.gitlayer import GitAction, GitResult, SubprocessGit, is_linked_worktree
+from gatework.gitlayer import GitResult, SubprocessGit, is_linked_worktree
 from gatework.model import (
     CONTRACT_GATES,
     STATE_CHAIN,
@@ -834,7 +834,7 @@ class Orchestrator:
         violation naming the state where the run stopped and the gate it
         could not pass. Artifacts left by an earlier session must not carry
         a run past checks still due: the mechanical review, or ship (a
-        refused ship writes shipper.md)."""
+        ship that failed in git writes shipper.md)."""
         while state_order(self.run_state.current, state) < 0:
             result = advance(self.run_state, self.run_dir, self.clock)
             if not result.moved:
@@ -1003,14 +1003,23 @@ class ShipReport(NamedTuple):
         }
 
 
-#: Pushes are refused outright when credentials were never verified.
-_PUSH_WITHOUT_CREDENTIALS = GitResult(
-    ok=False,
-    action=GitAction.PUSH,
-    detail="push",
-    error_kind="missing_credentials",
-    output="credentials.md not present; push refused",
-)
+def _ship_refusal(run_dir: RunDirectory, authorization: str | None, run_state: RunState) -> str | None:
+    """Why the ship gate refuses, or None once it clears: the run is
+    ready, its verdict parses and passes, the user authorized shipping
+    and the target's credentials were verified, in that dominance order."""
+    if run_state.current is not WorkflowState.READY_TO_SHIP:
+        return f"run is at {run_state.current.value}, not READY_TO_SHIP"
+    try:
+        verdict = run_dir.verdict()
+    except VerdictError as exc:
+        return f"no parseable review verdict: {exc}"
+    if not verdict.passing:
+        return f"review verdict is {verdict.value.value}; ship refused"
+    if not authorization:
+        return "explicit user authorization required before shipping"
+    if not run_dir.exists(ArtifactKind.CREDENTIALS):
+        return "credentials.md not present; ship refused"
+    return None
 
 
 def ship(
@@ -1025,29 +1034,18 @@ def ship(
     run_state: RunState,
     dispatch_shipper: Callable[[], None] | None = None,
 ) -> ShipReport:
-    """The hard ship gate: a PASS-variant verdict AND explicit user
-    authorization, in that dominance order, before any push.
+    """The hard ship gate, which refuses before the shipper is dispatched
+    or any git process starts, then the one ship path.
 
-    Once the gate clears, ``dispatch_shipper`` (the orchestrator's
-    dispatch of the shipper agent) drafts the report; then the git
-    actions run. On success: target repo staged/committed/pushed,
-    workspace synced, shipper.md written, state advanced to DONE.
+    ``dispatch_shipper`` (the orchestrator's dispatch of the shipper
+    agent) drafts the report; then the target repo is staged, committed
+    and pushed, and the workspace synced, each step only if the ones
+    before it succeeded. shipper.md says how far it got; only a ship that
+    succeeded advances the run to DONE.
     """
-    if run_state.current is not WorkflowState.READY_TO_SHIP:
-        return ShipReport(
-            shipped=False,
-            refusal=f"run is at {run_state.current.value}, not READY_TO_SHIP",
-        )
-    try:
-        verdict = run_dir.verdict()
-    except VerdictError as exc:
-        return ShipReport(shipped=False, refusal=f"no parseable review verdict: {exc}")
-    if not verdict.passing:
-        return ShipReport(shipped=False, refusal=f"review verdict is {verdict.value.value}; ship refused")
-    if not authorization:
-        return ShipReport(
-            shipped=False, refusal="explicit user authorization required before shipping"
-        )
+    refusal = _ship_refusal(run_dir, authorization, run_state)
+    if refusal is not None:
+        return ShipReport(shipped=False, refusal=refusal)
 
     # The shipper agent drafts its report, then the engine performs the git
     # actions on its behalf. This is the only path that mutates the repo.
@@ -1056,58 +1054,37 @@ def ship(
         dispatch_shipper()
         shipper_draft = run_dir.read(ArtifactKind.SHIPPER)
 
-    credentials_present = run_dir.exists(ArtifactKind.CREDENTIALS)
-    actions: list[GitResult] = []
-    for step in (
-        lambda: git.stage(target_repo, []),
-        lambda: git.commit(target_repo, f"ship {slug}", []),
-        lambda: git.push(target_repo) if credentials_present else _PUSH_WITHOUT_CREDENTIALS,
-    ):
-        result = step()
-        actions.append(result)
-        if not result.ok:
-            # each action builds on the one before; stop at the first failure
-            name = result.action.value.lower()
-            _write_shipper_report(run_dir, shipper_draft, actions, f"not attempted ({name} failed)")
-            return ShipReport(
-                shipped=False,
-                refusal=f"{name} failed: {result.error_kind}",
-                partial=True,
-                git_actions=tuple(actions),
-                sync_detail="workspace sync skipped; nothing to roll back",
-            )
-
-    sync_detail = "no workspace configured"
-    if workspace is not None:
+    actions = git.stage_commit_push(target_repo, f"ship {slug}", [])
+    if not actions[-1].ok:
+        name = actions[-1].action.value.lower()
+        refusal = f"{name} failed: {actions[-1].error_kind}"
+        sync_detail = f"not attempted ({name} failed)"
+    elif workspace is None:
+        sync_detail = "no workspace configured"
+    else:
         sync = sync_workspace(workspace, run_dir, git=git, clock=clock, slug=slug)
         sync_detail = sync.detail
         if not sync.ok:
-            _write_shipper_report(run_dir, shipper_draft, actions, sync_detail)
-            return ShipReport(
-                shipped=False,
-                refusal=f"workspace sync failed: {sync.detail}",
-                partial=True,
-                git_actions=tuple(actions),
-                sync_detail=sync_detail,
-            )
+            refusal = f"workspace sync failed: {sync.detail}"
 
-    _write_shipper_report(run_dir, shipper_draft, actions, sync_detail)
-    advance(run_state, run_dir, clock)
-    return ShipReport(shipped=True, git_actions=tuple(actions), sync_detail=sync_detail)
-
-
-def _write_shipper_report(
-    run_dir: RunDirectory, draft: str, actions: list[GitResult], sync_detail: str
-) -> None:
     lines = ["# Shipper report", ""]
-    if draft.strip():
-        lines += [draft.strip(), ""]
+    if shipper_draft.strip():
+        lines += [shipper_draft.strip(), ""]
     lines.append("## Git actions taken")
     for result in actions:
         status = "ok" if result.ok else f"FAILED ({result.error_kind})"
         lines.append(f"- {result.action.value}: {result.detail} [{status}]")
     lines += ["", "## Workspace sync", f"- {sync_detail}"]
     run_dir.write(ArtifactKind.SHIPPER, "\n".join(lines) + "\n")
+    if refusal is None:
+        advance(run_state, run_dir, clock)
+    return ShipReport(
+        shipped=refusal is None,
+        refusal=refusal,
+        partial=refusal is not None,
+        git_actions=tuple(actions),
+        sync_detail=sync_detail,
+    )
 
 
 # --- wrapper workflows ------------------------------------------------------

@@ -220,10 +220,6 @@ def run_scripted(script: ScenarioScript, req: DispatchRequest) -> AgentOutcome:
         else:  # CompleteStep
             break
     if signal is not None:
-        if not signal_owner_check(signal):
-            raise ProtocolError(
-                f"scripted {req.role.value} raised {signal.kind.value}, which it does not own"
-            )
         return AgentOutcome(status=OutcomeStatus.SIGNALED, signal=signal)
     return AgentOutcome(status=OutcomeStatus.COMPLETED)
 
@@ -290,13 +286,12 @@ class SubprocessBackend(AgentBackend):
         ) as proc:
             with self._lock:
                 self._running.add(proc.pid)
+            timed_out = False
             try:
                 stdout, stderr = proc.communicate(req.briefing, timeout=req.deadline)
-            except subprocess.TimeoutExpired as exc:
-                raise DispatchTimeout(
-                    f"{req.role.value} backend exceeded {req.deadline}s deadline",
-                    captured=str(exc.output or ""),
-                ) from exc
+            except subprocess.TimeoutExpired as exc:  # holds what was read by then, as bytes
+                timed_out = True
+                stdout, stderr = ((data or b"").decode(errors="replace") for data in (exc.stdout, exc.stderr))
             finally:
                 # the group's id is the program's pid, which the kernel
                 # reuses for no other process while the group has one left
@@ -307,6 +302,10 @@ class SubprocessBackend(AgentBackend):
         if log_path is not None:
             with open(log_path, "a", encoding="utf-8") as fh:
                 fh.write(f"[attempt {req.attempt}] {shlex.join(self.command)}\n{captured}\n")
+        if timed_out:
+            raise DispatchTimeout(
+                f"{req.role.value} backend exceeded {req.deadline}s deadline", captured=captured
+            )
         if proc.returncode != 0:
             raise DispatchError(
                 f"{req.role.value} backend exited with {proc.returncode}", captured=captured

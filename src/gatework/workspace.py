@@ -300,7 +300,6 @@ def render_handoff(body: str) -> str:
 class SyncReport(NamedTuple):
     ok: bool
     changed: bool
-    rolled_back: bool = False
     detail: str = ""
 
 
@@ -377,27 +376,21 @@ def sync_workspace(
         path.write_text(targets[path], encoding="utf-8")
 
     rel = [str(p.relative_to(layout.root)) for p in changed_paths]
-    for step in (
-        lambda: git.stage(layout.root, rel),
-        lambda: git.commit(layout.root, f"sync run {date}-{slug}", rel),
-        lambda: git.push(layout.root),
-    ):
-        result = step()
-        if result.ok:
-            continue
-        # undo the sync commit and unstage the synced files only, so what
-        # the user had staged or edited stays as it was
-        undone = pre_sync is not None and git.reset_to(layout.root, pre_sync, rel).ok
-        detail = f"{result.action.value.lower()} failed ({result.error_kind}); workspace restored"
-        if not undone:
-            detail += " except its git history"
-        for path in changed_paths:
-            if before[path] is None:
-                path.unlink(missing_ok=True)
-            else:
-                path.write_text(before[path], encoding="utf-8")
-        return SyncReport(ok=False, changed=False, rolled_back=True, detail=detail)
-    return SyncReport(ok=True, changed=True, detail="synced and pushed")
+    last = git.stage_commit_push(layout.root, f"sync run {date}-{slug}", rel)[-1]
+    if last.ok:
+        return SyncReport(ok=True, changed=True, detail="synced and pushed")
+    # undo the sync commit and unstage the synced files only, so what
+    # the user had staged or edited stays as it was
+    undone = pre_sync is not None and git.reset_to(layout.root, pre_sync, rel).ok
+    detail = f"{last.action.value.lower()} failed ({last.error_kind}); workspace restored"
+    if not undone:
+        detail += " except its git history"
+    for path in changed_paths:
+        if before[path] is None:
+            path.unlink(missing_ok=True)
+        else:
+            path.write_text(before[path], encoding="utf-8")
+    return SyncReport(ok=False, changed=False, detail=detail)
 
 
 # --- validation -------------------------------------------------------------

@@ -7,10 +7,11 @@ from pathlib import Path
 import pytest
 
 from conftest import init_git_repo, repo_without_language, scripted_backends, write_backend_config
+from gatework.barrier import create_sandbox
 from gatework.cli import main
 from gatework.clock import TickClock
 from gatework.gitlayer import SubprocessGit
-from gatework.model import ArtifactKind, workflow_by_id
+from gatework.model import AgentRole, ArtifactKind, workflow_by_id
 from gatework.orchestrator import ChannelMode, Orchestrator, UserChannel
 from gatework.rundir import RunDirectory
 
@@ -829,3 +830,28 @@ def test_a_declined_authorization_prompt_writes_nothing(tmp_path, capsys, monkey
     assert out.endswith("shipping not authorized\n")
     assert prompts == ["> "]
     assert _snapshot(runs_root) == before
+
+
+@pytest.mark.parametrize("raised", [RuntimeError("boom"), KeyboardInterrupt()], ids=["crash", "interrupt"])
+def test_a_session_a_crash_or_an_interrupt_ends_is_echoed_and_mirrored(tmp_path, capsys, monkeypatch, raised):
+    def refusing(role, *args, **kwargs):
+        if role is AgentRole.TESTER:
+            raise raised
+        return create_sandbox(role, *args, **kwargs)
+
+    monkeypatch.setattr("gatework.orchestrator.create_sandbox", refusing)
+    if isinstance(raised, KeyboardInterrupt):
+        with pytest.raises(KeyboardInterrupt):
+            _run_cli(tmp_path, 9)
+    else:
+        code, _ = _run_cli(tmp_path, 9)
+        assert code == 4  # the report's exit code
+    run_dir = _single_run_dir(tmp_path / "runs")
+    report = json.loads(run_dir.report_json_path.read_text(encoding="utf-8"))
+    line = f"diagnostic [session]: {raised!r}"
+    assert report["exit_code"] == 4 and report["diagnostics"] == {"session": repr(raised)}
+    out, err = capsys.readouterr()
+    assert line in out
+    assert ("Traceback" in err) is isinstance(raised, RuntimeError)  # a crash's, on stderr
+    log = (run_dir.logs_dir / "cli.log").read_text(encoding="utf-8")
+    assert log.count(line) == 1 and "final state: " in log

@@ -235,6 +235,7 @@ def test_workflow_2_ships_with_authorization(tmp_path):
     assert report.ship["shipped"] is True
     shipper_text = run_dir.read(K.SHIPPER)
     assert "Git actions taken" in shipper_text
+    assert f"## Workspace sync\n- {report.ship['sync']}\n" in shipper_text
     pushes = [a for a in git.actions if a.action is GitAction.PUSH]
     assert len(pushes) == 1 and pushes[0].ok
 
@@ -929,6 +930,8 @@ def test_ship_push_failure_is_partial(tmp_path):
     )
     assert not report.shipped
     assert report.partial
+    assert report.sync_detail == "not attempted (push failed)"
+    assert f"## Workspace sync\n- {report.sync_detail}\n" in run_dir.read(K.SHIPPER)
     assert state.current is WorkflowState.READY_TO_SHIP  # not advanced to DONE
     assert run_dir.events() == []
 
@@ -973,25 +976,55 @@ def test_ship_stops_at_failed_stage_or_commit(tmp_path, failing, taken):
     assert not any(layout.runs_dir.iterdir())
     shipper = run_dir.read(K.SHIPPER)
     assert f"- {failing.value}: " in shipper and "FAILED (environment)" in shipper
-    assert f"not attempted ({failing.value.lower()} failed)" in shipper
+    assert f"## Workspace sync\n- {report.sync_detail}\n" in shipper
+    assert report.sync_detail == f"not attempted ({failing.value.lower()} failed)"
     assert state.current is WorkflowState.READY_TO_SHIP
     assert run_dir.events() == []
 
 
-def test_ship_without_credentials_refuses_push(tmp_path):
-    run_dir, state = _ready_to_ship_run(tmp_path, "PASS")
-    run_dir.artifact_path(K.CREDENTIALS).unlink()
-    git = RecordingGit()
+def _checkout_state(repo: Path) -> tuple[str, str]:
+    """The commit HEAD names and ``git status --porcelain`` of ``repo``."""
+    def git(*args: str) -> str:
+        return subprocess.run(
+            ["git", "-C", str(repo), *args], capture_output=True, text=True, check=True
+        ).stdout
+
+    return git("rev-parse", "HEAD"), git("status", "--porcelain")
+
+
+_SHIP_REFUSALS = {
+    "not-ready": "run is at CREDENTIALS_VERIFIED, not READY_TO_SHIP",
+    "verdict-absent": "no parseable review verdict: ",
+    "stop": "review verdict is STOP; ship refused",
+    "unauthorized": "explicit user authorization required before shipping",
+    "no-credentials": "credentials.md not present; ship refused",
+}
+
+
+@pytest.mark.parametrize("refused", list(_SHIP_REFUSALS))
+def test_a_refused_ship_leaves_the_target_untouched(tmp_path, refused):
+    verdict = {"verdict-absent": None, "stop": "STOP"}.get(refused, "PASS")
+    run_dir, state = _ready_to_ship_run(tmp_path, verdict)
+    if refused == "not-ready":
+        state = RunState(workflow=workflow_by_id(2))
+    if refused == "no-credentials":
+        run_dir.artifact_path(K.CREDENTIALS).unlink()
+    target = _shipping_target(tmp_path)
+    # a file of the user's that a stage of the whole checkout would sweep in
+    (target / "draft.txt").write_text("not for shipping\n", encoding="utf-8")
+    before = _checkout_state(target)
+    git, dispatched = RecordingGit(), []
     report = ship(
-        run_dir, "token",
-        target_repo=_shipping_target(tmp_path), git=git, clock=TickClock(), run_state=state,
+        run_dir, None if refused == "unauthorized" else "token",
+        target_repo=target, git=git, clock=TickClock(), run_state=state,
+        dispatch_shipper=lambda: dispatched.append(R.SHIPPER),
     )
-    assert not report.shipped
-    assert report.partial
-    push_actions = [a for a in report.git_actions if a.action is GitAction.PUSH]
-    assert not push_actions[0].ok
-    assert push_actions[0].error_kind == "missing_credentials"
-    assert not any(a.action is GitAction.PUSH for a in git.actions)  # git never asked to push
+    assert not report.shipped and not report.partial
+    assert report.refusal.startswith(_SHIP_REFUSALS[refused])
+    assert dispatched == [] and git.actions == [] and git.calls == []
+    assert report.git_actions == ()
+    assert _checkout_state(target) == before
+    assert not run_dir.exists(K.SHIPPER)
 
 
 # --- replay equivalence ----------------------------------------------------------------

