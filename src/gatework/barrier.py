@@ -89,11 +89,6 @@ class AccessMatrix(NamedTuple):
     def allowed(self, role: AgentRole, kind: ArtifactKind, state: WorkflowState | None = None) -> bool:
         return kind in self.grants_for(role, state)
 
-    def lawful(self, role: AgentRole, kind: ArtifactKind) -> bool:
-        """Allowed under the most permissive lawful overlay; used when
-        auditing logs whose events do not record the state they ran in."""
-        return self.allowed(role, kind, state=WorkflowState.PIPELINES_COMPLETE)
-
 
 DEFAULT_ACCESS_MATRIX = AccessMatrix(
     grants={
@@ -120,9 +115,9 @@ def check_access(
     clock: Clock,
     state: WorkflowState | None = None,
 ) -> AccessDecision:
-    """Decide one read and append the decision to the audit log either way."""
+    """Decide one read at ``state``; audit the decision either way."""
     decision = AccessDecision.ALLOW if m.allowed(role, kind, state) else AccessDecision.DENY
-    audit.append(AccessEvent(timestamp=clock.now(), role=role, artifact=kind, decision=decision))
+    audit.append(AccessEvent(clock.now(), role, kind, decision, state))
     return decision
 
 
@@ -275,7 +270,8 @@ def audit_isolation(
 ) -> IsolationReport:
     """Cross-check all access logs against the matrix.
 
-    Any event on a pair the matrix forbids is a violation: an ALLOW entry
+    An event is a violation exactly when the matrix does not grant its
+    artifact to its role at the state the event records: an ALLOW entry
     means the barrier was bypassed, a DENY entry means the agent attempted
     a read it had no right to. A dispatched agent with no log at all makes
     the audit incomplete, which is a failure, not a pass.
@@ -286,7 +282,7 @@ def audit_isolation(
     violations = []
     for role, events in logs.items():
         for event in events:
-            if not DEFAULT_ACCESS_MATRIX.lawful(role, event.artifact):
+            if not DEFAULT_ACCESS_MATRIX.allowed(role, event.artifact, event.state):
                 violations.append((role, event.artifact, event.timestamp))
     violations.sort(key=lambda v: (v[2], v[0].value, v[1].filename))
     return IsolationReport(violations=tuple(violations))

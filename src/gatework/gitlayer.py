@@ -245,8 +245,12 @@ class SubprocessGit:
         return [line for line in proc.stdout.splitlines() if line]
 
     def remote_url(self, repo: Path) -> str | None:
+        """The URL of ``origin``: ``""`` in a repository without one (git
+        exits 2), None outside a repository (git exits 128)."""
         proc = self._run(repo, "remote", "get-url", "origin")
-        return proc.stdout.strip() if proc.returncode == 0 else None
+        if proc.returncode == 0:
+            return proc.stdout.strip()
+        return "" if proc.returncode == 2 else None
 
     def default_branch(self, repo: Path) -> str | None:
         proc = self._run(repo, "symbolic-ref", "--short", "HEAD")

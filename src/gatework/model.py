@@ -134,12 +134,14 @@ class AccessDecision(str, Enum):
 
 
 class AccessEvent(NamedTuple):
-    """One audited artifact-access check."""
+    """One audited artifact-access check, judged at ``state`` (None: the
+    role's base grants)."""
 
     timestamp: datetime
     role: AgentRole
     artifact: ArtifactKind
     decision: AccessDecision
+    state: WorkflowState | None = None
 
 
 class ArtifactKind(str, Enum):

@@ -578,8 +578,8 @@ def start_run(
             f"- ships: {'yes' if workflow.ships else 'no'}\n"
         ),
     )
-    if git.is_repo(target_repo):
-        remote = git.remote_url(target_repo)
+    remote = git.remote_url(target_repo)
+    if remote is not None:  # a repository, with or without an origin
         run_dir.write(
             ArtifactKind.CREDENTIALS,
             f"# Credentials\n\n- repository access: verified\n- remote: {remote or '(none)'}\n",
@@ -703,24 +703,12 @@ class Orchestrator:
         return self.clock
 
     def _make_sandbox(self, role: AgentRole, idle: Path | None) -> Sandbox:
-        clock = self._sandbox_clock()
+        common = {"run_dir": self.run_dir, "clock": self._sandbox_clock(), "state": self.run_state.current}
         if role in WORKTREE_ROLES:
             return create_sandbox(
-                role,
-                self.target_repo,
-                run_dir=self.run_dir,
-                git=self.git,
-                clock=clock,
-                request_id=self.request_id,
-                state=self.run_state.current,
-                idle=idle,
+                role, self.target_repo, git=self.git, request_id=self.request_id, idle=idle, **common
             )
-        return create_plain_sandbox(
-            role,
-            run_dir=self.run_dir,
-            clock=clock,
-            state=self.run_state.current,
-        )
+        return create_plain_sandbox(role, **common)
 
     def _dispatch_role(
         self, role: AgentRole, attempt: int | None, idle: Path | None, made: dict[AgentRole, Sandbox]
@@ -748,8 +736,9 @@ class Orchestrator:
     def _idle_worktrees(self, batch: Sequence[AgentRole]) -> dict[AgentRole, Path]:
         """Hand each worktree role of ``batch`` that has no sandbox yet an
         idle worktree, if one is left: the sandbox of a worktree role
-        outside the batch, taken in role order. Carrying one costs a few
-        git processes, where adding a worktree checks out the whole tree."""
+        outside the batch, taken in role order. A carry saves the
+        ``worktree add`` and, at the session's end, one ``worktree
+        remove``; its checkout writes the whole tree, as an add's does."""
         sandboxes = self.run_dir.sandboxes_dir
         worktree_roles = sorted(self.workflow.roles() & WORKTREE_ROLES)
         idle = [
@@ -984,11 +973,18 @@ class Orchestrator:
 
 
 class ShipReport(NamedTuple):
-    shipped: bool
     refusal: str | None = None
-    partial: bool = False
     git_actions: tuple[GitResult, ...] = ()
     sync_detail: str = ""
+
+    @property
+    def shipped(self) -> bool:
+        return self.refusal is None
+
+    @property
+    def partial(self) -> bool:
+        """Refused after git ran, so some of the ship's actions were taken."""
+        return not self.shipped and bool(self.git_actions)
 
     def to_dict(self) -> dict:
         return {
@@ -1045,7 +1041,7 @@ def ship(
     """
     refusal = _ship_refusal(run_dir, authorization, run_state)
     if refusal is not None:
-        return ShipReport(shipped=False, refusal=refusal)
+        return ShipReport(refusal)
 
     # The shipper agent drafts its report, then the engine performs the git
     # actions on its behalf. This is the only path that mutates the repo.
@@ -1078,13 +1074,7 @@ def ship(
     run_dir.write(ArtifactKind.SHIPPER, "\n".join(lines) + "\n")
     if refusal is None:
         advance(run_state, run_dir, clock)
-    return ShipReport(
-        shipped=refusal is None,
-        refusal=refusal,
-        partial=refusal is not None,
-        git_actions=tuple(actions),
-        sync_detail=sync_detail,
-    )
+    return ShipReport(refusal, tuple(actions), sync_detail)
 
 
 # --- wrapper workflows ------------------------------------------------------

@@ -157,7 +157,9 @@ def _apply(run: RunState, record: dict) -> None:
     briefing lines. A routed STOP (``rewind``) clears what is owed and
     leaves undone every role from that stage on; the ``phases`` of a
     routed HOLD or BLOCK go ahead of the owed ones, merged depth by depth
-    with those of the same batch. A capped signal routes nothing."""
+    with those of the same batch. A capped signal routes nothing. An access
+    record is judged at the state the fold is in, the state its batch ran
+    in: a batch journals nothing between its sandboxes and its records."""
     event = record["event"]
     run.halt = record if event == "halt" else None
     if event == "transition":
@@ -203,7 +205,7 @@ def _apply(run: RunState, record: dict) -> None:
     elif event == "access":
         role, kind = AgentRole(record["role"]), ArtifactKind(record["artifact"])
         when, decision = parse_iso8601(record["time"]), AccessDecision(record["decision"])
-        run.access[role].append(AccessEvent(when, role, kind, decision))
+        run.access[role].append(AccessEvent(when, role, kind, decision, run.current))
     elif event == "answer":
         role = AgentRole(record["role"])
         run.pending_hold = [hold for hold in run.pending_hold if hold["raiser"] != role.value]

@@ -8,6 +8,7 @@ known issues, and technical insights intact.
 
 from __future__ import annotations
 
+import os
 import re
 from enum import Enum
 from pathlib import Path
@@ -77,10 +78,11 @@ DETECTION_PRECEDENCE: tuple[Language, ...] = (
 
 
 def _has_source(repo: Path, suffix: str) -> bool:
-    for path in repo.rglob(f"*{suffix}"):
-        if any(part.startswith(".") for part in path.relative_to(repo).parts):
-            continue
-        if path.is_file():
+    # hidden directories (.git above all) are pruned, not listed
+    for root, dirs, files in os.walk(repo):
+        dirs[:] = [name for name in dirs if not name.startswith(".")]
+        sources = (name for name in files if name.endswith(suffix) and not name.startswith("."))
+        if any(os.path.isfile(os.path.join(root, name)) for name in sources):
             return True
     return False
 

@@ -264,6 +264,17 @@ def test_audit_isolation_flags_denied_attempt_too():
     assert not report.clean
 
 
+def test_audit_isolation_judges_each_event_at_the_state_it_records():
+    def read(state):
+        return _event(R.TESTER, K.IMPLEMENTATION, AccessDecision.ALLOW)._replace(state=state)
+
+    dispatched = frozenset({R.TESTER})
+    for state in (None, WorkflowState.SPEC_READY):
+        assert not audit_isolation({R.TESTER: [read(state)]}, dispatched=dispatched).clean
+    for state in (WorkflowState.PIPELINES_COMPLETE, WorkflowState.DOCUMENTED):
+        assert audit_isolation({R.TESTER: [read(state)]}, dispatched=dispatched).clean
+
+
 def test_audit_isolation_missing_log_is_incompleteness():
     # oracle: dispatched roles minus logged roles = {tester}
     wf1 = workflow_by_id(1)

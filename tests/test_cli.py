@@ -361,6 +361,31 @@ def test_authorize_refuses_a_run_that_is_not_ready_and_dispatches_nothing(tmp_pa
     assert sorted(p.name for p in run_dir.logs_dir.glob("*.log")) == logs
 
 
+def test_authorize_refuses_a_run_whose_journal_shows_a_tester_reading_a_pipeline_output(tmp_path, capsys):
+    repo = init_git_repo(tmp_path / "repo", remote=tmp_path / "remote.git")
+    code, runs_root = _run_cli(tmp_path, 2, repo=repo)
+    assert code == 0
+    run_dir = _single_run_dir(runs_root)
+    # an ALLOW the pipeline stage's tester could not have been given
+    lines = run_dir.journal_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    at = lines.index(json.dumps({"event": "dispatch", "role": "tester", "outcome": "completed"}) + "\n")
+    forged = {"event": "access", "time": json.loads(lines[at + 1])["time"], "role": "tester",
+              "artifact": "implementation.md", "decision": "ALLOW"}
+    lines.insert(at + 1, json.dumps(forged) + "\n")
+    run_dir.journal_path.write_text("".join(lines), encoding="utf-8")
+    head = subprocess.run(
+        ["git", "-C", str(repo), "rev-parse", "HEAD"], capture_output=True, text=True, check=True
+    ).stdout
+    capsys.readouterr()
+    assert main(["authorize", "--run", str(run_dir.path), "--yes"]) == 2
+    out = capsys.readouterr().out
+    assert "mechanical review failed (pipeline-isolation: tester touched implementation.md)" in out
+    assert not run_dir.exists(ArtifactKind.SHIPPER)
+    assert subprocess.run(
+        ["git", "-C", str(repo), "rev-parse", "HEAD"], capture_output=True, text=True, check=True
+    ).stdout == head
+
+
 def test_run_with_workspace_writes_context_and_archives_runs(tmp_path):
     from gatework.workspace import WorkspaceLayout
 

@@ -18,6 +18,7 @@ from conftest import (
     repo_without_language,
     run_scripted_workflow,
     scripted_backends,
+    script_texts,
     shipper_script,
 )
 from gatework.clock import TickClock
@@ -472,6 +473,33 @@ def test_builder_reading_test_spec_fails_isolation_end_to_end(tmp_path):
     assert report.exit_code == 2
     # the denied attempt is visible in the merged run-level access log
     assert "builder\ttest-spec.md\tDENY" in run_dir.access_log_path.read_text(encoding="utf-8")
+
+
+def test_a_tester_reading_the_implementation_in_the_pipeline_stage_fails_isolation(tmp_path):
+    # the pipeline outputs are the tester's only once the pipelines are complete
+    backends = scripted_backends(workflow_by_id(2))
+    tester = script_texts(workflow_by_id(2))[R.TESTER]
+    backends[R.TESTER] = ScriptedBackend.from_text("read implementation.md\n" + tester)
+    report, run_dir, _ = run_scripted_workflow(tmp_path, 2, backends=backends)
+    checks = {c["name"]: c for c in report.mechanical["checks"]}
+    assert checks["pipeline-isolation"]["status"] == "fail"
+    assert checks["pipeline-isolation"]["detail"] == "tester touched implementation.md"
+    assert report.final_state == "DOCUMENTED" and report.exit_code == 2
+    assert "tester\timplementation.md\tDENY" in run_dir.access_log_path.read_text(encoding="utf-8")
+
+
+def test_a_tester_re_dispatched_after_the_pipelines_may_read_their_outputs(tmp_path):
+    # a reviewer STOP routed to the builder re-runs the pipeline stage at
+    # DOCUMENTED, where the tester's late inputs are granted
+    backends = scripted_backends(workflow_by_id(1), reviewer_stops=1, stop_target="builder")
+    tester = script_texts(workflow_by_id(1))[R.TESTER]
+    backends[R.TESTER] = ScriptedBackend.from_text(f"{tester}---\nread implementation.md\n{tester}")
+    report, run_dir, _ = run_scripted_workflow(tmp_path, 1, backends=backends)
+    assert report.final_state == "REVIEW_PASSED" and report.exit_code == 0
+    assert report.dispatch_counts["tester"] == 2
+    checks = {c["name"]: c for c in report.mechanical["checks"]}
+    assert checks["pipeline-isolation"]["status"] == "pass"
+    assert "tester\timplementation.md\tALLOW" in run_dir.access_log_path.read_text(encoding="utf-8")
 
 
 def test_mechanical_review_direct_missing_artifact_fails(tmp_path):

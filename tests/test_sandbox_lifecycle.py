@@ -83,21 +83,22 @@ def git_spawns(tmp_path, monkeypatch) -> GitProcesses:
     return spawned
 
 
-# Workflow 9: is_repo and remote_url at start; the builder's add (`worktree
-# add --detach --no-checkout` and the `update-ref` it starts, then
-# `checkout -f -b`); the tester's carry of it (`worktree move`, `checkout
-# -f -b`, `clean`); and one `worktree remove`.
-WF9_GIT_PROCESSES = 9
+# Workflow 9: one start-up query (`remote get-url origin`, whose exit code
+# also says whether the target is a repository); the builder's add
+# (`worktree add --detach --no-checkout` and the `update-ref` it starts,
+# then `checkout -f -b`); the tester's carry of it (`worktree move`,
+# `checkout -f -b`, `clean`); and one `worktree remove`.
+WF9_GIT_PROCESSES = 8
 # Workflow 1 with 1 HOLD, 3 BLOCKs and 1 STOP dispatches builder 4x,
-# tester 4x, scriber 2x, simulator 1x: 2 start-up queries, 3 adds of 3
+# tester 4x, scriber 2x, simulator 1x: 1 start-up query, 3 adds of 3
 # processes for the parallel stage, 6 BLOCK resets and 1 STOP reset of 2
 # processes each, the scriber's 3-process carry of the builder's
 # worktree, and 3 removes.
-WF1_FULL_RETRY_GIT_PROCESSES = 31
-# Workflow 2 shipping to a bare remote: 2 start-up queries, 2 adds, the
+WF1_FULL_RETRY_GIT_PROCESSES = 30
+# Workflow 2 shipping to a bare remote: 1 start-up query, 2 adds, the
 # scriber's 3-process carry, then `add -A`, `symbolic-ref`, `commit` and
 # `push` (and the `receive-pack` it starts) on the target, and 2 removes.
-WF2_SHIP_GIT_PROCESSES = 18
+WF2_SHIP_GIT_PROCESSES = 17
 
 
 def test_git_spawns_per_run_workflow_9(tmp_path, git_spawns):

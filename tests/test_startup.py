@@ -5,16 +5,20 @@ keeps, and ``dataclasses`` (with ``inspect``) and ``concurrent.futures``
 (with ``logging``) are slow to import, so the engine defines its records
 as named tuples and plain classes and runs a stage's batch on plain
 threads. This pins that as a count of modules, not a timing. It also
-checks that no engine module imports a name it never uses."""
+checks that no engine module imports a name it never uses, and that
+nothing the engine defines goes unread."""
 
 from __future__ import annotations
 
 import ast
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 _SLOW_MODULES = ("dataclasses", "inspect", "concurrent.futures", "logging")
 
@@ -52,3 +56,36 @@ def test_no_engine_module_imports_a_name_it_never_uses():
     modules = sorted(p for p in (SRC / "gatework").glob("*.py") if p.name != "__init__.py")
     assert modules
     assert [name for path in modules for name in _unused_imports(path)] == []
+
+
+def _definitions(path: Path) -> list[tuple[str, int]]:
+    """The module-level functions, classes and constants ``path`` defines,
+    each with its line; dunders such as ``__version__`` are exempt."""
+    names = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append((node.name, node.lineno))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [(t.id, node.lineno) for t in targets if isinstance(t, ast.Name)]
+    return [(name, line) for name, line in names if not re.fullmatch(r"__\w+__", name)]
+
+
+def test_everything_an_engine_module_defines_is_named_somewhere_else():
+    # a name counts wherever it is a word of the code: called, imported,
+    # or spelled in a string, as the bench spells what it wraps
+    sources = sorted(path for tree in ("src", "tests", "bench") for path in (ROOT / tree).rglob("*.py"))
+    words = Counter(word for path in sources for word in re.findall(r"\w+", path.read_text(encoding="utf-8")))
+    defined = {path: _definitions(path) for path in sorted((SRC / "gatework").glob("*.py"))}
+    at_definitions = Counter()
+    for path, names in defined.items():
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for name, line in names:
+            at_definitions[name] += re.findall(r"\w+", lines[line - 1]).count(name)
+    unread = [
+        f"{path.name}:{line} {name}"
+        for path, names in defined.items()
+        for name, line in names
+        if words[name] == at_definitions[name]
+    ]
+    assert unread == []

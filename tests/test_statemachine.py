@@ -5,6 +5,8 @@ import pytest
 from gatework.clock import TickClock
 from gatework.errors import ProtocolError, RunDirectoryError, TerminalStateError
 from gatework.model import (
+    AccessDecision,
+    AccessEvent,
     AgentRole,
     ArtifactKind,
     Signal,
@@ -21,6 +23,7 @@ from gatework.statemachine import (
     advance,
     check_preconditions,
     reconstruct_run_state,
+    record_dispatches,
     record_event,
     record_signal,
     required_for,
@@ -214,6 +217,24 @@ def test_journal_round_trip_and_status_projection(run_dir):
     assert rebuilt.current is run.current
     assert rebuilt.retries == run.retries
     assert rebuilt.history == run.history
+
+
+def test_the_fold_judges_each_access_record_at_the_state_its_batch_ran_in(run_dir):
+    clock = TickClock()
+    workflow = workflow_by_id(2)
+    run = RunState(workflow=workflow)
+    _leader_artifacts(run_dir)
+    advance(run, run_dir, clock)
+    read = AccessEvent(clock.now(), AgentRole.TESTER, K.IMPLEMENTATION, AccessDecision.DENY)
+    record_dispatches(run, run_dir, [(AgentRole.TESTER, "completed", [read])])
+    advance(run, run_dir, clock)
+    record_dispatches(run, run_dir, [(AgentRole.TESTER, "completed", [read])])
+
+    assert [e.state for e in run.access[AgentRole.TESTER]] == [S.NEW, S.PLANNED]
+    assert reconstruct_run_state(run_dir, workflow).access == run.access
+    # the state is the fold's, so the journal's records gain no key
+    records = [r for r in run_dir.events() if r["event"] == "access"]
+    assert [sorted(r) for r in records] == [["artifact", "decision", "event", "role", "time"]] * 2
 
 
 def test_halt_is_the_last_record_only_while_it_is_last(run_dir):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import shutil
 import subprocess
 from pathlib import Path
@@ -100,6 +101,61 @@ def test_c_markers_require_both_manifest_and_source(tmp_path):
     assert detect_language(repo).language is Language.UNKNOWN  # no .c file yet
     (repo / "main.c").write_text("int main(void){return 0;}\n", encoding="utf-8")
     assert detect_language(repo).language is Language.C
+
+
+# Where a Makefile repository's only C source may sit (a file, or a
+# symlink to the ``outside`` path given), and whether the scan counts it:
+# never under a hidden directory or as a hidden file, never through a
+# symlinked directory, and only when the path is a file.
+_C_SOURCE_PLACEMENTS = [
+    ("main.c", None, Language.C),
+    ("src/deep/main.c", None, Language.C),
+    ("link.c", "real.c", Language.C),
+    (".hidden/main.c", None, Language.UNKNOWN),
+    ("src/.cache/main.c", None, Language.UNKNOWN),
+    (".main.c", None, Language.UNKNOWN),
+    ("src/.main.c", None, Language.UNKNOWN),
+    (".git/objects/main.c", None, Language.UNKNOWN),
+    ("vendor", "lib", Language.UNKNOWN),
+    ("dangling.c", "missing.c", Language.UNKNOWN),
+    ("dir.c/readme.txt", None, Language.UNKNOWN),
+    (".hidden.c", "real.c", Language.UNKNOWN),
+]
+
+
+@pytest.mark.parametrize("name,target,expected", _C_SOURCE_PLACEMENTS)
+def test_c_source_detection_skips_hidden_paths_and_symlinked_directories(tmp_path, name, target, expected):
+    outside = tmp_path / "outside"
+    (outside / "lib").mkdir(parents=True)
+    (outside / "real.c").write_text("int f;\n", encoding="utf-8")
+    (outside / "lib" / "main.c").write_text("int g;\n", encoding="utf-8")
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    (repo / "Makefile").write_text("all:\n", encoding="utf-8")
+    path = repo / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    if target is None:
+        path.write_text("int main(void){return 0;}\n", encoding="utf-8")
+    else:
+        path.symlink_to(outside / target)
+    assert detect_language(repo).language is expected
+
+
+def test_language_detection_lists_nothing_under_git(tmp_path, monkeypatch):
+    repo = _init_real_repo(tmp_path / "repo")
+    (repo / "Makefile").write_text("all:\n", encoding="utf-8")
+    (repo / "src").mkdir()
+    listed: list[Path] = []
+    scandir = os.scandir
+
+    def listing(path="."):
+        listed.append(Path(path))
+        return scandir(path)
+
+    monkeypatch.setattr(os, "scandir", listing)
+    assert detect_language(repo).language is Language.UNKNOWN
+    assert repo / "src" in listed
+    assert [p for p in listed if ".git" in p.relative_to(repo).parts] == []
 
 
 def test_validation_commands_verbatim():
@@ -406,6 +462,20 @@ def test_subprocess_git_worktree_roundtrip(tmp_path):
     assert not worktree.exists()
     # removing again is a no-op
     assert git.worktree_remove(repo, worktree).ok
+
+
+def test_remote_url_tells_a_repository_without_origin_from_no_repository(tmp_path):
+    git = SubprocessGit()
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    assert git.remote_url(plain) is None and not git.is_repo(plain)
+    assert git.remote_url(tmp_path / "missing") is None
+    repo = _init_real_repo(tmp_path / "repo")
+    (repo / "sub").mkdir()
+    bare = tmp_path / "bare.git"
+    subprocess.run(["git", "init", "-q", "--bare", str(bare)], check=True)
+    for where in (repo, repo / "sub", bare):
+        assert git.remote_url(where) == "" and git.is_repo(where)
 
 
 def test_subprocess_git_commit_and_push_to_bare_remote(tmp_path):
