@@ -5,6 +5,7 @@ actions taken.
 
 from __future__ import annotations
 
+import os
 import subprocess
 import threading
 from collections import defaultdict
@@ -39,9 +40,7 @@ class SubprocessGit:
     lock, because git does not guard all of its shared state: concurrent
     ``worktree add``s read each other's half-written administrative
     directories (``fatal: failed to read .git/worktrees/<name>/commondir``
-    on git 2.39). Different repositories proceed in parallel. A checkout
-    of a large tree writes its files in parallel worker processes (see
-    ``_checkout``)."""
+    on git 2.39). Different repositories proceed in parallel."""
 
     def __init__(self) -> None:
         self._locks: defaultdict[str, threading.Lock] = defaultdict(threading.Lock)
@@ -52,12 +51,15 @@ class SubprocessGit:
             return self._locks[str(Path(repo).resolve())]
 
     def _run(self, repo: Path, *args: str, where: Path | None = None) -> subprocess.CompletedProcess:
-        """Run git in ``where`` (default: ``repo``) under ``repo``'s lock."""
+        """Run git in ``where`` (default: ``repo``) under ``repo``'s lock,
+        in the C locale: the engine reads git's English messages."""
         with self._lock(repo):
             return subprocess.run(
                 ["git", "-C", str(where or repo), *args],
                 capture_output=True,
                 text=True,
+                errors="replace",
+                env={**os.environ, "LC_ALL": "C"},
                 check=False,
             )
 
@@ -170,14 +172,8 @@ class SubprocessGit:
         return proc
 
     def _checkout(self, repo: Path, path: Path, *args: str) -> subprocess.CompletedProcess:
-        """``git checkout -f`` in the worktree of ``repo`` at ``path``.
-
-        Files are written by one worker process per CPU
-        (``checkout.workers=0``, git 2.32 or later) when at least git's
-        ``checkout.thresholdForParallelism`` (default 100) of them change;
-        creating files is kernel time, so it spreads over CPUs. Smaller
-        checkouts stay sequential and start no worker."""
-        return self._run(repo, "-c", "checkout.workers=0", "checkout", "-q", "-f", *args, "--", where=path)
+        """``git checkout -f`` in the worktree of ``repo`` at ``path``."""
+        return self._run(repo, "checkout", "-q", "-f", *args, "--", where=path)
 
     def _clean(
         self, repo: Path, checkout: subprocess.CompletedProcess, path: Path
@@ -239,10 +235,11 @@ class SubprocessGit:
         return self._result(GitAction.RESET, proc, commit)
 
     def ls_tracked(self, repo: Path) -> list[str]:
-        proc = self._run(repo, "ls-files", "--cached")
+        # -z: git prints each path as it is, not C-quoted
+        proc = self._run(repo, "ls-files", "-z", "--cached")
         if proc.returncode != 0:
             return []
-        return [line for line in proc.stdout.splitlines() if line]
+        return [path for path in proc.stdout.split("\0") if path]
 
     def remote_url(self, repo: Path) -> str | None:
         """The URL of ``origin``: ``""`` in a repository without one (git

@@ -738,7 +738,8 @@ class Orchestrator:
         idle worktree, if one is left: the sandbox of a worktree role
         outside the batch, taken in role order. A carry saves the
         ``worktree add`` and, at the session's end, one ``worktree
-        remove``; its checkout writes the whole tree, as an add's does."""
+        remove``. Its checkout rewrites no file but hashes each tracked
+        one twice: the add wrote them within its index's second."""
         sandboxes = self.run_dir.sandboxes_dir
         worktree_roles = sorted(self.workflow.roles() & WORKTREE_ROLES)
         idle = [

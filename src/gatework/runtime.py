@@ -282,6 +282,7 @@ class SubprocessBackend(AgentBackend):
             stderr=subprocess.PIPE,
             cwd=req.sandbox.path,
             text=True,
+            errors="replace",
             start_new_session=True,
         ) as proc:
             with self._lock:

@@ -229,9 +229,7 @@ class RecordingGit(SubprocessGit):
 
 
 def pytest_report_header(config) -> str:
-    # Every scenario runs on the system git, so a log names the one it ran
-    # on. Sandbox checkouts start one worker per CPU (checkout.workers=0),
-    # which needs git 2.32 or later.
+    # Every scenario runs on the system git, so a log names the one it ran on.
     version = subprocess.run(["git", "--version"], capture_output=True, text=True, check=True).stdout.strip()
     return f"{version}, {os.cpu_count()} CPUs"
 

@@ -277,6 +277,21 @@ def test_subprocess_backend_completion(tmp_path):
     assert "working..." in log_path.read_text(encoding="utf-8")
 
 
+def test_subprocess_backend_completes_despite_a_non_utf8_byte(tmp_path):
+    req = _request(tmp_path, R.REVIEWER, 7)
+    backend = SubprocessBackend([
+        "python3", "-c",
+        "import pathlib, sys\n"
+        "pathlib.Path('review.md').write_text('# Review\\n')\n"
+        "sys.stdout.buffer.write(b'caf\\xe9\\nOUTCOME: COMPLETED\\n')\n",
+    ])
+    log_path = tmp_path / "logs" / "reviewer.log"
+    log_path.parent.mkdir()
+    outcome = dispatch(req, backend, log_path=log_path)
+    assert outcome.status is OutcomeStatus.COMPLETED
+    assert "caf\ufffd" in log_path.read_text(encoding="utf-8")
+
+
 def test_subprocess_backend_signal_with_payload_file(tmp_path):
     req = _request(tmp_path, R.BUILDER, 9)
     outcome = dispatch(req, SubprocessBackend(["python3", "-c", _SIGNALER]))

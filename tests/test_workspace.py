@@ -499,6 +499,17 @@ def test_subprocess_git_commit_and_push_to_bare_remote(tmp_path):
     assert git.default_branch(repo) == "main"
 
 
+def test_subprocess_git_reads_english_under_a_german_locale(tmp_path, monkeypatch):
+    repo = _init_real_repo(tmp_path / "repo")
+    monkeypatch.setenv("LANGUAGE", "de")
+    monkeypatch.setenv("LC_ALL", "C.UTF-8")
+    if "nichts zu committen" not in _git(repo, "status"):
+        pytest.skip("git prints no German messages here")
+    result = SubprocessGit().commit(repo, "nothing new", [])
+    assert result.ok, result.output
+    assert result.detail == "nothing new (nothing to commit)"
+
+
 # --- workspace validation -------------------------------------------------------------
 
 
@@ -522,6 +533,15 @@ def test_validate_flags_tracked_local_paths_with_real_git(tmp_path):
     _git(root, "add", "panelkit/tmp/scratch.bin")
     report = validate_workspace(layout, git=SubprocessGit())
     assert any("local-only path tracked for push" in v for v in report.violations)
+
+
+def test_validate_flags_a_tracked_local_path_with_a_non_ascii_name(tmp_path):
+    root = _init_real_repo(tmp_path / "workspace")
+    layout = WorkspaceLayout(root=root, repo_name="target").ensure()
+    (layout.logs_dir / "café.md").write_text("x\n", encoding="utf-8")
+    _git(root, "add", "target/logs/café.md")
+    report = validate_workspace(layout, git=SubprocessGit())
+    assert "local-only path tracked for push: target/logs/café.md" in report.violations
 
 
 def test_validate_missing_workspace_dirs(tmp_path):
