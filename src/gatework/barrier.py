@@ -178,6 +178,12 @@ class Sandbox:
         return target
 
 
+def worktree_slot(sandboxes: Path, slot: int) -> Path:
+    """Where worktree slot ``slot`` of a run whose sandboxes live in
+    ``sandboxes`` is: ``<sandboxes>/worktree-<slot>``."""
+    return sandboxes / f"worktree-{slot}"
+
+
 def create_sandbox(
     role: AgentRole,
     base_repo: Path,
@@ -187,15 +193,18 @@ def create_sandbox(
     clock: Clock,
     request_id: str,
     state: WorkflowState | None = None,
-    idle: Path | None = None,
+    slot: int = 0,
+    attempt: int = 1,
 ) -> Sandbox:
     """Give an execution or recording role a pristine checkout of its
-    branch at ``<run_dir.sandboxes_dir>/<role>``, holding its inputs only.
+    branch, ``agent/<role>/<request_id>``, in worktree slot ``slot`` of
+    ``run_dir.sandboxes_dir``, holding its inputs only.
 
-    The worktree is reset if it exists. If not, the ``idle`` worktree of
-    another role, when handed over, is carried there; otherwise one is
-    added. Either way no edit, untracked file, branch or artifact of an
-    earlier attempt or role survives.
+    The slot is added if it does not exist, and reset in place if it
+    does, whichever role ran in it last. The role's first ``attempt`` of
+    the run creates its branch at the main checkout's HEAD; a later one
+    checks the branch out as it is. Either way no edit, untracked file,
+    branch or artifact of an earlier attempt or role survives.
     """
     if role not in WORKTREE_ROLES:
         raise MisconfigurationError(
@@ -203,15 +212,14 @@ def create_sandbox(
             f"worktree roles: {sorted(r.value for r in WORKTREE_ROLES)}"
         )
     sandboxes = run_dir.sandboxes_dir
-    path = sandboxes / role.value
+    path = worktree_slot(sandboxes, slot)
     branch = f"agent/{role.value}/{request_id}"
+    new_branch = attempt == 1
     if path.exists():
-        verb, result = "reset", git.worktree_reset(base_repo, path, branch)
-    elif idle is not None:
-        verb, result = "carry", git.worktree_carry(base_repo, idle, path, branch)
+        verb, result = "reset", git.worktree_reset(base_repo, path, branch, new_branch=new_branch)
     else:
         sandboxes.mkdir(exist_ok=True)
-        verb, result = "creation", git.worktree_add(base_repo, path, branch)
+        verb, result = "creation", git.worktree_add(base_repo, path, branch, new_branch=new_branch)
     if not result.ok:
         raise EnvironmentFailure(f"worktree {verb} failed: {result.output}")
     return _materialize(role, path, run_dir=run_dir, clock=clock, state=state)

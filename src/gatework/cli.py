@@ -127,7 +127,11 @@ def _open_run(run_dir: RunDirectory) -> tuple[dict, RunState]:
         raise RunDirectoryError(f"{config_path} does not parse: {exc}") from None
     if not isinstance(config, dict) or not {"workflow_id", "backends"} <= config.keys():
         raise RunDirectoryError(f"{config_path} does not hold a workflow_id and backends")
-    return config, reconstruct_run_state(run_dir, workflow_by_id(config["workflow_id"]))
+    try:
+        workflow = workflow_by_id(config["workflow_id"])
+    except (ValueError, TypeError) as exc:  # an id the catalog lacks, or no id at all
+        raise RunDirectoryError(f"{config_path} does not name a workflow of the catalog: {exc}") from None
+    return config, reconstruct_run_state(run_dir, workflow)
 
 
 class _SessionInputs(NamedTuple):
@@ -211,16 +215,19 @@ def cmd_run(args: argparse.Namespace, console: _Console) -> int:
         "workspace": str(workspace_root) if workspace_root else None,
         "deterministic": args.deterministic,
     }
-    answers = _read_answers(Path(args.answers)) if args.answers else None
+    try:
+        answers = _read_answers(Path(args.answers)) if args.answers else None
+    except (OSError, ValueError) as exc:
+        console.echo(f"[environment] cannot read answers file: {exc}")
+        return EXIT_ENVIRONMENT
     inputs = _session_inputs(config, answers, console)
     try:
         workflow = select_workflow(args.directive, args.workflow, channel=inputs.channel)
+        check_single_run(workflow)
     except HoldUnanswered as exc:
         console.echo(f"[escalation] {exc.question}")
         return EXIT_ESCALATION
-    try:
-        check_single_run(workflow)
-    except MisconfigurationError as exc:
+    except MisconfigurationError as exc:  # an unknown or wrapper workflow
         console.echo(str(exc))
         return EXIT_GATE
     # an answer that picked the workflow is not one the sessions are given

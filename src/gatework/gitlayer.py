@@ -18,7 +18,6 @@ class GitAction(str, Enum):
     WORKTREE_ADD = "WORKTREE_ADD"
     WORKTREE_REMOVE = "WORKTREE_REMOVE"
     WORKTREE_RESET = "WORKTREE_RESET"
-    WORKTREE_CARRY = "WORKTREE_CARRY"
     STAGE = "STAGE"
     COMMIT = "COMMIT"
     PUSH = "PUSH"
@@ -94,11 +93,11 @@ class SubprocessGit:
         proc = self._run(repo, "rev-parse", "-q", "--verify", f"refs/heads/{branch}")
         return proc.returncode == 0
 
-    def worktree_add(self, repo: Path, path: Path, branch: str) -> GitResult:
+    def worktree_add(self, repo: Path, path: Path, branch: str, *, new_branch: bool) -> GitResult:
         """Add a worktree of ``repo`` at ``path`` holding a pristine checkout
-        of ``branch``: created at the main checkout's HEAD, or checked out
-        as it is if it exists. Refuses (``ok=False``) a ``path`` that
-        exists; a failed add leaves no worktree and no branch behind."""
+        of ``branch``, as :meth:`_check_out_branch` makes it. Refuses
+        (``ok=False``) a ``path`` that exists; a failed add leaves no
+        worktree and no branch behind."""
         # git -C <repo> resolves relative worktree paths against the repo,
         # not our working directory, so pass an absolute path
         path = Path(path).resolve()
@@ -108,14 +107,14 @@ class SubprocessGit:
         # already there is touched
         if path.exists():
             return _refused(GitAction.WORKTREE_ADD, detail, f"{path} already exists")
-        # an empty worktree, filled by the checkout step a carry runs too;
+        # an empty worktree, filled by the checkout step a reset runs too;
         # `worktree add -b` would start `branch`, `symbolic-ref` and
         # `reset --hard` of its own. Forced twice, git takes over a path
         # it still lists, even locked, after its directory was wiped (as
         # a reboot wipes /dev/shm); an existing path was refused above
         proc = self._run(repo, "worktree", "add", "-f", "-f", "--detach", "--no-checkout", str(path))
         if proc.returncode == 0:
-            proc = self._check_out_branch(repo, path, branch)
+            proc = self._check_out_branch(repo, path, branch, new_branch)
             if proc.returncode != 0:
                 self._run(repo, "worktree", "remove", "--force", str(path))
         return self._result(GitAction.WORKTREE_ADD, proc, detail)
@@ -128,45 +127,35 @@ class SubprocessGit:
         proc = self._run(repo, "worktree", "remove", "--force", "--force", str(path))
         return self._result(GitAction.WORKTREE_REMOVE, proc, str(path))
 
-    def worktree_reset(self, repo: Path, path: Path, branch: str) -> GitResult:
-        """Restore an existing worktree of ``repo`` to a fresh checkout of
-        ``branch``: tracked edits reverted, untracked and ignored files
-        deleted. Refuses (``ok=False``) a path that is not a worktree."""
+    def worktree_reset(self, repo: Path, path: Path, branch: str, *, new_branch: bool) -> GitResult:
+        """Turn the existing worktree of ``repo`` at ``path``, whatever it
+        holds, into a pristine checkout of ``branch``, as
+        :meth:`_check_out_branch` makes it: tracked edits reverted,
+        untracked and ignored files deleted. Refuses (``ok=False``) a path
+        that is not a linked worktree."""
         path = Path(path).resolve()
         # anywhere else, git would reset the enclosing repository's checkout
         if not is_linked_worktree(path):
             return _refused(GitAction.WORKTREE_RESET, str(path), f"{path} is not a linked worktree")
         # like `reset --hard`, but also returns HEAD to the branch if the
         # agent switched branches or detached it
-        proc = self._checkout(repo, path, branch)
+        proc = self._check_out_branch(repo, path, branch, new_branch)
         return self._result(GitAction.WORKTREE_RESET, self._clean(repo, proc, path), str(path))
 
-    def worktree_carry(self, repo: Path, source: Path, path: Path, branch: str) -> GitResult:
-        """Move the idle worktree of ``repo`` at ``source`` to ``path`` and
-        leave there a pristine checkout of ``branch``: created at the main
-        checkout's HEAD, as ``worktree_add`` would, or checked out as it is
-        if it exists. Refuses (``ok=False``) a ``source`` that is not a
-        worktree and a ``path`` that exists."""
-        source, path = Path(source).resolve(), Path(path).resolve()
-        detail = f"{source} -> {path} on {branch}"
-        if not is_linked_worktree(source):
-            return _refused(GitAction.WORKTREE_CARRY, detail, f"{source} is not a linked worktree")
-        # `worktree move` onto an existing directory moves into it
-        if path.exists():
-            return _refused(GitAction.WORKTREE_CARRY, detail, f"{path} already exists")
-        # forced twice, so a worktree its agent locked moves too
-        proc = self._run(repo, "worktree", "move", "-f", "-f", str(source), str(path))
-        if proc.returncode == 0:
-            proc = self._check_out_branch(repo, path, branch)
-        return self._result(GitAction.WORKTREE_CARRY, self._clean(repo, proc, path), detail)
-
-    def _check_out_branch(self, repo: Path, path: Path, branch: str) -> subprocess.CompletedProcess:
-        """Check out ``branch`` in the worktree of ``repo`` at ``path``:
-        created at the main checkout's HEAD, or as it is if it exists."""
+    def _check_out_branch(
+        self, repo: Path, path: Path, branch: str, new_branch: bool
+    ) -> subprocess.CompletedProcess:
+        """Check out ``branch`` in the worktree of ``repo`` at ``path``. A
+        ``new_branch`` is created at the main checkout's HEAD, or checked
+        out as it is if a session that journaled nothing left it. Any other
+        is checked out as it is, even if another worktree of ``repo`` has
+        it checked out: the caller vouches that the branch is its own, so
+        that worktree can only be one it holds idle."""
+        if not new_branch:
+            return self._checkout(repo, path, "--ignore-other-worktrees", branch)
         # --no-track: an agent branch never writes the target's config,
         # whatever the user's branch.autoSetupMerge says
         proc = self._checkout(repo, path, "--no-track", "-b", branch, "main-worktree/HEAD")
-        # the branch may survive from an earlier session of this run
         if proc.returncode != 0 and self._has_branch(repo, branch):
             proc = self._checkout(repo, path, branch)
         return proc

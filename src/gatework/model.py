@@ -238,23 +238,20 @@ GATING_ROLES: Mapping[WorkflowState, tuple[AgentRole, ...]] = {
 }
 
 
-def owed_artifacts(role: AgentRole, roles: frozenset[AgentRole]) -> tuple[ArtifactKind, ...]:
-    """What ``role`` owes a workflow dispatching ``roles``, in declaration
-    order; nothing when ``role`` is not dispatched."""
-    if role not in roles:
-        return ()
-    return tuple(kind for kind in _ROLE_ARTIFACTS[role] if SPEC_CONSUMERS.get(kind, role) in roles)
-
-
-def contracted_artifacts(role: AgentRole, workflow: WorkflowType) -> frozenset[ArtifactKind]:
-    """The artifact kinds ``role`` owes the downstream gates of ``workflow``.
+def contracted_artifacts(role: AgentRole, workflow: WorkflowType) -> tuple[ArtifactKind, ...]:
+    """The artifacts ``role`` owes the gates of ``workflow``, in declaration
+    order: those ARTIFACT_PRODUCERS assigns it, less any specification
+    whose consumer the workflow does not dispatch.
 
     A dispatchable role absent from this workflow's DAG owes nothing; only
     the leader, which is never dispatched, is a misconfiguration here.
     """
     if role is AgentRole.LEADER:
         raise MisconfigurationError("the leader is not dispatched and has no artifact contract")
-    return frozenset(owed_artifacts(role, workflow.roles()))
+    roles = workflow.roles()
+    if role not in roles:
+        return ()
+    return tuple(kind for kind in _ROLE_ARTIFACTS[role] if SPEC_CONSUMERS.get(kind, role) in roles)
 
 
 class OutcomeStatus(str, Enum):

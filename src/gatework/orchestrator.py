@@ -28,6 +28,7 @@ from gatework.barrier import (
     create_plain_sandbox,
     create_sandbox,
     merge_access_logs,
+    worktree_slot,
 )
 from gatework.clock import Clock, TickClock, parse_iso8601
 from gatework.errors import (
@@ -214,7 +215,10 @@ def select_workflow(
     asks the user, naming the top two candidates.
     """
     if override is not None:
-        return workflow_by_id(override)
+        try:
+            return workflow_by_id(override)
+        except ValueError as exc:
+            raise MisconfigurationError(str(exc)) from None
     if not directive.strip():
         raise MisconfigurationError("workflow selection needs a directive or an override")
     ranked = classify_directive(directive)
@@ -702,24 +706,25 @@ class Orchestrator:
             return TickClock(start=self.clock.start, step_seconds=self.clock.step_seconds)
         return self.clock
 
-    def _make_sandbox(self, role: AgentRole, idle: Path | None) -> Sandbox:
+    def _make_sandbox(self, role: AgentRole, attempt: int, slot: int | None) -> Sandbox:
         common = {"run_dir": self.run_dir, "clock": self._sandbox_clock(), "state": self.run_state.current}
-        if role in WORKTREE_ROLES:
+        if slot is not None:
             return create_sandbox(
-                role, self.target_repo, git=self.git, request_id=self.request_id, idle=idle, **common
+                role, self.target_repo, git=self.git, request_id=self.request_id,
+                slot=slot, attempt=attempt, **common,
             )
         return create_plain_sandbox(role, **common)
 
     def _dispatch_role(
-        self, role: AgentRole, attempt: int | None, idle: Path | None, made: dict[AgentRole, Sandbox]
+        self, role: AgentRole, attempt: int | None, slot: int | None, made: dict[AgentRole, Sandbox]
     ) -> tuple[AgentOutcome, dict | None]:
-        """Dispatch one role, carrying the ``idle`` worktree to its sandbox
-        if it has none, and collect what it produced or route its signal.
-        The sandbox enters ``made`` once it exists, so only a dispatch that
-        ran is journaled, with its access events even if it failed."""
+        """Dispatch one role, in worktree slot ``slot`` if it has one,
+        and collect what it produced or route its signal. The sandbox
+        enters ``made`` once it exists, so only a dispatch that ran is
+        journaled, with its access events even if it failed."""
         if attempt is None:
             raise MisconfigurationError(f"no backend configured for {role.value}")
-        sandbox = made[role] = self._make_sandbox(role, idle)
+        sandbox = made[role] = self._make_sandbox(role, attempt, slot)
         req = DispatchRequest(
             role=role, sandbox=sandbox, briefing=self._briefing(role, sandbox),
             workflow=self.workflow, attempt=attempt,
@@ -733,31 +738,11 @@ class Orchestrator:
                 self.run_dir.write(kind, source.read_text(encoding="utf-8"))
         return outcome, routing
 
-    def _idle_worktrees(self, batch: Sequence[AgentRole]) -> dict[AgentRole, Path]:
-        """Hand each worktree role of ``batch`` that has no sandbox yet an
-        idle worktree, if one is left: the sandbox of a worktree role
-        outside the batch, taken in role order. A carry saves the
-        ``worktree add`` and, at the session's end, one ``worktree
-        remove``. Its checkout rewrites no file but hashes each tracked
-        one twice: the add wrote them within its index's second."""
-        sandboxes = self.run_dir.sandboxes_dir
-        worktree_roles = sorted(self.workflow.roles() & WORKTREE_ROLES)
-        idle = [
-            sandboxes / role.value
-            for role in worktree_roles
-            if role not in batch and (sandboxes / role.value).exists()
-        ]
-        needing = [
-            role
-            for role in batch
-            if role in WORKTREE_ROLES and not (sandboxes / role.value).exists()
-        ]
-        return dict(zip(needing, idle))
-
     def _dispatch_batch(self, roles: Sequence[AgentRole]) -> None:
         """Dispatch a batch concurrently, one thread per role, and go on
-        only once every dispatch has finished. Each dispatch has one
-        result, what ``_dispatch_role`` returned or raised: a
+        only once every dispatch has finished. The i-th worktree role of
+        the batch, in batch order, runs in worktree slot i. Each dispatch
+        has one result, what ``_dispatch_role`` returned or raised: a
         ``GateworkError`` (an unroutable signal included) is a failed
         dispatch, and any other exception is raised once the batch has
         ended, the first in batch order, with nothing of the batch journaled.
@@ -769,9 +754,10 @@ class Orchestrator:
         dispatch halt the session, recorded under the role's name, or else
         the first signal past its retry cap."""
         try:
-            idle = self._idle_worktrees(roles)
+            self.run_dir.sandboxes_dir  # found once, before any worker looks
         except EnvironmentFailure as exc:  # the scratch root was refused
             raise _Halt(diagnostics={"environment": str(exc)}) from exc
+        slots = {role: i for i, role in enumerate(r for r in roles if r in WORKTREE_ROLES)}
         # fixed before any worker starts; a role's dispatch count is its attempt
         attempts = {r: self.run_state.dispatches.get(r, 0) + 1 for r in roles if r in self.backends}
         made: dict[AgentRole, Sandbox] = {}
@@ -779,7 +765,7 @@ class Orchestrator:
 
         def work(i: int, role: AgentRole) -> None:
             try:
-                results[i] = self._dispatch_role(role, attempts.get(role), idle.get(role), made)
+                results[i] = self._dispatch_role(role, attempts.get(role), slots.get(role), made)
             except BaseException as exc:
                 results[i] = exc
 
@@ -954,16 +940,17 @@ class Orchestrator:
 
     def _remove_sandboxes(self) -> None:
         """Sandboxes are disposable once artifacts and audit logs are
-        collected. Each worktree is removed, which frees the role branches
-        for a later session, and then the run's sandbox directory with
-        whatever else agents left in it, so no checkout outlives its
+        collected. Each worktree slot is removed, which frees the role
+        branches for a later session, and then the run's sandbox directory
+        with whatever else agents left in it, so no checkout outlives its
         session in memory. A refused scratch root holds none."""
         try:
             sandboxes = self.run_dir.sandboxes_dir
         except EnvironmentFailure:
             return
-        for role in sorted(self.workflow.roles() & WORKTREE_ROLES):
-            path = sandboxes / role.value
+        # a batch fills slots from 0, one per worktree role it holds
+        for slot in range(len(self.workflow.roles() & WORKTREE_ROLES)):
+            path = worktree_slot(sandboxes, slot)
             if not path.is_symlink() and is_linked_worktree(path):
                 self.git.worktree_remove(self.target_repo, path)
         if sandboxes.exists():

@@ -379,22 +379,24 @@ def dispatch(req: DispatchRequest, backend: AgentBackend, log_path: Path | None 
         raise ContractError(
             f"{req.role.value} reported COMPLETED without contracted artifact(s): {missing}"
         )
-    return outcome._replace(produced=owed)
+    return outcome._replace(produced=frozenset(owed))
 
 
 def load_backends(config_path: Path) -> dict[AgentRole, AgentBackend]:
     """Load a role→backend map from a JSON config file.
 
     Schema: ``{"backends": {"<role>": {"kind": "scripted", "script":
-    "<path>"} | {"kind": "subprocess", "command": [...]}}}``. Relative
-    script paths resolve against the config file's directory.
+    "<path>"} | {"kind": "subprocess", "command": ["<program>",
+    "<argument>", ...]}}}``. Relative script paths resolve against the
+    config file's directory. Anything else is a MisconfigurationError
+    naming the file, and the role whose entry it is.
     """
     config_path = Path(config_path)
     try:
         raw = json.loads(config_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise MisconfigurationError(f"cannot load backend config {config_path}: {exc}") from exc
-    entries = raw.get("backends")
+    entries = raw.get("backends") if isinstance(raw, dict) else None
     if not isinstance(entries, dict):
         raise MisconfigurationError(f"{config_path}: top-level 'backends' object required")
     backends: dict[AgentRole, AgentBackend] = {}
@@ -403,14 +405,20 @@ def load_backends(config_path: Path) -> dict[AgentRole, AgentBackend]:
             role = AgentRole(role_name)
         except ValueError:
             raise MisconfigurationError(f"{config_path}: unknown role {role_name!r}") from None
-        kind = spec.get("kind")
-        if kind == BackendKind.SCRIPTED.value:
-            script_path = Path(spec["script"])
-            if not script_path.is_absolute():
-                script_path = config_path.parent / script_path
-            backends[role] = ScriptedBackend.from_file(script_path)
-        elif kind == BackendKind.SUBPROCESS.value:
-            backends[role] = SubprocessBackend(list(spec["command"]))
+        spec = spec if isinstance(spec, dict) else {}
+        kind, script, argv = spec.get("kind"), spec.get("script"), spec.get("command")
+        if not (isinstance(argv, list) and all(isinstance(arg, str) for arg in argv)):
+            argv = []
+        if kind == BackendKind.SCRIPTED.value and isinstance(script, str):
+            try:  # a relative script path is the config file's neighbour
+                backends[role] = ScriptedBackend.from_file(config_path.parent / script)
+            except (OSError, ValueError) as exc:
+                raise MisconfigurationError(f"{config_path}: {role_name} script: {exc}") from None
+        elif kind == BackendKind.SUBPROCESS.value and argv:
+            backends[role] = SubprocessBackend(argv)
         else:
-            raise MisconfigurationError(f"{config_path}: unknown backend kind {kind!r} for {role_name}")
+            raise MisconfigurationError(
+                f"{config_path}: the {role_name} entry must be {{'kind': 'scripted', 'script': <path>}}"
+                " or {'kind': 'subprocess', 'command': <non-empty list of strings>}"
+            )
     return backends

@@ -29,7 +29,7 @@ from gatework.model import (
     SignalKind,
     WorkflowState,
     WorkflowType,
-    owed_artifacts,
+    contracted_artifacts,
     signal_owner_check,
 )
 from gatework.rundir import RunDirectory
@@ -63,8 +63,7 @@ def required_for(state: WorkflowState, workflow: WorkflowType) -> tuple[Requirem
     state: a workflow without a tester does not gate on audit.md, a
     workflow without a simulator does not gate on sim-spec.md, and so on.
     """
-    roles = workflow.roles()
-    owed = [kind for role in GATING_ROLES[state] for kind in owed_artifacts(role, roles)]
+    owed = [kind for role in GATING_ROLES[state] for kind in contracted_artifacts(role, workflow)]
     return tuple(
         Requirement(kind, Predicate.HAS_VERDICT if kind is ArtifactKind.REVIEW else Predicate.EXISTS)
         for kind in (*_BOOTSTRAP_GATES.get(state, ()), *owed)

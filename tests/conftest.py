@@ -191,8 +191,8 @@ def repo_without_language(repo: Path) -> Path:
 
 class RecordingGit(SubprocessGit):
     """Real git that records what it was asked: ``calls`` names each
-    worktree operation and the sandbox it made, ``actions`` holds the
-    result of every stage, commit and push."""
+    worktree operation and the worktree slot it made or reset,
+    ``actions`` holds the result of every stage, commit and push."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -206,17 +206,13 @@ class RecordingGit(SubprocessGit):
         self.actions.append(result)
         return result
 
-    def worktree_add(self, repo, path, branch):
+    def worktree_add(self, repo, path, branch, *, new_branch):
         self.calls.append(("add", Path(path).name))
-        return super().worktree_add(repo, path, branch)
+        return super().worktree_add(repo, path, branch, new_branch=new_branch)
 
-    def worktree_reset(self, repo, path, branch):
+    def worktree_reset(self, repo, path, branch, *, new_branch):
         self.calls.append(("reset", Path(path).name))
-        return super().worktree_reset(repo, path, branch)
-
-    def worktree_carry(self, repo, source, path, branch):
-        self.calls.append(("carry", Path(path).name))
-        return super().worktree_carry(repo, source, path, branch)
+        return super().worktree_reset(repo, path, branch, new_branch=new_branch)
 
     def stage(self, repo, paths):
         return self._record(super().stage(repo, paths))

@@ -126,6 +126,29 @@ def test_run_refuses_a_wrapper_workflow_before_any_run_starts(tmp_path, capsys, 
     assert "run_issue_patrol" in out and "run_scheduled_loop" in out
 
 
+def test_run_refuses_an_unknown_workflow_id_before_any_run_starts(tmp_path, capsys):
+    repo = init_git_repo(tmp_path / "repo")
+    config = write_backend_config(tmp_path / "backends", 1)
+    runs_root = tmp_path / "runs"
+    code = main(
+        ["run", "--repo", str(repo), "--backends", str(config), "--runs-root", str(runs_root),
+         "--workflow", "99"]
+    )
+    assert code == 2
+    assert capsys.readouterr().out == "no workflow with id 99; catalog has 1..10\n"
+    assert not runs_root.exists()
+
+
+def test_run_with_an_answers_file_that_cannot_be_read_exits_4_before_any_run_starts(tmp_path, capsys):
+    absent = tmp_path / "absent-answers.txt"
+    code, runs_root = _run_cli(tmp_path, 9, "--answers", str(absent), builder_holds=1)
+    assert code == 4
+    out = capsys.readouterr().out
+    assert out.startswith("[environment] cannot read answers file: ") and str(absent) in out
+    assert out.count("\n") == 1
+    assert not runs_root.exists()
+
+
 def test_run_on_a_directory_that_is_not_a_git_repository_stops_at_the_credentials_gate(tmp_path):
     plain = tmp_path / "plain"
     plain.mkdir()
@@ -810,11 +833,16 @@ def _without(key: str):
     return lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != key})
 
 
+def _unknown_workflow(text: str) -> str:
+    return json.dumps({**json.loads(text), "workflow_id": 99})
+
+
 @pytest.mark.parametrize(
     "damage,says",
     [(_cut_short, "does not parse"), (_without("workflow_id"), "does not hold"),
-     (_without("backends"), "does not hold")],
-    ids=["cut short", "no workflow_id", "no backends"],
+     (_without("backends"), "does not hold"),
+     (_unknown_workflow, "does not name a workflow of the catalog: no workflow with id 99")],
+    ids=["cut short", "no workflow_id", "no backends", "unknown workflow_id"],
 )
 @pytest.mark.parametrize("command", OPENING_COMMANDS)
 def test_a_run_config_that_cannot_be_read_exits_4_and_is_kept(tmp_path, capsys, command, damage, says):

@@ -266,7 +266,7 @@ def test_no_role_depends_on_a_same_stage_peer():
                 for peer in stage:
                     if peer is reader:
                         continue
-                    overlap = readable & contracted_artifacts(peer, wf)
+                    overlap = readable.intersection(contracted_artifacts(peer, wf))
                     assert not overlap, (
                         f"workflow {wf.id}: {reader.value} reads "
                         f"{sorted(k.filename for k in overlap)} produced by same-stage "

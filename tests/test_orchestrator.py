@@ -814,34 +814,36 @@ def test_failed_dispatch_in_a_parallel_stage_is_recorded_under_the_failing_role(
 
 class _OccupyingBackend(AgentBackend):
     """Runs ``inner``, then leaves something else (by default a plain
-    directory) where the ``blocked`` role's sandbox goes, which git
-    refuses to reset as a worktree."""
+    directory) at worktree slot ``slot``, which git refuses to reset as a
+    worktree."""
 
     kind = BackendKind.SCRIPTED
 
-    def __init__(self, inner: AgentBackend, blocked: AgentRole, occupy=Path.mkdir):
+    def __init__(self, inner: AgentBackend, slot: int, occupy=Path.mkdir):
         self.inner = inner
-        self.blocked = blocked
+        self.slot = slot
         self.occupy = occupy
 
     def execute(self, req, log_path=None):
-        self.occupy(req.sandbox.path.parent / self.blocked.value)
+        self.occupy(req.sandbox.path.parent / f"worktree-{self.slot}")
         return self.inner.execute(req, log_path=log_path)
 
 
 def test_failed_worktree_creation_is_finalized_as_a_diagnostic(tmp_path):
-    backends = scripted_backends(workflow_by_id(9))
-    backends[R.BUILDER] = _OccupyingBackend(backends[R.BUILDER], R.TESTER)
+    # workflow 10's planner runs before the simulator (slot 0) and the tester (slot 1)
+    backends = scripted_backends(workflow_by_id(10))
+    backends[R.PLANNER] = _OccupyingBackend(backends[R.PLANNER], 1)
     # run_scripted_workflow also checks that no worktree of the target is left
-    report, run_dir, _ = run_scripted_workflow(tmp_path, 9, backends=backends)
+    report, run_dir, _ = run_scripted_workflow(tmp_path, 10, backends=backends)
 
     assert report.exit_code == 4
     assert "worktree reset failed" in report.diagnostics["tester"]
     assert "not a linked worktree" in report.diagnostics["tester"]
     assert report.final_state == "SPEC_READY"
+    assert report.dispatch_counts == {"planner": 1, "simulator": 1}
     assert run_dir.report_json_path.exists()
-    # the builder's worktree, made earlier in the session, is removed
-    assert not (run_dir.sandboxes_dir / "builder").exists()
+    # the simulator's worktree, made in the same batch, is removed
+    assert not run_dir.sandboxes_dir.exists()
 
 
 @pytest.mark.parametrize("left", ["directory", "file", "symlink"])
@@ -854,24 +856,25 @@ def test_what_an_agent_leaves_at_a_worktree_sandbox_does_not_wedge_the_run(tmp_p
         "file": lambda path: path.write_text("x\n", encoding="utf-8"),
         "symlink": lambda path: path.symlink_to(outside),
     }[left]
-    backends = scripted_backends(workflow_by_id(9))
-    backends[R.BUILDER] = _OccupyingBackend(backends[R.BUILDER], R.TESTER, occupy)
-    first, run_dir, _ = run_scripted_workflow(tmp_path, 9, backends=backends)
+    backends = scripted_backends(workflow_by_id(10))
+    backends[R.PLANNER] = _OccupyingBackend(backends[R.PLANNER], 1, occupy)
+    first, run_dir, _ = run_scripted_workflow(tmp_path, 10, backends=backends)
     assert "not a linked worktree" in first.diagnostics["tester"]
     # the session's end clears it along with the worktrees, and never
     # what a symlink points at
-    tester = run_dir.sandboxes_dir / "tester"
-    assert not tester.exists() and not tester.is_symlink()
+    slot = run_dir.sandboxes_dir / "worktree-1"
+    assert not slot.exists() and not slot.is_symlink()
     assert (outside / "keep.txt").read_text(encoding="utf-8") == "keep\n"
 
     git = RecordingGit()
-    resumed = _resume(tmp_path, run_dir, 9, git)
+    resumed = _resume(tmp_path, run_dir, 10, git)
 
-    assert resumed.final_state == "PIPELINES_COMPLETE", resumed.diagnostics
+    assert resumed.final_state == "REVIEW_PASSED", resumed.diagnostics
     assert resumed.exit_code == 0
-    # the tester's sandbox is added afresh, and this time the tester runs,
-    # its attempt 1: a dispatch whose sandbox was never made is none
-    assert git.calls == [("add", "tester")]
+    # the tester, alone in its batch, gets slot 0 added afresh, and this
+    # time it runs, its attempt 1: a dispatch whose sandbox was never made
+    # is none; the scriber then takes the slot over
+    assert git.calls == [("add", "worktree-0"), ("reset", "worktree-0")]
     assert "audit.md" in resumed.artifacts
     assert "tester" not in first.dispatch_counts
     assert resumed.dispatch_counts["tester"] == 1

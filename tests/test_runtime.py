@@ -202,17 +202,18 @@ def test_dispatch_request_validates_deadline_and_attempt(tmp_path):
 
 
 def test_contracted_artifacts_spec_examples():
+    # in declaration order, which gate-violation texts list them in
     wf1 = workflow_by_id(1)
-    assert contracted_artifacts(R.SCRIBER, wf1) == frozenset({K.ARCHITECTURE, K.LOG_ENTRY, K.DOCS})
-    assert contracted_artifacts(R.SHIPPER, wf1) == frozenset()  # shipper absent from workflow 1
+    assert contracted_artifacts(R.SCRIBER, wf1) == (K.ARCHITECTURE, K.LOG_ENTRY, K.DOCS)
+    assert contracted_artifacts(R.SHIPPER, wf1) == ()  # shipper absent from workflow 1
     # oracle: planner products intersected with workflow-10 gate requirements
     wf10 = workflow_by_id(10)
-    assert contracted_artifacts(R.PLANNER, wf10) == frozenset({K.COMPREHENSION, K.SIM_SPEC, K.TEST_SPEC})
+    assert contracted_artifacts(R.PLANNER, wf10) == (K.COMPREHENSION, K.TEST_SPEC, K.SIM_SPEC)
 
 
 def test_contracted_artifacts_docs_only_planner_owes_comprehension_only():
     wf3 = workflow_by_id(3)
-    assert contracted_artifacts(R.PLANNER, wf3) == frozenset({K.COMPREHENSION})
+    assert contracted_artifacts(R.PLANNER, wf3) == (K.COMPREHENSION,)
 
 
 def test_contracted_artifacts_leader_is_misconfiguration():
@@ -387,6 +388,31 @@ def test_every_backend_kind_loads_from_a_config_file(tmp_path):
         config = tmp_path / f"{kind.value}.json"
         config.write_text(json.dumps({"backends": {"planner": spec}}), encoding="utf-8")
         assert load_backends(config)[R.PLANNER].kind is kind
+
+
+@pytest.mark.parametrize(
+    "text,role",
+    [
+        ("[]", None),
+        ('{"backends": {"planner": "scripted"}}', "planner"),
+        ('{"backends": {"planner": {"kind": "scripted"}}}', "planner"),
+        ('{"backends": {"planner": {"kind": "scripted", "script": "absent.script"}}}', "planner"),
+        ('{"backends": {"builder": {"kind": "subprocess"}}}', "builder"),
+        ('{"backends": {"builder": {"kind": "subprocess", "command": "echo hi"}}}', "builder"),
+        ('{"backends": {"builder": {"kind": "subprocess", "command": []}}}', "builder"),
+        ('{"backends": {"builder": {"kind": "subprocess", "command": ["echo", 1]}}}', "builder"),
+    ],
+    ids=["list", "string entry", "no script", "absent script", "no command", "string command",
+         "empty command", "non-string argument"],
+)
+def test_load_backends_names_the_file_and_the_role_of_a_malformed_config(tmp_path, text, role):
+    config = tmp_path / "backends.json"
+    config.write_text(text, encoding="utf-8")
+    with pytest.raises(MisconfigurationError) as excinfo:
+        load_backends(config)
+    assert str(config) in str(excinfo.value)
+    if role is not None:
+        assert role in str(excinfo.value)
 
 
 def test_load_backends_rejects_unknown_role_and_kind(tmp_path):

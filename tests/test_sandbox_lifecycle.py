@@ -1,6 +1,7 @@
-"""Worktree sandbox lifecycle on real git: one sandbox per role per run,
-reset between attempts, carried over from an idle role when a role has
-none, and removed at finalize."""
+"""Worktree sandbox lifecycle on real git: the i-th worktree role of a
+batch runs in worktree slot i, which is added if it does not exist and
+reset in place if it does, whichever role ran in it last; every slot is
+removed at finalize."""
 
 from __future__ import annotations
 
@@ -84,21 +85,22 @@ def git_spawns(tmp_path, monkeypatch) -> GitProcesses:
 
 
 # Workflow 9: one start-up query (`remote get-url origin`, whose exit code
-# also says whether the target is a repository); the builder's add
-# (`worktree add --detach --no-checkout` and the `update-ref` it starts,
-# then `checkout -f -b`); the tester's carry of it (`worktree move`,
-# `checkout -f -b`, `clean`); and one `worktree remove`.
-WF9_GIT_PROCESSES = 8
+# also says whether the target is a repository); the builder's add of slot
+# 0 (`worktree add --detach --no-checkout` and the `update-ref` it starts,
+# then `checkout -f -b`); the tester's reset of it (`checkout -f -b`,
+# `clean`); and one `worktree remove`.
+WF9_GIT_PROCESSES = 7
 # Workflow 1 with 1 HOLD, 3 BLOCKs and 1 STOP dispatches builder 4x,
 # tester 4x, scriber 2x, simulator 1x: 1 start-up query, 3 adds of 3
-# processes for the parallel stage, 6 BLOCK resets and 1 STOP reset of 2
-# processes each, the scriber's 3-process carry of the builder's
-# worktree, and 3 removes.
-WF1_FULL_RETRY_GIT_PROCESSES = 30
+# processes for the parallel stage's slots 0-2, then 8 resets of slot 0 of
+# 2 processes each (`checkout`, `clean`: 6 for the BLOCK retries, the
+# scriber's first dispatch and its STOP retry), and 3 removes.
+WF1_FULL_RETRY_GIT_PROCESSES = 29
 # Workflow 2 shipping to a bare remote: 1 start-up query, 2 adds, the
-# scriber's 3-process carry, then `add -A`, `symbolic-ref`, `commit` and
-# `push` (and the `receive-pack` it starts) on the target, and 2 removes.
-WF2_SHIP_GIT_PROCESSES = 17
+# scriber's 2-process reset of slot 0, then `add -A`, `symbolic-ref`,
+# `commit` and `push` (and the `receive-pack` it starts) on the target,
+# and 2 removes.
+WF2_SHIP_GIT_PROCESSES = 16
 
 
 def test_git_spawns_per_run_workflow_9(tmp_path, git_spawns):
@@ -107,9 +109,9 @@ def test_git_spawns_per_run_workflow_9(tmp_path, git_spawns):
     report, _, _ = run_scripted_workflow(tmp_path, 9, target_repo=repo, git=git)
     assert report.final_state == "PIPELINES_COMPLETE"
     assert git_spawns.total() == WF9_GIT_PROCESSES, git_spawns.starts()
-    # the tester takes over the builder's worktree
+    # the tester takes over the builder's slot
     assert git.adds() == 1
-    assert git.calls == [("add", "builder"), ("carry", "tester")]
+    assert git.calls == [("add", "worktree-0"), ("reset", "worktree-0")]
 
 
 def test_git_spawns_per_run_workflow_1_full_retry(tmp_path, git_spawns):
@@ -125,9 +127,11 @@ def test_git_spawns_per_run_workflow_1_full_retry(tmp_path, git_spawns):
     }
     assert report.retries == {"BLOCK": 3, "HOLD": 1, "STOP": 1}
     assert git_spawns.total() == WF1_FULL_RETRY_GIT_PROCESSES, git_spawns.starts()
-    # as many adds as the widest stage has worktree roles
+    # as many adds as the widest stage has worktree roles; every later
+    # batch holds one worktree role, which runs in slot 0
     assert git.adds() == 3
-    assert ("carry", "scriber") in git.calls
+    assert sorted(git.calls[:3]) == [("add", f"worktree-{slot}") for slot in range(3)]
+    assert git.calls[3:] == [("reset", "worktree-0")] * 8
     # every worktree is gone once the run ends
     assert _git(repo, "worktree", "list").count("\n") == 1
 
@@ -185,10 +189,8 @@ def test_retry_attempt_starts_from_pristine_checkout(tmp_path):
 
     assert report.final_state == "PIPELINES_COMPLETE"
     assert report.dispatch_counts == {"builder": 2, "tester": 2}
-    # one worktree passed back and forth between builder and tester
-    assert git.calls == [
-        ("add", "builder"), ("carry", "tester"), ("carry", "builder"), ("carry", "tester"),
-    ]
+    # one slot, taken in turn by builder and tester
+    assert git.calls == [("add", "worktree-0")] + [("reset", "worktree-0")] * 3
     first = (record / "attempt-1.txt").read_text(encoding="utf-8")
     second = (record / "attempt-2.txt").read_text(encoding="utf-8")
     assert first == f"agent/builder/{run_dir.path.name}\noriginal\n"
@@ -241,7 +243,7 @@ echo 'OUTCOME: COMPLETED'
     return SubprocessBackend(["sh", "-c", script])
 
 
-def test_carried_worktree_holds_nothing_of_the_earlier_role(tmp_path):
+def test_a_slot_taken_over_holds_nothing_of_the_earlier_role(tmp_path):
     repo = init_git_repo(tmp_path / "repo")
     (repo / "tracked.txt").write_text("original\n", encoding="utf-8")
     (repo / ".gitignore").write_text("*.log\n", encoding="utf-8")
@@ -257,7 +259,7 @@ def test_carried_worktree_holds_nothing_of_the_earlier_role(tmp_path):
     )
 
     assert report.final_state == "PIPELINES_COMPLETE", report.diagnostics
-    assert git.calls == [("add", "builder"), ("carry", "tester")]
+    assert git.calls == [("add", "worktree-0"), ("reset", "worktree-0")]
     read = lambda name: (record / name).read_text(encoding="utf-8")
     granted = read("granted").removeprefix("granted artifacts: ").strip()
     inputs = [] if granted == "(none)" else granted.split(", ")
@@ -273,17 +275,99 @@ def test_carried_worktree_holds_nothing_of_the_earlier_role(tmp_path):
     assert _git(repo, "status", "--porcelain") == ""
 
 
-def test_resumed_session_adds_a_fresh_worktree(tmp_path):
+def _committing_builder(record: Path) -> SubprocessBackend:
+    """Commits on its branch on its first attempt; on a later one records
+    the worktree as it finds it."""
+    record_q = shlex.quote(str(record))
+    script = f"""
+cat >/dev/null
+n=$(cat {record_q}/builder-attempts 2>/dev/null || echo 0); n=$((n + 1))
+echo $n > {record_q}/builder-attempts
+if [ "$n" = 1 ]; then
+  echo feature > feature.txt
+  git add feature.txt
+  git commit -q -m builder
+  git rev-parse HEAD > {record_q}/builder-commit
+else
+  git rev-parse HEAD > {record_q}/builder-retry
+  {{ git branch --show-current; git status --porcelain --ignored; }} >> {record_q}/builder-retry
+fi
+printf '# Implementation\\n\\nattempt %s\\n' "$n" > implementation.md
+echo 'OUTCOME: COMPLETED'
+"""
+    return SubprocessBackend(["sh", "-c", script])
+
+
+def _blocking_tester(record: Path) -> SubprocessBackend:
+    """On its first attempt commits on its branch, leaves a tracked edit, an
+    untracked and an ignored file on a branch of its own, and BLOCKs; on a
+    later one records where its branch is and completes."""
+    record_q = shlex.quote(str(record))
+    script = f"""
+cat >/dev/null
+n=$(cat {record_q}/tester-attempts 2>/dev/null || echo 0); n=$((n + 1))
+echo $n > {record_q}/tester-attempts
+if [ "$n" = 1 ]; then
+  echo tester > tester.txt
+  git add tester.txt
+  git commit -q -m tester
+  git rev-parse HEAD > {record_q}/tester-commit
+  echo edited >> tracked.txt
+  echo junk > untracked.txt
+  echo junk > build.log
+  git checkout -q -b detour
+  printf 'placebo test failure\\n' > block.txt
+  echo 'OUTCOME: SIGNAL BLOCK block.txt'
+else
+  git rev-parse HEAD > {record_q}/tester-retry
+  {_AUDIT}  echo 'OUTCOME: COMPLETED'
+fi
+"""
+    return SubprocessBackend(["sh", "-c", script])
+
+
+def test_a_retry_in_a_slot_another_role_used_starts_at_its_own_commit(tmp_path):
+    repo = init_git_repo(tmp_path / "repo")
+    (repo / "tracked.txt").write_text("original\n", encoding="utf-8")
+    (repo / ".gitignore").write_text("*.log\n", encoding="utf-8")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "fixture")
+    record = tmp_path / "record"
+    record.mkdir()
+    backends = {R.BUILDER: _committing_builder(record), R.TESTER: _blocking_tester(record)}
+    git = RecordingGit()
+
+    report, run_dir, _ = run_scripted_workflow(tmp_path, 9, target_repo=repo, git=git, backends=backends)
+
+    assert report.final_state == "PIPELINES_COMPLETE", report.diagnostics
+    assert report.dispatch_counts == {"builder": 2, "tester": 2}
+    # builder, tester, the builder's BLOCK retry and the tester's, in turn in slot 0
+    assert git.calls == [("add", "worktree-0")] + [("reset", "worktree-0")] * 3
+    read = lambda name: (record / name).read_text(encoding="utf-8")
+    head, branch, *status = read("builder-retry").splitlines()
+    # the builder's retry starts at the commit its first attempt made, on
+    # its own branch, with nothing of the tester's: no commit, edit,
+    # untracked or ignored file, branch or artifact
+    assert head == read("builder-commit").strip()
+    assert branch == f"agent/builder/{run_dir.path.name}"
+    assert status == []
+    # and the tester's retry starts at its own commit
+    assert read("tester-retry") == read("tester-commit")
+    assert _git(repo, "status", "--porcelain") == ""
+
+
+def test_resumed_session_adds_a_fresh_worktree(tmp_path, git_spawns):
     repo = init_git_repo(tmp_path / "repo")
     git = RecordingGit()
     first, run_dir, _ = run_scripted_workflow(
         tmp_path, 2, target_repo=repo, git=git, builder_holds=1
     )
     assert first.escalation is not None
-    assert ("add", "builder") in git.calls
+    assert sorted(git.calls) == [("add", "worktree-0"), ("add", "worktree-1")]
 
     workflow = workflow_by_id(2)
     resumed_git = RecordingGit()
+    git_spawns.clear()
     resumed = Orchestrator(
         run_dir=run_dir,
         request_id=run_dir.path.name,
@@ -301,10 +385,15 @@ def test_resumed_session_adds_a_fresh_worktree(tmp_path):
     assert resumed.final_state == "READY_TO_SHIP"
     assert resumed.dispatch_counts["builder"] == 2
     # attempt 2 of the builder, but the first dispatch of this session:
-    # the worktree was removed at the end of session 1, so it is added
-    # again on the surviving branch rather than reset
-    assert resumed_git.calls[0] == ("add", "builder")
-    assert ("reset", "builder") not in resumed_git.calls
+    # the slots were removed at the end of session 1, so slot 0 is added
+    # again, and the scriber then takes it over
+    assert resumed_git.calls == [("add", "worktree-0"), ("reset", "worktree-0")]
+    # the journal says the builder's branch exists: it is checked out as
+    # it is, and git is not asked
+    builder = f"agent/builder/{run_dir.path.name}"
+    checkouts = [argv[3:] for argv in git_spawns.argv if argv[3] == "checkout"]
+    assert checkouts[0] == ["checkout", "-q", "-f", "--ignore-other-worktrees", builder, "--"]
+    assert not any("rev-parse" in argv for argv in git_spawns.argv)
     assert _git(repo, "worktree", "list").count("\n") == 1
 
 
@@ -312,9 +401,9 @@ def test_worktree_add_takes_three_processes_and_reuses_an_existing_branch(tmp_pa
     repo = init_git_repo(tmp_path / "repo")
     git = SubprocessGit()
     path = tmp_path / "wt-new"
-    assert git.worktree_add(repo, path, "agent/builder/req-1").ok
-    # an empty worktree, then the carry's checkout step; `worktree add`
-    # starts one `update-ref` of its own
+    assert git.worktree_add(repo, path, "agent/builder/req-1", new_branch=True).ok
+    # an empty worktree, then the checkout step a reset runs too;
+    # `worktree add` starts one `update-ref` of its own
     assert [argv[3:] for argv in git_spawns.argv] == [
         ["worktree", "add", "-f", "-f", "--detach", "--no-checkout", str(path.resolve())],
         ["checkout", "-q", "-f", "--no-track", "-b", "agent/builder/req-1", "main-worktree/HEAD", "--"],
@@ -324,20 +413,31 @@ def test_worktree_add_takes_three_processes_and_reuses_an_existing_branch(tmp_pa
     assert _git(path, "rev-parse", "HEAD") == _git(repo, "rev-parse", "HEAD")
     assert _git(path, "status", "--porcelain", "--ignored") == ""
     _git(repo, "branch", "agent/tester/req-1")
-    existing = git.worktree_add(repo, tmp_path / "wt-old", "agent/tester/req-1")
+    # a branch that a session which journaled nothing left behind
+    existing = git.worktree_add(repo, tmp_path / "wt-old", "agent/tester/req-1", new_branch=True)
     assert existing.ok, existing.output
     assert _git(tmp_path / "wt-old", "rev-parse", "--abbrev-ref", "HEAD").strip() == "agent/tester/req-1"
+    # a branch the journal says exists is checked out as it is, in 3 processes
+    assert git.worktree_remove(repo, tmp_path / "wt-old").ok
+    git_spawns.clear()
+    journaled = git.worktree_add(repo, tmp_path / "wt-again", "agent/tester/req-1", new_branch=False)
+    assert journaled.ok, journaled.output
+    assert git_spawns.argv[-1][3:] == [
+        "checkout", "-q", "-f", "--ignore-other-worktrees", "agent/tester/req-1", "--",
+    ]
+    assert git_spawns.total() == 3, git_spawns.starts()
 
 
 def test_failed_worktree_add_leaves_no_worktree_behind(tmp_path):
     repo = init_git_repo(tmp_path / "repo")
     git = SubprocessGit()
-    assert git.worktree_add(repo, tmp_path / "holder", "agent/builder/req-1").ok
+    assert git.worktree_add(repo, tmp_path / "holder", "agent/builder/req-1", new_branch=True).ok
     listed = _git(repo, "worktree", "list", "--porcelain")
     branches = _git(repo, "branch", "--list")
 
-    # git checks a branch out in one worktree at most
-    result = git.worktree_add(repo, tmp_path / "second", "agent/builder/req-1")
+    # git checks a branch out in one worktree at most, unless the caller
+    # vouches that the branch is its own
+    result = git.worktree_add(repo, tmp_path / "second", "agent/builder/req-1", new_branch=True)
 
     assert not result.ok
     assert "already checked out" in result.output
@@ -353,7 +453,7 @@ def test_worktree_add_refuses_an_existing_path_and_creates_no_branch(tmp_path, g
     (occupied / "keep.txt").write_text("keep\n", encoding="utf-8")
     branches = _git(repo, "branch", "--list", "agent/*")
 
-    result = SubprocessGit().worktree_add(repo, occupied, "agent/builder/req-1")
+    result = SubprocessGit().worktree_add(repo, occupied, "agent/builder/req-1", new_branch=True)
 
     assert not result.ok
     assert "already exists" in result.output
@@ -362,38 +462,44 @@ def test_worktree_add_refuses_an_existing_path_and_creates_no_branch(tmp_path, g
     assert (occupied / "keep.txt").read_text(encoding="utf-8") == "keep\n"
 
 
-def test_worktree_carry_takes_three_processes_and_refuses_bad_paths(tmp_path, git_spawns):
+def test_worktree_reset_takes_two_processes_to_hand_a_slot_to_another_role(tmp_path, git_spawns):
     repo = init_git_repo(tmp_path / "repo")
     git = SubprocessGit()
-    idle = tmp_path / "idle"
-    assert git.worktree_add(repo, idle, "agent/builder/req-1").ok
-    occupied = tmp_path / "occupied"
-    occupied.mkdir()
-    stray = tmp_path / "stray"
-    stray.mkdir()
+    slot, idle = tmp_path / "worktree-0", tmp_path / "worktree-1"
+    assert git.worktree_add(repo, slot, "agent/builder/req-1", new_branch=True).ok
+    assert git.worktree_add(repo, idle, "agent/tester/req-1", new_branch=True).ok
+    (slot / "feature.txt").write_text("feature\n", encoding="utf-8")
+    _git(slot, "add", "feature.txt")
+    _git(slot, "commit", "-q", "-m", "builder")
+    builder_tip = _git(repo, "rev-parse", "agent/builder/req-1")
     git_spawns.clear()
 
-    # `worktree move` would move the worktree into an existing directory
-    refused = git.worktree_carry(repo, idle, occupied, "agent/tester/req-1")
-    assert not refused.ok and "already exists" in refused.output
-    for source in (stray, repo):
-        refused = git.worktree_carry(repo, source, tmp_path / "new", "agent/tester/req-1")
-        assert not refused.ok and "not a linked worktree" in refused.output
-    assert git_spawns.argv == [] and git_spawns.total() == 0
-    assert list(occupied.iterdir()) == []
-    assert not (tmp_path / "new").exists()
-
-    carried = git.worktree_carry(repo, idle, tmp_path / "tester", "agent/tester/req-1")
-    assert carried.ok, carried.output
-    move, checkout, clean = git_spawns.argv
-    assert move[3:] == [
-        "worktree", "move", "-f", "-f", str(idle.resolve()), str((tmp_path / "tester").resolve()),
+    # a role's first dispatch: its branch is made at the main checkout's HEAD
+    taken = git.worktree_reset(repo, slot, "agent/scriber/req-1", new_branch=True)
+    assert taken.ok, taken.output
+    checkout, clean = git_spawns.argv
+    assert checkout[3:] == [
+        "checkout", "-q", "-f", "--no-track", "-b", "agent/scriber/req-1", "main-worktree/HEAD", "--",
     ]
-    assert checkout[3:6] == ["checkout", "-q", "-f"]
-    assert clean[3:6] == ["clean", "-q", "-ffdx"]
-    assert git_spawns.total() == 3, git_spawns.starts()
-    assert not idle.exists()
-    assert _git(tmp_path / "tester", "branch", "--show-current") == "agent/tester/req-1\n"
+    assert clean[3:] == ["clean", "-q", "-ffdx"]
+    assert git_spawns.total() == 2, git_spawns.starts()
+    assert _git(slot, "rev-parse", "HEAD") == _git(repo, "rev-parse", "HEAD")
+    assert not (slot / "feature.txt").exists()
+    # the earlier role's commit stays on its branch
+    assert _git(repo, "rev-parse", "agent/builder/req-1") == builder_tip
+
+    # a later dispatch checks its branch out as it is, even the tester's,
+    # which the idle slot still has checked out
+    for role, tip in (("builder", builder_tip), ("tester", _git(repo, "rev-parse", "HEAD"))):
+        git_spawns.clear()
+        back = git.worktree_reset(repo, slot, f"agent/{role}/req-1", new_branch=False)
+        assert back.ok, back.output
+        assert git_spawns.argv[0][3:] == [
+            "checkout", "-q", "-f", "--ignore-other-worktrees", f"agent/{role}/req-1", "--",
+        ]
+        assert git_spawns.total() == 2, git_spawns.starts()
+        assert _git(slot, "branch", "--show-current") == f"agent/{role}/req-1\n"
+        assert _git(slot, "rev-parse", "HEAD") == tip
 
 
 def _large_repo(path: Path) -> Path:
@@ -417,23 +523,23 @@ def _large_repo(path: Path) -> Path:
 def test_sequential_checkout_of_a_large_tree_matches_the_main_checkout(tmp_path, git_spawns):
     repo = _large_repo(tmp_path / "repo")
     git = SubprocessGit()
-    builder = tmp_path / "sandboxes" / "builder"
+    slot = tmp_path / "sandboxes" / "worktree-0"
 
     def assert_pristine() -> None:
-        assert _git(builder, "status", "--porcelain", "--ignored") == ""
-        assert _git(builder, "ls-files", "-s") == _git(repo, "ls-files", "-s")
-        assert os.access(builder / "run.sh", os.X_OK)
-        assert not os.access(builder / "pkg" / "sub0" / "mod0.py", os.X_OK)
-        assert os.readlink(builder / "latest") == "pkg/sub0/mod0.py"
+        assert _git(slot, "status", "--porcelain", "--ignored") == ""
+        assert _git(slot, "ls-files", "-s") == _git(repo, "ls-files", "-s")
+        assert os.access(slot / "run.sh", os.X_OK)
+        assert not os.access(slot / "pkg" / "sub0" / "mod0.py", os.X_OK)
+        assert os.readlink(slot / "latest") == "pkg/sub0/mod0.py"
 
-    assert git.worktree_add(repo, builder, "agent/builder/req-1").ok
+    assert git.worktree_add(repo, slot, "agent/builder/req-1", new_branch=True).ok
     assert_pristine()
     # a reset rewrites every file an agent changed
-    for module in (builder / "pkg").rglob("*.py"):
+    for module in (slot / "pkg").rglob("*.py"):
         module.write_text("edited\n", encoding="utf-8")
-    (builder / "run.sh").chmod(0o644)
-    (builder / "latest").unlink()
-    assert git.worktree_reset(repo, builder, "agent/builder/req-1").ok
+    (slot / "run.sh").chmod(0o644)
+    (slot / "latest").unlink()
+    assert git.worktree_reset(repo, slot, "agent/builder/req-1", new_branch=False).ok
     assert_pristine()
 
     # git writes the files itself, with no worker processes
@@ -442,26 +548,29 @@ def test_sequential_checkout_of_a_large_tree_matches_the_main_checkout(tmp_path,
     assert workers == [], workers
 
 
-def test_worktree_carry_checks_out_a_surviving_branch_as_it_is(tmp_path):
+@pytest.mark.parametrize("new_branch", [True, False], ids=["unjournaled", "journaled"])
+def test_worktree_reset_checks_out_a_surviving_branch_as_it_is(tmp_path, new_branch):
     repo = init_git_repo(tmp_path / "repo")
     git = SubprocessGit()
     # the tester's branch survives from an earlier session, one commit ahead
-    assert git.worktree_add(repo, tmp_path / "earlier", "agent/tester/req-1").ok
+    assert git.worktree_add(repo, tmp_path / "earlier", "agent/tester/req-1", new_branch=True).ok
     (tmp_path / "earlier" / "kept.txt").write_text("kept\n", encoding="utf-8")
     _git(tmp_path / "earlier", "add", "kept.txt")
     _git(tmp_path / "earlier", "commit", "-q", "-m", "earlier session")
     kept = _git(repo, "rev-parse", "agent/tester/req-1")
     assert git.worktree_remove(repo, tmp_path / "earlier").ok
-    assert git.worktree_add(repo, tmp_path / "idle", "agent/builder/req-1").ok
+    slot = tmp_path / "worktree-0"
+    assert git.worktree_add(repo, slot, "agent/builder/req-1", new_branch=True).ok
 
-    carried = git.worktree_carry(repo, tmp_path / "idle", tmp_path / "tester", "agent/tester/req-1")
+    # whether or not the journal knows of the branch
+    reset = git.worktree_reset(repo, slot, "agent/tester/req-1", new_branch=new_branch)
 
-    assert carried.ok, carried.output
-    assert _git(tmp_path / "tester", "rev-parse", "HEAD") == kept
-    assert (tmp_path / "tester" / "kept.txt").exists()
+    assert reset.ok, reset.output
+    assert _git(slot, "rev-parse", "HEAD") == kept
+    assert (slot / "kept.txt").exists()
 
 
-def test_worktree_reset_refuses_a_directory_that_is_not_a_worktree(tmp_path):
+def test_worktree_reset_refuses_a_directory_that_is_not_a_worktree(tmp_path, git_spawns):
     repo = init_git_repo(tmp_path / "repo")
     (repo / "pyproject.toml").write_text("[project]\nname = 'edited'\n", encoding="utf-8")
     (repo / "notes.txt").write_text("keep me\n", encoding="utf-8")
@@ -470,10 +579,13 @@ def test_worktree_reset_refuses_a_directory_that_is_not_a_worktree(tmp_path):
     outside = tmp_path / "outside"
     outside.mkdir()
     git = SubprocessGit()
-    for path in (stray, outside, repo):
-        result = git.worktree_reset(repo, path, "main")
-        assert not result.ok
-        assert "not a linked worktree" in result.output
+    for path in (stray, outside, repo, tmp_path / "absent"):
+        for new_branch in (True, False):
+            result = git.worktree_reset(repo, path, "main", new_branch=new_branch)
+            assert not result.ok
+            assert "not a linked worktree" in result.output
+    # refused before any git process starts
+    assert git_spawns.argv == [] and git_spawns.total() == 0
     # the main checkout keeps its edit and its untracked files
     assert "edited" in (repo / "pyproject.toml").read_text(encoding="utf-8")
     assert (repo / "notes.txt").exists()
@@ -496,16 +608,16 @@ def test_agent_branches_leave_the_target_config_as_it_was(tmp_path, monkeypatch)
     report, _, _ = run_scripted_workflow(tmp_path, 1, target_repo=repo, git=git)
 
     assert report.final_state == "REVIEW_PASSED"
-    assert git.adds() == 3 and ("carry", "scriber") in git.calls
+    assert git.adds() == 3 and ("reset", "worktree-0") in git.calls
     assert (repo / ".git" / "config").read_bytes() == before
 
 
 def test_git_processes_on_one_repository_never_overlap(tmp_path, monkeypatch):
     repo = init_git_repo(tmp_path / "repo")
     git = SubprocessGit()
-    idle, kept = tmp_path / "idle", tmp_path / "kept"
-    assert git.worktree_add(repo, idle, "agent/builder/req-1").ok
-    assert git.worktree_add(repo, kept, "agent/tester/req-1").ok
+    shared, kept = tmp_path / "shared", tmp_path / "kept"
+    assert git.worktree_add(repo, shared, "agent/builder/req-1", new_branch=True).ok
+    assert git.worktree_add(repo, kept, "agent/tester/req-1", new_branch=True).ok
 
     # every process below works on the one repository
     in_flight = peak = 0
@@ -528,20 +640,19 @@ def test_git_processes_on_one_repository_never_overlap(tmp_path, monkeypatch):
 
     def adds():
         for i in range(4):
-            results.append(git.worktree_add(repo, tmp_path / f"add-{i}", f"agent/add-{i}/req-1"))
+            path, branch = tmp_path / f"add-{i}", f"agent/add-{i}/req-1"
+            results.append(git.worktree_add(repo, path, branch, new_branch=True))
 
-    def carries():
-        source = idle
+    def takeovers():
+        # each a role's first dispatch into the one shared slot
         for i in range(4):
-            target = tmp_path / f"carry-{i}"
-            results.append(git.worktree_carry(repo, source, target, f"agent/carry-{i}/req-1"))
-            source = target
+            results.append(git.worktree_reset(repo, shared, f"agent/role-{i}/req-1", new_branch=True))
 
     def resets():
         for _ in range(4):
-            results.append(git.worktree_reset(repo, kept, "agent/tester/req-1"))
+            results.append(git.worktree_reset(repo, kept, "agent/tester/req-1", new_branch=False))
 
-    threads = [threading.Thread(target=work) for work in (adds, carries, resets)]
+    threads = [threading.Thread(target=work) for work in (adds, takeovers, resets)]
     for thread in threads:
         thread.start()
     for thread in threads:
@@ -569,7 +680,7 @@ echo $! > {record_q}/left
 printf '# Implementation\\n' > implementation.md
 echo 'OUTCOME: COMPLETED'
 """
-    # the tester's sandbox is the builder's worktree, carried
+    # the tester's sandbox is the builder's slot, reset
     tester = f"cat >/dev/null\nsleep 2\nls > {record_q}/seen\n{_AUDIT}echo 'OUTCOME: COMPLETED'\n"
     backends = {R.BUILDER: SubprocessBackend(["sh", "-c", builder]),
                 R.TESTER: SubprocessBackend(["sh", "-c", tester])}
@@ -688,7 +799,7 @@ _IMPLEMENTATION = "printf '# Implementation\\n' > implementation.md\n"
 
 @pytest.mark.parametrize("locker", [R.BUILDER, R.TESTER], ids=lambda role: role.value)
 def test_a_worktree_its_agent_locked_is_removed_at_finalize(tmp_path, locker):
-    # a builder's locked worktree is carried to the tester first
+    # a builder's locked slot is reset for the tester first
     output = {R.BUILDER: _IMPLEMENTATION, R.TESTER: _AUDIT}[locker]
     script = f"cat >/dev/null\ngit worktree lock --reason mine \"$PWD\"\n{output}echo 'OUTCOME: COMPLETED'\n"
     backends = {**scripted_backends(workflow_by_id(9)), locker: SubprocessBackend(["sh", "-c", script])}
@@ -697,7 +808,7 @@ def test_a_worktree_its_agent_locked_is_removed_at_finalize(tmp_path, locker):
     report, run_dir, _ = run_scripted_workflow(tmp_path, 9, git=git, backends=backends)
 
     assert report.final_state == "PIPELINES_COMPLETE" and report.exit_code == 0, report.diagnostics
-    assert git.calls == [("add", "builder"), ("carry", "tester")]
+    assert git.calls == [("add", "worktree-0"), ("reset", "worktree-0")]
     assert not run_dir.sandboxes_dir.exists()
 
 
@@ -712,7 +823,7 @@ def test_a_session_resumes_after_its_scratch_directory_was_wiped(tmp_path, locke
         runs_root=tmp_path / "runs", target_repo=repo, directive="scripted protocol exercise",
         workflow=workflow, git=git, clock=TickClock(),
     )
-    left = run_dir.sandboxes_dir / "builder"
+    left = run_dir.sandboxes_dir / "worktree-0"
     left.parent.mkdir()
     _git(repo, "worktree", "add", "-q", "--detach", str(left))
     if locked:
@@ -727,6 +838,6 @@ def test_a_session_resumes_after_its_scratch_directory_was_wiped(tmp_path, locke
     ).run()
 
     assert report.final_state == "PIPELINES_COMPLETE" and report.exit_code == 0, report.diagnostics
-    assert git.calls == [("add", "builder"), ("carry", "tester")]
+    assert git.calls == [("add", "worktree-0"), ("reset", "worktree-0")]
     assert _git(repo, "worktree", "list").count("\n") == 1
     assert not run_dir.sandboxes_dir.exists()

@@ -453,7 +453,7 @@ def test_subprocess_git_worktree_roundtrip(tmp_path):
     repo = _init_real_repo(tmp_path / "repo")
     git = SubprocessGit()
     worktree = tmp_path / "wt"
-    added = git.worktree_add(repo, worktree, "agent/builder/req-1")
+    added = git.worktree_add(repo, worktree, "agent/builder/req-1", new_branch=True)
     assert added.ok, added.output
     assert (worktree / "README.md").exists()
     assert _git(worktree, "rev-parse", "--abbrev-ref", "HEAD").strip() == "agent/builder/req-1"
