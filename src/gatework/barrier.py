@@ -263,20 +263,13 @@ def _materialize(
     return Sandbox(role=role, path=path, visible_artifacts=frozenset(visible), clock=clock, state=state)
 
 
-class IsolationReport(NamedTuple):
-    violations: tuple[tuple[AgentRole, ArtifactKind, datetime], ...]
-
-    @property
-    def clean(self) -> bool:
-        return not self.violations
-
-
 def audit_isolation(
     logs: Mapping[AgentRole, Sequence[AccessEvent]],
     *,
     dispatched: frozenset[AgentRole] = frozenset(),
-) -> IsolationReport:
-    """Cross-check all access logs against the matrix.
+) -> tuple[tuple[AgentRole, ArtifactKind, datetime], ...]:
+    """Cross-check all access logs against the matrix: the violations, in
+    time order.
 
     An event is a violation exactly when the matrix does not grant its
     artifact to its role at the state the event records: an ALLOW entry
@@ -293,7 +286,7 @@ def audit_isolation(
             if not DEFAULT_ACCESS_MATRIX.allowed(role, event.artifact, event.state):
                 violations.append((role, event.artifact, event.timestamp))
     violations.sort(key=lambda v: (v[2], v[0].value, v[1].filename))
-    return IsolationReport(violations=tuple(violations))
+    return tuple(violations)
 
 
 def merge_access_logs(logs: Mapping[AgentRole, Sequence[AccessEvent]], run_dir: RunDirectory) -> Path:

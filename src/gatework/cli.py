@@ -289,12 +289,9 @@ def cmd_authorize(args: argparse.Namespace, console: _Console) -> int:
         console.echo(f"ship refused: run is at {state.value}, not READY_TO_SHIP")
         console.flush_to(run_dir)
         return EXIT_GATE
-    if not args.yes:
-        channel = UserChannel(mode=ChannelMode.INTERACTIVE, output_fn=console.echo)
-        reply = channel.ask("Authorize shipping? (yes/no)")
-        if reply is None or reply.strip().lower() not in ("y", "yes"):
-            console.echo("shipping not authorized")
-            return EXIT_GATE
+    if not (args.yes or UserChannel(output_fn=console.echo).authorizes_shipping()):
+        console.echo("shipping not authorized")
+        return EXIT_GATE
     inputs = _session_inputs(config, None, console)
     return _run_session(console, run_dir, config, inputs, authorization="explicit-user-authorization")
 
@@ -313,11 +310,11 @@ def cmd_validate(args: argparse.Namespace, console: _Console) -> int:
         console.echo(f"[environment] workspace root not found: {root}")
         return EXIT_ENVIRONMENT
     layout = WorkspaceLayout(root=root, repo_name=args.repo_name)
-    report = validate_workspace(layout, git=SubprocessGit())
-    if report.ok:
+    violations = validate_workspace(layout, git=SubprocessGit())
+    if not violations:
         console.echo("workspace clean")
         return EXIT_OK
-    for violation in report.violations:
+    for violation in violations:
         console.echo(f"violation: {violation}")
     return EXIT_GATE
 

@@ -46,11 +46,8 @@ class TerminalStateError(GateworkError):
 
 
 class DispatchError(GateworkError):
-    """An agent backend failed. Carries whatever output was captured."""
-
-    def __init__(self, message: str, captured: str = "") -> None:
-        super().__init__(message)
-        self.captured = captured
+    """An agent backend failed. What a subprocess backend printed is in
+    its role's log."""
 
 
 class DispatchTimeout(DispatchError):
@@ -75,7 +72,6 @@ class AuditIncompleteness(GateworkError):
 
     def __init__(self, roles: list[str]) -> None:
         super().__init__(f"no access log for dispatched agent(s): {', '.join(roles)}")
-        self.roles = roles
 
 
 class HoldUnanswered(GateworkError):

@@ -8,7 +8,6 @@ from __future__ import annotations
 import os
 import subprocess
 import threading
-from collections import defaultdict
 from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
@@ -35,24 +34,22 @@ class GitResult(NamedTuple):
 class SubprocessGit:
     """Operations the engine needs from git, run by the system binary.
 
-    Every git process on one repository runs under that repository's
-    lock, because git does not guard all of its shared state: concurrent
-    ``worktree add``s read each other's half-written administrative
-    directories (``fatal: failed to read .git/worktrees/<name>/commondir``
-    on git 2.39). Different repositories proceed in parallel."""
+    Every git process runs under one lock, because git does not guard
+    all of its shared state: concurrent ``worktree add``s read each
+    other's half-written administrative directories (``fatal: failed to
+    read .git/worktrees/<name>/commondir`` on git 2.39). One lock is
+    enough, since the engine never runs git on two repositories at once:
+    its only concurrent git calls are a batch's sandbox creations, which
+    all work on the target, while ship, workspace sync, ``write_context``
+    and ``validate`` each run on one thread."""
 
     def __init__(self) -> None:
-        self._locks: defaultdict[str, threading.Lock] = defaultdict(threading.Lock)
-        self._locks_guard = threading.Lock()
-
-    def _lock(self, repo: Path) -> threading.Lock:
-        with self._locks_guard:
-            return self._locks[str(Path(repo).resolve())]
+        self._lock = threading.Lock()
 
     def _run(self, repo: Path, *args: str, where: Path | None = None) -> subprocess.CompletedProcess:
-        """Run git in ``where`` (default: ``repo``) under ``repo``'s lock,
-        in the C locale: the engine reads git's English messages."""
-        with self._lock(repo):
+        """Run git in ``where`` (default: ``repo``) under the lock, in the
+        C locale: the engine reads git's English messages."""
+        with self._lock:
             return subprocess.run(
                 ["git", "-C", str(where or repo), *args],
                 capture_output=True,
@@ -120,9 +117,9 @@ class SubprocessGit:
         return self._result(GitAction.WORKTREE_ADD, proc, detail)
 
     def worktree_remove(self, repo: Path, path: Path) -> GitResult:
+        """Remove the worktree of ``repo`` at ``path`` and unregister it;
+        at a ``path`` already gone, git only unregisters it."""
         path = Path(path).resolve()
-        if not path.exists():
-            return GitResult(ok=True, action=GitAction.WORKTREE_REMOVE, detail=f"{path} (absent)")
         # twice: once for a dirty worktree, once for one an agent locked
         proc = self._run(repo, "worktree", "remove", "--force", "--force", str(path))
         return self._result(GitAction.WORKTREE_REMOVE, proc, str(path))

@@ -344,25 +344,16 @@ class VerdictValue(str, Enum):
     PASS_WITH_NOTE = "PASS_WITH_NOTE"
     STOP = "STOP"
 
+    @property
+    def passing(self) -> bool:
+        """Whether the verdict clears the ship gate."""
+        return self is not VerdictValue.STOP
 
-#: Verdict values that clear the ship gate.
-PASSING_VERDICTS: frozenset[VerdictValue] = frozenset(
-    {VerdictValue.PASS, VerdictValue.PASS_WITH_NOTE}
-)
 
 _VERDICT_RE = re.compile(r"^verdict:\s*(PASS_WITH_NOTE|PASS|STOP)\s*$")
 
 
-class ReviewVerdict(NamedTuple):
-    value: VerdictValue
-    notes: str = ""
-
-    @property
-    def passing(self) -> bool:
-        return self.value in PASSING_VERDICTS
-
-
-def parse_review_verdict(text: str) -> ReviewVerdict:
+def parse_review_verdict(text: str) -> VerdictValue:
     """Parse the machine-readable header of review.md.
 
     The first line must be ``verdict: PASS | PASS_WITH_NOTE | STOP``;
@@ -374,7 +365,7 @@ def parse_review_verdict(text: str) -> ReviewVerdict:
     match = _VERDICT_RE.match(lines[0].strip())
     if match is None:
         raise VerdictError(f"first line is not a verdict header: {lines[0]!r}")
-    return ReviewVerdict(value=VerdictValue(match.group(1)), notes="\n".join(lines[1:]).strip())
+    return VerdictValue(match.group(1))
 
 
 class IssueDescriptor(NamedTuple):

@@ -122,6 +122,11 @@ class UserChannel:
             return None
         return answer if answer.strip() else None
 
+    def authorizes_shipping(self) -> bool:
+        """Ask the user to authorize shipping; only a yes does."""
+        answer = self.ask("Authorize shipping? (yes/no)")
+        return answer is not None and answer.strip().lower() in ("y", "yes")
+
 
 # --- dispatch plan ----------------------------------------------------------
 
@@ -350,11 +355,9 @@ def mechanical_review(
 
     unseen = sorted(role.value for role in unseen_reads & roles)
     try:
-        isolation = audit_isolation(logs, dispatched=frozenset(roles))
-        if not isolation.clean:
-            listed = "; ".join(
-                f"{role.value} touched {kind.filename}" for role, kind, _ in isolation.violations
-            )
+        violations = audit_isolation(logs, dispatched=frozenset(roles))
+        if violations:
+            listed = "; ".join(f"{role.value} touched {kind.filename}" for role, kind, _ in violations)
             checks.append(MechanicalCheck("pipeline-isolation", CheckStatus.FAIL, listed))
         elif unseen:
             detail = "reads of subprocess role(s) not seen: " + ", ".join(unseen)
@@ -812,14 +815,12 @@ class Orchestrator:
         a run past checks still due: the mechanical review, or ship (a
         ship that failed in git writes shipper.md)."""
         while state_order(self.run_state.current, state) < 0:
-            result = advance(self.run_state, self.run_dir, self.clock)
-            if not result.moved:
-                missing = ", ".join(
-                    f"{req.artifact.filename}:{req.predicate.value}" for req in result.gate.missing
-                )
+            gate = advance(self.run_state, self.run_dir, self.clock)
+            if not gate.satisfied:
+                missing = ", ".join(f"{req.artifact.filename}:{req.predicate.value}" for req in gate.missing)
                 raise _Halt(
-                    gate_violation=f"{label}: run stopped at {result.state.value} short of "
-                    f"{state.value}; {result.gate.state.value} gate unsatisfied ({missing})"
+                    gate_violation=f"{label}: run stopped at {self.run_state.current.value} short of "
+                    f"{state.value}; {gate.state.value} gate unsatisfied ({missing})"
                 )
 
     def _answer_holds(self) -> None:
@@ -893,10 +894,9 @@ class Orchestrator:
         while index < len(stages):
             stage = stages[index]
             if AgentRole.SHIPPER in stage.roles:
-                if authorization is None and self.channel.mode is ChannelMode.INTERACTIVE:
-                    answer = self.channel.ask("Authorize shipping? (yes/no)")
-                    if answer is not None and answer.strip().lower() in ("y", "yes"):
-                        authorization = "interactive-user-authorization"
+                interactive = self.channel.mode is ChannelMode.INTERACTIVE
+                if authorization is None and interactive and self.channel.authorizes_shipping():
+                    authorization = "interactive-user-authorization"
                 if authorization is None:
                     raise _Halt(
                         pending="awaiting explicit user authorization to ship (run the authorize command)"
@@ -951,8 +951,13 @@ class Orchestrator:
         # a batch fills slots from 0, one per worktree role it holds
         for slot in range(len(self.workflow.roles() & WORKTREE_ROLES)):
             path = worktree_slot(sandboxes, slot)
-            if not path.is_symlink() and is_linked_worktree(path):
-                self.git.worktree_remove(self.target_repo, path)
+            if path.is_symlink() or not path.is_dir():
+                continue
+            if not is_linked_worktree(path):
+                # its agent deleted its .git: git refuses to remove the
+                # directory, but unregisters the slot once it is gone
+                shutil.rmtree(path)
+            self.git.worktree_remove(self.target_repo, path)
         if sandboxes.exists():
             shutil.rmtree(sandboxes)
 
@@ -998,7 +1003,7 @@ def _ship_refusal(run_dir: RunDirectory, authorization: str | None, run_state: R
     except VerdictError as exc:
         return f"no parseable review verdict: {exc}"
     if not verdict.passing:
-        return f"review verdict is {verdict.value.value}; ship refused"
+        return f"review verdict is {verdict.value}; ship refused"
     if not authorization:
         return "explicit user authorization required before shipping"
     if not run_dir.exists(ArtifactKind.CREDENTIALS):

@@ -16,12 +16,7 @@ from pathlib import Path
 from typing import Sequence
 
 from gatework.errors import EnvironmentFailure, RunDirectoryError, VerdictError
-from gatework.model import (
-    ARTIFACT_NAME_ALIASES,
-    ArtifactKind,
-    ReviewVerdict,
-    parse_review_verdict,
-)
+from gatework.model import ARTIFACT_NAME_ALIASES, ArtifactKind, VerdictValue, parse_review_verdict
 
 
 def find_artifact(directory: Path, kind: ArtifactKind) -> Path | None:
@@ -175,7 +170,7 @@ class RunDirectory:
                 found.add(kind)
         return frozenset(found)
 
-    def verdict(self) -> ReviewVerdict:
+    def verdict(self) -> VerdictValue:
         """Parse review.md's verdict header. Raises when absent/unparseable."""
         if not self.exists(ArtifactKind.REVIEW):
             raise VerdictError(f"review.md not present in {self.path}")

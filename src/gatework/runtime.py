@@ -299,26 +299,19 @@ class SubprocessBackend(AgentBackend):
                 with self._lock:
                     self._running.discard(proc.pid)
                     _kill_group(proc.pid)
-        captured = stdout + stderr
         if log_path is not None:
             with open(log_path, "a", encoding="utf-8") as fh:
-                fh.write(f"[attempt {req.attempt}] {shlex.join(self.command)}\n{captured}\n")
+                fh.write(f"[attempt {req.attempt}] {shlex.join(self.command)}\n{stdout}{stderr}\n")
         if timed_out:
-            raise DispatchTimeout(
-                f"{req.role.value} backend exceeded {req.deadline}s deadline", captured=captured
-            )
+            raise DispatchTimeout(f"{req.role.value} backend exceeded {req.deadline}s deadline")
         if proc.returncode != 0:
-            raise DispatchError(
-                f"{req.role.value} backend exited with {proc.returncode}", captured=captured
-            )
+            raise DispatchError(f"{req.role.value} backend exited with {proc.returncode}")
         outcome_line = next(
             (line for line in reversed(stdout.splitlines()) if line.startswith("OUTCOME:")),
             None,
         )
         if outcome_line is None:
-            raise DispatchError(
-                f"{req.role.value} backend reported no OUTCOME line", captured=captured
-            )
+            raise DispatchError(f"{req.role.value} backend reported no OUTCOME line")
         fields = outcome_line[len("OUTCOME:"):].split()
         if fields == ["COMPLETED"]:
             return AgentOutcome(status=OutcomeStatus.COMPLETED)
@@ -326,18 +319,16 @@ class SubprocessBackend(AgentBackend):
             try:
                 sig_kind = SignalKind(fields[1])
             except ValueError:
-                raise DispatchError(
-                    f"unknown signal kind in outcome line: {fields[1]!r}", captured=captured
-                ) from None
+                raise DispatchError(f"unknown signal kind in outcome line: {fields[1]!r}") from None
             payload_file = req.sandbox.resolve(fields[2])
             if not payload_file.is_file():
-                raise DispatchError(f"signal payload file not found: {fields[2]!r}", captured=captured)
+                raise DispatchError(f"signal payload file not found: {fields[2]!r}")
             payload = payload_file.read_text(encoding="utf-8")
             return AgentOutcome(
                 status=OutcomeStatus.SIGNALED,
                 signal=Signal(kind=sig_kind, raiser=req.role, payload=payload),
             )
-        raise DispatchError(f"malformed outcome line: {outcome_line!r}", captured=captured)
+        raise DispatchError(f"malformed outcome line: {outcome_line!r}")
 
 
 def _kill_group(group: int) -> None:
@@ -353,15 +344,14 @@ def dispatch(req: DispatchRequest, backend: AgentBackend, log_path: Path | None 
     A COMPLETED outcome missing any contracted artifact is a contract
     violation, not a success; otherwise its ``produced`` is exactly the
     contracted set. A SIGNALED outcome with the wrong owner is a protocol
-    violation. Backend crashes surface as dispatch failures with captured
-    output.
+    violation. Backend crashes surface as dispatch failures.
     """
     try:
         outcome = backend.execute(req, log_path=log_path)
     except (DispatchError, ProtocolError, ContractError):
         raise
     except Exception as exc:  # backend crash
-        raise DispatchError(f"{req.role.value} backend crashed: {exc}", captured=repr(exc)) from exc
+        raise DispatchError(f"{req.role.value} backend crashed: {exc}") from exc
 
     if outcome.status is OutcomeStatus.SIGNALED:
         assert outcome.signal is not None

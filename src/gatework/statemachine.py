@@ -249,18 +249,12 @@ def record_event(run: RunState, run_dir: RunDirectory, event: str, fields: Mappi
     _journal(run, run_dir, [{"event": event, **fields}])
 
 
-class AdvanceResult(NamedTuple):
-    moved: bool
-    state: WorkflowState
-    gate: GateCheck
+def advance(run: RunState, run_dir: RunDirectory, clock: Clock) -> GateCheck:
+    """Move to the immediate successor state iff its preconditions hold:
+    the gate evaluated, which is ``satisfied`` iff the run moved.
 
-
-def advance(run: RunState, run_dir: RunDirectory, clock: Clock) -> AdvanceResult:
-    """Move to the immediate successor state iff its preconditions hold.
-
-    On a gate failure the state is unchanged and the missing requirements
-    are surfaced in the result. Advancing from DONE is a terminal-state
-    error.
+    On a gate failure the state is unchanged and the gate names the
+    missing requirements. Advancing from DONE is a terminal-state error.
     """
     if run.current is WorkflowState.DONE:
         raise TerminalStateError("run is DONE; no transition leaves the terminal state")
@@ -268,12 +262,12 @@ def advance(run: RunState, run_dir: RunDirectory, clock: Clock) -> AdvanceResult
     assert successor is not None
     gate = check_preconditions(successor, run_dir, run.workflow)
     if not gate.satisfied:
-        return AdvanceResult(moved=False, state=run.current, gate=gate)
+        return gate
     record = {"event": "transition", "time": iso8601(clock.now()), "from": run.current.value,
               "to": successor.value, "cause": "gate satisfied"}
     _journal(run, run_dir, [record])
     write_status(run, run_dir)
-    return AdvanceResult(moved=True, state=successor, gate=gate)
+    return gate
 
 
 class SignalDisposition(str, Enum):

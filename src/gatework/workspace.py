@@ -12,8 +12,7 @@ import os
 import re
 from enum import Enum
 from pathlib import Path
-from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 from gatework.clock import Clock
 from gatework.errors import WorkspaceError
@@ -198,7 +197,6 @@ def write_context(
 
 # --- handoff ----------------------------------------------------------------
 
-_KNOWN_HANDOFF_SECTIONS = ("Prior Decisions", "Known Issues", "Technical Insights")
 _SECTION_RES = {
     2: re.compile(r"^##\s+(.+?)\s*$"),
     3: re.compile(r"^#{2,3}\s+(.+?)\s*$"),
@@ -247,43 +245,6 @@ def extract_section(markdown: str, title: str) -> str | None:
         if name.lower() == title.lower():
             return content
     return None
-
-
-class HandoffContext(NamedTuple):
-    prior_decisions: str = ""
-    known_issues: str = ""
-    technical_insights: str = ""
-    other: Mapping[str, str] = MappingProxyType({})  # the shared default is read-only
-    warnings: tuple[str, ...] = ()
-
-    @property
-    def empty(self) -> bool:
-        return not (self.prior_decisions or self.known_issues or self.technical_insights or self.other)
-
-
-def read_handoff(layout: WorkspaceLayout) -> HandoffContext:
-    """Parse HANDOFF.md. An absent file yields an empty context; malformed
-    content parses best-effort with warnings."""
-    if not layout.handoff_path.exists():
-        return HandoffContext()
-    sections, warnings = split_sections(
-        layout.handoff_path.read_text(encoding="utf-8"), max_level=3
-    )
-    known = {name.lower(): name for name in _KNOWN_HANDOFF_SECTIONS}
-    fields: dict[str, str] = {}
-    other: dict[str, str] = {}
-    for name, content in sections.items():
-        if name.lower() in known:
-            fields[known[name.lower()]] = content
-        else:
-            other[name] = content
-    return HandoffContext(
-        prior_decisions=fields.get("Prior Decisions", ""),
-        known_issues=fields.get("Known Issues", ""),
-        technical_insights=fields.get("Technical Insights", ""),
-        other=other,
-        warnings=tuple(warnings),
-    )
 
 
 NO_HANDOFF_STANZA = "No handoff items."
@@ -398,20 +359,13 @@ def sync_workspace(
 # --- validation -------------------------------------------------------------
 
 
-class LintReport(NamedTuple):
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_workspace(layout: WorkspaceLayout, git: SubprocessGit | None = None) -> LintReport:
+def validate_workspace(layout: WorkspaceLayout, git: SubprocessGit | None = None) -> tuple[str, ...]:
     """Lint a workspace: layout conformance, runs/ naming, HANDOFF
-    parseability, and push-policy classification."""
+    parseability, and push-policy classification. Returns the violations;
+    none means the workspace is clean."""
     violations: list[str] = []
     if not layout.repo_dir.is_dir():
-        return LintReport((f"workspace repo directory missing: {layout.repo_dir}",))
+        return (f"workspace repo directory missing: {layout.repo_dir}",)
     for directory in (layout.runs_dir, layout.logs_dir, layout.tmp_dir, layout.ref_dir):
         if not directory.is_dir():
             violations.append(f"required directory missing: {directory.relative_to(layout.root)}")
@@ -422,9 +376,8 @@ def validate_workspace(layout: WorkspaceLayout, git: SubprocessGit | None = None
                     f"runs/ file not named <date>-<slug>.md: runs/{entry.name}"
                 )
     if layout.handoff_path.exists():
-        context = read_handoff(layout)
-        for warning in context.warnings:
-            violations.append(f"HANDOFF.md: {warning}")
+        _, warnings = split_sections(layout.handoff_path.read_text(encoding="utf-8"), max_level=3)
+        violations += (f"HANDOFF.md: {warning}" for warning in warnings)
     if git is not None and git.is_repo(layout.root):
         for tracked in git.ls_tracked(layout.root):
             tracked_path = Path(tracked)
@@ -434,4 +387,4 @@ def validate_workspace(layout: WorkspaceLayout, git: SubprocessGit | None = None
                 continue
             if layout.push_policy(str(rel)) == "local":
                 violations.append(f"local-only path tracked for push: {tracked}")
-    return LintReport(tuple(violations))
+    return tuple(violations)

@@ -215,17 +215,13 @@ def test_unknown_workflow_id_rejected():
 
 def test_verdict_parsing():
     verdict = parse_review_verdict("verdict: PASS\n\nall good")
-    assert verdict.value is VerdictValue.PASS
-    assert verdict.passing
-    assert verdict.notes == "all good"
+    assert verdict is VerdictValue.PASS and verdict.passing
 
     verdict = parse_review_verdict("verdict: PASS_WITH_NOTE\nminor concern")
-    assert verdict.value is VerdictValue.PASS_WITH_NOTE
-    assert verdict.passing
+    assert verdict is VerdictValue.PASS_WITH_NOTE and verdict.passing
 
     verdict = parse_review_verdict("verdict: STOP\n")
-    assert verdict.value is VerdictValue.STOP
-    assert not verdict.passing
+    assert verdict is VerdictValue.STOP and not verdict.passing
 
 
 def test_verdict_absence_is_an_error_never_a_default():

@@ -812,6 +812,22 @@ def test_a_worktree_its_agent_locked_is_removed_at_finalize(tmp_path, locker):
     assert not run_dir.sandboxes_dir.exists()
 
 
+def test_a_slot_whose_git_link_its_agent_deleted_is_unregistered_at_finalize(tmp_path, git_spawns):
+    script = f"cat >/dev/null\nrm .git\n{_IMPLEMENTATION}echo 'OUTCOME: COMPLETED'\n"
+    backends = {**scripted_backends(workflow_by_id(9)), R.BUILDER: SubprocessBackend(["sh", "-c", script])}
+    repo = init_git_repo(tmp_path / "repo")
+    git = RecordingGit()
+    # run_scripted_workflow also checks that `git worktree list` shows only the target
+    report, run_dir, _ = run_scripted_workflow(tmp_path, 9, target_repo=repo, git=git, backends=backends)
+
+    # outside a linked worktree git would reset the target's own checkout
+    assert "not a linked worktree" in report.diagnostics["tester"]
+    assert git.calls == [("add", "worktree-0"), ("reset", "worktree-0")]
+    assert not run_dir.sandboxes_dir.exists()
+    # the start-up query, the add, and one `worktree remove` of the deleted slot
+    assert git_spawns.total() == 5, git_spawns.starts()
+
+
 @pytest.mark.parametrize("locked", [False, True], ids=["registered", "locked"])
 def test_a_session_resumes_after_its_scratch_directory_was_wiped(tmp_path, locked):
     """A reboot wipes the memory-backed scratch root, but not the target's

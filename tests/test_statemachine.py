@@ -106,9 +106,9 @@ def test_advance_new_to_planned_with_leader_artifacts(run_dir):
     clock = TickClock()
     run = RunState(workflow=workflow_by_id(2))
     _leader_artifacts(run_dir)
-    assert advance(run, run_dir, clock).moved  # -> NEW
-    result = advance(run, run_dir, clock)  # -> PLANNED
-    assert result.moved and result.state is S.PLANNED
+    assert advance(run, run_dir, clock).satisfied  # -> NEW
+    gate = advance(run, run_dir, clock)  # -> PLANNED
+    assert gate.satisfied and gate.state is S.PLANNED
     assert run.current is S.PLANNED
 
 
@@ -132,18 +132,17 @@ def test_advance_cannot_skip_states(run_dir):
 def test_advance_gate_failure_is_a_value_not_an_exception(run_dir):
     clock = TickClock()
     run = RunState(workflow=workflow_by_id(2))
-    result = advance(run, run_dir, clock)  # credentials.md missing
-    assert not result.moved
+    gate = advance(run, run_dir, clock)  # credentials.md missing
+    assert not gate.satisfied and gate.state is S.NEW
     assert run.current is S.CREDENTIALS_VERIFIED
-    assert [req.artifact for req in result.gate.missing] == [K.CREDENTIALS]
+    assert [req.artifact for req in gate.missing] == [K.CREDENTIALS]
 
 
 def test_advance_review_passed_to_ready_to_ship_on_pass(run_dir):
     clock = TickClock()
     run = RunState(workflow=workflow_by_id(2), current=S.REVIEW_PASSED)
     run_dir.write(K.REVIEW, "verdict: PASS\n")
-    result = advance(run, run_dir, clock)
-    assert result.moved and run.current is S.READY_TO_SHIP
+    assert advance(run, run_dir, clock).satisfied and run.current is S.READY_TO_SHIP
 
 
 def test_advance_from_done_is_terminal_error(run_dir):
@@ -254,9 +253,9 @@ def test_advance_depends_only_on_state_and_directory(run_dir):
     run_a = RunState(workflow=workflow_by_id(2))
     run_b = RunState(workflow=workflow_by_id(2))
     for _ in range(4):
-        result_a = advance(run_a, run_dir, clock_a)
-        result_b = advance(run_b, run_dir, clock_b)
-        assert result_a.moved == result_b.moved
+        gate_a = advance(run_a, run_dir, clock_a)
+        gate_b = advance(run_b, run_dir, clock_b)
+        assert gate_a == gate_b
         assert run_a.current is run_b.current
     assert run_a.history == run_b.history
 
