@@ -19,6 +19,7 @@ from gatework.workspace import (
     Language,
     WorkspaceLayout,
     detect_language,
+    split_sections,
     sync_workspace,
     validate_workspace,
 )
@@ -403,6 +404,29 @@ def test_handoff_round_trips_through_sync(tmp_path, layout, remote):
         "# Handoff\n\n"
         "### Prior Decisions\nThe retry queue stays bounded at three cycles per signal.\n\n"
         "### Known Issues\nLarge answer files are loaded eagerly.\n"
+    )
+    assert validate_workspace(layout) == ()
+
+
+def test_split_sections_keeps_unnamed_sections_and_splits_level_three_on_request():
+    text = (
+        "# Handoff\n\n## Known Issues\nnone\n\n"
+        "## Deployment Rituals\nchant twice\n### Steps\nbow\n"
+    )
+    assert split_sections(text) == (
+        {"Known Issues": "none", "Deployment Rituals": "chant twice\n### Steps\nbow"},
+        [],
+    )
+    assert split_sections(text, max_level=3) == (
+        {"Known Issues": "none", "Deployment Rituals": "chant twice", "Steps": "bow"},
+        [],
+    )
+
+
+def test_validate_accepts_a_handoff_with_sections_the_engine_does_not_name(layout):
+    layout.handoff_path.write_text(
+        "# Handoff\n\n## Known Issues\nnone\n\n## Deployment Rituals\nchant twice\n",
+        encoding="utf-8",
     )
     assert validate_workspace(layout) == ()
 
