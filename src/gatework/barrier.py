@@ -28,7 +28,7 @@ from gatework.model import (
     artifact_kind_for_name,
     state_order,
 )
-from gatework.rundir import RunDirectory
+from gatework.rundir import RunDirectory, write_whole
 
 #: Roles that operate in an isolated git worktree.
 WORKTREE_ROLES = frozenset(
@@ -68,7 +68,7 @@ class AuditLog:
         return "\n".join(lines) + ("\n" if lines else "")
 
     def write_to(self, path: Path) -> None:
-        path.write_text(self.render(), encoding="utf-8")
+        write_whole(path, self.render())
 
 
 class AccessMatrix(NamedTuple):

@@ -31,7 +31,7 @@ from gatework.orchestrator import (
     select_workflow,
     start_run,
 )
-from gatework.rundir import RunDirectory
+from gatework.rundir import RunDirectory, write_whole
 from gatework.runtime import AgentBackend, BackendKind, load_backends
 from gatework.statemachine import RunState, reconstruct_run_state
 from gatework.workspace import WorkspaceLayout, validate_workspace
@@ -254,9 +254,7 @@ def cmd_run(args: argparse.Namespace, console: _Console) -> int:
     except GateworkError as exc:
         console.echo(f"[environment] {exc}")
         return EXIT_ENVIRONMENT
-    (run_dir.path / "run-config.json").write_text(
-        json.dumps(config, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_whole(run_dir.path / "run-config.json", json.dumps(config, indent=2, sort_keys=True) + "\n")
     return _run_session(console, run_dir, config, inputs)
 
 

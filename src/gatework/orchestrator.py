@@ -61,7 +61,7 @@ from gatework.model import (
     terminal_state,
     workflow_by_id,
 )
-from gatework.rundir import RunDirectory, find_artifact
+from gatework.rundir import RunDirectory, find_artifact, write_whole
 from gatework.runtime import AgentBackend, BackendKind, DispatchRequest, dispatch
 from gatework.statemachine import (
     RunState,
@@ -345,13 +345,10 @@ def mechanical_review(
         for kind in sorted(contracted_artifacts(role, plan.workflow), key=lambda k: k.filename):
             if kind not in present:
                 missing.append(f"{kind.filename} ({role.value})")
-    checks.append(
-        MechanicalCheck(
-            name="artifact-presence",
-            status=CheckStatus.FAIL if missing else CheckStatus.PASS,
-            detail="missing: " + ", ".join(missing) if missing else "all contracted artifacts present",
-        )
-    )
+    checks.append(MechanicalCheck(
+        "artifact-presence", CheckStatus.FAIL if missing else CheckStatus.PASS,
+        "missing: " + ", ".join(missing) if missing else "all contracted artifacts present",
+    ))
 
     unseen = sorted(role.value for role in unseen_reads & roles)
     try:
@@ -363,9 +360,7 @@ def mechanical_review(
             detail = "reads of subprocess role(s) not seen: " + ", ".join(unseen)
             checks.append(MechanicalCheck("pipeline-isolation", CheckStatus.NOT_OBSERVED, detail))
         else:
-            checks.append(
-                MechanicalCheck("pipeline-isolation", CheckStatus.PASS, "no cross-barrier access")
-            )
+            checks.append(MechanicalCheck("pipeline-isolation", CheckStatus.PASS, "no cross-barrier access"))
     except AuditIncompleteness as exc:
         checks.append(MechanicalCheck("pipeline-isolation", CheckStatus.FAIL, str(exc)))
 
@@ -595,6 +590,64 @@ def start_run(
     return run_dir, request_id
 
 
+# --- the session protocol ---------------------------------------------------
+
+
+def next_step(run: RunState, plan: DispatchPlan, reviewed: bool) -> tuple[str, object] | None:
+    """What a session does next, read from the journal's fold alone, or
+    None once nothing is left: ``ask`` the first pending HOLD; ``reach``
+    a ``(state, label)`` gate, the entry gate first; ``dispatch`` a batch,
+    the first phase owed, else the roles not done of the first stage with
+    any; ``review``, unless this session has (``reviewed``), so no resume
+    ships a run whose review failed; or ``ship``, unless the run is DONE."""
+    if run.pending_hold:
+        return "ask", run.pending_hold[0]
+    if state_order(run.current, plan.entry) < 0:
+        return "reach", (plan.entry, "entry gate")
+    if run.owed:
+        return "dispatch", run.owed[0]
+    for stage in plan.stages:
+        if AgentRole.SHIPPER in stage.roles:
+            if run.current is not WorkflowState.DONE:
+                return "ship", None
+        elif batch := tuple(role for role in stage.roles if role not in run.done):
+            return "dispatch", batch
+        if AgentRole.REVIEWER in stage.roles and not reviewed:
+            return "review", None
+        if state_order(run.current, stage.gate) < 0:
+            return "reach", (stage.gate, f"stage {stage.index} complete")
+    return None
+
+
+def _outcome_name(result: tuple[AgentOutcome, dict | None] | GateworkError) -> str:
+    """A dispatch's journaled outcome: completed, the signal kind, or failed."""
+    if isinstance(result, GateworkError):
+        return "failed"
+    return result[0].signal.kind.value if result[0].signal else "completed"
+
+
+def journal_batch(run: RunState, run_dir: RunDirectory, clock: Clock, batch: Sequence[tuple]) -> dict | None:
+    """Journal an ended batch of ``(role, result, events)``: what each
+    dispatch returned (its outcome and its signal's routing) or raised,
+    and its sandbox's access events, None if none was made. First each
+    dispatch made, then each signal with its routing, which the fold turns
+    into owed work. Return the fields of the halt that ends the session,
+    if any: a failed dispatch, or else the first signal past its cap."""
+    record_dispatches(run, run_dir, [(r, _outcome_name(res), ev) for r, res, ev in batch if ev is not None])
+    routed = [res for _, res, _ in batch if not isinstance(res, GateworkError) and res[1]]
+    capped = [
+        outcome.signal for outcome, routing in routed
+        if record_signal(run, outcome.signal, run_dir, clock, routing) is SignalDisposition.ESCALATE_TO_USER
+    ]
+    failed = {r.value: str(res) for r, res, _ in batch if isinstance(res, GateworkError)}
+    if failed:
+        return {"diagnostics": failed}
+    if capped:
+        kind, payload = capped[0].kind.value, capped[0].payload
+        return {"escalation": f"{kind} retry cap reached; escalating to user: {payload}"}
+    return None
+
+
 # --- orchestrator -----------------------------------------------------------
 
 
@@ -605,13 +658,6 @@ class _Halt(Exception):
     def __init__(self, **fields) -> None:
         super().__init__()
         self.fields = fields
-
-
-def _outcome_name(result: tuple[AgentOutcome, dict | None] | GateworkError) -> str:
-    """A dispatch's journaled outcome: completed, the signal kind, or failed."""
-    if isinstance(result, GateworkError):
-        return "failed"
-    return result[0].signal.kind.value if result[0].signal else "completed"
 
 
 class Orchestrator:
@@ -634,7 +680,7 @@ class Orchestrator:
         check_single_run(workflow)
         self.run_dir = run_dir
         self.request_id = request_id
-        self.plan = compile_plan(workflow)
+        self.workflow, self.plan = workflow, compile_plan(workflow)
         self.backends = dict(backends)
         self.channel = channel
         self.target_repo = Path(target_repo).resolve()
@@ -644,12 +690,10 @@ class Orchestrator:
         self.directive = directive
         self.profile: LanguageProfile = UNKNOWN_PROFILE
         self.run_state = RunState(workflow=workflow)
+        #: the worktree slots this session made or reset
+        self.slots: set[int] = set()
 
     # -- helpers --
-
-    @property
-    def workflow(self) -> WorkflowType:
-        return self.plan.workflow
 
     def _resolve_profile(self) -> None:
         """Take the language an earlier session resolved, or detect it and
@@ -681,9 +725,7 @@ class Orchestrator:
                 self.profile = PROFILES[language]
             record_event(self.run_state, self.run_dir, "language", {"language": self.profile.language.value})
         if self.workspace is not None:
-            write_context(
-                self.workspace, target_repo=self.target_repo, git=self.git, profile=self.profile
-            )
+            write_context(self.workspace, target_repo=self.target_repo, git=self.git, profile=self.profile)
 
     def _briefing(self, role: AgentRole, sandbox: Sandbox) -> str:
         lines = [
@@ -702,16 +744,15 @@ class Orchestrator:
         lines += self.run_state.briefing.get(role, [])
         return "\n".join(lines) + "\n"
 
-    def _sandbox_clock(self) -> Clock:
+    def _make_sandbox(self, role: AgentRole, attempt: int, slot: int | None) -> Sandbox:
         # Parallel dispatches must not interleave on one tick clock, or
         # replay timestamps would depend on thread scheduling.
-        if isinstance(self.clock, TickClock):
-            return TickClock(start=self.clock.start, step_seconds=self.clock.step_seconds)
-        return self.clock
-
-    def _make_sandbox(self, role: AgentRole, attempt: int, slot: int | None) -> Sandbox:
-        common = {"run_dir": self.run_dir, "clock": self._sandbox_clock(), "state": self.run_state.current}
+        clock = self.clock
+        if isinstance(clock, TickClock):
+            clock = TickClock(start=clock.start, step_seconds=clock.step_seconds)
+        common = {"run_dir": self.run_dir, "clock": clock, "state": self.run_state.current}
         if slot is not None:
+            self.slots.add(slot)
             return create_sandbox(
                 role, self.target_repo, git=self.git, request_id=self.request_id,
                 slot=slot, attempt=attempt, **common,
@@ -749,13 +790,8 @@ class Orchestrator:
         ``GateworkError`` (an unroutable signal included) is a failed
         dispatch, and any other exception is raised once the batch has
         ended, the first in batch order, with nothing of the batch journaled.
-
-        Only this thread journals: after the batch, in batch order, each
-        attempt whose sandbox was made, with its outcome and access events,
-        failed ones included; then each signal with its routing, which the
-        journal's fold turns into owed work. Only then does a failed
-        dispatch halt the session, recorded under the role's name, or else
-        the first signal past its retry cap."""
+        Only this thread journals, by :func:`journal_batch`, and then halts
+        the session as it says."""
         try:
             self.run_dir.sandboxes_dir  # found once, before any worker looks
         except EnvironmentFailure as exc:  # the scratch root was refused
@@ -791,22 +827,10 @@ class Orchestrator:
         for res in results:
             if isinstance(res, BaseException) and not isinstance(res, GateworkError):
                 raise res
-        batch = [
-            (r, _outcome_name(res), made[r].audit.events()) for r, res in zip(roles, results) if r in made
-        ]
-        record_dispatches(self.run_state, self.run_dir, batch)
-        routed = [res for res in results if not isinstance(res, GateworkError) and res[1]]
-        capped = [
-            outcome.signal for outcome, routing in routed
-            if record_signal(self.run_state, outcome.signal, self.run_dir, self.clock, routing)
-            is SignalDisposition.ESCALATE_TO_USER
-        ]
-        failed = {r.value: str(res) for r, res in zip(roles, results) if isinstance(res, GateworkError)}
-        if failed:
-            raise _Halt(diagnostics=failed)
-        if capped:
-            kind, payload = capped[0].kind.value, capped[0].payload
-            raise _Halt(escalation=f"{kind} retry cap reached; escalating to user: {payload}")
+        batch = [(r, res, made[r].audit.events() if r in made else None) for r, res in zip(roles, results)]
+        halt = journal_batch(self.run_state, self.run_dir, self.clock, batch)
+        if halt:
+            raise _Halt(**halt)
 
     def _reach(self, state: WorkflowState, label: str) -> None:
         """Advance to ``state`` and never past it, or halt with a gate
@@ -823,17 +847,14 @@ class Orchestrator:
                     f"{state.value}; {gate.state.value} gate unsatisfied ({missing})"
                 )
 
-    def _answer_holds(self) -> None:
-        """Ask the user each HOLD question the journal leaves pending, in
-        turn, and brief its raiser with the answer; an unanswered question
-        halts the session."""
-        for hold in list(self.run_state.pending_hold):
-            question = hold["payload"]
-            answer = self.channel.ask(question)
-            if answer is None:
-                escalation = f"unanswered question from {hold['raiser']}: {question}"
-                raise _Halt(escalation=escalation, pending=question)
-            record_event(self.run_state, self.run_dir, "answer", {"role": hold["raiser"], "text": answer})
+    def _answer_hold(self, hold: dict) -> None:
+        """Ask the user a pending HOLD's question and brief its raiser with
+        the answer; an unanswered question halts the session."""
+        question = hold["payload"]
+        answer = self.channel.ask(question)
+        if answer is None:
+            raise _Halt(escalation=f"unanswered question from {hold['raiser']}: {question}", pending=question)
+        record_event(self.run_state, self.run_dir, "answer", {"role": hold["raiser"], "text": answer})
 
     def _run_mechanical_review(self) -> None:
         # the engine sees a role's reads only through Sandbox.request_read,
@@ -854,23 +875,33 @@ class Orchestrator:
         """Run one session of the run and rewrite its report.
 
         A fresh run is a run directory with an empty journal, so every
-        session starts the same way: it rebuilds the state from the
-        journal (a tick clock continues after its last time), asks the
-        HOLD questions an earlier session left unanswered, and dispatches
-        only what the journal says is owed. Every way the session ends
-        after the journal was read is one ``halt`` record holding the
-        report fields it sets and a finalized run; an interrupt or a crash
-        is a diagnostic naming it, and then goes on.
-        """
+        session rebuilds the state from the journal (a tick clock continues
+        after its last time), then takes each step :func:`next_step` reads
+        from it until none is left. Every way the session ends after the
+        journal was read is one ``halt`` record holding the report fields it
+        sets and a finalized run; an interrupt or a crash is a diagnostic
+        naming it, and then goes on."""
         self.run_state = reconstruct_run_state(self.run_dir, self.workflow)
         if isinstance(self.clock, TickClock) and self.run_state.history:
             last = parse_iso8601(self.run_state.history[-1]["time"])
-            step = self.clock.step_seconds
-            self.clock = TickClock(start=last + timedelta(seconds=step), step_seconds=step)
+            seconds = self.clock.step_seconds
+            self.clock = TickClock(start=last + timedelta(seconds=seconds), step_seconds=seconds)
         try:
             self._resolve_profile()
-            self._answer_holds()
-            self._run_stages(authorization)
+            reviewed = False
+            while step := next_step(self.run_state, self.plan, reviewed):
+                kind, argument = step
+                if kind == "ask":
+                    self._answer_hold(argument)
+                elif kind == "reach":
+                    self._reach(*argument)
+                elif kind == "dispatch":
+                    self._dispatch_batch(argument)
+                elif kind == "review":
+                    reviewed = True
+                    self._run_mechanical_review()
+                else:
+                    self._ship(authorization)
         except _Halt as halt:
             record_event(self.run_state, self.run_dir, "halt", halt.fields)
         except BaseException as exc:
@@ -881,61 +912,29 @@ class Orchestrator:
             raise
         return self._finalize()
 
-    def _run_stages(self, authorization: str | None) -> None:
-        """The one stage loop. At a stage it dispatches one batch at a
-        time, the first phase owed, else the stage's roles not done, and
-        asks the batch's HOLD questions; then it goes to the first earlier
-        stage with a role not done, as a routed STOP leaves one, or stays.
-        With nothing left to dispatch it runs the review, where the
-        reviewer ran, and reaches the stage's gate."""
-        self._reach(self.plan.entry, "entry gate")
-        run, stages = self.run_state, self.plan.stages
-        index = 0
-        while index < len(stages):
-            stage = stages[index]
-            if AgentRole.SHIPPER in stage.roles:
-                interactive = self.channel.mode is ChannelMode.INTERACTIVE
-                if authorization is None and interactive and self.channel.authorizes_shipping():
-                    authorization = "interactive-user-authorization"
-                if authorization is None:
-                    raise _Halt(
-                        pending="awaiting explicit user authorization to ship (run the authorize command)"
-                    )
-                ship_report = ship(
-                    self.run_dir,
-                    authorization,
-                    target_repo=self.target_repo,
-                    git=self.git,
-                    clock=self.clock,
-                    workspace=self.workspace,
-                    slug=self.request_id,
-                    run_state=run,
-                    dispatch_shipper=lambda: self._dispatch_batch((AgentRole.SHIPPER,)),
-                )
-                record_event(run, self.run_dir, "ship", ship_report.to_dict())
-                if not ship_report.shipped:
-                    raise _Halt(gate_violation=ship_report.refusal)
-            elif batch := run.owed[0] if run.owed else tuple(r for r in stage.roles if r not in run.done):
-                self._dispatch_batch(batch)
-                self._answer_holds()
-                index = next((s.index for s in stages[:index] if not run.done.issuperset(s.roles)), index)
-                continue
-
-            # a review from an earlier session is re-checked too, so no
-            # resume ships a run whose mechanical review failed
-            if AgentRole.REVIEWER in stage.roles:
-                self._run_mechanical_review()
-
-            self._reach(stage.gate, f"stage {index} complete")
-            index += 1
+    def _ship(self, authorization: str | None) -> None:
+        """Ship once the user authorized it: given, or asked for here."""
+        interactive = self.channel.mode is ChannelMode.INTERACTIVE
+        if authorization is None and interactive and self.channel.authorizes_shipping():
+            authorization = "interactive-user-authorization"
+        if authorization is None:
+            raise _Halt(pending="awaiting explicit user authorization to ship (run the authorize command)")
+        ship_report = ship(
+            self.run_dir, authorization, target_repo=self.target_repo, git=self.git, clock=self.clock,
+            workspace=self.workspace, slug=self.request_id, run_state=self.run_state,
+            dispatch_shipper=lambda: self._dispatch_batch((AgentRole.SHIPPER,)),
+        )
+        record_event(self.run_state, self.run_dir, "ship", ship_report.to_dict())
+        if not ship_report.shipped:
+            raise _Halt(gate_violation=ship_report.refusal)
 
     def _finalize(self) -> RunReport:
         report = build_report(self.run_state, self.run_dir, self.request_id, self.directive)
         if self.run_state.access:
             merge_access_logs(self.run_state.access, self.run_dir)
         self._remove_sandboxes()
-        self.run_dir.report_json_path.write_text(report.to_json(), encoding="utf-8")
-        self.run_dir.report_text_path.write_text(report.render_text(), encoding="utf-8")
+        write_whole(self.run_dir.report_json_path, report.to_json())
+        write_whole(self.run_dir.report_text_path, report.render_text())
         return report
 
     def _remove_sandboxes(self) -> None:
@@ -943,7 +942,8 @@ class Orchestrator:
         collected. Each worktree slot is removed, which frees the role
         branches for a later session, and then the run's sandbox directory
         with whatever else agents left in it, so no checkout outlives its
-        session in memory. A refused scratch root holds none."""
+        session in memory. A refused scratch root holds none. A slot this
+        session used is unregistered by path even if its agent deleted it."""
         try:
             sandboxes = self.run_dir.sandboxes_dir
         except EnvironmentFailure:
@@ -951,9 +951,9 @@ class Orchestrator:
         # a batch fills slots from 0, one per worktree role it holds
         for slot in range(len(self.workflow.roles() & WORKTREE_ROLES)):
             path = worktree_slot(sandboxes, slot)
-            if path.is_symlink() or not path.is_dir():
+            if path.is_symlink() or not (path.is_dir() or slot in self.slots):
                 continue
-            if not is_linked_worktree(path):
+            if path.is_dir() and not is_linked_worktree(path):
                 # its agent deleted its .git: git refuses to remove the
                 # directory, but unregisters the slot once it is gone
                 shutil.rmtree(path)

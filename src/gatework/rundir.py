@@ -31,6 +31,19 @@ def find_artifact(directory: Path, kind: ArtifactKind) -> Path | None:
     return None
 
 
+def write_whole(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` whole or not at all: into a sibling
+    temporary file, which then replaces ``path``, so a write that fails
+    partway, or a process killed in it, leaves the previous file."""
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        temporary.write_text(text, encoding="utf-8")
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+
+
 #: The memory-backed directory agent sandboxes go under when it can hold
 #: them; a module constant so tests can point it elsewhere.
 MEMORY_ROOT = Path("/dev/shm")
@@ -160,7 +173,7 @@ class RunDirectory:
     def write(self, kind: ArtifactKind, content: str) -> Path:
         """Write an artifact under its canonical name (aliases normalized)."""
         target = self.artifact_path(kind)
-        target.write_text(content, encoding="utf-8")
+        write_whole(target, content)
         return target
 
     def present(self) -> frozenset[ArtifactKind]:

@@ -11,7 +11,7 @@ from conftest import run_in_sessions, run_scripted_workflow
 from gatework.barrier import merge_access_logs
 from gatework.model import ArtifactKind, workflow_by_id
 from gatework.orchestrator import build_report
-from gatework.rundir import RunDirectory
+from gatework.rundir import RunDirectory, write_whole
 from gatework.statemachine import reconstruct_run_state, status_line
 from test_sessions import SCENARIOS
 
@@ -60,3 +60,15 @@ def test_the_projections_of_a_single_session_run_regenerate_from_the_journal(
     if kwargs.get("authorization"):
         assert report.ship["shipped"] is True
     assert_projections_regenerate(run_dir, workflow_id)
+
+
+def test_a_write_that_fails_partway_leaves_the_previous_file(tmp_path):
+    run_dir = RunDirectory(tmp_path / "run").create()
+    run_dir.write(ArtifactKind.SPEC, "# Spec\n")
+    # a lone surrogate does not encode, so the write fails after it began
+    with pytest.raises(UnicodeEncodeError):
+        run_dir.write(ArtifactKind.SPEC, "# Spec, rewritten\n\udc80")
+    with pytest.raises(UnicodeEncodeError):
+        write_whole(run_dir.report_json_path, "\udc80")
+    assert run_dir.read(ArtifactKind.SPEC) == "# Spec\n"
+    assert sorted(path.name for path in run_dir.path.iterdir()) == ["logs", "spec.md"]

@@ -828,6 +828,19 @@ def test_a_slot_whose_git_link_its_agent_deleted_is_unregistered_at_finalize(tmp
     assert git_spawns.total() == 5, git_spawns.starts()
 
 
+def test_a_slot_directory_its_agent_deleted_whole_is_unregistered_at_finalize(tmp_path):
+    script = f'cat >/dev/null\n{_IMPLEMENTATION}d=$PWD; cd ..; rm -rf "$d"\necho "OUTCOME: COMPLETED"\n'
+    backends = {**scripted_backends(workflow_by_id(9)), R.BUILDER: SubprocessBackend(["sh", "-c", script])}
+    repo = init_git_repo(tmp_path / "repo")
+    git = RecordingGit()
+    # run_scripted_workflow also checks that `git worktree list` shows only the target
+    report, run_dir, _ = run_scripted_workflow(tmp_path, 9, target_repo=repo, git=git, backends=backends)
+
+    assert "without contracted artifact(s): ['implementation.md']" in report.diagnostics["builder"]
+    assert git.calls == [("add", "worktree-0")]
+    assert not run_dir.sandboxes_dir.exists()
+
+
 @pytest.mark.parametrize("locked", [False, True], ids=["registered", "locked"])
 def test_a_session_resumes_after_its_scratch_directory_was_wiped(tmp_path, locked):
     """A reboot wipes the memory-backed scratch root, but not the target's
