@@ -33,6 +33,7 @@ from gatework.barrier import (
 from gatework.clock import Clock, TickClock, parse_iso8601
 from gatework.errors import (
     AuditIncompleteness,
+    ContractError,
     EnvironmentFailure,
     GateworkError,
     HoldUnanswered,
@@ -648,16 +649,22 @@ def journal_batch(run: RunState, run_dir: RunDirectory, clock: Clock, batch: Seq
     return None
 
 
+def reach(run: RunState, run_dir: RunDirectory, clock: Clock, state: WorkflowState, label: str) -> dict | None:
+    """Advance to ``state`` and never past it, or return a halt's gate
+    violation naming the state where the run stopped and the gate it could
+    not pass. Artifacts left by an earlier session must not carry a run past
+    checks still due: the mechanical review, or ship (a ship that failed in
+    git writes shipper.md)."""
+    while state_order(run.current, state) < 0:
+        gate = advance(run, run_dir, clock)
+        if not gate.satisfied:
+            missing = ", ".join(f"{req.artifact.filename}:{req.predicate.value}" for req in gate.missing)
+            return {"gate_violation": f"{label}: run stopped at {run.current.value} short of "
+                    f"{state.value}; {gate.state.value} gate unsatisfied ({missing})"}
+    return None
+
+
 # --- orchestrator -----------------------------------------------------------
-
-
-class _Halt(Exception):
-    """Ends the session, carrying the report fields the halt sets:
-    ``diagnostics``, ``escalation``, ``pending`` or ``gate_violation``."""
-
-    def __init__(self, **fields) -> None:
-        super().__init__()
-        self.fields = fields
 
 
 class Orchestrator:
@@ -695,17 +702,17 @@ class Orchestrator:
 
     # -- helpers --
 
-    def _resolve_profile(self) -> None:
+    def _resolve_profile(self) -> dict | None:
         """Take the language an earlier session resolved, or detect it and
         ask the user when detection finds none. The result is journaled,
-        so a resumed session never asks again."""
+        so a resumed session never asks again; a halt's fields are returned."""
         if self.run_state.language is not None:
             self.profile = PROFILES[Language(self.run_state.language)]
         else:
             try:
                 self.profile = detect_language(self.target_repo)
             except FileNotFoundError as exc:
-                raise _Halt(diagnostics={"environment": str(exc)}) from exc
+                return {"diagnostics": {"environment": str(exc)}}
             if self.profile.language is Language.UNKNOWN:
                 answer = self.channel.ask(
                     "No language profile detected in the target repository. "
@@ -718,14 +725,15 @@ class Orchestrator:
                     # journal keeps an answer that names no language
                     needed = "language profile needed for the target repository"
                     if answer is None:
-                        raise _Halt(escalation=needed, pending=needed)
+                        return {"escalation": needed, "pending": needed}
                     rejected = {"language": None, "answer": answer}
                     record_event(self.run_state, self.run_dir, "language", rejected)
-                    raise _Halt(escalation=f"unrecognized language {answer!r}", pending=needed)
+                    return {"escalation": f"unrecognized language {answer!r}", "pending": needed}
                 self.profile = PROFILES[language]
             record_event(self.run_state, self.run_dir, "language", {"language": self.profile.language.value})
         if self.workspace is not None:
             write_context(self.workspace, target_repo=self.target_repo, git=self.git, profile=self.profile)
+        return None
 
     def _briefing(self, role: AgentRole, sandbox: Sandbox) -> str:
         lines = [
@@ -763,9 +771,10 @@ class Orchestrator:
         self, role: AgentRole, attempt: int | None, slot: int | None, made: dict[AgentRole, Sandbox]
     ) -> tuple[AgentOutcome, dict | None]:
         """Dispatch one role, in worktree slot ``slot`` if it has one,
-        and collect what it produced or route its signal. The sandbox
-        enters ``made`` once it exists, so only a dispatch that ran is
-        journaled, with its access events even if it failed."""
+        and collect what it produced, all read before any is written, or
+        route its signal. The sandbox enters ``made`` once it exists, so
+        only a dispatch that ran is journaled, with its access events even
+        if it failed, as one whose artifact is not UTF-8 does."""
         if attempt is None:
             raise MisconfigurationError(f"no backend configured for {role.value}")
         sandbox = made[role] = self._make_sandbox(role, attempt, slot)
@@ -776,13 +785,18 @@ class Orchestrator:
         log_path = self.run_dir.logs_dir / f"{role.value}.log"
         outcome = dispatch(req, self.backends[role], log_path=log_path)
         routing = route_signal(outcome.signal, self.plan) if outcome.signal else None
+        texts = {}
         for kind in sorted(outcome.produced, key=lambda k: k.filename):
-            source = find_artifact(sandbox.path, kind)
-            if source is not None:
-                self.run_dir.write(kind, source.read_text(encoding="utf-8"))
+            if (source := find_artifact(sandbox.path, kind)) is not None:
+                try:
+                    texts[kind] = source.read_text(encoding="utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ContractError(f"{role.value} artifact {source.name} is not UTF-8: {exc}") from None
+        for kind, text in texts.items():
+            self.run_dir.write(kind, text)
         return outcome, routing
 
-    def _dispatch_batch(self, roles: Sequence[AgentRole]) -> None:
+    def _dispatch_batch(self, roles: Sequence[AgentRole]) -> dict | None:
         """Dispatch a batch concurrently, one thread per role, and go on
         only once every dispatch has finished. The i-th worktree role of
         the batch, in batch order, runs in worktree slot i. Each dispatch
@@ -790,12 +804,12 @@ class Orchestrator:
         ``GateworkError`` (an unroutable signal included) is a failed
         dispatch, and any other exception is raised once the batch has
         ended, the first in batch order, with nothing of the batch journaled.
-        Only this thread journals, by :func:`journal_batch`, and then halts
-        the session as it says."""
+        Only this thread journals, by :func:`journal_batch`, whose halt it
+        returns."""
         try:
             self.run_dir.sandboxes_dir  # found once, before any worker looks
         except EnvironmentFailure as exc:  # the scratch root was refused
-            raise _Halt(diagnostics={"environment": str(exc)}) from exc
+            return {"diagnostics": {"environment": str(exc)}}
         slots = {role: i for i, role in enumerate(r for r in roles if r in WORKTREE_ROLES)}
         # fixed before any worker starts; a role's dispatch count is its attempt
         attempts = {r: self.run_state.dispatches.get(r, 0) + 1 for r in roles if r in self.backends}
@@ -828,35 +842,19 @@ class Orchestrator:
             if isinstance(res, BaseException) and not isinstance(res, GateworkError):
                 raise res
         batch = [(r, res, made[r].audit.events() if r in made else None) for r, res in zip(roles, results)]
-        halt = journal_batch(self.run_state, self.run_dir, self.clock, batch)
-        if halt:
-            raise _Halt(**halt)
+        return journal_batch(self.run_state, self.run_dir, self.clock, batch)
 
-    def _reach(self, state: WorkflowState, label: str) -> None:
-        """Advance to ``state`` and never past it, or halt with a gate
-        violation naming the state where the run stopped and the gate it
-        could not pass. Artifacts left by an earlier session must not carry
-        a run past checks still due: the mechanical review, or ship (a
-        ship that failed in git writes shipper.md)."""
-        while state_order(self.run_state.current, state) < 0:
-            gate = advance(self.run_state, self.run_dir, self.clock)
-            if not gate.satisfied:
-                missing = ", ".join(f"{req.artifact.filename}:{req.predicate.value}" for req in gate.missing)
-                raise _Halt(
-                    gate_violation=f"{label}: run stopped at {self.run_state.current.value} short of "
-                    f"{state.value}; {gate.state.value} gate unsatisfied ({missing})"
-                )
-
-    def _answer_hold(self, hold: dict) -> None:
+    def _answer_hold(self, hold: dict) -> dict | None:
         """Ask the user a pending HOLD's question and brief its raiser with
         the answer; an unanswered question halts the session."""
         question = hold["payload"]
         answer = self.channel.ask(question)
         if answer is None:
-            raise _Halt(escalation=f"unanswered question from {hold['raiser']}: {question}", pending=question)
+            return {"escalation": f"unanswered question from {hold['raiser']}: {question}", "pending": question}
         record_event(self.run_state, self.run_dir, "answer", {"role": hold["raiser"], "text": answer})
+        return None
 
-    def _run_mechanical_review(self) -> None:
+    def _run_mechanical_review(self) -> dict | None:
         # the engine sees a role's reads only through Sandbox.request_read,
         # which no subprocess backend calls
         unseen = frozenset(
@@ -865,9 +863,8 @@ class Orchestrator:
         )
         report = mechanical_review(self.run_dir, self.run_state.access, self.plan, unseen)
         record_event(self.run_state, self.run_dir, "review", report.to_dict())
-        if not report.passed:
-            listed = "; ".join(f"{c.name}: {c.detail}" for c in report.failures())
-            raise _Halt(gate_violation=f"mechanical review failed ({listed})")
+        listed = "; ".join(f"{c.name}: {c.detail}" for c in report.failures())
+        return None if report.passed else {"gate_violation": f"mechanical review failed ({listed})"}
 
     # -- main entry --
 
@@ -878,55 +875,57 @@ class Orchestrator:
         session rebuilds the state from the journal (a tick clock continues
         after its last time), then takes each step :func:`next_step` reads
         from it until none is left. Every way the session ends after the
-        journal was read is one ``halt`` record holding the report fields it
-        sets and a finalized run; an interrupt or a crash is a diagnostic
-        naming it, and then goes on."""
+        journal was read is one ``halt`` record holding the report fields
+        the step that ended it returned, and a finalized run; an interrupt
+        or a crash is a diagnostic naming it, and then goes on."""
         self.run_state = reconstruct_run_state(self.run_dir, self.workflow)
         if isinstance(self.clock, TickClock) and self.run_state.history:
             last = parse_iso8601(self.run_state.history[-1]["time"])
             seconds = self.clock.step_seconds
             self.clock = TickClock(start=last + timedelta(seconds=seconds), step_seconds=seconds)
         try:
-            self._resolve_profile()
+            halt = self._resolve_profile()
             reviewed = False
-            while step := next_step(self.run_state, self.plan, reviewed):
+            while not halt and (step := next_step(self.run_state, self.plan, reviewed)):
                 kind, argument = step
                 if kind == "ask":
-                    self._answer_hold(argument)
+                    halt = self._answer_hold(argument)
                 elif kind == "reach":
-                    self._reach(*argument)
+                    halt = reach(self.run_state, self.run_dir, self.clock, *argument)
                 elif kind == "dispatch":
-                    self._dispatch_batch(argument)
+                    halt = self._dispatch_batch(argument)
                 elif kind == "review":
                     reviewed = True
-                    self._run_mechanical_review()
+                    halt = self._run_mechanical_review()
                 else:
-                    self._ship(authorization)
-        except _Halt as halt:
-            record_event(self.run_state, self.run_dir, "halt", halt.fields)
+                    halt = self._ship(authorization)
         except BaseException as exc:
             # an interrupted or crashed batch is not journaled, but its
             # worktrees are unregistered and its sandboxes freed all the same
             record_event(self.run_state, self.run_dir, "halt", {"diagnostics": {"session": repr(exc)}})
             self._finalize()
             raise
+        if halt:
+            record_event(self.run_state, self.run_dir, "halt", halt)
         return self._finalize()
 
-    def _ship(self, authorization: str | None) -> None:
-        """Ship once the user authorized it: given, or asked for here."""
+    def _ship(self, authorization: str | None) -> dict | None:
+        """Ship once the user authorized it, given or asked for here; the
+        shipper is dispatched, to draft its report, once the ship gate clears."""
         interactive = self.channel.mode is ChannelMode.INTERACTIVE
         if authorization is None and interactive and self.channel.authorizes_shipping():
             authorization = "interactive-user-authorization"
         if authorization is None:
-            raise _Halt(pending="awaiting explicit user authorization to ship (run the authorize command)")
+            return {"pending": "awaiting explicit user authorization to ship (run the authorize command)"}
+        if _ship_refusal(self.run_dir, authorization, self.run_state) is None:
+            if halt := self._dispatch_batch((AgentRole.SHIPPER,)):
+                return halt
         ship_report = ship(
             self.run_dir, authorization, target_repo=self.target_repo, git=self.git, clock=self.clock,
             workspace=self.workspace, slug=self.request_id, run_state=self.run_state,
-            dispatch_shipper=lambda: self._dispatch_batch((AgentRole.SHIPPER,)),
         )
         record_event(self.run_state, self.run_dir, "ship", ship_report.to_dict())
-        if not ship_report.shipped:
-            raise _Halt(gate_violation=ship_report.refusal)
+        return None if ship_report.shipped else {"gate_violation": ship_report.refusal}
 
     def _finalize(self) -> RunReport:
         report = build_report(self.run_state, self.run_dir, self.request_id, self.directive)
@@ -1021,27 +1020,21 @@ def ship(
     workspace: WorkspaceLayout | None = None,
     slug: str = "run",
     run_state: RunState,
-    dispatch_shipper: Callable[[], None] | None = None,
 ) -> ShipReport:
-    """The hard ship gate, which refuses before the shipper is dispatched
-    or any git process starts, then the one ship path.
+    """The hard ship gate, which refuses before any git process starts,
+    then the one ship path, the only one that mutates the repo.
 
-    ``dispatch_shipper`` (the orchestrator's dispatch of the shipper
-    agent) drafts the report; then the target repo is staged, committed
-    and pushed, and the workspace synced, each step only if the ones
-    before it succeeded. shipper.md says how far it got; only a ship that
-    succeeded advances the run to DONE.
+    The target repo is staged, committed and pushed, and the workspace
+    synced, each step only if the ones before it succeeded. shipper.md
+    says how far it got, after the shipper agent's draft if the run
+    directory holds one; only a ship that succeeded advances the run to DONE.
     """
     refusal = _ship_refusal(run_dir, authorization, run_state)
     if refusal is not None:
         return ShipReport(refusal)
 
-    # The shipper agent drafts its report, then the engine performs the git
-    # actions on its behalf. This is the only path that mutates the repo.
-    shipper_draft = ""
-    if dispatch_shipper is not None:  # returns only once the shipper completed
-        dispatch_shipper()
-        shipper_draft = run_dir.read(ArtifactKind.SHIPPER)
+    drafted = find_artifact(run_dir.path, ArtifactKind.SHIPPER)
+    shipper_draft = drafted.read_text(encoding="utf-8") if drafted else ""
 
     actions = git.stage_commit_push(target_repo, f"ship {slug}", [])
     if not actions[-1].ok:

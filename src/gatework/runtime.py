@@ -402,7 +402,7 @@ def load_backends(config_path: Path) -> dict[AgentRole, AgentBackend]:
         if kind == BackendKind.SCRIPTED.value and isinstance(script, str):
             try:  # a relative script path is the config file's neighbour
                 backends[role] = ScriptedBackend.from_file(config_path.parent / script)
-            except (OSError, ValueError) as exc:
+            except (OSError, ValueError, ScenarioError) as exc:
                 raise MisconfigurationError(f"{config_path}: {role_name} script: {exc}") from None
         elif kind == BackendKind.SUBPROCESS.value and argv:
             backends[role] = SubprocessBackend(argv)

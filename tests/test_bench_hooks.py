@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from gatework import rundir
+from gatework import orchestrator
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -48,12 +48,21 @@ def test_the_benchmark_runs_a_workload_twice_and_checks_every_run(tmp_path, monk
     spec.loader.exec_module(bench_run)
     fixtures = importlib.import_module("fixtures")
 
-    root = rundir.scratch_root()
-    before = set(root.iterdir())
+    # the sandbox directory of each run it starts; other processes' runs
+    # in the same scratch root are not its own
+    sandboxes: list[Path] = []
+
+    def start_run(**kwargs):
+        run_dir, request_id = start(**kwargs)
+        sandboxes.append(run_dir.sandboxes_dir)
+        return run_dir, request_id
+
+    start = orchestrator.start_run
+    monkeypatch.setattr(orchestrator, "start_run", start_run)
     runner = bench_run.Runner(fixtures.make_workload(workload, 3), tmp_path)
     for _ in range(2):
         _, passed = runner.run_once()
         assert passed, runner.problems
     assert runner.problems == []
     # every run removed its sandbox directory when its session ended
-    assert set(root.iterdir()) <= before
+    assert len(sandboxes) == 2 and not any(path.exists() for path in sandboxes)

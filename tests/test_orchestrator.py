@@ -1044,18 +1044,36 @@ def test_a_refused_ship_leaves_the_target_untouched(tmp_path, refused):
     # a file of the user's that a stage of the whole checkout would sweep in
     (target / "draft.txt").write_text("not for shipping\n", encoding="utf-8")
     before = _checkout_state(target)
-    git, dispatched = RecordingGit(), []
+    git = RecordingGit()
     report = ship(
         run_dir, None if refused == "unauthorized" else "token",
         target_repo=target, git=git, clock=TickClock(), run_state=state,
-        dispatch_shipper=lambda: dispatched.append(R.SHIPPER),
     )
     assert not report.shipped and not report.partial
     assert report.refusal.startswith(_SHIP_REFUSALS[refused])
-    assert dispatched == [] and git.actions == [] and git.calls == []
+    assert git.actions == [] and git.calls == []
     assert report.git_actions == ()
     assert _checkout_state(target) == before
     assert not run_dir.exists(K.SHIPPER)
+
+
+@pytest.mark.parametrize("refused", ["stop", "no-credentials"])
+def test_a_session_whose_ship_is_refused_dispatches_no_shipper(tmp_path, refused):
+    first, run_dir, _ = run_scripted_workflow(tmp_path, 2)
+    assert first.final_state == "READY_TO_SHIP" and first.pending
+    if refused == "stop":
+        run_dir.write(K.REVIEW, "verdict: STOP\n\nRework needed.\n")
+    else:
+        run_dir.artifact_path(K.CREDENTIALS).unlink()
+    before = _checkout_state(tmp_path / "repo")
+    git = RecordingGit()
+    resumed = _resume(tmp_path, run_dir, 2, git, authorization="tok")
+
+    assert resumed.gate_violation == _SHIP_REFUSALS[refused]
+    assert "shipper" not in resumed.dispatch_counts
+    assert not (run_dir.logs_dir / "shipper.log").exists() and not run_dir.exists(K.SHIPPER)
+    assert git.actions == [] and _checkout_state(tmp_path / "repo") == before
+    assert [r["refusal"] for r in run_dir.events() if r["event"] == "ship"] == [_SHIP_REFUSALS[refused]]
 
 
 # --- replay equivalence ----------------------------------------------------------------

@@ -3,7 +3,7 @@
 ``next_step`` reads what a session does next from the journal's fold
 alone, so the protocol can be explored exhaustively: every trace of every
 single-run workflow, each step read from ``next_step`` and journaled
-through the engine's own ``journal_batch``, ``advance`` and
+through the engine's own ``journal_batch``, ``reach``, ``advance`` and
 ``record_event`` into a run directory held in memory. The explorer draws
 only what agents, the user, the mechanical review and git decide, and
 checks the protocol's invariants on every step of every trace."""
@@ -37,7 +37,7 @@ from gatework.model import (
     terminal_state,
     workflow_by_id,
 )
-from gatework.orchestrator import DispatchPlan, compile_plan, journal_batch, next_step, route_signal
+from gatework.orchestrator import DispatchPlan, compile_plan, journal_batch, next_step, reach, route_signal
 from gatework.statemachine import RETRY_LIMIT, RunState, advance, reconstruct_run_state, record_event
 
 R, K, S = AgentRole, ArtifactKind, WorkflowState
@@ -236,10 +236,7 @@ def take(node: Node, step: tuple, draw) -> dict | None:
             return {"escalation": "unanswered question", "pending": argument["payload"]}
         record_event(run, run_dir, "answer", {"role": argument["raiser"], "text": "an answer"})
     elif kind == "reach":
-        state, label = argument
-        while state_order(run.current, state) < 0:
-            if not advance(run, run_dir, CLOCK).satisfied:
-                return {"gate_violation": f"{label}: gate unsatisfied"}
+        return reach(run, run_dir, CLOCK, *argument)
     elif kind == "dispatch":
         for one in draw:  # each dispatch writes what it produced before the batch is journaled
             run_dir.artifacts |= one.produced

@@ -403,11 +403,13 @@ def test_every_backend_kind_loads_from_a_config_file(tmp_path):
         ('{"backends": {"builder": {"kind": "subprocess", "command": "echo hi"}}}', "builder"),
         ('{"backends": {"builder": {"kind": "subprocess", "command": []}}}', "builder"),
         ('{"backends": {"builder": {"kind": "subprocess", "command": ["echo", 1]}}}', "builder"),
+        ('{"backends": {"builder": {"kind": "scripted", "script": "bogus.script"}}}', "builder"),
     ],
     ids=["list", "string entry", "no script", "absent script", "no command", "string command",
-         "empty command", "non-string argument"],
+         "empty command", "non-string argument", "unparseable script"],
 )
 def test_load_backends_names_the_file_and_the_role_of_a_malformed_config(tmp_path, text, role):
+    (tmp_path / "bogus.script").write_text("bogus directive\n", encoding="utf-8")
     config = tmp_path / "backends.json"
     config.write_text(text, encoding="utf-8")
     with pytest.raises(MisconfigurationError) as excinfo:

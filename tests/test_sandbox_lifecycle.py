@@ -841,6 +841,22 @@ def test_a_slot_directory_its_agent_deleted_whole_is_unregistered_at_finalize(tm
     assert not run_dir.sandboxes_dir.exists()
 
 
+def test_an_artifact_that_is_not_utf8_fails_its_dispatch(tmp_path):
+    script = "cat >/dev/null\nprintf 'caf\\351\\n' > implementation.md\necho 'OUTCOME: COMPLETED'\n"
+    backends = {**scripted_backends(workflow_by_id(9)), R.BUILDER: SubprocessBackend(["sh", "-c", script])}
+    report, run_dir, _ = run_scripted_workflow(tmp_path, 9, backends=backends)
+
+    assert report.exit_code == 4 and list(report.diagnostics) == ["builder"]
+    assert "implementation.md is not UTF-8" in report.diagnostics["builder"]
+    # journaled like a dispatch that left its artifact missing
+    assert [(r["role"], r["outcome"]) for r in run_dir.events() if r["event"] == "dispatch"] == [
+        ("builder", "failed")
+    ]
+    assert report.dispatch_counts == {"builder": 1}
+    assert not run_dir.exists(ArtifactKind.IMPLEMENTATION)
+    assert not run_dir.sandboxes_dir.exists()
+
+
 @pytest.mark.parametrize("locked", [False, True], ids=["registered", "locked"])
 def test_a_session_resumes_after_its_scratch_directory_was_wiped(tmp_path, locked):
     """A reboot wipes the memory-backed scratch root, but not the target's
