@@ -30,10 +30,10 @@ from gatework.model import (
 )
 from gatework.rundir import RunDirectory, write_whole
 
-#: Roles that operate in an isolated git worktree.
-WORKTREE_ROLES = frozenset(
-    {AgentRole.BUILDER, AgentRole.TESTER, AgentRole.SIMULATOR, AgentRole.SCRIBER}
-)
+#: Roles that operate in an isolated git worktree of the target. The
+#: simulator is not one: it generates data without knowing the algorithm,
+#: so its plain sandbox holds its simulation spec only.
+WORKTREE_ROLES = frozenset({AgentRole.BUILDER, AgentRole.TESTER, AgentRole.SCRIBER})
 
 #: Pipeline outputs the tester may read once the pipelines have completed.
 TESTER_LATE_INPUTS = frozenset({ArtifactKind.IMPLEMENTATION, ArtifactKind.SIMULATION})
@@ -232,16 +232,25 @@ def create_plain_sandbox(
     clock: Clock,
     state: WorkflowState | None = None,
 ) -> Sandbox:
-    """Directory-backed sandbox for the bridge, convergence, and ship
-    roles, which need artifact isolation but no repository worktree: an
-    empty ``<run_dir.sandboxes_dir>/<role>`` holding the role's inputs
-    only."""
+    """Directory-backed sandbox for every role not in
+    :data:`WORKTREE_ROLES` (the bridge, simulation, convergence and ship
+    roles), which need artifact isolation but no checkout of the target:
+    an empty ``<run_dir.sandboxes_dir>/<role>`` holding the role's inputs
+    only. Whatever is at that path is deleted first, except a symlink,
+    which is never followed: it, or a path that cannot be made afresh,
+    fails the dispatch with :class:`EnvironmentFailure`."""
     if role is AgentRole.LEADER:
         raise MisconfigurationError("the leader is never dispatched into a sandbox")
     path = run_dir.sandboxes_dir / role.value
-    if path.exists():
-        shutil.rmtree(path)
-    path.mkdir(parents=True)
+    # an earlier agent of the session can leave one there
+    if path.is_symlink():
+        raise EnvironmentFailure(f"sandbox creation failed: {path} is a symlink")
+    try:
+        if path.exists():
+            shutil.rmtree(path)
+        path.mkdir(parents=True)
+    except OSError as exc:
+        raise EnvironmentFailure(f"sandbox creation failed: {exc}") from None
     return _materialize(role, path, run_dir=run_dir, clock=clock, state=state)
 
 

@@ -6,6 +6,7 @@ actions taken.
 from __future__ import annotations
 
 import os
+import shutil
 import subprocess
 import threading
 from enum import Enum
@@ -97,13 +98,14 @@ class SubprocessGit:
         worktree and no branch behind."""
         # git -C <repo> resolves relative worktree paths against the repo,
         # not our working directory, so pass an absolute path
-        path = Path(path).resolve()
+        given, path = Path(path), Path(path).resolve()
         detail = f"{path} on {branch}"
         # git adds into an existing empty directory, and a failed add
         # removes its worktree: refuse any existing path, so nothing
-        # already there is touched
-        if path.exists():
-            return _refused(GitAction.WORKTREE_ADD, detail, f"{path} already exists")
+        # already there is touched, and a symlink, even a dangling one,
+        # so no worktree is added where it points
+        if given.is_symlink() or path.exists():
+            return _refused(GitAction.WORKTREE_ADD, detail, f"{given} already exists")
         # an empty worktree, filled by the checkout step a reset runs too;
         # `worktree add -b` would start `branch`, `symbolic-ref` and
         # `reset --hard` of its own. Forced twice, git takes over a path
@@ -126,18 +128,28 @@ class SubprocessGit:
 
     def worktree_reset(self, repo: Path, path: Path, branch: str, *, new_branch: bool) -> GitResult:
         """Turn the existing worktree of ``repo`` at ``path``, whatever it
-        holds, into a pristine checkout of ``branch``, as
-        :meth:`_check_out_branch` makes it: tracked edits reverted,
-        untracked and ignored files deleted. Refuses (``ok=False``) a path
-        that is not a linked worktree."""
+        holds, into a pristine checkout of ``branch``, in one git process:
+        every entry but ``.git`` is deleted, then :meth:`_check_out_branch`
+        writes every tracked file afresh. Refuses (``ok=False``) a path
+        that is a symlink or not a linked worktree, before anything is
+        deleted. A slot that cannot be emptied, or whose checkout fails
+        once it was, is refused too; the latter is left empty."""
+        # a symlink would take the reset to whatever it points at
+        if Path(path).is_symlink():
+            return _refused(GitAction.WORKTREE_RESET, str(path), f"{path} is a symlink")
         path = Path(path).resolve()
         # anywhere else, git would reset the enclosing repository's checkout
         if not is_linked_worktree(path):
             return _refused(GitAction.WORKTREE_RESET, str(path), f"{path} is not a linked worktree")
+        try:
+            _empty(path)
+        except OSError as exc:
+            return _refused(GitAction.WORKTREE_RESET, str(path), f"{path} could not be emptied: {exc}")
         # like `reset --hard`, but also returns HEAD to the branch if the
-        # agent switched branches or detached it
+        # agent switched branches or detached it; with every file missing,
+        # git writes each one and re-hashes none
         proc = self._check_out_branch(repo, path, branch, new_branch)
-        return self._result(GitAction.WORKTREE_RESET, self._clean(repo, proc, path), str(path))
+        return self._result(GitAction.WORKTREE_RESET, proc, str(path))
 
     def _check_out_branch(
         self, repo: Path, path: Path, branch: str, new_branch: bool
@@ -160,15 +172,6 @@ class SubprocessGit:
     def _checkout(self, repo: Path, path: Path, *args: str) -> subprocess.CompletedProcess:
         """``git checkout -f`` in the worktree of ``repo`` at ``path``."""
         return self._run(repo, "checkout", "-q", "-f", *args, "--", where=path)
-
-    def _clean(
-        self, repo: Path, checkout: subprocess.CompletedProcess, path: Path
-    ) -> subprocess.CompletedProcess:
-        """After a successful checkout, delete every untracked and ignored
-        file of the worktree at ``path``."""
-        if checkout.returncode != 0:
-            return checkout
-        return self._run(repo, "clean", "-q", "-ffdx", where=path)
 
     def stage(self, repo: Path, paths: list[str]) -> GitResult:
         proc = self._run(repo, "add", "--", *paths) if paths else self._run(repo, "add", "-A")
@@ -245,6 +248,19 @@ def is_linked_worktree(path: Path) -> bool:
     pointing into a repository. Inside any other directory, git walks up
     to the enclosing repository."""
     return (Path(path) / ".git").is_file()
+
+
+def _empty(path: Path) -> None:
+    """Delete every entry of the worktree at ``path`` but its ``.git``;
+    a symlink is unlinked, never followed."""
+    with os.scandir(path) as entries:
+        for entry in entries:
+            if entry.name == ".git":
+                continue
+            if entry.is_dir(follow_symlinks=False):
+                shutil.rmtree(entry.path)
+            else:
+                os.unlink(entry.path)
 
 
 def _refused(action: GitAction, detail: str, problem: str) -> GitResult:

@@ -774,7 +774,7 @@ class Orchestrator:
         and collect what it produced, all read before any is written, or
         route its signal. The sandbox enters ``made`` once it exists, so
         only a dispatch that ran is journaled, with its access events even
-        if it failed, as one whose artifact is not UTF-8 does."""
+        if it failed, as one whose artifact cannot be read as UTF-8 text does."""
         if attempt is None:
             raise MisconfigurationError(f"no backend configured for {role.value}")
         sandbox = made[role] = self._make_sandbox(role, attempt, slot)
@@ -792,6 +792,8 @@ class Orchestrator:
                     texts[kind] = source.read_text(encoding="utf-8")
                 except UnicodeDecodeError as exc:
                     raise ContractError(f"{role.value} artifact {source.name} is not UTF-8: {exc}") from None
+                except OSError as exc:  # a directory, say
+                    raise ContractError(f"{role.value} artifact {source.name} cannot be read: {exc}") from None
         for kind, text in texts.items():
             self.run_dir.write(kind, text)
         return outcome, routing

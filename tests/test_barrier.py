@@ -18,7 +18,7 @@ from gatework.barrier import (
     merge_access_logs,
 )
 from gatework.clock import TickClock
-from gatework.errors import AuditIncompleteness, BarrierError, MisconfigurationError
+from gatework.errors import AuditIncompleteness, BarrierError, EnvironmentFailure, MisconfigurationError
 from gatework.gitlayer import SubprocessGit
 from gatework.model import (
     AccessDecision,
@@ -190,6 +190,22 @@ def test_create_sandbox_rejects_non_worktree_roles(run_env):
         )
     sandbox = create_plain_sandbox(R.PLANNER, run_dir=run_dir, clock=clock)
     assert (sandbox.path / "request.md").exists()
+
+
+@pytest.mark.parametrize("dangling", [False, True], ids=["to-the-target", "dangling"])
+def test_a_symlinked_plain_sandbox_is_refused_and_never_followed(run_env, dangling):
+    run_dir, repo, git, clock = run_env
+    path = run_dir.sandboxes_dir / R.SIMULATOR.value
+    path.parent.mkdir()
+    path.symlink_to(repo / "absent" if dangling else repo)
+    tracked = sorted(p.name for p in repo.iterdir())
+
+    with pytest.raises(EnvironmentFailure, match="is a symlink"):
+        create_plain_sandbox(R.SIMULATOR, run_dir=run_dir, clock=clock)
+
+    assert path.is_symlink()
+    assert sorted(p.name for p in repo.iterdir()) == tracked
+    assert (repo / "module.py").read_text(encoding="utf-8") == "print('hi')\n"
 
 
 def test_request_read_denied_artifact_returns_nothing_and_logs(run_env):

@@ -813,26 +813,26 @@ def test_failed_dispatch_in_a_parallel_stage_is_recorded_under_the_failing_role(
 
 
 class _OccupyingBackend(AgentBackend):
-    """Runs ``inner``, then leaves something else (by default a plain
-    directory) at worktree slot ``slot``, which git refuses to reset as a
-    worktree."""
+    """Leaves something else (by default a plain directory) at the
+    sandbox path ``name`` of its run, then runs ``inner``."""
 
     kind = BackendKind.SCRIPTED
 
-    def __init__(self, inner: AgentBackend, slot: int, occupy=Path.mkdir):
+    def __init__(self, inner: AgentBackend, name: str, occupy=Path.mkdir):
         self.inner = inner
-        self.slot = slot
+        self.name = name
         self.occupy = occupy
 
     def execute(self, req, log_path=None):
-        self.occupy(req.sandbox.path.parent / f"worktree-{self.slot}")
+        self.occupy(req.sandbox.path.parent / self.name)
         return self.inner.execute(req, log_path=log_path)
 
 
 def test_failed_worktree_creation_is_finalized_as_a_diagnostic(tmp_path):
-    # workflow 10's planner runs before the simulator (slot 0) and the tester (slot 1)
+    # workflow 10's planner runs before the tester, the one worktree role
+    # of its batch (slot 0), and the simulator, which gets a plain sandbox
     backends = scripted_backends(workflow_by_id(10))
-    backends[R.PLANNER] = _OccupyingBackend(backends[R.PLANNER], 1)
+    backends[R.PLANNER] = _OccupyingBackend(backends[R.PLANNER], "worktree-0")
     # run_scripted_workflow also checks that no worktree of the target is left
     report, run_dir, _ = run_scripted_workflow(tmp_path, 10, backends=backends)
 
@@ -842,7 +842,27 @@ def test_failed_worktree_creation_is_finalized_as_a_diagnostic(tmp_path):
     assert report.final_state == "SPEC_READY"
     assert report.dispatch_counts == {"planner": 1, "simulator": 1}
     assert run_dir.report_json_path.exists()
-    # the simulator's worktree, made in the same batch, is removed
+    # the simulator's sandbox, made in the same batch, is removed
+    assert not run_dir.sandboxes_dir.exists()
+
+
+def test_a_symlink_left_at_a_plain_sandbox_fails_its_dispatch_and_is_never_followed(tmp_path):
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    (outside / "keep.txt").write_text("keep\n", encoding="utf-8")
+    backends = scripted_backends(workflow_by_id(10))
+    backends[R.PLANNER] = _OccupyingBackend(
+        backends[R.PLANNER], "simulator", lambda path: path.symlink_to(outside)
+    )
+    report, run_dir, _ = run_scripted_workflow(tmp_path, 10, backends=backends)
+
+    assert report.exit_code == 4
+    assert list(report.diagnostics) == ["simulator"]
+    assert "is a symlink" in report.diagnostics["simulator"]
+    assert report.final_state == "SPEC_READY"
+    assert report.dispatch_counts == {"planner": 1, "tester": 1}
+    assert [p.name for p in outside.iterdir()] == ["keep.txt"]
+    assert (outside / "keep.txt").read_text(encoding="utf-8") == "keep\n"
     assert not run_dir.sandboxes_dir.exists()
 
 
@@ -857,12 +877,14 @@ def test_what_an_agent_leaves_at_a_worktree_sandbox_does_not_wedge_the_run(tmp_p
         "symlink": lambda path: path.symlink_to(outside),
     }[left]
     backends = scripted_backends(workflow_by_id(10))
-    backends[R.PLANNER] = _OccupyingBackend(backends[R.PLANNER], 1, occupy)
+    backends[R.PLANNER] = _OccupyingBackend(backends[R.PLANNER], "worktree-0", occupy)
     first, run_dir, _ = run_scripted_workflow(tmp_path, 10, backends=backends)
-    assert "not a linked worktree" in first.diagnostics["tester"]
+    # a symlink is refused before anything follows it
+    refusal = "is a symlink" if left == "symlink" else "not a linked worktree"
+    assert refusal in first.diagnostics["tester"]
     # the session's end clears it along with the worktrees, and never
     # what a symlink points at
-    slot = run_dir.sandboxes_dir / "worktree-1"
+    slot = run_dir.sandboxes_dir / "worktree-0"
     assert not slot.exists() and not slot.is_symlink()
     assert (outside / "keep.txt").read_text(encoding="utf-8") == "keep\n"
 

@@ -87,20 +87,21 @@ def git_spawns(tmp_path, monkeypatch) -> GitProcesses:
 # Workflow 9: one start-up query (`remote get-url origin`, whose exit code
 # also says whether the target is a repository); the builder's add of slot
 # 0 (`worktree add --detach --no-checkout` and the `update-ref` it starts,
-# then `checkout -f -b`); the tester's reset of it (`checkout -f -b`,
-# `clean`); and one `worktree remove`.
-WF9_GIT_PROCESSES = 7
+# then `checkout -f -b`); the tester's reset of it (`checkout -f -b` into
+# the emptied slot); and one `worktree remove`.
+WF9_GIT_PROCESSES = 6
 # Workflow 1 with 1 HOLD, 3 BLOCKs and 1 STOP dispatches builder 4x,
-# tester 4x, scriber 2x, simulator 1x: 1 start-up query, 3 adds of 3
-# processes for the parallel stage's slots 0-2, then 8 resets of slot 0 of
-# 2 processes each (`checkout`, `clean`: 6 for the BLOCK retries, the
-# scriber's first dispatch and its STOP retry), and 3 removes.
-WF1_FULL_RETRY_GIT_PROCESSES = 29
+# tester 4x, scriber 2x, simulator 1x: 1 start-up query, 2 adds of 3
+# processes for the parallel stage's slots 0-1 (the simulator's sandbox is
+# a plain directory), then 8 one-process resets of slot 0 (`checkout`: 6
+# for the BLOCK retries, the scriber's first dispatch and its STOP retry),
+# and 2 removes.
+WF1_FULL_RETRY_GIT_PROCESSES = 17
 # Workflow 2 shipping to a bare remote: 1 start-up query, 2 adds, the
-# scriber's 2-process reset of slot 0, then `add -A`, `symbolic-ref`,
+# scriber's one-process reset of slot 0, then `add -A`, `symbolic-ref`,
 # `commit` and `push` (and the `receive-pack` it starts) on the target,
 # and 2 removes.
-WF2_SHIP_GIT_PROCESSES = 16
+WF2_SHIP_GIT_PROCESSES = 15
 
 
 def test_git_spawns_per_run_workflow_9(tmp_path, git_spawns):
@@ -127,11 +128,11 @@ def test_git_spawns_per_run_workflow_1_full_retry(tmp_path, git_spawns):
     }
     assert report.retries == {"BLOCK": 3, "HOLD": 1, "STOP": 1}
     assert git_spawns.total() == WF1_FULL_RETRY_GIT_PROCESSES, git_spawns.starts()
-    # as many adds as the widest stage has worktree roles; every later
-    # batch holds one worktree role, which runs in slot 0
-    assert git.adds() == 3
-    assert sorted(git.calls[:3]) == [("add", f"worktree-{slot}") for slot in range(3)]
-    assert git.calls[3:] == [("reset", "worktree-0")] * 8
+    # as many adds as the widest stage has worktree roles, the builder and
+    # the tester; every later batch holds one worktree role, which runs in slot 0
+    assert git.adds() == 2
+    assert sorted(git.calls[:2]) == [("add", f"worktree-{slot}") for slot in range(2)]
+    assert git.calls[2:] == [("reset", "worktree-0")] * 8
     # every worktree is gone once the run ends
     assert _git(repo, "worktree", "list").count("\n") == 1
 
@@ -462,7 +463,7 @@ def test_worktree_add_refuses_an_existing_path_and_creates_no_branch(tmp_path, g
     assert (occupied / "keep.txt").read_text(encoding="utf-8") == "keep\n"
 
 
-def test_worktree_reset_takes_two_processes_to_hand_a_slot_to_another_role(tmp_path, git_spawns):
+def test_worktree_reset_takes_one_process_to_hand_a_slot_to_another_role(tmp_path, git_spawns):
     repo = init_git_repo(tmp_path / "repo")
     git = SubprocessGit()
     slot, idle = tmp_path / "worktree-0", tmp_path / "worktree-1"
@@ -477,14 +478,13 @@ def test_worktree_reset_takes_two_processes_to_hand_a_slot_to_another_role(tmp_p
     # a role's first dispatch: its branch is made at the main checkout's HEAD
     taken = git.worktree_reset(repo, slot, "agent/scriber/req-1", new_branch=True)
     assert taken.ok, taken.output
-    checkout, clean = git_spawns.argv
-    assert checkout[3:] == [
-        "checkout", "-q", "-f", "--no-track", "-b", "agent/scriber/req-1", "main-worktree/HEAD", "--",
+    assert [argv[3:] for argv in git_spawns.argv] == [
+        ["checkout", "-q", "-f", "--no-track", "-b", "agent/scriber/req-1", "main-worktree/HEAD", "--"],
     ]
-    assert clean[3:] == ["clean", "-q", "-ffdx"]
-    assert git_spawns.total() == 2, git_spawns.starts()
+    assert git_spawns.total() == 1, git_spawns.starts()
     assert _git(slot, "rev-parse", "HEAD") == _git(repo, "rev-parse", "HEAD")
     assert not (slot / "feature.txt").exists()
+    assert _git(slot, "status", "--porcelain", "--ignored") == ""
     # the earlier role's commit stays on its branch
     assert _git(repo, "rev-parse", "agent/builder/req-1") == builder_tip
 
@@ -494,12 +494,120 @@ def test_worktree_reset_takes_two_processes_to_hand_a_slot_to_another_role(tmp_p
         git_spawns.clear()
         back = git.worktree_reset(repo, slot, f"agent/{role}/req-1", new_branch=False)
         assert back.ok, back.output
-        assert git_spawns.argv[0][3:] == [
-            "checkout", "-q", "-f", "--ignore-other-worktrees", f"agent/{role}/req-1", "--",
+        assert [argv[3:] for argv in git_spawns.argv] == [
+            ["checkout", "-q", "-f", "--ignore-other-worktrees", f"agent/{role}/req-1", "--"],
         ]
-        assert git_spawns.total() == 2, git_spawns.starts()
+        assert git_spawns.total() == 1, git_spawns.starts()
         assert _git(slot, "branch", "--show-current") == f"agent/{role}/req-1\n"
         assert _git(slot, "rev-parse", "HEAD") == tip
+        assert _git(slot, "status", "--porcelain", "--ignored") == ""
+
+
+def test_a_reset_whose_checkout_fails_leaves_the_slot_empty(tmp_path):
+    repo = init_git_repo(tmp_path / "repo")
+    git = SubprocessGit()
+    slot, idle = tmp_path / "worktree-0", tmp_path / "worktree-1"
+    assert git.worktree_add(repo, slot, "agent/builder/req-1", new_branch=True).ok
+    assert git.worktree_add(repo, idle, "agent/tester/req-1", new_branch=True).ok
+
+    # unless the journal vouches for the branch, git refuses one that
+    # another worktree has checked out
+    refused = git.worktree_reset(repo, slot, "agent/tester/req-1", new_branch=True)
+
+    assert not refused.ok
+    assert "already checked out" in refused.output
+    # fails closed: nothing of the earlier role is left to work on
+    assert [p.name for p in slot.iterdir()] == [".git"]
+
+
+@pytest.mark.parametrize(
+    "branch, new_branch",
+    [("agent/tester/req-1", True), ("agent/builder/req-1", False)],
+    ids=["takeover", "retry"],
+)
+def test_a_reset_leaves_nothing_an_agent_made_in_the_slot(tmp_path, branch, new_branch):
+    repo = init_git_repo(tmp_path / "repo")
+    (repo / "tracked.txt").write_text("original\n", encoding="utf-8")
+    (repo / ".gitignore").write_text("*.log\n", encoding="utf-8")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "fixture")
+    slot = tmp_path / "sandboxes" / "worktree-0"
+    assert SubprocessGit().worktree_add(repo, slot, "agent/builder/req-1", new_branch=True).ok
+    # what a checkout alone leaves behind: an untracked nested repository,
+    # an ignored file, a tracked file replaced by a directory, and a
+    # symlink to a directory outside the slot
+    init_git_repo(slot / "vendored")
+    (slot / "build.log").write_text("junk\n", encoding="utf-8")
+    (slot / "tracked.txt").unlink()
+    (slot / "tracked.txt").mkdir()
+    (slot / "tracked.txt" / "inner.txt").write_text("inner\n", encoding="utf-8")
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    (outside / "keep.txt").write_text("keep\n", encoding="utf-8")
+    (slot / "elsewhere").symlink_to(outside)
+
+    reset = SubprocessGit().worktree_reset(repo, slot, branch, new_branch=new_branch)
+
+    assert reset.ok, reset.output
+    assert _git(slot, "status", "--porcelain", "--ignored") == ""
+    assert sorted(p.name for p in slot.iterdir()) == [".git", ".gitignore", "pyproject.toml", "tracked.txt"]
+    assert (slot / "tracked.txt").read_text(encoding="utf-8") == "original\n"
+    # the symlink went, not what it pointed at
+    assert [p.name for p in outside.iterdir()] == ["keep.txt"]
+    assert _git(slot, "branch", "--show-current") == f"{branch}\n"
+
+
+def test_a_slot_that_cannot_be_emptied_fails_the_takeover_as_a_diagnostic(tmp_path, monkeypatch):
+    def refuse(path):
+        raise PermissionError(13, "Permission denied", str(path / "locked"))
+
+    monkeypatch.setattr(gitlayer, "_empty", refuse)
+    git = RecordingGit()
+    report, run_dir, _ = run_scripted_workflow(tmp_path, 9, git=git)
+
+    assert report.exit_code == 4 and list(report.diagnostics) == ["tester"]
+    assert "worktree reset failed" in report.diagnostics["tester"]
+    assert "Permission denied" in report.diagnostics["tester"]
+    assert git.calls == [("add", "worktree-0"), ("reset", "worktree-0")]
+    assert report.dispatch_counts == {"builder": 1}
+    assert not run_dir.sandboxes_dir.exists()
+
+
+def test_worktree_reset_refuses_a_symlink_to_another_worktree(tmp_path, git_spawns):
+    repo = init_git_repo(tmp_path / "repo")
+    git = SubprocessGit()
+    sandboxes = tmp_path / "sandboxes"
+    other = sandboxes / "worktree-1"
+    assert git.worktree_add(repo, other, "agent/builder/req-1", new_branch=True).ok
+    (other / "pyproject.toml").write_text("[project]\nname = 'edited'\n", encoding="utf-8")
+    (other / "notes.txt").write_text("keep me\n", encoding="utf-8")
+    slot = sandboxes / "worktree-0"
+    slot.symlink_to(other)
+    git_spawns.clear()
+
+    for new_branch in (True, False):
+        result = git.worktree_reset(repo, slot, "agent/tester/req-1", new_branch=new_branch)
+        assert not result.ok
+        assert "is a symlink" in result.output
+
+    # refused before any git process starts, and before anything is deleted
+    assert git_spawns.argv == [] and git_spawns.total() == 0
+    assert (other / "notes.txt").read_text(encoding="utf-8") == "keep me\n"
+    assert "edited" in (other / "pyproject.toml").read_text(encoding="utf-8")
+    assert _git(other, "branch", "--show-current") == "agent/builder/req-1\n"
+
+
+def test_worktree_add_refuses_a_dangling_symlink(tmp_path, git_spawns):
+    repo = init_git_repo(tmp_path / "repo")
+    slot = tmp_path / "worktree-0"
+    slot.symlink_to(tmp_path / "elsewhere")
+
+    result = SubprocessGit().worktree_add(repo, slot, "agent/builder/req-1", new_branch=True)
+
+    assert not result.ok
+    assert "already exists" in result.output
+    assert git_spawns.argv == [] and git_spawns.total() == 0
+    assert not (tmp_path / "elsewhere").exists()
 
 
 def _large_repo(path: Path) -> Path:
@@ -608,7 +716,7 @@ def test_agent_branches_leave_the_target_config_as_it_was(tmp_path, monkeypatch)
     report, _, _ = run_scripted_workflow(tmp_path, 1, target_repo=repo, git=git)
 
     assert report.final_state == "REVIEW_PASSED"
-    assert git.adds() == 3 and ("reset", "worktree-0") in git.calls
+    assert git.adds() == 2 and ("reset", "worktree-0") in git.calls
     assert (repo / ".git" / "config").read_bytes() == before
 
 
@@ -855,6 +963,46 @@ def test_an_artifact_that_is_not_utf8_fails_its_dispatch(tmp_path):
     assert report.dispatch_counts == {"builder": 1}
     assert not run_dir.exists(ArtifactKind.IMPLEMENTATION)
     assert not run_dir.sandboxes_dir.exists()
+
+
+def test_an_artifact_that_is_a_directory_fails_its_dispatch(tmp_path):
+    script = "cat >/dev/null\nmkdir implementation.md\necho 'OUTCOME: COMPLETED'\n"
+    backends = {**scripted_backends(workflow_by_id(9)), R.BUILDER: SubprocessBackend(["sh", "-c", script])}
+    report, run_dir, _ = run_scripted_workflow(tmp_path, 9, backends=backends)
+
+    assert report.exit_code == 4 and list(report.diagnostics) == ["builder"]
+    assert "implementation.md cannot be read" in report.diagnostics["builder"]
+    assert [(r["role"], r["outcome"]) for r in run_dir.events() if r["event"] == "dispatch"] == [
+        ("builder", "failed")
+    ]
+    assert report.dispatch_counts == {"builder": 1}
+    assert not run_dir.exists(ArtifactKind.IMPLEMENTATION)
+    assert not run_dir.sandboxes_dir.exists()
+
+
+def test_the_simulator_sandbox_holds_no_tracked_file_of_the_target(tmp_path):
+    repo = init_git_repo(tmp_path / "repo")
+    (repo / "estimator.py").write_text("def estimate(x):\n    return x\n", encoding="utf-8")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "the algorithm")
+    record = tmp_path / "seen"
+    script = (
+        f"cat >/dev/null\nls -A > {shlex.quote(str(record))}\n"
+        "printf '# Simulation\\n\\nwithin acceptance bands\\n' > simulation.md\n"
+        "echo 'OUTCOME: COMPLETED'\n"
+    )
+    backends = {**scripted_backends(workflow_by_id(10)), R.SIMULATOR: SubprocessBackend(["sh", "-c", script])}
+    git = RecordingGit()
+
+    report, _, _ = run_scripted_workflow(tmp_path, 10, target_repo=repo, git=git, backends=backends)
+
+    assert report.final_state == "REVIEW_PASSED", report.diagnostics
+    seen = record.read_text(encoding="utf-8").split()
+    # its input only: no file of the target, and no repository
+    assert seen == ["sim-spec.md"]
+    assert not set(seen) & set(_git(repo, "ls-files").split())
+    # the tester, the batch's one worktree role, adds slot 0; the scriber takes it over
+    assert git.calls == [("add", "worktree-0"), ("reset", "worktree-0")]
 
 
 @pytest.mark.parametrize("locked", [False, True], ids=["registered", "locked"])
