@@ -196,7 +196,7 @@ def create_sandbox(
     slot: int = 0,
     attempt: int = 1,
 ) -> Sandbox:
-    """Give an execution or recording role a pristine checkout of its
+    """Give a role of :data:`WORKTREE_ROLES` a pristine checkout of its
     branch, ``agent/<role>/<request_id>``, in worktree slot ``slot`` of
     ``run_dir.sandboxes_dir``, holding its inputs only.
 
