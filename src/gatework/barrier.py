@@ -266,8 +266,8 @@ def _materialize(
     # contract check in dispatch() would pass a retry that wrote nothing.
     visible = set()
     for kind in sorted(DEFAULT_ACCESS_MATRIX.grants_for(role, state), key=lambda k: k.filename):
-        if kind.producer is not role and run_dir.exists(kind):
-            (path / kind.filename).write_text(run_dir.read(kind), encoding="utf-8")
+        if kind.producer is not role and (text := run_dir.read(kind)) is not None:
+            write_whole(path / kind.filename, text)
             visible.add(kind)
     return Sandbox(role=role, path=path, visible_artifacts=frozenset(visible), clock=clock, state=state)
 

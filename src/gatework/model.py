@@ -259,22 +259,17 @@ class OutcomeStatus(str, Enum):
     SIGNALED = "SIGNALED"
 
 
-class _AgentOutcome(NamedTuple):
-    status: OutcomeStatus
-    produced: frozenset[ArtifactKind] = frozenset()  # set by dispatch() on COMPLETED
+class AgentOutcome(NamedTuple):
+    """Structured result of one agent dispatch: the signal it raised, or
+    None if it completed, and the texts of the artifacts dispatch()
+    collected from a completed one."""
+
     signal: Signal | None = None
+    artifacts: Mapping[ArtifactKind, str] = {}
 
-
-class AgentOutcome(_AgentOutcome):
-    """Structured result of one agent dispatch."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> AgentOutcome:
-        self = super().__new__(cls, *args, **kwargs)
-        if (self.status is OutcomeStatus.SIGNALED) != (self.signal is not None):
-            raise ValueError("SIGNALED outcomes carry a signal; COMPLETED outcomes do not")
-        return self
+    @property
+    def status(self) -> OutcomeStatus:
+        return OutcomeStatus.COMPLETED if self.signal is None else OutcomeStatus.SIGNALED
 
 
 class WorkflowType(NamedTuple):

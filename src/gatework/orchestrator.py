@@ -33,7 +33,6 @@ from gatework.barrier import (
 from gatework.clock import Clock, TickClock, parse_iso8601
 from gatework.errors import (
     AuditIncompleteness,
-    ContractError,
     EnvironmentFailure,
     GateworkError,
     HoldUnanswered,
@@ -62,7 +61,7 @@ from gatework.model import (
     terminal_state,
     workflow_by_id,
 )
-from gatework.rundir import RunDirectory, find_artifact, write_whole
+from gatework.rundir import RunDirectory, write_whole
 from gatework.runtime import AgentBackend, BackendKind, DispatchRequest, dispatch
 from gatework.statemachine import (
     RunState,
@@ -369,20 +368,21 @@ def mechanical_review(
         checks.append(MechanicalCheck(name, CheckStatus.NOT_OBSERVED, "delegated to reviewer backend"))
 
     if AgentRole.TESTER in roles:
-        checks += _validation_checks(run_dir, present)
+        checks += _validation_checks(run_dir)
     return MechanicalReviewReport(checks=tuple(checks))
 
 
-def _validation_checks(run_dir: RunDirectory, present: frozenset[ArtifactKind]) -> list[MechanicalCheck]:
+def _validation_checks(run_dir: RunDirectory) -> list[MechanicalCheck]:
     """``tolerance-integrity`` and ``evidence-completeness`` of the tester's ``audit.md``."""
-    if ArtifactKind.AUDIT not in present:
+    audit_text = run_dir.read(ArtifactKind.AUDIT)
+    if audit_text is None:
         return [
             MechanicalCheck(name, CheckStatus.FAIL, "audit.md missing")
             for name in ("tolerance-integrity", "evidence-completeness")
         ]
-    audit_text = run_dir.read(ArtifactKind.AUDIT)
-    if ArtifactKind.TEST_SPEC in present:
-        spec_tokens = extract_tolerances(run_dir.read(ArtifactKind.TEST_SPEC))
+    spec_text = run_dir.read(ArtifactKind.TEST_SPEC)
+    if spec_text is not None:
+        spec_tokens = extract_tolerances(spec_text)
         spec_literals = {token for token, _ in spec_tokens}
         strictest = min((value for _, value in spec_tokens), default=None)
         flagged = sorted(
@@ -771,10 +771,10 @@ class Orchestrator:
         self, role: AgentRole, attempt: int | None, slot: int | None, made: dict[AgentRole, Sandbox]
     ) -> tuple[AgentOutcome, dict | None]:
         """Dispatch one role, in worktree slot ``slot`` if it has one,
-        and collect what it produced, all read before any is written, or
-        route its signal. The sandbox enters ``made`` once it exists, so
-        only a dispatch that ran is journaled, with its access events even
-        if it failed, as one whose artifact cannot be read as UTF-8 text does."""
+        and write the artifacts :func:`dispatch` collected, or route its
+        signal. The sandbox enters ``made`` once it exists, so only a
+        dispatch that ran is journaled, with its access events even if it
+        failed, as one whose artifact cannot be read as UTF-8 text does."""
         if attempt is None:
             raise MisconfigurationError(f"no backend configured for {role.value}")
         sandbox = made[role] = self._make_sandbox(role, attempt, slot)
@@ -785,16 +785,7 @@ class Orchestrator:
         log_path = self.run_dir.logs_dir / f"{role.value}.log"
         outcome = dispatch(req, self.backends[role], log_path=log_path)
         routing = route_signal(outcome.signal, self.plan) if outcome.signal else None
-        texts = {}
-        for kind in sorted(outcome.produced, key=lambda k: k.filename):
-            if (source := find_artifact(sandbox.path, kind)) is not None:
-                try:
-                    texts[kind] = source.read_text(encoding="utf-8")
-                except UnicodeDecodeError as exc:
-                    raise ContractError(f"{role.value} artifact {source.name} is not UTF-8: {exc}") from None
-                except OSError as exc:  # a directory, say
-                    raise ContractError(f"{role.value} artifact {source.name} cannot be read: {exc}") from None
-        for kind, text in texts.items():
+        for kind, text in outcome.artifacts.items():
             self.run_dir.write(kind, text)
         return outcome, routing
 
@@ -1035,8 +1026,7 @@ def ship(
     if refusal is not None:
         return ShipReport(refusal)
 
-    drafted = find_artifact(run_dir.path, ArtifactKind.SHIPPER)
-    shipper_draft = drafted.read_text(encoding="utf-8") if drafted else ""
+    shipper_draft = run_dir.read(ArtifactKind.SHIPPER) or ""
 
     actions = git.stage_commit_push(target_repo, f"ship {slug}", [])
     if not actions[-1].ok:

@@ -15,26 +15,39 @@ from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
-from gatework.errors import EnvironmentFailure, RunDirectoryError, VerdictError
+from gatework.errors import ContractError, EnvironmentFailure, RunDirectoryError, VerdictError
 from gatework.model import ARTIFACT_NAME_ALIASES, ArtifactKind, VerdictValue, parse_review_verdict
 
 
-def find_artifact(directory: Path, kind: ArtifactKind) -> Path | None:
-    """The file holding ``kind`` in ``directory``: its canonical name, else
-    an accepted alias. A canonical hit costs one stat."""
-    canonical = directory / kind.filename
-    if canonical.exists():
-        return canonical
-    for alias, aliased_kind in ARTIFACT_NAME_ALIASES.items():
-        if aliased_kind is kind and (directory / alias).exists():
-            return directory / alias
+def _names(kind: ArtifactKind) -> tuple[str, ...]:
+    """The names a file holding ``kind`` may have: its canonical name,
+    then each accepted alias."""
+    return (kind.filename, *(alias for alias, aliased in ARTIFACT_NAME_ALIASES.items() if aliased is kind))
+
+
+def read_artifact(directory: Path, kind: ArtifactKind) -> str | None:
+    """The text of the file holding ``kind`` in ``directory``, at the
+    first of its names that holds anything, or None if none does: the one
+    read of an artifact. Bytes that are not UTF-8, or what cannot be read,
+    raise ContractError naming the file."""
+    for name in _names(kind):
+        try:
+            with open(directory / name, encoding="utf-8") as fh:
+                return fh.read()
+        except FileNotFoundError:
+            continue
+        except UnicodeDecodeError as exc:
+            raise ContractError(f"artifact {name} is not UTF-8: {exc}") from None
+        except OSError as exc:  # a directory, say
+            raise ContractError(f"artifact {name} cannot be read: {exc}") from None
     return None
 
 
 def write_whole(path: Path, text: str) -> None:
     """Write ``text`` to ``path`` whole or not at all: into a sibling
     temporary file, which then replaces ``path``, so a write that fails
-    partway, or a process killed in it, leaves the previous file."""
+    partway, or a process killed in it, leaves the previous file. The one
+    write of an artifact, into a run directory or a sandbox."""
     temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         temporary.write_text(text, encoding="utf-8")
@@ -162,13 +175,11 @@ class RunDirectory:
         return self.path / kind.filename
 
     def exists(self, kind: ArtifactKind) -> bool:
-        return find_artifact(self.path, kind) is not None
+        return any((self.path / name).exists() for name in _names(kind))
 
-    def read(self, kind: ArtifactKind) -> str:
-        found = find_artifact(self.path, kind)
-        if found is None:
-            raise FileNotFoundError(f"{kind.filename} not present in {self.path}")
-        return found.read_text(encoding="utf-8")
+    def read(self, kind: ArtifactKind) -> str | None:
+        """The artifact's text, or None if the run directory holds none."""
+        return read_artifact(self.path, kind)
 
     def write(self, kind: ArtifactKind, content: str) -> Path:
         """Write an artifact under its canonical name (aliases normalized)."""
@@ -185,9 +196,10 @@ class RunDirectory:
 
     def verdict(self) -> VerdictValue:
         """Parse review.md's verdict header. Raises when absent/unparseable."""
-        if not self.exists(ArtifactKind.REVIEW):
+        text = self.read(ArtifactKind.REVIEW)
+        if text is None:
             raise VerdictError(f"review.md not present in {self.path}")
-        return parse_review_verdict(self.read(ArtifactKind.REVIEW))
+        return parse_review_verdict(text)
 
     def has_passing_verdict(self) -> bool:
         """HAS_VERDICT predicate: review.md parses to PASS or PASS_WITH_NOTE."""

@@ -33,14 +33,13 @@ from gatework.errors import (
 from gatework.model import (
     AgentOutcome,
     AgentRole,
-    OutcomeStatus,
     Signal,
     SignalKind,
     WorkflowType,
     contracted_artifacts,
     signal_owner_check,
 )
-from gatework.rundir import find_artifact
+from gatework.rundir import read_artifact
 
 #: Default per-dispatch deadline in seconds; override per request.
 DEFAULT_DEADLINE = 30 * 60.0
@@ -219,9 +218,7 @@ def run_scripted(script: ScenarioScript, req: DispatchRequest) -> AgentOutcome:
             signal = Signal(kind=step.kind, raiser=req.role, payload=step.payload)
         else:  # CompleteStep
             break
-    if signal is not None:
-        return AgentOutcome(status=OutcomeStatus.SIGNALED, signal=signal)
-    return AgentOutcome(status=OutcomeStatus.COMPLETED)
+    return AgentOutcome(signal)
 
 
 class ScriptedBackend(AgentBackend):
@@ -314,7 +311,7 @@ class SubprocessBackend(AgentBackend):
             raise DispatchError(f"{req.role.value} backend reported no OUTCOME line")
         fields = outcome_line[len("OUTCOME:"):].split()
         if fields == ["COMPLETED"]:
-            return AgentOutcome(status=OutcomeStatus.COMPLETED)
+            return AgentOutcome()
         if len(fields) == 3 and fields[0] == "SIGNAL":
             try:
                 sig_kind = SignalKind(fields[1])
@@ -324,10 +321,7 @@ class SubprocessBackend(AgentBackend):
             if not payload_file.is_file():
                 raise DispatchError(f"signal payload file not found: {fields[2]!r}")
             payload = payload_file.read_text(encoding="utf-8")
-            return AgentOutcome(
-                status=OutcomeStatus.SIGNALED,
-                signal=Signal(kind=sig_kind, raiser=req.role, payload=payload),
-            )
+            return AgentOutcome(Signal(kind=sig_kind, raiser=req.role, payload=payload))
         raise DispatchError(f"malformed outcome line: {outcome_line!r}")
 
 
@@ -341,9 +335,10 @@ def _kill_group(group: int) -> None:
 def dispatch(req: DispatchRequest, backend: AgentBackend, log_path: Path | None = None) -> AgentOutcome:
     """Run one dispatch and enforce the outcome contract.
 
-    A COMPLETED outcome missing any contracted artifact is a contract
-    violation, not a success; otherwise its ``produced`` is exactly the
-    contracted set. A SIGNALED outcome with the wrong owner is a protocol
+    A COMPLETED outcome missing any contracted artifact, or holding one
+    that cannot be read, is a contract violation, not a success; otherwise
+    its ``artifacts`` are the texts of the contracted set, read from the
+    sandbox once. A SIGNALED outcome with the wrong owner is a protocol
     violation. Backend crashes surface as dispatch failures.
     """
     try:
@@ -353,8 +348,7 @@ def dispatch(req: DispatchRequest, backend: AgentBackend, log_path: Path | None 
     except Exception as exc:  # backend crash
         raise DispatchError(f"{req.role.value} backend crashed: {exc}") from exc
 
-    if outcome.status is OutcomeStatus.SIGNALED:
-        assert outcome.signal is not None
+    if outcome.signal is not None:
         if not signal_owner_check(outcome.signal):
             raise ProtocolError(
                 f"{outcome.signal.raiser.value} may not raise {outcome.signal.kind.value}"
@@ -362,14 +356,13 @@ def dispatch(req: DispatchRequest, backend: AgentBackend, log_path: Path | None 
         return outcome
 
     owed = contracted_artifacts(req.role, req.workflow)
-    missing = sorted(
-        kind.filename for kind in owed if find_artifact(req.sandbox.path, kind) is None
-    )
+    texts = {kind: read_artifact(req.sandbox.path, kind) for kind in owed}
+    missing = sorted(kind.filename for kind, text in texts.items() if text is None)
     if missing:
         raise ContractError(
             f"{req.role.value} reported COMPLETED without contracted artifact(s): {missing}"
         )
-    return outcome._replace(produced=frozenset(owed))
+    return outcome._replace(artifacts=texts)
 
 
 def load_backends(config_path: Path) -> dict[AgentRole, AgentBackend]:

@@ -289,14 +289,14 @@ def sync_workspace(
     HEAD, index and files. Running twice for the same run changes nothing
     the second time.
     """
-    if not run_dir.exists(ArtifactKind.LOG_ENTRY):
+    log_entry = run_dir.read(ArtifactKind.LOG_ENTRY)
+    if log_entry is None:
         raise WorkspaceError("sync requires log-entry.md in the run directory")
     if not run_dir.has_passing_verdict():
         raise WorkspaceError("sync requires a PASS-variant review verdict")
     layout.ensure()
     slug = _slugify(slug)
     date = clock.now().date().isoformat()
-    log_entry = run_dir.read(ArtifactKind.LOG_ENTRY)
 
     runs_file = layout.runs_dir / f"{date}-{slug}.md"
     what_changed = extract_section(log_entry, "What Changed") or "(no what-changed section)"
@@ -313,9 +313,7 @@ def sync_workspace(
         changelog_new = entry + ("\n" + changelog_old if changelog_old.strip() else "")
 
     handoff_new = render_handoff(extract_section(log_entry, "Handoff Notes") or "")
-    docs_new = (
-        run_dir.read(ArtifactKind.DOCS) if run_dir.exists(ArtifactKind.DOCS) else None
-    )
+    docs_new = run_dir.read(ArtifactKind.DOCS)
 
     targets: dict[Path, str] = {
         runs_file: log_entry,

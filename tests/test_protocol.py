@@ -27,7 +27,6 @@ from gatework.model import (
     AgentOutcome,
     AgentRole,
     ArtifactKind,
-    OutcomeStatus,
     Signal,
     SignalKind,
     VerdictValue,
@@ -175,12 +174,11 @@ def _copied(value):
 
 class Draw(NamedTuple):
     """One outcome of one dispatch: what ``_dispatch_role`` returns or
-    raises, the artifacts it wrote, and the verdict of the review.md it
-    wrote, if any."""
+    raises, whose outcome holds the artifacts it wrote, and the verdict of
+    the review.md it wrote, if any."""
 
     label: str
     result: object
-    produced: frozenset[ArtifactKind] = frozenset()
     verdict: VerdictValue | None = None
 
 
@@ -190,10 +188,9 @@ def role_draws(role: AgentRole, plan: DispatchPlan) -> list[Draw]:
     and failed. A BLOCK names the simulation pipeline or none; a STOP
     routes to each target the workflow has, one it lacks, and none."""
     roles = plan.workflow.roles()
-    produced = frozenset(contracted_artifacts(role, plan.workflow))
-    completed = (AgentOutcome(OutcomeStatus.COMPLETED, produced=produced), None)
+    completed = (AgentOutcome(artifacts=dict.fromkeys(contracted_artifacts(role, plan.workflow), "")), None)
     verdicts = (VerdictValue.PASS, VerdictValue.STOP) if role is R.REVIEWER else (None,)
-    outcomes = [Draw(f"completed {v.value}" if v else "completed", completed, produced, v) for v in verdicts]
+    outcomes = [Draw(f"completed {v.value}" if v else "completed", completed, v) for v in verdicts]
     targets = [*sorted(STOP_ROUTING_TARGETS & roles), *sorted(STOP_ROUTING_TARGETS - roles)[:1]]
     payloads = {
         SignalKind.HOLD: ["which variant?"],
@@ -204,7 +201,7 @@ def role_draws(role: AgentRole, plan: DispatchPlan) -> list[Draw]:
         for payload in payloads[kind] if role in owners else ():
             signal = Signal(kind, role, payload)
             try:  # as _dispatch_role routes it: an unroutable signal fails the dispatch
-                result = (AgentOutcome(OutcomeStatus.SIGNALED, signal=signal), route_signal(signal, plan))
+                result = (AgentOutcome(signal), route_signal(signal, plan))
             except GateworkError as exc:
                 result = exc
             outcomes.append(Draw(f"{kind.value} {payload!r}", result))
@@ -238,8 +235,9 @@ def take(node: Node, step: tuple, draw) -> dict | None:
     elif kind == "reach":
         return reach(run, run_dir, CLOCK, *argument)
     elif kind == "dispatch":
-        for one in draw:  # each dispatch writes what it produced before the batch is journaled
-            run_dir.artifacts |= one.produced
+        for one in draw:  # each dispatch writes what it collected before the batch is journaled
+            if not isinstance(one.result, GateworkError):
+                run_dir.artifacts |= one.result[0].artifacts.keys()
             run_dir.verdict = one.verdict or run_dir.verdict
         batch = [(role, one.result, ()) for role, one in zip(argument, draw)]
         return journal_batch(run, run_dir, CLOCK, batch)
@@ -253,7 +251,7 @@ def take(node: Node, step: tuple, draw) -> dict | None:
             record_event(run, run_dir, "ship", {"shipped": False})
             return {"gate_violation": "ship refused"}
         shipper = DispatchError("shipper failed") if draw == "shipper failed" else (
-            AgentOutcome(OutcomeStatus.COMPLETED, produced=frozenset({K.SHIPPER})), None)
+            AgentOutcome(artifacts={K.SHIPPER: ""}), None)
         halt = journal_batch(run, run_dir, CLOCK, [(R.SHIPPER, shipper, ())])
         if halt:
             return halt

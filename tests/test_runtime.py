@@ -129,8 +129,7 @@ def test_run_scripted_single_step_completion(tmp_path):
     script = parse_scenario("write audit.md <<EOF\n| r | ok |\n| - | - |\nEOF\ncomplete\n")
     outcome = dispatch(req, ScriptedBackend(script))
     assert outcome.status is OutcomeStatus.COMPLETED
-    assert outcome.produced == frozenset({K.AUDIT})
-    assert (req.sandbox.path / "audit.md").read_text(encoding="utf-8") == "| r | ok |\n| - | - |\n"
+    assert outcome.artifacts == {K.AUDIT: "| r | ok |\n| - | - |\n"}
 
 
 def test_run_scripted_block_under_builder_is_protocol_violation(tmp_path):
@@ -172,8 +171,7 @@ def test_run_scripted_is_byte_deterministic(tmp_path):
         }
         trees.append(tree)
     assert trees[0] == trees[1]
-    assert outcomes[0].status == outcomes[1].status
-    assert outcomes[0].produced == outcomes[1].produced
+    assert outcomes[0] == outcomes[1]
 
 
 def test_scripted_rounds_follow_attempt_numbers(tmp_path):
@@ -237,7 +235,7 @@ def test_dispatch_accepts_full_contract(tmp_path):
     backend = ScriptedBackend.from_text("write implementation.md <<EOF\nreport\nEOF\ncomplete\n")
     outcome = dispatch(req, backend)
     assert outcome.status is OutcomeStatus.COMPLETED
-    assert outcome.produced == frozenset({K.IMPLEMENTATION})
+    assert outcome.artifacts == {K.IMPLEMENTATION: "report\n"}
 
 
 def test_dispatch_wraps_backend_crash(tmp_path):
@@ -274,7 +272,7 @@ def test_subprocess_backend_completion(tmp_path):
     log_path = tmp_path / "tester.log"
     outcome = dispatch(req, backend, log_path=log_path)
     assert outcome.status is OutcomeStatus.COMPLETED
-    assert outcome.produced == frozenset({K.AUDIT})
+    assert outcome.artifacts == {K.AUDIT: "| check | ok |\n| - | - |\n"}
     assert "working..." in log_path.read_text(encoding="utf-8")
 
 
