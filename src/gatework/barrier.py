@@ -28,7 +28,7 @@ from gatework.model import (
     artifact_kind_for_name,
     state_order,
 )
-from gatework.rundir import RunDirectory, write_whole
+from gatework.rundir import RunDirectory, identities, write_whole
 
 #: Roles that operate in an isolated git worktree of the target. The
 #: simulator is not one: it generates data without knowing the algorithm,
@@ -144,9 +144,13 @@ class Sandbox:
         visible_artifacts: frozenset[ArtifactKind],
         clock: Clock,
         state: WorkflowState | None = None,
+        inherited: frozenset[tuple[int, int]] = frozenset(),
     ) -> None:
         self.role, self.path, self.visible_artifacts = role, path, visible_artifacts
         self.clock, self.state = clock, state
+        #: the identities of what sat at the role's artifact names when the
+        #: sandbox was made, which no dispatch of the role is credited with
+        self.inherited = inherited
         self.audit = AuditLog()
 
     def resolve(self, relpath: str) -> Path:
@@ -269,7 +273,10 @@ def _materialize(
         if kind.producer is not role and (text := run_dir.read(kind)) is not None:
             write_whole(path / kind.filename, text)
             visible.add(kind)
-    return Sandbox(role=role, path=path, visible_artifacts=frozenset(visible), clock=clock, state=state)
+    # what sits at the role's own names: in a worktree slot, only a
+    # tracked file of the target can
+    inherited = identities(path, (kind for kind in ArtifactKind if kind.producer is role))
+    return Sandbox(role, path, frozenset(visible), clock, state, inherited)
 
 
 def audit_isolation(

@@ -6,6 +6,7 @@ the review verdict header is out of scope by design.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import stat
@@ -13,7 +14,7 @@ import tempfile
 import zlib
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from gatework.errors import ContractError, EnvironmentFailure, RunDirectoryError, VerdictError
 from gatework.model import ARTIFACT_NAME_ALIASES, ArtifactKind, VerdictValue, parse_review_verdict
@@ -25,32 +26,67 @@ def _names(kind: ArtifactKind) -> tuple[str, ...]:
     return (kind.filename, *(alias for alias, aliased in ARTIFACT_NAME_ALIASES.items() if aliased is kind))
 
 
-def read_artifact(directory: Path, kind: ArtifactKind) -> str | None:
+def read_artifact(
+    directory: Path, kind: ArtifactKind, inherited: frozenset[tuple[int, int]] = frozenset()
+) -> str | None:
     """The text of the file holding ``kind`` in ``directory``, at the
     first of its names that holds anything, or None if none does: the one
-    read of an artifact. Bytes that are not UTF-8, or what cannot be read,
-    raise ContractError naming the file."""
+    read of an artifact. ContractError, naming the file, refuses anything
+    but a regular file (a symlink is never followed, a FIFO never waited
+    on), a file whose identity is in ``inherited`` (see :func:`identities`),
+    and bytes that are not UTF-8."""
     for name in _names(kind):
         try:
-            with open(directory / name, encoding="utf-8") as fh:
-                return fh.read()
+            fd = os.open(directory / name, os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK)
         except FileNotFoundError:
             continue
+        except OSError as exc:
+            reason = "is not a regular file: a symlink" if exc.errno == errno.ELOOP else "cannot be read"
+            raise ContractError(f"artifact {name} {reason} ({exc.strerror})") from None
+        try:
+            found = os.fstat(fd)
+            if not stat.S_ISREG(found.st_mode):
+                raise ContractError(f"artifact {name} is not a regular file")
+            if (found.st_ino, found.st_ctime_ns) in inherited:
+                raise ContractError(f"artifact {name} was not written by this dispatch")
+            with open(fd, encoding="utf-8", closefd=False) as fh:
+                return fh.read()
         except UnicodeDecodeError as exc:
             raise ContractError(f"artifact {name} is not UTF-8: {exc}") from None
-        except OSError as exc:  # a directory, say
-            raise ContractError(f"artifact {name} cannot be read: {exc}") from None
+        except OSError as exc:
+            raise ContractError(f"artifact {name} cannot be read: {exc.strerror}") from None
+        finally:
+            os.close(fd)
     return None
+
+
+def identities(directory: Path, kinds: Iterable[ArtifactKind]) -> frozenset[tuple[int, int]]:
+    """The identity, inode and ctime, of whatever sits at a name of
+    ``kinds`` in ``directory``; a file keeps it until it is written to or
+    replaced."""
+    found = set()
+    for kind in kinds:
+        for name in _names(kind):
+            try:
+                entry = os.lstat(directory / name)
+            except FileNotFoundError:
+                continue
+            found.add((entry.st_ino, entry.st_ctime_ns))
+    return frozenset(found)
 
 
 def write_whole(path: Path, text: str) -> None:
     """Write ``text`` to ``path`` whole or not at all: into a sibling
     temporary file, which then replaces ``path``, so a write that fails
     partway, or a process killed in it, leaves the previous file. The one
-    write of an artifact, into a run directory or a sandbox."""
+    write of an artifact, into a run directory or a sandbox: it replaces
+    the name, never writing through a symlink there or at the temporary's."""
     temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        temporary.write_text(text, encoding="utf-8")
+        temporary.unlink(missing_ok=True)
+        fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW, 0o666)
+        with open(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
         os.replace(temporary, path)
     except BaseException:
         temporary.unlink(missing_ok=True)

@@ -356,7 +356,7 @@ def dispatch(req: DispatchRequest, backend: AgentBackend, log_path: Path | None 
         return outcome
 
     owed = contracted_artifacts(req.role, req.workflow)
-    texts = {kind: read_artifact(req.sandbox.path, kind) for kind in owed}
+    texts = {kind: read_artifact(req.sandbox.path, kind, req.sandbox.inherited) for kind in owed}
     missing = sorted(kind.filename for kind, text in texts.items() if text is None)
     if missing:
         raise ContractError(

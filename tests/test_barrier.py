@@ -208,6 +208,21 @@ def test_a_symlinked_plain_sandbox_is_refused_and_never_followed(run_env, dangli
     assert (repo / "module.py").read_text(encoding="utf-8") == "print('hi')\n"
 
 
+def test_an_input_replaces_a_tracked_symlink_at_its_name(run_env, tmp_path):
+    run_dir, repo, git, clock = run_env
+    outside = tmp_path / "outside.md"
+    outside.write_text("# Outside the slot\n", encoding="utf-8")
+    (repo / "spec.md").symlink_to(outside)
+    subprocess.run(["git", "-C", str(repo), "add", "spec.md"], check=True)
+    subprocess.run(["git", "-C", str(repo), "commit", "-q", "-m", "track a symlink"], check=True)
+
+    sandbox = create_sandbox(R.BUILDER, repo, run_dir=run_dir, git=git, clock=clock, request_id="req-1")
+
+    spec = sandbox.path / "spec.md"
+    assert not spec.is_symlink() and spec.read_text(encoding="utf-8") == "content of spec.md\n"
+    assert outside.read_text(encoding="utf-8") == "# Outside the slot\n"
+
+
 def test_request_read_denied_artifact_returns_nothing_and_logs(run_env):
     run_dir, repo, git, clock = run_env
     sandbox = create_sandbox(

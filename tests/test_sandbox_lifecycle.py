@@ -5,6 +5,7 @@ removed at finalize."""
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import shlex
@@ -19,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from conftest import (
+    LOG_ENTRY_BODY,
     RecordingGit,
     init_git_repo,
     process_ended,
@@ -32,7 +34,7 @@ from gatework.errors import RunDirectoryError
 from gatework.gitlayer import SubprocessGit
 from gatework.model import AgentRole, ArtifactKind, workflow_by_id
 from gatework.orchestrator import ChannelMode, Orchestrator, UserChannel, start_run
-from gatework.runtime import SubprocessBackend
+from gatework.runtime import ScriptedBackend, SubprocessBackend
 
 R = AgentRole
 
@@ -903,6 +905,7 @@ def test_a_journal_that_does_not_parse_is_raised_before_the_session_writes(tmp_p
 
 
 _IMPLEMENTATION = "printf '# Implementation\\n' > implementation.md\n"
+_COMPLETES = f"cat >/dev/null\n{_IMPLEMENTATION}echo 'OUTCOME: COMPLETED'\n"
 
 
 @pytest.mark.parametrize("locker", [R.BUILDER, R.TESTER], ids=lambda role: role.value)
@@ -965,19 +968,102 @@ def test_an_artifact_that_is_not_utf8_fails_its_dispatch(tmp_path):
     assert not run_dir.sandboxes_dir.exists()
 
 
-def test_an_artifact_that_is_a_directory_fails_its_dispatch(tmp_path):
-    script = "cat >/dev/null\nmkdir implementation.md\necho 'OUTCOME: COMPLETED'\n"
-    backends = {**scripted_backends(workflow_by_id(9)), R.BUILDER: SubprocessBackend(["sh", "-c", script])}
-    report, run_dir, _ = run_scripted_workflow(tmp_path, 9, backends=backends)
+@contextlib.contextmanager
+def _fifo_watchdog(record: Path, seconds: float = 5.0):
+    """After ``seconds``, keep opening for writing the FIFO whose path the
+    agent wrote to ``record``, which lets a reader blocked opening it go
+    on; yields the list of the opens that found such a reader. A read that
+    blocks on the FIFO so fails its test in seconds instead of hanging."""
+    done, unblocked = threading.Event(), []
 
-    assert report.exit_code == 4 and list(report.diagnostics) == ["builder"]
-    assert "implementation.md cannot be read" in report.diagnostics["builder"]
+    def watch() -> None:
+        done.wait(seconds)
+        while not done.is_set():
+            try:
+                fifo = record.read_text(encoding="utf-8").strip()
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+                unblocked.append(fifo)
+            except OSError:  # no reader is blocked on it, or it is gone
+                pass
+            done.wait(0.1)
+
+    watcher = threading.Thread(target=watch)
+    watcher.start()
+    try:
+        yield unblocked
+    finally:
+        done.set()
+        watcher.join(5)
+    assert not watcher.is_alive()
+
+
+@pytest.mark.parametrize(
+    "make", ["mkdir implementation.md", "ln -s {outside} implementation.md",
+             "ln -s {outside}.absent implementation.md", "mkfifo implementation.md"],
+    ids=["directory", "symlink-out", "dangling-symlink", "fifo"],
+)
+def test_an_artifact_that_is_a_directory_fails_its_dispatch(tmp_path, make):
+    # nor any other name that holds no regular file: none is followed or read
+    outside, record = tmp_path / "outside.md", tmp_path / "fifo"
+    outside.write_text("# Outside the sandbox\n", encoding="utf-8")
+    made = make.format(outside=shlex.quote(str(outside)))
+    script = f"cat >/dev/null\n{made}\necho \"$PWD/implementation.md\" > {shlex.quote(str(record))}\n" \
+        "echo 'OUTCOME: COMPLETED'\n"
+    backends = {**scripted_backends(workflow_by_id(9)), R.BUILDER: SubprocessBackend(["sh", "-c", script])}
+    with _fifo_watchdog(record) as unblocked:
+        report, run_dir, _ = run_scripted_workflow(tmp_path, 9, backends=backends)
+
+    assert not unblocked, "the engine blocked reading a FIFO"
+    assert report.exit_code == 4 and list(report.diagnostics) == ["builder"], report.diagnostics
+    assert "implementation.md is not a regular file" in report.diagnostics["builder"]
     assert [(r["role"], r["outcome"]) for r in run_dir.events() if r["event"] == "dispatch"] == [
         ("builder", "failed")
     ]
     assert report.dispatch_counts == {"builder": 1}
     assert not run_dir.exists(ArtifactKind.IMPLEMENTATION)
+    assert outside.read_text(encoding="utf-8") == "# Outside the sandbox\n"
     assert not run_dir.sandboxes_dir.exists()
+
+
+def _tracking(repo: Path, name: str, text: str) -> Path:
+    (repo / name).write_text(text, encoding="utf-8")
+    _git(repo, "add", name)
+    _git(repo, "commit", "-q", "-m", f"track {name}")
+    return repo
+
+
+def test_a_tracked_file_at_an_owed_name_is_not_credited_to_its_role(tmp_path):
+    repo = _tracking(init_git_repo(tmp_path / "repo"), "implementation.md", "# The target's own\n")
+    backends = {**scripted_backends(workflow_by_id(9)), R.BUILDER: ScriptedBackend.from_text("complete\n")}
+    report, run_dir, _ = run_scripted_workflow(tmp_path, 9, target_repo=repo, backends=backends)
+
+    assert report.exit_code == 4 and list(report.diagnostics) == ["builder"], report.diagnostics
+    assert "implementation.md was not written by this dispatch" in report.diagnostics["builder"]
+    assert not run_dir.exists(ArtifactKind.IMPLEMENTATION)
+
+
+def test_a_tracked_file_at_an_accepted_alias_is_not_credited_to_its_role(tmp_path):
+    repo = _tracking(init_git_repo(tmp_path / "repo"), "ARCHITECTURE.md", "# The target's own\n")
+    scriber = "write log-entry.md <<EOF\n{}EOF\nwrite docs.md <<EOF\n# Docs\nEOF\ncomplete\n"
+    backends = {
+        **scripted_backends(workflow_by_id(3)),
+        R.SCRIBER: ScriptedBackend.from_text(scriber.format(LOG_ENTRY_BODY)),
+    }
+    report, run_dir, _ = run_scripted_workflow(tmp_path, 3, target_repo=repo, backends=backends)
+
+    assert report.exit_code == 4 and list(report.diagnostics) == ["scriber"], report.diagnostics
+    assert "ARCHITECTURE.md was not written by this dispatch" in report.diagnostics["scriber"]
+    assert report.final_state == "PIPELINES_COMPLETE"
+    assert not run_dir.exists(ArtifactKind.ARCHITECTURE)
+
+
+def test_a_tracked_file_its_role_rewrote_with_the_same_text_is_credited(tmp_path):
+    repo = _tracking(init_git_repo(tmp_path / "repo"), "implementation.md", "# Implementation\n")
+    backends = {**scripted_backends(workflow_by_id(9)), R.BUILDER: SubprocessBackend(["sh", "-c", _COMPLETES])}
+    report, run_dir, _ = run_scripted_workflow(tmp_path, 9, target_repo=repo, backends=backends)
+
+    assert report.final_state == "PIPELINES_COMPLETE" and report.exit_code == 0, report.diagnostics
+    assert run_dir.read(ArtifactKind.IMPLEMENTATION) == "# Implementation\n"
 
 
 def test_the_simulator_sandbox_holds_no_tracked_file_of_the_target(tmp_path):
