@@ -14,7 +14,7 @@ import shutil
 import threading
 from datetime import datetime
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from gatework.clock import Clock, iso8601
 from gatework.errors import AuditIncompleteness, BarrierError, EnvironmentFailure, MisconfigurationError
@@ -215,18 +215,17 @@ def create_sandbox(
             f"{role.value} does not run in a worktree sandbox; "
             f"worktree roles: {sorted(r.value for r in WORKTREE_ROLES)}"
         )
-    sandboxes = run_dir.sandboxes_dir
-    path = worktree_slot(sandboxes, slot)
+    path = worktree_slot(run_dir.sandboxes_dir, slot)
     branch = f"agent/{role.value}/{request_id}"
-    new_branch = attempt == 1
-    if path.exists():
-        verb, result = "reset", git.worktree_reset(base_repo, path, branch, new_branch=new_branch)
-    else:
-        sandboxes.mkdir(exist_ok=True)
-        verb, result = "creation", git.worktree_add(base_repo, path, branch, new_branch=new_branch)
-    if not result.ok:
-        raise EnvironmentFailure(f"worktree {verb} failed: {result.output}")
-    return _materialize(role, path, run_dir=run_dir, clock=clock, state=state)
+
+    def check_out() -> None:
+        if path.exists():
+            git.worktree_reset(base_repo, path, branch, new_branch=attempt == 1)
+        else:
+            path.parent.mkdir(exist_ok=True)
+            git.worktree_add(base_repo, path, branch, new_branch=attempt == 1)
+
+    return _make(role, path, check_out, run_dir=run_dir, clock=clock, state=state)
 
 
 def create_plain_sandbox(
@@ -241,41 +240,59 @@ def create_plain_sandbox(
     roles), which need artifact isolation but no checkout of the target:
     an empty ``<run_dir.sandboxes_dir>/<role>`` holding the role's inputs
     only. Whatever is at that path is deleted first, except a symlink,
-    which is never followed: it, or a path that cannot be made afresh,
-    fails the dispatch with :class:`EnvironmentFailure`."""
+    which is never followed but refused. Either kind of sandbox fails its
+    dispatch as :func:`_make` says."""
     if role is AgentRole.LEADER:
         raise MisconfigurationError("the leader is never dispatched into a sandbox")
     path = run_dir.sandboxes_dir / role.value
-    # an earlier agent of the session can leave one there
-    if path.is_symlink():
-        raise EnvironmentFailure(f"sandbox creation failed: {path} is a symlink")
-    try:
+
+    def empty() -> None:
+        _refuse_symlink(path)
         if path.exists():
             shutil.rmtree(path)
         path.mkdir(parents=True)
-    except OSError as exc:
-        raise EnvironmentFailure(f"sandbox creation failed: {exc}") from None
-    return _materialize(role, path, run_dir=run_dir, clock=clock, state=state)
+
+    return _make(role, path, empty, run_dir=run_dir, clock=clock, state=state)
 
 
-def _materialize(
+def _refuse_symlink(path: Path) -> None:
+    # an earlier agent of the session can leave one in place of a sandbox
+    # or of the run's sandboxes directory: a sandbox is never made through it
+    if path.is_symlink():
+        raise EnvironmentFailure(f"sandbox creation failed: {path} is a symlink")
+
+
+def _make(
     role: AgentRole,
     path: Path,
+    prepare: Callable[[], None],
     *,
     run_dir: RunDirectory,
     clock: Clock,
     state: WorkflowState | None,
 ) -> Sandbox:
-    # Only inputs: a role's own output must come from this attempt, or the
-    # contract check in dispatch() would pass a retry that wrote nothing.
+    """The sandbox of ``role`` at ``path``, the directory of
+    ``run_dir.sandboxes_dir`` that ``prepare`` makes, holding the role's
+    inputs only. A symlink at ``run_dir.sandboxes_dir``, what ``prepare``
+    raises and any ``OSError`` fail the dispatch as one EnvironmentFailure."""
+    # named by the input, not the pid-named temporary write_whole writes first
+    where = str(path)
     visible = set()
-    for kind in sorted(DEFAULT_ACCESS_MATRIX.grants_for(role, state), key=lambda k: k.filename):
-        if kind.producer is not role and (text := run_dir.read(kind)) is not None:
-            write_whole(path / kind.filename, text)
-            visible.add(kind)
-    # what sits at the role's own names: in a worktree slot, only a
-    # tracked file of the target can
-    inherited = identities(path, (kind for kind in ArtifactKind if kind.producer is role))
+    try:
+        _refuse_symlink(path.parent)
+        prepare()
+        # what sits at the role's own names: in a worktree slot, only a
+        # tracked file of the target can
+        inherited = identities(path, (kind for kind in ArtifactKind if kind.producer is role))
+        # Only inputs: a role's own output must come from this attempt, or
+        # the contract check in dispatch() would pass a retry that wrote nothing.
+        for kind in sorted(DEFAULT_ACCESS_MATRIX.grants_for(role, state), key=lambda k: k.filename):
+            if kind.producer is not role and (text := run_dir.read(kind)) is not None:
+                where = f"input {kind.filename}"
+                write_whole(path / kind.filename, text)
+                visible.add(kind)
+    except OSError as exc:
+        raise EnvironmentFailure(f"sandbox creation failed: {where}: {exc.strerror or exc}") from None
     return Sandbox(role, path, frozenset(visible), clock, state, inherited)
 
 

@@ -1,6 +1,7 @@
-"""The engine's git: the system binary, run as a subprocess. Every
-mutation returns a :class:`GitResult`, so the shipper report can list the
-actions taken.
+"""The engine's git: the system binary, run as a subprocess. Each step of
+a ship or a workspace sync returns a :class:`GitResult`, so the shipper
+report can list the actions taken; a worktree operation that fails raises
+:class:`EnvironmentFailure`, which fails the dispatch it was preparing.
 """
 
 from __future__ import annotations
@@ -13,11 +14,10 @@ from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
 
+from gatework.errors import EnvironmentFailure
+
 
 class GitAction(str, Enum):
-    WORKTREE_ADD = "WORKTREE_ADD"
-    WORKTREE_REMOVE = "WORKTREE_REMOVE"
-    WORKTREE_RESET = "WORKTREE_RESET"
     STAGE = "STAGE"
     COMMIT = "COMMIT"
     PUSH = "PUSH"
@@ -29,7 +29,6 @@ class GitResult(NamedTuple):
     action: GitAction
     detail: str = ""
     error_kind: str | None = None  # conflict | auth | detached | environment
-    output: str = ""
 
 
 class SubprocessGit:
@@ -73,14 +72,8 @@ class SubprocessGit:
 
     def _result(self, action: GitAction, proc: subprocess.CompletedProcess, detail: str) -> GitResult:
         if proc.returncode == 0:
-            return GitResult(ok=True, action=action, detail=detail, output=proc.stdout.strip())
-        return GitResult(
-            ok=False,
-            action=action,
-            detail=detail,
-            error_kind=self._classify(proc.stderr),
-            output=(proc.stdout + proc.stderr).strip(),
-        )
+            return GitResult(ok=True, action=action, detail=detail)
+        return GitResult(ok=False, action=action, detail=detail, error_kind=self._classify(proc.stderr))
 
     def is_repo(self, repo: Path) -> bool:
         proc = self._run(repo, "rev-parse", "--git-dir")
@@ -91,21 +84,20 @@ class SubprocessGit:
         proc = self._run(repo, "rev-parse", "-q", "--verify", f"refs/heads/{branch}")
         return proc.returncode == 0
 
-    def worktree_add(self, repo: Path, path: Path, branch: str, *, new_branch: bool) -> GitResult:
+    def worktree_add(self, repo: Path, path: Path, branch: str, *, new_branch: bool) -> None:
         """Add a worktree of ``repo`` at ``path`` holding a pristine checkout
-        of ``branch``, as :meth:`_check_out_branch` makes it. Refuses
-        (``ok=False``) a ``path`` that exists; a failed add leaves no
-        worktree and no branch behind."""
+        of ``branch``, as :meth:`_check_out_branch` makes it. Refuses a
+        ``path`` that exists; a failed add leaves no worktree and no branch
+        behind. Either raises :class:`EnvironmentFailure`."""
         # git -C <repo> resolves relative worktree paths against the repo,
         # not our working directory, so pass an absolute path
         given, path = Path(path), Path(path).resolve()
-        detail = f"{path} on {branch}"
         # git adds into an existing empty directory, and a failed add
         # removes its worktree: refuse any existing path, so nothing
         # already there is touched, and a symlink, even a dangling one,
         # so no worktree is added where it points
         if given.is_symlink() or path.exists():
-            return _refused(GitAction.WORKTREE_ADD, detail, f"{given} already exists")
+            raise EnvironmentFailure(f"worktree creation failed: {given} already exists; worktree_add refused")
         # an empty worktree, filled by the checkout step a reset runs too;
         # `worktree add -b` would start `branch`, `symbolic-ref` and
         # `reset --hard` of its own. Forced twice, git takes over a path
@@ -116,40 +108,42 @@ class SubprocessGit:
             proc = self._check_out_branch(repo, path, branch, new_branch)
             if proc.returncode != 0:
                 self._run(repo, "worktree", "remove", "--force", str(path))
-        return self._result(GitAction.WORKTREE_ADD, proc, detail)
+        _require(proc, "worktree creation failed")
 
-    def worktree_remove(self, repo: Path, path: Path) -> GitResult:
+    def worktree_remove(self, repo: Path, path: Path) -> None:
         """Remove the worktree of ``repo`` at ``path`` and unregister it;
         at a ``path`` already gone, git only unregisters it."""
         path = Path(path).resolve()
         # twice: once for a dirty worktree, once for one an agent locked
-        proc = self._run(repo, "worktree", "remove", "--force", "--force", str(path))
-        return self._result(GitAction.WORKTREE_REMOVE, proc, str(path))
+        self._run(repo, "worktree", "remove", "--force", "--force", str(path))
 
-    def worktree_reset(self, repo: Path, path: Path, branch: str, *, new_branch: bool) -> GitResult:
+    def worktree_reset(self, repo: Path, path: Path, branch: str, *, new_branch: bool) -> None:
         """Turn the existing worktree of ``repo`` at ``path``, whatever it
         holds, into a pristine checkout of ``branch``, in one git process:
         every entry but ``.git`` is deleted, then :meth:`_check_out_branch`
-        writes every tracked file afresh. Refuses (``ok=False``) a path
-        that is a symlink or not a linked worktree, before anything is
-        deleted. A slot that cannot be emptied, or whose checkout fails
-        once it was, is refused too; the latter is left empty."""
+        writes every tracked file afresh. Refuses a path that is a symlink
+        or not a linked worktree, before anything is deleted, and a slot
+        that cannot be emptied. A checkout that fails once the slot was
+        emptied leaves it empty. Each raises :class:`EnvironmentFailure`."""
         # a symlink would take the reset to whatever it points at
         if Path(path).is_symlink():
-            return _refused(GitAction.WORKTREE_RESET, str(path), f"{path} is a symlink")
+            raise EnvironmentFailure(f"worktree reset failed: {path} is a symlink; worktree_reset refused")
         path = Path(path).resolve()
         # anywhere else, git would reset the enclosing repository's checkout
         if not is_linked_worktree(path):
-            return _refused(GitAction.WORKTREE_RESET, str(path), f"{path} is not a linked worktree")
+            raise EnvironmentFailure(
+                f"worktree reset failed: {path} is not a linked worktree; worktree_reset refused"
+            )
         try:
             _empty(path)
         except OSError as exc:
-            return _refused(GitAction.WORKTREE_RESET, str(path), f"{path} could not be emptied: {exc}")
+            raise EnvironmentFailure(
+                f"worktree reset failed: {path} could not be emptied: {exc}; worktree_reset refused"
+            ) from None
         # like `reset --hard`, but also returns HEAD to the branch if the
         # agent switched branches or detached it; with every file missing,
         # git writes each one and re-hashes none
-        proc = self._check_out_branch(repo, path, branch, new_branch)
-        return self._result(GitAction.WORKTREE_RESET, proc, str(path))
+        _require(self._check_out_branch(repo, path, branch, new_branch), "worktree reset failed")
 
     def _check_out_branch(
         self, repo: Path, path: Path, branch: str, new_branch: bool
@@ -182,13 +176,7 @@ class SubprocessGit:
         staged change staged; ``[]`` commits the whole index."""
         head = self._run(repo, "symbolic-ref", "-q", "HEAD")
         if head.returncode != 0:
-            return GitResult(
-                ok=False,
-                action=GitAction.COMMIT,
-                detail=message,
-                error_kind="detached",
-                output="HEAD is detached",
-            )
+            return GitResult(ok=False, action=GitAction.COMMIT, detail=message, error_kind="detached")
         proc = self._run(repo, "commit", "-m", message, "--", *paths)
         if proc.returncode != 0 and "nothing to commit" in (proc.stdout + proc.stderr):
             return GitResult(ok=True, action=GitAction.COMMIT, detail=f"{message} (nothing to commit)")
@@ -263,12 +251,7 @@ def _empty(path: Path) -> None:
                 os.unlink(entry.path)
 
 
-def _refused(action: GitAction, detail: str, problem: str) -> GitResult:
-    """A worktree operation refused before git ran."""
-    return GitResult(
-        ok=False,
-        action=action,
-        detail=detail,
-        error_kind="environment",
-        output=f"{problem}; {action.value.lower()} refused",
-    )
+def _require(proc: subprocess.CompletedProcess, failure: str) -> None:
+    """Raise EnvironmentFailure, ``failure`` and git's output, if ``proc`` failed."""
+    if proc.returncode != 0:
+        raise EnvironmentFailure(f"{failure}: {(proc.stdout + proc.stderr).strip()}")

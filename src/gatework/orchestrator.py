@@ -4,7 +4,9 @@ mechanical half of the review, and gates shipping on the verdict plus
 explicit user authorization.
 
 The leader never performs specialist work: it writes only run-directory
-bookkeeping, and git mutations happen solely on the ship path.
+bookkeeping. Its git mutations of the target are the agent sandboxes'
+(worktree slots added, reset and removed, and the agent branches they
+create) and the ship path's stage, commit and push.
 """
 
 from __future__ import annotations
@@ -935,11 +937,15 @@ class Orchestrator:
         branches for a later session, and then the run's sandbox directory
         with whatever else agents left in it, so no checkout outlives its
         session in memory. A refused scratch root holds none. A slot this
-        session used is unregistered by path even if its agent deleted it."""
+        session used is unregistered by path even if its agent deleted it,
+        or replaced the run's sandbox directory with a symlink, which is
+        unlinked, never followed."""
         try:
             sandboxes = self.run_dir.sandboxes_dir
         except EnvironmentFailure:
             return
+        if sandboxes.is_symlink():
+            sandboxes.unlink()
         # a batch fills slots from 0, one per worktree role it holds
         for slot in range(len(self.workflow.roles() & WORKTREE_ROLES)):
             path = worktree_slot(sandboxes, slot)

@@ -41,31 +41,20 @@ from gatework.model import (
 )
 from gatework.rundir import read_artifact
 
-#: Default per-dispatch deadline in seconds; override per request.
-DEFAULT_DEADLINE = 30 * 60.0
+#: Seconds a subprocess dispatch may run before it is ended; a module
+#: constant so tests can shorten it.
+DEADLINE = 30 * 60.0
 
 
-class _DispatchRequest(NamedTuple):
+class DispatchRequest(NamedTuple):
+    """Everything a backend needs for one dispatch. The engine numbers a
+    role's attempts from 1, in the order its journal records them."""
+
     role: AgentRole
     sandbox: Sandbox
     briefing: str
     workflow: WorkflowType
-    deadline: float = DEFAULT_DEADLINE
     attempt: int = 1
-
-
-class DispatchRequest(_DispatchRequest):
-    """Everything a backend needs for one dispatch."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> DispatchRequest:
-        self = super().__new__(cls, *args, **kwargs)
-        if self.deadline <= 0:
-            raise ValueError("deadline must be > 0")
-        if self.attempt < 1:
-            raise ValueError("attempt numbering starts at 1")
-        return self
 
 
 class BackendKind(str, Enum):
@@ -286,7 +275,7 @@ class SubprocessBackend(AgentBackend):
                 self._running.add(proc.pid)
             timed_out = False
             try:
-                stdout, stderr = proc.communicate(req.briefing, timeout=req.deadline)
+                stdout, stderr = proc.communicate(req.briefing, timeout=DEADLINE)
             except subprocess.TimeoutExpired as exc:  # holds what was read by then, as bytes
                 timed_out = True
                 stdout, stderr = ((data or b"").decode(errors="replace") for data in (exc.stdout, exc.stderr))
@@ -300,7 +289,7 @@ class SubprocessBackend(AgentBackend):
             with open(log_path, "a", encoding="utf-8") as fh:
                 fh.write(f"[attempt {req.attempt}] {shlex.join(self.command)}\n{stdout}{stderr}\n")
         if timed_out:
-            raise DispatchTimeout(f"{req.role.value} backend exceeded {req.deadline}s deadline")
+            raise DispatchTimeout(f"{req.role.value} backend exceeded {DEADLINE}s deadline")
         if proc.returncode != 0:
             raise DispatchError(f"{req.role.value} backend exited with {proc.returncode}")
         outcome_line = next(

@@ -208,11 +208,11 @@ class RecordingGit(SubprocessGit):
 
     def worktree_add(self, repo, path, branch, *, new_branch):
         self.calls.append(("add", Path(path).name))
-        return super().worktree_add(repo, path, branch, new_branch=new_branch)
+        super().worktree_add(repo, path, branch, new_branch=new_branch)
 
     def worktree_reset(self, repo, path, branch, *, new_branch):
         self.calls.append(("reset", Path(path).name))
-        return super().worktree_reset(repo, path, branch, new_branch=new_branch)
+        super().worktree_reset(repo, path, branch, new_branch=new_branch)
 
     def stage(self, repo, paths):
         return self._record(super().stage(repo, paths))

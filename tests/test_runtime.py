@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import process_ended
+from gatework import runtime
 from gatework.barrier import create_plain_sandbox
 from gatework.clock import TickClock
 from gatework.errors import (
@@ -46,7 +47,7 @@ K = ArtifactKind
 R = AgentRole
 
 
-def _request(tmp_path: Path, role: AgentRole, workflow_id: int, attempt: int = 1, deadline: float = 60.0):
+def _request(tmp_path: Path, role: AgentRole, workflow_id: int, attempt: int = 1):
     run_dir = RunDirectory(tmp_path / f"run-{role.value}-{attempt}-{os.urandom(3).hex()}").create()
     sandbox = create_plain_sandbox(role, run_dir=run_dir, clock=TickClock())
     return DispatchRequest(
@@ -54,7 +55,6 @@ def _request(tmp_path: Path, role: AgentRole, workflow_id: int, attempt: int = 1
         sandbox=sandbox,
         briefing="do the thing\n",
         workflow=workflow_by_id(workflow_id),
-        deadline=deadline,
         attempt=attempt,
     )
 
@@ -184,18 +184,6 @@ def test_scripted_rounds_follow_attempt_numbers(tmp_path):
     assert second.status is OutcomeStatus.COMPLETED
 
 
-def test_dispatch_request_validates_deadline_and_attempt(tmp_path):
-    req = _request(tmp_path, R.TESTER, 6)
-    with pytest.raises(ValueError):
-        DispatchRequest(
-            role=req.role, sandbox=req.sandbox, briefing="b", workflow=req.workflow, deadline=0
-        )
-    with pytest.raises(ValueError):
-        DispatchRequest(
-            role=req.role, sandbox=req.sandbox, briefing="b", workflow=req.workflow, attempt=0
-        )
-
-
 # --- artifact contracts -------------------------------------------------------
 
 
@@ -311,14 +299,15 @@ def test_subprocess_backend_signal_without_payload_file_is_a_dispatch_error(tmp_
     assert "asking" in log.read_text(encoding="utf-8")
 
 
-def test_subprocess_backend_timeout(tmp_path):
-    req = _request(tmp_path, R.BUILDER, 9, deadline=0.5)
+def test_subprocess_backend_timeout(tmp_path, monkeypatch):
+    monkeypatch.setattr(runtime, "DEADLINE", 0.5)
+    req = _request(tmp_path, R.BUILDER, 9)
     backend = SubprocessBackend(["sh", "-c", "echo partial-output; echo on-stderr >&2; exec sleep 10"])
     log = tmp_path / "builder.log"
     with pytest.raises(DispatchTimeout) as excinfo:
         dispatch(req, backend, log_path=log)
     # the output read before the deadline is logged as text
-    assert "deadline" in str(excinfo.value)
+    assert str(excinfo.value) == "builder backend exceeded 0.5s deadline"
     assert log.read_text(encoding="utf-8") == (
         "[attempt 1] sh -c 'echo partial-output; echo on-stderr >&2; exec sleep 10'\n"
         "partial-output\non-stderr\n\n"
@@ -334,8 +323,9 @@ def test_subprocess_backend_timeout(tmp_path):
     ],
     ids=["returns", "fails", "times-out"],
 )
-def test_no_process_of_a_subprocess_dispatch_outlives_it(tmp_path, command, raised):
-    req = _request(tmp_path, R.BUILDER, 9, deadline=1.0)
+def test_no_process_of_a_subprocess_dispatch_outlives_it(tmp_path, monkeypatch, command, raised):
+    monkeypatch.setattr(runtime, "DEADLINE", 1.0)
+    req = _request(tmp_path, R.BUILDER, 9)
     backend = SubprocessBackend(["sh", "-c", command])
     if raised is None:
         assert dispatch(req, backend).status is OutcomeStatus.COMPLETED

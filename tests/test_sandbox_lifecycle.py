@@ -30,7 +30,7 @@ from conftest import (
 from gatework import gitlayer
 from gatework.barrier import create_sandbox
 from gatework.clock import TickClock
-from gatework.errors import RunDirectoryError
+from gatework.errors import EnvironmentFailure, RunDirectoryError
 from gatework.gitlayer import SubprocessGit
 from gatework.model import AgentRole, ArtifactKind, workflow_by_id
 from gatework.orchestrator import ChannelMode, Orchestrator, UserChannel, start_run
@@ -404,7 +404,7 @@ def test_worktree_add_takes_three_processes_and_reuses_an_existing_branch(tmp_pa
     repo = init_git_repo(tmp_path / "repo")
     git = SubprocessGit()
     path = tmp_path / "wt-new"
-    assert git.worktree_add(repo, path, "agent/builder/req-1", new_branch=True).ok
+    git.worktree_add(repo, path, "agent/builder/req-1", new_branch=True)
     # an empty worktree, then the checkout step a reset runs too;
     # `worktree add` starts one `update-ref` of its own
     assert [argv[3:] for argv in git_spawns.argv] == [
@@ -417,14 +417,12 @@ def test_worktree_add_takes_three_processes_and_reuses_an_existing_branch(tmp_pa
     assert _git(path, "status", "--porcelain", "--ignored") == ""
     _git(repo, "branch", "agent/tester/req-1")
     # a branch that a session which journaled nothing left behind
-    existing = git.worktree_add(repo, tmp_path / "wt-old", "agent/tester/req-1", new_branch=True)
-    assert existing.ok, existing.output
+    git.worktree_add(repo, tmp_path / "wt-old", "agent/tester/req-1", new_branch=True)
     assert _git(tmp_path / "wt-old", "rev-parse", "--abbrev-ref", "HEAD").strip() == "agent/tester/req-1"
     # a branch the journal says exists is checked out as it is, in 3 processes
-    assert git.worktree_remove(repo, tmp_path / "wt-old").ok
+    git.worktree_remove(repo, tmp_path / "wt-old")
     git_spawns.clear()
-    journaled = git.worktree_add(repo, tmp_path / "wt-again", "agent/tester/req-1", new_branch=False)
-    assert journaled.ok, journaled.output
+    git.worktree_add(repo, tmp_path / "wt-again", "agent/tester/req-1", new_branch=False)
     assert git_spawns.argv[-1][3:] == [
         "checkout", "-q", "-f", "--ignore-other-worktrees", "agent/tester/req-1", "--",
     ]
@@ -434,16 +432,15 @@ def test_worktree_add_takes_three_processes_and_reuses_an_existing_branch(tmp_pa
 def test_failed_worktree_add_leaves_no_worktree_behind(tmp_path):
     repo = init_git_repo(tmp_path / "repo")
     git = SubprocessGit()
-    assert git.worktree_add(repo, tmp_path / "holder", "agent/builder/req-1", new_branch=True).ok
+    git.worktree_add(repo, tmp_path / "holder", "agent/builder/req-1", new_branch=True)
     listed = _git(repo, "worktree", "list", "--porcelain")
     branches = _git(repo, "branch", "--list")
 
     # git checks a branch out in one worktree at most, unless the caller
     # vouches that the branch is its own
-    result = git.worktree_add(repo, tmp_path / "second", "agent/builder/req-1", new_branch=True)
+    with pytest.raises(EnvironmentFailure, match="^worktree creation failed: .*already checked out"):
+        git.worktree_add(repo, tmp_path / "second", "agent/builder/req-1", new_branch=True)
 
-    assert not result.ok
-    assert "already checked out" in result.output
     assert _git(repo, "worktree", "list", "--porcelain") == listed
     assert _git(repo, "branch", "--list") == branches
     assert not (tmp_path / "second").exists()
@@ -456,10 +453,10 @@ def test_worktree_add_refuses_an_existing_path_and_creates_no_branch(tmp_path, g
     (occupied / "keep.txt").write_text("keep\n", encoding="utf-8")
     branches = _git(repo, "branch", "--list", "agent/*")
 
-    result = SubprocessGit().worktree_add(repo, occupied, "agent/builder/req-1", new_branch=True)
+    with pytest.raises(EnvironmentFailure) as refused:
+        SubprocessGit().worktree_add(repo, occupied, "agent/builder/req-1", new_branch=True)
 
-    assert not result.ok
-    assert "already exists" in result.output
+    assert str(refused.value) == f"worktree creation failed: {occupied} already exists; worktree_add refused"
     assert git_spawns.argv == [] and git_spawns.total() == 0
     assert _git(repo, "branch", "--list", "agent/*") == branches
     assert (occupied / "keep.txt").read_text(encoding="utf-8") == "keep\n"
@@ -469,8 +466,8 @@ def test_worktree_reset_takes_one_process_to_hand_a_slot_to_another_role(tmp_pat
     repo = init_git_repo(tmp_path / "repo")
     git = SubprocessGit()
     slot, idle = tmp_path / "worktree-0", tmp_path / "worktree-1"
-    assert git.worktree_add(repo, slot, "agent/builder/req-1", new_branch=True).ok
-    assert git.worktree_add(repo, idle, "agent/tester/req-1", new_branch=True).ok
+    git.worktree_add(repo, slot, "agent/builder/req-1", new_branch=True)
+    git.worktree_add(repo, idle, "agent/tester/req-1", new_branch=True)
     (slot / "feature.txt").write_text("feature\n", encoding="utf-8")
     _git(slot, "add", "feature.txt")
     _git(slot, "commit", "-q", "-m", "builder")
@@ -478,8 +475,7 @@ def test_worktree_reset_takes_one_process_to_hand_a_slot_to_another_role(tmp_pat
     git_spawns.clear()
 
     # a role's first dispatch: its branch is made at the main checkout's HEAD
-    taken = git.worktree_reset(repo, slot, "agent/scriber/req-1", new_branch=True)
-    assert taken.ok, taken.output
+    git.worktree_reset(repo, slot, "agent/scriber/req-1", new_branch=True)
     assert [argv[3:] for argv in git_spawns.argv] == [
         ["checkout", "-q", "-f", "--no-track", "-b", "agent/scriber/req-1", "main-worktree/HEAD", "--"],
     ]
@@ -494,8 +490,7 @@ def test_worktree_reset_takes_one_process_to_hand_a_slot_to_another_role(tmp_pat
     # which the idle slot still has checked out
     for role, tip in (("builder", builder_tip), ("tester", _git(repo, "rev-parse", "HEAD"))):
         git_spawns.clear()
-        back = git.worktree_reset(repo, slot, f"agent/{role}/req-1", new_branch=False)
-        assert back.ok, back.output
+        git.worktree_reset(repo, slot, f"agent/{role}/req-1", new_branch=False)
         assert [argv[3:] for argv in git_spawns.argv] == [
             ["checkout", "-q", "-f", "--ignore-other-worktrees", f"agent/{role}/req-1", "--"],
         ]
@@ -509,15 +504,14 @@ def test_a_reset_whose_checkout_fails_leaves_the_slot_empty(tmp_path):
     repo = init_git_repo(tmp_path / "repo")
     git = SubprocessGit()
     slot, idle = tmp_path / "worktree-0", tmp_path / "worktree-1"
-    assert git.worktree_add(repo, slot, "agent/builder/req-1", new_branch=True).ok
-    assert git.worktree_add(repo, idle, "agent/tester/req-1", new_branch=True).ok
+    git.worktree_add(repo, slot, "agent/builder/req-1", new_branch=True)
+    git.worktree_add(repo, idle, "agent/tester/req-1", new_branch=True)
 
     # unless the journal vouches for the branch, git refuses one that
     # another worktree has checked out
-    refused = git.worktree_reset(repo, slot, "agent/tester/req-1", new_branch=True)
+    with pytest.raises(EnvironmentFailure, match="^worktree reset failed: .*already checked out"):
+        git.worktree_reset(repo, slot, "agent/tester/req-1", new_branch=True)
 
-    assert not refused.ok
-    assert "already checked out" in refused.output
     # fails closed: nothing of the earlier role is left to work on
     assert [p.name for p in slot.iterdir()] == [".git"]
 
@@ -534,7 +528,7 @@ def test_a_reset_leaves_nothing_an_agent_made_in_the_slot(tmp_path, branch, new_
     _git(repo, "add", "-A")
     _git(repo, "commit", "-q", "-m", "fixture")
     slot = tmp_path / "sandboxes" / "worktree-0"
-    assert SubprocessGit().worktree_add(repo, slot, "agent/builder/req-1", new_branch=True).ok
+    SubprocessGit().worktree_add(repo, slot, "agent/builder/req-1", new_branch=True)
     # what a checkout alone leaves behind: an untracked nested repository,
     # an ignored file, a tracked file replaced by a directory, and a
     # symlink to a directory outside the slot
@@ -548,9 +542,8 @@ def test_a_reset_leaves_nothing_an_agent_made_in_the_slot(tmp_path, branch, new_
     (outside / "keep.txt").write_text("keep\n", encoding="utf-8")
     (slot / "elsewhere").symlink_to(outside)
 
-    reset = SubprocessGit().worktree_reset(repo, slot, branch, new_branch=new_branch)
+    SubprocessGit().worktree_reset(repo, slot, branch, new_branch=new_branch)
 
-    assert reset.ok, reset.output
     assert _git(slot, "status", "--porcelain", "--ignored") == ""
     assert sorted(p.name for p in slot.iterdir()) == [".git", ".gitignore", "pyproject.toml", "tracked.txt"]
     assert (slot / "tracked.txt").read_text(encoding="utf-8") == "original\n"
@@ -580,7 +573,7 @@ def test_worktree_reset_refuses_a_symlink_to_another_worktree(tmp_path, git_spaw
     git = SubprocessGit()
     sandboxes = tmp_path / "sandboxes"
     other = sandboxes / "worktree-1"
-    assert git.worktree_add(repo, other, "agent/builder/req-1", new_branch=True).ok
+    git.worktree_add(repo, other, "agent/builder/req-1", new_branch=True)
     (other / "pyproject.toml").write_text("[project]\nname = 'edited'\n", encoding="utf-8")
     (other / "notes.txt").write_text("keep me\n", encoding="utf-8")
     slot = sandboxes / "worktree-0"
@@ -588,9 +581,9 @@ def test_worktree_reset_refuses_a_symlink_to_another_worktree(tmp_path, git_spaw
     git_spawns.clear()
 
     for new_branch in (True, False):
-        result = git.worktree_reset(repo, slot, "agent/tester/req-1", new_branch=new_branch)
-        assert not result.ok
-        assert "is a symlink" in result.output
+        with pytest.raises(EnvironmentFailure) as refused:
+            git.worktree_reset(repo, slot, "agent/tester/req-1", new_branch=new_branch)
+        assert str(refused.value) == f"worktree reset failed: {slot} is a symlink; worktree_reset refused"
 
     # refused before any git process starts, and before anything is deleted
     assert git_spawns.argv == [] and git_spawns.total() == 0
@@ -604,10 +597,10 @@ def test_worktree_add_refuses_a_dangling_symlink(tmp_path, git_spawns):
     slot = tmp_path / "worktree-0"
     slot.symlink_to(tmp_path / "elsewhere")
 
-    result = SubprocessGit().worktree_add(repo, slot, "agent/builder/req-1", new_branch=True)
+    with pytest.raises(EnvironmentFailure) as refused:
+        SubprocessGit().worktree_add(repo, slot, "agent/builder/req-1", new_branch=True)
 
-    assert not result.ok
-    assert "already exists" in result.output
+    assert str(refused.value) == f"worktree creation failed: {slot} already exists; worktree_add refused"
     assert git_spawns.argv == [] and git_spawns.total() == 0
     assert not (tmp_path / "elsewhere").exists()
 
@@ -642,14 +635,14 @@ def test_sequential_checkout_of_a_large_tree_matches_the_main_checkout(tmp_path,
         assert not os.access(slot / "pkg" / "sub0" / "mod0.py", os.X_OK)
         assert os.readlink(slot / "latest") == "pkg/sub0/mod0.py"
 
-    assert git.worktree_add(repo, slot, "agent/builder/req-1", new_branch=True).ok
+    git.worktree_add(repo, slot, "agent/builder/req-1", new_branch=True)
     assert_pristine()
     # a reset rewrites every file an agent changed
     for module in (slot / "pkg").rglob("*.py"):
         module.write_text("edited\n", encoding="utf-8")
     (slot / "run.sh").chmod(0o644)
     (slot / "latest").unlink()
-    assert git.worktree_reset(repo, slot, "agent/builder/req-1", new_branch=False).ok
+    git.worktree_reset(repo, slot, "agent/builder/req-1", new_branch=False)
     assert_pristine()
 
     # git writes the files itself, with no worker processes
@@ -663,19 +656,18 @@ def test_worktree_reset_checks_out_a_surviving_branch_as_it_is(tmp_path, new_bra
     repo = init_git_repo(tmp_path / "repo")
     git = SubprocessGit()
     # the tester's branch survives from an earlier session, one commit ahead
-    assert git.worktree_add(repo, tmp_path / "earlier", "agent/tester/req-1", new_branch=True).ok
+    git.worktree_add(repo, tmp_path / "earlier", "agent/tester/req-1", new_branch=True)
     (tmp_path / "earlier" / "kept.txt").write_text("kept\n", encoding="utf-8")
     _git(tmp_path / "earlier", "add", "kept.txt")
     _git(tmp_path / "earlier", "commit", "-q", "-m", "earlier session")
     kept = _git(repo, "rev-parse", "agent/tester/req-1")
-    assert git.worktree_remove(repo, tmp_path / "earlier").ok
+    git.worktree_remove(repo, tmp_path / "earlier")
     slot = tmp_path / "worktree-0"
-    assert git.worktree_add(repo, slot, "agent/builder/req-1", new_branch=True).ok
+    git.worktree_add(repo, slot, "agent/builder/req-1", new_branch=True)
 
     # whether or not the journal knows of the branch
-    reset = git.worktree_reset(repo, slot, "agent/tester/req-1", new_branch=new_branch)
+    git.worktree_reset(repo, slot, "agent/tester/req-1", new_branch=new_branch)
 
-    assert reset.ok, reset.output
     assert _git(slot, "rev-parse", "HEAD") == kept
     assert (slot / "kept.txt").exists()
 
@@ -691,9 +683,11 @@ def test_worktree_reset_refuses_a_directory_that_is_not_a_worktree(tmp_path, git
     git = SubprocessGit()
     for path in (stray, outside, repo, tmp_path / "absent"):
         for new_branch in (True, False):
-            result = git.worktree_reset(repo, path, "main", new_branch=new_branch)
-            assert not result.ok
-            assert "not a linked worktree" in result.output
+            with pytest.raises(EnvironmentFailure) as refused:
+                git.worktree_reset(repo, path, "main", new_branch=new_branch)
+            assert str(refused.value) == (
+                f"worktree reset failed: {path.resolve()} is not a linked worktree; worktree_reset refused"
+            )
     # refused before any git process starts
     assert git_spawns.argv == [] and git_spawns.total() == 0
     # the main checkout keeps its edit and its untracked files
@@ -726,8 +720,8 @@ def test_git_processes_on_one_repository_never_overlap(tmp_path, monkeypatch):
     repo = init_git_repo(tmp_path / "repo")
     git = SubprocessGit()
     shared, kept = tmp_path / "shared", tmp_path / "kept"
-    assert git.worktree_add(repo, shared, "agent/builder/req-1", new_branch=True).ok
-    assert git.worktree_add(repo, kept, "agent/tester/req-1", new_branch=True).ok
+    git.worktree_add(repo, shared, "agent/builder/req-1", new_branch=True)
+    git.worktree_add(repo, kept, "agent/tester/req-1", new_branch=True)
 
     # every process below works on the one repository
     in_flight = peak = 0
@@ -746,30 +740,39 @@ def test_git_processes_on_one_repository_never_overlap(tmp_path, monkeypatch):
                 in_flight -= 1
 
     monkeypatch.setattr(gitlayer, "subprocess", types.SimpleNamespace(run=run))
-    results = []
+    done, failures = [], []
 
     def adds():
         for i in range(4):
             path, branch = tmp_path / f"add-{i}", f"agent/add-{i}/req-1"
-            results.append(git.worktree_add(repo, path, branch, new_branch=True))
+            git.worktree_add(repo, path, branch, new_branch=True)
+            done.append(path)
 
     def takeovers():
         # each a role's first dispatch into the one shared slot
         for i in range(4):
-            results.append(git.worktree_reset(repo, shared, f"agent/role-{i}/req-1", new_branch=True))
+            git.worktree_reset(repo, shared, f"agent/role-{i}/req-1", new_branch=True)
+            done.append(shared)
 
     def resets():
         for _ in range(4):
-            results.append(git.worktree_reset(repo, kept, "agent/tester/req-1", new_branch=False))
+            git.worktree_reset(repo, kept, "agent/tester/req-1", new_branch=False)
+            done.append(kept)
 
-    threads = [threading.Thread(target=work) for work in (adds, takeovers, resets)]
+    def record_failure(work):
+        try:
+            work()
+        except EnvironmentFailure as exc:
+            failures.append(str(exc))
+
+    threads = [threading.Thread(target=record_failure, args=(work,)) for work in (adds, takeovers, resets)]
     for thread in threads:
         thread.start()
     for thread in threads:
         thread.join(timeout=60)
     assert not any(thread.is_alive() for thread in threads)
 
-    assert len(results) == 12 and all(r.ok for r in results), [r.output for r in results if not r.ok]
+    assert failures == [] and len(done) == 12
     assert peak == 1
 
 
@@ -950,6 +953,51 @@ def test_a_slot_directory_its_agent_deleted_whole_is_unregistered_at_finalize(tm
     assert "without contracted artifact(s): ['implementation.md']" in report.diagnostics["builder"]
     assert git.calls == [("add", "worktree-0")]
     assert not run_dir.sandboxes_dir.exists()
+
+
+def test_a_sandboxes_directory_its_agent_replaced_with_a_symlink_is_never_followed(tmp_path):
+    # the builder moves the run's sandbox directory aside and links to it in its place
+    swap = 'd=$(cd .. && pwd); mv "$d" "$d.moved"; ln -s "$d.moved" "$d"\n'
+    script = f'cat >/dev/null\n{_IMPLEMENTATION}{swap}echo "OUTCOME: COMPLETED"\n'
+    backends = {**scripted_backends(workflow_by_id(9)), R.BUILDER: SubprocessBackend(["sh", "-c", script])}
+    repo = init_git_repo(tmp_path / "repo")
+    git = RecordingGit()
+    # run_scripted_workflow also checks that `git worktree list` shows only the target
+    report, run_dir, _ = run_scripted_workflow(tmp_path, 9, target_repo=repo, git=git, backends=backends)
+
+    sandboxes = run_dir.sandboxes_dir
+    assert report.exit_code == 4
+    assert report.diagnostics == {"tester": f"sandbox creation failed: {sandboxes} is a symlink"}
+    # no slot is reset through the symlink
+    assert git.calls == [("add", "worktree-0")]
+    assert report.dispatch_counts == {"builder": 1}
+    assert run_dir.report_json_path.exists() and run_dir.report_text_path.exists()
+    # the symlink is unlinked; the directory it pointed at is the agent's doing
+    assert not sandboxes.is_symlink() and not sandboxes.exists()
+    assert (sandboxes.with_name(f"{sandboxes.name}.moved") / "worktree-0" / "implementation.md").is_file()
+
+
+def test_a_tracked_directory_at_an_input_name_fails_its_dispatch_alone(tmp_path):
+    diagnostics = []
+    for attempt in ("first", "second"):
+        repo = init_git_repo(tmp_path / attempt / "repo", remote=tmp_path / attempt / "remote.git")
+        (repo / "spec.md").mkdir()
+        (repo / "spec.md" / "x").write_text("x\n", encoding="utf-8")
+        _git(repo, "add", "-A")
+        _git(repo, "commit", "-q", "-m", "a directory named spec.md")
+        report, run_dir, _ = run_scripted_workflow(tmp_path / attempt, 2, target_repo=repo)
+
+        # the builder's spec.md cannot be written over the checked-out directory
+        assert report.exit_code == 4
+        assert list(report.diagnostics) == ["builder"]
+        diagnostics.append(report.diagnostics["builder"])
+        # the tester beside it ran, and the batch was journaled
+        assert report.dispatch_counts["tester"] == 1 and "builder" not in report.dispatch_counts
+        assert [(e["role"], e["outcome"]) for e in run_dir.events() if e["event"] == "dispatch"][-1] == (
+            "tester", "completed",
+        )
+    # named by the input, never by the temporary it is written to first
+    assert diagnostics == ["sandbox creation failed: input spec.md: Is a directory"] * 2
 
 
 def test_an_artifact_that_is_not_utf8_fails_its_dispatch(tmp_path):
