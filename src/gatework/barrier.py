@@ -30,9 +30,10 @@ from gatework.model import (
 )
 from gatework.rundir import RunDirectory, identities, write_whole
 
-#: Roles that operate in an isolated git worktree of the target. The
-#: simulator is not one: it generates data without knowing the algorithm,
-#: so its plain sandbox holds its simulation spec only.
+#: Roles whose sandbox holds the files of the target at the run's base
+#: commit, a plain copy that is no git repository. The simulator is not
+#: one: it generates data without knowing the algorithm, so its plain
+#: sandbox holds its simulation spec only.
 WORKTREE_ROLES = frozenset({AgentRole.BUILDER, AgentRole.TESTER, AgentRole.SCRIBER})
 
 #: Pipeline outputs the tester may read once the pipelines have completed.
@@ -134,8 +135,9 @@ def _contained(root: Path, relpath: str) -> Path:
 
 
 class Sandbox:
-    """One agent's isolated filesystem view: a worktree (or plain
-    directory) plus materialized copies of its input artifacts."""
+    """One agent's isolated filesystem view: its own directory, holding
+    the target's files if its role is one of :data:`WORKTREE_ROLES`, plus
+    materialized copies of its input artifacts."""
 
     def __init__(
         self,
@@ -161,7 +163,7 @@ class Sandbox:
 
         Paths whose basename is an artifact name route through the access
         matrix and are audited; a DENY never exposes content. Other paths
-        are plain worktree files, subject only to containment.
+        are plain sandbox files, subject only to containment.
         """
         target = self.resolve(relpath)
         kind = artifact_kind_for_name(target.name)
@@ -182,12 +184,6 @@ class Sandbox:
         return target
 
 
-def worktree_slot(sandboxes: Path, slot: int) -> Path:
-    """Where worktree slot ``slot`` of a run whose sandboxes live in
-    ``sandboxes`` is: ``<sandboxes>/worktree-<slot>``."""
-    return sandboxes / f"worktree-{slot}"
-
-
 def create_sandbox(
     role: AgentRole,
     base_repo: Path,
@@ -195,37 +191,27 @@ def create_sandbox(
     run_dir: RunDirectory,
     git: SubprocessGit,
     clock: Clock,
-    request_id: str,
+    base: str,
     state: WorkflowState | None = None,
-    slot: int = 0,
-    attempt: int = 1,
 ) -> Sandbox:
-    """Give a role of :data:`WORKTREE_ROLES` a pristine checkout of its
-    branch, ``agent/<role>/<request_id>``, in worktree slot ``slot`` of
-    ``run_dir.sandboxes_dir``, holding its inputs only.
-
-    The slot is added if it does not exist, and reset in place if it
-    does, whichever role ran in it last. The role's first ``attempt`` of
-    the run creates its branch at the main checkout's HEAD; a later one
-    checks the branch out as it is. Either way no edit, untracked file,
-    branch or artifact of an earlier attempt or role survives.
-    """
+    """Give a role of :data:`WORKTREE_ROLES` the files of commit ``base``
+    of ``base_repo`` in ``<run_dir.sandboxes_dir>/<role>``, holding its
+    inputs only. What an earlier attempt of the role left there is
+    deleted first, so no edit, untracked file or artifact of it survives;
+    the sandboxes of other roles are other directories."""
     if role not in WORKTREE_ROLES:
         raise MisconfigurationError(
-            f"{role.value} does not run in a worktree sandbox; "
-            f"worktree roles: {sorted(r.value for r in WORKTREE_ROLES)}"
+            f"{role.value} does not run in a sandbox filled from the target; "
+            f"filled roles: {sorted(r.value for r in WORKTREE_ROLES)}"
         )
-    path = worktree_slot(run_dir.sandboxes_dir, slot)
-    branch = f"agent/{role.value}/{request_id}"
+    path = run_dir.sandboxes_dir / role.value
 
-    def check_out() -> None:
+    def fill() -> None:
         if path.exists():
-            git.worktree_reset(base_repo, path, branch, new_branch=attempt == 1)
-        else:
-            path.parent.mkdir(exist_ok=True)
-            git.worktree_add(base_repo, path, branch, new_branch=attempt == 1)
+            git.worktree_remove(base_repo, path)
+        git.worktree_add(base_repo, path, base)
 
-    return _make(role, path, check_out, run_dir=run_dir, clock=clock, state=state)
+    return _make(role, path, fill, run_dir=run_dir, clock=clock, state=state)
 
 
 def create_plain_sandbox(
@@ -237,20 +223,18 @@ def create_plain_sandbox(
 ) -> Sandbox:
     """Directory-backed sandbox for every role not in
     :data:`WORKTREE_ROLES` (the bridge, simulation, convergence and ship
-    roles), which need artifact isolation but no checkout of the target:
-    an empty ``<run_dir.sandboxes_dir>/<role>`` holding the role's inputs
-    only. Whatever is at that path is deleted first, except a symlink,
-    which is never followed but refused. Either kind of sandbox fails its
-    dispatch as :func:`_make` says."""
+    roles), which need artifact isolation but no files of the target: an
+    empty ``<run_dir.sandboxes_dir>/<role>`` holding the role's inputs
+    only. Whatever is at that path is deleted first. Either kind of
+    sandbox fails its dispatch as :func:`_make` says."""
     if role is AgentRole.LEADER:
         raise MisconfigurationError("the leader is never dispatched into a sandbox")
     path = run_dir.sandboxes_dir / role.value
 
     def empty() -> None:
-        _refuse_symlink(path)
         if path.exists():
             shutil.rmtree(path)
-        path.mkdir(parents=True)
+        path.mkdir()
 
     return _make(role, path, empty, run_dir=run_dir, clock=clock, state=state)
 
@@ -273,15 +257,18 @@ def _make(
 ) -> Sandbox:
     """The sandbox of ``role`` at ``path``, the directory of
     ``run_dir.sandboxes_dir`` that ``prepare`` makes, holding the role's
-    inputs only. A symlink at ``run_dir.sandboxes_dir``, what ``prepare``
-    raises and any ``OSError`` fail the dispatch as one EnvironmentFailure."""
+    inputs only. A symlink at ``run_dir.sandboxes_dir`` or at ``path``,
+    which is never followed, what ``prepare`` raises and any ``OSError``
+    fail the dispatch as one EnvironmentFailure."""
     # named by the input, not the pid-named temporary write_whole writes first
     where = str(path)
     visible = set()
     try:
         _refuse_symlink(path.parent)
+        _refuse_symlink(path)
+        path.parent.mkdir(exist_ok=True)
         prepare()
-        # what sits at the role's own names: in a worktree slot, only a
+        # what sits at the role's own names: in a filled sandbox, only a
         # tracked file of the target can
         inherited = identities(path, (kind for kind in ArtifactKind if kind.producer is role))
         # Only inputs: a role's own output must come from this attempt, or

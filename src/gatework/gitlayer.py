@@ -1,6 +1,6 @@
 """The engine's git: the system binary, run as a subprocess. Each step of
 a ship or a workspace sync returns a :class:`GitResult`, so the shipper
-report can list the actions taken; a worktree operation that fails raises
+report can list the actions taken; a sandbox fill that fails raises
 :class:`EnvironmentFailure`, which fails the dispatch it was preparing.
 """
 
@@ -9,10 +9,11 @@ from __future__ import annotations
 import os
 import shutil
 import subprocess
+import tempfile
 import threading
 from enum import Enum
 from pathlib import Path
-from typing import NamedTuple
+from typing import Mapping, NamedTuple
 
 from gatework.errors import EnvironmentFailure
 
@@ -34,28 +35,29 @@ class GitResult(NamedTuple):
 class SubprocessGit:
     """Operations the engine needs from git, run by the system binary.
 
-    Every git process runs under one lock, because git does not guard
-    all of its shared state: concurrent ``worktree add``s read each
-    other's half-written administrative directories (``fatal: failed to
-    read .git/worktrees/<name>/commondir`` on git 2.39). One lock is
-    enough, since the engine never runs git on two repositories at once:
-    its only concurrent git calls are a batch's sandbox creations, which
-    all work on the target, while ship, workspace sync, ``write_context``
-    and ``validate`` each run on one thread."""
+    Every git process runs under one lock. The only concurrent git calls
+    the engine makes are the fills of one batch's sandboxes, each of
+    which reads the target and writes only its own directory and private
+    index, so they may not need it; the lock stays until a measurement
+    shows that unlocked fills gain, and until runs that share a target
+    are known to need no lock across processes. Ship, workspace sync,
+    ``write_context`` and ``validate`` each run on one thread."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
 
-    def _run(self, repo: Path, *args: str, where: Path | None = None) -> subprocess.CompletedProcess:
-        """Run git in ``where`` (default: ``repo``) under the lock, in the
-        C locale: the engine reads git's English messages."""
+    def _run(
+        self, repo: Path, *args: str, env: Mapping[str, str] | None = None
+    ) -> subprocess.CompletedProcess:
+        """Run git in ``repo`` under the lock, in the C locale (the engine
+        reads git's English messages), with ``env`` added to the environment."""
         with self._lock:
             return subprocess.run(
-                ["git", "-C", str(where or repo), *args],
+                ["git", "-C", str(repo), *args],
                 capture_output=True,
                 text=True,
                 errors="replace",
-                env={**os.environ, "LC_ALL": "C"},
+                env={**os.environ, "LC_ALL": "C", **(env or {})},
                 check=False,
             )
 
@@ -79,93 +81,33 @@ class SubprocessGit:
         proc = self._run(repo, "rev-parse", "--git-dir")
         return proc.returncode == 0
 
-    def _has_branch(self, repo: Path, branch: str) -> bool:
-        # ask git, rather than parse its (translated) error message
-        proc = self._run(repo, "rev-parse", "-q", "--verify", f"refs/heads/{branch}")
-        return proc.returncode == 0
-
-    def worktree_add(self, repo: Path, path: Path, branch: str, *, new_branch: bool) -> None:
-        """Add a worktree of ``repo`` at ``path`` holding a pristine checkout
-        of ``branch``, as :meth:`_check_out_branch` makes it. Refuses a
-        ``path`` that exists; a failed add leaves no worktree and no branch
-        behind. Either raises :class:`EnvironmentFailure`."""
-        # git -C <repo> resolves relative worktree paths against the repo,
-        # not our working directory, so pass an absolute path
+    def worktree_add(self, repo: Path, path: Path, base: str) -> None:
+        """Fill a new directory at ``path`` with the files of commit
+        ``base`` of ``repo``, modes and symlinks included, in one git
+        process: ``read-tree --reset -u`` with ``path`` as its work tree,
+        under a private index outside every sandbox, deleted after. The
+        directory is no repository, nothing is registered in ``repo`` and
+        no hook of it runs. A ``path`` that exists, even as a dangling
+        symlink, is refused before git runs; the refusal and a failed fill
+        raise :class:`EnvironmentFailure`."""
         given, path = Path(path), Path(path).resolve()
-        # git adds into an existing empty directory, and a failed add
-        # removes its worktree: refuse any existing path, so nothing
-        # already there is touched, and a symlink, even a dangling one,
-        # so no worktree is added where it points
+        # refuse any existing path, so nothing already there is touched,
+        # and a symlink, so nothing is written where it points
         if given.is_symlink() or path.exists():
-            raise EnvironmentFailure(f"worktree creation failed: {given} already exists; worktree_add refused")
-        # an empty worktree, filled by the checkout step a reset runs too;
-        # `worktree add -b` would start `branch`, `symbolic-ref` and
-        # `reset --hard` of its own. Forced twice, git takes over a path
-        # it still lists, even locked, after its directory was wiped (as
-        # a reboot wipes /dev/shm); an existing path was refused above
-        proc = self._run(repo, "worktree", "add", "-f", "-f", "--detach", "--no-checkout", str(path))
-        if proc.returncode == 0:
-            proc = self._check_out_branch(repo, path, branch, new_branch)
-            if proc.returncode != 0:
-                self._run(repo, "worktree", "remove", "--force", str(path))
-        _require(proc, "worktree creation failed")
+            raise EnvironmentFailure(f"sandbox creation failed: {given} already exists; worktree_add refused")
+        path.mkdir()
+        # with no index, read-tree writes every file of the tree
+        with tempfile.TemporaryDirectory(prefix="gatework-index-") as private:
+            index = {"GIT_INDEX_FILE": str(Path(private) / "index")}
+            proc = self._run(repo, f"--work-tree={path}", "read-tree", "--reset", "-u", base, env=index)
+        _require(proc, "sandbox creation failed")
 
     def worktree_remove(self, repo: Path, path: Path) -> None:
-        """Remove the worktree of ``repo`` at ``path`` and unregister it;
-        at a ``path`` already gone, git only unregisters it."""
-        path = Path(path).resolve()
-        # twice: once for a dirty worktree, once for one an agent locked
-        self._run(repo, "worktree", "remove", "--force", "--force", str(path))
-
-    def worktree_reset(self, repo: Path, path: Path, branch: str, *, new_branch: bool) -> None:
-        """Turn the existing worktree of ``repo`` at ``path``, whatever it
-        holds, into a pristine checkout of ``branch``, in one git process:
-        every entry but ``.git`` is deleted, then :meth:`_check_out_branch`
-        writes every tracked file afresh. Refuses a path that is a symlink
-        or not a linked worktree, before anything is deleted, and a slot
-        that cannot be emptied. A checkout that fails once the slot was
-        emptied leaves it empty. Each raises :class:`EnvironmentFailure`."""
-        # a symlink would take the reset to whatever it points at
-        if Path(path).is_symlink():
-            raise EnvironmentFailure(f"worktree reset failed: {path} is a symlink; worktree_reset refused")
-        path = Path(path).resolve()
-        # anywhere else, git would reset the enclosing repository's checkout
-        if not is_linked_worktree(path):
-            raise EnvironmentFailure(
-                f"worktree reset failed: {path} is not a linked worktree; worktree_reset refused"
-            )
-        try:
-            _empty(path)
-        except OSError as exc:
-            raise EnvironmentFailure(
-                f"worktree reset failed: {path} could not be emptied: {exc}; worktree_reset refused"
-            ) from None
-        # like `reset --hard`, but also returns HEAD to the branch if the
-        # agent switched branches or detached it; with every file missing,
-        # git writes each one and re-hashes none
-        _require(self._check_out_branch(repo, path, branch, new_branch), "worktree reset failed")
-
-    def _check_out_branch(
-        self, repo: Path, path: Path, branch: str, new_branch: bool
-    ) -> subprocess.CompletedProcess:
-        """Check out ``branch`` in the worktree of ``repo`` at ``path``. A
-        ``new_branch`` is created at the main checkout's HEAD, or checked
-        out as it is if a session that journaled nothing left it. Any other
-        is checked out as it is, even if another worktree of ``repo`` has
-        it checked out: the caller vouches that the branch is its own, so
-        that worktree can only be one it holds idle."""
-        if not new_branch:
-            return self._checkout(repo, path, "--ignore-other-worktrees", branch)
-        # --no-track: an agent branch never writes the target's config,
-        # whatever the user's branch.autoSetupMerge says
-        proc = self._checkout(repo, path, "--no-track", "-b", branch, "main-worktree/HEAD")
-        if proc.returncode != 0 and self._has_branch(repo, branch):
-            proc = self._checkout(repo, path, branch)
-        return proc
-
-    def _checkout(self, repo: Path, path: Path, *args: str) -> subprocess.CompletedProcess:
-        """``git checkout -f`` in the worktree of ``repo`` at ``path``."""
-        return self._run(repo, "checkout", "-q", "-f", *args, "--", where=path)
+        """Free the sandbox at ``path`` that :meth:`worktree_add` filled,
+        whatever its agent left in it, with no git process: nothing of it is
+        registered in ``repo``. The directory is deleted whole; a symlink
+        at ``path`` is never followed, but raises ``OSError``."""
+        shutil.rmtree(path)
 
     def stage(self, repo: Path, paths: list[str]) -> GitResult:
         proc = self._run(repo, "add", "--", *paths) if paths else self._run(repo, "add", "-A")
@@ -229,26 +171,6 @@ class SubprocessGit:
     def default_branch(self, repo: Path) -> str | None:
         proc = self._run(repo, "symbolic-ref", "--short", "HEAD")
         return proc.stdout.strip() if proc.returncode == 0 else None
-
-
-def is_linked_worktree(path: Path) -> bool:
-    """Whether ``path`` holds a linked worktree: its ``.git`` is a file
-    pointing into a repository. Inside any other directory, git walks up
-    to the enclosing repository."""
-    return (Path(path) / ".git").is_file()
-
-
-def _empty(path: Path) -> None:
-    """Delete every entry of the worktree at ``path`` but its ``.git``;
-    a symlink is unlinked, never followed."""
-    with os.scandir(path) as entries:
-        for entry in entries:
-            if entry.name == ".git":
-                continue
-            if entry.is_dir(follow_symlinks=False):
-                shutil.rmtree(entry.path)
-            else:
-                os.unlink(entry.path)
 
 
 def _require(proc: subprocess.CompletedProcess, failure: str) -> None:

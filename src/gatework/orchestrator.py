@@ -4,9 +4,9 @@ mechanical half of the review, and gates shipping on the verdict plus
 explicit user authorization.
 
 The leader never performs specialist work: it writes only run-directory
-bookkeeping. Its git mutations of the target are the agent sandboxes'
-(worktree slots added, reset and removed, and the agent branches they
-create) and the ship path's stage, commit and push.
+bookkeeping. Its only git mutations of the target are the ship path's
+stage, commit and push; the agent sandboxes are filled from the target's
+objects and register nothing in it.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from gatework.barrier import (
     create_plain_sandbox,
     create_sandbox,
     merge_access_logs,
-    worktree_slot,
 )
 from gatework.clock import Clock, TickClock, parse_iso8601
 from gatework.errors import (
@@ -42,7 +41,7 @@ from gatework.errors import (
     ProtocolError,
     VerdictError,
 )
-from gatework.gitlayer import GitResult, SubprocessGit, is_linked_worktree
+from gatework.gitlayer import GitResult, SubprocessGit
 from gatework.model import (
     CONTRACT_GATES,
     STATE_CHAIN,
@@ -699,8 +698,6 @@ class Orchestrator:
         self.directive = directive
         self.profile: LanguageProfile = UNKNOWN_PROFILE
         self.run_state = RunState(workflow=workflow)
-        #: the worktree slots this session made or reset
-        self.slots: set[int] = set()
 
     # -- helpers --
 
@@ -745,6 +742,9 @@ class Orchestrator:
             "granted artifacts: "
             + (", ".join(sorted(k.filename for k in sandbox.visible_artifacts)) or "(none)"),
         ]
+        if role in WORKTREE_ROLES:
+            base = self.run_state.base
+            lines.append(f"sandbox: a plain copy of the target at commit {base}, not a git repository")
         if self.profile.language is not Language.UNKNOWN:
             lines.append(f"language profile: {self.profile.language.value}")
             if role is AgentRole.TESTER:
@@ -754,32 +754,28 @@ class Orchestrator:
         lines += self.run_state.briefing.get(role, [])
         return "\n".join(lines) + "\n"
 
-    def _make_sandbox(self, role: AgentRole, attempt: int, slot: int | None) -> Sandbox:
+    def _make_sandbox(self, role: AgentRole) -> Sandbox:
         # Parallel dispatches must not interleave on one tick clock, or
         # replay timestamps would depend on thread scheduling.
         clock = self.clock
         if isinstance(clock, TickClock):
             clock = TickClock(start=clock.start, step_seconds=clock.step_seconds)
         common = {"run_dir": self.run_dir, "clock": clock, "state": self.run_state.current}
-        if slot is not None:
-            self.slots.add(slot)
-            return create_sandbox(
-                role, self.target_repo, git=self.git, request_id=self.request_id,
-                slot=slot, attempt=attempt, **common,
-            )
+        if role in WORKTREE_ROLES:
+            return create_sandbox(role, self.target_repo, git=self.git, base=self.run_state.base, **common)
         return create_plain_sandbox(role, **common)
 
     def _dispatch_role(
-        self, role: AgentRole, attempt: int | None, slot: int | None, made: dict[AgentRole, Sandbox]
+        self, role: AgentRole, attempt: int | None, made: dict[AgentRole, Sandbox]
     ) -> tuple[AgentOutcome, dict | None]:
-        """Dispatch one role, in worktree slot ``slot`` if it has one,
-        and write the artifacts :func:`dispatch` collected, or route its
-        signal. The sandbox enters ``made`` once it exists, so only a
-        dispatch that ran is journaled, with its access events even if it
-        failed, as one whose artifact cannot be read as UTF-8 text does."""
+        """Dispatch one role and write the artifacts :func:`dispatch`
+        collected, or route its signal. The sandbox enters ``made`` once it
+        exists, so only a dispatch that ran is journaled, with its access
+        events even if it failed, as one whose artifact cannot be read as
+        UTF-8 text does."""
         if attempt is None:
             raise MisconfigurationError(f"no backend configured for {role.value}")
-        sandbox = made[role] = self._make_sandbox(role, attempt, slot)
+        sandbox = made[role] = self._make_sandbox(role)
         req = DispatchRequest(
             role=role, sandbox=sandbox, briefing=self._briefing(role, sandbox),
             workflow=self.workflow, attempt=attempt,
@@ -793,9 +789,10 @@ class Orchestrator:
 
     def _dispatch_batch(self, roles: Sequence[AgentRole]) -> dict | None:
         """Dispatch a batch concurrently, one thread per role, and go on
-        only once every dispatch has finished. The i-th worktree role of
-        the batch, in batch order, runs in worktree slot i. Each dispatch
-        has one result, what ``_dispatch_role`` returned or raised: a
+        only once every dispatch has finished. The first batch of the run
+        that fills a sandbox from the target first fixes the run's base
+        commit, the target's HEAD. Each dispatch has one result, what
+        ``_dispatch_role`` returned or raised: a
         ``GateworkError`` (an unroutable signal included) is a failed
         dispatch, and any other exception is raised once the batch has
         ended, the first in batch order, with nothing of the batch journaled.
@@ -805,7 +802,12 @@ class Orchestrator:
             self.run_dir.sandboxes_dir  # found once, before any worker looks
         except EnvironmentFailure as exc:  # the scratch root was refused
             return {"diagnostics": {"environment": str(exc)}}
-        slots = {role: i for i, role in enumerate(r for r in roles if r in WORKTREE_ROLES)}
+        if self.run_state.base is None and WORKTREE_ROLES.intersection(roles):
+            # journaled, so every session of the run fills from this commit
+            if (base := self.git.head(self.target_repo)) is None:
+                no_base = f"no commit in {self.target_repo} to fill sandboxes from"
+                return {"diagnostics": {"environment": no_base}}
+            record_event(self.run_state, self.run_dir, "base", {"commit": base})
         # fixed before any worker starts; a role's dispatch count is its attempt
         attempts = {r: self.run_state.dispatches.get(r, 0) + 1 for r in roles if r in self.backends}
         made: dict[AgentRole, Sandbox] = {}
@@ -813,7 +815,7 @@ class Orchestrator:
 
         def work(i: int, role: AgentRole) -> None:
             try:
-                results[i] = self._dispatch_role(role, attempts.get(role), slots.get(role), made)
+                results[i] = self._dispatch_role(role, attempts.get(role), made)
             except BaseException as exc:
                 results[i] = exc
 
@@ -896,7 +898,7 @@ class Orchestrator:
                     halt = self._ship(authorization)
         except BaseException as exc:
             # an interrupted or crashed batch is not journaled, but its
-            # worktrees are unregistered and its sandboxes freed all the same
+            # sandboxes are freed all the same
             record_event(self.run_state, self.run_dir, "halt", {"diagnostics": {"session": repr(exc)}})
             self._finalize()
             raise
@@ -933,30 +935,18 @@ class Orchestrator:
 
     def _remove_sandboxes(self) -> None:
         """Sandboxes are disposable once artifacts and audit logs are
-        collected. Each worktree slot is removed, which frees the role
-        branches for a later session, and then the run's sandbox directory
-        with whatever else agents left in it, so no checkout outlives its
-        session in memory. A refused scratch root holds none. A slot this
-        session used is unregistered by path even if its agent deleted it,
-        or replaced the run's sandbox directory with a symlink, which is
-        unlinked, never followed."""
+        collected: the run's sandbox directory is deleted with whatever
+        agents left in it, so no copy of the target outlives its session
+        in memory. Nothing of a sandbox is registered in the target. A
+        refused scratch root holds none; a symlink an agent put in place
+        of the directory is unlinked, never followed."""
         try:
             sandboxes = self.run_dir.sandboxes_dir
         except EnvironmentFailure:
             return
         if sandboxes.is_symlink():
             sandboxes.unlink()
-        # a batch fills slots from 0, one per worktree role it holds
-        for slot in range(len(self.workflow.roles() & WORKTREE_ROLES)):
-            path = worktree_slot(sandboxes, slot)
-            if path.is_symlink() or not (path.is_dir() or slot in self.slots):
-                continue
-            if path.is_dir() and not is_linked_worktree(path):
-                # its agent deleted its .git: git refuses to remove the
-                # directory, but unregisters the slot once it is gone
-                shutil.rmtree(path)
-            self.git.worktree_remove(self.target_repo, path)
-        if sandboxes.exists():
+        elif sandboxes.exists():
             shutil.rmtree(sandboxes)
 
 

@@ -126,6 +126,8 @@ class RunState:
         #: the access events of every dispatched role, across sessions
         self.access: dict[AgentRole, list[AccessEvent]] = {}
         self.language: str | None = None
+        #: the commit of the target every filled sandbox of the run holds
+        self.base: str | None = None
         #: the routed HOLD signal records no answer has settled, in journal order
         self.pending_hold: list[dict] = []
         #: the last record, when it is a halt: why the last session ended
@@ -211,6 +213,8 @@ def _apply(run: RunState, record: dict) -> None:
         run.briefing.setdefault(role, []).append(f"user answer: {record['text']}")
     elif event == "language":
         run.language = record["language"]
+    elif event == "base":
+        run.base = record["commit"]
     elif event == "review":
         run.review = {k: v for k, v in record.items() if k != "event"}
     elif event == "ship":
@@ -244,8 +248,9 @@ def record_event(run: RunState, run_dir: RunDirectory, event: str, fields: Mappi
     """Journal one record of ``event`` holding ``fields``: a user's
     ``answer`` (``role``, ``text``), which settles that role's HOLD; the
     resolved ``language``, or ``None`` with the ``answer`` that named
-    none, which leaves the language unset; a mechanical ``review`` or a
-    ``ship`` outcome; or a ``halt``, holding the report fields it sets."""
+    none, which leaves the language unset; the ``base`` commit every
+    filled sandbox holds; a mechanical ``review`` or a ``ship`` outcome;
+    or a ``halt``, holding the report fields it sets."""
     _journal(run, run_dir, [{"event": event, **fields}])
 
 

@@ -162,15 +162,23 @@ def write_backend_config(directory: Path, workflow_id: int, **kwargs) -> Path:
     return config_path
 
 
+#: commit dates of the seed commit, so every fixture repository of the
+#: same content has the same base commit, which runs journal
+_SEED_DATES = {"GIT_AUTHOR_DATE": "2024-01-01T00:00:00Z", "GIT_COMMITTER_DATE": "2024-01-01T00:00:00Z"}
+
+
 def init_git_repo(path: Path, *, remote: Path | None = None) -> Path:
-    """Real git repository fixture (branch main, one seed commit)."""
+    """Real git repository fixture (branch main, one seed commit, the same
+    commit in every fixture)."""
     path.mkdir(parents=True, exist_ok=True)
     subprocess.run(["git", "init", "-q", "-b", "main", str(path)], check=True)
     for key, value in (("user.email", "dev@example.org"), ("user.name", "dev")):
         subprocess.run(["git", "-C", str(path), "config", key, value], check=True)
     (path / "pyproject.toml").write_text("[project]\nname = 'fixture'\n", encoding="utf-8")
     subprocess.run(["git", "-C", str(path), "add", "-A"], check=True)
-    subprocess.run(["git", "-C", str(path), "commit", "-q", "-m", "seed"], check=True)
+    subprocess.run(
+        ["git", "-C", str(path), "commit", "-q", "-m", "seed"], check=True, env={**os.environ, **_SEED_DATES}
+    )
     if remote is not None:
         subprocess.run(["git", "init", "-q", "--bare", "-b", "main", str(remote)], check=True)
         subprocess.run(["git", "-C", str(path), "remote", "add", "origin", str(remote)], check=True)
@@ -191,8 +199,9 @@ def repo_without_language(repo: Path) -> Path:
 
 class RecordingGit(SubprocessGit):
     """Real git that records what it was asked: ``calls`` names each
-    worktree operation and the worktree slot it made or reset,
-    ``actions`` holds the result of every stage, commit and push."""
+    sandbox fill (``add``) and each filled sandbox freed for a retry
+    (``remove``), with the sandbox's name, and ``actions`` holds the
+    result of every stage, commit and push."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -206,13 +215,13 @@ class RecordingGit(SubprocessGit):
         self.actions.append(result)
         return result
 
-    def worktree_add(self, repo, path, branch, *, new_branch):
+    def worktree_add(self, repo, path, base):
         self.calls.append(("add", Path(path).name))
-        super().worktree_add(repo, path, branch, new_branch=new_branch)
+        super().worktree_add(repo, path, base)
 
-    def worktree_reset(self, repo, path, branch, *, new_branch):
-        self.calls.append(("reset", Path(path).name))
-        super().worktree_reset(repo, path, branch, new_branch=new_branch)
+    def worktree_remove(self, repo, path):
+        self.calls.append(("remove", Path(path).name))
+        super().worktree_remove(repo, path)
 
     def stage(self, repo, paths):
         return self._record(super().stage(repo, paths))
@@ -300,7 +309,7 @@ def run_scripted_workflow(
     """Run one workflow end to end with scripted backends on real git: by
     default on a fresh repository at ``tmp_path / "repo"`` that pushes to
     the bare ``tmp_path / "remote.git"``. Checks that the run left no
-    worktree of the target behind, halted runs included."""
+    worktree and no agent branch in the target, halted runs included."""
     workflow = workflow_by_id(workflow_id)
     if target_repo is None:
         target_repo = init_git_repo(tmp_path / "repo", remote=tmp_path / "remote.git")
@@ -327,13 +336,22 @@ def run_scripted_workflow(
     )
     report = orchestrator.run(authorization=authorization)
     if (target_repo / ".git").exists():
-        listing = subprocess.run(
-            ["git", "-C", str(target_repo), "worktree", "list", "--porcelain"],
-            capture_output=True, text=True, check=True,
-        ).stdout
-        listed = [line for line in listing.splitlines() if line.startswith("worktree ")]
-        assert listed == [f"worktree {target_repo.resolve()}"], listed
+        assert_target_clean(target_repo)
     return report, run_dir, orchestrator
+
+
+def assert_target_clean(repo: Path) -> None:
+    """Assert that ``repo`` holds no linked worktree and no agent branch."""
+
+    def git(*args: str) -> str:
+        return subprocess.run(
+            ["git", "-C", str(repo), *args], capture_output=True, text=True, check=True
+        ).stdout
+
+    listing = git("worktree", "list", "--porcelain").splitlines()
+    listed = [line for line in listing if line.startswith("worktree ")]
+    assert listed == [f"worktree {repo.resolve()}"], listed
+    assert git("for-each-ref", "refs/heads/agent") == ""
 
 
 def process_ended(pid: int, within: float = 5.0) -> bool:

@@ -135,25 +135,21 @@ def test_builder_sandbox_contains_spec_but_not_test_spec(run_env):
     run_dir, repo, git, clock = run_env
     sandbox = create_sandbox(
         R.BUILDER, repo,
-        run_dir=run_dir, git=git, clock=clock, request_id="req-1",
+        run_dir=run_dir, git=git, clock=clock, base=git.head(repo),
     )
     assert (sandbox.path / "spec.md").exists()
     assert not (sandbox.path / "test-spec.md").exists()
     assert not (sandbox.path / "sim-spec.md").exists()
     assert sandbox.visible_artifacts == frozenset({K.SPEC})
-    assert (sandbox.path / "module.py").exists()  # worktree carries the repo tree
-    branch = subprocess.run(
-        ["git", "-C", str(sandbox.path), "branch", "--show-current"],
-        capture_output=True, text=True, check=True,
-    ).stdout.strip()
-    assert branch == "agent/builder/req-1"
+    assert (sandbox.path / "module.py").exists()  # filled with the target's files
+    assert not (sandbox.path / ".git").exists()  # and no repository
 
 
 def test_scriber_sandbox_docs_only_workflow_has_no_spec_artifacts(run_env):
     run_dir, repo, git, clock = run_env
     sandbox = create_sandbox(
         R.SCRIBER, repo,
-        run_dir=run_dir, git=git, clock=clock, request_id="req-1",
+        run_dir=run_dir, git=git, clock=clock, base=git.head(repo),
     )
     # none of the scriber's grants exist yet in this run, so nothing copies in
     assert sandbox.visible_artifacts == frozenset()
@@ -166,13 +162,13 @@ def test_tester_sandbox_after_pipelines_complete_gets_implementation(run_env):
     run_dir.write(K.IMPLEMENTATION, "impl report\n")
     before = create_sandbox(
         R.TESTER, repo,
-        run_dir=run_dir, git=git, clock=clock, request_id="req-1",
+        run_dir=run_dir, git=git, clock=clock, base=git.head(repo),
         state=WorkflowState.SPEC_READY,
     )
     assert not (before.path / "implementation.md").exists()
     after = create_sandbox(
         R.TESTER, repo,
-        run_dir=run_dir, git=git, clock=clock, request_id="req-1",
+        run_dir=run_dir, git=git, clock=clock, base=git.head(repo),
         state=WorkflowState.PIPELINES_COMPLETE,
     )
     assert after.path == before.path
@@ -186,7 +182,7 @@ def test_create_sandbox_rejects_non_worktree_roles(run_env):
     with pytest.raises(MisconfigurationError):
         create_sandbox(
             R.PLANNER, repo,
-            run_dir=run_dir, git=git, clock=clock, request_id="req-1",
+            run_dir=run_dir, git=git, clock=clock, base=git.head(repo),
         )
     sandbox = create_plain_sandbox(R.PLANNER, run_dir=run_dir, clock=clock)
     assert (sandbox.path / "request.md").exists()
@@ -211,27 +207,27 @@ def test_a_symlinked_plain_sandbox_is_refused_and_never_followed(run_env, dangli
 def test_an_input_replaces_a_tracked_symlink_at_its_name(run_env, tmp_path):
     run_dir, repo, git, clock = run_env
     outside = tmp_path / "outside.md"
-    outside.write_text("# Outside the slot\n", encoding="utf-8")
+    outside.write_text("# Outside the sandbox\n", encoding="utf-8")
     (repo / "spec.md").symlink_to(outside)
     subprocess.run(["git", "-C", str(repo), "add", "spec.md"], check=True)
     subprocess.run(["git", "-C", str(repo), "commit", "-q", "-m", "track a symlink"], check=True)
 
-    sandbox = create_sandbox(R.BUILDER, repo, run_dir=run_dir, git=git, clock=clock, request_id="req-1")
+    sandbox = create_sandbox(R.BUILDER, repo, run_dir=run_dir, git=git, clock=clock, base=git.head(repo))
 
     spec = sandbox.path / "spec.md"
     assert not spec.is_symlink() and spec.read_text(encoding="utf-8") == "content of spec.md\n"
-    assert outside.read_text(encoding="utf-8") == "# Outside the slot\n"
+    assert outside.read_text(encoding="utf-8") == "# Outside the sandbox\n"
 
 
 def test_request_read_denied_artifact_returns_nothing_and_logs(run_env):
     run_dir, repo, git, clock = run_env
     sandbox = create_sandbox(
         R.BUILDER, repo,
-        run_dir=run_dir, git=git, clock=clock, request_id="req-1",
+        run_dir=run_dir, git=git, clock=clock, base=git.head(repo),
     )
     assert sandbox.request_read("test-spec.md") is None
     assert sandbox.request_read("spec.md") == "content of spec.md\n"
-    assert sandbox.request_read("module.py") == "print('hi')\n"  # plain worktree file
+    assert sandbox.request_read("module.py") == "print('hi')\n"  # plain sandbox file
     decisions = [(e.artifact, e.decision) for e in sandbox.audit.events()]
     assert decisions == [
         (K.TEST_SPEC, AccessDecision.DENY),
@@ -243,7 +239,7 @@ def test_sandbox_rejects_escape_paths(run_env):
     run_dir, repo, git, clock = run_env
     sandbox = create_sandbox(
         R.BUILDER, repo,
-        run_dir=run_dir, git=git, clock=clock, request_id="req-1",
+        run_dir=run_dir, git=git, clock=clock, base=git.head(repo),
     )
     for bad in ("../outside.md", "a/../../x", "/etc/passwd", "a/b/../../../z"):
         with pytest.raises(BarrierError):

@@ -527,8 +527,8 @@ def test_validate_flags_tmp_staged_for_push(tmp_path, capsys):
 
 
 def test_run_accepts_relative_paths(tmp_path, monkeypatch):
-    # git resolves relative worktree paths against the repo, so the CLI
-    # must hand the engine absolute paths no matter how it was invoked
+    # git -C resolves relative paths against the repo, so the CLI must
+    # hand the engine absolute paths no matter how it was invoked
     init_git_repo(tmp_path / "target")
     write_backend_config(tmp_path / "backends", 9)
     monkeypatch.chdir(tmp_path)

@@ -829,16 +829,17 @@ class _OccupyingBackend(AgentBackend):
 
 
 def test_failed_worktree_creation_is_finalized_as_a_diagnostic(tmp_path):
-    # workflow 10's planner runs before the tester, the one worktree role
-    # of its batch (slot 0), and the simulator, which gets a plain sandbox
+    # workflow 10's planner runs before the tester, the one filled role of
+    # its batch, and the simulator, which gets a plain sandbox
     backends = scripted_backends(workflow_by_id(10))
-    backends[R.PLANNER] = _OccupyingBackend(backends[R.PLANNER], "worktree-0")
-    # run_scripted_workflow also checks that no worktree of the target is left
+    backends[R.PLANNER] = _OccupyingBackend(
+        backends[R.PLANNER], "tester", lambda path: path.write_text("x\n", encoding="utf-8")
+    )
     report, run_dir, _ = run_scripted_workflow(tmp_path, 10, backends=backends)
 
     assert report.exit_code == 4
-    assert "worktree reset failed" in report.diagnostics["tester"]
-    assert "not a linked worktree" in report.diagnostics["tester"]
+    sandbox = run_dir.sandboxes_dir / "tester"
+    assert report.diagnostics == {"tester": f"sandbox creation failed: {sandbox}: Not a directory"}
     assert report.final_state == "SPEC_READY"
     assert report.dispatch_counts == {"planner": 1, "simulator": 1}
     assert run_dir.report_json_path.exists()
@@ -866,26 +867,25 @@ def test_a_symlink_left_at_a_plain_sandbox_fails_its_dispatch_and_is_never_follo
     assert not run_dir.sandboxes_dir.exists()
 
 
-@pytest.mark.parametrize("left", ["directory", "file", "symlink"])
+@pytest.mark.parametrize("left", ["file", "symlink"])
 def test_what_an_agent_leaves_at_a_worktree_sandbox_does_not_wedge_the_run(tmp_path, left):
     outside = tmp_path / "outside"
     outside.mkdir()
     (outside / "keep.txt").write_text("keep\n", encoding="utf-8")
     occupy = {
-        "directory": Path.mkdir,
         "file": lambda path: path.write_text("x\n", encoding="utf-8"),
         "symlink": lambda path: path.symlink_to(outside),
     }[left]
     backends = scripted_backends(workflow_by_id(10))
-    backends[R.PLANNER] = _OccupyingBackend(backends[R.PLANNER], "worktree-0", occupy)
+    backends[R.PLANNER] = _OccupyingBackend(backends[R.PLANNER], "tester", occupy)
     first, run_dir, _ = run_scripted_workflow(tmp_path, 10, backends=backends)
     # a symlink is refused before anything follows it
-    refusal = "is a symlink" if left == "symlink" else "not a linked worktree"
+    refusal = "is a symlink" if left == "symlink" else "Not a directory"
     assert refusal in first.diagnostics["tester"]
-    # the session's end clears it along with the worktrees, and never
+    # the session's end clears it along with the sandboxes, and never
     # what a symlink points at
-    slot = run_dir.sandboxes_dir / "worktree-0"
-    assert not slot.exists() and not slot.is_symlink()
+    sandbox = run_dir.sandboxes_dir / "tester"
+    assert not sandbox.exists() and not sandbox.is_symlink()
     assert (outside / "keep.txt").read_text(encoding="utf-8") == "keep\n"
 
     git = RecordingGit()
@@ -893,10 +893,10 @@ def test_what_an_agent_leaves_at_a_worktree_sandbox_does_not_wedge_the_run(tmp_p
 
     assert resumed.final_state == "REVIEW_PASSED", resumed.diagnostics
     assert resumed.exit_code == 0
-    # the tester, alone in its batch, gets slot 0 added afresh, and this
-    # time it runs, its attempt 1: a dispatch whose sandbox was never made
-    # is none; the scriber then takes the slot over
-    assert git.calls == [("add", "worktree-0"), ("reset", "worktree-0")]
+    # the tester, alone in its batch, is filled afresh, and this time it
+    # runs, its attempt 1: a dispatch whose sandbox was never made is
+    # none; the scriber then gets a sandbox of its own
+    assert git.calls == [("add", "tester"), ("add", "scriber")]
     assert "audit.md" in resumed.artifacts
     assert "tester" not in first.dispatch_counts
     assert resumed.dispatch_counts["tester"] == 1
@@ -913,7 +913,7 @@ def test_what_an_agent_leaves_at_a_worktree_sandbox_does_not_wedge_the_run(tmp_p
 def test_a_stop_that_cannot_be_routed_is_a_failed_dispatch(tmp_path, payload, why):
     backends = scripted_backends(workflow_by_id(2))
     backends[R.REVIEWER] = ScriptedBackend.from_text(f"signal STOP <<EOF\n{payload}\nEOF\n")
-    # run_scripted_workflow also checks that no worktree of the target is left
+    # run_scripted_workflow also checks that nothing is left in the target
     report, run_dir, _ = run_scripted_workflow(tmp_path, 2, backends=backends)
 
     assert why in report.diagnostics["reviewer"]

@@ -1,7 +1,8 @@
-"""Worktree sandbox lifecycle on real git: the i-th worktree role of a
-batch runs in worktree slot i, which is added if it does not exist and
-reset in place if it does, whichever role ran in it last; every slot is
-removed at finalize."""
+"""Sandbox lifecycle on real git: each role's sandbox is a plain
+directory of its own, ``<sandboxes>/<role>``, filled with the files of the
+run's base commit by one git process, and freed and filled again for a
+retry; the run's sandbox directory is deleted at finalize, and nothing is
+registered in the target."""
 
 from __future__ import annotations
 
@@ -9,19 +10,23 @@ import contextlib
 import json
 import os
 import shlex
-import shutil
 import signal
+import stat
 import subprocess
 import threading
 import time
 import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from conftest import (
+    AUDIT_BODY,
     LOG_ENTRY_BODY,
+    TEST_SPEC_BODY,
     RecordingGit,
+    Spy,
     init_git_repo,
     process_ended,
     run_scripted_workflow,
@@ -34,6 +39,7 @@ from gatework.errors import EnvironmentFailure, RunDirectoryError
 from gatework.gitlayer import SubprocessGit
 from gatework.model import AgentRole, ArtifactKind, workflow_by_id
 from gatework.orchestrator import ChannelMode, Orchestrator, UserChannel, start_run
+from gatework.rundir import RunDirectory
 from gatework.runtime import ScriptedBackend, SubprocessBackend
 
 R = AgentRole
@@ -87,23 +93,20 @@ def git_spawns(tmp_path, monkeypatch) -> GitProcesses:
 
 
 # Workflow 9: one start-up query (`remote get-url origin`, whose exit code
-# also says whether the target is a repository); the builder's add of slot
-# 0 (`worktree add --detach --no-checkout` and the `update-ref` it starts,
-# then `checkout -f -b`); the tester's reset of it (`checkout -f -b` into
-# the emptied slot); and one `worktree remove`.
-WF9_GIT_PROCESSES = 6
+# also says whether the target is a repository), one `rev-parse` of the
+# run's base commit, then one `read-tree` for each fill, the builder's and
+# the tester's: 1 + 1 + 2.
+WF9_GIT_PROCESSES = 4
 # Workflow 1 with 1 HOLD, 3 BLOCKs and 1 STOP dispatches builder 4x,
-# tester 4x, scriber 2x, simulator 1x: 1 start-up query, 2 adds of 3
-# processes for the parallel stage's slots 0-1 (the simulator's sandbox is
-# a plain directory), then 8 one-process resets of slot 0 (`checkout`: 6
-# for the BLOCK retries, the scriber's first dispatch and its STOP retry),
-# and 2 removes.
-WF1_FULL_RETRY_GIT_PROCESSES = 17
-# Workflow 2 shipping to a bare remote: 1 start-up query, 2 adds, the
-# scriber's one-process reset of slot 0, then `add -A`, `symbolic-ref`,
-# `commit` and `push` (and the `receive-pack` it starts) on the target,
-# and 2 removes.
-WF2_SHIP_GIT_PROCESSES = 15
+# tester 4x, scriber 2x, simulator 1x: 1 start-up query, 1 `rev-parse` of
+# the base, and one fill for each dispatch of a filled role (the
+# simulator's sandbox is a plain directory): 1 + 1 + (4 + 4 + 2).
+WF1_FULL_RETRY_GIT_PROCESSES = 12
+# Workflow 2 shipping to a bare remote: 1 start-up query, 1 `rev-parse`,
+# the builder's, tester's and scriber's fills, then `add -A`,
+# `symbolic-ref`, `commit` and `push` (and the `receive-pack` it starts)
+# on the target: 1 + 1 + 3 + 5.
+WF2_SHIP_GIT_PROCESSES = 10
 
 
 def test_git_spawns_per_run_workflow_9(tmp_path, git_spawns):
@@ -112,9 +115,8 @@ def test_git_spawns_per_run_workflow_9(tmp_path, git_spawns):
     report, _, _ = run_scripted_workflow(tmp_path, 9, target_repo=repo, git=git)
     assert report.final_state == "PIPELINES_COMPLETE"
     assert git_spawns.total() == WF9_GIT_PROCESSES, git_spawns.starts()
-    # the tester takes over the builder's slot
-    assert git.adds() == 1
-    assert git.calls == [("add", "worktree-0"), ("reset", "worktree-0")]
+    # each role is filled in a directory of its own
+    assert git.calls == [("add", "builder"), ("add", "tester")]
 
 
 def test_git_spawns_per_run_workflow_1_full_retry(tmp_path, git_spawns):
@@ -130,13 +132,12 @@ def test_git_spawns_per_run_workflow_1_full_retry(tmp_path, git_spawns):
     }
     assert report.retries == {"BLOCK": 3, "HOLD": 1, "STOP": 1}
     assert git_spawns.total() == WF1_FULL_RETRY_GIT_PROCESSES, git_spawns.starts()
-    # as many adds as the widest stage has worktree roles, the builder and
-    # the tester; every later batch holds one worktree role, which runs in slot 0
-    assert git.adds() == 2
-    assert sorted(git.calls[:2]) == [("add", f"worktree-{slot}") for slot in range(2)]
-    assert git.calls[2:] == [("reset", "worktree-0")] * 8
-    # every worktree is gone once the run ends
-    assert _git(repo, "worktree", "list").count("\n") == 1
+    # one fill per dispatch of a filled role; each retry first frees what
+    # the role's attempt before it left
+    assert Counter(git.calls) == {
+        ("add", "builder"): 4, ("add", "tester"): 4, ("add", "scriber"): 2,
+        ("remove", "builder"): 3, ("remove", "tester"): 3, ("remove", "scriber"): 1,
+    }
 
 
 def test_git_spawns_per_run_workflow_2_shipping(tmp_path, git_spawns):
@@ -148,23 +149,45 @@ def test_git_spawns_per_run_workflow_2_shipping(tmp_path, git_spawns):
     assert report.final_state == "DONE"
     assert report.ship["shipped"] is True
     assert git_spawns.total() == WF2_SHIP_GIT_PROCESSES, git_spawns.starts()
-    assert git.adds() == 2
-    assert _git(repo, "worktree", "list").count("\n") == 1
+    assert git.adds() == 3
+
+
+def _fixture_repo(path: Path) -> Path:
+    """A target tracking ``tracked.txt`` and a ``.gitignore`` of ``*.log``."""
+    repo = init_git_repo(path)
+    (repo / "tracked.txt").write_text("original\n", encoding="utf-8")
+    (repo / ".gitignore").write_text("*.log\n", encoding="utf-8")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "fixture")
+    return repo
+
+
+#: lists the sandbox as an agent finds it: every path in it with its mode
+_LIST = "find . -mindepth 1 -printf '%M %p\\n' | LC_ALL=C sort"
+
+
+def _listing(repo: Path, names: list[str]) -> list[str]:
+    """What ``_LIST`` prints of a sandbox holding ``names``, each a plain
+    file, written with the mode ``tracked.txt`` has in ``repo``."""
+    mode = stat.filemode((repo / "tracked.txt").lstat().st_mode)
+    return sorted(f"{mode} ./{name}" for name in names)
 
 
 def _dirtying_builder(record_dir: Path) -> SubprocessBackend:
-    """Records the worktree as it finds it, then on its first attempt
+    """Records the sandbox as it finds it, then on its first attempt
     leaves every kind of residue a real agent could leave behind."""
     record = shlex.quote(str(record_dir))
     script = f"""
 cat >/dev/null
 n=$(ls {record} | wc -l); n=$((n + 1))
-{{ git status --porcelain --ignored; git branch --show-current; cat tracked.txt; }} > {record}/attempt-$n.txt
+{{ {_LIST}; cat tracked.txt; }} > {record}/attempt-$n.txt
 if [ "$n" = 1 ]; then
-  git checkout -q -b detour
   echo edited >> tracked.txt
+  chmod +x tracked.txt
   echo junk > untracked.txt
   echo junk > build.log
+  mkdir -p scratch/deep
+  echo junk > scratch/deep/junk.txt
   echo stale > audit.md
 fi
 printf '# Implementation\\n\\nattempt %s\\n' "$n" > implementation.md
@@ -174,11 +197,7 @@ echo 'OUTCOME: COMPLETED'
 
 
 def test_retry_attempt_starts_from_pristine_checkout(tmp_path):
-    repo = init_git_repo(tmp_path / "repo")
-    (repo / "tracked.txt").write_text("original\n", encoding="utf-8")
-    (repo / ".gitignore").write_text("*.log\n", encoding="utf-8")
-    _git(repo, "add", "-A")
-    _git(repo, "commit", "-q", "-m", "fixture")
+    repo = _fixture_repo(tmp_path / "repo")
     record = tmp_path / "record"
     record.mkdir()
     workflow = workflow_by_id(9)
@@ -192,190 +211,104 @@ def test_retry_attempt_starts_from_pristine_checkout(tmp_path):
 
     assert report.final_state == "PIPELINES_COMPLETE"
     assert report.dispatch_counts == {"builder": 2, "tester": 2}
-    # one slot, taken in turn by builder and tester
-    assert git.calls == [("add", "worktree-0")] + [("reset", "worktree-0")] * 3
+    # a retry frees its role's sandbox, then fills it again
+    assert git.calls == [
+        ("add", "builder"), ("add", "tester"),
+        ("remove", "builder"), ("add", "builder"), ("remove", "tester"), ("add", "tester"),
+    ]
     first = (record / "attempt-1.txt").read_text(encoding="utf-8")
     second = (record / "attempt-2.txt").read_text(encoding="utf-8")
-    assert first == f"agent/builder/{run_dir.path.name}\noriginal\n"
-    # The retry finds exactly what the first attempt found: no branch
-    # switch, tracked edit, untracked or ignored file or artifact of the
-    # first attempt survives, its own implementation.md included.
+    assert first.splitlines() == [*_listing(repo, [".gitignore", "pyproject.toml", "tracked.txt"]), "original"]
+    # The retry finds exactly what the first attempt found: no tracked
+    # edit, mode, untracked or ignored file or artifact of the first
+    # attempt survives, its own implementation.md included.
     assert second == first
     assert "attempt 2" in run_dir.read(ArtifactKind.IMPLEMENTATION)
     assert _git(repo, "status", "--porcelain") == ""
 
 
-def _residue_builder(record: Path) -> SubprocessBackend:
-    """Commits on its branch, then leaves a staged file, a tracked edit,
-    an untracked directory and an ignored file, on a branch of its own."""
-    record_q = shlex.quote(str(record))
+def _residue_builder() -> SubprocessBackend:
+    """Leaves a new file, a tracked edit, an untracked directory and an
+    ignored file."""
     script = f"""
 cat >/dev/null
 echo feature > feature.txt
-git add feature.txt
-git commit -q -m builder
-git rev-parse HEAD > {record_q}/builder-commit
-echo staged > staged.txt
-git add staged.txt
 echo edited >> tracked.txt
 mkdir -p scratch/deep
 echo junk > scratch/deep/junk.txt
 echo junk > build.log
-git checkout -q -b detour
-printf '# Implementation\\n' > implementation.md
-echo 'OUTCOME: COMPLETED'
+{_IMPLEMENTATION}echo 'OUTCOME: COMPLETED'
 """
     return SubprocessBackend(["sh", "-c", script])
 
 
 def _recording_tester(record: Path) -> SubprocessBackend:
+    """Records its granted inputs and its sandbox as it finds it, each
+    attempt in a file of its own; on its first attempt leaves residue of
+    its own and BLOCKs, then completes."""
     record_q = shlex.quote(str(record))
     script = f"""
-grep '^granted artifacts:' > {record_q}/granted
-git status --porcelain --ignored > {record_q}/status
-git branch --show-current > {record_q}/branch
-git rev-parse HEAD > {record_q}/head
-if git merge-base --is-ancestor "$(cat {record_q}/builder-commit)" HEAD; then
-  echo yes > {record_q}/ancestor
-else
-  echo no > {record_q}/ancestor
-fi
-printf '# Audit\\n\\n| check | result |\\n|---|---|\\n| all | pass |\\n' > audit.md
-echo 'OUTCOME: COMPLETED'
-"""
-    return SubprocessBackend(["sh", "-c", script])
-
-
-def test_a_slot_taken_over_holds_nothing_of_the_earlier_role(tmp_path):
-    repo = init_git_repo(tmp_path / "repo")
-    (repo / "tracked.txt").write_text("original\n", encoding="utf-8")
-    (repo / ".gitignore").write_text("*.log\n", encoding="utf-8")
-    _git(repo, "add", "-A")
-    _git(repo, "commit", "-q", "-m", "fixture")
-    record = tmp_path / "record"
-    record.mkdir()
-    backends = {R.BUILDER: _residue_builder(record), R.TESTER: _recording_tester(record)}
-    git = RecordingGit()
-
-    report, run_dir, _ = run_scripted_workflow(
-        tmp_path, 9, target_repo=repo, git=git, backends=backends
-    )
-
-    assert report.final_state == "PIPELINES_COMPLETE", report.diagnostics
-    assert git.calls == [("add", "worktree-0"), ("reset", "worktree-0")]
-    read = lambda name: (record / name).read_text(encoding="utf-8")
-    granted = read("granted").removeprefix("granted artifacts: ").strip()
-    inputs = [] if granted == "(none)" else granted.split(", ")
-    # only the tester's own inputs: nothing the builder committed, staged,
-    # edited, left untracked or ignored
-    assert read("status").splitlines() == [f"?? {name}" for name in inputs]
-    assert read("branch") == f"agent/tester/{run_dir.path.name}\n"
-    assert read("head") == _git(repo, "rev-parse", "HEAD")
-    assert read("ancestor") == "no\n"
-    # the builder's commit stays on its own branch
-    builder_branch = f"agent/builder/{run_dir.path.name}"
-    assert _git(repo, "rev-parse", builder_branch) == read("builder-commit")
-    assert _git(repo, "status", "--porcelain") == ""
-
-
-def _committing_builder(record: Path) -> SubprocessBackend:
-    """Commits on its branch on its first attempt; on a later one records
-    the worktree as it finds it."""
-    record_q = shlex.quote(str(record))
-    script = f"""
-cat >/dev/null
-n=$(cat {record_q}/builder-attempts 2>/dev/null || echo 0); n=$((n + 1))
-echo $n > {record_q}/builder-attempts
-if [ "$n" = 1 ]; then
-  echo feature > feature.txt
-  git add feature.txt
-  git commit -q -m builder
-  git rev-parse HEAD > {record_q}/builder-commit
-else
-  git rev-parse HEAD > {record_q}/builder-retry
-  {{ git branch --show-current; git status --porcelain --ignored; }} >> {record_q}/builder-retry
-fi
-printf '# Implementation\\n\\nattempt %s\\n' "$n" > implementation.md
-echo 'OUTCOME: COMPLETED'
-"""
-    return SubprocessBackend(["sh", "-c", script])
-
-
-def _blocking_tester(record: Path) -> SubprocessBackend:
-    """On its first attempt commits on its branch, leaves a tracked edit, an
-    untracked and an ignored file on a branch of its own, and BLOCKs; on a
-    later one records where its branch is and completes."""
-    record_q = shlex.quote(str(record))
-    script = f"""
-cat >/dev/null
-n=$(cat {record_q}/tester-attempts 2>/dev/null || echo 0); n=$((n + 1))
-echo $n > {record_q}/tester-attempts
+n=$(ls {record_q} | grep -c '^tester-') ; n=$((n + 1))
+grep '^granted artifacts:' > {record_q}/granted-$n
+{{ {_LIST}; cat tracked.txt; }} > {record_q}/tester-$n
 if [ "$n" = 1 ]; then
   echo tester > tester.txt
-  git add tester.txt
-  git commit -q -m tester
-  git rev-parse HEAD > {record_q}/tester-commit
   echo edited >> tracked.txt
   echo junk > untracked.txt
-  echo junk > build.log
-  git checkout -q -b detour
+  echo junk > test.log
   printf 'placebo test failure\\n' > block.txt
   echo 'OUTCOME: SIGNAL BLOCK block.txt'
 else
-  git rev-parse HEAD > {record_q}/tester-retry
   {_AUDIT}  echo 'OUTCOME: COMPLETED'
 fi
 """
     return SubprocessBackend(["sh", "-c", script])
 
 
-def test_a_retry_in_a_slot_another_role_used_starts_at_its_own_commit(tmp_path):
-    repo = init_git_repo(tmp_path / "repo")
-    (repo / "tracked.txt").write_text("original\n", encoding="utf-8")
-    (repo / ".gitignore").write_text("*.log\n", encoding="utf-8")
-    _git(repo, "add", "-A")
-    _git(repo, "commit", "-q", "-m", "fixture")
+def test_a_role_finds_nothing_of_an_earlier_role_or_attempt(tmp_path):
+    repo = _fixture_repo(tmp_path / "repo")
     record = tmp_path / "record"
     record.mkdir()
-    backends = {R.BUILDER: _committing_builder(record), R.TESTER: _blocking_tester(record)}
+    backends = {R.BUILDER: _residue_builder(), R.TESTER: _recording_tester(record)}
     git = RecordingGit()
 
     report, run_dir, _ = run_scripted_workflow(tmp_path, 9, target_repo=repo, git=git, backends=backends)
 
     assert report.final_state == "PIPELINES_COMPLETE", report.diagnostics
     assert report.dispatch_counts == {"builder": 2, "tester": 2}
-    # builder, tester, the builder's BLOCK retry and the tester's, in turn in slot 0
-    assert git.calls == [("add", "worktree-0")] + [("reset", "worktree-0")] * 3
     read = lambda name: (record / name).read_text(encoding="utf-8")
-    head, branch, *status = read("builder-retry").splitlines()
-    # the builder's retry starts at the commit its first attempt made, on
-    # its own branch, with nothing of the tester's: no commit, edit,
-    # untracked or ignored file, branch or artifact
-    assert head == read("builder-commit").strip()
-    assert branch == f"agent/builder/{run_dir.path.name}"
-    assert status == []
-    # and the tester's retry starts at its own commit
-    assert read("tester-retry") == read("tester-commit")
+    for attempt in (1, 2):
+        granted = read(f"granted-{attempt}").removeprefix("granted artifacts: ").strip()
+        inputs = [] if granted == "(none)" else granted.split(", ")
+        # the tree of the base and the tester's own inputs only: nothing
+        # the builder or the tester's first attempt made, edited, left
+        # untracked or ignored
+        files = _listing(repo, [".gitignore", "pyproject.toml", "tracked.txt", *inputs])
+        assert read(f"tester-{attempt}").splitlines() == [*files, "original"]
     assert _git(repo, "status", "--porcelain") == ""
 
 
-def test_resumed_session_adds_a_fresh_worktree(tmp_path, git_spawns):
+def test_a_resumed_session_fills_from_the_journaled_base(tmp_path, git_spawns):
     repo = init_git_repo(tmp_path / "repo")
-    git = RecordingGit()
-    first, run_dir, _ = run_scripted_workflow(
-        tmp_path, 2, target_repo=repo, git=git, builder_holds=1
-    )
+    base = _git(repo, "rev-parse", "HEAD").strip()
+    first, run_dir, _ = run_scripted_workflow(tmp_path, 2, target_repo=repo, builder_holds=1)
     assert first.escalation is not None
-    assert sorted(git.calls) == [("add", "worktree-0"), ("add", "worktree-1")]
+    # the target moves on between the sessions
+    _tracking(repo, "later.txt", "later\n")
 
     workflow = workflow_by_id(2)
+    seen: list = []
+    backends = scripted_backends(workflow, builder_holds=1)
+    backends[R.BUILDER] = Spy(
+        backends[R.BUILDER], seen, lambda req: (sorted(p.name for p in req.sandbox.path.iterdir()), req.briefing)
+    )
     resumed_git = RecordingGit()
     git_spawns.clear()
     resumed = Orchestrator(
         run_dir=run_dir,
         request_id=run_dir.path.name,
         workflow=workflow,
-        backends=scripted_backends(workflow, builder_holds=1),
+        backends=backends,
         channel=UserChannel(
             mode=ChannelMode.SCRIPTED_ANSWERS, answers=("use defaults",), output_fn=lambda _: None
         ),
@@ -387,220 +320,214 @@ def test_resumed_session_adds_a_fresh_worktree(tmp_path, git_spawns):
 
     assert resumed.final_state == "READY_TO_SHIP"
     assert resumed.dispatch_counts["builder"] == 2
-    # attempt 2 of the builder, but the first dispatch of this session:
-    # the slots were removed at the end of session 1, so slot 0 is added
-    # again, and the scriber then takes it over
-    assert resumed_git.calls == [("add", "worktree-0"), ("reset", "worktree-0")]
-    # the journal says the builder's branch exists: it is checked out as
-    # it is, and git is not asked
-    builder = f"agent/builder/{run_dir.path.name}"
-    checkouts = [argv[3:] for argv in git_spawns.argv if argv[3] == "checkout"]
-    assert checkouts[0] == ["checkout", "-q", "-f", "--ignore-other-worktrees", builder, "--"]
-    assert not any("rev-parse" in argv for argv in git_spawns.argv)
-    assert _git(repo, "worktree", "list").count("\n") == 1
+    # the sandboxes were freed at the end of session 1, so the builder's
+    # second attempt is filled afresh, and the scriber gets its own
+    assert resumed_git.calls == [("add", "builder"), ("add", "scriber")]
+    # from the commit session 1 journaled, which git is not asked for again
+    assert [e for e in run_dir.events() if e["event"] == "base"] == [{"event": "base", "commit": base}]
+    assert [argv[4:] for argv in git_spawns.argv] == [["read-tree", "--reset", "-u", base]] * 2
+    names, briefing = seen[0]
+    assert "later.txt" not in names and "pyproject.toml" in names
+    assert f"sandbox: a plain copy of the target at commit {base}, not a git repository\n" in briefing
 
 
-def test_worktree_add_takes_three_processes_and_reuses_an_existing_branch(tmp_path, git_spawns):
+def test_every_fill_of_a_run_holds_its_base_when_the_target_moves_on(tmp_path):
     repo = init_git_repo(tmp_path / "repo")
-    git = SubprocessGit()
-    path = tmp_path / "wt-new"
-    git.worktree_add(repo, path, "agent/builder/req-1", new_branch=True)
-    # an empty worktree, then the checkout step a reset runs too;
-    # `worktree add` starts one `update-ref` of its own
+    base = _git(repo, "rev-parse", "HEAD").strip()
+    # the builder commits to the target itself, outside its sandbox
+    target_q = shlex.quote(str(repo))
+    builder = (
+        f"cat >/dev/null\necho later > {target_q}/later.txt\n"
+        f"git -C {target_q} add later.txt && git -C {target_q} commit -q -m later\n"
+        f"{_IMPLEMENTATION}echo 'OUTCOME: COMPLETED'\n"
+    )
+    seen: list = []
+    workflow = workflow_by_id(9)
+    backends = {**scripted_backends(workflow), R.BUILDER: SubprocessBackend(["sh", "-c", builder])}
+    backends[R.TESTER] = Spy(backends[R.TESTER], seen, lambda req: sorted(p.name for p in req.sandbox.path.iterdir()))
+
+    report, run_dir, _ = run_scripted_workflow(tmp_path, 9, target_repo=repo, backends=backends)
+
+    assert report.final_state == "PIPELINES_COMPLETE", report.diagnostics
+    assert _git(repo, "rev-parse", "HEAD").strip() != base
+    # the tester, filled after the commit, holds the base the run journaled
+    assert [e for e in run_dir.events() if e["event"] == "base"] == [{"event": "base", "commit": base}]
+    assert "later.txt" not in seen[0] and "pyproject.toml" in seen[0]
+
+
+def test_a_target_without_a_commit_halts_before_any_fill(tmp_path):
+    repo = tmp_path / "repo"
+    subprocess.run(["git", "init", "-q", "-b", "main", str(repo)], check=True)
+    (repo / "pyproject.toml").write_text("[project]\nname = 'fixture'\n", encoding="utf-8")
+    git = RecordingGit()
+
+    report, run_dir, _ = run_scripted_workflow(tmp_path, 9, target_repo=repo, git=git)
+
+    assert report.exit_code == 4
+    assert report.diagnostics == {"environment": f"no commit in {repo.resolve()} to fill sandboxes from"}
+    assert report.dispatch_counts == {} and git.calls == []
+    assert not [e for e in run_dir.events() if e["event"] in ("base", "dispatch")]
+
+
+def test_only_a_filled_role_is_briefed_that_its_sandbox_is_a_copy_of_the_target(tmp_path):
+    seen: list = []
+    workflow = workflow_by_id(10)
+    backends = {
+        role: Spy(backend, seen, lambda req: (req.role, req.briefing))
+        for role, backend in scripted_backends(workflow).items()
+    }
+    report, run_dir, _ = run_scripted_workflow(tmp_path, 10, backends=backends)
+
+    assert report.final_state == "REVIEW_PASSED", report.diagnostics
+    (base,) = [e["commit"] for e in run_dir.events() if e["event"] == "base"]
+    line = f"sandbox: a plain copy of the target at commit {base}, not a git repository"
+    briefed = {role for role, briefing in seen if line in briefing.splitlines()}
+    assert briefed == {R.TESTER, R.SCRIBER}
+    assert {role for role, _ in seen} > briefed
+
+
+def test_a_fill_takes_one_git_process_and_registers_nothing_in_the_target(tmp_path, git_spawns):
+    repo = init_git_repo(tmp_path / "repo")
+    base = _git(repo, "rev-parse", "HEAD").strip()
+    refs, index = _git(repo, "for-each-ref"), (repo / ".git" / "index").read_bytes()
+    path = tmp_path / "sandbox"
+
+    SubprocessGit().worktree_add(repo, path, base)
+
     assert [argv[3:] for argv in git_spawns.argv] == [
-        ["worktree", "add", "-f", "-f", "--detach", "--no-checkout", str(path.resolve())],
-        ["checkout", "-q", "-f", "--no-track", "-b", "agent/builder/req-1", "main-worktree/HEAD", "--"],
+        [f"--work-tree={path.resolve()}", "read-tree", "--reset", "-u", base],
     ]
-    assert git_spawns.total() == 3, git_spawns.starts()
-    assert _git(path, "branch", "--show-current") == "agent/builder/req-1\n"
-    assert _git(path, "rev-parse", "HEAD") == _git(repo, "rev-parse", "HEAD")
-    assert _git(path, "status", "--porcelain", "--ignored") == ""
-    _git(repo, "branch", "agent/tester/req-1")
-    # a branch that a session which journaled nothing left behind
-    git.worktree_add(repo, tmp_path / "wt-old", "agent/tester/req-1", new_branch=True)
-    assert _git(tmp_path / "wt-old", "rev-parse", "--abbrev-ref", "HEAD").strip() == "agent/tester/req-1"
-    # a branch the journal says exists is checked out as it is, in 3 processes
-    git.worktree_remove(repo, tmp_path / "wt-old")
-    git_spawns.clear()
-    git.worktree_add(repo, tmp_path / "wt-again", "agent/tester/req-1", new_branch=False)
-    assert git_spawns.argv[-1][3:] == [
-        "checkout", "-q", "-f", "--ignore-other-worktrees", "agent/tester/req-1", "--",
-    ]
-    assert git_spawns.total() == 3, git_spawns.starts()
+    assert git_spawns.total() == 1, git_spawns.starts()
+    # the files of the base, and no repository
+    assert sorted(p.name for p in path.iterdir()) == ["pyproject.toml"]
+    assert subprocess.run(["git", "-C", str(path), "rev-parse"], capture_output=True).returncode != 0
+    # nothing of the target changed: no ref, worktree or index entry
+    assert _git(repo, "for-each-ref") == refs
+    assert _git(repo, "worktree", "list").count("\n") == 1
+    assert (repo / ".git" / "index").read_bytes() == index
 
 
-def test_failed_worktree_add_leaves_no_worktree_behind(tmp_path):
+def test_a_failed_fill_raises_and_leaves_the_target_as_it_was(tmp_path):
     repo = init_git_repo(tmp_path / "repo")
-    git = SubprocessGit()
-    git.worktree_add(repo, tmp_path / "holder", "agent/builder/req-1", new_branch=True)
-    listed = _git(repo, "worktree", "list", "--porcelain")
-    branches = _git(repo, "branch", "--list")
+    refs, listed = _git(repo, "for-each-ref"), _git(repo, "worktree", "list", "--porcelain")
+    path = tmp_path / "sandbox"
 
-    # git checks a branch out in one worktree at most, unless the caller
-    # vouches that the branch is its own
-    with pytest.raises(EnvironmentFailure, match="^worktree creation failed: .*already checked out"):
-        git.worktree_add(repo, tmp_path / "second", "agent/builder/req-1", new_branch=True)
+    with pytest.raises(EnvironmentFailure, match="^sandbox creation failed: .*0{40}"):
+        SubprocessGit().worktree_add(repo, path, "0" * 40)
 
+    # fails closed: an empty directory, nothing to work on
+    assert list(path.iterdir()) == []
+    assert _git(repo, "for-each-ref") == refs
     assert _git(repo, "worktree", "list", "--porcelain") == listed
-    assert _git(repo, "branch", "--list") == branches
-    assert not (tmp_path / "second").exists()
 
 
-def test_worktree_add_refuses_an_existing_path_and_creates_no_branch(tmp_path, git_spawns):
+def test_a_fill_refuses_an_existing_path(tmp_path, git_spawns):
     repo = init_git_repo(tmp_path / "repo")
     occupied = tmp_path / "occupied"
     occupied.mkdir()
     (occupied / "keep.txt").write_text("keep\n", encoding="utf-8")
-    branches = _git(repo, "branch", "--list", "agent/*")
 
     with pytest.raises(EnvironmentFailure) as refused:
-        SubprocessGit().worktree_add(repo, occupied, "agent/builder/req-1", new_branch=True)
+        SubprocessGit().worktree_add(repo, occupied, _git(repo, "rev-parse", "HEAD").strip())
 
-    assert str(refused.value) == f"worktree creation failed: {occupied} already exists; worktree_add refused"
+    assert str(refused.value) == f"sandbox creation failed: {occupied} already exists; worktree_add refused"
     assert git_spawns.argv == [] and git_spawns.total() == 0
-    assert _git(repo, "branch", "--list", "agent/*") == branches
-    assert (occupied / "keep.txt").read_text(encoding="utf-8") == "keep\n"
+    assert [p.name for p in occupied.iterdir()] == ["keep.txt"]
 
 
-def test_worktree_reset_takes_one_process_to_hand_a_slot_to_another_role(tmp_path, git_spawns):
+def test_freeing_a_filled_sandbox_takes_no_git_process(tmp_path, git_spawns):
     repo = init_git_repo(tmp_path / "repo")
     git = SubprocessGit()
-    slot, idle = tmp_path / "worktree-0", tmp_path / "worktree-1"
-    git.worktree_add(repo, slot, "agent/builder/req-1", new_branch=True)
-    git.worktree_add(repo, idle, "agent/tester/req-1", new_branch=True)
-    (slot / "feature.txt").write_text("feature\n", encoding="utf-8")
-    _git(slot, "add", "feature.txt")
-    _git(slot, "commit", "-q", "-m", "builder")
-    builder_tip = _git(repo, "rev-parse", "agent/builder/req-1")
+    sandbox = tmp_path / "sandbox"
+    git.worktree_add(repo, sandbox, _git(repo, "rev-parse", "HEAD").strip())
+    (sandbox / "deep" / "er").mkdir(parents=True)
+    (sandbox / "deep" / "er" / "left.txt").write_text("left\n", encoding="utf-8")
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    (sandbox / "elsewhere").symlink_to(outside)
     git_spawns.clear()
 
-    # a role's first dispatch: its branch is made at the main checkout's HEAD
-    git.worktree_reset(repo, slot, "agent/scriber/req-1", new_branch=True)
-    assert [argv[3:] for argv in git_spawns.argv] == [
-        ["checkout", "-q", "-f", "--no-track", "-b", "agent/scriber/req-1", "main-worktree/HEAD", "--"],
-    ]
-    assert git_spawns.total() == 1, git_spawns.starts()
-    assert _git(slot, "rev-parse", "HEAD") == _git(repo, "rev-parse", "HEAD")
-    assert not (slot / "feature.txt").exists()
-    assert _git(slot, "status", "--porcelain", "--ignored") == ""
-    # the earlier role's commit stays on its branch
-    assert _git(repo, "rev-parse", "agent/builder/req-1") == builder_tip
+    git.worktree_remove(repo, sandbox)
 
-    # a later dispatch checks its branch out as it is, even the tester's,
-    # which the idle slot still has checked out
-    for role, tip in (("builder", builder_tip), ("tester", _git(repo, "rev-parse", "HEAD"))):
-        git_spawns.clear()
-        git.worktree_reset(repo, slot, f"agent/{role}/req-1", new_branch=False)
-        assert [argv[3:] for argv in git_spawns.argv] == [
-            ["checkout", "-q", "-f", "--ignore-other-worktrees", f"agent/{role}/req-1", "--"],
-        ]
-        assert git_spawns.total() == 1, git_spawns.starts()
-        assert _git(slot, "branch", "--show-current") == f"agent/{role}/req-1\n"
-        assert _git(slot, "rev-parse", "HEAD") == tip
-        assert _git(slot, "status", "--porcelain", "--ignored") == ""
+    assert not sandbox.exists()
+    assert git_spawns.argv == [] and git_spawns.total() == 0
+    # the symlink went, not what it pointed at
+    assert outside.is_dir()
 
 
-def test_a_reset_whose_checkout_fails_leaves_the_slot_empty(tmp_path):
-    repo = init_git_repo(tmp_path / "repo")
-    git = SubprocessGit()
-    slot, idle = tmp_path / "worktree-0", tmp_path / "worktree-1"
-    git.worktree_add(repo, slot, "agent/builder/req-1", new_branch=True)
-    git.worktree_add(repo, idle, "agent/tester/req-1", new_branch=True)
-
-    # unless the journal vouches for the branch, git refuses one that
-    # another worktree has checked out
-    with pytest.raises(EnvironmentFailure, match="^worktree reset failed: .*already checked out"):
-        git.worktree_reset(repo, slot, "agent/tester/req-1", new_branch=True)
-
-    # fails closed: nothing of the earlier role is left to work on
-    assert [p.name for p in slot.iterdir()] == [".git"]
-
-
-@pytest.mark.parametrize(
-    "branch, new_branch",
-    [("agent/tester/req-1", True), ("agent/builder/req-1", False)],
-    ids=["takeover", "retry"],
-)
-def test_a_reset_leaves_nothing_an_agent_made_in_the_slot(tmp_path, branch, new_branch):
-    repo = init_git_repo(tmp_path / "repo")
-    (repo / "tracked.txt").write_text("original\n", encoding="utf-8")
-    (repo / ".gitignore").write_text("*.log\n", encoding="utf-8")
-    _git(repo, "add", "-A")
-    _git(repo, "commit", "-q", "-m", "fixture")
-    slot = tmp_path / "sandboxes" / "worktree-0"
-    SubprocessGit().worktree_add(repo, slot, "agent/builder/req-1", new_branch=True)
-    # what a checkout alone leaves behind: an untracked nested repository,
-    # an ignored file, a tracked file replaced by a directory, and a
-    # symlink to a directory outside the slot
-    init_git_repo(slot / "vendored")
-    (slot / "build.log").write_text("junk\n", encoding="utf-8")
-    (slot / "tracked.txt").unlink()
-    (slot / "tracked.txt").mkdir()
-    (slot / "tracked.txt" / "inner.txt").write_text("inner\n", encoding="utf-8")
+def test_a_refill_leaves_nothing_an_agent_made_in_its_sandbox(tmp_path):
+    repo = _fixture_repo(tmp_path / "repo")
+    run_dir, clock, git = RunDirectory(tmp_path / "run").create(), TickClock(), SubprocessGit()
+    base = _git(repo, "rev-parse", "HEAD").strip()
+    sandbox = create_sandbox(R.BUILDER, repo, run_dir=run_dir, git=git, clock=clock, base=base).path
+    # what a fill of a non-empty directory would leave behind: a nested
+    # repository, an ignored file, a tracked file replaced by a directory,
+    # and a symlink to a directory outside the sandbox
+    init_git_repo(sandbox / "vendored")
+    (sandbox / "build.log").write_text("junk\n", encoding="utf-8")
+    (sandbox / "tracked.txt").unlink()
+    (sandbox / "tracked.txt").mkdir()
+    (sandbox / "tracked.txt" / "inner.txt").write_text("inner\n", encoding="utf-8")
     outside = tmp_path / "outside"
     outside.mkdir()
     (outside / "keep.txt").write_text("keep\n", encoding="utf-8")
-    (slot / "elsewhere").symlink_to(outside)
+    (sandbox / "elsewhere").symlink_to(outside)
 
-    SubprocessGit().worktree_reset(repo, slot, branch, new_branch=new_branch)
+    again = create_sandbox(R.BUILDER, repo, run_dir=run_dir, git=git, clock=clock, base=base).path
 
-    assert _git(slot, "status", "--porcelain", "--ignored") == ""
-    assert sorted(p.name for p in slot.iterdir()) == [".git", ".gitignore", "pyproject.toml", "tracked.txt"]
-    assert (slot / "tracked.txt").read_text(encoding="utf-8") == "original\n"
+    assert again == sandbox
+    assert sorted(p.name for p in sandbox.iterdir()) == [".gitignore", "pyproject.toml", "tracked.txt"]
+    assert (sandbox / "tracked.txt").read_text(encoding="utf-8") == "original\n"
     # the symlink went, not what it pointed at
     assert [p.name for p in outside.iterdir()] == ["keep.txt"]
-    assert _git(slot, "branch", "--show-current") == f"{branch}\n"
 
 
-def test_a_slot_that_cannot_be_emptied_fails_the_takeover_as_a_diagnostic(tmp_path, monkeypatch):
+def test_a_sandbox_that_cannot_be_emptied_fails_its_retry_as_a_diagnostic(tmp_path, monkeypatch):
     def refuse(path):
-        raise PermissionError(13, "Permission denied", str(path / "locked"))
+        raise PermissionError(13, "Permission denied", str(Path(path) / "locked"))
 
-    monkeypatch.setattr(gitlayer, "_empty", refuse)
+    monkeypatch.setattr(gitlayer, "shutil", types.SimpleNamespace(rmtree=refuse))
     git = RecordingGit()
-    report, run_dir, _ = run_scripted_workflow(tmp_path, 9, git=git)
+    report, run_dir, _ = run_scripted_workflow(tmp_path, 9, git=git, tester_blocks=1)
 
-    assert report.exit_code == 4 and list(report.diagnostics) == ["tester"]
-    assert "worktree reset failed" in report.diagnostics["tester"]
-    assert "Permission denied" in report.diagnostics["tester"]
-    assert git.calls == [("add", "worktree-0"), ("reset", "worktree-0")]
-    assert report.dispatch_counts == {"builder": 1}
+    assert report.exit_code == 4 and list(report.diagnostics) == ["builder"]
+    builder = run_dir.sandboxes_dir / "builder"
+    assert report.diagnostics["builder"] == f"sandbox creation failed: {builder}: Permission denied"
+    assert git.calls == [("add", "builder"), ("add", "tester"), ("remove", "builder")]
+    assert report.dispatch_counts == {"builder": 1, "tester": 1}
     assert not run_dir.sandboxes_dir.exists()
 
 
-def test_worktree_reset_refuses_a_symlink_to_another_worktree(tmp_path, git_spawns):
+def test_a_symlink_at_a_filled_sandbox_is_refused_and_never_followed(tmp_path, git_spawns):
     repo = init_git_repo(tmp_path / "repo")
-    git = SubprocessGit()
-    sandboxes = tmp_path / "sandboxes"
-    other = sandboxes / "worktree-1"
-    git.worktree_add(repo, other, "agent/builder/req-1", new_branch=True)
+    run_dir, clock, git = RunDirectory(tmp_path / "run").create(), TickClock(), SubprocessGit()
+    base = _git(repo, "rev-parse", "HEAD").strip()
+    other = create_sandbox(R.BUILDER, repo, run_dir=run_dir, git=git, clock=clock, base=base).path
     (other / "pyproject.toml").write_text("[project]\nname = 'edited'\n", encoding="utf-8")
     (other / "notes.txt").write_text("keep me\n", encoding="utf-8")
-    slot = sandboxes / "worktree-0"
-    slot.symlink_to(other)
+    path = run_dir.sandboxes_dir / "tester"
+    path.symlink_to(other)
     git_spawns.clear()
 
-    for new_branch in (True, False):
-        with pytest.raises(EnvironmentFailure) as refused:
-            git.worktree_reset(repo, slot, "agent/tester/req-1", new_branch=new_branch)
-        assert str(refused.value) == f"worktree reset failed: {slot} is a symlink; worktree_reset refused"
+    with pytest.raises(EnvironmentFailure) as refused:
+        create_sandbox(R.TESTER, repo, run_dir=run_dir, git=git, clock=clock, base=base)
 
+    assert str(refused.value) == f"sandbox creation failed: {path} is a symlink"
     # refused before any git process starts, and before anything is deleted
     assert git_spawns.argv == [] and git_spawns.total() == 0
     assert (other / "notes.txt").read_text(encoding="utf-8") == "keep me\n"
     assert "edited" in (other / "pyproject.toml").read_text(encoding="utf-8")
-    assert _git(other, "branch", "--show-current") == "agent/builder/req-1\n"
 
 
 def test_worktree_add_refuses_a_dangling_symlink(tmp_path, git_spawns):
     repo = init_git_repo(tmp_path / "repo")
-    slot = tmp_path / "worktree-0"
-    slot.symlink_to(tmp_path / "elsewhere")
+    sandbox = tmp_path / "builder"
+    sandbox.symlink_to(tmp_path / "elsewhere")
 
     with pytest.raises(EnvironmentFailure) as refused:
-        SubprocessGit().worktree_add(repo, slot, "agent/builder/req-1", new_branch=True)
+        SubprocessGit().worktree_add(repo, sandbox, _git(repo, "rev-parse", "HEAD").strip())
 
-    assert str(refused.value) == f"worktree creation failed: {slot} already exists; worktree_add refused"
+    assert str(refused.value) == f"sandbox creation failed: {sandbox} already exists; worktree_add refused"
     assert git_spawns.argv == [] and git_spawns.total() == 0
     assert not (tmp_path / "elsewhere").exists()
 
@@ -623,80 +550,65 @@ def _large_repo(path: Path) -> Path:
     return repo
 
 
-def test_sequential_checkout_of_a_large_tree_matches_the_main_checkout(tmp_path, git_spawns):
+def test_sequential_fill_of_a_large_tree_matches_the_base_commit(tmp_path, git_spawns):
     repo = _large_repo(tmp_path / "repo")
-    git = SubprocessGit()
-    slot = tmp_path / "sandboxes" / "worktree-0"
+    run_dir, clock, git = RunDirectory(tmp_path / "run").create(), TickClock(), SubprocessGit()
+    base = _git(repo, "rev-parse", "HEAD").strip()
+    probe = tmp_path / "probe-index"
 
-    def assert_pristine() -> None:
-        assert _git(slot, "status", "--porcelain", "--ignored") == ""
-        assert _git(slot, "ls-files", "-s") == _git(repo, "ls-files", "-s")
-        assert os.access(slot / "run.sh", os.X_OK)
-        assert not os.access(slot / "pkg" / "sub0" / "mod0.py", os.X_OK)
-        assert os.readlink(slot / "latest") == "pkg/sub0/mod0.py"
+    def assert_pristine(sandbox: Path) -> None:
+        # the sandbox as git would stage it, in a throwaway index: every
+        # path, mode and blob of the base, and nothing else
+        probe.unlink(missing_ok=True)
+        env = {**os.environ, "GIT_INDEX_FILE": str(probe)}
+        gitdir = f"--git-dir={repo / '.git'}"
+        subprocess.run(["git", gitdir, f"--work-tree={sandbox}", "add", "-A"], cwd=sandbox, env=env, check=True)
+        staged = subprocess.run(["git", gitdir, "ls-files", "-s"], env=env, capture_output=True, text=True)
+        assert staged.stdout == _git(repo, "ls-files", "-s")
+        assert os.access(sandbox / "run.sh", os.X_OK)
+        assert not os.access(sandbox / "pkg" / "sub0" / "mod0.py", os.X_OK)
+        assert os.readlink(sandbox / "latest") == "pkg/sub0/mod0.py"
 
-    git.worktree_add(repo, slot, "agent/builder/req-1", new_branch=True)
-    assert_pristine()
-    # a reset rewrites every file an agent changed
-    for module in (slot / "pkg").rglob("*.py"):
+    sandbox = create_sandbox(R.BUILDER, repo, run_dir=run_dir, git=git, clock=clock, base=base).path
+    assert_pristine(sandbox)
+    # a refill rewrites every file an agent changed
+    for module in (sandbox / "pkg").rglob("*.py"):
         module.write_text("edited\n", encoding="utf-8")
-    (slot / "run.sh").chmod(0o644)
-    (slot / "latest").unlink()
-    git.worktree_reset(repo, slot, "agent/builder/req-1", new_branch=False)
-    assert_pristine()
+    (sandbox / "run.sh").chmod(0o644)
+    (sandbox / "latest").unlink()
+    create_sandbox(R.BUILDER, repo, run_dir=run_dir, git=git, clock=clock, base=base)
+    assert_pristine(sandbox)
 
     # git writes the files itself, with no worker processes
-    assert len([argv for argv in git_spawns.argv if "checkout" in argv]) == 2
+    assert len([argv for argv in git_spawns.argv if "read-tree" in argv]) == 2
     workers = [argv for argv in git_spawns.starts() if argv[1] == "checkout--worker"]
     assert workers == [], workers
 
 
-@pytest.mark.parametrize("new_branch", [True, False], ids=["unjournaled", "journaled"])
-def test_worktree_reset_checks_out_a_surviving_branch_as_it_is(tmp_path, new_branch):
-    repo = init_git_repo(tmp_path / "repo")
-    git = SubprocessGit()
-    # the tester's branch survives from an earlier session, one commit ahead
-    git.worktree_add(repo, tmp_path / "earlier", "agent/tester/req-1", new_branch=True)
-    (tmp_path / "earlier" / "kept.txt").write_text("kept\n", encoding="utf-8")
-    _git(tmp_path / "earlier", "add", "kept.txt")
-    _git(tmp_path / "earlier", "commit", "-q", "-m", "earlier session")
-    kept = _git(repo, "rev-parse", "agent/tester/req-1")
-    git.worktree_remove(repo, tmp_path / "earlier")
-    slot = tmp_path / "worktree-0"
-    git.worktree_add(repo, slot, "agent/builder/req-1", new_branch=True)
-
-    # whether or not the journal knows of the branch
-    git.worktree_reset(repo, slot, "agent/tester/req-1", new_branch=new_branch)
-
-    assert _git(slot, "rev-parse", "HEAD") == kept
-    assert (slot / "kept.txt").exists()
-
-
-def test_worktree_reset_refuses_a_directory_that_is_not_a_worktree(tmp_path, git_spawns):
-    repo = init_git_repo(tmp_path / "repo")
-    (repo / "pyproject.toml").write_text("[project]\nname = 'edited'\n", encoding="utf-8")
+def test_a_fill_holds_the_base_commit_whatever_the_main_checkout_holds(tmp_path):
+    repo = _fixture_repo(tmp_path / "repo")
+    base = _git(repo, "rev-parse", "HEAD").strip()
+    # the target moves on, and its checkout holds staged, edited and
+    # untracked changes
+    _tracking(repo, "later.txt", "later\n")
+    (repo / "staged.txt").write_text("staged\n", encoding="utf-8")
+    _git(repo, "add", "staged.txt")
+    (repo / "tracked.txt").write_text("edited\n", encoding="utf-8")
     (repo / "notes.txt").write_text("keep me\n", encoding="utf-8")
-    stray = repo / "stray"
-    stray.mkdir()
-    outside = tmp_path / "outside"
-    outside.mkdir()
-    git = SubprocessGit()
-    for path in (stray, outside, repo, tmp_path / "absent"):
-        for new_branch in (True, False):
-            with pytest.raises(EnvironmentFailure) as refused:
-                git.worktree_reset(repo, path, "main", new_branch=new_branch)
-            assert str(refused.value) == (
-                f"worktree reset failed: {path.resolve()} is not a linked worktree; worktree_reset refused"
-            )
-    # refused before any git process starts
-    assert git_spawns.argv == [] and git_spawns.total() == 0
-    # the main checkout keeps its edit and its untracked files
-    assert "edited" in (repo / "pyproject.toml").read_text(encoding="utf-8")
-    assert (repo / "notes.txt").exists()
-    assert stray.is_dir()
+    status, index = _git(repo, "status", "--porcelain"), (repo / ".git" / "index").read_bytes()
+    sandbox = tmp_path / "sandbox"
+
+    SubprocessGit().worktree_add(repo, sandbox, base)
+
+    assert sorted(p.name for p in sandbox.iterdir()) == [".gitignore", "pyproject.toml", "tracked.txt"]
+    assert (sandbox / "tracked.txt").read_text(encoding="utf-8") == "original\n"
+    # and the main checkout keeps every change
+    assert _git(repo, "status", "--porcelain") == status
+    assert (repo / ".git" / "index").read_bytes() == index
+    assert (repo / "tracked.txt").read_text(encoding="utf-8") == "edited\n"
 
 
-def test_agent_branches_leave_the_target_config_as_it_was(tmp_path, monkeypatch):
+def test_a_run_leaves_the_target_config_as_it_was(tmp_path, monkeypatch):
     # a user whose every new branch tracks its start point
     config = tmp_path / "gitconfig"
     config.write_text(
@@ -712,16 +624,14 @@ def test_agent_branches_leave_the_target_config_as_it_was(tmp_path, monkeypatch)
     report, _, _ = run_scripted_workflow(tmp_path, 1, target_repo=repo, git=git)
 
     assert report.final_state == "REVIEW_PASSED"
-    assert git.adds() == 2 and ("reset", "worktree-0") in git.calls
+    assert git.adds() == 3
     assert (repo / ".git" / "config").read_bytes() == before
 
 
 def test_git_processes_on_one_repository_never_overlap(tmp_path, monkeypatch):
     repo = init_git_repo(tmp_path / "repo")
+    base = _git(repo, "rev-parse", "HEAD").strip()
     git = SubprocessGit()
-    shared, kept = tmp_path / "shared", tmp_path / "kept"
-    git.worktree_add(repo, shared, "agent/builder/req-1", new_branch=True)
-    git.worktree_add(repo, kept, "agent/tester/req-1", new_branch=True)
 
     # every process below works on the one repository
     in_flight = peak = 0
@@ -742,30 +652,32 @@ def test_git_processes_on_one_repository_never_overlap(tmp_path, monkeypatch):
     monkeypatch.setattr(gitlayer, "subprocess", types.SimpleNamespace(run=run))
     done, failures = [], []
 
-    def adds():
+    def fills(name: str):
+        # each a first dispatch into a sandbox of its own
         for i in range(4):
-            path, branch = tmp_path / f"add-{i}", f"agent/add-{i}/req-1"
-            git.worktree_add(repo, path, branch, new_branch=True)
+            path = tmp_path / f"{name}-{i}"
+            git.worktree_add(repo, path, base)
             done.append(path)
 
-    def takeovers():
-        # each a role's first dispatch into the one shared slot
-        for i in range(4):
-            git.worktree_reset(repo, shared, f"agent/role-{i}/req-1", new_branch=True)
-            done.append(shared)
-
-    def resets():
+    def refills():
+        # each a retry into the one sandbox of a role
+        kept = tmp_path / "kept"
         for _ in range(4):
-            git.worktree_reset(repo, kept, "agent/tester/req-1", new_branch=False)
+            if kept.exists():
+                git.worktree_remove(repo, kept)
+            git.worktree_add(repo, kept, base)
             done.append(kept)
 
-    def record_failure(work):
+    def record_failure(work, *args):
         try:
-            work()
+            work(*args)
         except EnvironmentFailure as exc:
             failures.append(str(exc))
 
-    threads = [threading.Thread(target=record_failure, args=(work,)) for work in (adds, takeovers, resets)]
+    threads = [
+        threading.Thread(target=record_failure, args=work)
+        for work in ((fills, "builder"), (fills, "tester"), (refills,))
+    ]
     for thread in threads:
         thread.start()
     for thread in threads:
@@ -774,6 +686,71 @@ def test_git_processes_on_one_repository_never_overlap(tmp_path, monkeypatch):
 
     assert failures == [] and len(done) == 12
     assert peak == 1
+
+
+# --- what a sandbox is not ----------------------------------------------------
+
+
+def test_the_targets_hooks_never_run_in_a_sandbox(tmp_path):
+    repo = init_git_repo(tmp_path / "repo")
+    hooks, marker = tmp_path / "hooks", tmp_path / "hook-ran"
+    hooks.mkdir()
+    hook = hooks / "post-checkout"
+    hook.write_text(f"#!/bin/sh\npwd >> {shlex.quote(str(marker))}\n", encoding="utf-8")
+    hook.chmod(0o755)
+    _git(repo, "config", "core.hooksPath", str(hooks))
+
+    report, _, _ = run_scripted_workflow(tmp_path, 9, target_repo=repo)
+
+    assert report.final_state == "PIPELINES_COMPLETE", report.diagnostics
+    assert not marker.exists(), marker.read_text(encoding="utf-8")
+    # the hook itself runs on a checkout in the target
+    _git(repo, "checkout", "-q", "-b", "probe")
+    assert marker.exists()
+
+
+#: a line of the test specification the tester alone may read
+_GROUND_TRUTH = "empty-input and single-row edge cases must be covered"
+
+
+def test_a_file_one_role_stages_cannot_be_read_through_git_by_another(tmp_path):
+    assert _GROUND_TRUTH in TEST_SPEC_BODY
+    record = tmp_path / "record"
+    record.mkdir()
+    record_q = shlex.quote(str(record))
+    # a routine `git add -A` in the tester's sandbox, which holds test-spec.md
+    tester = f"""
+cat >/dev/null
+git add -A > {record_q}/tester-add 2>&1
+cat > audit.md <<'EOF'
+{AUDIT_BODY}EOF
+echo 'OUTCOME: COMPLETED'
+"""
+    # a later role prints every blob git can reach from its own sandbox
+    scriber = f"""
+cat >/dev/null
+git rev-parse > {record_q}/scriber-rev-parse 2>&1; echo "exit $?" >> {record_q}/scriber-rev-parse
+git cat-file --batch-all-objects --batch-check='%(objectname) %(objecttype)' 2>/dev/null |
+  while read -r name kind; do [ "$kind" = blob ] && git cat-file -p "$name"; done > {record_q}/blobs
+printf '# Architecture\\n\\nModules.\\n' > Architecture.md
+cat > log-entry.md <<'EOF'
+{LOG_ENTRY_BODY}EOF
+printf '# Docs\\n\\nUsage.\\n' > docs.md
+echo 'OUTCOME: COMPLETED'
+"""
+    backends = {
+        **scripted_backends(workflow_by_id(2)),
+        R.TESTER: SubprocessBackend(["sh", "-c", tester]),
+        R.SCRIBER: SubprocessBackend(["sh", "-c", scriber]),
+    }
+
+    report, _, _ = run_scripted_workflow(tmp_path, 2, backends=backends)
+
+    assert report.final_state == "READY_TO_SHIP", report.diagnostics
+    assert report.dispatch_counts["scriber"] == 1
+    assert _GROUND_TRUTH not in (record / "blobs").read_text(encoding="utf-8")
+    # no git repository encloses a sandbox, so the staged file went nowhere
+    assert not (record / "scriber-rev-parse").read_text(encoding="utf-8").endswith("exit 0\n")
 
 
 # --- what a subprocess agent leaves behind -------------------------------------
@@ -793,7 +770,7 @@ echo $! > {record_q}/left
 printf '# Implementation\\n' > implementation.md
 echo 'OUTCOME: COMPLETED'
 """
-    # the tester's sandbox is the builder's slot, reset
+    # the tester's sandbox is a directory of its own
     tester = f"cat >/dev/null\nsleep 2\nls > {record_q}/seen\n{_AUDIT}echo 'OUTCOME: COMPLETED'\n"
     backends = {R.BUILDER: SubprocessBackend(["sh", "-c", builder]),
                 R.TESTER: SubprocessBackend(["sh", "-c", tester])}
@@ -911,47 +888,15 @@ _IMPLEMENTATION = "printf '# Implementation\\n' > implementation.md\n"
 _COMPLETES = f"cat >/dev/null\n{_IMPLEMENTATION}echo 'OUTCOME: COMPLETED'\n"
 
 
-@pytest.mark.parametrize("locker", [R.BUILDER, R.TESTER], ids=lambda role: role.value)
-def test_a_worktree_its_agent_locked_is_removed_at_finalize(tmp_path, locker):
-    # a builder's locked slot is reset for the tester first
-    output = {R.BUILDER: _IMPLEMENTATION, R.TESTER: _AUDIT}[locker]
-    script = f"cat >/dev/null\ngit worktree lock --reason mine \"$PWD\"\n{output}echo 'OUTCOME: COMPLETED'\n"
-    backends = {**scripted_backends(workflow_by_id(9)), locker: SubprocessBackend(["sh", "-c", script])}
-    git = RecordingGit()
-    # run_scripted_workflow also checks that no worktree of the target is left
-    report, run_dir, _ = run_scripted_workflow(tmp_path, 9, git=git, backends=backends)
-
-    assert report.final_state == "PIPELINES_COMPLETE" and report.exit_code == 0, report.diagnostics
-    assert git.calls == [("add", "worktree-0"), ("reset", "worktree-0")]
-    assert not run_dir.sandboxes_dir.exists()
-
-
-def test_a_slot_whose_git_link_its_agent_deleted_is_unregistered_at_finalize(tmp_path, git_spawns):
-    script = f"cat >/dev/null\nrm .git\n{_IMPLEMENTATION}echo 'OUTCOME: COMPLETED'\n"
-    backends = {**scripted_backends(workflow_by_id(9)), R.BUILDER: SubprocessBackend(["sh", "-c", script])}
-    repo = init_git_repo(tmp_path / "repo")
-    git = RecordingGit()
-    # run_scripted_workflow also checks that `git worktree list` shows only the target
-    report, run_dir, _ = run_scripted_workflow(tmp_path, 9, target_repo=repo, git=git, backends=backends)
-
-    # outside a linked worktree git would reset the target's own checkout
-    assert "not a linked worktree" in report.diagnostics["tester"]
-    assert git.calls == [("add", "worktree-0"), ("reset", "worktree-0")]
-    assert not run_dir.sandboxes_dir.exists()
-    # the start-up query, the add, and one `worktree remove` of the deleted slot
-    assert git_spawns.total() == 5, git_spawns.starts()
-
-
-def test_a_slot_directory_its_agent_deleted_whole_is_unregistered_at_finalize(tmp_path):
+def test_a_sandbox_directory_its_agent_deleted_whole_fails_its_dispatch_alone(tmp_path):
     script = f'cat >/dev/null\n{_IMPLEMENTATION}d=$PWD; cd ..; rm -rf "$d"\necho "OUTCOME: COMPLETED"\n'
     backends = {**scripted_backends(workflow_by_id(9)), R.BUILDER: SubprocessBackend(["sh", "-c", script])}
     repo = init_git_repo(tmp_path / "repo")
     git = RecordingGit()
-    # run_scripted_workflow also checks that `git worktree list` shows only the target
     report, run_dir, _ = run_scripted_workflow(tmp_path, 9, target_repo=repo, git=git, backends=backends)
 
     assert "without contracted artifact(s): ['implementation.md']" in report.diagnostics["builder"]
-    assert git.calls == [("add", "worktree-0")]
+    assert git.calls == [("add", "builder")]
     assert not run_dir.sandboxes_dir.exists()
 
 
@@ -962,19 +907,18 @@ def test_a_sandboxes_directory_its_agent_replaced_with_a_symlink_is_never_follow
     backends = {**scripted_backends(workflow_by_id(9)), R.BUILDER: SubprocessBackend(["sh", "-c", script])}
     repo = init_git_repo(tmp_path / "repo")
     git = RecordingGit()
-    # run_scripted_workflow also checks that `git worktree list` shows only the target
     report, run_dir, _ = run_scripted_workflow(tmp_path, 9, target_repo=repo, git=git, backends=backends)
 
     sandboxes = run_dir.sandboxes_dir
     assert report.exit_code == 4
     assert report.diagnostics == {"tester": f"sandbox creation failed: {sandboxes} is a symlink"}
-    # no slot is reset through the symlink
-    assert git.calls == [("add", "worktree-0")]
+    # no sandbox is filled through the symlink
+    assert git.calls == [("add", "builder")]
     assert report.dispatch_counts == {"builder": 1}
     assert run_dir.report_json_path.exists() and run_dir.report_text_path.exists()
     # the symlink is unlinked; the directory it pointed at is the agent's doing
     assert not sandboxes.is_symlink() and not sandboxes.exists()
-    assert (sandboxes.with_name(f"{sandboxes.name}.moved") / "worktree-0" / "implementation.md").is_file()
+    assert (sandboxes.with_name(f"{sandboxes.name}.moved") / "builder" / "implementation.md").is_file()
 
 
 def test_a_tracked_directory_at_an_input_name_fails_its_dispatch_alone(tmp_path):
@@ -1135,36 +1079,5 @@ def test_the_simulator_sandbox_holds_no_tracked_file_of_the_target(tmp_path):
     # its input only: no file of the target, and no repository
     assert seen == ["sim-spec.md"]
     assert not set(seen) & set(_git(repo, "ls-files").split())
-    # the tester, the batch's one worktree role, adds slot 0; the scriber takes it over
-    assert git.calls == [("add", "worktree-0"), ("reset", "worktree-0")]
-
-
-@pytest.mark.parametrize("locked", [False, True], ids=["registered", "locked"])
-def test_a_session_resumes_after_its_scratch_directory_was_wiped(tmp_path, locked):
-    """A reboot wipes the memory-backed scratch root, but not the target's
-    registration of the worktrees a killed session left there."""
-    workflow = workflow_by_id(9)
-    repo = init_git_repo(tmp_path / "repo")
-    git = RecordingGit()
-    run_dir, request_id = start_run(
-        runs_root=tmp_path / "runs", target_repo=repo, directive="scripted protocol exercise",
-        workflow=workflow, git=git, clock=TickClock(),
-    )
-    left = run_dir.sandboxes_dir / "worktree-0"
-    left.parent.mkdir()
-    _git(repo, "worktree", "add", "-q", "--detach", str(left))
-    if locked:
-        _git(repo, "worktree", "lock", str(left))
-    shutil.rmtree(run_dir.sandboxes_dir)
-    assert str(left.resolve()) in _git(repo, "worktree", "list")
-
-    report = Orchestrator(
-        run_dir=run_dir, request_id=request_id, workflow=workflow, backends=scripted_backends(workflow),
-        channel=UserChannel(mode=ChannelMode.SCRIPTED_ANSWERS, output_fn=lambda _: None),
-        target_repo=repo, git=git, clock=TickClock(), directive="scripted protocol exercise",
-    ).run()
-
-    assert report.final_state == "PIPELINES_COMPLETE" and report.exit_code == 0, report.diagnostics
-    assert git.calls == [("add", "worktree-0"), ("reset", "worktree-0")]
-    assert _git(repo, "worktree", "list").count("\n") == 1
-    assert not run_dir.sandboxes_dir.exists()
+    # the tester, the batch's one filled role, and later the scriber
+    assert git.calls == [("add", "tester"), ("add", "scriber")]

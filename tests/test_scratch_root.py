@@ -97,7 +97,7 @@ def test_a_missing_memory_root_falls_back_to_the_temp_directory(tmp_path, monkey
 def test_a_refused_scratch_root_halts_the_session_before_any_dispatch(tmp_path, _scratch_root):
     _private(_scratch_root).mkdir(mode=0o777)
     _private(_scratch_root).chmod(0o777)
-    # run_scripted_workflow also checks that no worktree of the target is left
+    # run_scripted_workflow also checks that nothing is left in the target
     report, run_dir, _ = run_scripted_workflow(tmp_path, 9)
     assert "mode 0700" in report.diagnostics["environment"]
     assert report.dispatch_counts == {}

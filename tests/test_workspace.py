@@ -455,17 +455,14 @@ def _init_real_repo(path: Path) -> Path:
 def test_subprocess_git_worktree_roundtrip(tmp_path):
     repo = _init_real_repo(tmp_path / "repo")
     git = SubprocessGit()
-    worktree = tmp_path / "wt"
-    git.worktree_add(repo, worktree, "agent/builder/req-1", new_branch=True)
-    assert (worktree / "README.md").exists()
-    assert _git(worktree, "rev-parse", "--abbrev-ref", "HEAD").strip() == "agent/builder/req-1"
-    git.worktree_remove(repo, worktree)
-    assert not worktree.exists()
-    # git lists it no more, and removing it again changes nothing
+    sandbox = tmp_path / "sandbox"
     listed = _git(repo, "worktree", "list", "--porcelain")
-    assert str(worktree.resolve()) not in listed
-    git.worktree_remove(repo, worktree)
+    git.worktree_add(repo, sandbox, git.head(repo))
+    # a plain copy of the files, registered nowhere in the target
+    assert sorted(p.name for p in sandbox.iterdir()) == ["README.md"]
     assert _git(repo, "worktree", "list", "--porcelain") == listed
+    git.worktree_remove(repo, sandbox)
+    assert not sandbox.exists()
 
 
 def test_remote_url_tells_a_repository_without_origin_from_no_repository(tmp_path):
