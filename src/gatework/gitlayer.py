@@ -85,7 +85,8 @@ class SubprocessGit:
         """Fill a new directory at ``path`` with the files of commit
         ``base`` of ``repo``, modes and symlinks included, in one git
         process: ``read-tree --reset -u`` with ``path`` as its work tree,
-        under a private index outside every sandbox, deleted after. The
+        under a private index outside every sandbox, deleted after, and
+        with the target's sparse-checkout patterns off. The
         directory is no repository, nothing is registered in ``repo`` and
         no hook of it runs. A ``path`` that exists, even as a dangling
         symlink, is refused before git runs; the refusal and a failed fill
@@ -96,10 +97,14 @@ class SubprocessGit:
         if given.is_symlink() or path.exists():
             raise EnvironmentFailure(f"sandbox creation failed: {given} already exists; worktree_add refused")
         path.mkdir()
-        # with no index, read-tree writes every file of the tree
+        # with no index, read-tree writes every file of the tree; with the
+        # target's sparse-checkout patterns off, every path of it
         with tempfile.TemporaryDirectory(prefix="gatework-index-") as private:
             index = {"GIT_INDEX_FILE": str(Path(private) / "index")}
-            proc = self._run(repo, f"--work-tree={path}", "read-tree", "--reset", "-u", base, env=index)
+            proc = self._run(
+                repo, "-c", "core.sparseCheckout=false", f"--work-tree={path}",
+                "read-tree", "--reset", "-u", base, env=index,
+            )
         _require(proc, "sandbox creation failed")
 
     def worktree_remove(self, repo: Path, path: Path) -> None:

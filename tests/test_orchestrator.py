@@ -867,6 +867,27 @@ def test_a_symlink_left_at_a_plain_sandbox_fails_its_dispatch_and_is_never_follo
     assert not run_dir.sandboxes_dir.exists()
 
 
+def _plant_directory(path: Path) -> None:
+    path.mkdir()
+    (path / "planted.txt").write_text("planted\n", encoding="utf-8")
+
+
+def test_a_directory_an_agent_leaves_at_a_filled_sandbox_is_freed_and_filled(tmp_path):
+    # like the directory an earlier attempt of the tester would leave there
+    seen: list = []
+    backends = scripted_backends(workflow_by_id(10))
+    backends[R.PLANNER] = _OccupyingBackend(backends[R.PLANNER], "tester", _plant_directory)
+    backends[R.TESTER] = Spy(backends[R.TESTER], seen, lambda req: (req.sandbox.path / "planted.txt").exists())
+    git = RecordingGit()
+    report, run_dir, _ = run_scripted_workflow(tmp_path, 10, git=git, backends=backends)
+
+    assert report.final_state == "REVIEW_PASSED" and report.exit_code == 0, report.diagnostics
+    assert git.calls == [("remove", "tester"), ("add", "tester"), ("add", "scriber")]
+    assert seen == [False]
+    assert report.dispatch_counts["tester"] == 1
+    assert not run_dir.sandboxes_dir.exists()
+
+
 @pytest.mark.parametrize("left", ["file", "symlink"])
 def test_what_an_agent_leaves_at_a_worktree_sandbox_does_not_wedge_the_run(tmp_path, left):
     outside = tmp_path / "outside"

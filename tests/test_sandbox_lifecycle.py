@@ -10,6 +10,7 @@ import contextlib
 import json
 import os
 import shlex
+import shutil
 import signal
 import stat
 import subprocess
@@ -325,7 +326,7 @@ def test_a_resumed_session_fills_from_the_journaled_base(tmp_path, git_spawns):
     assert resumed_git.calls == [("add", "builder"), ("add", "scriber")]
     # from the commit session 1 journaled, which git is not asked for again
     assert [e for e in run_dir.events() if e["event"] == "base"] == [{"event": "base", "commit": base}]
-    assert [argv[4:] for argv in git_spawns.argv] == [["read-tree", "--reset", "-u", base]] * 2
+    assert [argv[-4:] for argv in git_spawns.argv] == [["read-tree", "--reset", "-u", base]] * 2
     names, briefing = seen[0]
     assert "later.txt" not in names and "pyproject.toml" in names
     assert f"sandbox: a plain copy of the target at commit {base}, not a git repository\n" in briefing
@@ -395,7 +396,7 @@ def test_a_fill_takes_one_git_process_and_registers_nothing_in_the_target(tmp_pa
     SubprocessGit().worktree_add(repo, path, base)
 
     assert [argv[3:] for argv in git_spawns.argv] == [
-        [f"--work-tree={path.resolve()}", "read-tree", "--reset", "-u", base],
+        ["-c", "core.sparseCheckout=false", f"--work-tree={path.resolve()}", "read-tree", "--reset", "-u", base],
     ]
     assert git_spawns.total() == 1, git_spawns.starts()
     # the files of the base, and no repository
@@ -606,6 +607,69 @@ def test_a_fill_holds_the_base_commit_whatever_the_main_checkout_holds(tmp_path)
     assert _git(repo, "status", "--porcelain") == status
     assert (repo / ".git" / "index").read_bytes() == index
     assert (repo / "tracked.txt").read_text(encoding="utf-8") == "edited\n"
+
+
+def test_a_fill_of_a_sparse_checkout_target_holds_every_file_of_the_base(tmp_path):
+    repo = init_git_repo(tmp_path / "repo")
+    for name in ("kept/a.txt", "skipped/b.txt"):
+        (repo / name).parent.mkdir()
+        (repo / name).write_text(f"{name}\n", encoding="utf-8")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "two directories")
+    # the user's checkout holds kept/ only
+    _git(repo, "sparse-checkout", "set", "kept")
+    assert not (repo / "skipped").exists()
+    sandbox = tmp_path / "sandbox"
+
+    SubprocessGit().worktree_add(repo, sandbox, _git(repo, "rev-parse", "HEAD").strip())
+
+    assert (sandbox / "skipped" / "b.txt").read_text(encoding="utf-8") == "skipped/b.txt\n"
+    assert (sandbox / "kept" / "a.txt").read_text(encoding="utf-8") == "kept/a.txt\n"
+    # and the user's checkout stays sparse
+    assert not (repo / "skipped").exists()
+    assert _git(repo, "status", "--porcelain") == ""
+
+
+def test_a_fill_of_a_submodule_entry_holds_an_empty_directory(tmp_path):
+    repo = init_git_repo(tmp_path / "repo")
+    seed = _git(repo, "rev-parse", "HEAD").strip()
+    # the gitlink `git submodule add` records, here to a commit of the
+    # target itself; no submodule is cloned
+    _git(repo, "update-index", "--add", "--cacheinfo", f"160000,{seed},vendor/lib")
+    _git(repo, "commit", "-q", "-m", "a submodule")
+    sandbox = tmp_path / "sandbox"
+
+    SubprocessGit().worktree_add(repo, sandbox, _git(repo, "rev-parse", "HEAD").strip())
+
+    assert sorted(p.name for p in sandbox.iterdir()) == ["pyproject.toml", "vendor"]
+    assert list((sandbox / "vendor" / "lib").iterdir()) == []
+
+
+def test_a_fill_writes_its_index_outside_the_sandbox_and_deletes_it(tmp_path, monkeypatch):
+    repo = init_git_repo(tmp_path / "repo")
+    base = _git(repo, "rev-parse", "HEAD").strip()
+    target_index = (repo / ".git" / "index").read_bytes()
+    # an index the engine inherits, as it would under a git hook, is
+    # neither read nor written
+    inherited = tmp_path / "inherited-index"
+    monkeypatch.setenv("GIT_INDEX_FILE", str(inherited))
+    indexes: list[Path] = []
+
+    def run(argv, *args, **kwargs):
+        indexes.append(Path(kwargs["env"]["GIT_INDEX_FILE"]))
+        return subprocess.run(argv, *args, **kwargs)
+
+    monkeypatch.setattr(gitlayer, "subprocess", types.SimpleNamespace(run=run))
+    sandbox = tmp_path / "sandbox"
+
+    SubprocessGit().worktree_add(repo, sandbox, base)
+
+    (index,) = indexes
+    assert sandbox.resolve() not in index.resolve().parents
+    assert not index.parent.exists()
+    assert sorted(p.name for p in sandbox.iterdir()) == ["pyproject.toml"]
+    assert not inherited.exists()
+    assert (repo / ".git" / "index").read_bytes() == target_index
 
 
 def test_a_run_leaves_the_target_config_as_it_was(tmp_path, monkeypatch):
@@ -921,6 +985,33 @@ def test_a_sandboxes_directory_its_agent_replaced_with_a_symlink_is_never_follow
     assert (sandboxes.with_name(f"{sandboxes.name}.moved") / "builder" / "implementation.md").is_file()
 
 
+@pytest.mark.parametrize("role", [R.BUILDER, R.TESTER], ids=lambda role: role.value)
+def test_a_sandbox_its_agent_made_a_repository_is_removed_at_finalize(tmp_path, role):
+    record = tmp_path / "found-git"
+    output = {R.BUILDER: _IMPLEMENTATION, R.TESTER: _AUDIT}[role]
+    # the agent finds no repository, then makes one of its sandbox
+    script = (
+        f"cat >/dev/null\n{output}git rev-parse --git-dir > {shlex.quote(str(record))} 2>&1\n"
+        "git init -q . && git add -A && git -c user.name=a -c user.email=a@b commit -q -m mine\n"
+        "echo 'OUTCOME: COMPLETED'\n"
+    )
+    backends = {**scripted_backends(workflow_by_id(9)), role: SubprocessBackend(["sh", "-c", script])}
+    repo = init_git_repo(tmp_path / "repo")
+    refs, objects = _git(repo, "for-each-ref"), _git(repo, "count-objects")
+    git = RecordingGit()
+    # run_scripted_workflow also checks that the target holds no worktree
+    # and no agent branch
+    report, run_dir, _ = run_scripted_workflow(tmp_path, 9, target_repo=repo, git=git, backends=backends)
+
+    assert report.final_state == "PIPELINES_COMPLETE" and report.exit_code == 0, report.diagnostics
+    assert "not a git repository" in record.read_text(encoding="utf-8")
+    assert git.calls == [("add", "builder"), ("add", "tester")]
+    assert not run_dir.sandboxes_dir.exists()
+    # what the agent committed went into its own repository, which is gone
+    assert _git(repo, "for-each-ref") == refs
+    assert _git(repo, "count-objects") == objects
+
+
 def test_a_tracked_directory_at_an_input_name_fails_its_dispatch_alone(tmp_path):
     diagnostics = []
     for attempt in ("first", "second"):
@@ -1081,3 +1172,67 @@ def test_the_simulator_sandbox_holds_no_tracked_file_of_the_target(tmp_path):
     assert not set(seen) & set(_git(repo, "ls-files").split())
     # the tester, the batch's one filled role, and later the scriber
     assert git.calls == [("add", "tester"), ("add", "scriber")]
+
+
+def _killed_session(tmp_path: Path, repo: Path):
+    """A run started on ``repo`` whose first session was killed after
+    filling the builder's sandbox, which its agent dirtied: no batch was
+    journaled, and the sandbox is still there."""
+    workflow = workflow_by_id(9)
+    run_dir, request_id = start_run(
+        runs_root=tmp_path / "runs", target_repo=repo, directive="scripted protocol exercise",
+        workflow=workflow, git=SubprocessGit(), clock=TickClock(),
+    )
+    base = _git(repo, "rev-parse", "HEAD").strip()
+    left = create_sandbox(R.BUILDER, repo, run_dir=run_dir, git=SubprocessGit(), clock=TickClock(), base=base).path
+    (left / "pyproject.toml").write_text("[project]\nname = 'edited'\n", encoding="utf-8")
+    (left / "implementation.md").write_text("# Stale\n", encoding="utf-8")
+    return run_dir, request_id
+
+
+def _resume_killed(run_dir: RunDirectory, request_id: str, repo: Path, git: SubprocessGit, backends=None):
+    workflow = workflow_by_id(9)
+    return Orchestrator(
+        run_dir=run_dir, request_id=request_id, workflow=workflow,
+        backends=backends or scripted_backends(workflow),
+        channel=UserChannel(mode=ChannelMode.SCRIPTED_ANSWERS, output_fn=lambda _: None),
+        target_repo=repo, git=git, clock=TickClock(), directive="scripted protocol exercise",
+    ).run()
+
+
+def test_a_session_resumes_after_its_scratch_directory_was_wiped(tmp_path):
+    """A reboot wipes the memory-backed scratch root; nothing of the
+    sandboxes a killed session left there is registered in the target."""
+    repo = init_git_repo(tmp_path / "repo")
+    run_dir, request_id = _killed_session(tmp_path, repo)
+    shutil.rmtree(run_dir.sandboxes_dir)
+    git = RecordingGit()
+
+    report = _resume_killed(run_dir, request_id, repo, git)
+
+    assert report.final_state == "PIPELINES_COMPLETE" and report.exit_code == 0, report.diagnostics
+    assert git.calls == [("add", "builder"), ("add", "tester")]
+    assert _git(repo, "worktree", "list").count("\n") == 1
+    assert not run_dir.sandboxes_dir.exists()
+
+
+def test_a_resumed_session_refills_a_sandbox_a_killed_session_left(tmp_path):
+    repo = init_git_repo(tmp_path / "repo")
+    run_dir, request_id = _killed_session(tmp_path, repo)
+    seen: list = []
+    backends = scripted_backends(workflow_by_id(9))
+    backends[R.BUILDER] = Spy(
+        backends[R.BUILDER], seen,
+        lambda req: {p.name: p.read_text(encoding="utf-8") for p in req.sandbox.path.iterdir()},
+    )
+    git = RecordingGit()
+
+    report = _resume_killed(run_dir, request_id, repo, git, backends)
+
+    assert report.final_state == "PIPELINES_COMPLETE" and report.exit_code == 0, report.diagnostics
+    # the builder's sandbox is freed and filled afresh: nothing the killed
+    # session's agent wrote survives
+    assert git.calls == [("remove", "builder"), ("add", "builder"), ("add", "tester")]
+    assert seen == [{"pyproject.toml": "[project]\nname = 'fixture'\n"}]
+    assert run_dir.read(ArtifactKind.IMPLEMENTATION) != "# Stale\n"
+    assert not run_dir.sandboxes_dir.exists()
