@@ -10,7 +10,11 @@ it tried to bypass the copies.
 
 from __future__ import annotations
 
+import errno
+import operator
+import os
 import shutil
+import stat
 import threading
 from datetime import datetime
 from pathlib import Path
@@ -184,21 +188,149 @@ class Sandbox:
         return target
 
 
+#: What a base copy's listing records of each file, and what a copy
+#: checks it against: its mode bits and size, and the identity, inode and
+#: ctime, that :func:`gatework.rundir.identities` uses; a write to the
+#: file or its replacement changes it.
+_identity = operator.attrgetter("st_mode", "st_size", "st_ino", "st_ctime_ns")
+
+#: Why a listed file of the base copy cannot be opened when something
+#: deleted, moved, replaced or locked it after it was listed.
+_GONE = frozenset({errno.ENOENT, errno.ENOTDIR, errno.ELOOP, errno.EACCES})
+
+
+class _Listing(NamedTuple):
+    """A walk of a filled directory, each path relative to it: every
+    directory, parents first; every file with its :data:`_identity`; and
+    every symlink with its target."""
+
+    dirs: list[str]
+    files: list[tuple[str, tuple[int, int, int, int]]]
+    links: list[tuple[str, str]]
+
+
+def _walk(root: str) -> _Listing:
+    """The listing of ``root``, a path ending in a separator."""
+    listing = _Listing([], [], [])
+    pending = [""]
+    while pending:
+        parent = pending.pop()
+        with os.scandir(root + parent) as entries:
+            for entry in entries:
+                name = parent + entry.name
+                if entry.is_symlink():
+                    listing.links.append((name, os.readlink(entry.path)))
+                elif entry.is_dir(follow_symlinks=False):
+                    listing.dirs.append(name)
+                    pending.append(name + os.sep)
+                else:
+                    listing.files.append((name, _identity(entry.stat(follow_symlinks=False))))
+    return listing
+
+
+def _altered(name: str) -> EnvironmentFailure:
+    return EnvironmentFailure(f"sandbox creation failed: base copy altered: {name}")
+
+
+def _copy_file(source: str, target: str, name: str, identity: tuple[int, int, int, int]) -> None:
+    """Create ``target`` with the mode of ``identity`` and the bytes of
+    ``source``, the base copy's file ``name``, which must still have that
+    identity once they are copied: any write to it or replacement of it
+    since it was listed changed its ctime or inode for good. Else
+    ``target`` is deleted and the dispatch fails as the base copy
+    altered. Neither name is followed if it is a symlink, nor waited on
+    if it is a FIFO."""
+    try:
+        src = os.open(source, os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK)
+    except OSError as exc:
+        if exc.errno in _GONE:
+            raise _altered(name) from None
+        raise
+    try:
+        mode, size = identity[0], identity[1]
+        dst = os.open(target, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW, stat.S_IMODE(mode))
+        try:
+            copied = 0
+            while copied < size and (sent := os.sendfile(dst, src, copied, size - copied)):
+                copied += sent
+        except OSError:
+            # a directory or FIFO put in the file's place cannot be sent
+            if _identity(os.fstat(src)) == identity:
+                raise
+        finally:
+            os.close(dst)
+        if _identity(os.fstat(src)) != identity:
+            os.unlink(target)
+            raise _altered(name)
+    finally:
+        os.close(src)
+
+
+class BaseCopy:
+    """The files of commit ``commit`` of ``repo`` at ``path``, filled once
+    per session, which every filled sandbox of the session is copied from
+    with no git process.
+
+    The first :meth:`copy_to` of the session fills ``path`` by
+    ``git.worktree_add`` under a lock, so a parallel batch fills it once,
+    after deleting whatever is there: a killed session's copy is never
+    trusted. One walk then lists it. A copy makes each listed directory,
+    each listed symlink with its listed target, and each listed file from
+    the bytes of the base copy's file, which an agent can reach as it can
+    any sibling sandbox: a file whose identity is not the listed one fails
+    the copy, so nothing an agent did to the base copy reaches a sandbox.
+    Copies run under the same lock, one at a time: two at once contend
+    for the interpreter lock at each of their many system calls, and both
+    end later than either would alone."""
+
+    def __init__(self, git: SubprocessGit, repo: Path, commit: str, path: Path) -> None:
+        self.git, self.repo, self.commit, self.path = git, repo, commit, path
+        self._lock = threading.Lock()
+        self._listing: _Listing | None = None
+
+    def _fill(self) -> _Listing:
+        # what a killed session, or an agent of it, left here is deleted
+        if self.path.is_symlink() or not self.path.is_dir():
+            self.path.unlink(missing_ok=True)
+        else:
+            shutil.rmtree(self.path)
+        self.git.worktree_add(self.repo, self.path, self.commit)
+        return _walk(f"{self.path}{os.sep}")
+
+    def copy_to(self, path: Path) -> None:
+        """Make a new directory at ``path`` holding the files of the base
+        commit, modes and symlinks included; an existing ``path`` raises
+        ``FileExistsError``. A failed fill raises what
+        ``git.worktree_add`` raised, and an altered base copy
+        EnvironmentFailure naming the file."""
+        with self._lock:
+            if self._listing is None:
+                self._listing = self._fill()
+            os.mkdir(path)
+            # joined by hand, as in _walk: two os.path.join calls cost about
+            # a tenth of a file's copy
+            source, target = f"{self.path}{os.sep}", f"{path}{os.sep}"
+            for name in self._listing.dirs:
+                os.mkdir(target + name)
+            for name, link in self._listing.links:
+                os.symlink(link, target + name)
+            for name, identity in self._listing.files:
+                _copy_file(source + name, target + name, name, identity)
+
+
 def create_sandbox(
     role: AgentRole,
-    base_repo: Path,
+    base: BaseCopy,
     *,
     run_dir: RunDirectory,
-    git: SubprocessGit,
     clock: Clock,
-    base: str,
     state: WorkflowState | None = None,
 ) -> Sandbox:
-    """Give a role of :data:`WORKTREE_ROLES` the files of commit ``base``
-    of ``base_repo`` in ``<run_dir.sandboxes_dir>/<role>``, holding its
-    inputs only. What an earlier attempt of the role left there is
-    deleted first, so no edit, untracked file or artifact of it survives;
-    the sandboxes of other roles are other directories."""
+    """Give a role of :data:`WORKTREE_ROLES` a copy of the session's
+    ``base`` in ``<run_dir.sandboxes_dir>/<role>``, holding its inputs
+    only. What an earlier attempt of the role left there is deleted
+    first, so no edit, untracked file or artifact of it survives; the
+    sandboxes of other roles are other directories."""
     if role not in WORKTREE_ROLES:
         raise MisconfigurationError(
             f"{role.value} does not run in a sandbox filled from the target; "
@@ -208,8 +340,8 @@ def create_sandbox(
 
     def fill() -> None:
         if path.exists():
-            git.worktree_remove(base_repo, path)
-        git.worktree_add(base_repo, path, base)
+            base.git.worktree_remove(base.repo, path)
+        base.copy_to(path)
 
     return _make(role, path, fill, run_dir=run_dir, clock=clock, state=state)
 

@@ -35,13 +35,13 @@ class GitResult(NamedTuple):
 class SubprocessGit:
     """Operations the engine needs from git, run by the system binary.
 
-    Every git process runs under one lock. The only concurrent git calls
-    the engine makes are the fills of one batch's sandboxes, each of
-    which reads the target and writes only its own directory and private
-    index, so they may not need it; the lock stays until a measurement
-    shows that unlocked fills gain, and until runs that share a target
-    are known to need no lock across processes. Ship, workspace sync,
-    ``write_context`` and ``validate`` each run on one thread."""
+    Every git process runs under one lock, though no two git processes
+    of one session overlap: the one fill of a session's base copy runs
+    under that copy's own lock (``barrier.BaseCopy``), every sandbox is
+    copied from it with no git process, and ship, workspace sync,
+    ``write_context`` and ``validate`` each run on one thread. The lock
+    stays until runs that share a target are known to need no lock
+    across processes."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -84,7 +84,9 @@ class SubprocessGit:
     def worktree_add(self, repo: Path, path: Path, base: str) -> None:
         """Fill a new directory at ``path`` with the files of commit
         ``base`` of ``repo``, modes and symlinks included, in one git
-        process: ``read-tree --reset -u`` with ``path`` as its work tree,
+        process, the one a session runs while it dispatches (the fill of
+        its ``barrier.BaseCopy``, which nothing overlaps):
+        ``read-tree --reset -u`` with ``path`` as its work tree,
         under a private index outside every sandbox, deleted after, and
         with the target's sparse-checkout patterns off. The
         directory is no repository, nothing is registered in ``repo`` and

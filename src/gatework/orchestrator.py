@@ -25,6 +25,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from gatework.barrier import (
     WORKTREE_ROLES,
+    BaseCopy,
     Sandbox,
     audit_isolation,
     create_plain_sandbox,
@@ -698,6 +699,10 @@ class Orchestrator:
         self.directive = directive
         self.profile: LanguageProfile = UNKNOWN_PROFILE
         self.run_state = RunState(workflow=workflow)
+        #: the session's copy of the run's base commit, once the base is
+        #: known; filled by the first sandbox copied from it, and gone
+        #: with the sandboxes
+        self.base_copy: BaseCopy | None = None
 
     # -- helpers --
 
@@ -762,7 +767,7 @@ class Orchestrator:
             clock = TickClock(start=clock.start, step_seconds=clock.step_seconds)
         common = {"run_dir": self.run_dir, "clock": clock, "state": self.run_state.current}
         if role in WORKTREE_ROLES:
-            return create_sandbox(role, self.target_repo, git=self.git, base=self.run_state.base, **common)
+            return create_sandbox(role, self.base_copy, **common)
         return create_plain_sandbox(role, **common)
 
     def _dispatch_role(
@@ -808,6 +813,10 @@ class Orchestrator:
                 no_base = f"no commit in {self.target_repo} to fill sandboxes from"
                 return {"diagnostics": {"environment": no_base}}
             record_event(self.run_state, self.run_dir, "base", {"commit": base})
+        if self.base_copy is None and self.run_state.base is not None:
+            self.base_copy = BaseCopy(
+                self.git, self.target_repo, self.run_state.base, self.run_dir.sandboxes_dir / ".base"
+            )
         # fixed before any worker starts; a role's dispatch count is its attempt
         attempts = {r: self.run_state.dispatches.get(r, 0) + 1 for r in roles if r in self.backends}
         made: dict[AgentRole, Sandbox] = {}
@@ -935,11 +944,13 @@ class Orchestrator:
 
     def _remove_sandboxes(self) -> None:
         """Sandboxes are disposable once artifacts and audit logs are
-        collected: the run's sandbox directory is deleted with whatever
-        agents left in it, so no copy of the target outlives its session
-        in memory. Nothing of a sandbox is registered in the target. A
-        refused scratch root holds none; a symlink an agent put in place
-        of the directory is unlinked, never followed."""
+        collected: the run's sandbox directory is deleted with the
+        session's base copy and whatever agents left in it, so no copy of
+        the target outlives its session in memory. Nothing of a sandbox is
+        registered in the target. A refused scratch root holds none; a
+        symlink an agent put in place of the directory is unlinked, never
+        followed."""
+        self.base_copy = None
         try:
             sandboxes = self.run_dir.sandboxes_dir
         except EnvironmentFailure:

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from gatework import rundir
+from gatework.barrier import BaseCopy
 from gatework.clock import TickClock
 from gatework.gitlayer import GitResult, SubprocessGit
 from gatework.model import AgentRole, WorkflowType, workflow_by_id
@@ -197,11 +198,18 @@ def repo_without_language(repo: Path) -> Path:
     return repo
 
 
+def base_copy(repo: Path, run_dir: RunDirectory, git: SubprocessGit | None = None) -> BaseCopy:
+    """The base copy a session of ``run_dir`` makes of ``repo``'s HEAD,
+    not yet filled."""
+    git = git or SubprocessGit()
+    return BaseCopy(git, repo, git.head(repo), run_dir.sandboxes_dir / ".base")
+
+
 class RecordingGit(SubprocessGit):
-    """Real git that records what it was asked: ``calls`` names each
-    sandbox fill (``add``) and each filled sandbox freed for a retry
-    (``remove``), with the sandbox's name, and ``actions`` holds the
-    result of every stage, commit and push."""
+    """Real git that records what it was asked: ``calls`` names each fill
+    (``add``), a session's one fill of its base copy ``.base``, and each
+    filled sandbox freed for a retry (``remove``), with the directory's
+    name, and ``actions`` holds the result of every stage, commit and push."""
 
     def __init__(self) -> None:
         super().__init__()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import init_git_repo
+from conftest import base_copy, init_git_repo
 from gatework.barrier import (
     DEFAULT_ACCESS_MATRIX,
     AuditLog,
@@ -133,10 +133,7 @@ def run_env(tmp_path):
 
 def test_builder_sandbox_contains_spec_but_not_test_spec(run_env):
     run_dir, repo, git, clock = run_env
-    sandbox = create_sandbox(
-        R.BUILDER, repo,
-        run_dir=run_dir, git=git, clock=clock, base=git.head(repo),
-    )
+    sandbox = create_sandbox(R.BUILDER, base_copy(repo, run_dir, git), run_dir=run_dir, clock=clock)
     assert (sandbox.path / "spec.md").exists()
     assert not (sandbox.path / "test-spec.md").exists()
     assert not (sandbox.path / "sim-spec.md").exists()
@@ -147,10 +144,7 @@ def test_builder_sandbox_contains_spec_but_not_test_spec(run_env):
 
 def test_scriber_sandbox_docs_only_workflow_has_no_spec_artifacts(run_env):
     run_dir, repo, git, clock = run_env
-    sandbox = create_sandbox(
-        R.SCRIBER, repo,
-        run_dir=run_dir, git=git, clock=clock, base=git.head(repo),
-    )
+    sandbox = create_sandbox(R.SCRIBER, base_copy(repo, run_dir, git), run_dir=run_dir, clock=clock)
     # none of the scriber's grants exist yet in this run, so nothing copies in
     assert sandbox.visible_artifacts == frozenset()
     for kind in SPECS:
@@ -160,17 +154,10 @@ def test_scriber_sandbox_docs_only_workflow_has_no_spec_artifacts(run_env):
 def test_tester_sandbox_after_pipelines_complete_gets_implementation(run_env):
     run_dir, repo, git, clock = run_env
     run_dir.write(K.IMPLEMENTATION, "impl report\n")
-    before = create_sandbox(
-        R.TESTER, repo,
-        run_dir=run_dir, git=git, clock=clock, base=git.head(repo),
-        state=WorkflowState.SPEC_READY,
-    )
+    base = base_copy(repo, run_dir, git)
+    before = create_sandbox(R.TESTER, base, run_dir=run_dir, clock=clock, state=WorkflowState.SPEC_READY)
     assert not (before.path / "implementation.md").exists()
-    after = create_sandbox(
-        R.TESTER, repo,
-        run_dir=run_dir, git=git, clock=clock, base=git.head(repo),
-        state=WorkflowState.PIPELINES_COMPLETE,
-    )
+    after = create_sandbox(R.TESTER, base, run_dir=run_dir, clock=clock, state=WorkflowState.PIPELINES_COMPLETE)
     assert after.path == before.path
     assert (after.path / "implementation.md").exists()
     assert (after.path / "test-spec.md").exists()
@@ -180,10 +167,7 @@ def test_tester_sandbox_after_pipelines_complete_gets_implementation(run_env):
 def test_create_sandbox_rejects_non_worktree_roles(run_env):
     run_dir, repo, git, clock = run_env
     with pytest.raises(MisconfigurationError):
-        create_sandbox(
-            R.PLANNER, repo,
-            run_dir=run_dir, git=git, clock=clock, base=git.head(repo),
-        )
+        create_sandbox(R.PLANNER, base_copy(repo, run_dir, git), run_dir=run_dir, clock=clock)
     sandbox = create_plain_sandbox(R.PLANNER, run_dir=run_dir, clock=clock)
     assert (sandbox.path / "request.md").exists()
 
@@ -212,7 +196,7 @@ def test_an_input_replaces_a_tracked_symlink_at_its_name(run_env, tmp_path):
     subprocess.run(["git", "-C", str(repo), "add", "spec.md"], check=True)
     subprocess.run(["git", "-C", str(repo), "commit", "-q", "-m", "track a symlink"], check=True)
 
-    sandbox = create_sandbox(R.BUILDER, repo, run_dir=run_dir, git=git, clock=clock, base=git.head(repo))
+    sandbox = create_sandbox(R.BUILDER, base_copy(repo, run_dir, git), run_dir=run_dir, clock=clock)
 
     spec = sandbox.path / "spec.md"
     assert not spec.is_symlink() and spec.read_text(encoding="utf-8") == "content of spec.md\n"
@@ -221,10 +205,7 @@ def test_an_input_replaces_a_tracked_symlink_at_its_name(run_env, tmp_path):
 
 def test_request_read_denied_artifact_returns_nothing_and_logs(run_env):
     run_dir, repo, git, clock = run_env
-    sandbox = create_sandbox(
-        R.BUILDER, repo,
-        run_dir=run_dir, git=git, clock=clock, base=git.head(repo),
-    )
+    sandbox = create_sandbox(R.BUILDER, base_copy(repo, run_dir, git), run_dir=run_dir, clock=clock)
     assert sandbox.request_read("test-spec.md") is None
     assert sandbox.request_read("spec.md") == "content of spec.md\n"
     assert sandbox.request_read("module.py") == "print('hi')\n"  # plain sandbox file
@@ -237,10 +218,7 @@ def test_request_read_denied_artifact_returns_nothing_and_logs(run_env):
 
 def test_sandbox_rejects_escape_paths(run_env):
     run_dir, repo, git, clock = run_env
-    sandbox = create_sandbox(
-        R.BUILDER, repo,
-        run_dir=run_dir, git=git, clock=clock, base=git.head(repo),
-    )
+    sandbox = create_sandbox(R.BUILDER, base_copy(repo, run_dir, git), run_dir=run_dir, clock=clock)
     for bad in ("../outside.md", "a/../../x", "/etc/passwd", "a/b/../../../z"):
         with pytest.raises(BarrierError):
             sandbox.resolve(bad)

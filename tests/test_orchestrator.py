@@ -882,7 +882,7 @@ def test_a_directory_an_agent_leaves_at_a_filled_sandbox_is_freed_and_filled(tmp
     report, run_dir, _ = run_scripted_workflow(tmp_path, 10, git=git, backends=backends)
 
     assert report.final_state == "REVIEW_PASSED" and report.exit_code == 0, report.diagnostics
-    assert git.calls == [("remove", "tester"), ("add", "tester"), ("add", "scriber")]
+    assert git.calls == [("remove", "tester"), ("add", ".base")]
     assert seen == [False]
     assert report.dispatch_counts["tester"] == 1
     assert not run_dir.sandboxes_dir.exists()
@@ -914,10 +914,10 @@ def test_what_an_agent_leaves_at_a_worktree_sandbox_does_not_wedge_the_run(tmp_p
 
     assert resumed.final_state == "REVIEW_PASSED", resumed.diagnostics
     assert resumed.exit_code == 0
-    # the tester, alone in its batch, is filled afresh, and this time it
-    # runs, its attempt 1: a dispatch whose sandbox was never made is
-    # none; the scriber then gets a sandbox of its own
-    assert git.calls == [("add", "tester"), ("add", "scriber")]
+    # the tester, alone in its batch, is copied afresh from the session's
+    # one fill, and this time it runs, its attempt 1: a dispatch whose
+    # sandbox was never made is none; the scriber then gets a copy of its own
+    assert git.calls == [("add", ".base")]
     assert "audit.md" in resumed.artifacts
     assert "tester" not in first.dispatch_counts
     assert resumed.dispatch_counts["tester"] == 1

@@ -1,12 +1,15 @@
 """Sandbox lifecycle on real git: each role's sandbox is a plain
-directory of its own, ``<sandboxes>/<role>``, filled with the files of the
-run's base commit by one git process, and freed and filled again for a
-retry; the run's sandbox directory is deleted at finalize, and nothing is
-registered in the target."""
+directory of its own, ``<sandboxes>/<role>``, holding the files of the
+run's base commit, copied with no git process from the session's base
+copy ``<sandboxes>/.base``, which one git process fills once per session;
+a retry frees its sandbox and copies it again; the run's sandbox
+directory is deleted at finalize, and nothing is registered in the
+target."""
 
 from __future__ import annotations
 
 import contextlib
+import errno
 import json
 import os
 import shlex
@@ -14,6 +17,7 @@ import shutil
 import signal
 import stat
 import subprocess
+import sys
 import threading
 import time
 import types
@@ -28,6 +32,7 @@ from conftest import (
     TEST_SPEC_BODY,
     RecordingGit,
     Spy,
+    base_copy,
     init_git_repo,
     process_ended,
     run_scripted_workflow,
@@ -95,19 +100,21 @@ def git_spawns(tmp_path, monkeypatch) -> GitProcesses:
 
 # Workflow 9: one start-up query (`remote get-url origin`, whose exit code
 # also says whether the target is a repository), one `rev-parse` of the
-# run's base commit, then one `read-tree` for each fill, the builder's and
-# the tester's: 1 + 1 + 2.
-WF9_GIT_PROCESSES = 4
+# run's base commit, then one `read-tree`, the fill of the session's base
+# copy, which the builder's and the tester's sandboxes are copied from:
+# 1 + 1 + 1.
+WF9_GIT_PROCESSES = 3
 # Workflow 1 with 1 HOLD, 3 BLOCKs and 1 STOP dispatches builder 4x,
 # tester 4x, scriber 2x, simulator 1x: 1 start-up query, 1 `rev-parse` of
-# the base, and one fill for each dispatch of a filled role (the
-# simulator's sandbox is a plain directory): 1 + 1 + (4 + 4 + 2).
-WF1_FULL_RETRY_GIT_PROCESSES = 12
+# the base, and the one fill of the base copy; the 10 sandboxes of the
+# filled roles are copies of it, and the simulator's is a plain
+# directory: 1 + 1 + 1.
+WF1_FULL_RETRY_GIT_PROCESSES = 3
 # Workflow 2 shipping to a bare remote: 1 start-up query, 1 `rev-parse`,
-# the builder's, tester's and scriber's fills, then `add -A`,
-# `symbolic-ref`, `commit` and `push` (and the `receive-pack` it starts)
-# on the target: 1 + 1 + 3 + 5.
-WF2_SHIP_GIT_PROCESSES = 10
+# the one fill of the base copy (the builder's, tester's and scriber's
+# sandboxes are copies), then `add -A`, `symbolic-ref`, `commit` and
+# `push` (and the `receive-pack` it starts) on the target: 1 + 1 + 1 + 5.
+WF2_SHIP_GIT_PROCESSES = 8
 
 
 def test_git_spawns_per_run_workflow_9(tmp_path, git_spawns):
@@ -116,8 +123,8 @@ def test_git_spawns_per_run_workflow_9(tmp_path, git_spawns):
     report, _, _ = run_scripted_workflow(tmp_path, 9, target_repo=repo, git=git)
     assert report.final_state == "PIPELINES_COMPLETE"
     assert git_spawns.total() == WF9_GIT_PROCESSES, git_spawns.starts()
-    # each role is filled in a directory of its own
-    assert git.calls == [("add", "builder"), ("add", "tester")]
+    # one fill per session; each role's sandbox is a copy of it
+    assert git.calls == [("add", ".base")]
 
 
 def test_git_spawns_per_run_workflow_1_full_retry(tmp_path, git_spawns):
@@ -133,11 +140,10 @@ def test_git_spawns_per_run_workflow_1_full_retry(tmp_path, git_spawns):
     }
     assert report.retries == {"BLOCK": 3, "HOLD": 1, "STOP": 1}
     assert git_spawns.total() == WF1_FULL_RETRY_GIT_PROCESSES, git_spawns.starts()
-    # one fill per dispatch of a filled role; each retry first frees what
-    # the role's attempt before it left
+    # one fill for the session; each retry first frees what the role's
+    # attempt before it left
     assert Counter(git.calls) == {
-        ("add", "builder"): 4, ("add", "tester"): 4, ("add", "scriber"): 2,
-        ("remove", "builder"): 3, ("remove", "tester"): 3, ("remove", "scriber"): 1,
+        ("add", ".base"): 1, ("remove", "builder"): 3, ("remove", "tester"): 3, ("remove", "scriber"): 1,
     }
 
 
@@ -150,7 +156,7 @@ def test_git_spawns_per_run_workflow_2_shipping(tmp_path, git_spawns):
     assert report.final_state == "DONE"
     assert report.ship["shipped"] is True
     assert git_spawns.total() == WF2_SHIP_GIT_PROCESSES, git_spawns.starts()
-    assert git.adds() == 3
+    assert git.adds() == 1
 
 
 def _fixture_repo(path: Path) -> Path:
@@ -212,11 +218,8 @@ def test_retry_attempt_starts_from_pristine_checkout(tmp_path):
 
     assert report.final_state == "PIPELINES_COMPLETE"
     assert report.dispatch_counts == {"builder": 2, "tester": 2}
-    # a retry frees its role's sandbox, then fills it again
-    assert git.calls == [
-        ("add", "builder"), ("add", "tester"),
-        ("remove", "builder"), ("add", "builder"), ("remove", "tester"), ("add", "tester"),
-    ]
+    # a retry frees its role's sandbox, then copies it again
+    assert git.calls == [("add", ".base"), ("remove", "builder"), ("remove", "tester")]
     first = (record / "attempt-1.txt").read_text(encoding="utf-8")
     second = (record / "attempt-2.txt").read_text(encoding="utf-8")
     assert first.splitlines() == [*_listing(repo, [".gitignore", "pyproject.toml", "tracked.txt"]), "original"]
@@ -321,12 +324,13 @@ def test_a_resumed_session_fills_from_the_journaled_base(tmp_path, git_spawns):
 
     assert resumed.final_state == "READY_TO_SHIP"
     assert resumed.dispatch_counts["builder"] == 2
-    # the sandboxes were freed at the end of session 1, so the builder's
-    # second attempt is filled afresh, and the scriber gets its own
-    assert resumed_git.calls == [("add", "builder"), ("add", "scriber")]
+    # the sandboxes and the base copy were freed at the end of session 1,
+    # so this session fills its own base copy once; the builder's second
+    # attempt and the scriber are copies of it
+    assert resumed_git.calls == [("add", ".base")]
     # from the commit session 1 journaled, which git is not asked for again
     assert [e for e in run_dir.events() if e["event"] == "base"] == [{"event": "base", "commit": base}]
-    assert [argv[-4:] for argv in git_spawns.argv] == [["read-tree", "--reset", "-u", base]] * 2
+    assert [argv[-4:] for argv in git_spawns.argv] == [["read-tree", "--reset", "-u", base]]
     names, briefing = seen[0]
     assert "later.txt" not in names and "pyproject.toml" in names
     assert f"sandbox: a plain copy of the target at commit {base}, not a git repository\n" in briefing
@@ -459,8 +463,8 @@ def test_freeing_a_filled_sandbox_takes_no_git_process(tmp_path, git_spawns):
 def test_a_refill_leaves_nothing_an_agent_made_in_its_sandbox(tmp_path):
     repo = _fixture_repo(tmp_path / "repo")
     run_dir, clock, git = RunDirectory(tmp_path / "run").create(), TickClock(), SubprocessGit()
-    base = _git(repo, "rev-parse", "HEAD").strip()
-    sandbox = create_sandbox(R.BUILDER, repo, run_dir=run_dir, git=git, clock=clock, base=base).path
+    base = base_copy(repo, run_dir, git)
+    sandbox = create_sandbox(R.BUILDER, base, run_dir=run_dir, clock=clock).path
     # what a fill of a non-empty directory would leave behind: a nested
     # repository, an ignored file, a tracked file replaced by a directory,
     # and a symlink to a directory outside the sandbox
@@ -474,7 +478,7 @@ def test_a_refill_leaves_nothing_an_agent_made_in_its_sandbox(tmp_path):
     (outside / "keep.txt").write_text("keep\n", encoding="utf-8")
     (sandbox / "elsewhere").symlink_to(outside)
 
-    again = create_sandbox(R.BUILDER, repo, run_dir=run_dir, git=git, clock=clock, base=base).path
+    again = create_sandbox(R.BUILDER, base, run_dir=run_dir, clock=clock).path
 
     assert again == sandbox
     assert sorted(p.name for p in sandbox.iterdir()) == [".gitignore", "pyproject.toml", "tracked.txt"]
@@ -494,7 +498,7 @@ def test_a_sandbox_that_cannot_be_emptied_fails_its_retry_as_a_diagnostic(tmp_pa
     assert report.exit_code == 4 and list(report.diagnostics) == ["builder"]
     builder = run_dir.sandboxes_dir / "builder"
     assert report.diagnostics["builder"] == f"sandbox creation failed: {builder}: Permission denied"
-    assert git.calls == [("add", "builder"), ("add", "tester"), ("remove", "builder")]
+    assert git.calls == [("add", ".base"), ("remove", "builder")]
     assert report.dispatch_counts == {"builder": 1, "tester": 1}
     assert not run_dir.sandboxes_dir.exists()
 
@@ -502,16 +506,17 @@ def test_a_sandbox_that_cannot_be_emptied_fails_its_retry_as_a_diagnostic(tmp_pa
 def test_a_symlink_at_a_filled_sandbox_is_refused_and_never_followed(tmp_path, git_spawns):
     repo = init_git_repo(tmp_path / "repo")
     run_dir, clock, git = RunDirectory(tmp_path / "run").create(), TickClock(), SubprocessGit()
-    base = _git(repo, "rev-parse", "HEAD").strip()
-    other = create_sandbox(R.BUILDER, repo, run_dir=run_dir, git=git, clock=clock, base=base).path
+    other = create_sandbox(R.BUILDER, base_copy(repo, run_dir, git), run_dir=run_dir, clock=clock).path
     (other / "pyproject.toml").write_text("[project]\nname = 'edited'\n", encoding="utf-8")
     (other / "notes.txt").write_text("keep me\n", encoding="utf-8")
     path = run_dir.sandboxes_dir / "tester"
     path.symlink_to(other)
+    # a base copy not yet filled, as in a session's first batch
+    unfilled = base_copy(repo, run_dir, git)
     git_spawns.clear()
 
     with pytest.raises(EnvironmentFailure) as refused:
-        create_sandbox(R.TESTER, repo, run_dir=run_dir, git=git, clock=clock, base=base)
+        create_sandbox(R.TESTER, unfilled, run_dir=run_dir, clock=clock)
 
     assert str(refused.value) == f"sandbox creation failed: {path} is a symlink"
     # refused before any git process starts, and before anything is deleted
@@ -533,10 +538,15 @@ def test_worktree_add_refuses_a_dangling_symlink(tmp_path, git_spawns):
     assert not (tmp_path / "elsewhere").exists()
 
 
-def _large_repo(path: Path) -> Path:
-    """A repository of 122 tracked files, above git's default
-    ``checkout.thresholdForParallelism`` of 100, with an executable
-    script and a symlink among them."""
+#: a tracked file name holding a space, a newline and a byte that is not UTF-8
+_ODD_NAME = os.fsdecode(b"odd name\nwith \xff.txt")
+
+
+def _large_repo(path: Path, outside: Path) -> Path:
+    """A repository of 124 tracked entries, above git's default
+    ``checkout.thresholdForParallelism`` of 100: an executable script, a
+    symlink inside the tree and one to ``outside``, a file with an odd
+    name, and a submodule entry among them."""
     repo = init_git_repo(path)
     for i in range(120):
         module = repo / "pkg" / f"sub{i % 6}" / f"mod{i}.py"
@@ -546,42 +556,60 @@ def _large_repo(path: Path) -> Path:
     script.write_text("#!/bin/sh\necho ok\n", encoding="utf-8")
     script.chmod(0o755)
     (repo / "latest").symlink_to("pkg/sub0/mod0.py")
+    (repo / "outside").symlink_to(outside)
+    (repo / "pkg" / _ODD_NAME).write_bytes(b"odd\n")
     _git(repo, "add", "-A")
+    # the gitlink `git submodule add` records, to a commit of the target itself
+    seed = _git(repo, "rev-parse", "HEAD").strip()
+    _git(repo, "update-index", "--add", "--cacheinfo", f"160000,{seed},vendor/lib")
     _git(repo, "commit", "-q", "-m", "large tree")
     return repo
 
 
 def test_sequential_fill_of_a_large_tree_matches_the_base_commit(tmp_path, git_spawns):
-    repo = _large_repo(tmp_path / "repo")
+    outside = tmp_path / "outside.txt"
+    outside.write_text("outside\n", encoding="utf-8")
+    repo = _large_repo(tmp_path / "repo", outside)
     run_dir, clock, git = RunDirectory(tmp_path / "run").create(), TickClock(), SubprocessGit()
-    base = _git(repo, "rev-parse", "HEAD").strip()
+    base = base_copy(repo, run_dir, git)
     probe = tmp_path / "probe-index"
 
     def assert_pristine(sandbox: Path) -> None:
-        # the sandbox as git would stage it, in a throwaway index: every
-        # path, mode and blob of the base, and nothing else
+        # the sandbox as git would stage it, in a throwaway index that
+        # starts from the base's tree, with no stat data, so git reads
+        # every file: every path, mode and blob of the base, and nothing else
         probe.unlink(missing_ok=True)
         env = {**os.environ, "GIT_INDEX_FILE": str(probe)}
         gitdir = f"--git-dir={repo / '.git'}"
+        subprocess.run(["git", gitdir, "read-tree", base.commit], env=env, check=True)
         subprocess.run(["git", gitdir, f"--work-tree={sandbox}", "add", "-A"], cwd=sandbox, env=env, check=True)
         staged = subprocess.run(["git", gitdir, "ls-files", "-s"], env=env, capture_output=True, text=True)
         assert staged.stdout == _git(repo, "ls-files", "-s")
         assert os.access(sandbox / "run.sh", os.X_OK)
         assert not os.access(sandbox / "pkg" / "sub0" / "mod0.py", os.X_OK)
         assert os.readlink(sandbox / "latest") == "pkg/sub0/mod0.py"
+        # a link, kept as one, and what it names is never written
+        assert os.readlink(sandbox / "outside") == str(outside)
+        assert outside.read_text(encoding="utf-8") == "outside\n"
+        assert (sandbox / "pkg" / _ODD_NAME).read_bytes() == b"odd\n"
+        assert list((sandbox / "vendor" / "lib").iterdir()) == []
 
-    sandbox = create_sandbox(R.BUILDER, repo, run_dir=run_dir, git=git, clock=clock, base=base).path
+    sandbox = create_sandbox(R.BUILDER, base, run_dir=run_dir, clock=clock).path
     assert_pristine(sandbox)
-    # a refill rewrites every file an agent changed
+    # a retry copies again every file an agent changed
     for module in (sandbox / "pkg").rglob("*.py"):
         module.write_text("edited\n", encoding="utf-8")
     (sandbox / "run.sh").chmod(0o644)
     (sandbox / "latest").unlink()
-    create_sandbox(R.BUILDER, repo, run_dir=run_dir, git=git, clock=clock, base=base)
+    (sandbox / "vendor" / "lib" / "junk.txt").write_text("junk\n", encoding="utf-8")
+    create_sandbox(R.BUILDER, base, run_dir=run_dir, clock=clock)
     assert_pristine(sandbox)
+    # and a sandbox of another role is a copy of the same base
+    assert_pristine(create_sandbox(R.TESTER, base, run_dir=run_dir, clock=clock).path)
 
-    # git writes the files itself, with no worker processes
-    assert len([argv for argv in git_spawns.argv if "read-tree" in argv]) == 2
+    # git fills the base copy once, writing the files itself, with no
+    # worker processes
+    assert len([argv for argv in git_spawns.argv if "read-tree" in argv]) == 1
     workers = [argv for argv in git_spawns.starts() if argv[1] == "checkout--worker"]
     assert workers == [], workers
 
@@ -688,7 +716,7 @@ def test_a_run_leaves_the_target_config_as_it_was(tmp_path, monkeypatch):
     report, _, _ = run_scripted_workflow(tmp_path, 1, target_repo=repo, git=git)
 
     assert report.final_state == "REVIEW_PASSED"
-    assert git.adds() == 3
+    assert git.adds() == 1
     assert (repo / ".git" / "config").read_bytes() == before
 
 
@@ -847,6 +875,147 @@ echo 'OUTCOME: COMPLETED'
     assert "| all | pass |" in run_dir.read(ArtifactKind.AUDIT)
 
 
+def test_a_base_copy_an_agent_altered_fails_the_next_copy_and_reaches_no_sandbox(tmp_path, monkeypatch):
+    # the base copy is a sibling of every sandbox, so an agent can write to it
+    record = tmp_path / "tampered"
+    builder = (
+        f"cat >/dev/null\necho tampered >> ../.base/pyproject.toml\ntouch {shlex.quote(str(record))}\n"
+        f"{_IMPLEMENTATION}echo 'OUTCOME: COMPLETED'\n"
+    )
+    workflow = workflow_by_id(9)
+    backends = {**scripted_backends(workflow), R.BUILDER: SubprocessBackend(["sh", "-c", builder])}
+    made: dict = {}
+
+    def after_the_builder(role, *args, **kwargs):
+        # the tester's sandbox is copied once the builder has written
+        if role is R.TESTER:
+            deadline = time.monotonic() + 10
+            while not record.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+        path = kwargs["run_dir"].sandboxes_dir / role.value
+        try:
+            return create_sandbox(role, *args, **kwargs)
+        finally:
+            made[role] = {p.name: p.read_bytes() for p in path.iterdir() if p.is_file()}
+
+    monkeypatch.setattr("gatework.orchestrator.create_sandbox", after_the_builder)
+    repo = init_git_repo(tmp_path / "repo")
+    report, run_dir, _ = run_scripted_workflow(tmp_path, 9, target_repo=repo, backends=backends)
+
+    assert record.exists()
+    assert report.exit_code == 4
+    assert report.diagnostics == {"tester": "sandbox creation failed: base copy altered: pyproject.toml"}
+    assert report.dispatch_counts == {"builder": 1}
+    assert not any(b"tampered" in data for data in made[R.TESTER].values()), made[R.TESTER]
+
+    # the next session fills a base copy of its own: nothing of the altered
+    # one survives into the tester's attempt
+    monkeypatch.setattr("gatework.orchestrator.create_sandbox", create_sandbox)
+    seen: list = []
+    backends = scripted_backends(workflow)
+    backends[R.TESTER] = Spy(
+        backends[R.TESTER], seen, lambda req: (req.sandbox.path / "pyproject.toml").read_text(encoding="utf-8")
+    )
+    resumed = _resume_killed(run_dir, run_dir.path.name, repo, SubprocessGit(), backends)
+    assert resumed.final_state == "PIPELINES_COMPLETE" and resumed.exit_code == 0, resumed.diagnostics
+    assert seen == ["[project]\nname = 'fixture'\n"]
+
+
+def test_a_base_file_written_while_it_is_copied_leaves_none_of_its_bytes_in_the_sandbox(tmp_path, monkeypatch):
+    repo = _fixture_repo(tmp_path / "repo")
+    run_dir = RunDirectory(tmp_path / "run").create()
+    run_dir.sandboxes_dir.mkdir()
+    base = base_copy(repo, run_dir)
+    base.copy_to(run_dir.sandboxes_dir / "first")
+    sendfile, raced = os.sendfile, []
+
+    def racing(out_fd, in_fd, offset, count):
+        # an agent appends to the base file between its checks
+        with open(f"/proc/self/fd/{in_fd}", "a", encoding="utf-8") as fh:
+            fh.write("raced\n")
+        raced.append(os.readlink(f"/proc/self/fd/{in_fd}"))
+        return sendfile(out_fd, in_fd, offset, count)
+
+    monkeypatch.setattr(os, "sendfile", racing)
+    second = run_dir.sandboxes_dir / "second"
+    with pytest.raises(EnvironmentFailure) as refused:
+        base.copy_to(second)
+
+    name = Path(raced[0]).name
+    assert str(refused.value) == f"sandbox creation failed: base copy altered: {name}"
+    assert not (second / name).exists()
+
+
+def test_a_base_file_that_cannot_be_sent_unaltered_fails_with_the_systems_reason(tmp_path, monkeypatch):
+    repo = _fixture_repo(tmp_path / "repo")
+    run_dir = RunDirectory(tmp_path / "run").create()
+    base = base_copy(repo, run_dir)
+    create_sandbox(R.BUILDER, base, run_dir=run_dir, clock=TickClock())
+
+    def failing(out_fd, in_fd, offset, count):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    monkeypatch.setattr(os, "sendfile", failing)
+    # an error reading a file no agent touched is no altered base copy
+    with pytest.raises(EnvironmentFailure) as refused:
+        create_sandbox(R.TESTER, base, run_dir=run_dir, clock=TickClock())
+
+    assert str(refused.value) == f"sandbox creation failed: {run_dir.sandboxes_dir / 'tester'}: Input/output error"
+
+
+@pytest.mark.parametrize("make", [Path.mkdir, os.mkfifo, lambda path: path.symlink_to("pyproject.toml")],
+                         ids=["directory", "fifo", "symlink"])
+def test_a_base_file_an_agent_replaced_fails_the_copy_as_altered(tmp_path, make):
+    repo = _fixture_repo(tmp_path / "repo")
+    run_dir = RunDirectory(tmp_path / "run").create()
+    run_dir.sandboxes_dir.mkdir()
+    base = base_copy(repo, run_dir)
+    base.copy_to(run_dir.sandboxes_dir / "first")
+    (base.path / "tracked.txt").unlink()
+    make(base.path / "tracked.txt")
+    second = run_dir.sandboxes_dir / "second"
+
+    # none is followed, waited on or read from
+    with pytest.raises(EnvironmentFailure) as refused:
+        base.copy_to(second)
+
+    assert str(refused.value) == "sandbox creation failed: base copy altered: tracked.txt"
+    assert not os.path.lexists(second / "tracked.txt")
+
+
+def test_a_parallel_batch_fills_its_base_copy_once(tmp_path):
+    repo = _fixture_repo(tmp_path / "repo")
+    run_dir, git = RunDirectory(tmp_path / "run").create(), RecordingGit()
+    run_dir.sandboxes_dir.mkdir()
+    base = base_copy(repo, run_dir, git)
+    targets = [run_dir.sandboxes_dir / f"copy-{i}" for i in range(8)]  # more threads than cores
+    failures: list = []
+
+    def copy(path: Path) -> None:
+        try:
+            base.copy_to(path)
+        except Exception as exc:
+            failures.append(exc)
+
+    threads = [threading.Thread(target=copy, args=(path,)) for path in targets]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+
+    assert failures == []
+    assert git.calls == [("add", ".base")]
+    for path in targets:
+        assert sorted(p.name for p in path.iterdir()) == [".gitignore", "pyproject.toml", "tracked.txt"]
+        assert (path / "tracked.txt").read_text(encoding="utf-8") == "original\n"
+
+
 def test_an_interrupted_batch_kills_the_agents_it_waits_for(tmp_path):
     record = tmp_path / "record"
     record.mkdir()
@@ -960,7 +1129,7 @@ def test_a_sandbox_directory_its_agent_deleted_whole_fails_its_dispatch_alone(tm
     report, run_dir, _ = run_scripted_workflow(tmp_path, 9, target_repo=repo, git=git, backends=backends)
 
     assert "without contracted artifact(s): ['implementation.md']" in report.diagnostics["builder"]
-    assert git.calls == [("add", "builder")]
+    assert git.calls == [("add", ".base")]
     assert not run_dir.sandboxes_dir.exists()
 
 
@@ -976,8 +1145,8 @@ def test_a_sandboxes_directory_its_agent_replaced_with_a_symlink_is_never_follow
     sandboxes = run_dir.sandboxes_dir
     assert report.exit_code == 4
     assert report.diagnostics == {"tester": f"sandbox creation failed: {sandboxes} is a symlink"}
-    # no sandbox is filled through the symlink
-    assert git.calls == [("add", "builder")]
+    # no sandbox is filled or copied through the symlink
+    assert git.calls == [("add", ".base")]
     assert report.dispatch_counts == {"builder": 1}
     assert run_dir.report_json_path.exists() and run_dir.report_text_path.exists()
     # the symlink is unlinked; the directory it pointed at is the agent's doing
@@ -1005,7 +1174,7 @@ def test_a_sandbox_its_agent_made_a_repository_is_removed_at_finalize(tmp_path, 
 
     assert report.final_state == "PIPELINES_COMPLETE" and report.exit_code == 0, report.diagnostics
     assert "not a git repository" in record.read_text(encoding="utf-8")
-    assert git.calls == [("add", "builder"), ("add", "tester")]
+    assert git.calls == [("add", ".base")]
     assert not run_dir.sandboxes_dir.exists()
     # what the agent committed went into its own repository, which is gone
     assert _git(repo, "for-each-ref") == refs
@@ -1170,23 +1339,26 @@ def test_the_simulator_sandbox_holds_no_tracked_file_of_the_target(tmp_path):
     # its input only: no file of the target, and no repository
     assert seen == ["sim-spec.md"]
     assert not set(seen) & set(_git(repo, "ls-files").split())
-    # the tester, the batch's one filled role, and later the scriber
-    assert git.calls == [("add", "tester"), ("add", "scriber")]
+    # one fill, which the tester, the batch's one filled role, and later
+    # the scriber are copied from
+    assert git.calls == [("add", ".base")]
 
 
 def _killed_session(tmp_path: Path, repo: Path):
     """A run started on ``repo`` whose first session was killed after
-    filling the builder's sandbox, which its agent dirtied: no batch was
-    journaled, and the sandbox is still there."""
+    filling its base copy and the builder's sandbox, both of which its
+    agent dirtied: no batch was journaled, and both are still there."""
     workflow = workflow_by_id(9)
     run_dir, request_id = start_run(
         runs_root=tmp_path / "runs", target_repo=repo, directive="scripted protocol exercise",
         workflow=workflow, git=SubprocessGit(), clock=TickClock(),
     )
-    base = _git(repo, "rev-parse", "HEAD").strip()
-    left = create_sandbox(R.BUILDER, repo, run_dir=run_dir, git=SubprocessGit(), clock=TickClock(), base=base).path
-    (left / "pyproject.toml").write_text("[project]\nname = 'edited'\n", encoding="utf-8")
+    base = base_copy(repo, run_dir)
+    left = create_sandbox(R.BUILDER, base, run_dir=run_dir, clock=TickClock()).path
+    for dirtied in (left, base.path):
+        (dirtied / "pyproject.toml").write_text("[project]\nname = 'edited'\n", encoding="utf-8")
     (left / "implementation.md").write_text("# Stale\n", encoding="utf-8")
+    (base.path / "extra.txt").write_text("extra\n", encoding="utf-8")
     return run_dir, request_id
 
 
@@ -1211,28 +1383,33 @@ def test_a_session_resumes_after_its_scratch_directory_was_wiped(tmp_path):
     report = _resume_killed(run_dir, request_id, repo, git)
 
     assert report.final_state == "PIPELINES_COMPLETE" and report.exit_code == 0, report.diagnostics
-    assert git.calls == [("add", "builder"), ("add", "tester")]
+    assert git.calls == [("add", ".base")]
     assert _git(repo, "worktree", "list").count("\n") == 1
     assert not run_dir.sandboxes_dir.exists()
 
 
-def test_a_resumed_session_refills_a_sandbox_a_killed_session_left(tmp_path):
+def test_a_resumed_session_refills_a_sandbox_a_killed_session_left(tmp_path, git_spawns):
     repo = init_git_repo(tmp_path / "repo")
     run_dir, request_id = _killed_session(tmp_path, repo)
     seen: list = []
     backends = scripted_backends(workflow_by_id(9))
-    backends[R.BUILDER] = Spy(
-        backends[R.BUILDER], seen,
-        lambda req: {p.name: p.read_text(encoding="utf-8") for p in req.sandbox.path.iterdir()},
-    )
+    for role in (R.BUILDER, R.TESTER):
+        backends[role] = Spy(
+            backends[role], seen,
+            lambda req: (req.role, {p.name: p.read_text(encoding="utf-8") for p in req.sandbox.path.iterdir()}),
+        )
     git = RecordingGit()
+    git_spawns.clear()
 
     report = _resume_killed(run_dir, request_id, repo, git, backends)
 
     assert report.final_state == "PIPELINES_COMPLETE" and report.exit_code == 0, report.diagnostics
-    # the builder's sandbox is freed and filled afresh: nothing the killed
-    # session's agent wrote survives
-    assert git.calls == [("remove", "builder"), ("add", "builder"), ("add", "tester")]
-    assert seen == [{"pyproject.toml": "[project]\nname = 'fixture'\n"}]
+    # the killed session's base copy is replaced by one fill, never trusted,
+    # and the builder's sandbox is freed and copied afresh: nothing the
+    # killed session's agent wrote to either survives
+    assert sorted(git.calls) == [("add", ".base"), ("remove", "builder")]
+    assert len([argv for argv in git_spawns.argv if "read-tree" in argv]) == 1
+    pristine = {"pyproject.toml": "[project]\nname = 'fixture'\n"}
+    assert sorted(seen) == [(R.BUILDER, pristine), (R.TESTER, pristine)]
     assert run_dir.read(ArtifactKind.IMPLEMENTATION) != "# Stale\n"
     assert not run_dir.sandboxes_dir.exists()
